@@ -210,9 +210,6 @@ class Algebra:
         f = self.field
         return Element(self, [f.one() if j == i else f.zero() for j in range(self.dim)])
 
-    def zero_element(self) -> Element:
-        return Element(self, [self.field.zero()] * self.dim)
-
     def unit_element(self) -> Element:
         if self.unit is None:
             raise AxiomViolation("algebra has no declared unit")
@@ -297,64 +294,6 @@ class Algebra:
     def product_vector(self, i: int, j: int) -> List[FieldElement]:
         """Coordinates of e_i e_j."""
         return [self.structure[i][j][k] for k in range(self.dim)]
-
-    # -- axioms -------------------------------------------------------------
-    def check_axioms(self, which: Sequence[str]) -> dict:
-        """Run the named axiom checks; returns {name: (ok, witness)}."""
-        out = {}
-        for name in which:
-            if name == "involutive":
-                out[name] = self._check_involutive()
-            elif name == "nondegenerate":
-                out[name] = self._check_nondegenerate()
-            elif name == "condition_B":
-                out[name] = self._check_condition_b()
-            elif name == "condition_C":
-                out[name] = self._check_condition_c()
-            else:
-                raise ValueError(f"unknown axiom: {name}")
-        return out
-
-    def _check_involutive(self):
-        if self.involution is None:
-            raise InvolutionUndeclared("algebra has no involution")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = self.involute(self.basis(i) * self.basis(j))
-                rhs = self.involute(self.basis(j)) * self.involute(self.basis(i))
-                if lhs != rhs:
-                    return (False, f"conj(e{i} e{j}) != conj(e{j}) conj(e{i})")
-        if self.form is not None:
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    lhs = self.form_eval(self.involute(self.basis(i)), self.involute(self.basis(j)))
-                    if lhs != self.form[i][j]:
-                        return (False, f"involution is not a form isometry at ({i},{j})")
-        return (True, None)
-
-    def _check_nondegenerate(self):
-        if self.form is None:
-            raise FormUndeclared("algebra has no bilinear form")
-        r = linalg.rank(self.form, self.field.zero())
-        return (r == self.dim, None if r == self.dim else f"form rank {r} < {self.dim}")
-
-    def _check_condition_b(self):
-        # span of all basis products must be the whole space
-        rows = [self.product_vector(i, j) for i in range(self.dim) for j in range(self.dim)]
-        r = linalg.rank(rows, self.field.zero())
-        return (r == self.dim, None if r == self.dim else f"product span has rank {r}")
-
-    def _check_condition_c(self):
-        # x |-> L(x) and y |-> R(y) must both be injective
-        zero, one = self.field.zero(), self.field.one()
-        n = self.dim
-        lmat = [[self.structure[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
-        rmat = [[self.structure[i][j][k] for j in range(n)] for i in range(n) for k in range(n)]
-        if linalg.nullspace(lmat, zero, one):
-            return (False, "some nonzero x has L(x) = 0")
-        if linalg.nullspace(rmat, zero, one):
-            return (False, "some nonzero y has R(y) = 0")
-        return (True, None)
 
     def __repr__(self) -> str:
         return f"Algebra(name={self.name!r}, dim={self.dim}, field={self.field})"

@@ -2,8 +2,8 @@
 the floating-point exponential bridge.
 
 Output is deterministic: fixed check ordering, no timestamps, and the same
-bytes for the same inputs regardless of worker count.  Exit status is zero
-iff every requested check passed.
+bytes for the same inputs.  Exit status is zero iff every requested check
+passed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Tuple
 
 from . import autos, symcomp, triality, zorn
@@ -32,14 +31,6 @@ class ParseError(Exception):
 
 class SuiteInapplicable(Exception):
     pass
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TRIALKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def parse_field(text: str) -> FieldDescriptor:
@@ -75,20 +66,11 @@ Check = Tuple[str, Callable[[], Tuple[bool, Optional[str]]]]
 
 
 def _run_checks(rep: CertificationReport, checks: List[Check]) -> None:
-    workers = _thread_count()
-
-    def run(one: Check):
+    for check_id, check in checks:
         try:
-            return one[1]()
+            ok, witness = check()
         except Exception as exc:  # a crashed check is a failed check
-            return False, f"{type(exc).__name__}: {exc}"
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, checks))
-    else:
-        results = [run(c) for c in checks]
-    for (check_id, _), (ok, witness) in zip(checks, results):
+            ok, witness = False, f"{type(exc).__name__}: {exc}"
         rep.add(check_id, ok, witness)
 
 

@@ -9,6 +9,7 @@ over a bilinear space.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -40,29 +41,29 @@ def make_ground(field: FieldDescriptor) -> Algebra:
 # Cayley-Dickson composition algebras
 # ---------------------------------------------------------------------------
 
-def _cd_conj(x: list, level: int) -> list:
-    if level == 0:
-        return x
-    half = len(x) // 2
-    return _cd_conj(x[:half], level - 1) + [-c for c in x[half:]]
+def _cd_basis_product(i: int, j: int, level: int) -> Tuple[int, List[int], int]:
+    """e_i e_j = sign * prod(gammas[t] for t in ts) * e_k after `level`
+    doublings; returns (sign, ts, k).
 
-
-def _cd_mul(x: list, y: list, gammas: Sequence[FieldElement], level: int) -> list:
-    if level == 0:
-        return [x[0] * y[0]]
-    half = len(x) // 2
-    g = gammas[level - 1]
-    a, b = x[:half], x[half:]
-    c, d = y[:half], y[half:]
-    first = linalg.vec_add(
-        _cd_mul(a, c, gammas, level - 1),
-        linalg.vec_scale(g, _cd_mul(_cd_conj(d, level - 1), b, gammas, level - 1)),
-    )
-    second = linalg.vec_add(
-        _cd_mul(d, a, gammas, level - 1),
-        _cd_mul(b, _cd_conj(c, level - 1), gammas, level - 1),
-    )
-    return first + second
+    Bit t of an index says whether the basis vector lies in the second half
+    of the t-th doubling, where (a,b)(c,d) = (ac + g conj(d) b, da + b conj(c))
+    with g = gammas[t].  On basis vectors exactly one term survives, and
+    conj(e_m) = -e_m unless m = 0, so each bit costs one step.
+    """
+    sign, ts, k = 1, [], 0
+    for t in range(level - 1, -1, -1):
+        bit = 1 << t
+        hi, hj = i & bit, j & bit
+        i, j = i ^ hi, j ^ hj
+        if hi and j:
+            sign = -sign  # conj(d) or conj(c) on a non-unit basis vector
+        if hi and hj:
+            ts.append(t)
+        if hi != hj:
+            k |= bit
+        if hj:
+            i, j = j, i  # the product continues as d a or conj(d) b
+    return sign, ts, k
 
 
 def make_hurwitz(field: FieldDescriptor, gammas: Sequence) -> Algebra:
@@ -75,12 +76,12 @@ def make_hurwitz(field: FieldDescriptor, gammas: Sequence) -> Algebra:
     zero, one = field.zero(), field.one()
     structure = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        ei = [one if t == i else zero for t in range(n)]
         for j in range(n):
-            ej = [one if t == j else zero for t in range(n)]
-            prod = _cd_mul(ei, ej, gs, level)
-            for k in range(n):
-                structure[i][j][k] = prod[k]
+            sign, ts, k = _cd_basis_product(i, j, level)
+            coef = one if sign > 0 else -one
+            for t in ts:
+                coef = coef * gs[t]
+            structure[i][j][k] = coef
     norms = [one]
     for g in gs:
         norms = norms + [-g * v for v in norms]
@@ -166,11 +167,8 @@ def make_para_dim2(field: FieldDescriptor) -> Algebra:
 # matrices via trace formulas; the arithmetic below is exact over
 # Q(sqrt 3) adjoined i, so nothing is transcribed by hand.
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 # number = (a, b, c, d) <-> (a + b*sqrt3) + i*(c + d*sqrt3)
-_C0 = (_F0, _F0, _F0, _F0)
+_C0 = (Fraction(0),) * 4
 
 
 def _cadd(x, y):
@@ -211,45 +209,52 @@ def _generator_matrices():
     ]
 
 
-def _cmat_mul(x, y):
-    return [
-        [
-            _cadd(_cadd(_cmul(x[r][0], y[0][c]), _cmul(x[r][1], y[1][c])),
-                  _cmul(x[r][2], y[2][c]))
-            for c in range(3)
-        ]
-        for r in range(3)
-    ]
-
-
-def _ctrace(x):
-    return _cadd(_cadd(x[0][0], x[1][1]), x[2][2])
-
-
-def _structure_tensors() -> Tuple[list, list]:
+@lru_cache(maxsize=None)
+def _pseudo_octonion_tensors() -> Tuple[tuple, tuple]:
     """Symmetric tensor d and antisymmetric tensor f, each entry a pair
-    (rational part, sqrt3 coefficient)."""
-    lam = _generator_matrices()
-    prods = [[_cmat_mul(a, b) for b in lam] for a in lam]
-    d = [[[None] * 8 for _ in range(8)] for _ in range(8)]
-    f = [[[None] * 8 for _ in range(8)] for _ in range(8)]
+    (rational part, sqrt3 coefficient), as immutable nested tuples.
+
+    T[j][k][l] = Tr(l_j l_k l_l) is summed over the nonzero generator
+    entries only; d and f come from T[j][k] + T[k][j] and T[j][k] - T[k][j].
+    """
+    lam = [{(r, c): m[r][c] for r in range(3) for c in range(3) if m[r][c] != _C0}
+           for m in _generator_matrices()]
+    trace = [[None] * 8 for _ in range(8)]
     for j in range(8):
         for k in range(8):
-            anti = [[_cadd(prods[j][k][r][c], prods[k][j][r][c]) for c in range(3)] for r in range(3)]
-            comm = [[_csub(prods[j][k][r][c], prods[k][j][r][c]) for c in range(3)] for r in range(3)]
+            prod = {}  # nonzero entries of l_j l_k
+            for (r, s), x in lam[j].items():
+                for (s2, t), y in lam[k].items():
+                    if s == s2:
+                        prod[r, t] = _cadd(prod.get((r, t), _C0), _cmul(x, y))
+            row = []
             for l in range(8):
-                td = _ctrace(_cmat_mul(anti, lam[l]))
-                tf = _ctrace(_cmat_mul(comm, lam[l]))
+                acc = _C0
+                for (r, t), x in prod.items():
+                    y = lam[l].get((t, r))
+                    if y is not None:
+                        acc = _cadd(acc, _cmul(x, y))
+                row.append(acc)
+            trace[j][k] = row
+    d, f = [], []
+    for j in range(8):
+        dj, fj = [], []
+        for k in range(8):
+            djk, fjk = [], []
+            for l in range(8):
+                td = _cadd(trace[j][k][l], trace[k][j][l])
+                tf = _csub(trace[j][k][l], trace[k][j][l])
                 # d = Tr({l_j,l_k} l_l)/4 is real; Tr([l_j,l_k] l_l) is purely
                 # imaginary, and f = that trace / (4i).
                 assert td[2] == 0 and td[3] == 0
                 assert tf[0] == 0 and tf[1] == 0
-                d[j][k][l] = (td[0] / 4, td[1] / 4)
-                f[j][k][l] = (tf[2] / 4, tf[3] / 4)
-    return d, f
-
-
-_D_TENSOR, _F_TENSOR = _structure_tensors()
+                djk.append((td[0] / 4, td[1] / 4))
+                fjk.append((tf[2] / 4, tf[3] / 4))
+            dj.append(tuple(djk))
+            fj.append(tuple(fjk))
+        d.append(tuple(dj))
+        f.append(tuple(fj))
+    return tuple(d), tuple(f)
 
 
 def sqrt3_in(field: FieldDescriptor) -> FieldElement:
@@ -267,17 +272,19 @@ def make_pseudo_octonion(field: FieldDescriptor, sign: str = "+") -> Algebra:
     s = 1 if sign == "+" else -1
     r3 = sqrt3_in(field)
     zero, one = field.zero(), field.one()
+    d, f = _pseudo_octonion_tensors()
     structure = [[[zero] * 8 for _ in range(8)] for _ in range(8)]
     for j in range(8):
         for k in range(8):
             for l in range(8):
-                da, db = _D_TENSOR[j][k][l]
-                fa, fb = _F_TENSOR[j][k][l]
+                da, db = d[j][k][l]
+                fa, fb = f[j][k][l]
                 # sqrt3*(da + db*sqrt3) + s*(fa + fb*sqrt3)
                 rat = 3 * db + s * fa
                 irr = da + s * fb
-                val = field.from_fraction(rat) + field.from_fraction(irr) * r3
-                structure[j][k][l] = val
+                if rat or irr:
+                    structure[j][k][l] = (field.from_fraction(rat)
+                                          + field.from_fraction(irr) * r3)
     form = [[one if i == j else zero for j in range(8)] for i in range(8)]
     flip = {1, 4, 6}  # imaginary antisymmetric generators change sign under transpose
     invol = [[(-one if i in flip else one) if i == j else zero for j in range(8)] for i in range(8)]

@@ -137,11 +137,6 @@ class FieldDescriptor:
             return _make(self, int(a) % self.p, 0, 1)
         return FieldElement(self, a)
 
-    def sqrt_generator(self) -> "FieldElement":
-        if self.kind != QUADRATIC:
-            raise ValueError("sqrt generator only exists in quadratic fields")
-        return _make(self, 0, 1, 1)
-
     def to_json(self) -> dict:
         if self.kind == RATIONALS:
             return {"field": "Q"}
@@ -382,23 +377,6 @@ def _reduced(desc: FieldDescriptor, n0: int, n1: int, q: int) -> FieldElement:
         if g != 1:
             n0, n1, q = n0 // g, n1 // g, q // g
     return _make(desc, n0, n1, q)
-
-
-def field_arith(op: str, x: FieldElement, y: FieldElement) -> FieldElement:
-    """Functional surface over the element operators."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if y.is_zero():
-            raise DivisionByZero("division by zero")
-        return x / y
-    if op == "neg":
-        return -x
-    raise ValueError(f"unknown op: {op}")
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:

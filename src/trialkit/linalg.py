@@ -110,13 +110,6 @@ def _rref(a: Matrix, zero) -> tuple[Matrix, List[int]]:
     return m, pivots
 
 
-def rank(a: Matrix, zero) -> int:
-    if not a:
-        return 0
-    _, pivots = _rref(a, zero)
-    return len(pivots)
-
-
 def nullspace(a: Matrix, zero, one) -> List[Vector]:
     """Basis of {v : a v = 0}."""
     if not a:
@@ -156,13 +149,3 @@ def solve(a: Matrix, b: Vector, zero, one) -> Optional[Vector]:
         x[pc] = red[r][cols]
     return x
 
-
-def mat_pow(a: Matrix, n: int, one, zero) -> Matrix:
-    out = identity(len(a), one, zero)
-    base = a
-    while n:
-        if n & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return out

@@ -31,10 +31,6 @@ class CertificationReport:
             text = witness if isinstance(witness, str) else repr(witness)
         self.checks.append(CheckResult(check_id, passed, text))
 
-    def extend_from_certificate(self, prefix: str, cert) -> None:
-        for clause, ok, witness in cert.records:
-            self.add(f"{prefix}:{clause}", ok, witness)
-
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)

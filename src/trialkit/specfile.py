@@ -8,7 +8,8 @@ Layout:
   "structure": [[i, j, k, "value"], ...]   # nonzero entries only
   "form": [["...", ...], ...] | null,
   "involution": [["...", ...], ...] | null,
-  "unit": ["...", ...] | null
+  "unit": ["...", ...] | null,
+  "para_unit": ["...", ...]                 # para algebras only
 }
 Scalars encode exactly: rationals as "num/den", quadratic elements as
 "a+b*sqrt(d)", prime-field residues as integers.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .algebra import Algebra
+from .algebra import Algebra, DimensionMismatch
 from .fields import FieldDescriptor, format_scalar, parse_scalar
 
 
@@ -31,7 +32,7 @@ def algebra_to_dict(a: Algebra) -> dict:
                 v = a.structure[i][j][k]
                 if not v.is_zero():
                     entries.append([i, j, k, format_scalar(v)])
-    return {
+    out = {
         "name": a.name,
         "field": a.field.to_json(),
         "dim": a.dim,
@@ -42,6 +43,10 @@ def algebra_to_dict(a: Algebra) -> dict:
         else None,
         "unit": [format_scalar(v) for v in a.unit] if a.unit else None,
     }
+    para_unit = getattr(a, "para_unit", None)
+    if para_unit is not None:
+        out["para_unit"] = [format_scalar(v) for v in para_unit]
+    return out
 
 
 def algebra_from_dict(obj: dict) -> Algebra:
@@ -60,8 +65,13 @@ def algebra_from_dict(obj: dict) -> Algebra:
     unit = None
     if obj.get("unit"):
         unit = [parse_scalar(str(v), field) for v in obj["unit"]]
-    return Algebra(field, structure, form=form, involution=involution, unit=unit,
-                   name=obj.get("name", ""))
+    out = Algebra(field, structure, form=form, involution=involution, unit=unit,
+                  name=obj.get("name", ""))
+    if obj.get("para_unit") is not None:
+        if len(obj["para_unit"]) != n:
+            raise DimensionMismatch(f"para_unit needs {n} coords")
+        out.para_unit = [parse_scalar(str(v), field) for v in obj["para_unit"]]
+    return out
 
 
 def save_algebra(a: Algebra, path: str) -> None:

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .constructors import make_para_dim2
-from .dual import Dual, dual_one, dual_zero
+from .dual import Dual, dual_zero
 from .fields import FieldDescriptor, FieldElement, sqrt_in_field
 from .triality import (
     LocalTriple,

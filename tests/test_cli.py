@@ -113,3 +113,30 @@ def test_error_exit_codes(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "enumerate", "trig", "para2", "F37")
     assert rc == 2
+
+
+def test_spec_round_trip_keeps_para_unit(capsys, tmp_path):
+    a = named_algebra("para:4")
+    spec = specfile.algebra_to_dict(a)
+    assert "para_unit" not in specfile.algebra_to_dict(named_algebra("hurwitz:4"))
+    back = specfile.algebra_from_dict(json.loads(json.dumps(spec)))
+    assert back.para_unit == a.para_unit
+    path = tmp_path / "para4.json"
+    specfile.save_algebra(a, str(path))
+    rc, out, _ = run(capsys, "certify", str(path), "--suite", "core")
+    assert rc == 0
+    assert "[PASS] core:para-unit-acts-by-conjugation" in out
+
+
+def test_perturbed_para_unit_fails_its_check(capsys, tmp_path):
+    spec = specfile.algebra_to_dict(named_algebra("para:4"))
+    spec["para_unit"] = ["0", "1", "0", "0"]
+    path = tmp_path / "bad_unit.json"
+    path.write_text(json.dumps(spec))
+    rc, out, _ = run(capsys, "certify", str(path), "--suite", "core")
+    assert rc == 1
+    assert "[FAIL] core:para-unit-acts-by-conjugation  witness:" in out
+    spec["para_unit"] = ["1", "0"]
+    path.write_text(json.dumps(spec))
+    rc, _, err = run(capsys, "certify", str(path), "--suite", "core")
+    assert rc == 2 and err.startswith("error:")

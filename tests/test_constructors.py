@@ -1,17 +1,139 @@
+import functools
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trialkit
+from trialkit import constructors
 from trialkit.constructors import (cross_space, find_unit, make_conjugate,
                                    make_ground, make_hurwitz, make_para,
                                    make_para_dim2, make_para_zorn,
                                    make_pseudo_octonion, make_zorn,
-                                   named_algebra, quadratic_space)
-from trialkit.fields import FieldDescriptor, PRIME, QUADRATIC, RATIONALS
+                                   named_algebra, quadratic_space, sqrt3_in)
+from trialkit.fields import (FieldDescriptor, PRIME, QUADRATIC, RATIONALS,
+                             format_scalar)
 
 Q = FieldDescriptor(RATIONALS)
 QS3 = FieldDescriptor(QUADRATIC, d=3)
+F7 = FieldDescriptor(PRIME, p=7)
+F11 = FieldDescriptor(PRIME, p=11)
+F13 = FieldDescriptor(PRIME, p=13)
+GAMMAS = (-1, 1, 2, -3)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the dense Cayley-Dickson recursion on coordinate
+# vectors and the dense 3x3-matrix trace formulas for the pseudo-octonions.
+# ---------------------------------------------------------------------------
+
+def _ref_cd_conj(x, level):
+    if level == 0:
+        return x
+    half = len(x) // 2
+    return _ref_cd_conj(x[:half], level - 1) + [-c for c in x[half:]]
+
+
+def _ref_cd_mul(x, y, gammas, level):
+    """(a,b)(c,d) = (ac + g conj(d) b, da + b conj(c)) on dense vectors."""
+    if level == 0:
+        return [x[0] * y[0]]
+    half = len(x) // 2
+    g = gammas[level - 1]
+    a, b = x[:half], x[half:]
+    c, d = y[:half], y[half:]
+    ac = _ref_cd_mul(a, c, gammas, level - 1)
+    db = _ref_cd_mul(_ref_cd_conj(d, level - 1), b, gammas, level - 1)
+    da = _ref_cd_mul(d, a, gammas, level - 1)
+    bc = _ref_cd_mul(b, _ref_cd_conj(c, level - 1), gammas, level - 1)
+    return ([u + g * v for u, v in zip(ac, db)]
+            + [u + v for u, v in zip(da, bc)])
+
+
+def _ref_hurwitz_structure(gammas, zero, one):
+    """Dense products of basis vectors; the recursion only adds, negates and
+    multiplies, so it runs over any ring, e.g. Z mapped into a field after."""
+    level = len(gammas)
+    n = 2 ** level
+    basis = [[one if t == i else zero for t in range(n)] for i in range(n)]
+    return [[_ref_cd_mul(basis[i], basis[j], gammas, level) for j in range(n)]
+            for i in range(n)]
+
+
+def _cmul(x, y):
+    # (a, b, c, d) <-> (a + b sqrt3) + i (c + d sqrt3)
+    return (x[0] * y[0] + 3 * x[1] * y[1] - x[2] * y[2] - 3 * x[3] * y[3],
+            x[0] * y[1] + x[1] * y[0] - x[2] * y[3] - x[3] * y[2],
+            x[0] * y[2] + 3 * x[1] * y[3] + x[2] * y[0] + 3 * x[3] * y[1],
+            x[0] * y[3] + x[1] * y[2] + x[2] * y[1] + x[3] * y[0])
+
+
+def _cadd(x, y):
+    return tuple(u + v for u, v in zip(x, y))
+
+
+def _csub(x, y):
+    return tuple(u - v for u, v in zip(x, y))
+
+
+def _cmat_mul(x, y):
+    return [[functools.reduce(_cadd, (_cmul(x[r][t], y[t][c]) for t in range(3)))
+             for c in range(3)] for r in range(3)]
+
+
+def _ctrace_of_product(x, y):
+    """Tr(x y) = sum over r, c of x[r][c] y[c][r], over all nine entries."""
+    return functools.reduce(_cadd, (_cmul(x[r][c], y[c][r])
+                                    for r in range(3) for c in range(3)))
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_pseudo_octonion_tensors():
+    """d = Tr({l_j,l_k} l_l)/4 and f = Tr([l_j,l_k] l_l)/4i from full 3x3
+    products, entries (rational part, sqrt3 coefficient)."""
+    lam = constructors._generator_matrices()
+    prods = [[_cmat_mul(a, b) for b in lam] for a in lam]
+    d = [[[None] * 8 for _ in range(8)] for _ in range(8)]
+    f = [[[None] * 8 for _ in range(8)] for _ in range(8)]
+    for j in range(8):
+        for k in range(8):
+            pjk, pkj = prods[j][k], prods[k][j]
+            anti = [[_cadd(pjk[r][c], pkj[r][c]) for c in range(3)] for r in range(3)]
+            comm = [[_csub(pjk[r][c], pkj[r][c]) for c in range(3)] for r in range(3)]
+            for l in range(8):
+                td = _ctrace_of_product(anti, lam[l])
+                tf = _ctrace_of_product(comm, lam[l])
+                assert td[2] == 0 and td[3] == 0
+                assert tf[0] == 0 and tf[1] == 0
+                d[j][k][l] = (td[0] / 4, td[1] / 4)
+                f[j][k][l] = (tf[2] / 4, tf[3] / 4)
+    return d, f
+
+
+def _ref_pseudo_octonion_structure(field, sign):
+    s = 1 if sign == "+" else -1
+    r3 = sqrt3_in(field)
+    d, f = _ref_pseudo_octonion_tensors()
+    out = [[[None] * 8 for _ in range(8)] for _ in range(8)]
+    for j, k, l in itertools.product(range(8), repeat=3):
+        da, db = d[j][k][l]
+        fa, fb = f[j][k][l]
+        out[j][k][l] = (field.from_fraction(3 * db + s * fa)
+                        + field.from_fraction(da + s * fb) * r3)
+    return out
+
+
+def _text(tensor):
+    """Nested lists of scalars rendered through format_scalar."""
+    if isinstance(tensor, list):
+        return [_text(t) for t in tensor]
+    return format_scalar(tensor)
 
 
 def test_hurwitz_quaternion_table():
@@ -185,3 +307,91 @@ def test_quadratic_space_has_zero_product():
     for x in b.basis_elements():
         for y in b.basis_elements():
             assert (x * y).is_zero()
+
+
+def test_hurwitz_matches_dense_doubling_for_every_small_gamma():
+    for level in range(4):
+        for gammas in itertools.product(GAMMAS, repeat=level):
+            ref = _ref_hurwitz_structure(gammas, 0, 1)
+            for field in (Q, QS3, F7, F13):
+                want = [[[field.from_int(c) for c in row] for row in plane]
+                        for plane in ref]
+                h = make_hurwitz(field, gammas)
+                assert _text(h.structure) == _text(want), (field, gammas)
+
+
+_FIELDS = st.sampled_from([Q, QS3, F7, F13,
+                           FieldDescriptor(QUADRATIC, d=-1),
+                           FieldDescriptor(QUADRATIC, d=5),
+                           FieldDescriptor(PRIME, p=3),
+                           FieldDescriptor(PRIME, p=31)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=_FIELDS,
+       gammas=st.lists(st.one_of(st.sampled_from(GAMMAS), st.integers(-40, 40)),
+                       max_size=3))
+def test_hurwitz_matches_dense_doubling_on_drawn_gammas(field, gammas):
+    # the reference runs in the field itself here
+    h = make_hurwitz(field, gammas)
+    ref = _ref_hurwitz_structure([field.from_int(g) for g in gammas],
+                                 field.zero(), field.one())
+    assert _text(h.structure) == _text(ref)
+
+
+def test_pseudo_octonion_tensors_match_dense_traces():
+    d, f = constructors._pseudo_octonion_tensors()
+    ref_d, ref_f = _ref_pseudo_octonion_tensors()
+    assert [[list(row) for row in plane] for plane in d] == ref_d
+    assert [[list(row) for row in plane] for plane in f] == ref_f
+    # cached, and immutable so no caller can change what the next one reads
+    assert constructors._pseudo_octonion_tensors()[0] is d
+    assert isinstance(d[0][0], tuple) and isinstance(f[0][0], tuple)
+    nonzero = sum(1 for j, k, l in itertools.product(range(8), repeat=3)
+                  if any(d[j][k][l]) or any(f[j][k][l]))
+    assert nonzero == 112
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("field", [QS3, F11, F13], ids=str)
+def test_okubo_matches_dense_trace_reference(field, sign):
+    a = make_pseudo_octonion(field, sign)
+    assert _text(a.structure) == _text(_ref_pseudo_octonion_structure(field, sign))
+    one, zero = field.one(), field.zero()
+    flip = {1, 4, 6}
+    assert _text(a.form) == _text([[one if i == j else zero for j in range(8)]
+                                   for i in range(8)])
+    assert _text(a.involution) == _text(
+        [[(-one if i in flip else one) if i == j else zero for j in range(8)]
+         for i in range(8)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from([23, 37, 47, 59, 61, 71, 73, 83, 97]),
+       sign=st.sampled_from(["+", "-"]))
+def test_okubo_matches_dense_trace_reference_on_drawn_primes(p, sign):
+    # sqrt(3) lies in F_p exactly when p = +-1 mod 12
+    field = FieldDescriptor(PRIME, p=p)
+    a = make_pseudo_octonion(field, sign)
+    assert _text(a.structure) == _text(_ref_pseudo_octonion_structure(field, sign))
+
+
+def test_startup_builds_no_pseudo_octonion_tensors():
+    # A fresh process that never asks for the pseudo-octonions must not pay
+    # for their tensors; the first okubo build fills the cache.
+    code = (
+        "import contextlib, io\n"
+        "from trialkit import cli, constructors\n"
+        "info = constructors._pseudo_octonion_tensors.cache_info\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['enumerate', 'trig', 'ground', 'F5']) == 0\n"
+        "assert info().currsize == 0, info()\n"
+        "constructors.named_algebra('okubo')\n"
+        "assert info().currsize == 1, info()\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trialkit.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
