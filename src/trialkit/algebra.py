@@ -3,8 +3,8 @@
 An :class:`Algebra` bundles a field, a structure tensor c[i][j][k] with
 e_i e_j = sum_k c[i][j][k] e_k, a symmetric bilinear form, an optional
 involution matrix, and an optional unit element.  Instances are treated as
-immutable; left/right multiplication operators for every basis vector are
-precomputed once at construction.
+immutable; the nonzero terms of every basis product e_i e_j are listed once at
+construction, and products and multiplication operators read only those.
 """
 
 from __future__ import annotations
@@ -185,16 +185,9 @@ class Algebra:
                 raise AxiomViolation("involution matrix must square to the identity")
         self.unit = list(unit) if unit is not None else None
         self.name = name
-        # Precompute basis multiplication operators:
-        # left_basis_ops[i] = L(e_i), right_basis_ops[j] = R(e_j).
-        self.left_basis_ops = [
-            LinearMap(self, [[self.structure[i][j][k] for j in range(n)] for k in range(n)])
-            for i in range(n)
-        ]
-        self.right_basis_ops = [
-            LinearMap(self, [[self.structure[i][j][k] for i in range(n)] for k in range(n)])
-            for j in range(n)
-        ]
+        # product_terms[i][j]: the nonzero (k, c[i][j][k]) of e_i e_j, by k.
+        self.product_terms = [[tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
+                               for row in plane] for plane in self.structure]
         self._symcomp_cache: Optional[bool] = None
 
     # -- element builders ---------------------------------------------------
@@ -220,49 +213,43 @@ class Algebra:
 
     # -- operations ---------------------------------------------------------
     def multiply(self, x: Element, y: Element) -> Element:
-        n = self.dim
-        zero = self.field.zero()
-        out = [zero] * n
+        out = [self.field.zero()] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y.coords) if not yj.is_zero()]
         for i, xi in enumerate(x.coords):
             if xi.is_zero():
                 continue
-            plane = self.structure[i]
-            for j, yj in enumerate(y.coords):
-                if yj.is_zero():
-                    continue
-                coef = xi * yj
-                row = plane[j]
-                for k in range(n):
-                    if not row[k].is_zero():
-                        out[k] = out[k] + coef * row[k]
+            terms = self.product_terms[i]
+            for j, yj in ys:
+                if terms[j]:
+                    coef = xi * yj
+                    for k, c in terms[j]:
+                        out[k] = out[k] + coef * c
         return Element(self, out)
 
     def left_op(self, x: Element) -> LinearMap:
+        """L(x): e_j -> x e_j, so entry (k, j) is sum_i x_i c[i][j][k]."""
         n = self.dim
         zero = self.field.zero()
         rows = [[zero] * n for _ in range(n)]
         for i, xi in enumerate(x.coords):
             if xi.is_zero():
                 continue
-            op = self.left_basis_ops[i].rows
-            for k in range(n):
-                for j in range(n):
-                    if not op[k][j].is_zero():
-                        rows[k][j] = rows[k][j] + xi * op[k][j]
+            for j, terms in enumerate(self.product_terms[i]):
+                for k, c in terms:
+                    rows[k][j] = rows[k][j] + xi * c
         return LinearMap(self, rows)
 
     def right_op(self, y: Element) -> LinearMap:
+        """R(y): e_i -> e_i y, so entry (k, i) is sum_j y_j c[i][j][k]."""
         n = self.dim
         zero = self.field.zero()
         rows = [[zero] * n for _ in range(n)]
         for j, yj in enumerate(y.coords):
             if yj.is_zero():
                 continue
-            op = self.right_basis_ops[j].rows
-            for k in range(n):
-                for i in range(n):
-                    if not op[k][i].is_zero():
-                        rows[k][i] = rows[k][i] + yj * op[k][i]
+            for i, plane in enumerate(self.product_terms):
+                for k, c in plane[j]:
+                    rows[k][i] = rows[k][i] + yj * c
         return LinearMap(self, rows)
 
     def form_eval(self, x: Element, y: Element) -> FieldElement:

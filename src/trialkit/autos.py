@@ -72,44 +72,61 @@ def derivation_space(a: Algebra) -> List[LinearMap]:
     conditions d(e_i e_j) = (d e_i) e_j + e_i (d e_j) for the n^2 entries."""
     n = a.dim
     zero, one = a.field.zero(), a.field.one()
+    terms = a.product_terms
     rows = []
-    # unknown d[k][l] laid out as k * n + l
+    # unknown d[k][l] laid out as k * n + l; block[m] is the row of condition
+    # (i, j, m), and only the nonzero structure constants are written
     for i in range(n):
         for j in range(n):
-            prod = a.product_vector(i, j)
-            for m in range(n):
-                row = [zero] * (n * n)
-                # d(e_i e_j)_m = sum_l d[m][l] (e_i e_j)_l
-                for l in range(n):
-                    row[m * n + l] = row[m * n + l] + prod[l]
-                # -(d e_i)_l (e_l e_j)_m  and  -(e_i e_l)_m (d e_j)_l
-                for l in range(n):
-                    row[l * n + i] = row[l * n + i] - a.structure[l][j][m]
-                    row[l * n + j] = row[l * n + j] - a.structure[i][l][m]
-                rows.append(row)
+            block = [[zero] * (n * n) for _ in range(n)]
+            # d(e_i e_j)_m = sum_l d[m][l] (e_i e_j)_l
+            for l, c in terms[i][j]:
+                for m in range(n):
+                    block[m][m * n + l] = block[m][m * n + l] + c
+            # -(d e_i)_l (e_l e_j)_m  and  -(e_i e_l)_m (d e_j)_l
+            for l in range(n):
+                for m, c in terms[l][j]:
+                    block[m][l * n + i] = block[m][l * n + i] - c
+                for m, c in terms[i][l]:
+                    block[m][l * n + j] = block[m][l * n + j] - c
+            rows.extend(block)
     out = []
     for v in linalg.nullspace(rows, zero, one):
         out.append(LinearMap(a, [v[k * n:(k + 1) * n] for k in range(n)]))
     return out
 
 
+def _squares_to_zero(d: linalg.Matrix) -> bool:
+    """d != 0 and d d = 0, testing the entries of d d one at a time."""
+    if all(x.is_zero() for row in d for x in row):
+        return False
+    n = len(d)
+    for row in d:
+        terms = [(k, x) for k, x in enumerate(row) if not x.is_zero()]
+        for j in range(n):
+            acc = None
+            for k, x in terms:
+                y = d[k][j]
+                if not y.is_zero():
+                    acc = x * y if acc is None else acc + x * y
+            if acc is not None and not acc.is_zero():
+                return False
+    return True
+
+
 def find_nilpotent_derivation(a: Algebra) -> Optional[LinearMap]:
     """First nonzero derivation with d^2 = 0, searched deterministically over
     single basis derivations and then pairwise sums/differences."""
     basis = derivation_space(a)
-    zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
-
-    def squares_to_zero(d: LinearMap) -> bool:
-        return linalg.mat_eq((d @ d).rows, zero_rows) and not linalg.mat_eq(d.rows, zero_rows)
-
     for d in basis:
-        if squares_to_zero(d):
+        if _squares_to_zero(d.rows):
             return d
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            for cand in (basis[i] + basis[j], basis[i] - basis[j]):
-                if squares_to_zero(cand):
-                    return cand
+            for combine in (linalg.mat_add, linalg.mat_sub):
+                rows = combine(basis[i].rows, basis[j].rows)
+                if _squares_to_zero(rows):
+                    return LinearMap(a, rows)
     return None
 
 

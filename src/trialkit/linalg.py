@@ -2,11 +2,17 @@
 
 Matrices are plain lists of lists.  Everything here works for FieldElement
 entries and, where no division is used, for dual-number entries too.
+`nullspace` takes FieldElements only: it row-reduces modulo primes and checks
+the lifted result exactly (see its docstring).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from functools import lru_cache
+from math import gcd, isqrt, lcm
+from typing import List, Optional, Tuple
+
+from .fields import _make, _reduced
 
 Matrix = List[list]
 Vector = List
@@ -77,10 +83,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def _rref(a: Matrix, zero) -> tuple[Matrix, List[int]]:
     """Row-reduce a copy of `a`; return (rref, pivot column list)."""
     m = [row[:] for row in a]
@@ -110,10 +112,221 @@ def _rref(a: Matrix, zero) -> tuple[Matrix, List[int]]:
     return m, pivots
 
 
+# Primes for the modular nullspace: the twelve largest primes below 2**62 that
+# are not 1 mod 8, so that _sqrt_mod needs no search.  Each of d = -3, -1,
+# +-2, 3, 5, 6, 7 is a square mod at least three of them.
+NULLSPACE_PRIMES = (
+    4611686018427387847, 4611686018427387787, 4611686018427387751,
+    4611686018427387733, 4611686018427387709, 4611686018427387701,
+    4611686018427387631, 4611686018427387587, 4611686018427387461,
+    4611686018427387421, 4611686018427387323, 4611686018427387301,
+)
+
+
 def nullspace(a: Matrix, zero, one) -> List[Vector]:
-    """Basis of {v : a v = 0}."""
+    """Basis of {v : a v = 0} for a matrix of FieldElements.
+
+    The basis is the one read off the reduced row echelon form (RREF): one
+    vector per free (non-pivot) column f, with 1 at f, 0 at the other free
+    columns and minus column f of the RREF at the pivot columns.
+
+    Over F_p the residues are row-reduced as plain ints, which is exact.
+    Over Q and Q(sqrt d) each row is first scaled by the lcm of its
+    denominators, which leaves the kernel unchanged and means no prime has to
+    be skipped for dividing a denominator.  The integer rows are mapped to
+    F_P for P in NULLSPACE_PRIMES (over Q(sqrt d) only the P with d a nonzero
+    square r^2 mod P, mapped twice, by sqrt d -> r and sqrt d -> -r, which
+    gives both coordinates), row-reduced there, and the mod-P basis is lifted
+    by rational reconstruction.  Every lifted vector v is then checked
+    exactly: a v = 0 in integer arithmetic.  If the two embeddings disagree,
+    or reconstruction or the check fails, the next prime is tried; after the
+    last one the exact RREF over the field runs.
+
+    Why an accepted lift is exactly the RREF basis over the field K:
+
+    * Reduction mod P is a ring map, so it can only lower the rank: the
+      nullity over K is at most the nullity mod P, the number of free
+      columns mod P.
+    * The lifted vectors lie in the kernel over K (checked exactly), and they
+      are independent, because the vector for free column f is 1 at f and 0
+      at the other free columns.  So the two nullities are equal.
+    * The vector for f is zero past f, so column f of `a` is a combination of
+      earlier columns: f is a non-pivot over K too.  With equal counts, the
+      free columns over K are those mod P.
+    * A kernel vector is fixed by its values on the free columns, so each
+      lifted vector is the RREF basis vector of its column, entry for entry.
+    """
     if not a:
         return []
+    cols = len(a[0])
+    desc = zero.desc
+    if desc.p is not None:
+        rows = [{c: x._n0 for c, x in enumerate(row) if x._n0} for row in a]
+        pivots = _rref_mod(rows, cols, desc.p)
+        out = []
+        for f in range(cols):
+            if f not in pivots:
+                v = [zero] * cols
+                v[f] = one
+                for pc, row in pivots.items():
+                    if f in row:
+                        v[pc] = _make(desc, -row[f] % desc.p, 0, 1)
+                out.append(v)
+        return out
+    int_rows = []
+    for row in a:
+        nonzero = [(c, x) for c, x in enumerate(row) if x is not zero and (x._n0 or x._n1)]
+        if nonzero:
+            den = lcm(*(x._q for _, x in nonzero))
+            int_rows.append({c: (x._n0 * (den // x._q), x._n1 * (den // x._q))
+                             for c, x in nonzero})
+    for p, roots in _embeddings(desc.d):
+        images = []
+        for s in roots:
+            rows = [{c: y for c, (n0, n1) in row.items() if (y := (n0 + n1 * s) % p)}
+                    for row in int_rows]
+            images.append(_rref_mod(rows, cols, p))
+        if images[-1].keys() != images[0].keys():
+            continue
+        lifted = _lift(images, roots, cols, p)
+        if lifted is not None and _in_kernel(int_rows, lifted, desc.d or 0):
+            out = []
+            for den, w in lifted:
+                v = [zero] * cols
+                for c, (n0, n1) in w.items():
+                    v[c] = _reduced(desc, n0, n1, den)
+                out.append(v)
+            return out
+    return _nullspace_exact(a, zero, one)
+
+
+@lru_cache(maxsize=64)
+def _embeddings(d: Optional[int]) -> tuple:
+    """(P, images of sqrt d) for each usable P in NULLSPACE_PRIMES: (0,) over
+    Q; the two square roots r, -r of d over Q(sqrt d), where d is a nonzero
+    square mod P."""
+    if d is None:
+        return tuple((p, (0,)) for p in NULLSPACE_PRIMES)
+    out = []
+    for p in NULLSPACE_PRIMES:
+        r = _sqrt_mod(d, p)
+        if r:
+            out.append((p, (r, p - r)))
+    return tuple(out)
+
+
+def _sqrt_mod(a: int, p: int) -> Optional[int]:
+    """r with r^2 = a mod p, for p = 3 mod 4 or p = 5 mod 8 (Atkin), or None
+    when a is not a square mod p."""
+    a %= p
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        v = pow(2 * a, (p - 5) // 8, p)
+        r = a * v * (2 * a * v * v - 1) % p
+    return r if r * r % p == a else None
+
+
+def _rref_mod(rows: List[dict], cols: int, p: int) -> dict:
+    """Gauss-Jordan elimination mod p on sparse rows {column: residue}.
+
+    Returns {pivot column: row}, in column order; each row is 1 at its pivot
+    and 0 at every other pivot column.  The rows passed in are consumed.
+    """
+    active = [r for r in rows if r]
+    pivots: dict = {}
+    for c in range(cols):
+        hits = [r for r in active if c in r]
+        if not hits:
+            continue
+        piv = min(hits, key=len)
+        inv = pow(piv[c], -1, p)
+        if inv != 1:
+            for k in piv:
+                piv[k] = piv[k] * inv % p
+        for r in hits + [r for r in pivots.values() if c in r]:
+            if r is piv:
+                continue
+            f = r[c]
+            for k, x in piv.items():
+                y = (r.get(k, 0) - f * x) % p
+                if y:
+                    r[k] = y
+                else:
+                    del r[k]
+        pivots[c] = piv
+        active = [r for r in active if r and r is not piv]
+    return pivots
+
+
+def _rational(u: int, p: int, bound: int) -> Optional[Tuple[int, int]]:
+    """(n, q) with n = u q mod p, |n| <= bound and 0 < q <= bound, in lowest
+    terms (Wang's rational reconstruction), or None."""
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        t0, t1 = t1, t0 - k * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _lift(images: List[dict], roots: tuple, cols: int, p: int) -> Optional[list]:
+    """Rational reconstruction of the mod-p kernel basis.
+
+    One (den, {column: (n0, n1)}) per free column, for the vector with
+    entries (n0 + n1 sqrt d)/den (n1 = 0 over Q); None if an entry has no
+    reconstruction.
+    """
+    bound = isqrt((p - 1) // 2)
+    if len(roots) == 2:
+        half = (p + 1) // 2
+        half_root = pow(2 * roots[0], -1, p)
+    # entry pc of the vector for free column f is minus entry f of pivot row pc
+    vectors = {f: {f: (1, 1, 0, 1)} for f in range(cols) if f not in images[0]}
+    for pc in images[0]:
+        rows = [im[pc] for im in images]
+        for f in set().union(*rows) - {pc}:
+            u = [-row.get(f, 0) % p for row in rows]
+            if len(u) == 2:
+                a, b = (u[0] + u[1]) * half % p, (u[0] - u[1]) * half_root % p
+            else:
+                a, b = u[0], 0
+            ra, rb = _rational(a, p, bound), _rational(b, p, bound)
+            if ra is None or rb is None:
+                return None
+            vectors[f][pc] = ra + rb
+    out = []
+    for entries in vectors.values():
+        den = lcm(*(e[1] for e in entries.values()), *(e[3] for e in entries.values()))
+        out.append((den, {c: (an * (den // ad), bn * (den // bd))
+                          for c, (an, ad, bn, bd) in entries.items()}))
+    return out
+
+
+def _in_kernel(int_rows: List[dict], vectors: list, d: int) -> bool:
+    """Exact check that every row of the integer system kills every vector."""
+    by_col: dict = {}
+    for i, row in enumerate(int_rows):
+        for c, x in row.items():
+            by_col.setdefault(c, []).append((i, x))
+    for _, w in vectors:
+        s0 = [0] * len(int_rows)
+        s1 = [0] * len(int_rows)
+        for c, (w0, w1) in w.items():
+            for i, (n0, n1) in by_col.get(c, ()):
+                s0[i] += n0 * w0 + d * n1 * w1
+                s1[i] += n0 * w1 + n1 * w0
+        if any(s0) or any(s1):
+            return False
+    return True
+
+
+def _nullspace_exact(a: Matrix, zero, one) -> List[Vector]:
+    """The RREF basis of the kernel, by exact row reduction over the field."""
     cols = len(a[0])
     red, pivots = _rref(a, zero)
     free = [c for c in range(cols) if c not in pivots]

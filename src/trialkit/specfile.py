@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .algebra import Algebra, DimensionMismatch
-from .fields import FieldDescriptor, format_scalar, parse_scalar
+from .algebra import Algebra, AlgebraError
+from .fields import FieldDescriptor, FieldError, format_scalar, parse_scalar
 
 
 def algebra_to_dict(a: Algebra) -> dict:
@@ -49,28 +49,79 @@ def algebra_to_dict(a: Algebra) -> dict:
     return out
 
 
+class SpecError(ValueError):
+    """The input does not describe an algebra in this format."""
+
+
+def _field(obj) -> FieldDescriptor:
+    if not isinstance(obj, dict):
+        raise SpecError(f"'field' must be an object such as {{\"field\": \"Q\"}}, got {obj!r}")
+    try:
+        return FieldDescriptor.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"bad 'field' {obj!r}: {exc}") from exc
+
+
+def _scalar(text, field: FieldDescriptor, where: str):
+    try:
+        return parse_scalar(str(text), field)
+    except (ValueError, ZeroDivisionError, FieldError) as exc:
+        raise SpecError(f"bad scalar {text!r} in {where}: {exc}") from exc
+
+
+def _vector(obj, key: str, n: int, field: FieldDescriptor):
+    """The optional length-n vector under `key`; None when absent or null."""
+    values = obj.get(key)
+    if values is None:
+        return None
+    if not isinstance(values, (list, tuple)) or len(values) != n:
+        raise SpecError(f"'{key}' must be a list of {n} scalars")
+    return [_scalar(v, field, key) for v in values]
+
+
+def _matrix(obj, key: str, n: int, field: FieldDescriptor):
+    """The optional n x n matrix under `key`; None when absent or null."""
+    rows = obj.get(key)
+    if rows is None:
+        return None
+    if not isinstance(rows, (list, tuple)) or len(rows) != n or any(
+            not isinstance(row, (list, tuple)) or len(row) != n for row in rows):
+        raise SpecError(f"'{key}' must be a {n} x {n} matrix")
+    return [[_scalar(v, field, key) for v in row] for row in rows]
+
+
 def algebra_from_dict(obj: dict) -> Algebra:
-    field = FieldDescriptor.from_json(obj["field"])
-    n = int(obj["dim"])
+    """The algebra a spec describes; any malformed spec raises SpecError."""
+    if not isinstance(obj, dict):
+        raise SpecError("a spec must be a JSON object")
+    field = _field(obj.get("field"))
+    n = obj.get("dim")
+    if n.__class__ is not int or n < 1:
+        raise SpecError(f"'dim' must be a positive integer, got {n!r}")
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise SpecError(f"'name' must be a string, got {name!r}")
     zero = field.zero()
     structure = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i, j, k, text in obj["structure"]:
-        structure[i][j][k] = parse_scalar(str(text), field)
-    form = None
-    if obj.get("form"):
-        form = [[parse_scalar(str(v), field) for v in row] for row in obj["form"]]
-    involution = None
-    if obj.get("involution"):
-        involution = [[parse_scalar(str(v), field) for v in row] for row in obj["involution"]]
-    unit = None
-    if obj.get("unit"):
-        unit = [parse_scalar(str(v), field) for v in obj["unit"]]
-    out = Algebra(field, structure, form=form, involution=involution, unit=unit,
-                  name=obj.get("name", ""))
-    if obj.get("para_unit") is not None:
-        if len(obj["para_unit"]) != n:
-            raise DimensionMismatch(f"para_unit needs {n} coords")
-        out.para_unit = [parse_scalar(str(v), field) for v in obj["para_unit"]]
+    entries = obj.get("structure")
+    if not isinstance(entries, (list, tuple)):
+        raise SpecError("'structure' must be a list of [i, j, k, value] entries")
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 4 or any(
+                idx.__class__ is not int or not 0 <= idx < n for idx in entry[:3]):
+            raise SpecError(f"bad structure entry {entry!r}: want [i, j, k, value] "
+                            f"with 0 <= i, j, k < {n}")
+        i, j, k, text = entry
+        structure[i][j][k] = _scalar(text, field, "structure")
+    try:
+        out = Algebra(field, structure, form=_matrix(obj, "form", n, field),
+                      involution=_matrix(obj, "involution", n, field),
+                      unit=_vector(obj, "unit", n, field), name=name)
+    except AlgebraError as exc:
+        raise SpecError(str(exc)) from exc
+    para_unit = _vector(obj, "para_unit", n, field)
+    if para_unit is not None:
+        out.para_unit = para_unit
     return out
 
 
@@ -80,5 +131,9 @@ def save_algebra(a: Algebra, path: str) -> None:
 
 
 def load_algebra(path: str) -> Algebra:
-    with open(path) as fh:
-        return algebra_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise SpecError(f"cannot read spec file: {exc}") from exc
+    return algebra_from_dict(obj)

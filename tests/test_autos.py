@@ -1,6 +1,7 @@
 import pytest
 
-from trialkit import autos
+from trialkit import autos, linalg
+from trialkit.cli import parse_field
 from trialkit.constructors import make_hurwitz, make_para_dim2, named_algebra
 from trialkit.fields import (CharThree, FieldDescriptor, PRIME, QUADRATIC,
                              RATIONALS, SqrtUnavailable)
@@ -103,6 +104,38 @@ def test_unipotent_bridge_round_trip():
     assert autos.unipotent_bridge(sigma, "auto_to_der") == d
     ident = z.identity_map()
     assert sigma @ sigma == Q.from_int(2) * sigma - ident
+
+
+def reference_find_nilpotent_derivation(a):
+    """The search as it was: a full d @ d product for every candidate."""
+    basis = autos.derivation_space(a)
+    zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
+
+    def squares_to_zero(d):
+        return linalg.mat_eq((d @ d).rows, zero_rows) and not linalg.mat_eq(d.rows, zero_rows)
+
+    for d in basis:
+        if squares_to_zero(d):
+            return d
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            for cand in (basis[i] + basis[j], basis[i] - basis[j]):
+                if squares_to_zero(cand):
+                    return cand
+    return None
+
+
+@pytest.mark.parametrize("name, field", [
+    ("zorn", "Q"), ("zorn", "F5"), ("hurwitz:8:split", "Q"), ("para:4:split", "Q"),
+    ("para:8:split", "Qsqrt3"), ("parazorn:3:1", "Q"), ("parazorn:1:1", "F7"),
+    ("para:8", "Q"), ("okubo", "F13"), ("matrix:2", "Q")])
+def test_find_nilpotent_derivation_matches_full_product_search(name, field):
+    a = named_algebra(name, parse_field(field))
+    got, want = autos.find_nilpotent_derivation(a), reference_find_nilpotent_derivation(a)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.rows == want.rows
+        assert (got @ got).rows == linalg.zeros(a.dim, a.dim, a.field.zero())
 
 
 def test_unipotent_bridge_over_prime_field_has_order_p():

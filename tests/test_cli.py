@@ -140,3 +140,52 @@ def test_perturbed_para_unit_fails_its_check(capsys, tmp_path):
     path.write_text(json.dumps(spec))
     rc, _, err = run(capsys, "certify", str(path), "--suite", "core")
     assert rc == 2 and err.startswith("error:")
+
+
+def _set(key, value):
+    def edit(spec):
+        spec[key] = value
+    return edit
+
+
+def _edit_entry(index, value):
+    def edit(spec):
+        spec["structure"][0][index] = value
+    return edit
+
+
+def _shorten(key, row=None):
+    def edit(spec):
+        if row is None:
+            spec[key] = spec[key][:-1]
+        else:
+            spec[key][row] = spec[key][row][:-1]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda spec: spec.pop("dim"),
+    _set("field", "Q"),
+    _edit_entry(2, 4),
+    _edit_entry(0, -1),
+    _shorten("unit"),
+    _shorten("form"),
+    _shorten("involution", row=1),
+], ids=["missing-dim", "bare-string-field", "index-past-dim", "negative-index",
+        "short-unit", "short-form", "short-involution-row"])
+def test_malformed_spec_is_rejected_with_exit_2(capsys, tmp_path, edit):
+    spec = specfile.algebra_to_dict(named_algebra("hurwitz:4"))
+    edit(spec)
+    with pytest.raises(specfile.SpecError):
+        specfile.algebra_from_dict(spec)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, "certify", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unreadable_spec_path_is_rejected_with_exit_2(capsys, tmp_path):
+    rc, out, err = run(capsys, "certify", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot read spec file")

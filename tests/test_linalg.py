@@ -1,0 +1,263 @@
+"""The modular nullspace against exact row reduction.
+
+`linalg.nullspace` row-reduces over F_P and lifts the result, with an exact
+check; the reference below is the exact RREF path it replaced, kept here
+unchanged apart from skipping the zero entries of the pivot row (x - f*0 is
+x exactly), which makes it fast enough for the 512 x 64 derivation systems.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from trialkit import autos, linalg
+from trialkit.algebra import LinearMap
+from trialkit.constructors import named_algebra
+from trialkit.fields import (FieldDescriptor, FieldElement, PRIME, QUADRATIC,
+                             RATIONALS, SqrtUnavailable)
+
+Q = FieldDescriptor(RATIONALS)
+FIELDS = ([Q] + [FieldDescriptor(QUADRATIC, d=d) for d in (-3, -1, 2, 3, 5)]
+          + [FieldDescriptor(PRIME, p=p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)])
+P0, P1 = linalg.NULLSPACE_PRIMES[:2]
+
+
+def reference_rref(a, zero):
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if m[i][c] != zero:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [inv * x for x in m[r]]
+        support = [k for k, y in enumerate(m[r]) if y != zero]
+        for i in range(rows):
+            if i != r and m[i][c] != zero:
+                f = m[i][c]
+                for k in support:
+                    m[i][k] = m[i][k] - f * m[r][k]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def reference_nullspace(a, zero, one):
+    if not a:
+        return []
+    cols = len(a[0])
+    red, pivots = reference_rref(a, zero)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [zero] * cols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_derivation_space(a):
+    """The dense derivation system, built as before the sparse rows."""
+    n = a.dim
+    zero, one = a.field.zero(), a.field.one()
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            prod = a.product_vector(i, j)
+            for m in range(n):
+                row = [zero] * (n * n)
+                for l in range(n):
+                    row[m * n + l] = row[m * n + l] + prod[l]
+                for l in range(n):
+                    row[l * n + i] = row[l * n + i] - a.structure[l][j][m]
+                    row[l * n + j] = row[l * n + j] - a.structure[i][l][m]
+                rows.append(row)
+    return [LinearMap(a, [v[k * n:(k + 1) * n] for k in range(n)])
+            for v in reference_nullspace(rows, zero, one)]
+
+
+def key(vectors):
+    """Exact, representation-level view of a list of vectors."""
+    return [[(x.desc, x._n0, x._n1, x._q) for x in v] for v in vectors]
+
+
+def assert_same_as_reference(a, field):
+    zero, one = field.zero(), field.one()
+    expected = key(reference_nullspace(a, zero, one))
+    assert key(linalg.nullspace(a, zero, one)) == expected
+    assert key(linalg._nullspace_exact(a, zero, one)) == expected
+
+
+@st.composite
+def scalars(draw, field, big=False):
+    if draw(st.integers(0, 2)) == 0:
+        return field.zero()
+    if field.kind == PRIME:
+        return field.from_int(draw(st.integers(0, field.p - 1)))
+    top = 10 ** 12 if big else 6
+    nums, dens = st.integers(-top, top), st.integers(1, top)
+    a = Fraction(draw(nums), draw(dens))
+    if field.kind == QUADRATIC:
+        return FieldElement(field, a, Fraction(draw(nums), draw(dens)))
+    return FieldElement(field, a)
+
+
+@st.composite
+def systems(draw):
+    field = draw(st.sampled_from(FIELDS))
+    shape = draw(st.sampled_from(("random", "tall", "wide", "low-rank", "big")))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if shape == "tall":
+        rows = cols + draw(st.integers(1, 4))
+    elif shape == "wide":
+        cols = rows + draw(st.integers(1, 4))
+    big = shape == "big"
+
+    def matrix(r, c):
+        return [[draw(scalars(field, big)) for _ in range(c)] for _ in range(r)]
+
+    if shape == "low-rank":
+        inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        a = linalg.mat_mul(matrix(rows, inner), matrix(inner, cols))
+    else:
+        a = matrix(rows, cols)
+    return field, a
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems())
+def test_nullspace_matches_exact_rref(system):
+    field, a = system
+    assert_same_as_reference(a, field)
+
+
+def spy(monkeypatch):
+    """Record the prime of every modular elimination and every exact fallback."""
+    primes, fallbacks = [], []
+    rref_mod, exact = linalg._rref_mod, linalg._nullspace_exact
+
+    def rref_mod_spy(rows, cols, p):
+        primes.append(p)
+        return rref_mod(rows, cols, p)
+
+    def exact_spy(a, zero, one):
+        fallbacks.append(len(a))
+        return exact(a, zero, one)
+
+    monkeypatch.setattr(linalg, "_rref_mod", rref_mod_spy)
+    monkeypatch.setattr(linalg, "_nullspace_exact", exact_spy)
+    return primes, fallbacks
+
+
+def q(*values):
+    return [Q.element(Fraction(v)) for v in values]
+
+
+def test_denominator_equal_to_the_first_prime_needs_no_skip(monkeypatch):
+    # rows are scaled to integers before reduction, so 1/P0 is harmless
+    a = [q(Fraction(1, P0), Fraction(-2, P0), 0), q(0, Fraction(1, P0), Fraction(1, P0))]
+    assert_same_as_reference(a, Q)
+    primes, fallbacks = spy(monkeypatch)
+    [v] = linalg.nullspace(a, Q.zero(), Q.one())
+    assert v == q(-2, -1, 1)
+    assert primes == [P0] and fallbacks == []
+
+
+def test_rank_drop_mod_the_first_prime_retries_the_next(monkeypatch):
+    # [[1, 1], [1, 1 + P0]] is invertible, but singular mod P0
+    primes, fallbacks = spy(monkeypatch)
+    assert linalg.nullspace([q(1, 1), q(1, 1 + P0)], Q.zero(), Q.one()) == []
+    assert primes == [P0, P1] and fallbacks == []
+
+
+def test_d_not_a_square_mod_the_first_prime_skips_it(monkeypatch):
+    field = FieldDescriptor(QUADRATIC, d=3)
+    assert pow(3, (P0 - 1) // 2, P0) == P0 - 1
+    a = [[field.one(), field.element(0, 1), field.element(Fraction(1, 2), 1)]]
+    assert_same_as_reference(a, field)
+    primes, fallbacks = spy(monkeypatch)
+    basis = linalg.nullspace(a, field.zero(), field.one())
+    assert basis == [[field.element(0, -1), field.one(), field.zero()],
+                     [field.element(Fraction(-1, 2), -1), field.zero(), field.one()]]
+    assert P0 not in primes and len(primes) == 2 and primes[0] == primes[1]
+    assert fallbacks == []
+
+
+def test_embeddings_that_disagree_retry_the_next_prime(monkeypatch):
+    # r -+ sqrt(-3) vanishes mod P0 under one of sqrt(-3) -> +-r, not both
+    field = FieldDescriptor(QUADRATIC, d=-3)
+    r = linalg._sqrt_mod(-3, P0)
+    for sign in (-1, 1):
+        primes, fallbacks = spy(monkeypatch)
+        assert linalg.nullspace([[field.element(r, sign)]], field.zero(), field.one()) == []
+        assert primes[:2] == [P0, P0] and P0 not in primes[2:] and fallbacks == []
+        monkeypatch.undo()
+
+
+def test_exact_fallback_when_no_prime_lifts(monkeypatch):
+    # the kernel entry -2^100 - 1 is beyond rational reconstruction mod P < 2^62
+    primes, fallbacks = spy(monkeypatch)
+    big = 2 ** 100 + 1
+    [v] = linalg.nullspace([q(1, big)], Q.zero(), Q.one())
+    assert v == q(-big, 1)
+    assert primes == list(linalg.NULLSPACE_PRIMES) and fallbacks == [1]
+
+
+def test_exact_fallback_when_d_is_a_square_mod_no_prime(monkeypatch):
+    d = -118
+    assert all(pow(d % p, (p - 1) // 2, p) == p - 1 for p in linalg.NULLSPACE_PRIMES)
+    field = FieldDescriptor(QUADRATIC, d=d)
+    primes, fallbacks = spy(monkeypatch)
+    [v] = linalg.nullspace([[field.element(0, 1), field.one()]], field.zero(), field.one())
+    assert v == [field.element(0, Fraction(1, 118)), field.one()]
+    assert primes == [] and fallbacks == [1]
+
+
+def test_nullspace_primes_are_primes_with_cheap_square_roots():
+    sympy = pytest.importorskip("sympy")
+    for p in linalg.NULLSPACE_PRIMES:
+        assert sympy.isprime(p) and p < 2 ** 62 and p % 8 != 1
+    for d in (-3, -1, 2, -2, 3, 5, 6, 7):
+        roots = [linalg._sqrt_mod(d, p) for p in linalg.NULLSPACE_PRIMES]
+        assert sum(r is not None for r in roots) >= 3
+        for p, r in zip(linalg.NULLSPACE_PRIMES, roots):
+            assert (r is not None) == (pow(d % p, (p - 1) // 2, p) == 1)
+            assert r is None or r * r % p == d % p
+
+
+NAMED = ("ground", "para2", "hurwitz:1", "hurwitz:2", "hurwitz:4", "hurwitz:8",
+         "hurwitz:2:split", "hurwitz:4:split", "hurwitz:8:split", "para:1",
+         "para:2", "para:4", "para:8", "para:2:split", "para:4:split",
+         "para:8:split", "okubo", "okubo:-", "matrix:2", "zorn", "parazorn:1:1",
+         "parazorn:2:1", "parazorn:3:1", "parazorn:3:2", "parazorn:1:3")
+
+
+@pytest.mark.parametrize("field", ["Q", "Qsqrt2", "Qsqrt3", "F7", "F11", "F13"])
+def test_derivation_space_matches_exact_reference(field):
+    from trialkit.cli import parse_field
+    desc = parse_field(field)
+    checked = 0
+    for name in NAMED:
+        try:
+            a = named_algebra(name, desc)
+        except SqrtUnavailable:
+            continue  # okubo needs sqrt(-3)
+        got = autos.derivation_space(a)
+        want = reference_derivation_space(a)
+        assert [key(d.rows) for d in got] == [key(d.rows) for d in want], name
+        checked += 1
+    assert checked >= len(NAMED) - 2
