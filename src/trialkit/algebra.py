@@ -1,4 +1,4 @@
-"""Finite-dimensional algebras given by dense structure constants.
+"""Finite-dimensional algebras given by structure constants.
 
 An :class:`Algebra` bundles a field, a structure tensor c[i][j][k] with
 e_i e_j = sum_k c[i][j][k] e_k, a symmetric bilinear form, an optional
@@ -188,7 +188,8 @@ class Algebra:
         # product_terms[i][j]: the nonzero (k, c[i][j][k]) of e_i e_j, by k.
         self.product_terms = [[tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
                                for row in plane] for plane in self.structure]
-        self._symcomp_cache: Optional[bool] = None
+        # the symcomp.Certificate of is_symmetric_composition, once computed
+        self._symcomp_cache = None
 
     # -- element builders ---------------------------------------------------
     def element(self, coords) -> Element:
@@ -285,25 +286,3 @@ class Algebra:
     def __repr__(self) -> str:
         return f"Algebra(name={self.name!r}, dim={self.dim}, field={self.field})"
 
-
-def symmetric_composition_quick(a: Algebra) -> bool:
-    """Cached basis check of (xy)x = x(yx) = <x|x> y; used to gate skewness checks."""
-    if a._symcomp_cache is not None:
-        return a._symcomp_cache
-    ok = True
-    if a.form is None:
-        ok = False
-    else:
-        basis = a.basis_elements()
-        # bilinear-in-y, quadratic-in-x law: check on x = e_i, e_i + e_j
-        xs = list(basis) + [basis[i] + basis[j] for i in range(a.dim) for j in range(i + 1, a.dim)]
-        for x in xs:
-            nx = a.form_eval(x, x)
-            for y in basis:
-                if (x * y) * x != nx * y or x * (y * x) != nx * y:
-                    ok = False
-                    break
-            if not ok:
-                break
-    a._symcomp_cache = ok
-    return ok

@@ -18,7 +18,8 @@ from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .fields import CharThree, FieldElement, SqrtUnavailable, sqrt_in_field
 from .symcomp import CertificationFailure, PreconditionUnmet
-from .triality import RelationFails
+from .triality import (RelationFails, earliest_failure, form_law_failure,
+                       product_law_failure)
 
 
 class NoSolutionInField(AlgebraError):
@@ -46,24 +47,17 @@ class ChainConditionFails(AlgebraError):
 def certify_automorphism(a: Algebra, g: LinearMap) -> LinearMap:
     """g(xy) = g(x)g(y) on all basis pairs, g invertible."""
     g.inverse()
-    n = a.dim
-    cols = [Element(a, [row[i] for row in g.rows]) for i in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if g(Element(a, a.product_vector(i, k))) != cols[i] * cols[k]:
-                raise CertificationFailure("map is not an automorphism", witness=(i, k))
+    w = product_law_failure(a, g, g, g)
+    if w is not None:
+        raise CertificationFailure("map is not an automorphism", witness=w)
     return g
 
 
 def certify_derivation(a: Algebra, d: LinearMap) -> LinearMap:
     """d(xy) = (dx)y + x(dy) on all basis pairs."""
-    n = a.dim
-    cols = [Element(a, [row[i] for row in d.rows]) for i in range(n)]
-    basis = a.basis_elements()
-    for i in range(n):
-        for k in range(n):
-            if d(Element(a, a.product_vector(i, k))) != cols[i] * basis[k] + basis[i] * cols[k]:
-                raise CertificationFailure("map is not a derivation", witness=(i, k))
+    w = product_law_failure(a, d, d, d, local=True)
+    if w is not None:
+        raise CertificationFailure("map is not a derivation", witness=w)
     return d
 
 
@@ -215,13 +209,10 @@ def order3_auto(a: Algebra, idem: Idempotent) -> LinearMap:
         raise CertificationFailure("sigma and theta are not mutual inverses")
     if not (sigma @ sigma @ sigma).is_identity() or not (theta @ theta @ theta).is_identity():
         raise CertificationFailure("order is not 3")
-    basis = a.basis_elements()
-    for i in range(a.dim):
-        for k in range(a.dim):
-            if a.form_eval(sigma(basis[i]), sigma(basis[k])) != a.form_eval(basis[i], basis[k]):
-                raise CertificationFailure("sigma is not an isometry", witness=(i, k))
-            if a.form_eval(theta(basis[i]), theta(basis[k])) != a.form_eval(basis[i], basis[k]):
-                raise CertificationFailure("theta is not an isometry", witness=(i, k))
+    failure = earliest_failure([("sigma is not an isometry", form_law_failure(a, sigma, sigma)),
+                                ("theta is not an isometry", form_law_failure(a, theta, theta))])
+    if failure is not None:
+        raise CertificationFailure(failure[0], witness=failure[1])
     return sigma
 
 
@@ -254,11 +245,9 @@ def hurwitz_sigma(h: Algebra, a: Element) -> LinearMap:
         raise CertificationFailure("order is not 3")
     if sigma(h.unit_element()) != h.unit_element():
         raise CertificationFailure("unit is not fixed")
-    basis = h.basis_elements()
-    for i in range(h.dim):
-        for k in range(h.dim):
-            if h.form_eval(sigma(basis[i]), sigma(basis[k])) != h.form_eval(basis[i], basis[k]):
-                raise CertificationFailure("sigma is not an isometry", witness=(i, k))
+    w = form_law_failure(h, sigma, sigma)
+    if w is not None:
+        raise CertificationFailure("sigma is not an isometry", witness=w)
     return sigma
 
 
@@ -374,12 +363,9 @@ def unipotent_bridge(m: LinearMap, direction: str) -> LinearMap:
     zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
     if not linalg.mat_eq((d @ d).rows, zero_rows):
         raise CertificationFailure("derivation does not square to zero")
-    n = a.dim
-    cols = [Element(a, [row[i] for row in d.rows]) for i in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if not (cols[i] * cols[k]).is_zero():
-                raise CertificationFailure("(dx)(dy) = 0 fails", witness=(i, k))
+    w = product_law_failure(a, LinearMap(a, zero_rows), d, d)
+    if w is not None:
+        raise CertificationFailure("(dx)(dy) = 0 fails", witness=w)
     p = a.field.characteristic
     if p:
         acc = sigma

@@ -14,7 +14,7 @@ import sys
 from typing import Callable, List, Optional, Tuple
 
 from . import autos, symcomp, triality, zorn
-from .algebra import Algebra, AlgebraError, symmetric_composition_quick
+from .algebra import Algebra, AlgebraError
 from .constructors import default_field, named_algebra
 from .fields import (FieldDescriptor, FieldError, FieldNotEmbeddable, PRIME,
                      QUADRATIC, RATIONALS)
@@ -160,7 +160,7 @@ def _suite_triality(a: Algebra) -> List[Check]:
     checks.append(("triality:scaled-identity-triple-certifies", scaled))
     if a.form is not None and a.dim >= 2:
         def local_pair():
-            if not symmetric_composition_quick(a):
+            if not symcomp.is_symmetric_composition(a).ok:
                 return True, None
             basis = a.basis_elements()
             pair = triality.derivation_pair(a, basis[0], basis[1])

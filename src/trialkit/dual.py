@@ -47,7 +47,3 @@ class Dual:
 
 def dual_zero(field: FieldDescriptor) -> Dual:
     return Dual(field.zero(), field.zero())
-
-
-def dual_one(field: FieldDescriptor) -> Dual:
-    return Dual(field.one(), field.zero())

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, Element, LinearMap, \
-    symmetric_composition_quick
+from .algebra import Algebra, AlgebraError, Element, FormUndeclared, LinearMap
 from .fields import FieldElement, FieldNotEmbeddable
+
+Pair = Tuple[int, int]
 
 
 class RelationFails(AlgebraError):
@@ -56,12 +57,98 @@ class LocalTriple(TripleBase):
     pass
 
 
-def _product_element(a: Algebra, i: int, j: int) -> Element:
-    return Element(a, a.product_vector(i, j))
+def _sparse(v: Sequence[FieldElement]) -> list:
+    """The nonzero (row, entry) of a coordinate vector."""
+    return [(r, x) for r, x in enumerate(v) if not x.is_zero()]
 
 
-def _column(m: LinearMap, i: int) -> Element:
-    return Element(m.algebra, [row[i] for row in m.rows])
+def _columns(m: Optional[LinearMap], n: int, one: FieldElement) -> List[list]:
+    """Each column m e_i in sparse form; None is the identity."""
+    if m is None:
+        return [[(i, one)] for i in range(n)]
+    return [_sparse(col) for col in zip(*m.rows)]
+
+
+def _combine(n: int, zero: FieldElement, weighted) -> List[FieldElement]:
+    """Coordinates of sum c v over (c, v) in `weighted`, each v sparse."""
+    out = [zero] * n
+    for c, v in weighted:
+        for r, x in v:
+            out[r] = out[r] + c * x
+    return out
+
+
+def product_law_failure(a: Algebra, outer: LinearMap, left: LinearMap,
+                        right: LinearMap, local: bool = False) -> Optional[Pair]:
+    """First basis pair (i, k), in row-major order, where
+    outer(e_i e_k) != (left e_i)(right e_k), or with `local`
+    outer(e_i e_k) != (left e_i) e_k + e_i (right e_k); None when there is
+    none, which proves the bilinear law everywhere.
+
+    Triality and local triples are three such laws; automorphisms and
+    derivations are the cases outer = left = right.
+    """
+    n = a.dim
+    zero, one = a.field.zero(), a.field.one()
+    terms = a.product_terms
+    outer_cols = _columns(outer, n, one)
+    lcols, rcols = _columns(left, n, one), _columns(right, n, one)
+    # by_right[k][l]: e_l (right e_k) in sparse form
+    by_right = [[_sparse(_combine(n, zero, ((v, terms[l][m]) for m, v in rcols[k])))
+                 for l in range(n)] for k in range(n)]
+    for i in range(n):
+        for k in range(n):
+            # outer(e_i e_k): the columns of outer weighted by e_i e_k
+            lhs = _combine(n, zero, ((c, outer_cols[m]) for m, c in terms[i][k]))
+            if local:
+                rhs = _combine(n, zero, [(u, terms[l][k]) for l, u in lcols[i]]
+                               + [(one, by_right[k][i])])
+            else:
+                rhs = _combine(n, zero, ((u, by_right[k][l]) for l, u in lcols[i]))
+            if lhs != rhs:
+                return (i, k)
+    return None
+
+
+def _pairings(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> List[list]:
+    """Matrix of <f e_i | g e_k>; None is the identity."""
+    n = a.dim
+    zero, one = a.field.zero(), a.field.one()
+    form_rows = [_sparse(row) for row in a.form]
+    gcols = _columns(g, n, one)
+    out = []
+    for fcol in _columns(f, n, one):
+        # w = (f e_i)^T G, so that <f e_i | v> = w . v
+        w = _combine(n, zero, ((x, form_rows[l]) for l, x in fcol))
+        out.append([sum((w[m] * y for m, y in gcol), zero) for gcol in gcols])
+    return out
+
+
+def form_law_failure(a: Algebra, f1: Optional[LinearMap], g1: Optional[LinearMap],
+                     f2: Optional[LinearMap] = None,
+                     g2: Optional[LinearMap] = None) -> Optional[Pair]:
+    """First basis pair (i, k), in row-major order, where
+    <f1 e_i | g1 e_k> != <f2 e_i | g2 e_k> (a map given as None is the
+    identity), or None.  Isometry is (g, g), adjointness (s, None, None, t)
+    and skewness (t, None, None, -t)."""
+    if a.form is None:
+        raise FormUndeclared("algebra has no bilinear form")
+    lhs, rhs = _pairings(a, f1, g1), _pairings(a, f2, g2)
+    for i in range(a.dim):
+        for k in range(a.dim):
+            if lhs[i][k] != rhs[i][k]:
+                return (i, k)
+    return None
+
+
+def earliest_failure(laws: Sequence[Tuple[str, Optional[Pair]]]) -> Optional[Tuple[str, Pair]]:
+    """Of (message, witness) pairs, the one whose witness comes first in
+    row-major order, ties going to the earlier law: the failure a loop
+    checking the laws pair by pair, in the given order, would meet first.
+    None when every witness is None."""
+    found = min(((w, t, message) for t, (message, w) in enumerate(laws) if w is not None),
+                default=None)
+    return None if found is None else (found[2], found[0])
 
 
 def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> TrialityTriple:
@@ -69,20 +156,13 @@ def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> 
     maps = (g1, g2, g3)
     for g in maps:
         g.inverse()  # raises NotInvertible on singular input
-    n = a.dim
     for j in range(3):
-        gj, gj1, gj2 = maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3]
-        cols1 = [_column(gj1, i) for i in range(n)]
-        cols2 = [_column(gj2, i) for i in range(n)]
-        for i in range(n):
-            for k in range(n):
-                lhs = gj(_product_element(a, i, k))
-                rhs = cols1[i] * cols2[k]
-                if lhs != rhs:
-                    raise RelationFails(
-                        f"g{j + 1}(e{i} e{k}) != (g{j + 2 if j < 2 else 1}...)",
-                        witness=(j + 1, i, k),
-                    )
+        w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])
+        if w is not None:
+            raise RelationFails(
+                f"g{j + 1}(e{w[0]} e{w[1]}) != (g{j + 2 if j < 2 else 1}...)",
+                witness=(j + 1, *w),
+            )
     return TrialityTriple(a, maps)
 
 
@@ -144,32 +224,26 @@ def s4_act(word: Sequence[str], g: TrialityTriple) -> TrialityTriple:
 def verify_local(a: Algebra, t1: LinearMap, t2: LinearMap, t3: LinearMap) -> LocalTriple:
     """Certify t_j(xy) = (t_{j+1}x)y + x(t_{j+2}y) on all basis pairs; on a
     symmetric composition algebra each component must also be skew for the form."""
+    from .symcomp import is_symmetric_composition  # symcomp imports this module
+
     maps = (t1, t2, t3)
-    n = a.dim
     for j in range(3):
-        tj, tj1, tj2 = maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3]
-        cols1 = [_column(tj1, i) for i in range(n)]
-        cols2 = [_column(tj2, i) for i in range(n)]
-        basis = a.basis_elements()
-        for i in range(n):
-            for k in range(n):
-                lhs = tj(_product_element(a, i, k))
-                rhs = cols1[i] * basis[k] + basis[i] * cols2[k]
-                if lhs != rhs:
-                    raise RelationFails(
-                        f"local law fails at j={j + 1}, basis pair ({i},{k})",
-                        witness=(j + 1, i, k),
-                    )
-    if a.form is not None and symmetric_composition_quick(a):
+        w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3], local=True)
+        if w is not None:
+            raise RelationFails(
+                f"local law fails at j={j + 1}, basis pair ({w[0]},{w[1]})",
+                witness=(j + 1, *w),
+            )
+    if a.form is not None and is_symmetric_composition(a).ok:
         for j, t in enumerate(maps):
-            for i in range(n):
-                for k in range(i, n):
-                    x, y = a.basis(i), a.basis(k)
-                    if a.form_eval(t(x), y) != -a.form_eval(x, t(y)):
-                        raise RelationFails(
-                            f"component {j + 1} is not skew for the form",
-                            witness=(j + 1, i, k),
-                        )
+            # <t x|y> + <x|t y> is symmetric in (x, y), so the first failing
+            # pair has i <= k
+            w = form_law_failure(a, t, None, None, -t)
+            if w is not None:
+                raise RelationFails(
+                    f"component {j + 1} is not skew for the form",
+                    witness=(j + 1, *w),
+                )
     return LocalTriple(a, maps)
 
 

@@ -10,12 +10,13 @@ diagonal grading operators s_j form a local triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .fields import FieldElement
 from .symcomp import Certificate, CertificationFailure
-from .triality import LocalTriple, TrialityTriple, verify_local, verify_triality
+from .triality import (LocalTriple, TrialityTriple, earliest_failure, form_law_failure,
+                       product_law_failure, verify_local, verify_triality)
 
 
 class ZeroScale(AlgebraError):
@@ -159,16 +160,6 @@ def _slot_swap(a: Algebra, swap_diag: bool) -> LinearMap:
     return LinearMap(a, rows)
 
 
-def _is_automorphism(a: Algebra, g: LinearMap) -> Optional[tuple]:
-    basis = a.basis_elements()
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            if g(basis[i] * basis[j]) != g(basis[i]) * g(basis[j]):
-                return (i, j)
-    return None
-
-
 def zorn_pi(a: Algebra, lam: Optional[FieldElement] = None
             ) -> Tuple[LinearMap, Certificate]:
     """Vector-slot swap pi and its relation to the scaling triples.
@@ -203,9 +194,9 @@ def zorn_pi(a: Algebra, lam: Optional[FieldElement] = None
                      pi @ rho[j] @ pi == jmap @ rho_inv[j] @ jmap, (j + 1,))
         cert.add(f"transpose-conjugation-inverts-scale-{j + 1}",
                  transpose @ rho[j] @ transpose == rho_inv[j], (j + 1,))
-    w = _is_automorphism(a, pi)
+    w = product_law_failure(a, pi, pi, pi)
     cert.add("swap-intertwines-product", w is None, w)
-    w = _is_automorphism(a, transpose)
+    w = product_law_failure(a, transpose, transpose, transpose)
     cert.add("transpose-intertwines-product", w is None, w)
     return pi, cert
 
@@ -225,17 +216,11 @@ class DoubleAutomorphism:
 def certify_double_automorphism(b: Algebra, xi: LinearMap, eta: LinearMap
                                 ) -> DoubleAutomorphism:
     """xi(xy) = (eta x)(eta y) and eta(xy) = (xi x)(xi y) on basis pairs."""
-    basis = b.basis_elements()
-    n = b.dim
-    for i in range(n):
-        for j in range(n):
-            p = basis[i] * basis[j]
-            if xi(p) != eta(basis[i]) * eta(basis[j]):
-                raise CertificationFailure("first double-automorphism law fails",
-                                           witness=(i, j))
-            if eta(p) != xi(basis[i]) * xi(basis[j]):
-                raise CertificationFailure("second double-automorphism law fails",
-                                           witness=(i, j))
+    failure = earliest_failure([
+        ("first double-automorphism law fails", product_law_failure(b, xi, eta, eta)),
+        ("second double-automorphism law fails", product_law_failure(b, eta, xi, xi))])
+    if failure is not None:
+        raise CertificationFailure(failure[0], witness=failure[1])
     return DoubleAutomorphism(xi, eta)
 
 
@@ -247,22 +232,9 @@ def zorn_double_lift(a: Algebra, b: Algebra, d: DoubleAutomorphism) -> LinearMap
         raise AlgebraError("coefficient space does not match the algebra")
     if b.form is None:
         raise AlgebraError("the coefficient space needs a bilinear form")
-
-    def bform(u, w):
-        acc = b.field.zero()
-        for i in range(m):
-            for j in range(m):
-                if not b.form[i][j].is_zero():
-                    acc = acc + u[i] * b.form[i][j] * w[j]
-        return acc
-
-    basis = b.basis_elements()
-    for i in range(m):
-        for j in range(m):
-            xi_x = d.xi(basis[i]).coords
-            eta_y = d.eta(basis[j]).coords
-            if bform(xi_x, eta_y) != bform(basis[i].coords, basis[j].coords):
-                raise PairingFails(f"pairing fails at basis pair ({i}, {j})")
+    w = form_law_failure(b, d.xi, d.eta)
+    if w is not None:
+        raise PairingFails(f"pairing fails at basis pair ({w[0]}, {w[1]})")
     n = a.dim
     zero, one = a.field.zero(), a.field.one()
     rows = [[zero] * n for _ in range(n)]
@@ -273,7 +245,7 @@ def zorn_double_lift(a: Algebra, b: Algebra, d: DoubleAutomorphism) -> LinearMap
             rows[1 + r][1 + c] = d.xi.rows[r][c]
             rows[1 + m + r][1 + m + c] = d.eta.rows[r][c]
     p = LinearMap(a, rows)
-    w = _is_automorphism(a, p)
+    w = product_law_failure(a, p, p, p)
     if w is not None:
         raise CertificationFailure("lifted map is not an automorphism", witness=w)
     return p
@@ -319,22 +291,16 @@ def conjugate_consistency(a: Algebra, lam: FieldElement) -> Certificate:
     conj_alg = make_conjugate(a)
     cert = Certificate()
     jmap = a.involution_map()
-    basis = conj_alg.basis_elements()
-    n = a.dim
     for name, maps in (("scaling", _rho_maps(a, lam)),
                        ("transpose", (_slot_swap(a, True),) * 3)):
-        rebound = [LinearMap(conj_alg, m.rows) for m in maps]
-        bars = [LinearMap(conj_alg, (jmap @ m @ jmap).rows) for m in maps]
-        good = True
         witness = None
         for j in range(3):
-            g1, g2 = rebound[(j + 1) % 3], rebound[(j + 2) % 3]
-            for i in range(n):
-                for k in range(n):
-                    if bars[j](basis[i] * basis[k]) != g1(basis[i]) * g2(basis[k]):
-                        good, witness = False, (j + 1, i, k)
-                        break
-        cert.add(f"{name}-triple-transfers-to-conjugate-product", good, witness)
+            w = product_law_failure(conj_alg, jmap @ maps[j] @ jmap,
+                                    maps[(j + 1) % 3], maps[(j + 2) % 3])
+            if w is not None:
+                witness = (j + 1, *w)
+                break
+        cert.add(f"{name}-triple-transfers-to-conjugate-product", witness is None, witness)
     if not cert.ok:
         raise CertificationFailure("conjugate transfer fails", witness=cert.witness)
     return cert

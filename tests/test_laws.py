@@ -1,0 +1,580 @@
+"""The basis-pair law primitives of `trialkit.triality` against the loops
+they replaced.
+
+`product_law_failure` checks outer(e_i e_k) = (left e_i)(right e_k), or its
+local form, and `form_law_failure` checks <A e_i|B e_k> = s <C e_i|D e_k>,
+each over every basis pair.  The references below are the hand-written
+loops the library used before, one per law.  On true members (sigma and
+theta triples, derivation pairs, scaling triples, automorphisms,
+derivations, double automorphisms) and on the same maps with one entry
+perturbed, both sides must agree on pass or fail, exception, message and
+first witness, law by law, over Q, Q(sqrt 3) and F_p.
+"""
+
+from fractions import Fraction
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trialkit import autos, symcomp, triality, zorn
+from trialkit.algebra import Element, FormUndeclared, LinearMap
+from trialkit.cli import parse_field
+from trialkit.constructors import cross_space, make_para_zorn, named_algebra
+from trialkit.fields import SqrtUnavailable
+from trialkit.symcomp import CertificationFailure
+from trialkit.triality import RelationFails
+
+# ---------------------------------------------------------------------------
+# References: the loops as written before the primitives
+# ---------------------------------------------------------------------------
+
+
+def _column(m, i):
+    return Element(m.algebra, [row[i] for row in m.rows])
+
+
+def _product_element(a, i, j):
+    return Element(a, a.product_vector(i, j))
+
+
+def ref_symmetric_composition_quick(a):
+    if a.form is None:
+        return False
+    basis = a.basis_elements()
+    xs = list(basis) + [basis[i] + basis[j] for i in range(a.dim) for j in range(i + 1, a.dim)]
+    for x in xs:
+        nx = a.form_eval(x, x)
+        for y in basis:
+            if (x * y) * x != nx * y or x * (y * x) != nx * y:
+                return False
+    return True
+
+
+def ref_verify_triality(a, g1, g2, g3):
+    maps = (g1, g2, g3)
+    for g in maps:
+        g.inverse()
+    n = a.dim
+    for j in range(3):
+        gj, gj1, gj2 = maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3]
+        cols1 = [_column(gj1, i) for i in range(n)]
+        cols2 = [_column(gj2, i) for i in range(n)]
+        for i in range(n):
+            for k in range(n):
+                lhs = gj(_product_element(a, i, k))
+                rhs = cols1[i] * cols2[k]
+                if lhs != rhs:
+                    raise RelationFails(
+                        f"g{j + 1}(e{i} e{k}) != (g{j + 2 if j < 2 else 1}...)",
+                        witness=(j + 1, i, k),
+                    )
+
+
+def ref_verify_local(a, t1, t2, t3):
+    maps = (t1, t2, t3)
+    n = a.dim
+    for j in range(3):
+        tj, tj1, tj2 = maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3]
+        cols1 = [_column(tj1, i) for i in range(n)]
+        cols2 = [_column(tj2, i) for i in range(n)]
+        basis = a.basis_elements()
+        for i in range(n):
+            for k in range(n):
+                lhs = tj(_product_element(a, i, k))
+                rhs = cols1[i] * basis[k] + basis[i] * cols2[k]
+                if lhs != rhs:
+                    raise RelationFails(
+                        f"local law fails at j={j + 1}, basis pair ({i},{k})",
+                        witness=(j + 1, i, k),
+                    )
+    if a.form is not None and ref_symmetric_composition_quick(a):
+        for j, t in enumerate(maps):
+            ref = ref_skew(a, t)
+            if ref is not None:
+                raise RelationFails(f"component {j + 1} is not skew for the form",
+                                    witness=(j + 1, *ref))
+
+
+def ref_skew(a, t):
+    n = a.dim
+    for i in range(n):
+        for k in range(i, n):
+            x, y = a.basis(i), a.basis(k)
+            if a.form_eval(t(x), y) != -a.form_eval(x, t(y)):
+                return (i, k)
+    return None
+
+
+def ref_certify_automorphism(a, g):
+    g.inverse()
+    n = a.dim
+    cols = [Element(a, [row[i] for row in g.rows]) for i in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if g(Element(a, a.product_vector(i, k))) != cols[i] * cols[k]:
+                raise CertificationFailure("map is not an automorphism", witness=(i, k))
+
+
+def ref_certify_derivation(a, d):
+    n = a.dim
+    cols = [Element(a, [row[i] for row in d.rows]) for i in range(n)]
+    basis = a.basis_elements()
+    for i in range(n):
+        for k in range(n):
+            if d(Element(a, a.product_vector(i, k))) != cols[i] * basis[k] + basis[i] * cols[k]:
+                raise CertificationFailure("map is not a derivation", witness=(i, k))
+
+
+def ref_is_automorphism(a, g):
+    basis = a.basis_elements()
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            if g(basis[i] * basis[j]) != g(basis[i]) * g(basis[j]):
+                return (i, j)
+    return None
+
+
+def ref_square_zero_products(a, d):
+    n = a.dim
+    cols = [Element(a, [row[i] for row in d.rows]) for i in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if not (cols[i] * cols[k]).is_zero():
+                return (i, k)
+    return None
+
+
+def ref_certify_double_automorphism(b, xi, eta):
+    basis = b.basis_elements()
+    n = b.dim
+    for i in range(n):
+        for j in range(n):
+            p = basis[i] * basis[j]
+            if xi(p) != eta(basis[i]) * eta(basis[j]):
+                raise CertificationFailure("first double-automorphism law fails",
+                                           witness=(i, j))
+            if eta(p) != xi(basis[i]) * xi(basis[j]):
+                raise CertificationFailure("second double-automorphism law fails",
+                                           witness=(i, j))
+
+
+def ref_zorn_double_lift(a, b, d):
+    m = zorn.coeff_dim(a)
+
+    def bform(u, w):
+        acc = b.field.zero()
+        for i in range(m):
+            for j in range(m):
+                if not b.form[i][j].is_zero():
+                    acc = acc + u[i] * b.form[i][j] * w[j]
+        return acc
+
+    basis = b.basis_elements()
+    for i in range(m):
+        for j in range(m):
+            xi_x = d.xi(basis[i]).coords
+            eta_y = d.eta(basis[j]).coords
+            if bform(xi_x, eta_y) != bform(basis[i].coords, basis[j].coords):
+                raise zorn.PairingFails(f"pairing fails at basis pair ({i}, {j})")
+    n = a.dim
+    zero, one = a.field.zero(), a.field.one()
+    rows = [[zero] * n for _ in range(n)]
+    rows[0][0] = one
+    rows[n - 1][n - 1] = one
+    for r in range(m):
+        for c in range(m):
+            rows[1 + r][1 + c] = d.xi.rows[r][c]
+            rows[1 + m + r][1 + m + c] = d.eta.rows[r][c]
+    p = LinearMap(a, rows)
+    w = ref_is_automorphism(a, p)
+    if w is not None:
+        raise CertificationFailure("lifted map is not an automorphism", witness=w)
+
+
+def ref_isometry(a, g):
+    """The isometry loop of order3_auto, hurwitz_sigma and enumerate_trig_small."""
+    basis = a.basis_elements()
+    for i in range(a.dim):
+        for k in range(a.dim):
+            if a.form_eval(g(basis[i]), g(basis[k])) != a.form_eval(basis[i], basis[k]):
+                return (i, k)
+    return None
+
+
+def ref_order3_isometries(a, sigma, theta):
+    basis = a.basis_elements()
+    for i in range(a.dim):
+        for k in range(a.dim):
+            if a.form_eval(sigma(basis[i]), sigma(basis[k])) != a.form_eval(basis[i], basis[k]):
+                return "sigma is not an isometry", (i, k)
+            if a.form_eval(theta(basis[i]), theta(basis[k])) != a.form_eval(basis[i], basis[k]):
+                return "theta is not an isometry", (i, k)
+    return None
+
+
+def ref_sigma_theta_forms(alg, sj, tj):
+    """The adjointness and isometry loop of sigma_theta_triples, one j."""
+    basis = alg.basis_elements()
+    n = alg.dim
+    for i in range(n):
+        for k in range(n):
+            x, y = basis[i], basis[k]
+            if alg.form_eval(sj(x), y) != alg.form_eval(x, tj(y)):
+                return "sigma/theta adjointness fails", (i, k)
+            if alg.form_eval(sj(x), sj(y)) != alg.form_eval(x, y):
+                return "sigma is not an isometry", (i, k)
+            if alg.form_eval(tj(x), tj(y)) != alg.form_eval(x, y):
+                return "theta is not an isometry", (i, k)
+    return None
+
+
+def ref_first_conjugate_failure(a, lam):
+    """First failing (j, i, k) of the scaling triple on the conjugate algebra."""
+    from trialkit.constructors import make_conjugate
+
+    conj = make_conjugate(a)
+    jmap = a.involution_map()
+    maps = zorn._rho_maps(a, lam)
+    basis = conj.basis_elements()
+    for j in range(3):
+        bar = LinearMap(conj, (jmap @ maps[j] @ jmap).rows)
+        g1 = LinearMap(conj, maps[(j + 1) % 3].rows)
+        g2 = LinearMap(conj, maps[(j + 2) % 3].rows)
+        for i in range(a.dim):
+            for k in range(a.dim):
+                if bar(basis[i] * basis[k]) != g1(basis[i]) * g2(basis[k]):
+                    return (j + 1, i, k)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+_ALGEBRAS = {}
+
+
+def algebra(name, field):
+    """Named algebras built once, so each keeps its symmetric-composition
+    certificate across examples."""
+    key = (name, field)
+    if key not in _ALGEBRAS:
+        _ALGEBRAS[key] = named_algebra(name, parse_field(field))
+    return _ALGEBRAS[key]
+
+
+SYMCOMP = [("para:4", "Q"), ("para:4", "F7"), ("para:4", "Qsqrt3"),
+           ("para:8", "F13"), ("okubo", "F13"), ("okubo", "Qsqrt3")]
+VECTOR_MATRIX = [("parazorn:1:1", "Q"), ("parazorn:3:1", "F7"),
+                 ("parazorn:2:1", "Qsqrt3"), ("parazorn:1:3", "F13")]
+
+
+def outcome(fn, *args):
+    """None on success, else (exception class name, message, witness)."""
+    try:
+        fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return None
+
+
+def small_scalar(f, rng):
+    """A nonzero scalar: a + b sqrt(3) over Q(sqrt 3), a small rational or a
+    residue otherwise."""
+    if f.p is not None:
+        return f.from_int(rng.randrange(1, f.p))
+    if f.d is not None:
+        return f.element(rng.choice((-2, -1, 1, 2)), rng.choice((-1, 0, 1)))
+    return f.from_fraction(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2))))
+
+
+def dense_unit(a, rng):
+    """A norm-one vector for an identity form: (+-1)^4 / 2 in dimension 4,
+    (+-1 x 7, +-3) / 4 in dimension 8."""
+    if a.dim == 4:
+        nums, den = [1, 1, 1, 1], 2
+    else:
+        nums, den = [1] * 7 + [3], 4
+        rng.shuffle(nums)
+    return a.element([a.field.from_fraction(Fraction(rng.choice((-1, 1)) * c, den))
+                      for c in nums])
+
+
+def random_element(a, rng):
+    return a.element([small_scalar(a.field, rng) if rng.random() < 0.7 else a.field.zero()
+                      for _ in range(a.dim)])
+
+
+def perturb(maps, rng):
+    """The same maps with one entry of one of them shifted by a nonzero scalar."""
+    maps = list(maps)
+    t = rng.randrange(len(maps))
+    m = maps[t]
+    rows = [list(r) for r in m.rows]
+    r, c = rng.randrange(m.algebra.dim), rng.randrange(m.algebra.dim)
+    rows[r][c] = rows[r][c] + small_scalar(m.algebra.field, rng)
+    maps[t] = LinearMap(m.algebra, rows)
+    return maps
+
+
+def maybe_perturb(maps, rng, flag):
+    return perturb(maps, rng) if flag else list(maps)
+
+
+def product_triple(a, rng):
+    return symcomp.sigma_from_pair(a, dense_unit(a, rng), dense_unit(a, rng))
+
+
+_DERIVATIONS = {}
+
+
+def derivation(a, rng):
+    """A random combination of the derivation-space basis."""
+    if id(a) not in _DERIVATIONS:
+        _DERIVATIONS[id(a)] = autos.derivation_space(a)
+    acc = a.identity_map() - a.identity_map()
+    for d in _DERIVATIONS[id(a)]:
+        if rng.random() < 0.6:
+            acc = acc + small_scalar(a.field, rng) * d
+    return acc
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+# ---------------------------------------------------------------------------
+# Product laws
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SYMCOMP + VECTOR_MATRIX), kind=st.integers(0, 2),
+       seed=seeds, bad=st.booleans())
+def test_triality_law_matches_reference(case, kind, seed, bad):
+    rng = random.Random(seed)
+    a = algebra(*case)
+    if case in VECTOR_MATRIX:
+        t = zorn._slot_swap(a, swap_diag=True)
+        maps = (zorn._rho_maps(a, small_scalar(a.field, rng)) if kind else (t, t, t))
+    else:
+        triple = product_triple(a, rng)
+        maps = (symcomp.sigma_maps, symcomp.theta_maps, symcomp.sigma_maps)[kind](triple)
+        if kind == 2:  # a product of two members
+            maps = [s @ th for s, th in zip(maps, symcomp.theta_maps(product_triple(a, rng)))]
+    maps = maybe_perturb(maps, rng, bad)
+    want = outcome(ref_verify_triality, a, *maps)
+    assert outcome(triality.verify_triality, a, *maps) == want
+    if not bad:
+        assert want is None
+    if want is not None and want[0] == "NotInvertible":
+        return
+    # law by law: the first failing j and its pair, as the reference saw them
+    for j in range(3):
+        w = triality.product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])
+        if w is not None:
+            assert want is not None and want[2] == (j + 1, *w)
+            break
+    else:
+        assert want is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SYMCOMP + VECTOR_MATRIX), seed=seeds, bad=st.booleans())
+def test_local_law_matches_reference(case, seed, bad):
+    rng = random.Random(seed)
+    a = algebra(*case)
+    if case in VECTOR_MATRIX:
+        maps = zorn.zorn_s_triple(a)[0].maps if rng.random() < 0.5 else [derivation(a, rng)] * 3
+    else:
+        maps = triality.derivation_pair(a, random_element(a, rng), random_element(a, rng)).maps()
+    maps = maybe_perturb(maps, rng, bad)
+    want = outcome(ref_verify_local, a, *maps)
+    assert outcome(triality.verify_local, a, *maps) == want
+    if not bad:
+        assert want is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(SYMCOMP + VECTOR_MATRIX), seed=seeds, bad=st.booleans())
+def test_automorphism_and_derivation_laws_match_reference(case, seed, bad):
+    rng = random.Random(seed)
+    a = algebra(*case)
+    if case in VECTOR_MATRIX:
+        g = zorn._slot_swap(a, swap_diag=rng.random() < 0.5)
+    elif case[0].startswith("para"):
+        idems = autos.find_idempotents(a)
+        x = idems[rng.randrange(len(idems))].elem
+        g = a.right_op(x) @ a.right_op(x)
+    else:
+        g = a.identity_map()
+    [g] = maybe_perturb([g], rng, bad)
+    assert outcome(autos.certify_automorphism, a, g) == outcome(ref_certify_automorphism, a, g)
+    assert triality.product_law_failure(a, g, g, g) == ref_is_automorphism(a, g)
+    [d] = maybe_perturb([derivation(a, rng)], rng, bad)
+    assert outcome(autos.certify_derivation, a, d) == outcome(ref_certify_derivation, a, d)
+    if not bad:
+        assert outcome(autos.certify_derivation, a, d) is None
+    zero = LinearMap(a, [[a.field.zero()] * a.dim for _ in range(a.dim)])
+    assert triality.product_law_failure(a, zero, d, d) == ref_square_zero_products(a, d)
+
+
+@pytest.mark.parametrize("case", VECTOR_MATRIX[:3])
+def test_slot_swap_records_match_reference(case):
+    a = algebra(*case)
+    _, cert = zorn.zorn_pi(a)
+    records = dict((r[0], r[2]) for r in cert.records)
+    assert records["swap-intertwines-product"] == ref_is_automorphism(a, zorn._slot_swap(a, False))
+    assert records["transpose-intertwines-product"] is None
+
+
+def _signed_rotation(b, rng):
+    """A signed even permutation of the basis with sign product 1: an
+    automorphism of the cross product."""
+    f = b.field
+    perm = rng.choice([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    signs = rng.choice([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+    rows = [[f.zero()] * 3 for _ in range(3)]
+    for c in range(3):
+        rows[perm[c]][c] = f.from_int(signs[c])
+    return LinearMap(b, rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(["Q", "Qsqrt3", "F7", "F13"]), seed=seeds,
+       bad=st.booleans())
+def test_double_automorphism_laws_match_reference(field, seed, bad):
+    rng = random.Random(seed)
+    f = parse_field(field)
+    b = cross_space(f)
+    a = make_para_zorn(b, 1)
+    # (w g, w^2 g) with w^3 = 1 and g a rotation
+    roots = [v for v in range(1, f.p) if pow(v, 3, f.p) == 1] if f.p else [1]
+    w = f.from_int(rng.choice(roots))
+    g = _signed_rotation(b, rng)
+    xi, eta = maybe_perturb([w * g, (w * w) * g], rng, bad)
+    want = outcome(ref_certify_double_automorphism, b, xi, eta)
+    assert outcome(zorn.certify_double_automorphism, b, xi, eta) == want
+    if not bad:
+        assert want is None
+    d = zorn.DoubleAutomorphism(xi, eta)
+    assert outcome(zorn.zorn_double_lift, a, b, d) == outcome(ref_zorn_double_lift, a, b, d)
+
+
+# ---------------------------------------------------------------------------
+# Form laws
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SYMCOMP + VECTOR_MATRIX), seed=seeds, bad=st.booleans())
+def test_form_laws_match_reference(case, seed, bad):
+    rng = random.Random(seed)
+    a = algebra(*case)
+    if case in VECTOR_MATRIX:
+        maps = zorn.zorn_s_triple(a)[0].maps + zorn._rho_maps(a, small_scalar(a.field, rng))
+        sj, tj = maybe_perturb([zorn._slot_swap(a, True)] * 2, rng, bad)
+    else:
+        triple = product_triple(a, rng)
+        j = rng.randrange(3)
+        sj, tj = maybe_perturb([symcomp.sigma_maps(triple)[j], symcomp.theta_maps(triple)[j]],
+                               rng, bad)
+        maps = triality.derivation_pair(a, random_element(a, rng),
+                                        random_element(a, rng)).maps()
+    maps = maybe_perturb(maps, rng, bad)
+    form_law = triality.form_law_failure
+    for t in maps:
+        assert form_law(a, t, None, None, -t) == ref_skew(a, t)
+        assert form_law(a, t, t) == ref_isometry(a, t)
+    # the calls of sigma_theta_triples and order3_auto
+    want = ref_sigma_theta_forms(a, sj, tj)
+    assert triality.earliest_failure([
+        ("sigma/theta adjointness fails", form_law(a, sj, None, None, tj)),
+        ("sigma is not an isometry", form_law(a, sj, sj)),
+        ("theta is not an isometry", form_law(a, tj, tj))]) == want
+    want = ref_order3_isometries(a, sj, tj)
+    assert triality.earliest_failure([("sigma is not an isometry", form_law(a, sj, sj)),
+                                      ("theta is not an isometry", form_law(a, tj, tj))]) == want
+    if not bad and case not in VECTOR_MATRIX:
+        assert want is None
+
+
+def test_order3_and_sphere_isometries_certify():
+    a = algebra("para:8", "F13")
+    for idem in autos.find_idempotents(a)[:3]:
+        sigma = autos.order3_auto(a, idem)
+        assert triality.form_law_failure(a, sigma, sigma) is None
+    h = named_algebra("hurwitz:4")
+    half = h.field.from_int(2).inverse()
+    x = half * (-h.unit_element() + h.basis(1) + h.basis(2) + h.basis(3))
+    sigma = autos.hurwitz_sigma(h, x)
+    assert ref_isometry(h, sigma) is None
+
+
+def test_form_law_needs_a_form():
+    b = named_algebra("hurwitz:2")
+    b.form = None
+    with pytest.raises(FormUndeclared, match="no bilinear form"):
+        triality.form_law_failure(b, None, None)
+
+
+# ---------------------------------------------------------------------------
+# conjugate_consistency reports the first failing tuple
+# ---------------------------------------------------------------------------
+
+def test_conjugate_consistency_reports_the_first_failing_tuple():
+    a = named_algebra("zorn")
+    lam = a.field.from_int(2)
+    assert ref_first_conjugate_failure(a, lam) == (1, 0, 0)
+    with pytest.raises(CertificationFailure) as info:
+        zorn.conjugate_consistency(a, lam)
+    assert info.value.witness == ("scaling-triple-transfers-to-conjugate-product", (1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# The cached symmetric-composition certificate
+# ---------------------------------------------------------------------------
+
+NAMED = ("ground", "para2", "hurwitz:1", "hurwitz:2", "hurwitz:4", "hurwitz:8",
+         "hurwitz:2:split", "hurwitz:4:split", "hurwitz:8:split", "para:1",
+         "para:2", "para:4", "para:8", "para:2:split", "para:4:split",
+         "para:8:split", "okubo", "okubo:-", "matrix:2", "zorn", "parazorn:1:1",
+         "parazorn:2:1", "parazorn:3:1", "parazorn:3:2", "parazorn:1:3")
+
+
+@pytest.mark.parametrize("field", ["Q", "Qsqrt3", "F7"])
+def test_cached_symcomp_verdict_matches_a_fresh_one(field):
+    checked = 0
+    for name in NAMED:
+        try:
+            a = named_algebra(name, parse_field(field))
+        except SqrtUnavailable:
+            continue  # okubo needs sqrt(-3)
+        cert = symcomp.is_symmetric_composition(a)
+        assert a._symcomp_cache is cert
+        assert symcomp.is_symmetric_composition(a) is cert
+        fresh = symcomp.is_symmetric_composition(named_algebra(name, parse_field(field)))
+        assert fresh is not cert and fresh.records == cert.records, name
+        # the gate of verify_local reads the same verdict as the old quick check
+        if a.form is not None:
+            assert cert.ok == ref_symmetric_composition_quick(a), name
+        checked += 1
+    assert checked >= len(NAMED) - 2
+
+
+def test_verify_local_builds_the_symcomp_certificate_once(monkeypatch):
+    built = []
+
+    class Counting(symcomp.Certificate):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(symcomp, "Certificate", Counting)
+    a = named_algebra("okubo")
+    basis = a.basis_elements()
+    for i in range(3):
+        pair = triality.derivation_pair(a, basis[i], basis[i + 1])
+        triality.verify_local(a, *pair.maps())
+    assert len(built) == 1
+    assert a._symcomp_cache is built[0] and built[0].ok
