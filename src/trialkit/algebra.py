@@ -18,23 +18,8 @@ Matrix = List[list]
 
 
 class AlgebraError(Exception):
-    pass
-
-
-class DimensionMismatch(AlgebraError):
-    pass
-
-
-class FormUndeclared(AlgebraError):
-    pass
-
-
-class InvolutionUndeclared(AlgebraError):
-    pass
-
-
-class AxiomViolation(AlgebraError):
-    pass
+    """The input lies outside a construction's domain: mismatched shapes, a
+    missing form, involution or unit, or a failed precondition."""
 
 
 class Element:
@@ -44,7 +29,7 @@ class Element:
 
     def __init__(self, algebra: "Algebra", coords: Sequence[FieldElement]):
         if len(coords) != algebra.dim:
-            raise DimensionMismatch(f"expected {algebra.dim} coords, got {len(coords)}")
+            raise AlgebraError(f"expected {algebra.dim} coords, got {len(coords)}")
         self.algebra = algebra
         self.coords = list(coords)
 
@@ -91,7 +76,7 @@ class Element:
 
     def _check(self, other: "Element") -> None:
         if other.algebra is not self.algebra:
-            raise DimensionMismatch("elements belong to different algebras")
+            raise AlgebraError("elements belong to different algebras")
 
     def __repr__(self) -> str:
         return f"Element({[str(c) for c in self.coords]})"
@@ -105,7 +90,7 @@ class LinearMap:
     def __init__(self, algebra: "Algebra", rows: Matrix):
         n = algebra.dim
         if len(rows) != n or any(len(r) != n for r in rows):
-            raise DimensionMismatch("operator shape does not match the algebra")
+            raise AlgebraError("operator shape does not match the algebra")
         self.algebra = algebra
         self.rows = [list(r) for r in rows]
 
@@ -168,23 +153,26 @@ class Algebra:
         self.dim = len(structure)
         n = self.dim
         if any(len(plane) != n or any(len(row) != n for row in plane) for plane in structure):
-            raise DimensionMismatch("structure tensor must be dim^3")
+            raise AlgebraError("structure tensor must be dim^3")
         self.structure = [[[structure[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
         self.form = [list(r) for r in form] if form is not None else None
         if self.form is not None:
             if len(self.form) != n or any(len(r) != n for r in self.form):
-                raise DimensionMismatch("form must be dim x dim")
+                raise AlgebraError("form must be dim x dim")
             for i in range(n):
                 for j in range(i):
                     if self.form[i][j] != self.form[j][i]:
-                        raise AxiomViolation("form is not symmetric")
+                        raise AlgebraError("form is not symmetric")
         self.involution = [list(r) for r in involution] if involution is not None else None
         if self.involution is not None:
             sq = linalg.mat_mul(self.involution, self.involution)
             if not linalg.mat_eq(sq, linalg.identity(n, field.one(), field.zero())):
-                raise AxiomViolation("involution matrix must square to the identity")
+                raise AlgebraError("involution matrix must square to the identity")
         self.unit = list(unit) if unit is not None else None
         self.name = name
+        # the family a constructor declares (constructors.PARA_ZORN) or None;
+        # the CLI picks its suites by it, never by the name
+        self.kind: Optional[str] = None
         # product_terms[i][j]: the nonzero (k, c[i][j][k]) of e_i e_j, by k.
         self.product_terms = [[tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
                                for row in plane] for plane in self.structure]
@@ -206,7 +194,7 @@ class Algebra:
 
     def unit_element(self) -> Element:
         if self.unit is None:
-            raise AxiomViolation("algebra has no declared unit")
+            raise AlgebraError("algebra has no declared unit")
         return Element(self, self.unit)
 
     def basis_elements(self) -> List[Element]:
@@ -255,7 +243,7 @@ class Algebra:
 
     def form_eval(self, x: Element, y: Element) -> FieldElement:
         if self.form is None:
-            raise FormUndeclared("algebra has no bilinear form")
+            raise AlgebraError("algebra has no bilinear form")
         acc = self.field.zero()
         for i, xi in enumerate(x.coords):
             if xi.is_zero():
@@ -267,12 +255,12 @@ class Algebra:
 
     def involute(self, x: Element) -> Element:
         if self.involution is None:
-            raise InvolutionUndeclared("algebra has no involution")
+            raise AlgebraError("algebra has no involution")
         return Element(self, linalg.mat_vec(self.involution, x.coords))
 
     def involution_map(self) -> LinearMap:
         if self.involution is None:
-            raise InvolutionUndeclared("algebra has no involution")
+            raise AlgebraError("algebra has no involution")
         return LinearMap(self, self.involution)
 
     def identity_map(self) -> LinearMap:

@@ -15,31 +15,22 @@ from typing import Tuple
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .constructors import make_conjugate
-from .symcomp import CertificationFailure
-from .triality import LocalTriple, RelationFails, TrialityTriple, verify_local, verify_triality
+from .triality import (LocalTriple, RelationFails, TrialityTriple, first_failing_tuple,
+                       verify_local, verify_triality)
 
 
-class NotAssociative(AlgebraError):
-    pass
-
-
-class NotUnitary(AlgebraError):
-    pass
-
-
-class NotSkew(AlgebraError):
-    pass
+def _basis_products(a: Algebra):
+    """The basis of a and the table of products e_i e_j."""
+    basis = a.basis_elements()
+    return basis, [[x * y for y in basis] for x in basis]
 
 
 def check_associative(a: Algebra) -> None:
-    basis = a.basis_elements()
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            p = basis[i] * basis[j]
-            for k in range(n):
-                if p * basis[k] != basis[i] * (basis[j] * basis[k]):
-                    raise NotAssociative(f"associativity fails at ({i}, {j}, {k})")
+    basis, prods = _basis_products(a)
+    w = first_failing_tuple(
+        lambda i, j, k: prods[i][j] * basis[k] == basis[i] * prods[j][k], a.dim, a.dim, a.dim)
+    if w is not None:
+        raise RelationFails(f"associativity fails at ({w[0]}, {w[1]}, {w[2]})")
 
 
 @dataclass(frozen=True)
@@ -57,7 +48,7 @@ def certify_unitary(astar: Algebra, a1: Element, a2: Element, a3: Element) -> Un
     e = astar.unit_element()
     for j, x in enumerate((a1, a2, a3)):
         if astar.involute(x) * x != e or x * astar.involute(x) != e:
-            raise NotUnitary(f"component {j + 1} is not unitary")
+            raise RelationFails(f"component {j + 1} is not unitary")
     return UnitaryTriple(astar, (a1, a2, a3))
 
 
@@ -75,20 +66,18 @@ def certify_skew(astar: Algebra, p1: Element, p2: Element, p3: Element) -> SkewT
         raise AlgebraError("an involutive algebra is required")
     for j, x in enumerate((p1, p2, p3)):
         if astar.involute(x) != -x:
-            raise NotSkew(f"component {j + 1} is not skew")
+            raise RelationFails(f"component {j + 1} is not skew")
     return SkewTriple(astar, (p1, p2, p3))
 
 
 def para_associativity(a: Algebra) -> None:
     """conj(z)(xy) = (yz)conj(x) on all basis triples of a conjugate algebra."""
-    basis = a.basis_elements()
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                if a.involute(z) * (x * y) != (y * z) * a.involute(x):
-                    raise RelationFails("para-associativity fails", witness=(i, j, k))
+    basis, prods = _basis_products(a)
+    conj = [a.involute(x) for x in basis]
+    w = first_failing_tuple(
+        lambda i, j, k: conj[k] * prods[i][j] == prods[j][k] * conj[i], a.dim, a.dim, a.dim)
+    if w is not None:
+        raise RelationFails("para-associativity fails", witness=w)
 
 
 def _rebind(target: Algebra, m: LinearMap) -> LinearMap:
@@ -119,10 +108,10 @@ def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
         swapped.append(astar.left_op(u.comp(j + 1)) @ astar.right_op(astar.involute(aj)))
     for j in range(3):
         if not (sig[j] @ sig_bar[j]).is_identity():
-            raise CertificationFailure("sigma(a) sigma(conj a) != Id", witness=(j + 1,))
+            raise RelationFails("sigma(a) sigma(conj a) != Id", witness=(j + 1,))
         if jmap @ sig[j] @ jmap != swapped[j]:
-            raise CertificationFailure("involution conjugate of sigma is wrong",
-                                       witness=(j + 1,))
+            raise RelationFails("involution conjugate of sigma is wrong",
+                                witness=(j + 1,))
     basis = astar.basis_elements()
     n = astar.dim
     for j in range(3):
@@ -131,8 +120,8 @@ def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
         for i in range(n):
             for k in range(n):
                 if conj_sig(basis[i] * basis[k]) != s1(basis[i]) * s2(basis[k]):
-                    raise CertificationFailure("sandwich product law fails",
-                                               witness=(j + 1, i, k))
+                    raise RelationFails("sandwich product law fails",
+                                        witness=(j + 1, i, k))
     for j in range(1, 4):
         m = sig[j - 1].rows
         left_form = (conj_alg.left_op(conj_alg.element([c for c in u.comp(j + 1).coords]))
@@ -142,7 +131,7 @@ def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
         right_form = (conj_alg.right_op(conj_alg.element(abar_j.coords))
                       @ conj_alg.right_op(conj_alg.element(abar_j1.coords)))
         if not linalg.mat_eq(m, left_form.rows) or not linalg.mat_eq(m, right_form.rows):
-            raise CertificationFailure("operator factorizations disagree", witness=(j,))
+            raise RelationFails("operator factorizations disagree", witness=(j,))
     return verify_triality(conj_alg, *[_rebind(conj_alg, m) for m in sig])
 
 
@@ -159,14 +148,14 @@ def assoc_local_triple(astar: Algebra, p: SkewTriple) -> LocalTriple:
     for j in range(1, 4):
         conj_d = jmap @ ds[j - 1] @ jmap
         if conj_d != astar.left_op(p.comp(j + 1)) - astar.right_op(p.comp(j)):
-            raise CertificationFailure("involution conjugate of d is wrong", witness=(j,))
+            raise RelationFails("involution conjugate of d is wrong", witness=(j,))
         d1, d2 = ds[j % 3], ds[(j + 1) % 3]
         for i in range(n):
             for k in range(n):
                 if conj_d(basis[i] * basis[k]) != d1(basis[i]) * basis[k] \
                         + basis[i] * d2(basis[k]):
-                    raise CertificationFailure("star-product local law fails",
-                                               witness=(j, i, k))
+                    raise RelationFails("star-product local law fails",
+                                        witness=(j, i, k))
     return verify_local(conj_alg, *[_rebind(conj_alg, m) for m in ds])
 
 
@@ -175,7 +164,7 @@ def cayley_transform(astar: Algebra, p: Element) -> Element:
     if astar.involution is None or astar.unit is None:
         raise AlgebraError("a unital involutive algebra is required")
     if astar.involute(p) != -p:
-        raise NotSkew("the argument is not skew")
+        raise RelationFails("the argument is not skew")
     e = astar.unit_element()
     lop = astar.left_op(e + p)
     inv_coords = linalg.solve(lop.rows, e.coords, astar.field.zero(), astar.field.one())
@@ -186,5 +175,5 @@ def cayley_transform(astar: Algebra, p: Element) -> Element:
         raise linalg.NotInvertible("e + p has no two-sided inverse")
     a = (e - p) * inv
     if astar.involute(a) * a != e or a * astar.involute(a) != e:
-        raise CertificationFailure("Cayley transform is not unitary")
+        raise RelationFails("Cayley transform is not unitary")
     return a

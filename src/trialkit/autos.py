@@ -16,29 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap
-from .fields import CharThree, FieldElement, SqrtUnavailable, sqrt_in_field
-from .symcomp import CertificationFailure, PreconditionUnmet
-from .triality import (RelationFails, earliest_failure, form_law_failure,
-                       product_law_failure)
-
-
-class NoSolutionInField(AlgebraError):
-    pass
-
-
-class DegeneratePair(AlgebraError):
-    pass
-
-
-class ConstraintFails(AlgebraError):
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class ChainConditionFails(AlgebraError):
-    pass
-
+from .fields import FieldElement, SqrtUnavailable, sqrt_in_field
+from .triality import (RelationFails, earliest_failure, first_failing_tuple,
+                       form_law_failure, product_law_failure)
 
 # ---------------------------------------------------------------------------
 # Generic certification helpers
@@ -46,10 +26,10 @@ class ChainConditionFails(AlgebraError):
 
 def certify_automorphism(a: Algebra, g: LinearMap) -> LinearMap:
     """g(xy) = g(x)g(y) on all basis pairs, g invertible."""
-    g.inverse()
+    linalg.require_invertible(g.rows, a.field.zero(), a.field.one())
     w = product_law_failure(a, g, g, g)
     if w is not None:
-        raise CertificationFailure("map is not an automorphism", witness=w)
+        raise RelationFails("map is not an automorphism", witness=w)
     return g
 
 
@@ -57,7 +37,7 @@ def certify_derivation(a: Algebra, d: LinearMap) -> LinearMap:
     """d(xy) = (dx)y + x(dy) on all basis pairs."""
     w = product_law_failure(a, d, d, d, local=True)
     if w is not None:
-        raise CertificationFailure("map is not a derivation", witness=w)
+        raise RelationFails("map is not a derivation", witness=w)
     return d
 
 
@@ -136,9 +116,9 @@ class Idempotent:
 
 def certify_idempotent(a: Algebra, x: Element) -> Idempotent:
     if x * x != x:
-        raise CertificationFailure("element is not idempotent")
+        raise RelationFails("element is not idempotent")
     if a.form_eval(x, x) != a.field.one():
-        raise CertificationFailure("idempotent does not have norm one")
+        raise RelationFails("idempotent does not have norm one")
     return Idempotent(a, x)
 
 
@@ -153,8 +133,8 @@ def find_idempotents(a: Algebra) -> List[Idempotent]:
     """Idempotents of a para-Hurwitz algebra of shape
     (1/2)(-e + sum alpha_lambda e_lambda) with sum alpha^2 = 3, found from
     canonical sign patterns (three entries +-1) or a single sqrt(3)
-    coordinate, plus the para-unit itself.  Raises NoSolutionInField when
-    nothing beyond the para-unit exists over the declared field."""
+    coordinate, plus the para-unit itself when it is idempotent.  The list
+    is empty when there is none over the declared field."""
     e = _para_unit(a)
     n = a.dim
     fdesc = a.field
@@ -163,7 +143,7 @@ def find_idempotents(a: Algebra) -> List[Idempotent]:
     out: List[Idempotent] = []
     try:
         out.append(certify_idempotent(a, e))
-    except CertificationFailure:
+    except RelationFails:
         pass  # not every symmetric composition algebra has a para-unit
     imag = [i for i in range(n) if a.basis(i) != e]
     candidates: List[Element] = []
@@ -188,12 +168,10 @@ def find_idempotents(a: Algebra) -> List[Idempotent]:
     for x in candidates:
         try:
             idem = certify_idempotent(a, x)
-        except CertificationFailure:
+        except RelationFails:
             continue
         if all(idem.elem != known.elem for known in out):
             out.append(idem)
-    if len(out) <= 1:
-        raise NoSolutionInField("no idempotent beyond the para-unit was found")
     return out
 
 
@@ -206,13 +184,13 @@ def order3_auto(a: Algebra, idem: Idempotent) -> LinearMap:
     certify_automorphism(a, sigma)
     certify_automorphism(a, theta)
     if not (sigma @ theta).is_identity() or not (theta @ sigma).is_identity():
-        raise CertificationFailure("sigma and theta are not mutual inverses")
+        raise RelationFails("sigma and theta are not mutual inverses")
     if not (sigma @ sigma @ sigma).is_identity() or not (theta @ theta @ theta).is_identity():
-        raise CertificationFailure("order is not 3")
+        raise RelationFails("order is not 3")
     failure = earliest_failure([("sigma is not an isometry", form_law_failure(a, sigma, sigma)),
                                 ("theta is not an isometry", form_law_failure(a, theta, theta))])
     if failure is not None:
-        raise CertificationFailure(failure[0], witness=failure[1])
+        raise RelationFails(failure[0], witness=failure[1])
     return sigma
 
 
@@ -220,13 +198,21 @@ def order3_auto(a: Algebra, idem: Idempotent) -> LinearMap:
 # The unital picture: sphere points and transport
 # ---------------------------------------------------------------------------
 
-def check_sphere_point(h: Algebra, a: Element) -> None:
-    """<a|a> = 1 and 2<e|a> = -1."""
+def _sphere_defect(h: Algebra, a: Element) -> Optional[str]:
+    """Why a misses the sphere <a|a> = 1, 2<e|a> = -1, or None."""
     e = h.unit_element()
     if h.form_eval(a, a) != h.field.one():
-        raise PreconditionUnmet("point does not have norm one")
+        return "point does not have norm one"
     if h.field.from_int(2) * h.form_eval(e, a) != -h.field.one():
-        raise PreconditionUnmet("point is not on the affine sphere slice")
+        return "point is not on the affine sphere slice"
+    return None
+
+
+def check_sphere_point(h: Algebra, a: Element) -> None:
+    """<a|a> = 1 and 2<e|a> = -1."""
+    defect = _sphere_defect(h, a)
+    if defect is not None:
+        raise AlgebraError(defect)
 
 
 def hurwitz_sigma(h: Algebra, a: Element) -> LinearMap:
@@ -237,17 +223,17 @@ def hurwitz_sigma(h: Algebra, a: Element) -> LinearMap:
     abar = h.involute(a)
     sigma = h.left_op(abar) @ h.right_op(a)
     if sigma != h.right_op(a) @ h.left_op(abar):
-        raise CertificationFailure("the two operator orders disagree")
+        raise RelationFails("the two operator orders disagree")
     certify_automorphism(h, sigma)
     if not (sigma @ (h.left_op(a) @ h.right_op(abar))).is_identity():
-        raise CertificationFailure("sigma(conj a) is not the inverse")
+        raise RelationFails("sigma(conj a) is not the inverse")
     if not (sigma @ sigma @ sigma).is_identity():
-        raise CertificationFailure("order is not 3")
+        raise RelationFails("order is not 3")
     if sigma(h.unit_element()) != h.unit_element():
-        raise CertificationFailure("unit is not fixed")
+        raise RelationFails("unit is not fixed")
     w = form_law_failure(h, sigma, sigma)
     if w is not None:
-        raise CertificationFailure("sigma is not an isometry", witness=w)
+        raise RelationFails("sigma is not an isometry", witness=w)
     return sigma
 
 
@@ -268,21 +254,15 @@ def _sphere_patterns(h: Algebra) -> List[Element]:
                     for s2 in (one, -one):
                         x = half * (-e + s0 * h.basis(i0) + s1 * h.basis(i1)
                                     + s2 * h.basis(i2))
-                        try:
-                            check_sphere_point(h, x)
-                        except PreconditionUnmet:
-                            continue
-                        out.append(x)
+                        if _sphere_defect(h, x) is None:
+                            out.append(x)
     root3 = sqrt_in_field(fdesc.from_int(3))
     if root3 is not None and imag:
         for i in imag:
             for s in (one, -one):
                 x = half * (-e + s * root3 * h.basis(i))
-                try:
-                    check_sphere_point(h, x)
-                except PreconditionUnmet:
-                    continue
-                out.append(x)
+                if _sphere_defect(h, x) is None:
+                    out.append(x)
     return out
 
 
@@ -291,7 +271,7 @@ def _transport_once(h: Algebra, b: Element, c: Element) -> Element:
     e = h.unit_element()
     pairing = two * h.form_eval(b, c) + h.field.one()
     if pairing.is_zero():
-        raise DegeneratePair("pairing is degenerate; needs an intermediate point")
+        raise AlgebraError("pairing is degenerate; needs an intermediate point")
     # lambda^2 + lambda + 1 = 2<b|c> + 1
     disc = h.field.one() + h.field.from_int(4) * two * h.form_eval(b, c)
     root = sqrt_in_field(disc)
@@ -301,7 +281,7 @@ def _transport_once(h: Algebra, b: Element, c: Element) -> Element:
     a = (lam * (b + c) - (lam * lam) * e - c * b) / pairing
     check_sphere_point(h, a)
     if hurwitz_sigma(h, a)(b) != c:
-        raise CertificationFailure("transport failed to map b to c")
+        raise RelationFails("transport failed to map b to c")
     return a
 
 
@@ -323,10 +303,10 @@ def sphere_transport(h: Algebra, b: Element, c: Element) -> List[Element]:
         try:
             a1 = _transport_once(h, b, mid)
             a2 = _transport_once(h, mid, c)
-        except (SqrtUnavailable, CertificationFailure):
+        except (SqrtUnavailable, RelationFails):
             continue
         return [a1, a2]
-    raise DegeneratePair("no intermediate sphere point found")
+    raise AlgebraError("no intermediate sphere point found")
 
 
 # ---------------------------------------------------------------------------
@@ -344,35 +324,35 @@ def unipotent_bridge(m: LinearMap, direction: str) -> LinearMap:
     if direction == "auto_to_der":
         certify_automorphism(a, m)
         if m @ m != two * m - ident:
-            raise PreconditionUnmet("automorphism is not unipotent of the required shape")
+            raise AlgebraError("automorphism is not unipotent of the required shape")
         d = m - ident
         sigma = m
     elif direction == "der_to_auto":
         certify_derivation(a, m)
         zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
         if not linalg.mat_eq((m @ m).rows, zero_rows):
-            raise PreconditionUnmet("derivation does not square to zero")
+            raise AlgebraError("derivation does not square to zero")
         d = m
         sigma = ident + m
         certify_automorphism(a, sigma)
         if sigma @ sigma != two * sigma - ident:
-            raise CertificationFailure("built automorphism is not unipotent")
+            raise RelationFails("built automorphism is not unipotent")
     else:
         raise ValueError("direction must be auto_to_der or der_to_auto")
     certify_derivation(a, d)
     zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
     if not linalg.mat_eq((d @ d).rows, zero_rows):
-        raise CertificationFailure("derivation does not square to zero")
+        raise RelationFails("derivation does not square to zero")
     w = product_law_failure(a, LinearMap(a, zero_rows), d, d)
     if w is not None:
-        raise CertificationFailure("(dx)(dy) = 0 fails", witness=w)
+        raise RelationFails("(dx)(dy) = 0 fails", witness=w)
     p = a.field.characteristic
     if p:
         acc = sigma
         for _ in range(p - 1):
             acc = acc @ sigma
         if not acc.is_identity():
-            raise CertificationFailure("sigma^p != Id over the prime field")
+            raise RelationFails("sigma^p != Id over the prime field")
     return sigma if direction == "der_to_auto" else d
 
 
@@ -386,6 +366,29 @@ class R3Data:
     bs: Tuple[Element, Element, Element]
 
 
+def _r3_defect(h: Algebra, data: R3Data) -> Optional[str]:
+    """Which precondition of r3_construction the data misses, or None."""
+    eps, bs = data.eps, data.bs
+    one = h.field.one()
+    e = h.unit_element()
+    for j, s in enumerate(eps):
+        if s * s != one:
+            return f"eps_{j + 1} is not a sign"
+    if eps[0] * eps[1] * eps[2] != one:
+        return "eps product is not 1"
+    for i in range(3):
+        if not h.form_eval(bs[i], e).is_zero():
+            return f"b_{i + 1} is not orthogonal to the unit"
+        for j in range(3):
+            if not h.form_eval(bs[i], bs[j]).is_zero():
+                return f"b_{i + 1} and b_{j + 1} are not orthogonal"
+            if not (bs[i] * bs[j]).is_zero():
+                return f"b_{i + 1} * b_{j + 1} != 0"
+    if not (eps[0] * bs[0] + eps[1] * bs[1] + eps[2] * bs[2]).is_zero():
+        return "eps-weighted sum of b is not zero"
+    return None
+
+
 def r3_construction(h: Algebra, data: R3Data) -> LinearMap:
     """Unipotent automorphism from signs eps_j (eps_j^2 = 1, product 1) and
     elements b_j that are unit-orthogonal, mutually orthogonal, mutually
@@ -394,32 +397,19 @@ def r3_construction(h: Algebra, data: R3Data) -> LinearMap:
     automorphism with sigma^2 = 2 sigma - 1; it equals all its rewrites:
     r(a1) r(a2) r(a3), the product of l(a_i) r(a_i), and
     Id + eps_3 l(b1) l(b2) (cyclically)."""
+    defect = _r3_defect(h, data)
+    if defect is not None:
+        raise AlgebraError(defect)
     eps, bs = data.eps, data.bs
-    one = h.field.one()
     e = h.unit_element()
-    for j, s in enumerate(eps):
-        if s * s != one:
-            raise PreconditionUnmet(f"eps_{j + 1} is not a sign")
-    if eps[0] * eps[1] * eps[2] != one:
-        raise PreconditionUnmet("eps product is not 1")
-    for i in range(3):
-        if not h.form_eval(bs[i], e).is_zero():
-            raise PreconditionUnmet(f"b_{i + 1} is not orthogonal to the unit")
-        for j in range(3):
-            if not h.form_eval(bs[i], bs[j]).is_zero():
-                raise PreconditionUnmet(f"b_{i + 1} and b_{j + 1} are not orthogonal")
-            if not (bs[i] * bs[j]).is_zero():
-                raise PreconditionUnmet(f"b_{i + 1} * b_{j + 1} != 0")
-    if not (eps[0] * bs[0] + eps[1] * bs[1] + eps[2] * bs[2]).is_zero():
-        raise PreconditionUnmet("eps-weighted sum of b is not zero")
     a = [bs[j] + eps[j] * e for j in range(3)]
     for j in range(3):
         want = h.involute(a[(j + 2) % 3])
         if a[j] * a[(j + 1) % 3] != want or a[(j + 1) % 3] * a[j] != want:
-            raise CertificationFailure("chain elements do not pair to conjugates",
-                                       witness=(j + 1,))
+            raise RelationFails("chain elements do not pair to conjugates",
+                                witness=(j + 1,))
     if a[0] * (a[1] * a[2]) != e or (a[2] * a[1]) * a[0] != e:
-        raise CertificationFailure("unit chain condition fails")
+        raise RelationFails("unit chain condition fails")
     sigma = h.left_op(a[0]) @ h.left_op(a[1]) @ h.left_op(a[2])
     rights = h.right_op(a[0]) @ h.right_op(a[1]) @ h.right_op(a[2])
     mixed = (h.left_op(a[0]) @ h.right_op(a[0]) @ h.left_op(a[1]) @ h.right_op(a[1])
@@ -434,10 +424,10 @@ def r3_construction(h: Algebra, data: R3Data) -> LinearMap:
     ]
     for t, other in enumerate(rewrites):
         if sigma != other:
-            raise CertificationFailure("rewrites of sigma disagree", witness=(t,))
+            raise RelationFails("rewrites of sigma disagree", witness=(t,))
     certify_automorphism(h, sigma)
     if sigma @ sigma != h.field.from_int(2) * sigma - ident:
-        raise CertificationFailure("sigma is not unipotent")
+        raise RelationFails("sigma is not unipotent")
     return sigma
 
 
@@ -461,12 +451,14 @@ def find_r3_data(h: Algebra) -> R3Data:
                 continue
             b3 = -b1 - b2
             data = R3Data((one, one, one), (b1, b2, b3))
+            if _r3_defect(h, data) is not None:
+                continue
             try:
                 r3_construction(h, data)
-            except (PreconditionUnmet, CertificationFailure):
+            except RelationFails:
                 continue
             return data
-    raise DegeneratePair("no chain data found; is the algebra split?")
+    raise AlgebraError("no chain data found; is the algebra split?")
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +474,25 @@ def hurwitz_D(h: Algebra, a: Element, p: Element) -> LinearMap:
     e = h.unit_element()
     zero = h.field.zero()
     if h.form_eval(p, a) != zero:
-        raise ConstraintFails("p is not orthogonal to a")
+        raise RelationFails("p is not orthogonal to a")
     if h.form_eval(p, e) != zero:
-        raise ConstraintFails("p is not orthogonal to the unit")
+        raise RelationFails("p is not orthogonal to the unit")
     abar = h.involute(a)
     q = -(p * abar)
     two = h.field.from_int(2)
     if q != -(a * p):
-        raise ConstraintFails("the two expressions for q disagree")
+        raise RelationFails("the two expressions for q disagree")
     if p != -(abar * q) or p != -(q * a):
-        raise ConstraintFails("p cannot be recovered from q")
+        raise RelationFails("p cannot be recovered from q")
     pp = h.form_eval(p, p)
     if h.form_eval(q, q) != pp or two * h.form_eval(p, q) != pp:
-        raise ConstraintFails("norm relations among p and q fail")
+        raise RelationFails("norm relations among p and q fail")
     if h.form_eval(q, a) != zero or h.form_eval(q, e) != zero:
-        raise ConstraintFails("q is not orthogonal to a and the unit")
+        raise RelationFails("q is not orthogonal to a and the unit")
     if abar != -e - a:
-        raise ConstraintFails("conj(a) != -e - a")
+        raise RelationFails("conj(a) != -e - a")
     if q * p != pp * a or p * q != pp * abar:
-        raise ConstraintFails("product relations among p and q fail")
+        raise RelationFails("product relations among p and q fail")
     d = h.left_op(abar) @ h.left_op(p) + h.right_op(abar) @ h.right_op(q)
     pq = p + q
     n = h.dim
@@ -509,7 +501,7 @@ def hurwitz_D(h: Algebra, a: Element, p: Element) -> LinearMap:
         closed = (x * q + p * x) + two * h.form_eval(abar, x) * pq \
             - two * h.form_eval(pq, x) * abar
         if d(x) != closed:
-            raise CertificationFailure("closed form of D disagrees", witness=(i,))
+            raise RelationFails("closed form of D disagrees", witness=(i,))
     return certify_derivation(h, d)
 
 
@@ -537,7 +529,7 @@ def standard_derivation(h: Algebra, f: Element, g: Element) -> LinearMap:
     three = h.field.from_int(3)
     alt = l(comm) - r(comm) - three * (l(f) @ r(g) - r(g) @ l(f))
     if d != alt:
-        raise CertificationFailure("operator forms of d disagree")
+        raise RelationFails("operator forms of d disagree")
     e = h.unit_element()
     two, six = h.field.from_int(2), h.field.from_int(6)
     left = -two * (f * g) - (g * f) + six * h.form_eval(g, e) * f
@@ -547,20 +539,20 @@ def standard_derivation(h: Algebra, f: Element, g: Element) -> LinearMap:
         expand = left * x + x * right + six * h.form_eval(f, x) * g \
             - six * h.form_eval(g, x) * f
         if d(x) != expand:
-            raise CertificationFailure("expansion of d disagrees", witness=(i,))
+            raise RelationFails("expansion of d disagrees", witness=(i,))
     return certify_derivation(h, d)
 
 
 def derivation_match(h: Algebra, a: Element, p: Element) -> None:
     """d(conj(a), p + q) = 3 D(a, p); meaningless in characteristic 3."""
     if h.field.characteristic == 3:
-        raise CharThree("the comparison degenerates in characteristic 3")
+        raise AlgebraError("the comparison degenerates in characteristic 3")
     big = hurwitz_D(h, a, p)
     abar = h.involute(a)
     q = -(p * abar)
     d = standard_derivation(h, abar, p + q)
     if d != h.field.from_int(3) * big:
-        raise CertificationFailure("standard derivation does not match 3 D(a, p)")
+        raise RelationFails("standard derivation does not match 3 D(a, p)")
 
 
 def quartic_exchange_identities(h: Algebra) -> None:
@@ -575,24 +567,35 @@ def quartic_exchange_identities(h: Algebra) -> None:
     two = h.field.from_int(2)
     basis = h.basis_elements()
     n = h.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                f, g, x = basis[i], basis[j], basis[k]
-                fe_, ge_, xe_ = h.form_eval(f, e), h.form_eval(g, e), h.form_eval(x, e)
-                fx_, gx_ = h.form_eval(f, x), h.form_eval(g, x)
-                if f * (g * x) != x * (f * g) - two * fe_ * (x * g) \
-                        + two * ge_ * (f * x) + two * fx_ * g - two * gx_ * f:
-                    raise RelationFails("exchange identity 1 fails", witness=(i, j, k))
-                if (x * f) * g != (f * g) * x + two * fe_ * (x * g) \
-                        - two * ge_ * (f * x) - two * fx_ * g + two * gx_ * f:
-                    raise RelationFails("exchange identity 2 fails", witness=(i, j, k))
-                if f * (x * g) != -(x * (f * g)) + two * xe_ * (f * g) \
-                        + two * fe_ * (x * g) - two * fx_ * g:
-                    raise RelationFails("exchange identity 3 fails", witness=(i, j, k))
-                if (f * x) * g != -((f * g) * x) + two * xe_ * (f * g) \
-                        + two * ge_ * (f * x) - two * gx_ * f:
-                    raise RelationFails("exchange identity 4 fails", witness=(i, j, k))
+    prods = [[x * y for y in basis] for x in basis]
+    on_e = [h.form_eval(x, e) for x in basis]
+    gram = [[h.form_eval(x, y) for y in basis] for x in basis]
+
+    def identity_1(i, j, k):
+        f, g, x = basis[i], basis[j], basis[k]
+        return f * prods[j][k] == x * prods[i][j] - two * on_e[i] * prods[k][j] \
+            + two * on_e[j] * prods[i][k] + two * gram[i][k] * g - two * gram[j][k] * f
+
+    def identity_2(i, j, k):
+        f, g, x = basis[i], basis[j], basis[k]
+        return prods[k][i] * g == prods[i][j] * x + two * on_e[i] * prods[k][j] \
+            - two * on_e[j] * prods[i][k] - two * gram[i][k] * g + two * gram[j][k] * f
+
+    def identity_3(i, j, k):
+        f, g, x = basis[i], basis[j], basis[k]
+        return f * prods[k][j] == -(x * prods[i][j]) + two * on_e[k] * prods[i][j] \
+            + two * on_e[i] * prods[k][j] - two * gram[i][k] * g
+
+    def identity_4(i, j, k):
+        f, g, x = basis[i], basis[j], basis[k]
+        return prods[i][k] * g == -(prods[i][j] * x) + two * on_e[k] * prods[i][j] \
+            + two * on_e[j] * prods[i][k] - two * gram[j][k] * f
+
+    failure = earliest_failure([
+        (f"exchange identity {t} fails", first_failing_tuple(law, n, n, n))
+        for t, law in enumerate((identity_1, identity_2, identity_3, identity_4), start=1)])
+    if failure is not None:
+        raise RelationFails(failure[0], witness=failure[1])
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +620,7 @@ def verify_elduque_form(h: Algebra, a_list: Sequence[Element],
     for x in reversed(a_list[:-1]):
         reversed_nested = reversed_nested * x
     if nested != e or reversed_nested != e:
-        raise ChainConditionFails("the chain does not multiply to the unit")
+        raise RelationFails("the chain does not multiply to the unit")
     if side == "left":
         op = h.left_op(a_list[0])
         for x in a_list[1:]:
@@ -634,7 +637,7 @@ def verify_elduque_form(h: Algebra, a_list: Sequence[Element],
         raise ValueError("side must be left, right, or mixed")
     certify_automorphism(h, op)
     if r == 2 and not op.is_identity():
-        raise CertificationFailure("length-2 chain must give the identity")
+        raise RelationFails("length-2 chain must give the identity")
     if r == 3:
         one = h.field.one()
         norms_one = all(h.form_eval(x, x) == one for x in a_list)
@@ -644,5 +647,5 @@ def verify_elduque_form(h: Algebra, a_list: Sequence[Element],
         if norms_one and degenerate:
             ident = h.identity_map()
             if op @ op != h.field.from_int(2) * op - ident:
-                raise CertificationFailure("length-3 degenerate chain is not unipotent")
+                raise RelationFails("length-3 degenerate chain is not unipotent")
     return op

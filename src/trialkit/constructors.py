@@ -350,11 +350,14 @@ def cross_space(field: FieldDescriptor) -> Algebra:
                    name="cross3")
 
 
+PARA_ZORN = "para-zorn"
+
+
 def make_para_zorn(b: Algebra, k=1) -> Algebra:
     """Para-Zorn algebra F + B + B + F over a bilinear space B.
 
     Coordinates order: [alpha, x (dim B), y (dim B), beta].  When B has zero
-    product the k-terms vanish automatically.
+    product the k-terms vanish automatically.  The result has kind PARA_ZORN.
     """
     field = b.field
     if b.form is None:
@@ -418,8 +421,10 @@ def make_para_zorn(b: Algebra, k=1) -> Algebra:
             for j in range(m):
                 invol[1 + i][1 + j] = b.involution[i][j]
                 invol[1 + m + i][1 + m + j] = b.involution[i][j]
-    return Algebra(field, structure, form=form, involution=invol, unit=None,
-                   name=f"para-zorn-{m}")
+    out = Algebra(field, structure, form=form, involution=invol, unit=None,
+                  name=f"para-zorn-{m}")
+    out.kind = PARA_ZORN
+    return out
 
 
 def make_zorn(field: FieldDescriptor) -> Algebra:

@@ -50,10 +50,6 @@ class FieldNotEmbeddable(FieldError):
     """Raised when a float embedding is requested for a finite field."""
 
 
-class CharThree(FieldError):
-    """Raised by operations that require characteristic != 3."""
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -340,6 +340,20 @@ def _nullspace_exact(a: Matrix, zero, one) -> List[Vector]:
     return basis
 
 
+def require_invertible(a: Matrix, zero, one) -> None:
+    """Raise NotInvertible unless the square FieldElement matrix `a` is
+    invertible, without computing the inverse.
+
+    `a` is invertible iff its kernel is zero, and `nullspace` finds the kernel
+    exactly.  The usual case costs one modular row reduction: reduction mod P
+    is a ring map, so rank mod P <= rank over K, and full rank mod P already
+    proves full rank over K, with no vector to lift.  A kernel that is nonzero
+    mod P is lifted and checked exactly, so a singular verdict is exact too.
+    """
+    if nullspace(a, zero, one):
+        raise NotInvertible("matrix is singular")
+
+
 def mat_inv(a: Matrix, zero, one) -> Matrix:
     n = len(a)
     aug = [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]

@@ -9,7 +9,8 @@ Layout:
   "form": [["...", ...], ...] | null,
   "involution": [["...", ...], ...] | null,
   "unit": ["...", ...] | null,
-  "para_unit": ["...", ...]                 # para algebras only
+  "para_unit": ["...", ...],                # para algebras only
+  "kind": "para-zorn"                       # para-Zorn algebras only
 }
 Scalars encode exactly: rationals as "num/den", quadratic elements as
 "a+b*sqrt(d)", prime-field residues as integers.
@@ -21,6 +22,7 @@ import json
 from typing import Optional
 
 from .algebra import Algebra, AlgebraError
+from .constructors import PARA_ZORN
 from .fields import FieldDescriptor, FieldError, format_scalar, parse_scalar
 
 
@@ -46,6 +48,8 @@ def algebra_to_dict(a: Algebra) -> dict:
     para_unit = getattr(a, "para_unit", None)
     if para_unit is not None:
         out["para_unit"] = [format_scalar(v) for v in para_unit]
+    if a.kind is not None:
+        out["kind"] = a.kind
     return out
 
 
@@ -122,6 +126,10 @@ def algebra_from_dict(obj: dict) -> Algebra:
     para_unit = _vector(obj, "para_unit", n, field)
     if para_unit is not None:
         out.para_unit = para_unit
+    kind = obj.get("kind")
+    if kind not in (None, PARA_ZORN):
+        raise SpecError(f"unknown 'kind' {kind!r}; known: {PARA_ZORN!r}")
+    out.kind = kind
     return out
 
 

@@ -26,6 +26,7 @@ from .triality import (
     TrialityTriple,
     derivation_pair,
     earliest_failure,
+    first_failing_tuple,
     form_law_failure,
     klein_triples,
     product_law_failure,
@@ -34,24 +35,6 @@ from .triality import (
     verify_local,
     verify_triality,
 )
-
-
-class NormNotOne(AlgebraError):
-    pass
-
-
-class CertificationFailure(AlgebraError):
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class PreconditionUnmet(AlgebraError):
-    pass
-
-
-class FieldNotFinite(AlgebraError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -97,81 +80,37 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
     # Loop-invariant tables: prods[i][j] = e_i e_j and gram[i][k] = <e_i|e_k>.
     prods = [[basis[i] * basis[j] for j in range(n)] for i in range(n)]
     gram = [[a.form_eval(basis[i], basis[k]) for k in range(n)] for i in range(n)]
+    two = a.field.from_int(2)
 
-    ok, wit = True, None
-    for i in range(n):
-        x = basis[i]
-        nx = gram[i][i]
-        for j in range(n):
-            y = basis[j]
-            if prods[i][j] * x != nx * y or x * prods[j][i] != nx * y:
-                ok, wit = False, (i, j)
-                break
-        if not ok:
-            break
-    cert.add("two-sided-norm-law", ok, wit)
+    def two_sided_norm(i, j):
+        x, y, nx = basis[i], basis[j], gram[i][i]
+        return prods[i][j] * x == nx * y and x * prods[j][i] == nx * y
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            p = prods[i][j]
-            if a.form_eval(p, p) != gram[i][i] * gram[j][j]:
-                ok, wit = False, (i, j)
-                break
-        if not ok:
-            break
-    cert.add("composition-law", ok, wit)
+    def composition(i, j):
+        p = prods[i][j]
+        return a.form_eval(p, p) == gram[i][i] * gram[j][j]
 
     # polarized composition law <xy|zw> + <zy|xw> = 2<x|z><y|w>
-    two = a.field.from_int(2)
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    lhs = a.form_eval(prods[i][j], prods[k][l]) + a.form_eval(
-                        prods[k][j], prods[i][l]
-                    )
-                    rhs = two * gram[i][k] * gram[j][l]
-                    if lhs != rhs:
-                        ok, wit = False, (i, j, k, l)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cert.add("polarized-composition-law", ok, wit)
+    def polarized(i, j, k, l):
+        lhs = a.form_eval(prods[i][j], prods[k][l]) + a.form_eval(prods[k][j], prods[i][l])
+        return lhs == two * gram[i][k] * gram[j][l]
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if a.form_eval(prods[i][j], basis[k]) != a.form_eval(basis[i], prods[j][k]):
-                    ok, wit = False, (i, j, k)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cert.add("form-associativity", ok, wit)
+    def form_associativity(i, j, k):
+        return a.form_eval(prods[i][j], basis[k]) == a.form_eval(basis[i], prods[j][k])
 
-    ok, wit = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                rhs = two * gram[i][k] * y
-                if (prods[i][j] * z + prods[k][j] * x != rhs
-                        or x * prods[j][k] + z * prods[j][i] != rhs):
-                    ok, wit = False, (i, j, k)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cert.add("linearized-norm-law", ok, wit)
+    def linearized(i, j, k):
+        x, z = basis[i], basis[k]
+        rhs = two * gram[i][k] * basis[j]
+        return (prods[i][j] * z + prods[k][j] * x == rhs
+                and x * prods[j][k] + z * prods[j][i] == rhs)
+
+    for clause, holds, arity in (("two-sided-norm-law", two_sided_norm, 2),
+                                 ("composition-law", composition, 2),
+                                 ("polarized-composition-law", polarized, 4),
+                                 ("form-associativity", form_associativity, 3),
+                                 ("linearized-norm-law", linearized, 3)):
+        w = first_failing_tuple(holds, *[n] * arity)
+        cert.add(clause, w is None, w)
 
     # (xy)(yz) = 2<x|yz>y - <y|y>zx, quadratic in y so sums of basis pairs
     # are also exercised
@@ -181,23 +120,15 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
             ys.append(basis[i] + basis[j])
     y_norms = [a.form_eval(y, y) for y in ys]
     y_prods = [[y * basis[k] for k in range(n)] for y in ys]
-    ok, wit = True, None
-    for i in range(n):
-        x = basis[i]
-        for y, ny, yz_row in zip(ys, y_norms, y_prods):
-            xy = x * y
-            for k in range(n):
-                yz = yz_row[k]
-                lhs = xy * yz
-                rhs = two * a.form_eval(x, yz) * y - ny * prods[k][i]
-                if lhs != rhs:
-                    ok, wit = False, (i, k)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cert.add("product-exchange-law", ok, wit)
+    xys = [[basis[i] * y for y in ys] for i in range(n)]
+
+    def product_exchange(i, t, k):
+        yz = y_prods[t][k]
+        rhs = two * a.form_eval(basis[i], yz) * ys[t] - y_norms[t] * prods[k][i]
+        return xys[i][t] * yz == rhs
+
+    w = first_failing_tuple(product_exchange, n, len(ys), n)
+    cert.add("product-exchange-law", w is None, None if w is None else (w[0], w[2]))
     a._symcomp_cache = cert
     return cert
 
@@ -225,10 +156,10 @@ def certify_sigma(a: Algebra, a1: Element, a2: Element, a3: Element) -> SigmaTri
     one = a.field.one()
     for j, x in enumerate(elems):
         if a.form_eval(x, x) != one:
-            raise NormNotOne(f"component {j + 1} does not have norm one")
+            raise RelationFails(f"component {j + 1} does not have norm one")
     for j in range(3):
         if elems[j] * elems[(j + 1) % 3] != elems[(j + 2) % 3]:
-            raise CertificationFailure(
+            raise RelationFails(
                 f"a{j + 1} a{(j + 1) % 3 + 1} != a{(j + 2) % 3 + 1}", witness=(j + 1,)
             )
     return SigmaTriple(a, elems)
@@ -239,7 +170,7 @@ def sigma_from_pair(a: Algebra, x: Element, y: Element) -> SigmaTriple:
     product relations follow from the two-sided norm law."""
     one = a.field.one()
     if a.form_eval(x, x) != one or a.form_eval(y, y) != one:
-        raise NormNotOne("both elements must have norm one")
+        raise RelationFails("both elements must have norm one")
     return certify_sigma(a, x, y, x * y)
 
 
@@ -389,9 +320,9 @@ def lambda_vector(a: SigmaTriple, p1: Element, p2: Element,
     zero = alg.field.zero()
     for j in range(1, 4):
         if a.comp(j) * p(j + 1) + p(j) * a.comp(j + 1) != p(j + 2):
-            raise CertificationFailure("p recursion fails", witness=("p", j))
+            raise RelationFails("p recursion fails", witness=("p", j))
         if alg.form_eval(p(j), a.comp(j)) != zero:
-            raise CertificationFailure("p is not orthogonal to a", witness=("p-orth", j))
+            raise RelationFails("p is not orthogonal to a", witness=("p-orth", j))
     qs = tuple(a.comp(j + 1) * p(j + 2) for j in range(1, 4))
 
     def q(j: int) -> Element:
@@ -399,16 +330,16 @@ def lambda_vector(a: SigmaTriple, p1: Element, p2: Element,
 
     for j in range(1, 4):
         if q(j) != p(j) - p(j + 1) * a.comp(j + 2):
-            raise CertificationFailure("q has two inconsistent expressions",
-                                       witness=("q", j))
+            raise RelationFails("q has two inconsistent expressions",
+                                witness=("q", j))
         if alg.form_eval(q(j), a.comp(j)) != zero:
-            raise CertificationFailure("q is not orthogonal to a", witness=("q-orth", j))
+            raise RelationFails("q is not orthogonal to a", witness=("q-orth", j))
         if p(j) != q(j + 1) * a.comp(j + 2):
-            raise CertificationFailure("p recovery from q fails", witness=("pq", j))
+            raise RelationFails("p recovery from q fails", witness=("pq", j))
         if p(j) != q(j) - a.comp(j + 1) * q(j + 2):
-            raise CertificationFailure("p recovery from q fails", witness=("pq2", j))
+            raise RelationFails("p recovery from q fails", witness=("pq2", j))
         if a.comp(j) * q(j + 1) + q(j) * a.comp(j + 1) != q(j + 2):
-            raise CertificationFailure("q recursion fails", witness=("qrec", j))
+            raise RelationFails("q recursion fails", witness=("qrec", j))
     return LambdaVector(a, ps, qs)
 
 
@@ -452,12 +383,9 @@ def local_D(a: SigmaTriple, p: LambdaVector) -> LocalTriple:
                 - two * _outer(alg, p.p_comp(j + 2), a.comp(j + 2))
                 + alg.right_op(a.comp(j + 1)) @ alg.left_op(p.q_comp(j + 1)))
         if dj != alt1 or dj != alt2:
-            raise CertificationFailure("alternative forms of D disagree", witness=(j,))
+            raise RelationFails("alternative forms of D disagree", witness=(j,))
         mats.append(dj)
-    try:
-        return verify_local(alg, *mats)
-    except RelationFails as exc:
-        raise CertificationFailure(str(exc), witness=exc.witness) from exc
+    return verify_local(alg, *mats)
 
 
 def cycle_shift(p: LambdaVector) -> LambdaVector:
@@ -508,9 +436,9 @@ def express_D_as_d(p: LambdaVector, alpha: FieldElement, beta: FieldElement) -> 
     triple d(u, v) with u = (p2 + alpha a2) / (2 beta), v = beta a2; the
     equality is independent of the choice of alpha and beta."""
     if not p.p_comp(3).is_zero():
-        raise PreconditionUnmet("the third transport component must vanish")
+        raise AlgebraError("the third transport component must vanish")
     if beta.is_zero():
-        raise PreconditionUnmet("beta must be invertible")
+        raise AlgebraError("beta must be invertible")
     a = p.base
     alg = a.algebra
     u = (p.p_comp(2) + alpha * a.comp(2)) / (alg.field.from_int(2) * beta)
@@ -596,7 +524,7 @@ def enumerate_trig_small(a: Algebra, p_cap: int = 31) -> TrigGroup:
     checked for closure, inverses, and the Klein subgroup.
     """
     if a.field.kind != "Fp":
-        raise FieldNotFinite("enumeration requires a prime field")
+        raise AlgebraError("enumeration requires a prime field")
     if a.field.p > p_cap:
         raise ValueError(f"prime exceeds the enumeration cap {p_cap}")
     if a.dim == 1:
@@ -691,7 +619,7 @@ def auto_dim2(field: FieldDescriptor) -> AutoGroup:
     if not (p @ p).is_identity():
         raise RelationFails("generator relations fail")
     for g in elements:
-        g.inverse()  # raises NotInvertible on singular input
+        linalg.require_invertible(g.rows, zero, one)
         w = product_law_failure(a, g, g, g)
         if w is not None:
             raise RelationFails("map is not an automorphism", witness=w)

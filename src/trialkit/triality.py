@@ -10,17 +10,21 @@ run over every basis pair, which proves the law by bilinearity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, Element, FormUndeclared, LinearMap
+from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .fields import FieldElement, FieldNotEmbeddable
 
 Pair = Tuple[int, int]
 
 
 class RelationFails(AlgebraError):
-    """An identity failed; carries a human-readable witness."""
+    """A checked identity failed.  `witness` is where: usually the first
+    failing basis tuple in row-major order, led by a component index or a
+    clause name where the check has several; None when the message says it
+    all."""
 
     def __init__(self, message: str, witness=None):
         super().__init__(message)
@@ -132,12 +136,22 @@ def form_law_failure(a: Algebra, f1: Optional[LinearMap], g1: Optional[LinearMap
     identity), or None.  Isometry is (g, g), adjointness (s, None, None, t)
     and skewness (t, None, None, -t)."""
     if a.form is None:
-        raise FormUndeclared("algebra has no bilinear form")
+        raise AlgebraError("algebra has no bilinear form")
     lhs, rhs = _pairings(a, f1, g1), _pairings(a, f2, g2)
     for i in range(a.dim):
         for k in range(a.dim):
             if lhs[i][k] != rhs[i][k]:
                 return (i, k)
+    return None
+
+
+def first_failing_tuple(holds: Callable[..., bool], *sizes: int) -> Optional[tuple]:
+    """First index tuple of range(sizes[0]) x range(sizes[1]) x ..., in
+    row-major order, where holds(*t) is false, or None when it holds on all
+    of them."""
+    for t in product(*map(range, sizes)):
+        if not holds(*t):
+            return t
     return None
 
 
@@ -155,7 +169,7 @@ def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> 
     """Certify g_j(xy) = (g_{j+1}x)(g_{j+2}y) on all basis pairs for all j."""
     maps = (g1, g2, g3)
     for g in maps:
-        g.inverse()  # raises NotInvertible on singular input
+        linalg.require_invertible(g.rows, a.field.zero(), a.field.one())
     for j in range(3):
         w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])
         if w is not None:

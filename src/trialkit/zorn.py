@@ -14,17 +14,9 @@ from typing import Optional, Tuple
 
 from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .fields import FieldElement
-from .symcomp import Certificate, CertificationFailure
-from .triality import (LocalTriple, TrialityTriple, earliest_failure, form_law_failure,
-                       product_law_failure, verify_local, verify_triality)
-
-
-class ZeroScale(AlgebraError):
-    pass
-
-
-class PairingFails(AlgebraError):
-    pass
+from .symcomp import Certificate
+from .triality import (LocalTriple, RelationFails, TrialityTriple, earliest_failure,
+                       form_law_failure, product_law_failure, verify_local, verify_triality)
 
 
 def coeff_dim(a: Algebra) -> int:
@@ -80,7 +72,7 @@ def zorn_rho(a: Algebra, lam: FieldElement) -> Tuple[TrialityTriple, Certificate
     """Diagonal scaling triple rho(lambda), certified as a triality triple
     together with its one-parameter-group laws."""
     if lam.is_zero():
-        raise ZeroScale("the scale must be nonzero")
+        raise AlgebraError("the scale must be nonzero")
     maps = _rho_maps(a, lam)
     triple = verify_triality(a, *maps)
     cert = Certificate()
@@ -104,7 +96,7 @@ def zorn_rho(a: Algebra, lam: FieldElement) -> Tuple[TrialityTriple, Certificate
             cert.add(f"involution-conjugate-{j + 1}",
                      jmap @ maps[j] @ jmap == partner, (j + 1,))
     if not cert.ok:
-        raise CertificationFailure("scaling-triple laws fail", witness=cert.witness)
+        raise RelationFails("scaling-triple laws fail", witness=cert.witness)
     return triple, cert
 
 
@@ -112,7 +104,7 @@ def zorn_operator_factorization(a: Algebra, lam: FieldElement) -> Certificate:
     """The diagonal elements e, g(lambda), h(lambda) reproduce rho(lambda)
     through two-step left/right multiplications."""
     if lam.is_zero():
-        raise ZeroScale("the scale must be nonzero")
+        raise AlgebraError("the scale must be nonzero")
     m = coeff_dim(a)
     field = a.field
     zero, one = field.zero(), field.one()
@@ -142,8 +134,7 @@ def zorn_operator_factorization(a: Algebra, lam: FieldElement) -> Certificate:
         cert.add(f"left-factorization-{j + 1}", rho[j] == lform, (j + 1,))
         cert.add(f"right-factorization-{j + 1}", rho[j] == rform, (j + 1,))
     if not cert.ok:
-        raise CertificationFailure("operator factorization fails",
-                                   witness=cert.witness)
+        raise RelationFails("operator factorization fails", witness=cert.witness)
     return cert
 
 
@@ -177,7 +168,7 @@ def zorn_pi(a: Algebra, lam: Optional[FieldElement] = None
     if lam is None:
         lam = a.field.from_int(2)
     if lam.is_zero():
-        raise ZeroScale("the scale must be nonzero")
+        raise AlgebraError("the scale must be nonzero")
     pi = _slot_swap(a, swap_diag=False)
     transpose = _slot_swap(a, swap_diag=True)
     cert = Certificate()
@@ -220,7 +211,7 @@ def certify_double_automorphism(b: Algebra, xi: LinearMap, eta: LinearMap
         ("first double-automorphism law fails", product_law_failure(b, xi, eta, eta)),
         ("second double-automorphism law fails", product_law_failure(b, eta, xi, xi))])
     if failure is not None:
-        raise CertificationFailure(failure[0], witness=failure[1])
+        raise RelationFails(failure[0], witness=failure[1])
     return DoubleAutomorphism(xi, eta)
 
 
@@ -234,7 +225,7 @@ def zorn_double_lift(a: Algebra, b: Algebra, d: DoubleAutomorphism) -> LinearMap
         raise AlgebraError("the coefficient space needs a bilinear form")
     w = form_law_failure(b, d.xi, d.eta)
     if w is not None:
-        raise PairingFails(f"pairing fails at basis pair ({w[0]}, {w[1]})")
+        raise RelationFails(f"pairing fails at basis pair ({w[0]}, {w[1]})")
     n = a.dim
     zero, one = a.field.zero(), a.field.one()
     rows = [[zero] * n for _ in range(n)]
@@ -247,7 +238,7 @@ def zorn_double_lift(a: Algebra, b: Algebra, d: DoubleAutomorphism) -> LinearMap
     p = LinearMap(a, rows)
     w = product_law_failure(a, p, p, p)
     if w is not None:
-        raise CertificationFailure("lifted map is not an automorphism", witness=w)
+        raise RelationFails("lifted map is not an automorphism", witness=w)
     return p
 
 
@@ -276,7 +267,7 @@ def zorn_s_triple(a: Algebra) -> Tuple[LocalTriple, Certificate]:
             cert.add(f"involution-pairs-components-{j + 1}",
                      jmap @ maps[j] @ jmap == neg, (j + 1,))
     if not cert.ok:
-        raise CertificationFailure("grading-triple laws fail", witness=cert.witness)
+        raise RelationFails("grading-triple laws fail", witness=cert.witness)
     return triple, cert
 
 
@@ -302,5 +293,5 @@ def conjugate_consistency(a: Algebra, lam: FieldElement) -> Certificate:
                 break
         cert.add(f"{name}-triple-transfers-to-conjugate-product", witness is None, witness)
     if not cert.ok:
-        raise CertificationFailure("conjugate transfer fails", witness=cert.witness)
+        raise RelationFails("conjugate transfer fails", witness=cert.witness)
     return cert

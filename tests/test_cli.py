@@ -29,9 +29,83 @@ def test_certify_named_algebras(capsys):
 def test_certify_zorn_suite(capsys):
     rc, out, _ = run(capsys, "certify", "parazorn:1:0", "--suite", "zorn")
     assert rc == 0
-    rc, _, err = run(capsys, "certify", "okubo", "--suite", "zorn")
-    assert rc == 2
-    assert "vector-matrix" in err
+    for name in ("okubo", "zorn"):
+        rc, out, err = run(capsys, "certify", name, "--suite", "zorn")
+        assert (rc, out) == (2, "")
+        assert err == "error: the zorn suite needs a vector-matrix algebra\n"
+
+
+ZORN_CHECKS = [
+    ("core:bilinear-form-symmetric", True, None),
+    ("core:bilinear-form-nondegenerate", True, None),
+    ("core:involution-squares-to-identity", True, None),
+    ("core:unit-acts-as-identity", True, None),
+    ("core:para-unit-acts-by-conjugation", True, None),
+    ("symcomp:two-sided-norm-and-composition-laws", False, "('two-sided-norm-law', (0, 0))"),
+    ("triality:sign-triples-certify", True, None),
+    ("triality:scaled-identity-triple-certifies", True, None),
+    ("triality:basis-derivation-triple-certifies", True, None),
+    ("autos:idempotent-squaring-maps-certify", True, None),
+    ("autos:square-zero-derivation-round-trips", True, None),
+]
+
+
+def test_certify_zorn_runs_the_unital_suites(capsys):
+    """The split octonions are unital: they get the suites of hurwitz:8:split,
+    not the para-Zorn suite, whatever their name says."""
+    lines = [f"  [{'PASS' if ok else 'FAIL'}] {check_id}" + ("" if ok else f"  witness: {w}")
+             for check_id, ok, w in ZORN_CHECKS]
+    rc, text, _ = run(capsys, "certify", "zorn")
+    assert rc == 1
+    assert text == "\n".join(["certification report: zorn", "suite: all", *lines,
+                              "summary: 11 checks, 10 passed, 1 failed", ""])
+    rc, out, _ = run(capsys, "certify", "zorn", "--format", "json")
+    assert rc == 1
+    report = json.loads(out)
+    assert report["summary"] == {"failed": 1, "passed": 10, "total": 11}
+    assert [(c["id"], c["status"] == "pass", c["witness"]) for c in report["checks"]] \
+        == ZORN_CHECKS
+    rc, split, _ = run(capsys, "certify", "hurwitz:8:split")
+
+    def verdicts(report_text):
+        return [line.split("  witness:")[0] for line in report_text.splitlines()[2:]]
+
+    assert rc == 1 and verdicts(split) == verdicts(text)
+
+
+def _check_ids(report_text):
+    return [line.split()[1] for line in report_text.splitlines() if line.startswith("  [")]
+
+
+def test_parazorn_runs_the_zorn_suite_by_kind_not_name(capsys, tmp_path):
+    zorn_ids = ["zorn:scaling-triples-certify", "zorn:diagonal-operator-factorization",
+                "zorn:slot-swap-involution-and-conjugation",
+                "zorn:transpose-automorphism-triple", "zorn:grading-triple-certifies",
+                "zorn:conjugate-product-transfer"]
+    rc, by_name, _ = run(capsys, "certify", "parazorn:3:1")
+    assert rc == 0 and [i for i in _check_ids(by_name) if i.startswith("zorn:")] == zorn_ids
+    spec = specfile.algebra_to_dict(named_algebra("parazorn:3:1"))
+    assert spec["kind"] == "para-zorn"
+    spec["name"] = "renamed"
+    path = tmp_path / "pz.json"
+    path.write_text(json.dumps(spec))
+    rc, from_spec, _ = run(capsys, "certify", str(path))
+    assert rc == 0 and _check_ids(from_spec) == _check_ids(by_name)
+    # a name that mentions zorn routes nothing
+    spec = specfile.algebra_to_dict(named_algebra("hurwitz:8:split"))
+    spec["name"] = "zorn"
+    path.write_text(json.dumps(spec))
+    rc, out, _ = run(capsys, "certify", str(path))
+    assert rc == 1 and _check_ids(out) == [c[0] for c in ZORN_CHECKS]
+
+
+def test_only_para_zorn_specs_carry_a_kind():
+    for name in ("ground", "para2", "hurwitz:8", "para:4", "okubo", "matrix:2", "zorn"):
+        assert "kind" not in specfile.algebra_to_dict(named_algebra(name)), name
+    for name in ("parazorn:1:1", "parazorn:3:2"):
+        spec = specfile.algebra_to_dict(named_algebra(name))
+        assert spec["kind"] == "para-zorn"
+        assert specfile.algebra_from_dict(json.loads(json.dumps(spec))).kind == "para-zorn"
 
 
 def test_certify_output_is_deterministic(capsys):
@@ -169,8 +243,10 @@ def _shorten(key, row=None):
     _shorten("unit"),
     _shorten("form"),
     _shorten("involution", row=1),
+    _set("kind", "zorn"),
+    _set("kind", ["para-zorn"]),
 ], ids=["missing-dim", "bare-string-field", "index-past-dim", "negative-index",
-        "short-unit", "short-form", "short-involution-row"])
+        "short-unit", "short-form", "short-involution-row", "unknown-kind", "list-kind"])
 def test_malformed_spec_is_rejected_with_exit_2(capsys, tmp_path, edit):
     spec = specfile.algebra_to_dict(named_algebra("hurwitz:4"))
     edit(spec)

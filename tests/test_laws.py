@@ -18,12 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialkit import autos, symcomp, triality, zorn
-from trialkit.algebra import Element, FormUndeclared, LinearMap
+from trialkit import assoc, autos, cli, symcomp, triality, zorn
+from trialkit.algebra import AlgebraError, Element, LinearMap
 from trialkit.cli import parse_field
 from trialkit.constructors import cross_space, make_para_zorn, named_algebra
 from trialkit.fields import SqrtUnavailable
-from trialkit.symcomp import CertificationFailure
 from trialkit.triality import RelationFails
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ def ref_certify_automorphism(a, g):
     for i in range(n):
         for k in range(n):
             if g(Element(a, a.product_vector(i, k))) != cols[i] * cols[k]:
-                raise CertificationFailure("map is not an automorphism", witness=(i, k))
+                raise RelationFails("map is not an automorphism", witness=(i, k))
 
 
 def ref_certify_derivation(a, d):
@@ -124,7 +123,7 @@ def ref_certify_derivation(a, d):
     for i in range(n):
         for k in range(n):
             if d(Element(a, a.product_vector(i, k))) != cols[i] * basis[k] + basis[i] * cols[k]:
-                raise CertificationFailure("map is not a derivation", witness=(i, k))
+                raise RelationFails("map is not a derivation", witness=(i, k))
 
 
 def ref_is_automorphism(a, g):
@@ -154,11 +153,11 @@ def ref_certify_double_automorphism(b, xi, eta):
         for j in range(n):
             p = basis[i] * basis[j]
             if xi(p) != eta(basis[i]) * eta(basis[j]):
-                raise CertificationFailure("first double-automorphism law fails",
-                                           witness=(i, j))
+                raise RelationFails("first double-automorphism law fails",
+                                    witness=(i, j))
             if eta(p) != xi(basis[i]) * xi(basis[j]):
-                raise CertificationFailure("second double-automorphism law fails",
-                                           witness=(i, j))
+                raise RelationFails("second double-automorphism law fails",
+                                    witness=(i, j))
 
 
 def ref_zorn_double_lift(a, b, d):
@@ -178,7 +177,7 @@ def ref_zorn_double_lift(a, b, d):
             xi_x = d.xi(basis[i]).coords
             eta_y = d.eta(basis[j]).coords
             if bform(xi_x, eta_y) != bform(basis[i].coords, basis[j].coords):
-                raise zorn.PairingFails(f"pairing fails at basis pair ({i}, {j})")
+                raise RelationFails(f"pairing fails at basis pair ({i}, {j})")
     n = a.dim
     zero, one = a.field.zero(), a.field.one()
     rows = [[zero] * n for _ in range(n)]
@@ -191,7 +190,7 @@ def ref_zorn_double_lift(a, b, d):
     p = LinearMap(a, rows)
     w = ref_is_automorphism(a, p)
     if w is not None:
-        raise CertificationFailure("lifted map is not an automorphism", witness=w)
+        raise RelationFails("lifted map is not an automorphism", witness=w)
 
 
 def ref_isometry(a, g):
@@ -514,7 +513,7 @@ def test_order3_and_sphere_isometries_certify():
 def test_form_law_needs_a_form():
     b = named_algebra("hurwitz:2")
     b.form = None
-    with pytest.raises(FormUndeclared, match="no bilinear form"):
+    with pytest.raises(AlgebraError, match="no bilinear form"):
         triality.form_law_failure(b, None, None)
 
 
@@ -526,7 +525,7 @@ def test_conjugate_consistency_reports_the_first_failing_tuple():
     a = named_algebra("zorn")
     lam = a.field.from_int(2)
     assert ref_first_conjugate_failure(a, lam) == (1, 0, 0)
-    with pytest.raises(CertificationFailure) as info:
+    with pytest.raises(RelationFails) as info:
         zorn.conjugate_consistency(a, lam)
     assert info.value.witness == ("scaling-triple-transfers-to-conjugate-product", (1, 0, 0))
 
@@ -578,3 +577,215 @@ def test_verify_local_builds_the_symcomp_certificate_once(monkeypatch):
         triality.verify_local(a, *pair.maps())
     assert len(built) == 1
     assert a._symcomp_cache is built[0] and built[0].ok
+
+
+# ---------------------------------------------------------------------------
+# first_failing_tuple against the nested loops it replaced
+# ---------------------------------------------------------------------------
+
+def ref_symmetric_composition_records(a):
+    """The clause loops of is_symmetric_composition as written before."""
+    records = []
+    n = a.dim
+    basis = a.basis_elements()
+    prods = [[basis[i] * basis[j] for j in range(n)] for i in range(n)]
+    gram = [[a.form_eval(basis[i], basis[k]) for k in range(n)] for i in range(n)]
+
+    def add(clause, wit):
+        records.append((clause, wit is None, wit))
+
+    wit = None
+    for i in range(n):
+        x = basis[i]
+        for j in range(n):
+            y = basis[j]
+            if prods[i][j] * x != gram[i][i] * y or x * prods[j][i] != gram[i][i] * y:
+                wit = (i, j)
+                break
+        if wit:
+            break
+    add("two-sided-norm-law", wit)
+    wit = None
+    for i in range(n):
+        for j in range(n):
+            p = prods[i][j]
+            if a.form_eval(p, p) != gram[i][i] * gram[j][j]:
+                wit = (i, j)
+                break
+        if wit:
+            break
+    add("composition-law", wit)
+    two = a.field.from_int(2)
+    wit = None
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    lhs = a.form_eval(prods[i][j], prods[k][l]) + a.form_eval(
+                        prods[k][j], prods[i][l])
+                    if lhs != two * gram[i][k] * gram[j][l]:
+                        wit = (i, j, k, l)
+                        break
+                if wit:
+                    break
+            if wit:
+                break
+        if wit:
+            break
+    add("polarized-composition-law", wit)
+    wit = None
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if a.form_eval(prods[i][j], basis[k]) != a.form_eval(basis[i], prods[j][k]):
+                    wit = (i, j, k)
+                    break
+            if wit:
+                break
+        if wit:
+            break
+    add("form-associativity", wit)
+    wit = None
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = basis[i], basis[j], basis[k]
+                rhs = two * gram[i][k] * y
+                if (prods[i][j] * z + prods[k][j] * x != rhs
+                        or x * prods[j][k] + z * prods[j][i] != rhs):
+                    wit = (i, j, k)
+                    break
+            if wit:
+                break
+        if wit:
+            break
+    add("linearized-norm-law", wit)
+    ys = list(basis) + [basis[i] + basis[j] for i in range(n) for j in range(i + 1, n)]
+    wit = None
+    for i in range(n):
+        x = basis[i]
+        for y in ys:
+            for k in range(n):
+                yz = y * basis[k]
+                if (x * y) * yz != two * a.form_eval(x, yz) * y - a.form_eval(y, y) * prods[k][i]:
+                    wit = (i, k)
+                    break
+            if wit:
+                break
+        if wit:
+            break
+    add("product-exchange-law", wit)
+    return records
+
+
+def ref_check_associative(a):
+    basis = a.basis_elements()
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            p = basis[i] * basis[j]
+            for k in range(n):
+                if p * basis[k] != basis[i] * (basis[j] * basis[k]):
+                    raise RelationFails(f"associativity fails at ({i}, {j}, {k})")
+
+
+def ref_para_associativity(a):
+    basis = a.basis_elements()
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = basis[i], basis[j], basis[k]
+                if a.involute(z) * (x * y) != (y * z) * a.involute(x):
+                    raise RelationFails("para-associativity fails", witness=(i, j, k))
+
+
+def ref_quartic_exchange_identities(h):
+    e = h.unit_element()
+    two = h.field.from_int(2)
+    basis = h.basis_elements()
+    n = h.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                f, g, x = basis[i], basis[j], basis[k]
+                fe_, ge_, xe_ = h.form_eval(f, e), h.form_eval(g, e), h.form_eval(x, e)
+                fx_, gx_ = h.form_eval(f, x), h.form_eval(g, x)
+                if f * (g * x) != x * (f * g) - two * fe_ * (x * g) \
+                        + two * ge_ * (f * x) + two * fx_ * g - two * gx_ * f:
+                    raise RelationFails("exchange identity 1 fails", witness=(i, j, k))
+                if (x * f) * g != (f * g) * x + two * fe_ * (x * g) \
+                        - two * ge_ * (f * x) - two * fx_ * g + two * gx_ * f:
+                    raise RelationFails("exchange identity 2 fails", witness=(i, j, k))
+                if f * (x * g) != -(x * (f * g)) + two * xe_ * (f * g) \
+                        + two * fe_ * (x * g) - two * fx_ * g:
+                    raise RelationFails("exchange identity 3 fails", witness=(i, j, k))
+                if (f * x) * g != -((f * g) * x) + two * xe_ * (f * g) \
+                        + two * ge_ * (f * x) - two * gx_ * f:
+                    raise RelationFails("exchange identity 4 fails", witness=(i, j, k))
+
+
+def ref_core_checks(a):
+    """(ok, witness) of the three core loops, as the CLI reported them."""
+    n = a.dim
+    out = {}
+    out["core:bilinear-form-symmetric"] = (True, None)
+    if a.form is not None:
+        bad = [(i, j) for i in range(n) for j in range(n) if a.form[i][j] != a.form[j][i]]
+        if bad:
+            out["core:bilinear-form-symmetric"] = (False, f"({bad[0][0]}, {bad[0][1]})")
+    out["core:unit-acts-as-identity"] = (True, None)
+    if a.unit is not None:
+        e = a.unit_element()
+        for i, b in enumerate(a.basis_elements()):
+            if e * b != b or b * e != b:
+                out["core:unit-acts-as-identity"] = (False, f"basis index {i}")
+                break
+    out["core:para-unit-acts-by-conjugation"] = (True, None)
+    e_coords = getattr(a, "para_unit", None)
+    if e_coords is not None and a.involution is not None:
+        e = a.element(list(e_coords))
+        for i, b in enumerate(a.basis_elements()):
+            if e * b != a.involute(b) or b * e != a.involute(b):
+                out["core:para-unit-acts-by-conjugation"] = (False, f"basis index {i}")
+                break
+    return out
+
+
+def _perturbed(a):
+    """a with structure constant (1, 1, 0) shifted by one, so that most
+    identities fail somewhere past the first tuple."""
+    structure = [[list(row) for row in plane] for plane in a.structure]
+    i = min(1, a.dim - 1)
+    structure[i][i][0] = structure[i][i][0] + a.field.one()
+    out = type(a)(a.field, structure, form=a.form, involution=a.involution, unit=a.unit,
+                  name=a.name)
+    out.para_unit = getattr(a, "para_unit", None)
+    return out
+
+
+@pytest.mark.parametrize("field", ["Q", "Qsqrt3", "F7"])
+def test_tuple_checks_keep_their_witnesses(field):
+    """The checks rewritten over first_failing_tuple report what their
+    loops reported, on the 71 algebra-field pairs and on a perturbed copy
+    of each."""
+    checked = 0
+    for name in NAMED:
+        try:
+            a = named_algebra(name, parse_field(field))
+        except SqrtUnavailable:
+            continue  # okubo needs sqrt(-3)
+        for alg in (a, _perturbed(a)):
+            if alg.form is not None:
+                got = symcomp.is_symmetric_composition(alg).records
+                assert got == ref_symmetric_composition_records(alg), name
+            for new, ref in ((assoc.check_associative, ref_check_associative),
+                             (assoc.para_associativity, ref_para_associativity),
+                             (autos.quartic_exchange_identities,
+                              ref_quartic_exchange_identities)):
+                assert outcome(new, alg) == outcome(ref, alg), (name, new.__name__)
+            core = dict(cli._suite_core(alg))
+            for check_id, want in ref_core_checks(alg).items():
+                assert core[check_id]() == want, (name, check_id)
+        checked += 1
+    assert checked >= len(NAMED) - 2

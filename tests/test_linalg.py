@@ -145,6 +145,51 @@ def test_nullspace_matches_exact_rref(system):
     assert_same_as_reference(a, field)
 
 
+@st.composite
+def square_matrices(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(("random", "singular", "big")))
+
+    def matrix(r, c):
+        return [[draw(scalars(field, shape == "big")) for _ in range(c)] for _ in range(r)]
+
+    if shape == "singular":
+        inner = draw(st.integers(0, n - 1))
+        if inner == 0:
+            return field, linalg.zeros(n, n, field.zero())
+        return field, linalg.mat_mul(matrix(n, inner), matrix(inner, n))
+    return field, matrix(n, n)
+
+
+def require_invertible_outcome(a, field):
+    try:
+        linalg.require_invertible(a, field.zero(), field.one())
+    except linalg.NotInvertible as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(square_matrices())
+def test_require_invertible_agrees_with_mat_inv(system):
+    field, a = system
+    try:
+        linalg.mat_inv(a, field.zero(), field.one())
+        want = None
+    except linalg.NotInvertible as exc:
+        want = str(exc)
+    assert require_invertible_outcome(a, field) == want
+
+
+def test_require_invertible_past_a_bad_prime_and_into_the_exact_fallback():
+    # invertible, but singular mod P0
+    assert require_invertible_outcome([q(1, 1), q(1, 1 + P0)], Q) is None
+    # singular with a kernel vector (-2^100 - 1, 1) no prime reconstructs
+    big = 2 ** 100 + 1
+    assert require_invertible_outcome([q(1, big), q(2, 2 * big)], Q) == "matrix is singular"
+
+
 def spy(monkeypatch):
     """Record the prime of every modular elimination and every exact fallback."""
     primes, fallbacks = [], []
