@@ -139,6 +139,20 @@ class LinearMap:
         return f"LinearMap({[[str(c) for c in r] for r in self.rows]})"
 
 
+def _squares_to_identity(m: Matrix, field: FieldDescriptor) -> bool:
+    """m m = I, each row of m m summed over the nonzero entries of m only."""
+    rows = [[(j, x) for j, x in enumerate(row) if not x.is_zero()] for row in m]
+    for i, row in enumerate(rows):
+        sq = [field.zero()] * len(rows)
+        for j, x in row:
+            for k, y in rows[j]:
+                sq[k] = sq[k] + x * y
+        sq[i] = sq[i] - field.one()
+        if not all(v.is_zero() for v in sq):
+            return False
+    return True
+
+
 class Algebra:
     def __init__(
         self,
@@ -164,10 +178,8 @@ class Algebra:
                     if self.form[i][j] != self.form[j][i]:
                         raise AlgebraError("form is not symmetric")
         self.involution = [list(r) for r in involution] if involution is not None else None
-        if self.involution is not None:
-            sq = linalg.mat_mul(self.involution, self.involution)
-            if not linalg.mat_eq(sq, linalg.identity(n, field.one(), field.zero())):
-                raise AlgebraError("involution matrix must square to the identity")
+        if self.involution is not None and not _squares_to_identity(self.involution, field):
+            raise AlgebraError("involution matrix must square to the identity")
         self.unit = list(unit) if unit is not None else None
         self.name = name
         # the family a constructor declares (constructors.PARA_ZORN) or None;
@@ -274,3 +286,46 @@ class Algebra:
     def __repr__(self) -> str:
         return f"Algebra(name={self.name!r}, dim={self.dim}, field={self.field})"
 
+
+class ResidueAlgebra:
+    """An algebra over F_p with its product terms and form read as int
+    residues, for loops that would otherwise build millions of
+    FieldElements.  Vectors are tuples of residues in [0, p).
+
+    Exact: a FieldElement over F_p is its residue, every stored residue is
+    < p, and Python ints do not overflow, so one reduction mod p after each
+    sum gives the coordinate the FieldElement path computes.
+    """
+
+    __slots__ = ("p", "dim", "terms", "form")
+
+    def __init__(self, a: Algebra):
+        if a.field.p is None:
+            raise AlgebraError("residue arithmetic needs a prime field")
+        self.p = a.field.p
+        self.dim = a.dim
+        # terms[i][j]: the nonzero (k, c) of e_i e_j with c a residue
+        self.terms = [[tuple((k, c.a) for k, c in row) for row in plane]
+                      for plane in a.product_terms]
+        self.form = None if a.form is None else [[c.a for c in row] for row in a.form]
+
+    def multiply(self, x: tuple, y: tuple) -> tuple:
+        out = [0] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for i, xi in enumerate(x):
+            if xi:
+                terms = self.terms[i]
+                for j, yj in ys:
+                    for k, c in terms[j]:
+                        out[k] += xi * yj * c
+        p = self.p
+        return tuple(v % p for v in out)
+
+    def form_eval(self, x: tuple, y: tuple) -> int:
+        if self.form is None:
+            raise AlgebraError("algebra has no bilinear form")
+        acc = 0
+        for xi, row in zip(x, self.form):
+            if xi:
+                acc += xi * sum(c * yj for c, yj in zip(row, y))
+        return acc % self.p

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import product
 from typing import Callable, List, Optional, Tuple
 
 from . import autos, symcomp, triality, zorn
-from .algebra import Algebra, AlgebraError
+from .algebra import Algebra, AlgebraError, ResidueAlgebra
 from .constructors import PARA_ZORN, default_field, named_algebra
 from .fields import FieldDescriptor, FieldError, PRIME, QUADRATIC, RATIONALS
 from .report import CertificationReport
@@ -253,37 +254,30 @@ def cmd_certify(args) -> int:
 
 def _enumerate_sigma(a: Algebra) -> List[tuple]:
     """All product-closed unit-norm triples (a1, a2, a1 a2) over a finite
-    field, found by brute force over unit-norm pairs."""
+    field, found by brute force over unit-norm pairs.
+
+    The pairs are read off one table of the products of unit vectors, built
+    on int residues (`ResidueAlgebra`).  That is exact: every residue is
+    < p and Python ints do not overflow."""
     if a.field.kind != PRIME:
         raise AlgebraError("sigma enumeration needs a finite field")
     p = a.field.p
     n = a.dim
     if p ** n > 200000:
         raise ValueError("space too large to enumerate")
-    one = a.field.one()
-    unit_sphere = []
-    coords = [0] * n
-    while True:
-        x = a.element([a.field.from_int(c) for c in coords])
-        if a.form_eval(x, x) == one:
-            unit_sphere.append(x)
-        i = 0
-        while i < n:
-            coords[i] += 1
-            if coords[i] < p:
-                break
-            coords[i] = 0
-            i += 1
-        if i == n:
-            break
+    r = ResidueAlgebra(a)
+    unit_sphere = [x for x in product(range(p), repeat=n) if r.form_eval(x, x) == 1]
+    # table[i][j]: the index of x_i x_j in the unit sphere, or -1 when the
+    # product has another norm; the checks below then cost lookups only
+    where = {x: i for i, x in enumerate(unit_sphere)}
+    table = [[where.get(r.multiply(x, y), -1) for y in unit_sphere] for x in unit_sphere]
+    label = [tuple(map(str, x)) for x in unit_sphere]
     found = []
-    for x in unit_sphere:
-        for y in unit_sphere:
-            z = x * y
-            if y * z == x and z * x == y and a.form_eval(z, z) == one:
-                found.append((tuple(str(c) for c in x.coords),
-                              tuple(str(c) for c in y.coords),
-                              tuple(str(c) for c in z.coords)))
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            # z = x_i x_j with <z|z> = 1, y z = x and z x = y
+            if k >= 0 and table[j][k] == i and table[k][i] == j:
+                found.append((label[i], label[j], label[k]))
     found.sort()
     return found
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, Element, LinearMap
+from .algebra import Algebra, AlgebraError, Element, LinearMap, ResidueAlgebra
 from .constructors import make_para_dim2
 from .dual import Dual, dual_zero
 from .fields import FieldDescriptor, FieldElement, sqrt_in_field
@@ -30,8 +31,6 @@ from .triality import (
     form_law_failure,
     klein_triples,
     product_law_failure,
-    trig_inv,
-    trig_mul,
     verify_local,
     verify_triality,
 )
@@ -497,19 +496,110 @@ class TrigGroup:
     table_hash: str
 
 
-def _triple_key(g: TrialityTriple) -> tuple:
-    return tuple(tuple(str(v) for v in row) for m in g.maps for row in m.rows)
+def _residue_triple(g: TrialityTriple) -> tuple:
+    """The three maps of a triple over F_p as tuples of residue rows."""
+    return tuple(tuple(tuple(c.a for c in row) for row in m.rows) for m in g.maps)
 
 
-def _group_hash(elements: List[TrialityTriple]) -> str:
-    keys = sorted(range(len(elements)), key=lambda i: _triple_key(elements[i]))
-    index = {_triple_key(elements[i]): pos for pos, i in enumerate(keys)}
-    lines = []
-    for pos, i in enumerate(keys):
-        for qos, j in enumerate(keys):
-            prod = trig_mul(elements[i], elements[j])
-            lines.append(f"{pos},{qos},{index[_triple_key(prod)]}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+def _mat_mul_mod(x: tuple, y: tuple, p: int) -> tuple:
+    """Product of two square residue matrices, given as tuples of rows."""
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in x)
+
+
+def _group_table(members: List[tuple], p: int) -> List[List[int]]:
+    """Cayley table of a set G of triples of residue matrices (see
+    `_residue_triple`), multiplied component by component: table[g][h] is
+    the index of members[g] members[h].
+
+    Checks, in this order, that G is closed under inverses, closed under
+    products, and holds the Klein sign triples; each failure raises
+    RelationFails.  A product of members is read from a table over the
+    distinct components (at most 2(p + 1) of them in dimension 2) and one
+    dict lookup.  No inverse is computed: every member is a triple of
+    invertible maps, so g h = 1 forces h = g^-1, and the identity triple
+    appears in row g exactly when g^-1 lies in G.
+    """
+    n = len(members[0][0])
+    ident = tuple(tuple(int(i == k) for k in range(n)) for i in range(n))
+    comps = {ident: 0}
+    ids = [tuple(comps.setdefault(m, len(comps)) for m in g) for g in members]
+    mats = list(comps)
+    prod = [[comps.get(_mat_mul_mod(x, y, p), -1) for y in mats] for x in mats]
+    # the identity triple is (0, 0, 0); when it is no member it gets the
+    # index len(members), so a product equal to it still shows in its row
+    index = {(0, 0, 0): len(members)}
+    index.update((key, g) for g, key in enumerate(ids))
+    get = index.get
+    table = [[get((r1[h1], r2[h2], r3[h3]), -1) for h1, h2, h3 in ids]
+             for r1, r2, r3 in ([prod[c] for c in key] for key in ids)]
+    one = index[(0, 0, 0)]
+    if not all(one in row for row in table):
+        raise RelationFails("group is not closed under inverses")
+    if one == len(members) or any(-1 in row for row in table):
+        raise RelationFails("group is not closed under products")
+    minus = tuple(tuple((p - 1) * v for v in row) for row in ident)
+    seen = set(members)
+    for signs in ((ident, ident, ident), (ident, minus, minus),
+                  (minus, ident, minus), (minus, minus, ident)):
+        if signs not in seen:
+            raise RelationFails("Klein subgroup is missing")
+    return table
+
+
+def _table_hash(members: List[tuple], table: List[List[int]]) -> str:
+    """sha256 of the lines "pos,qos,idx" over the Cayley table, members
+    numbered in the order of their keys: each row of each map as a tuple of
+    decimal residues, the string form of the FieldElement entries."""
+    keys = [tuple(tuple(str(v) for v in row) for m in g for row in m) for g in members]
+    order = sorted(range(len(members)), key=keys.__getitem__)
+    pos = [0] * len(members)
+    for at, g in enumerate(order):
+        pos[g] = at
+    # line "at,qos,idx" is f"{at}," + cols[qos] + names[idx]
+    cols = [f"{qos}," for qos in range(len(order))]
+    names = [str(at) for at in range(len(order))]
+    digest = hashlib.sha256()
+    for at, g in enumerate(order):
+        row = table[g]
+        lines = f"{at}," + f"\n{at},".join(map(add, cols, [names[pos[row[h]]] for h in order]))
+        digest.update((f"\n{lines}" if at else lines).encode())
+    return digest.hexdigest()
+
+
+def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
+    """Every member of Trig(A) for a two-dimensional A over F_p, certified,
+    with its residue form (see `enumerate_trig_small`)."""
+    r = ResidueAlgebra(a)
+    p = r.p
+    scalars = [a.field.from_int(v) for v in range(p)]
+    circle = [(mu, nu) for mu in range(p) for nu in range(p) if (mu * mu + nu * nu) % p == 1]
+    elements, members = [], []
+    for q1 in circle:
+        for q2 in circle:
+            w = r.multiply(q1, q2)
+            for q3 in circle:
+                if r.form_eval(q3, w):
+                    continue
+                qs = (q1, q2, q3)
+                # g_j(e) = -q_{j+1} q_{j+2} and g_j(f) = q_j are the columns
+                member = tuple(((-pj[0] % p, qj[0]), (-pj[1] % p, qj[1])) for pj, qj in
+                               ((r.multiply(qs[(j + 1) % 3], qs[(j + 2) % 3]), qs[j])
+                                for j in range(3)))
+                maps = [LinearMap(a, [[scalars[v] for v in row] for row in m]) for m in member]
+                elements.append(verify_triality(a, *maps))
+                members.append(member)
+    # polynomial identity on the e-components <e|g_j e> of the members
+    for member in members:
+        x, y, z = (r.form_eval((1, 0), (m[0][0], m[1][0])) for m in member)
+        if (2 * x * y * z - (x * x + y * y + z * z) + 1) % p:
+            raise RelationFails("member violates the alpha identity")
+    # every map of every member, each distinct map once
+    for m in {m for member in members for m in member}:
+        cols = tuple(zip(*m))
+        if any(r.form_eval(cols[i], cols[k]) != r.form[i][k] for i in range(2) for k in range(2)):
+            raise RelationFails("member is not an isometry")
+    return elements, members
 
 
 def enumerate_trig_small(a: Algebra, p_cap: int = 31) -> TrigGroup:
@@ -520,8 +610,14 @@ def enumerate_trig_small(a: Algebra, p_cap: int = 31) -> TrigGroup:
     Dimension 2: each component is determined by a point (mu, nu) on the
     circle mu^2 + nu^2 = 1 via g_j(f) = q_j = mu e + nu f, with the single
     compatibility constraint <q_3|q_1 q_2> = 0 and g_j(e) = -q_{j+1} q_{j+2}.
-    Every member is certified, checked to be an isometry, and the group is
-    checked for closure, inverses, and the Klein subgroup.
+    Every member is certified with `verify_triality` and checked to be an
+    isometry, and the group is checked for closure, inverses, and the Klein
+    subgroup, all from one Cayley table (`_group_table`).
+
+    The search, the isometry and alpha checks and the table run on int
+    residues, not FieldElements.  That is exact: a FieldElement over F_p is
+    its residue, every entry is < p, and Python ints do not overflow, so
+    reducing mod p after each sum gives the field result.
     """
     if a.field.kind != "Fp":
         raise AlgebraError("enumeration requires a prime field")
@@ -529,57 +625,13 @@ def enumerate_trig_small(a: Algebra, p_cap: int = 31) -> TrigGroup:
         raise ValueError(f"prime exceeds the enumeration cap {p_cap}")
     if a.dim == 1:
         elements = klein_triples(a)
-        return TrigGroup(a, elements, len(elements), _group_hash(elements))
-    if a.dim != 2:
+        members = [_residue_triple(g) for g in elements]
+    elif a.dim == 2:
+        elements, members = _dim2_members(a)
+    else:
         raise ValueError("enumeration covers dimensions 1 and 2 only")
-
-    fdesc = a.field
-    circle = []
-    for mu_i in range(fdesc.p):
-        for nu_i in range(fdesc.p):
-            mu, nu = fdesc.from_int(mu_i), fdesc.from_int(nu_i)
-            if mu * mu + nu * nu == fdesc.one():
-                circle.append(a.element([mu, nu]))
-    elements = []
-    for q1 in circle:
-        for q2 in circle:
-            w = q1 * q2
-            for q3 in circle:
-                if not a.form_eval(q3, w).is_zero():
-                    continue
-                qs = (q1, q2, q3)
-                ps = tuple(-(qs[(j + 1) % 3] * qs[(j + 2) % 3]) for j in range(3))
-                maps = [
-                    LinearMap(a, [[ps[j].coords[0], qs[j].coords[0]],
-                                  [ps[j].coords[1], qs[j].coords[1]]])
-                    for j in range(3)
-                ]
-                elements.append(verify_triality(a, *maps))
-    # polynomial identity on the e-components of the members
-    e = a.basis(0)
-    two = fdesc.from_int(2)
-    for g in elements:
-        alphas = [a.form_eval(e, g.comp(j)(e)) for j in range(1, 4)]
-        val = (two * alphas[0] * alphas[1] * alphas[2]
-               - (alphas[0] ** 2 + alphas[1] ** 2 + alphas[2] ** 2)
-               + fdesc.one())
-        if not val.is_zero():
-            raise RelationFails("member violates the alpha identity")
-    for g in elements:
-        if any(form_law_failure(a, m, m) is not None for m in g.maps):
-            raise RelationFails("member is not an isometry")
-    seen = {_triple_key(g) for g in elements}
-    for g in elements:
-        if _triple_key(trig_inv(g)) not in seen:
-            raise RelationFails("group is not closed under inverses")
-    for g in elements:
-        for h in elements:
-            if _triple_key(trig_mul(g, h)) not in seen:
-                raise RelationFails("group is not closed under products")
-    for k in klein_triples(a):
-        if _triple_key(k) not in seen:
-            raise RelationFails("Klein subgroup is missing")
-    return TrigGroup(a, elements, len(elements), _group_hash(elements))
+    table = _group_table(members, a.field.p)
+    return TrigGroup(a, elements, len(elements), _table_hash(members, table))
 
 
 def dim2_local(a: Algebra, lambdas: Sequence[FieldElement]) -> LocalTriple:

@@ -202,10 +202,6 @@ def trig_mul(g: TrialityTriple, h: TrialityTriple) -> TrialityTriple:
     return TrialityTriple(g.algebra, tuple(gm @ hm for gm, hm in zip(g.maps, h.maps)))
 
 
-def trig_inv(g: TrialityTriple) -> TrialityTriple:
-    return TrialityTriple(g.algebra, tuple(m.inverse() for m in g.maps))
-
-
 _S4_GENERATORS = ("phi", "phi_inv", "tau1", "tau2", "tau3", "theta")
 
 

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trialkit.algebra import Element, LinearMap
+from trialkit import linalg
+from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap, _squares_to_identity
 from trialkit.constructors import make_hurwitz, make_para, named_algebra
-from trialkit.fields import FieldDescriptor, RATIONALS
+from trialkit.fields import FieldDescriptor, PRIME, RATIONALS
 from trialkit.linalg import NotInvertible
 from trialkit.symcomp import is_symmetric_composition
 
@@ -74,3 +76,34 @@ def test_product_vector_matches_element_product():
     for i in range(4):
         for j in range(4):
             assert Element(h, h.product_vector(i, j)) == h.basis(i) * h.basis(j)
+
+
+def test_bad_involution_is_rejected():
+    h = quaternions()
+    one, zero = Q.one(), Q.zero()
+
+    def diag(*d):
+        return [[Q.from_int(d[i]) if i == j else zero for j in range(4)] for i in range(4)]
+
+    rotation = diag(0, 0, 1, 1)
+    rotation[0][1], rotation[1][0] = -one, one    # squares to -1 on span(e, i)
+    unipotent = diag(1, 1, 1, 1)
+    unipotent[0][3] = one                           # squares to I + 2 E_03
+    for bad in (diag(2, -2, -2, -2), diag(1, 0, 1, 1), rotation, unipotent):
+        with pytest.raises(AlgebraError, match="involution matrix must square to the identity"):
+            Algebra(Q, h.structure, form=h.form, involution=bad, unit=h.unit)
+    swap = diag(0, 0, 1, 1)
+    swap[0][1] = swap[1][0] = one
+    for good in (diag(1, -1, -1, -1), diag(1, 1, 1, 1), swap):
+        Algebra(Q, h.structure, form=h.form, involution=good, unit=h.unit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_sparse_involution_check_matches_dense_square(entries):
+    F3 = FieldDescriptor(PRIME, p=3)
+    m = [[F3.from_int(v) for v in row] for row in entries]
+    n = len(m)
+    dense = linalg.mat_eq(linalg.mat_mul(m, m), linalg.identity(n, F3.one(), F3.zero()))
+    assert _squares_to_identity(m, F3) == dense

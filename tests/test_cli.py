@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,35 @@ def test_enumerate_commands(capsys):
     # determinism of enumeration output
     rc, out4, _ = run(capsys, "enumerate", "sigma", "para:4", "F3")
     assert out3 == out4
+
+
+# Measured on the FieldElement enumeration, before the residue table replaced it.
+PINNED_TRIG = [
+    ("para2", "F5", 32, "03e9cd5ddd2b25745a02c74e6e318a1b24978f48d674aad3a2111d103236cc68"),
+    ("para2", "F7", 128, "5faaedc3a54e679fbe626329ae028c1aa2de547e0fa1c366df08e969ee1a3e13"),
+    ("para2", "F13", 288, "29b274b899317360692f780676075a348b2ccb7df11e87c682e8b4ac38104067"),
+    ("ground", "F13", 4, "6caa6ebf5592354cecfc71a12fb0a9a1ca2f8e2136c9b22d11ac797b980ac6c1"),
+]
+
+PINNED_SIGMA = [
+    ("F3", "db027fd40b92dfac8d20444906447b2e8e8cdd3a96213facf4bbcacdbb475624"),
+    ("F5", "71ca20c489612e713eac35eb2c8c33c211c24952fac8a8209424d9f1816bdff8"),
+]
+
+
+@pytest.mark.parametrize("name,field,order,digest", PINNED_TRIG)
+def test_enumerate_trig_output_is_pinned(capsys, name, field, order, digest):
+    rc, out, err = run(capsys, "enumerate", "trig", name, field)
+    assert (rc, err) == (0, "")
+    assert out == (f"trig group of {name} over {field}\norder: {order}\n"
+                   f"table-hash: {digest}\nclosure: verified\n")
+
+
+@pytest.mark.parametrize("field,digest", PINNED_SIGMA)
+def test_enumerate_sigma_output_is_pinned(capsys, field, digest):
+    rc, out, err = run(capsys, "enumerate", "sigma", "para:4", field)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_expcheck_command(capsys):

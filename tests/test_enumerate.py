@@ -1,0 +1,209 @@
+"""The finite-field enumerations on int residues, checked against the
+FieldElement code they replaced (kept here as references)."""
+
+import hashlib
+from functools import lru_cache
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from trialkit import cli, symcomp
+from trialkit.algebra import AlgebraError, LinearMap, ResidueAlgebra
+from trialkit.constructors import named_algebra
+from trialkit.fields import FieldDescriptor, PRIME
+from trialkit.triality import RelationFails, TrialityTriple, klein_triples, trig_mul
+
+CLOSURE_MESSAGES = ("group is not closed under inverses",
+                    "group is not closed under products",
+                    "Klein subgroup is missing")
+
+
+def Fp(p):
+    return FieldDescriptor(PRIME, p=p)
+
+
+@lru_cache(maxsize=None)
+def group(p):
+    a = named_algebra("para2", Fp(p))
+    g = symcomp.enumerate_trig_small(a)
+    return a, g.elements, [symcomp._residue_triple(t) for t in g.elements]
+
+
+# -- references: the FieldElement code the residue path replaced ----------
+
+def ref_key(g):
+    return tuple(tuple(str(v) for v in row) for m in g.maps for row in m.rows)
+
+
+def ref_group_checks(a, elements):
+    """The inverse, closure and Klein checks of the FieldElement enumeration;
+    the message of the first failure, or None."""
+    seen = {ref_key(g) for g in elements}
+    for g in elements:
+        if ref_key(TrialityTriple(a, tuple(m.inverse() for m in g.maps))) not in seen:
+            return "group is not closed under inverses"
+    for g in elements:
+        for h in elements:
+            if ref_key(trig_mul(g, h)) not in seen:
+                return "group is not closed under products"
+    for k in klein_triples(a):
+        if ref_key(k) not in seen:
+            return "Klein subgroup is missing"
+    return None
+
+
+def ref_group_hash(elements):
+    keys = sorted(range(len(elements)), key=lambda i: ref_key(elements[i]))
+    index = {ref_key(elements[i]): pos for pos, i in enumerate(keys)}
+    lines = [f"{pos},{qos},{index[ref_key(trig_mul(elements[i], elements[j]))]}"
+             for pos, i in enumerate(keys) for qos, j in enumerate(keys)]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def ref_enumerate_sigma(a):
+    one = a.field.one()
+    vectors = [a.element([a.field.from_int(c) for c in coords])
+               for coords in product(range(a.field.p), repeat=a.dim)]
+    unit_sphere = [x for x in vectors if a.form_eval(x, x) == one]
+    found = []
+    for x in unit_sphere:
+        for y in unit_sphere:
+            z = x * y
+            if y * z == x and z * x == y and a.form_eval(z, z) == one:
+                found.append(tuple(tuple(str(c) for c in v.coords) for v in (x, y, z)))
+    return sorted(found)
+
+
+def to_triple(a, member):
+    f = a.field
+    return TrialityTriple(a, tuple(LinearMap(a, [[f.from_int(v) for v in row] for row in m])
+                                   for m in member))
+
+
+def table_outcome(members, p):
+    try:
+        symcomp._group_table(members, p)
+    except RelationFails as exc:
+        return str(exc)
+    return None
+
+
+# -- residue arithmetic against Algebra.multiply and form_eval ------------
+
+RESIDUE_ALGEBRAS = [(name, p) for name in ("para2", "para:4", "para:8", "parazorn:1:1")
+                    for p in (3, 5, 7, 13)]
+# okubo needs sqrt(3): it exists over F3 and F13, not over F5 or F7
+RESIDUE_ALGEBRAS += [("okubo", 3), ("okubo", 13)]
+
+
+@lru_cache(maxsize=None)
+def residue_pair(name, p):
+    a = named_algebra(name, Fp(p))
+    return a, ResidueAlgebra(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RESIDUE_ALGEBRAS), st.data())
+def test_residue_product_and_form_match_field_elements(case, data):
+    a, r = residue_pair(*case)
+    p, n = case[1], a.dim
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
+    x, y = data.draw(vec), data.draw(vec)
+    ex, ey = a.element(list(x)), a.element(list(y))
+    assert r.multiply(x, y) == tuple(c.a for c in a.multiply(ex, ey).coords)
+    assert r.form_eval(x, y) == a.form_eval(ex, ey).a
+
+
+def test_residue_algebra_needs_a_prime_field():
+    with pytest.raises(AlgebraError, match="residue arithmetic needs a prime field"):
+        ResidueAlgebra(named_algebra("para2"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7]), st.data())
+def test_cayley_table_matches_trig_mul(p, data):
+    a, elements, members = group(p)
+    table = symcomp._group_table(members, p)
+    i = data.draw(st.integers(0, len(members) - 1))
+    j = data.draw(st.integers(0, len(members) - 1))
+    product = symcomp._residue_triple(trig_mul(elements[i], elements[j]))
+    assert tuple(symcomp._mat_mul_mod(x, y, p) for x, y in zip(members[i], members[j])) == product
+    assert members[table[i][j]] == product
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_table_hash_matches_the_field_element_hash(p):
+    _, elements, _ = group(p)
+    assert symcomp.enumerate_trig_small(named_algebra("para2", Fp(p))).table_hash \
+        == ref_group_hash(elements)
+
+
+# -- the closure, inverse and Klein checks must still catch a bad set -----
+
+def test_member_removed_fails_like_before():
+    a, elements, members = group(5)
+    table = symcomp._group_table(members, 5)
+    one = members.index(symcomp._residue_triple(klein_triples(a)[0]))
+    involution = next(g for g in range(len(members)) if g != one and table[g][g] == one)
+    other = next(g for g in range(len(members)) if table[g][g] != one)
+    for drop, message in ((other, "group is not closed under inverses"),
+                          (involution, "group is not closed under products"),
+                          (one, "group is not closed under products")):
+        kept = members[:drop] + members[drop + 1:]
+        with pytest.raises(RelationFails, match=message):
+            symcomp._group_table(kept, 5)
+        assert ref_group_checks(a, [to_triple(a, m) for m in kept]) == message
+
+
+def test_corrupted_entry_fails_like_before():
+    a, _, members = group(5)
+    (m1, m2, m3) = members[3]
+    bad = ((m1[0], (m1[1][0], (m1[1][1] + 1) % 5)), m2, m3)
+    corrupted = members[:3] + [bad] + members[4:]
+    with pytest.raises(RelationFails, match="group is not closed under inverses"):
+        symcomp._group_table(corrupted, 5)
+    assert ref_group_checks(a, [to_triple(a, m) for m in corrupted]) \
+        == "group is not closed under inverses"
+
+
+def test_subgroup_without_the_klein_group_fails():
+    a, _, _ = group(5)
+    ident, *signs = klein_triples(a)
+    for subgroup in ([ident], *([ident, k] for k in signs)):
+        members = [symcomp._residue_triple(g) for g in subgroup]
+        with pytest.raises(RelationFails, match="Klein subgroup is missing"):
+            symcomp._group_table(members, 5)
+        assert ref_group_checks(a, subgroup) == "Klein subgroup is missing"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_table_checks_match_the_field_element_checks(data):
+    """On drawn subsets of the F5 group, one member possibly swapped for a
+    member with one component from another member, the residue table fails
+    exactly when, and with the message that, the old checks failed."""
+    a, _, members = group(5)
+    picked = data.draw(st.lists(st.sampled_from(range(len(members))), min_size=1,
+                                max_size=len(members), unique=True))
+    chosen = [members[g] for g in sorted(picked)]
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(chosen) - 1))
+        donor = members[data.draw(st.integers(0, len(members) - 1))]
+        j = data.draw(st.integers(0, 2))
+        spliced = tuple(donor[j] if c == j else m for c, m in enumerate(chosen[at]))
+        if spliced not in chosen:
+            chosen[at] = spliced
+    want = ref_group_checks(a, [to_triple(a, m) for m in chosen])
+    assert table_outcome(chosen, 5) == want
+    assert want is None or want in CLOSURE_MESSAGES
+
+
+# -- the sigma enumeration against the FieldElement search ----------------
+
+@pytest.mark.parametrize("name,p", [("para2", 5), ("para2", 13), ("para:4", 3),
+                                    ("hurwitz:2", 7), ("matrix:2", 3),
+                                    ("parazorn:1:1", 3), ("ground", 7)])
+def test_sigma_matches_the_field_element_search(name, p):
+    a = named_algebra(name, Fp(p))
+    assert cli._enumerate_sigma(a) == ref_enumerate_sigma(a)
