@@ -112,16 +112,6 @@ def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
         if jmap @ sig[j] @ jmap != swapped[j]:
             raise RelationFails("involution conjugate of sigma is wrong",
                                 witness=(j + 1,))
-    basis = astar.basis_elements()
-    n = astar.dim
-    for j in range(3):
-        conj_sig = jmap @ sig[j] @ jmap
-        s1, s2 = sig[(j + 1) % 3], sig[(j + 2) % 3]
-        for i in range(n):
-            for k in range(n):
-                if conj_sig(basis[i] * basis[k]) != s1(basis[i]) * s2(basis[k]):
-                    raise RelationFails("sandwich product law fails",
-                                        witness=(j + 1, i, k))
     for j in range(1, 4):
         m = sig[j - 1].rows
         left_form = (conj_alg.left_op(conj_alg.element([c for c in u.comp(j + 1).coords]))
@@ -143,19 +133,9 @@ def assoc_local_triple(astar: Algebra, p: SkewTriple) -> LocalTriple:
     conj_alg = make_conjugate(astar)
     jmap = astar.involution_map()
     ds = [astar.left_op(p.comp(j)) - astar.right_op(p.comp(j + 1)) for j in range(1, 4)]
-    basis = astar.basis_elements()
-    n = astar.dim
     for j in range(1, 4):
-        conj_d = jmap @ ds[j - 1] @ jmap
-        if conj_d != astar.left_op(p.comp(j + 1)) - astar.right_op(p.comp(j)):
+        if jmap @ ds[j - 1] @ jmap != astar.left_op(p.comp(j + 1)) - astar.right_op(p.comp(j)):
             raise RelationFails("involution conjugate of d is wrong", witness=(j,))
-        d1, d2 = ds[j % 3], ds[(j + 1) % 3]
-        for i in range(n):
-            for k in range(n):
-                if conj_d(basis[i] * basis[k]) != d1(basis[i]) * basis[k] \
-                        + basis[i] * d2(basis[k]):
-                    raise RelationFails("star-product local law fails",
-                                        witness=(j, i, k))
     return verify_local(conj_alg, *[_rebind(conj_alg, m) for m in ds])
 
 

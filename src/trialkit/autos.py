@@ -279,7 +279,6 @@ def _transport_once(h: Algebra, b: Element, c: Element) -> Element:
         raise SqrtUnavailable("transport discriminant is not a square")
     lam = (root - h.field.one()) / two
     a = (lam * (b + c) - (lam * lam) * e - c * b) / pairing
-    check_sphere_point(h, a)
     if hurwitz_sigma(h, a)(b) != c:
         raise RelationFails("transport failed to map b to c")
     return a
@@ -315,21 +314,25 @@ def sphere_transport(h: Algebra, b: Element, c: Element) -> List[Element]:
 
 def unipotent_bridge(m: LinearMap, direction: str) -> LinearMap:
     """Exchange sigma^2 = 2 sigma - 1 automorphisms and square-zero
-    derivations: d = sigma - Id one way, sigma = Id + d the other.  Both
-    outputs are re-certified and the consequence (dx)(dy) = 0 is checked;
-    over a prime field sigma^p = Id is verified as well."""
+    derivations: d = sigma - Id one way, sigma = Id + d the other.  Input and
+    output are each certified once, and d d = 0 is checked once: from
+    sigma^2 = 2 sigma - 1 one way, directly the other.  The consequence
+    (dx)(dy) = 0 is checked; over a prime field sigma^p = Id is verified as
+    well."""
     a = m.algebra
     ident = a.identity_map()
     two = a.field.from_int(2)
+    zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
     if direction == "auto_to_der":
         certify_automorphism(a, m)
         if m @ m != two * m - ident:
             raise AlgebraError("automorphism is not unipotent of the required shape")
+        # (m - Id)^2 = m^2 - 2 m + Id = 0
         d = m - ident
         sigma = m
+        certify_derivation(a, d)
     elif direction == "der_to_auto":
         certify_derivation(a, m)
-        zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
         if not linalg.mat_eq((m @ m).rows, zero_rows):
             raise AlgebraError("derivation does not square to zero")
         d = m
@@ -339,10 +342,6 @@ def unipotent_bridge(m: LinearMap, direction: str) -> LinearMap:
             raise RelationFails("built automorphism is not unipotent")
     else:
         raise ValueError("direction must be auto_to_der or der_to_auto")
-    certify_derivation(a, d)
-    zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
-    if not linalg.mat_eq((d @ d).rows, zero_rows):
-        raise RelationFails("derivation does not square to zero")
     w = product_law_failure(a, LinearMap(a, zero_rows), d, d)
     if w is not None:
         raise RelationFails("(dx)(dy) = 0 fails", witness=w)

@@ -92,24 +92,24 @@ def make_hurwitz(field: FieldDescriptor, gammas: Sequence) -> Algebra:
                    name=f"hurwitz-{n}")
 
 
+def _conjugate_product(a: Algebra, what: str, name: str) -> Algebra:
+    """The algebra with product x . y = conj(x * y) on the space, form and
+    involution of `a`, without a unit."""
+    if a.involution is None:
+        raise AlgebraError(f"{what} construction needs an involution")
+    basis = a.basis_elements()
+    structure = [[a.involute(x * y).coords for y in basis] for x in basis]
+    return Algebra(a.field, structure, form=a.form, involution=a.involution,
+                   unit=None, name=name)
+
+
 def make_para(h: Algebra) -> Algebra:
     """Para twin of a unital involutive algebra: x . y = conj(x * y).
 
     The old unit e becomes the para-unit (e . x = x . e = conj(x)); it is
     kept on the result as `para_unit` since it is no longer an identity.
     """
-    if h.involution is None:
-        raise AlgebraError("para construction needs an involution")
-    n = h.dim
-    zero = h.field.zero()
-    structure = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = h.involute(h.basis(i) * h.basis(j))
-            for k in range(n):
-                structure[i][j][k] = prod.coords[k]
-    out = Algebra(h.field, structure, form=h.form, involution=h.involution,
-                  unit=None, name=f"para-{h.name}")
+    out = _conjugate_product(h, "para", f"para-{h.name}")
     out.para_unit = list(h.unit) if h.unit is not None else None
     return out
 
@@ -117,18 +117,7 @@ def make_para(h: Algebra) -> Algebra:
 def make_conjugate(astar: Algebra) -> Algebra:
     """Conjugate algebra: x y = conj(x * y).  A declared unit is rediscovered
     by solving for a two-sided identity if one exists."""
-    if astar.involution is None:
-        raise AlgebraError("conjugate construction needs an involution")
-    n = astar.dim
-    zero = astar.field.zero()
-    structure = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = astar.involute(astar.basis(i) * astar.basis(j))
-            for k in range(n):
-                structure[i][j][k] = prod.coords[k]
-    out = Algebra(astar.field, structure, form=astar.form, involution=astar.involution,
-                  unit=None, name=f"conj-{astar.name}")
+    out = _conjugate_product(astar, "conjugate", f"conj-{astar.name}")
     unit = find_unit(out)
     if unit is not None:
         out.unit = unit.coords

@@ -6,7 +6,7 @@ holds "up to eps^2" becomes an exact equation of Dual matrices.
 
 from __future__ import annotations
 
-from .fields import FieldDescriptor, FieldElement
+from .fields import FieldElement
 
 
 class Dual:
@@ -43,7 +43,3 @@ class Dual:
 
     def __repr__(self) -> str:
         return f"Dual({self.re}, {self.ep})"
-
-
-def dual_zero(field: FieldDescriptor) -> Dual:
-    return Dual(field.zero(), field.zero())

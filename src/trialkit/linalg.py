@@ -3,7 +3,8 @@
 Matrices are plain lists of lists.  Everything here works for FieldElement
 entries and, where no division is used, for dual-number entries too.
 `nullspace` takes FieldElements only: it row-reduces modulo primes and checks
-the lifted result exactly (see its docstring).
+the lifted result exactly (see its docstring).  `mat_inv` and `solve` read
+their results off a `nullspace` basis.
 """
 
 from __future__ import annotations
@@ -81,35 +82,6 @@ def vec_scale(c, v: Vector) -> Vector:
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _rref(a: Matrix, zero) -> tuple[Matrix, List[int]]:
-    """Row-reduce a copy of `a`; return (rref, pivot column list)."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse() if hasattr(m[r][c], "inverse") else 1 / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != zero:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
 
 
 # Primes for the modular nullspace: the twelve largest primes below 2**62 that
@@ -326,17 +298,34 @@ def _in_kernel(int_rows: List[dict], vectors: list, d: int) -> bool:
 
 
 def _nullspace_exact(a: Matrix, zero, one) -> List[Vector]:
-    """The RREF basis of the kernel, by exact row reduction over the field."""
-    cols = len(a[0])
-    red, pivots = _rref(a, zero)
-    free = [c for c in range(cols) if c not in pivots]
+    """The RREF basis of the kernel, by exact Gauss-Jordan elimination over
+    the field."""
+    m = [row[:] for row in a]
+    rows, cols = len(m), len(m[0])
+    pivots: List[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i][c] != zero), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [inv * x for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != zero:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
     basis = []
-    for fc in free:
-        v = [zero] * cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    for fc in range(cols):
+        if fc not in pivots:
+            v = [zero] * cols
+            v[fc] = one
+            for r, pc in enumerate(pivots):
+                v[pc] = -m[r][fc]
+            basis.append(v)
     return basis
 
 
@@ -355,24 +344,25 @@ def require_invertible(a: Matrix, zero, one) -> None:
 
 
 def mat_inv(a: Matrix, zero, one) -> Matrix:
+    """Inverse of a square FieldElement matrix, from the kernel basis of
+    [a | -I] (see `nullspace`): each basis vector (x, y) has a x = y, so y
+    blocks that form the identity prove a X = I.  An invertible a always
+    gives them, since its free columns are the last n."""
     n = len(a)
-    aug = [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
-    red, pivots = _rref(aug, zero)
-    if pivots[:n] != list(range(n)):
+    aug = [row[:] + [-one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    basis = nullspace(aug, zero, one)
+    if [v[n:] for v in basis] != identity(n, one, zero):
         raise NotInvertible("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    return [[v[r] for v in basis] for r in range(n)]
 
 
 def solve(a: Matrix, b: Vector, zero, one) -> Optional[Vector]:
-    """One solution of a x = b, or None if inconsistent."""
-    n_rows = len(a)
+    """One solution of a x = b, or None if inconsistent.  The kernel basis of
+    [a | -b] (see `nullspace`) ends in (x, 1), x zero at the free columns of
+    a, exactly when the last column is free, i.e. a x = b is consistent;
+    every other basis vector is zero past its own free column."""
     cols = len(a[0])
-    aug = [a[i][:] + [b[i]] for i in range(n_rows)]
-    red, pivots = _rref(aug, zero)
-    if cols in pivots:
+    basis = nullspace([row[:] + [-x] for row, x in zip(a, b)], zero, one)
+    if not basis or basis[-1][cols].is_zero():
         return None
-    x = [zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
-
+    return basis[-1][:cols]

@@ -396,17 +396,14 @@ def _pair_d3(pairs, a: Algebra, i: int, j: int, rule: D3Rule) -> LinearMap:
 def commutator_covariance(a: Algebra, t: LocalTriple, x: Element, y: Element,
                           d3_rule: D3Rule = "symmetric_composition") -> None:
     """[t_j, d_k(x,y)] = d_k(t_{j-k}x, y) + d_k(x, t_{j-k}y) for all j, k."""
+    d = derivation_pair(a, x, y, d3_rule)
+    # the right-hand side depends on j - k only (mod 3)
+    moved = [(derivation_pair(a, t.comp(s)(x), y, d3_rule),
+              derivation_pair(a, x, t.comp(s)(y), d3_rule)) for s in range(3)]
     for j in range(1, 4):
         for k in range(1, 4):
-            tj = t.comp(j)
-            tjk = t.comp(j - k)
-            dk = derivation_pair(a, x, y, d3_rule).comp(k)
-            lhs = tj.commutator(dk)
-            rhs = (
-                derivation_pair(a, tjk(x), y, d3_rule).comp(k)
-                + derivation_pair(a, x, tjk(y), d3_rule).comp(k)
-            )
-            if lhs != rhs:
+            left, right = moved[(j - k) % 3]
+            if t.comp(j).commutator(d.comp(k)) != left.comp(k) + right.comp(k):
                 raise RelationFails(f"commutator covariance fails at j={j}, k={k}",
                                     witness=(j, k))
 
@@ -414,15 +411,14 @@ def commutator_covariance(a: Algebra, t: LocalTriple, x: Element, y: Element,
 def conjugation_covariance(a: Algebra, g: TrialityTriple, x: Element, y: Element,
                            d3_rule: D3Rule = "symmetric_composition") -> None:
     """g_j d_k(x,y) g_j^{-1} = d_k(g_{j-k}x, g_{j-k}y) for all j, k."""
+    d = derivation_pair(a, x, y, d3_rule)
+    # the right-hand side depends on j - k only (mod 3)
+    moved = [derivation_pair(a, g.comp(s)(x), g.comp(s)(y), d3_rule) for s in range(3)]
     for j in range(1, 4):
         gj = g.comp(j)
         gj_inv = gj.inverse()
         for k in range(1, 4):
-            gjk = g.comp(j - k)
-            dk = derivation_pair(a, x, y, d3_rule).comp(k)
-            lhs = gj @ dk @ gj_inv
-            rhs = derivation_pair(a, gjk(x), gjk(y), d3_rule).comp(k)
-            if lhs != rhs:
+            if gj @ d.comp(k) @ gj_inv != moved[(j - k) % 3].comp(k):
                 raise RelationFails(f"conjugation covariance fails at j={j}, k={k}",
                                     witness=(j, k))
 

@@ -190,6 +190,66 @@ def test_enumerate_sigma_output_is_pinned(capsys, field, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_enumerate_sigma_refuses_a_product_table_past_the_cap(capsys):
+    """para:8 over F3 has 3^8 = 6561 vectors but 2160 of norm one: a table of
+    4,665,600 products, refused before it is built."""
+    import time
+
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "enumerate", "sigma", "para:8", "F3")
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (2, "", "error: space too large to enumerate\n")
+    # para:4 over F7 (336 unit vectors, 112,896 products) is still enumerated
+    from trialkit.cli import SIGMA_CAP, _enumerate_sigma
+    assert 336 ** 2 <= SIGMA_CAP < 1320 ** 2
+    with pytest.raises(ValueError, match="space too large to enumerate"):
+        _enumerate_sigma(named_algebra("para:4", FieldDescriptor(PRIME, p=11)))
+
+
+# sha256 of the stdout of `certify`, taken before duplicate law checks were
+# removed from the certification paths.
+PINNED_CERTIFY = [
+    ("okubo", "text", 0, "68bdaf62316d51be3927f22a8326d70e25f0e0d41ca1debad27dbb3042e27e2f"),
+    ("okubo", "json", 0, "7f731066c0d0711dad5cfb87a803cda1d882d42dc182826342a828eafc8a7a0d"),
+    ("para:8", "text", 0, "d75c314e44976f54ba66f949646d9bb90a8305e1d8526a0109fe5f1282c388ed"),
+    ("para:8", "json", 0, "9d533069fbbb1d3172c4b1361bc99a86ea6cea09d765e4a031940bcfd1b21192"),
+    ("parazorn:3:1", "text", 0, "ab0d577e3720bccfd99b15e0cbb5ed55bd358cdc5784f1987afbdddbac45d27b"),
+    ("parazorn:3:1", "json", 0, "53802c95e54357868f493dcaeee10246050aedd2fcab64729c5a2da12e62ecc3"),
+    ("hurwitz:8", "text", 1, "a79c17f3ee7acf3f4340383d68264adb8db4de63177b95e3a45034100bd07274"),
+    ("hurwitz:8", "json", 1, "c6bca0e2616ba3e0de6121f3d2ab8a0ac43b8bafba89472e17c723ff15d49cd8"),
+    ("zorn", "text", 1, "9983b77940702cc1198b3b13b67dee1400ae756b0b172876dc0c89b1ca591333"),
+    ("zorn", "json", 1, "f6fa18dfa5802c4d063e24f3406c9cb95433125f8f916ea2cf8492e90c449804"),
+    ("matrix:2", "text", 1, "2983571fb23817ae58b84c151f90ca6f1afc8ace1a48f56f8277d16bc9aba663"),
+    ("matrix:2", "json", 1, "a350a630a5ea9532eba1c96eb4fe0732ed68983638fd79e9fd517d7ee297944a"),
+]
+
+PINNED_PERTURBED_OKUBO = [
+    ("text", "0ed4f666afa67369db2bfb4a81f36998ff9292031ef4f5f7c5bc1c5e8a46aef1"),
+    ("json", "47e6e27bf36c9ba24fc6e6a297c0951aaf9835c3a5e351d4f86190446e3669cd"),
+]
+
+
+@pytest.mark.parametrize("name,fmt,code,digest", PINNED_CERTIFY)
+def test_certify_output_is_pinned(capsys, name, fmt, code, digest):
+    rc, out, err = run(capsys, "certify", name, "--format", fmt)
+    assert (rc, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt,digest", PINNED_PERTURBED_OKUBO)
+def test_certify_perturbed_spec_output_is_pinned(capsys, tmp_path, monkeypatch, fmt, digest):
+    """okubo over Q(sqrt 3) with its first structure constant set to 2; the
+    report names the spec path, so the file is read from the working directory."""
+    spec = specfile.algebra_to_dict(named_algebra("okubo", FieldDescriptor(QUADRATIC, d=3)))
+    i, j, k, _ = spec["structure"][0]
+    spec["structure"][0] = [i, j, k, "2"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "perturbed_okubo.json").write_text(json.dumps(spec))
+    rc, out, err = run(capsys, "certify", "perturbed_okubo.json", "--format", fmt)
+    assert (rc, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_expcheck_command(capsys):
     rc, out, _ = run(capsys, "expcheck", "para2", "1,1,-2")
     assert rc == 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import trialkit
 from trialkit import constructors
+from trialkit.algebra import Algebra, AlgebraError
 from trialkit.constructors import (cross_space, find_unit, make_conjugate,
                                    make_ground, make_hurwitz, make_para,
                                    make_para_dim2, make_para_zorn,
@@ -189,6 +190,55 @@ def test_conjugate_of_para_recovers_original():
     back = make_conjugate(make_para(h))
     assert back.structure == h.structure
     assert back.unit == h.unit
+
+
+def _ref_conjugate_structure(h):
+    """The structure tensor of x . y = conj(x * y), built entry by entry as
+    make_para and make_conjugate each did before they shared a builder."""
+    n = h.dim
+    zero = h.field.zero()
+    structure = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            prod = h.involute(h.basis(i) * h.basis(j))
+            for k in range(n):
+                structure[i][j][k] = prod.coords[k]
+    return structure
+
+
+def _exact(values):
+    return [(x.desc, x._n0, x._n1, x._q) for x in values]
+
+
+@pytest.mark.parametrize("field", [Q, QS3, F7])
+def test_para_and_conjugate_match_the_entrywise_reference(field):
+    from trialkit.fields import SqrtUnavailable
+
+    checked = 0
+    for name in ("hurwitz:1", "hurwitz:2", "hurwitz:4", "hurwitz:8", "hurwitz:4:split",
+                 "hurwitz:8:split", "matrix:2", "zorn", "para:4", "para:8", "okubo",
+                 "parazorn:1:1", "parazorn:3:1"):
+        try:
+            h = named_algebra(name, field)
+        except SqrtUnavailable:
+            continue
+        want = [_exact(row) for plane in _ref_conjugate_structure(h) for row in plane]
+        for build, prefix in ((make_para, "para-"), (make_conjugate, "conj-")):
+            out = build(h)
+            assert [_exact(row) for plane in out.structure for row in plane] == want
+            assert out.name == prefix + h.name
+            assert out.form == h.form and out.involution == h.involution
+        p = make_para(h)
+        assert p.unit is None
+        assert p.para_unit == (list(h.unit) if h.unit is not None else None)
+        assert make_conjugate(h).unit == (None if (u := find_unit(p)) is None else u.coords)
+        checked += 1
+    assert checked >= 12
+    bare = Algebra(field, [[[field.one()]]])
+    with pytest.raises(AlgebraError, match="^para construction needs an involution$"):
+        make_para(bare)
+    with pytest.raises(AlgebraError, match="^conjugate construction needs an involution$"):
+        make_conjugate(bare)
 
 
 def test_zorn_is_unital_diag_swap_of_para_zorn():

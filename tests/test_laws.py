@@ -789,3 +789,368 @@ def test_tuple_checks_keep_their_witnesses(field):
                 assert core[check_id]() == want, (name, check_id)
         checked += 1
     assert checked >= len(NAMED) - 2
+
+
+# ---------------------------------------------------------------------------
+# Checks that repeated a law certified by another call on the same path
+# ---------------------------------------------------------------------------
+#
+# Each reference below is a check as the library ran it next to another call
+# that proves the same law; the library now relies on that other call alone.
+# On certified inputs and on inputs with one entry perturbed, the remaining
+# call must fail exactly when the reference fails, with the same witness.
+
+
+def ref_sandwich_law(astar, sig):
+    """assoc_sigma_triple's loop: J s_j J(e_i e_k) = (s_{j+1} e_i)(s_{j+2} e_k)
+    in astar, which is verify_triality on the conjugate algebra."""
+    jmap = astar.involution_map()
+    basis = astar.basis_elements()
+    n = astar.dim
+    for j in range(3):
+        conj_sig = jmap @ sig[j] @ jmap
+        s1, s2 = sig[(j + 1) % 3], sig[(j + 2) % 3]
+        for i in range(n):
+            for k in range(n):
+                if conj_sig(basis[i] * basis[k]) != s1(basis[i]) * s2(basis[k]):
+                    raise RelationFails("sandwich product law fails", witness=(j + 1, i, k))
+
+
+def ref_star_local_law(astar, ds):
+    """assoc_local_triple's loop: J d_j J(e_i e_k) = (d_{j+1} e_i) e_k + e_i (d_{j+2} e_k)
+    in astar, which is the local law of verify_local on the conjugate algebra."""
+    jmap = astar.involution_map()
+    basis = astar.basis_elements()
+    n = astar.dim
+    for j in range(1, 4):
+        conj_d = jmap @ ds[j - 1] @ jmap
+        d1, d2 = ds[j % 3], ds[(j + 1) % 3]
+        for i in range(n):
+            for k in range(n):
+                if conj_d(basis[i] * basis[k]) != d1(basis[i]) * basis[k] \
+                        + basis[i] * d2(basis[k]):
+                    raise RelationFails("star-product local law fails", witness=(j, i, k))
+
+
+ASSOCIATIVE = [("matrix:2", "Q"), ("matrix:2", "F7"), ("hurwitz:4", "Q"),
+               ("hurwitz:4", "Qsqrt3"), ("hurwitz:4:split", "F13"), ("hurwitz:2", "F7")]
+
+
+_UNITARIES = {}
+
+
+def _unitaries(h):
+    """The unitary elements (conj(x) x = x conj(x) = e) of an associative
+    involutive algebra with every coordinate in {-1, 0, 1}."""
+    if id(h) not in _UNITARIES:
+        from itertools import product
+
+        e = h.unit_element()
+        xs = (h.element(list(c)) for c in product((-1, 0, 1), repeat=h.dim))
+        _UNITARIES[id(h)] = [x for x in xs
+                             if h.involute(x) * x == e and x * h.involute(x) == e]
+        assert len(_UNITARIES[id(h)]) >= 4
+    return _UNITARIES[id(h)]
+
+
+def _skews(h, rng):
+    """A random skew element x - conj(x)."""
+    x = random_element(h, rng)
+    return x - h.involute(x)
+
+
+def _rebound(conj, maps):
+    return [LinearMap(conj, m.rows) for m in maps]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(ASSOCIATIVE), seed=seeds, kind=st.integers(0, 2))
+def test_sandwich_law_is_verify_triality_on_the_conjugate(case, seed, kind):
+    """kind 0: a unitary triple, as assoc_sigma_triple builds it; 1: the same
+    maps with one entry perturbed; 2: sandwiches of arbitrary elements."""
+    from trialkit.constructors import make_conjugate
+
+    rng = random.Random(seed)
+    h = algebra(*case)
+    conj = make_conjugate(h)
+    if kind == 2:
+        us = [random_element(h, rng) for _ in range(3)]
+    else:
+        us = [rng.choice(_unitaries(h)) for _ in range(3)]
+    sig = [h.left_op(us[j]) @ h.right_op(h.involute(us[(j + 1) % 3])) for j in range(3)]
+    sig = maybe_perturb(sig, rng, kind == 1)
+    want = outcome(ref_sandwich_law, h, sig)
+    got = outcome(triality.verify_triality, conj, *_rebound(conj, sig))
+    if kind == 0:
+        assert want is None and got is None
+        t = assoc.assoc_sigma_triple(h, assoc.certify_unitary(h, *us))
+        assert [m.rows for m in t.maps] == [m.rows for m in sig]
+    if got is not None and got[0] == "NotInvertible":
+        return
+    assert (want is None) == (got is None)
+    if want is not None:
+        assert got[2] == want[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(ASSOCIATIVE), seed=seeds, kind=st.integers(0, 2))
+def test_star_local_law_is_verify_local_on_the_conjugate(case, seed, kind):
+    """kind 0: a skew triple, as assoc_local_triple builds it; 1: the same maps
+    with one entry perturbed; 2: differences of arbitrary elements."""
+    from trialkit.constructors import make_conjugate
+
+    rng = random.Random(seed)
+    h = algebra(*case)
+    conj = make_conjugate(h)
+    ps = [(random_element if kind == 2 else _skews)(h, rng) for _ in range(3)]
+    ds = [h.left_op(ps[j]) - h.right_op(ps[(j + 1) % 3]) for j in range(3)]
+    ds = maybe_perturb(ds, rng, kind == 1)
+    want = outcome(ref_star_local_law, h, ds)
+    got = outcome(triality.verify_local, conj, *_rebound(conj, ds))
+    if kind == 0:
+        assert want is None and got is None
+        t = assoc.assoc_local_triple(h, assoc.certify_skew(h, *ps))
+        assert [m.rows for m in t.maps] == [m.rows for m in ds]
+    if want is not None:
+        assert got is not None and got[2] == want[2]
+    elif got is not None:
+        # the law holds; verify_local may still find a non-skew component
+        assert got[1].endswith("is not skew for the form")
+
+
+def ref_dual_left(alg, coords):
+    """L(b) for a vector of dual numbers, from the structure tensor."""
+    from trialkit.dual import Dual
+
+    n = alg.dim
+    zero = Dual(alg.field.zero(), alg.field.zero())
+    return [[sum((coords[r] * Dual.lift(alg.structure[r][s][k]) for r in range(n)), zero)
+             for s in range(n)] for k in range(n)]
+
+
+def ref_factorization(p, ds):
+    """The dual-number loop of first_order_factorization, given the D_j."""
+    from trialkit import linalg
+    from trialkit.dual import Dual
+
+    a = p.base
+    alg = a.algebra
+    n = alg.dim
+    fdesc = alg.field
+    for j in range(1, 4):
+        sig = [[Dual.lift(v) for v in row] for row in symcomp.sigma_maps(a)[j - 1].rows]
+        bj1 = [Dual(a.comp(j + 1).coords[i], p.p_comp(j + 1).coords[i]) for i in range(n)]
+        bj2 = [Dual(a.comp(j + 2).coords[i], p.p_comp(j + 2).coords[i]) for i in range(n)]
+        prod = linalg.mat_mul(sig, linalg.mat_mul(ref_dual_left(alg, bj2),
+                                                  ref_dual_left(alg, bj1)))
+        for k in range(n):
+            for l in range(n):
+                want = Dual(fdesc.one() if k == l else fdesc.zero(), ds[j - 1].rows[k][l])
+                if prod[k][l] != want:
+                    raise RelationFails("first-order factorization fails", witness=(j, k, l))
+
+
+def ref_first_order_factorization(p):
+    """first_order_factorization as it was: local_D certified inside it."""
+    d = symcomp.local_D(p.base, p)
+    ref_factorization(p, d.maps)
+
+
+def _local_D_then_factorization(p):
+    symcomp.local_D(p.base, p)
+    symcomp.first_order_factorization(p)
+
+
+def _perturbed_lambda(p, rng):
+    """p with one coordinate of one p_j or q_j shifted, uncertified."""
+    vecs = [list(p.ps), list(p.qs)]
+    which, j, c = rng.randrange(2), rng.randrange(3), rng.randrange(p.base.algebra.dim)
+    x = vecs[which][j]
+    coords = list(x.coords)
+    coords[c] = coords[c] + small_scalar(x.algebra.field, rng)
+    vecs[which][j] = x.algebra.element(coords)
+    return symcomp.LambdaVector(p.base, tuple(vecs[0]), tuple(vecs[1]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=st.sampled_from(SYMCOMP), seed=seeds, bad=st.booleans())
+def test_first_order_factorization_matches_reference(case, seed, bad):
+    rng = random.Random(seed)
+    a = algebra(*case)
+    t = product_triple(a, rng)
+    space = symcomp.lambda_space(t)
+    p = space[rng.randrange(len(space))]
+    if bad:
+        p = _perturbed_lambda(p, rng)
+    # old: local_D inside first_order_factorization; new: the two calls in turn
+    want = outcome(ref_first_order_factorization, p)
+    assert outcome(_local_D_then_factorization, p) == want
+    # the factorization alone, against the uncertified D_j
+    ds = symcomp._local_D_maps(t, p)
+    want = outcome(ref_factorization, p, ds)
+    assert outcome(symcomp.first_order_factorization, p) == want
+    if not bad:
+        assert want is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(SYMCOMP), seed=seeds)
+def test_dual_left_is_linear_in_the_dual_part(case, seed):
+    """L(a + eps p) = L(a) + eps L(p), the form first_order_factorization uses."""
+    from trialkit.dual import Dual
+
+    rng = random.Random(seed)
+    alg = algebra(*case)
+    x, dx = random_element(alg, rng), random_element(alg, rng)
+    want = ref_dual_left(alg, [Dual(u, v) for u, v in zip(x.coords, dx.coords)])
+    got = [list(map(Dual, r, e)) for r, e in zip(alg.left_op(x).rows, alg.left_op(dx).rows)]
+    assert got == want
+
+
+def ref_unipotent_bridge(m, direction):
+    """unipotent_bridge as it was: the derivation certified and d d = 0
+    tested a second time after either direction."""
+    from trialkit import linalg
+
+    a = m.algebra
+    ident = a.identity_map()
+    two = a.field.from_int(2)
+    if direction == "auto_to_der":
+        autos.certify_automorphism(a, m)
+        if m @ m != two * m - ident:
+            raise AlgebraError("automorphism is not unipotent of the required shape")
+        d = m - ident
+        sigma = m
+    elif direction == "der_to_auto":
+        autos.certify_derivation(a, m)
+        zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
+        if not linalg.mat_eq((m @ m).rows, zero_rows):
+            raise AlgebraError("derivation does not square to zero")
+        d = m
+        sigma = ident + m
+        autos.certify_automorphism(a, sigma)
+        if sigma @ sigma != two * sigma - ident:
+            raise RelationFails("built automorphism is not unipotent")
+    else:
+        raise ValueError("direction must be auto_to_der or der_to_auto")
+    autos.certify_derivation(a, d)
+    zero_rows = linalg.zeros(a.dim, a.dim, a.field.zero())
+    if not linalg.mat_eq((d @ d).rows, zero_rows):
+        raise RelationFails("derivation does not square to zero")
+    w = triality.product_law_failure(a, LinearMap(a, zero_rows), d, d)
+    if w is not None:
+        raise RelationFails("(dx)(dy) = 0 fails", witness=w)
+    p = a.field.characteristic
+    if p:
+        acc = sigma
+        for _ in range(p - 1):
+            acc = acc @ sigma
+        if not acc.is_identity():
+            raise RelationFails("sigma^p != Id over the prime field")
+    return sigma if direction == "der_to_auto" else d
+
+
+NILPOTENT = [("zorn", "Q"), ("zorn", "F5"), ("hurwitz:8:split", "Qsqrt3"),
+             ("para:8:split", "F7"), ("parazorn:3:1", "Q")]
+_BRIDGE_INPUTS = {}
+
+
+def _bridge_inputs(case):
+    """A square-zero derivation d, the unipotent automorphism Id + d, a
+    derivation that is not square-zero, and where the algebra has them an r3
+    unipotent automorphism and an order-3 automorphism."""
+    if case not in _BRIDGE_INPUTS:
+        a = algebra(*case)
+        d = autos.find_nilpotent_derivation(a)
+        assert d is not None
+        inputs = [d, a.identity_map() + d]
+        inputs += [x for x in autos.derivation_space(a) if (x @ x).rows != (d @ d).rows][:1]
+        if a.unit is not None:
+            inputs.append(autos.r3_construction(a, autos.find_r3_data(a)))
+        order3 = (autos.order3_auto(a, idem) for idem in autos.find_idempotents(a)[:4])
+        inputs += [g for g in order3 if not g.is_identity()][:1]
+        _BRIDGE_INPUTS[case] = inputs
+    return _BRIDGE_INPUTS[case]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(NILPOTENT), seed=seeds, pick=st.integers(0, 3),
+       bad=st.booleans())
+def test_unipotent_bridge_matches_reference(case, seed, pick, bad):
+    rng = random.Random(seed)
+    inputs = _bridge_inputs(case)
+    m = inputs[pick % len(inputs)]
+    [m] = maybe_perturb([m], rng, bad)
+    for direction in ("der_to_auto", "auto_to_der", "sideways"):
+        want = outcome(ref_unipotent_bridge, m, direction)
+        assert outcome(autos.unipotent_bridge, m, direction) == want
+        if want is None:
+            assert autos.unipotent_bridge(m, direction) == ref_unipotent_bridge(m, direction)
+
+
+def test_sigma_from_pair_reports_the_component_without_norm_one():
+    a = algebra("para:4", "Q")
+    x, y = a.basis(1), a.basis(2)
+    with pytest.raises(RelationFails, match="^component 1 does not have norm one$"):
+        symcomp.sigma_from_pair(a, 2 * x, y)
+    with pytest.raises(RelationFails, match="^component 2 does not have norm one$"):
+        symcomp.sigma_from_pair(a, x, 2 * y)
+    assert symcomp.sigma_from_pair(a, x, y).elems == (x, y, x * y)
+
+
+@pytest.mark.parametrize("case", SYMCOMP)
+def test_commutator_of_a_local_triple_with_itself_is_zero(case):
+    """Why certify's basis-derivation check no longer recertifies [t, t]."""
+    a = algebra(*case)
+    basis = a.basis_elements()
+    t = triality.verify_local(a, *triality.derivation_pair(a, basis[0], basis[1]).maps())
+    zero = a.identity_map() - a.identity_map()
+    assert triality.commutator_closure(t, t).maps == (zero, zero, zero)
+
+
+def ref_commutator_covariance(a, t, x, y):
+    """commutator_covariance as it was: the pairs rebuilt for every (j, k)."""
+    for j in range(1, 4):
+        for k in range(1, 4):
+            tjk = t.comp(j - k)
+            lhs = t.comp(j).commutator(triality.derivation_pair(a, x, y).comp(k))
+            rhs = (triality.derivation_pair(a, tjk(x), y).comp(k)
+                   + triality.derivation_pair(a, x, tjk(y)).comp(k))
+            if lhs != rhs:
+                raise RelationFails(f"commutator covariance fails at j={j}, k={k}",
+                                    witness=(j, k))
+
+
+def ref_conjugation_covariance(a, g, x, y):
+    """conjugation_covariance as it was: the pairs rebuilt for every (j, k)."""
+    for j in range(1, 4):
+        gj = g.comp(j)
+        gj_inv = gj.inverse()
+        for k in range(1, 4):
+            gjk = g.comp(j - k)
+            lhs = gj @ triality.derivation_pair(a, x, y).comp(k) @ gj_inv
+            if lhs != triality.derivation_pair(a, gjk(x), gjk(y)).comp(k):
+                raise RelationFails(f"conjugation covariance fails at j={j}, k={k}",
+                                    witness=(j, k))
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from(SYMCOMP), seed=seeds, bad=st.booleans())
+def test_covariance_checks_match_reference(case, seed, bad):
+    """Local triples d(u, v) and sigma / theta triples, with one entry
+    perturbed or not."""
+    rng = random.Random(seed)
+    a = algebra(*case)
+    x, y = random_element(a, rng), random_element(a, rng)
+    t = triality.derivation_pair(a, random_element(a, rng), random_element(a, rng))
+    t = triality.LocalTriple(a, maybe_perturb(t.maps(), rng, bad))
+    want = outcome(ref_commutator_covariance, a, t, x, y)
+    assert outcome(triality.commutator_covariance, a, t, x, y) == want
+    assert bad or want is None
+    triple = product_triple(a, rng)
+    g = (symcomp.sigma_maps, symcomp.theta_maps)[rng.randrange(2)](triple)
+    g = triality.TrialityTriple(a, maybe_perturb(g, rng, bad))
+    want = outcome(ref_conjugation_covariance, a, g, x, y)
+    assert outcome(triality.conjugation_covariance, a, g, x, y) == want
+    if not bad:
+        assert want is None

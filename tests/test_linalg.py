@@ -182,6 +182,81 @@ def test_require_invertible_agrees_with_mat_inv(system):
     assert require_invertible_outcome(a, field) == want
 
 
+def reference_mat_inv(a, zero, one):
+    """mat_inv as it was: exact Gauss-Jordan on [a | I]."""
+    n = len(a)
+    aug = [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    red, pivots = reference_rref(aug, zero)
+    if pivots[:n] != list(range(n)):
+        raise linalg.NotInvertible("matrix is singular")
+    return [row[n:] for row in red[:n]]
+
+
+def reference_solve(a, b, zero, one):
+    """solve as it was: exact Gauss-Jordan on [a | b]."""
+    cols = len(a[0])
+    red, pivots = reference_rref([a[i][:] + [b[i]] for i in range(len(a))], zero)
+    if cols in pivots:
+        return None
+    x = [zero] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
+def inverse_outcome(inv, a, field):
+    try:
+        return key(inv(a, field.zero(), field.one()))
+    except linalg.NotInvertible as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(square_matrices())
+def test_mat_inv_matches_exact_rref(system):
+    field, a = system
+    assert inverse_outcome(linalg.mat_inv, a, field) == inverse_outcome(reference_mat_inv, a, field)
+
+
+@st.composite
+def linear_systems(draw):
+    """(field, a, b): b drawn freely (often inconsistent when a has low rank)
+    or as a x for a drawn x (consistent)."""
+    field, a = draw(systems())
+    cols = len(a[0])
+    if draw(st.booleans()):
+        x = [draw(scalars(field)) for _ in range(cols)]
+        b = linalg.mat_vec(a, x)
+    else:
+        b = [draw(scalars(field)) for _ in a]
+    return field, a, b
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(linear_systems())
+def test_solve_matches_exact_rref(system):
+    field, a, b = system
+    zero, one = field.zero(), field.one()
+    want = reference_solve(a, b, zero, one)
+    got = linalg.solve(a, b, zero, one)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert key([got]) == key([want])
+        assert linalg.mat_vec(a, got) == b
+
+
+def test_mat_inv_and_solve_on_fixed_cases():
+    # the kernel basis of [a | -I] is (-1, 1, 0, 0), (1, 0, 1, 1)
+    with pytest.raises(linalg.NotInvertible, match="matrix is singular"):
+        linalg.mat_inv([q(1, 1), q(1, 1)], Q.zero(), Q.one())
+    assert linalg.mat_inv([q(2, 1), q(1, 1)], Q.zero(), Q.one()) == [q(1, -1), q(-1, 2)]
+    # consistent with a free column: x is 0 there
+    assert linalg.solve([q(1, 2, 3), q(2, 4, 7)], q(1, 3), Q.zero(), Q.one()) == q(-2, 0, 1)
+    assert linalg.solve([q(1, 2), q(2, 4)], q(1, 3), Q.zero(), Q.one()) is None
+    F7 = FieldDescriptor(PRIME, p=7)
+    assert linalg.solve([[F7.from_int(3)]], [F7.one()], F7.zero(), F7.one()) == [F7.from_int(5)]
+
+
 def test_require_invertible_past_a_bad_prime_and_into_the_exact_fallback():
     # invertible, but singular mod P0
     assert require_invertible_outcome([q(1, 1), q(1, 1 + P0)], Q) is None
