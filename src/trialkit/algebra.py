@@ -279,10 +279,6 @@ class Algebra:
         f = self.field
         return LinearMap(self, linalg.identity(self.dim, f.one(), f.zero()))
 
-    def product_vector(self, i: int, j: int) -> List[FieldElement]:
-        """Coordinates of e_i e_j."""
-        return [self.structure[i][j][k] for k in range(self.dim)]
-
     def __repr__(self) -> str:
         return f"Algebra(name={self.name!r}, dim={self.dim}, field={self.field})"
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -69,6 +70,20 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
     Checks run over basis tuples, which is complete by multilinearity
     (quadratic occurrences are covered by the polarized variants).  The
     certificate is computed once per algebra and kept on it.
+
+    The two generating clauses are scanned first: linearized,
+    (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx), and form associativity.  When
+    both hold (on basis tuples, so for all x, y, z) the other four follow,
+    as 2 is invertible, and are recorded as holding without a scan:
+
+    - two-sided norm at (i, j) is half of linearized at (i, j, i);
+    - composition: <xy|xy> = <x|y(xy)> = <y|y><x|x>, as y(xy) = <y|y>x is
+      linearized with x = z;
+    - polarized: <xy|zw> + <zy|xw> = <(xy)z + (zy)x|w> = 2<x|z><y|w>;
+    - product exchange: a(yb) + b(ya) = 2<a|b>y with a = xy, b = z gives
+      (xy)(yz) = 2<xy|z>y - z(y(xy)) = 2<x|yz>y - <y|y>zx.
+
+    When either fails, the other four are scanned for their witnesses too.
     """
     if a._symcomp_cache is not None:
         return a._symcomp_cache
@@ -103,31 +118,35 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
         return (prods[i][j] * z + prods[k][j] * x == rhs
                 and x * prods[j][k] + z * prods[j][i] == rhs)
 
-    for clause, holds, arity in (("two-sided-norm-law", two_sided_norm, 2),
-                                 ("composition-law", composition, 2),
-                                 ("polarized-composition-law", polarized, 4),
-                                 ("form-associativity", form_associativity, 3),
-                                 ("linearized-norm-law", linearized, 3)):
-        w = first_failing_tuple(holds, *[n] * arity)
-        cert.add(clause, w is None, w)
-
     # (xy)(yz) = 2<x|yz>y - <y|y>zx, quadratic in y so sums of basis pairs
     # are also exercised
-    ys = list(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ys.append(basis[i] + basis[j])
-    y_norms = [a.form_eval(y, y) for y in ys]
-    y_prods = [[y * basis[k] for k in range(n)] for y in ys]
-    xys = [[basis[i] * y for y in ys] for i in range(n)]
+    def product_exchange_failure():
+        ys = basis + [basis[i] + basis[j] for i in range(n) for j in range(i + 1, n)]
+        y_norms = [a.form_eval(y, y) for y in ys]
+        y_prods = [[y * basis[k] for k in range(n)] for y in ys]
+        xys = [[basis[i] * y for y in ys] for i in range(n)]
 
-    def product_exchange(i, t, k):
-        yz = y_prods[t][k]
-        rhs = two * a.form_eval(basis[i], yz) * ys[t] - y_norms[t] * prods[k][i]
-        return xys[i][t] * yz == rhs
+        def product_exchange(i, t, k):
+            yz = y_prods[t][k]
+            rhs = two * a.form_eval(basis[i], yz) * ys[t] - y_norms[t] * prods[k][i]
+            return xys[i][t] * yz == rhs
 
-    w = first_failing_tuple(product_exchange, n, len(ys), n)
-    cert.add("product-exchange-law", w is None, None if w is None else (w[0], w[2]))
+        w = first_failing_tuple(product_exchange, n, len(ys), n)
+        return None if w is None else (w[0], w[2])
+
+    clauses = (("two-sided-norm-law", partial(first_failing_tuple, two_sided_norm, n, n)),
+               ("composition-law", partial(first_failing_tuple, composition, n, n)),
+               ("polarized-composition-law", partial(first_failing_tuple, polarized, n, n, n, n)),
+               ("form-associativity", partial(first_failing_tuple, form_associativity, n, n, n)),
+               ("linearized-norm-law", partial(first_failing_tuple, linearized, n, n, n)),
+               ("product-exchange-law", product_exchange_failure))
+    witness = {clause: failure() for clause, failure in clauses
+               if clause in ("linearized-norm-law", "form-associativity")}
+    implied = all(w is None for w in witness.values())
+    for clause, failure in clauses:
+        if clause not in witness:
+            witness[clause] = None if implied else failure()
+        cert.add(clause, witness[clause] is None, witness[clause])
     a._symcomp_cache = cert
     return cert
 
@@ -204,11 +223,10 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
         sj, tj = sigma.comp(j), theta.comp(j)
         if not (sj @ tj).is_identity() or not (tj @ sj).is_identity():
             raise RelationFails(f"sigma_{j} theta_{j} != Id", witness=(j,))
-    for j in range(1, 4):
-        if not (theta.comp(j) @ theta.comp(j + 1) @ theta.comp(j + 2)).is_identity():
-            raise RelationFails(f"theta product at j={j} is not Id", witness=(j,))
-        if not (sigma.comp(j + 2) @ sigma.comp(j + 1) @ sigma.comp(j)).is_identity():
-            raise RelationFails(f"sigma product at j={j} is not Id", witness=(j,))
+    # As sigma_j = theta_j^{-1}, the other five triple products are conjugates
+    # of this one or inverses of those, so they hold when it does.
+    if not (theta.comp(1) @ theta.comp(2) @ theta.comp(3)).is_identity():
+        raise RelationFails("theta product at j=1 is not Id", witness=(1,))
     for j in range(1, 4):
         sj, tj = sigma.comp(j), theta.comp(j)
         failure = earliest_failure([

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit import linalg
-from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap, _squares_to_identity
+from trialkit.algebra import Algebra, AlgebraError, LinearMap, _squares_to_identity
 from trialkit.constructors import make_hurwitz, make_para, named_algebra
 from trialkit.fields import FieldDescriptor, PRIME, RATIONALS
 from trialkit.linalg import NotInvertible
@@ -69,13 +69,6 @@ def test_symmetric_composition_quick():
     assert not is_symmetric_composition(quaternions()).ok
     assert is_symmetric_composition(make_para(quaternions())).ok
     assert is_symmetric_composition(named_algebra("okubo")).ok
-
-
-def test_product_vector_matches_element_product():
-    h = quaternions()
-    for i in range(4):
-        for j in range(4):
-            assert Element(h, h.product_vector(i, j)) == h.basis(i) * h.basis(j)
 
 
 def test_bad_involution_is_rejected():

@@ -23,6 +23,7 @@ from trialkit.algebra import AlgebraError, Element, LinearMap
 from trialkit.cli import parse_field
 from trialkit.constructors import cross_space, make_para_zorn, named_algebra
 from trialkit.fields import SqrtUnavailable
+from trialkit.linalg import NotInvertible
 from trialkit.triality import RelationFails
 
 # ---------------------------------------------------------------------------
@@ -35,7 +36,7 @@ def _column(m, i):
 
 
 def _product_element(a, i, j):
-    return Element(a, a.product_vector(i, j))
+    return Element(a, list(a.structure[i][j]))
 
 
 def ref_symmetric_composition_quick(a):
@@ -112,7 +113,7 @@ def ref_certify_automorphism(a, g):
     cols = [Element(a, [row[i] for row in g.rows]) for i in range(n)]
     for i in range(n):
         for k in range(n):
-            if g(Element(a, a.product_vector(i, k))) != cols[i] * cols[k]:
+            if g(Element(a, list(a.structure[i][k]))) != cols[i] * cols[k]:
                 raise RelationFails("map is not an automorphism", witness=(i, k))
 
 
@@ -122,7 +123,7 @@ def ref_certify_derivation(a, d):
     basis = a.basis_elements()
     for i in range(n):
         for k in range(n):
-            if d(Element(a, a.product_vector(i, k))) != cols[i] * basis[k] + basis[i] * cols[k]:
+            if d(Element(a, list(a.structure[i][k]))) != cols[i] * basis[k] + basis[i] * cols[k]:
                 raise RelationFails("map is not a derivation", witness=(i, k))
 
 
@@ -752,16 +753,21 @@ def ref_core_checks(a):
     return out
 
 
-def _perturbed(a):
-    """a with structure constant (1, 1, 0) shifted by one, so that most
-    identities fail somewhere past the first tuple."""
+def _shifted(a, i, j, k, c):
+    """A fresh copy of a with structure constant (i, j, k) shifted by c."""
     structure = [[list(row) for row in plane] for plane in a.structure]
-    i = min(1, a.dim - 1)
-    structure[i][i][0] = structure[i][i][0] + a.field.one()
+    structure[i][j][k] = structure[i][j][k] + c
     out = type(a)(a.field, structure, form=a.form, involution=a.involution, unit=a.unit,
                   name=a.name)
     out.para_unit = getattr(a, "para_unit", None)
     return out
+
+
+def _perturbed(a):
+    """a with structure constant (1, 1, 0) shifted by one, so that most
+    identities fail somewhere past the first tuple."""
+    i = min(1, a.dim - 1)
+    return _shifted(a, i, i, 0, a.field.one())
 
 
 @pytest.mark.parametrize("field", ["Q", "Qsqrt3", "F7"])
@@ -789,6 +795,102 @@ def test_tuple_checks_keep_their_witnesses(field):
                 assert core[check_id]() == want, (name, check_id)
         checked += 1
     assert checked >= len(NAMED) - 2
+
+
+GENERATING = ["form_associativity", "linearized"]
+IMPLIED = ["two_sided_norm", "composition", "polarized", "product_exchange"]
+
+
+def test_symmetric_composition_scans_only_the_generating_clauses(monkeypatch):
+    """Linearized and form associativity imply the other four clauses, so
+    a certified algebra scans only those two; a failing one scans all six."""
+    scanned = []
+    scan = symcomp.first_failing_tuple
+
+    def counting(holds, *sizes):
+        scanned.append(holds.__name__)
+        return scan(holds, *sizes)
+
+    monkeypatch.setattr(symcomp, "first_failing_tuple", counting)
+    for name in ("okubo", "para:8"):
+        scanned.clear()
+        assert symcomp.is_symmetric_composition(named_algebra(name)).ok
+        assert scanned == GENERATING, name
+    scanned.clear()
+    a = _perturbed(named_algebra("okubo"))
+    assert not symcomp.is_symmetric_composition(a).ok
+    assert scanned == GENERATING + IMPLIED
+    assert symcomp.is_symmetric_composition(a).records == ref_symmetric_composition_records(a)
+
+
+SHIFTABLE = [("para:4", "Q"), ("para:4", "Qsqrt3"), ("para:4", "F7"), ("para:8", "Q"),
+             ("para:8:split", "F7"), ("okubo", "Qsqrt3"), ("okubo", "F13"),
+             ("hurwitz:4", "Q"), ("parazorn:1:1", "Qsqrt3"), ("matrix:2", "F7")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(SHIFTABLE), seed=seeds, bad=st.booleans())
+def test_symmetric_composition_records_match_reference_after_a_random_shift(case, seed, bad):
+    """One random structure constant shifted by a random nonzero scalar
+    (bad), or a fresh unshifted copy: the records, and so the first failing
+    tuple of every clause, are those of the full scan."""
+    rng = random.Random(seed)
+    a = algebra(*case)
+    n = a.dim
+    c = small_scalar(a.field, rng) if bad else a.field.zero()
+    alg = _shifted(a, rng.randrange(n), rng.randrange(n), rng.randrange(n), c)
+    assert symcomp.is_symmetric_composition(alg).records == ref_symmetric_composition_records(alg)
+
+
+def ref_sigma_theta_products(sigma, theta):
+    """The inverse and product loops of sigma_theta_triples as they were:
+    all six triple products checked after sigma_j theta_j = theta_j sigma_j = Id."""
+    for j in range(1, 4):
+        sj, tj = sigma.comp(j), theta.comp(j)
+        if not (sj @ tj).is_identity() or not (tj @ sj).is_identity():
+            raise RelationFails(f"sigma_{j} theta_{j} != Id", witness=(j,))
+    for j in range(1, 4):
+        if not (theta.comp(j) @ theta.comp(j + 1) @ theta.comp(j + 2)).is_identity():
+            raise RelationFails(f"theta product at j={j} is not Id", witness=(j,))
+        if not (sigma.comp(j + 2) @ sigma.comp(j + 1) @ sigma.comp(j)).is_identity():
+            raise RelationFails(f"sigma product at j={j} is not Id", witness=(j,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SYMCOMP), seed=seeds, kind=st.integers(0, 2))
+def test_sigma_theta_product_check_matches_reference(case, seed, kind):
+    """kind 0: the maps of a product triple; 1: one entry of one of the six
+    maps perturbed; 2: one theta_t perturbed and sigma_t its inverse, so
+    that only the products can fail.  The triality checks are stubbed out so
+    that the perturbed maps reach the product check."""
+    rng = random.Random(seed)
+    a = algebra(*case)
+    triple = product_triple(a, rng)
+    sig, the = symcomp.sigma_maps(triple), symcomp.theta_maps(triple)
+    if kind == 1:
+        maps = perturb(sig + the, rng)
+        sig, the = maps[:3], maps[3:]
+    elif kind == 2:
+        t = rng.randrange(3)
+        [the[t]] = perturb([the[t]], rng)
+        try:
+            sig[t] = the[t].inverse()
+        except NotInvertible:
+            pass  # fails sigma_t theta_t = Id in both
+    want = outcome(ref_sigma_theta_products, triality.TrialityTriple(a, sig),
+                   triality.TrialityTriple(a, the))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symcomp, "sigma_maps", lambda _: sig)
+        mp.setattr(symcomp, "theta_maps", lambda _: the)
+        mp.setattr(symcomp, "verify_triality",
+                   lambda alg, *maps: triality.TrialityTriple(alg, maps))
+        got = outcome(symcomp.sigma_theta_triples, triple)
+    if want is not None:
+        assert got == want
+    else:
+        assert got is None or "product" not in got[1]
+    if kind == 0:
+        assert got is None
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def reference_derivation_space(a):
     rows = []
     for i in range(n):
         for j in range(n):
-            prod = a.product_vector(i, j)
+            prod = list(a.structure[i][j])
             for m in range(n):
                 row = [zero] * (n * n)
                 for l in range(n):
