@@ -139,20 +139,6 @@ class LinearMap:
         return f"LinearMap({[[str(c) for c in r] for r in self.rows]})"
 
 
-def _squares_to_identity(m: Matrix, field: FieldDescriptor) -> bool:
-    """m m = I, each row of m m summed over the nonzero entries of m only."""
-    rows = [[(j, x) for j, x in enumerate(row) if not x.is_zero()] for row in m]
-    for i, row in enumerate(rows):
-        sq = [field.zero()] * len(rows)
-        for j, x in row:
-            for k, y in rows[j]:
-                sq[k] = sq[k] + x * y
-        sq[i] = sq[i] - field.one()
-        if not all(v.is_zero() for v in sq):
-            return False
-    return True
-
-
 class Algebra:
     def __init__(
         self,
@@ -178,7 +164,8 @@ class Algebra:
                     if self.form[i][j] != self.form[j][i]:
                         raise AlgebraError("form is not symmetric")
         self.involution = [list(r) for r in involution] if involution is not None else None
-        if self.involution is not None and not _squares_to_identity(self.involution, field):
+        if self.involution is not None and not linalg.squares_to(
+                self.involution, field.one(), field.zero()):
             raise AlgebraError("involution matrix must square to the identity")
         self.unit = list(unit) if unit is not None else None
         self.name = name
@@ -188,7 +175,7 @@ class Algebra:
         # product_terms[i][j]: the nonzero (k, c[i][j][k]) of e_i e_j, by k.
         self.product_terms = [[tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
                                for row in plane] for plane in self.structure]
-        # the symcomp.Certificate of is_symmetric_composition, once computed
+        # the Certificate of symcomp.is_symmetric_composition, once computed
         self._symcomp_cache = None
 
     # -- element builders ---------------------------------------------------

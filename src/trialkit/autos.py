@@ -70,36 +70,23 @@ def derivation_space(a: Algebra) -> List[LinearMap]:
     return out
 
 
-def _squares_to_zero(d: linalg.Matrix) -> bool:
-    """d != 0 and d d = 0, testing the entries of d d one at a time."""
-    if all(x.is_zero() for row in d for x in row):
-        return False
-    n = len(d)
-    for row in d:
-        terms = [(k, x) for k, x in enumerate(row) if not x.is_zero()]
-        for j in range(n):
-            acc = None
-            for k, x in terms:
-                y = d[k][j]
-                if not y.is_zero():
-                    acc = x * y if acc is None else acc + x * y
-            if acc is not None and not acc.is_zero():
-                return False
-    return True
-
-
 def find_nilpotent_derivation(a: Algebra) -> Optional[LinearMap]:
     """First nonzero derivation with d^2 = 0, searched deterministically over
     single basis derivations and then pairwise sums/differences."""
+    zero = a.field.zero()
+
+    def square_zero(d: linalg.Matrix) -> bool:
+        return any(not x.is_zero() for row in d for x in row) and linalg.squares_to(d, zero, zero)
+
     basis = derivation_space(a)
     for d in basis:
-        if _squares_to_zero(d.rows):
+        if square_zero(d.rows):
             return d
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             for combine in (linalg.mat_add, linalg.mat_sub):
                 rows = combine(basis[i].rows, basis[j].rows)
-                if _squares_to_zero(rows):
+                if square_zero(rows):
                     return LinearMap(a, rows)
     return None
 
@@ -183,9 +170,11 @@ def order3_auto(a: Algebra, idem: Idempotent) -> LinearMap:
     theta = a.left_op(x) @ a.left_op(x)
     certify_automorphism(a, sigma)
     certify_automorphism(a, theta)
-    if not (sigma @ theta).is_identity() or not (theta @ sigma).is_identity():
+    # For square matrices sigma theta = Id gives theta sigma = Id, and then
+    # sigma^3 = Id gives theta^3 = (sigma^3)^-1 = Id.
+    if not (sigma @ theta).is_identity():
         raise RelationFails("sigma and theta are not mutual inverses")
-    if not (sigma @ sigma @ sigma).is_identity() or not (theta @ theta @ theta).is_identity():
+    if not (sigma @ sigma @ sigma).is_identity():
         raise RelationFails("order is not 3")
     failure = earliest_failure([("sigma is not an isometry", form_law_failure(a, sigma, sigma)),
                                 ("theta is not an isometry", form_law_failure(a, theta, theta))])
@@ -332,7 +321,7 @@ def unipotent_bridge(m: LinearMap, direction: str) -> LinearMap:
         return m - ident
     if direction == "der_to_auto":
         certify_derivation(a, m)
-        if not linalg.mat_eq((m @ m).rows, linalg.zeros(a.dim, a.dim, a.field.zero())):
+        if not linalg.squares_to(m.rows, a.field.zero(), a.field.zero()):
             raise AlgebraError("derivation does not square to zero")
         return ident + m
     raise ValueError("direction must be auto_to_der or der_to_auto")

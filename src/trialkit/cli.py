@@ -14,13 +14,13 @@ import sys
 from itertools import product
 from typing import Callable, List, Optional, Tuple
 
-from . import autos, symcomp, triality, zorn
+from . import autos, linalg, symcomp, triality, zorn
 from .algebra import Algebra, AlgebraError, ResidueAlgebra
 from .constructors import PARA_ZORN, default_field, named_algebra
 from .fields import FieldDescriptor, FieldError, PRIME, QUADRATIC, RATIONALS
 from .report import CertificationReport
 from .specfile import load_algebra
-from .triality import first_failing_tuple
+from .triality import Certificate, first_failing_tuple
 
 SUITES = ("core", "symcomp", "triality", "autos", "zorn", "all")
 
@@ -54,81 +54,64 @@ def _is_vector_matrix(a: Algebra) -> bool:
     return a.kind == PARA_ZORN
 
 
-Check = Tuple[str, Callable[[], Tuple[bool, Optional[str]]]]
+# A check returns None when it holds, or the witness text it fails at; a
+# check that raises fails with `Type: message`.
+Check = Tuple[str, Callable[[], Optional[str]]]
 
 
-def _run_checks(rep: CertificationReport, checks: List[Check]) -> None:
+def _run_checks(checks: List[Check]) -> Certificate:
+    cert = Certificate()
     for check_id, check in checks:
         try:
-            ok, witness = check()
+            witness = check()
         except Exception as exc:  # a crashed check is a failed check
-            ok, witness = False, f"{type(exc).__name__}: {exc}"
-        rep.add(check_id, ok, witness)
-
-
-def _ok(cond: bool, witness=None) -> Tuple[bool, Optional[str]]:
-    return (True, None) if cond else (False, None if witness is None else repr(witness))
-
-
-def _first_basis_failure(holds, n: int) -> Tuple[bool, Optional[str]]:
-    w = first_failing_tuple(holds, n)
-    return (True, None) if w is None else (False, f"basis index {w[0]}")
+            witness = f"{type(exc).__name__}: {exc}"
+        cert.add(check_id, witness is None, witness)
+    return cert
 
 
 def _suite_core(a: Algebra) -> List[Check]:
-    checks: List[Check] = []
-
     def form_symmetric():
-        if a.form is None:
-            return True, None
-        w = first_failing_tuple(lambda i, j: a.form[i][j] == a.form[j][i], a.dim, a.dim)
-        return _ok(w is None, w)
+        if a.form is not None:
+            w = first_failing_tuple(lambda i, j: a.form[i][j] == a.form[j][i], a.dim, a.dim)
+            return None if w is None else repr(w)
 
     def form_nondegenerate():
-        if a.form is None:
-            return True, None
-        from .linalg import nullspace
-        ker = nullspace(a.form, a.field.zero(), a.field.one())
-        return _ok(not ker, "form has a radical")
+        if a.form is not None:
+            if linalg.nullspace(a.form, a.field.zero(), a.field.one()):
+                return "'form has a radical'"
 
     def involution_squares_to_identity():
-        if a.involution is None:
-            return True, None
-        return _ok((a.involution_map() @ a.involution_map()).is_identity())
+        # Algebra.__init__ already rejects such an involution; there is no
+        # witness to give, so a failure raises
+        if a.involution is not None:
+            if not linalg.squares_to(a.involution, a.field.one(), a.field.zero()):
+                raise AlgebraError("involution matrix must square to the identity")
 
     def unit_law():
-        if a.unit is None:
-            return True, None
-        e = a.unit_element()
-        basis = a.basis_elements()
-        return _first_basis_failure(lambda i: e * basis[i] == basis[i] == basis[i] * e, a.dim)
+        if a.unit is not None:
+            e = a.unit_element()
+            return next((f"basis index {i}" for i, b in enumerate(a.basis_elements())
+                         if not e * b == b == b * e), None)
 
     def para_unit_law():
         e_coords = getattr(a, "para_unit", None)
-        if e_coords is None or a.involution is None:
-            return True, None
-        e = a.element(list(e_coords))
-        basis = a.basis_elements()
+        if e_coords is not None and a.involution is not None:
+            e = a.element(list(e_coords))
+            return next((f"basis index {i}" for i, b in enumerate(a.basis_elements())
+                         if not e * b == a.involute(b) == b * e), None)
 
-        def conjugates(i):
-            b = basis[i]
-            return e * b == a.involute(b) == b * e
-
-        return _first_basis_failure(conjugates, a.dim)
-
-    checks.append(("core:bilinear-form-symmetric", form_symmetric))
-    checks.append(("core:bilinear-form-nondegenerate", form_nondegenerate))
-    checks.append(("core:involution-squares-to-identity",
-                   involution_squares_to_identity))
-    checks.append(("core:unit-acts-as-identity", unit_law))
-    checks.append(("core:para-unit-acts-by-conjugation", para_unit_law))
-    return checks
+    return [("core:bilinear-form-symmetric", form_symmetric),
+            ("core:bilinear-form-nondegenerate", form_nondegenerate),
+            ("core:involution-squares-to-identity", involution_squares_to_identity),
+            ("core:unit-acts-as-identity", unit_law),
+            ("core:para-unit-acts-by-conjugation", para_unit_law)]
 
 
 def _suite_symcomp(a: Algebra) -> List[Check]:
     def run():
-        cert = symcomp.is_symmetric_composition(a)
-        return _ok(cert.ok, cert.witness)
+        w = symcomp.is_symmetric_composition(a).witness
+        return None if w is None else repr(w)
 
     # one combined check keeps runtime bounded; the certificate records the
     # first failing clause with its basis witness
@@ -136,27 +119,22 @@ def _suite_symcomp(a: Algebra) -> List[Check]:
 
 
 def _suite_triality(a: Algebra) -> List[Check]:
-    checks: List[Check] = []
-
     def klein():
         triples = triality.klein_triples(a)
-        return _ok(len(triples) == 4, f"{len(triples)} sign triples")
+        if len(triples) != 4:
+            return repr(f"{len(triples)} sign triples")
 
     def scaled():
         triality.scaled_identity_triple(a, -1, -1, 1)
         triality.scaled_identity_triple(a, 1, -1, -1)
-        return True, None
 
-    checks.append(("triality:sign-triples-certify", klein))
-    checks.append(("triality:scaled-identity-triple-certifies", scaled))
+    checks: List[Check] = [("triality:sign-triples-certify", klein),
+                           ("triality:scaled-identity-triple-certifies", scaled)]
     if a.form is not None and a.dim >= 2:
         def local_pair():
-            if not symcomp.is_symmetric_composition(a).ok:
-                return True, None
-            basis = a.basis_elements()
-            pair = triality.derivation_pair(a, basis[0], basis[1])
-            triality.verify_local(a, *pair.maps())
-            return True, None
+            if symcomp.is_symmetric_composition(a).ok:
+                basis = a.basis_elements()
+                triality.verify_local(a, *triality.derivation_pair(a, basis[0], basis[1]).maps())
 
         checks.append(("triality:basis-derivation-triple-certifies", local_pair))
     return checks
@@ -167,15 +145,13 @@ def _suite_autos(a: Algebra) -> List[Check]:
         # vacuous when the algebra has no idempotent over its field
         for idem in autos.find_idempotents(a)[:3]:
             autos.order3_auto(a, idem)
-        return True, None
 
     def nilpotent():
+        # der_to_auto certifies d, and so Id + d; the way back,
+        # (Id + d) - Id, is d exactly
         d = autos.find_nilpotent_derivation(a)
-        if d is None:
-            return True, None
-        sigma = autos.unipotent_bridge(d, "der_to_auto")
-        back = autos.unipotent_bridge(sigma, "auto_to_der")
-        return _ok(back == d)
+        if d is not None:
+            autos.unipotent_bridge(d, "der_to_auto")
 
     return [("autos:idempotent-squaring-maps-certify", idempotents),
             ("autos:square-zero-derivation-round-trips", nilpotent)]
@@ -186,32 +162,27 @@ def _suite_zorn(a: Algebra) -> List[Check]:
     if lam.is_zero():
         lam = a.field.from_int(3)
 
+    # each certifier raises when a law fails
     def rho():
-        _, cert = zorn.zorn_rho(a, lam)
-        return _ok(cert.ok, cert.witness)
+        zorn.zorn_rho(a, lam)
 
     def factorization():
-        cert = zorn.zorn_operator_factorization(a, lam)
-        return _ok(cert.ok, cert.witness)
+        zorn.zorn_operator_factorization(a, lam)
 
     def swap():
         _, cert = zorn.zorn_pi(a, lam)
-        wanted = [r for r in cert.records
-                  if r[0] != "swap-intertwines-product"]
-        bad = [r for r in wanted if not r[1]]
-        return _ok(not bad, bad[0][0] if bad else None)
+        bad = [clause for clause, ok, _ in cert.records
+               if not ok and clause != "swap-intertwines-product"]
+        return repr(bad[0]) if bad else None
 
     def transpose_triple():
         zorn.zorn_transpose_triple(a)
-        return True, None
 
     def s_triple():
-        _, cert = zorn.zorn_s_triple(a)
-        return _ok(cert.ok, cert.witness)
+        zorn.zorn_s_triple(a)
 
     def conj():
-        cert = zorn.conjugate_consistency(a, lam)
-        return _ok(cert.ok, cert.witness)
+        zorn.conjugate_consistency(a, lam)
 
     return [("zorn:scaling-triples-certify", rho),
             ("zorn:diagonal-operator-factorization", factorization),
@@ -234,21 +205,18 @@ def _suites_for(a: Algebra, suite: str) -> List[str]:
 
 def cmd_certify(args) -> int:
     algebra_id, a = _load(args.algebra)
-    rep = CertificationReport(algebra_id, args.suite)
     builders = {"core": _suite_core, "symcomp": _suite_symcomp,
                 "triality": _suite_triality, "autos": _suite_autos,
                 "zorn": _suite_zorn}
-    checks: List[Check] = []
-    for name in _suites_for(a, args.suite):
-        checks.extend(builders[name](a))
-    _run_checks(rep, checks)
+    checks = [check for name in _suites_for(a, args.suite) for check in builders[name](a)]
+    rep = CertificationReport(algebra_id, args.suite, _run_checks(checks))
     text = rep.render(args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if rep.ok else 1
+    return 0 if rep.checks.ok else 1
 
 
 # Most entries `_enumerate_sigma` scans (p^n vectors) or tabulates (s^2

@@ -84,6 +84,21 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def squares_to(m: Matrix, c, zero) -> bool:
+    """Whether m m = c Id, each row of m m summed over the nonzero entries of
+    m only and tested as soon as it is complete."""
+    rows = [[(j, x) for j, x in enumerate(row) if not x.is_zero()] for row in m]
+    for i, row in enumerate(rows):
+        sq = [zero] * len(rows)
+        for j, x in row:
+            for k, y in rows[j]:
+                sq[k] = sq[k] + x * y
+        sq[i] = sq[i] - c
+        if not all(v.is_zero() for v in sq):
+            return False
+    return True
+
+
 # Primes for the modular nullspace: the twelve largest primes below 2**62 that
 # are not 1 mod 8, so that _sqrt_mod needs no search.  Each of d = -3, -1,
 # +-2, 3, 5, 6, 7 is a square mod at least three of them.

@@ -12,7 +12,7 @@ over a prime field, and the automorphism group in dimension 2.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
@@ -23,6 +23,7 @@ from .constructors import make_para_dim2
 from .dual import Dual
 from .fields import FieldDescriptor, FieldElement, sqrt_in_field
 from .triality import (
+    Certificate,
     LocalTriple,
     RelationFails,
     TrialityTriple,
@@ -41,27 +42,6 @@ from .triality import (
 # Defining identities
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Certificate:
-    """Outcome of a batch of identity checks; ok iff every record passed."""
-
-    records: List[Tuple[str, bool, Optional[tuple]]] = dc_field(default_factory=list)
-
-    def add(self, clause: str, ok: bool, witness: Optional[tuple] = None) -> None:
-        self.records.append((clause, ok, None if ok else witness))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.records)
-
-    @property
-    def witness(self) -> Optional[tuple]:
-        for clause, ok, w in self.records:
-            if not ok:
-                return (clause, w)
-        return None
-
-
 def is_symmetric_composition(a: Algebra) -> Certificate:
     """Certify (xy)x = x(yx) = <x|x>y together with its consequences:
     the composition law <xy|xy> = <x|x><y|y>, form associativity
@@ -71,19 +51,24 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
     (quadratic occurrences are covered by the polarized variants).  The
     certificate is computed once per algebra and kept on it.
 
-    The two generating clauses are scanned first: linearized,
-    (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx), and form associativity.  When
-    both hold (on basis tuples, so for all x, y, z) the other four follow,
-    as 2 is invertible, and are recorded as holding without a scan:
+    The generating clause is scanned first: linearized,
+    (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx).  When it holds (on basis
+    tuples, so for all x, y, z) the other five follow, as 2 is invertible,
+    and are recorded as holding without a scan:
 
-    - two-sided norm at (i, j) is half of linearized at (i, j, i);
-    - composition: <xy|xy> = <x|y(xy)> = <y|y><x|x>, as y(xy) = <y|y>x is
-      linearized with x = z;
+    - two-sided norm at (i, j) is half of linearized at (i, j, i); with
+      the roles of x and y swapped it gives y(xy) = <y|y>x and
+      (yz)y = <y|y>z;
+    - form associativity: x := xy in the right half and z := yz in the
+      left half both read (xy)(yz) + <y|y>zx, once as 2<xy|z>y and once as
+      2<x|yz>y, so 2(<xy|z> - <x|yz>)y = 0 for every y;
+    - composition: <xy|xy> = <x|y(xy)> = <y|y><x|x>;
     - polarized: <xy|zw> + <zy|xw> = <(xy)z + (zy)x|w> = 2<x|z><y|w>;
     - product exchange: a(yb) + b(ya) = 2<a|b>y with a = xy, b = z gives
       (xy)(yz) = 2<xy|z>y - z(y(xy)) = 2<x|yz>y - <y|y>zx.
 
-    When either fails, the other four are scanned for their witnesses too.
+    When linearized fails, the other five are scanned for their witnesses
+    too, in record order.
     """
     if a._symcomp_cache is not None:
         return a._symcomp_cache
@@ -140,13 +125,13 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
                ("form-associativity", partial(first_failing_tuple, form_associativity, n, n, n)),
                ("linearized-norm-law", partial(first_failing_tuple, linearized, n, n, n)),
                ("product-exchange-law", product_exchange_failure))
-    witness = {clause: failure() for clause, failure in clauses
-               if clause in ("linearized-norm-law", "form-associativity")}
-    implied = all(w is None for w in witness.values())
+    linearized_witness = dict(clauses)["linearized-norm-law"]()
     for clause, failure in clauses:
-        if clause not in witness:
-            witness[clause] = None if implied else failure()
-        cert.add(clause, witness[clause] is None, witness[clause])
+        if clause == "linearized-norm-law":
+            w = linearized_witness
+        else:
+            w = None if linearized_witness is None else failure()
+        cert.add(clause, w is None, w)
     a._symcomp_cache = cert
     return cert
 
@@ -219,9 +204,10 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
     n = alg.dim
     basis = alg.basis_elements()
     two = alg.field.from_int(2)
+    # A one-sided inverse of a square matrix is two-sided, so sigma_j theta_j
+    # = Id gives theta_j sigma_j = Id too.
     for j in range(1, 4):
-        sj, tj = sigma.comp(j), theta.comp(j)
-        if not (sj @ tj).is_identity() or not (tj @ sj).is_identity():
+        if not (sigma.comp(j) @ theta.comp(j)).is_identity():
             raise RelationFails(f"sigma_{j} theta_{j} != Id", witness=(j,))
     # As sigma_j = theta_j^{-1}, the other five triple products are conjugates
     # of this one or inverses of those, so they hold when it does.

@@ -9,7 +9,7 @@ run over every basis pair, which proves the law by bilinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -29,6 +29,34 @@ class RelationFails(AlgebraError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+@dataclass
+class Certificate:
+    """Outcome of a batch of identity checks, one (clause, ok, witness)
+    record each; ok iff every record passed."""
+
+    records: List[Tuple[str, bool, object]] = field(default_factory=list)
+
+    def add(self, clause: str, ok: bool, witness=None) -> None:
+        self.records.append((clause, ok, None if ok else witness))
+
+    @property
+    def ok(self) -> bool:
+        return all(ok for _, ok, _ in self.records)
+
+    @property
+    def witness(self) -> Optional[tuple]:
+        """(clause, witness) of the first failed record, or None."""
+        for clause, ok, w in self.records:
+            if not ok:
+                return (clause, w)
+        return None
+
+    def require(self, message: str) -> None:
+        """Raise RelationFails(message) at `witness` unless every record passed."""
+        if not self.ok:
+            raise RelationFails(message, witness=self.witness)
 
 
 class TripleBase:

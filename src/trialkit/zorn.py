@@ -14,8 +14,7 @@ from typing import Optional, Tuple
 
 from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .fields import FieldElement
-from .symcomp import Certificate
-from .triality import (LocalTriple, RelationFails, TrialityTriple, earliest_failure,
+from .triality import (Certificate, LocalTriple, RelationFails, TrialityTriple, earliest_failure,
                        form_law_failure, product_law_failure, verify_local, verify_triality)
 
 
@@ -95,8 +94,7 @@ def zorn_rho(a: Algebra, lam: FieldElement) -> Tuple[TrialityTriple, Certificate
             partner = inv[(1, 0, 2)[j]]
             cert.add(f"involution-conjugate-{j + 1}",
                      jmap @ maps[j] @ jmap == partner, (j + 1,))
-    if not cert.ok:
-        raise RelationFails("scaling-triple laws fail", witness=cert.witness)
+    cert.require("scaling-triple laws fail")
     return triple, cert
 
 
@@ -133,8 +131,7 @@ def zorn_operator_factorization(a: Algebra, lam: FieldElement) -> Certificate:
     for j, (lform, rform) in enumerate(pairs):
         cert.add(f"left-factorization-{j + 1}", rho[j] == lform, (j + 1,))
         cert.add(f"right-factorization-{j + 1}", rho[j] == rform, (j + 1,))
-    if not cert.ok:
-        raise RelationFails("operator factorization fails", witness=cert.witness)
+    cert.require("operator factorization fails")
     return cert
 
 
@@ -266,8 +263,7 @@ def zorn_s_triple(a: Algebra) -> Tuple[LocalTriple, Certificate]:
             neg = LinearMap(a, [[-c for c in row] for row in partner.rows])
             cert.add(f"involution-pairs-components-{j + 1}",
                      jmap @ maps[j] @ jmap == neg, (j + 1,))
-    if not cert.ok:
-        raise RelationFails("grading-triple laws fail", witness=cert.witness)
+    cert.require("grading-triple laws fail")
     return triple, cert
 
 
@@ -292,6 +288,5 @@ def conjugate_consistency(a: Algebra, lam: FieldElement) -> Certificate:
                 witness = (j + 1, *w)
                 break
         cert.add(f"{name}-triple-transfers-to-conjugate-product", witness is None, witness)
-    if not cert.ok:
-        raise RelationFails("conjugate transfer fails", witness=cert.witness)
+    cert.require("conjugate transfer fails")
     return cert

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit import linalg
-from trialkit.algebra import Algebra, AlgebraError, LinearMap, _squares_to_identity
+from trialkit.algebra import Algebra, AlgebraError, LinearMap
 from trialkit.constructors import make_hurwitz, make_para, named_algebra
 from trialkit.fields import FieldDescriptor, PRIME, RATIONALS
 from trialkit.linalg import NotInvertible
@@ -99,4 +99,4 @@ def test_sparse_involution_check_matches_dense_square(entries):
     m = [[F3.from_int(v) for v in row] for row in entries]
     n = len(m)
     dense = linalg.mat_eq(linalg.mat_mul(m, m), linalg.identity(n, F3.one(), F3.zero()))
-    assert _squares_to_identity(m, F3) == dense
+    assert linalg.squares_to(m, F3.one(), F3.zero()) == dense

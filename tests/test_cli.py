@@ -250,6 +250,52 @@ def test_certify_perturbed_spec_output_is_pinned(capsys, tmp_path, monkeypatch, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _degenerate_para4():
+    spec = specfile.algebra_to_dict(named_algebra("para:4"))
+    spec["form"][3][3] = "0"
+    return spec
+
+
+def _wrong_unit_hurwitz4():
+    spec = specfile.algebra_to_dict(named_algebra("hurwitz:4"))
+    spec["unit"] = ["0", "1", "0", "0"]
+    return spec
+
+
+def _broken_parazorn():
+    spec = specfile.algebra_to_dict(named_algebra("parazorn:1:1"))
+    i, j, k, _ = spec["structure"][0]
+    spec["structure"][0] = [i, j, k, "2"]
+    return spec
+
+
+# sha256 of the stdout of `certify`, taken before the CLI checks returned a
+# witness or None.  Between them they print every witness shape: the repr of
+# a tuple, a quoted clause name or message, unquoted text and a raised
+# `Type: message`.
+PINNED_WITNESS_SHAPES = [
+    (_degenerate_para4, "text", "5841b69dbcd06521ab0f5df48f74b6a88ec65e9c1d49434137b5c378dae53735"),
+    (_degenerate_para4, "json", "92f6ede793b1d7021dbfcf907a21e9079483572a861a51f84eca936ff1956702"),
+    (_wrong_unit_hurwitz4, "text", "bc97e40ff5717b1dee8e6e8bcd9dc75f311d501d7e7ae63f0a58e571dcf81aae"),
+    (_wrong_unit_hurwitz4, "json", "db628131b15ec538dba48eb8cd77dc7d20e901d7c5b2825a6b6d3341ae4db47a"),
+    (_broken_parazorn, "text", "00aef02af4fe7bba6730f88fbb90e9da27e0a4590046e4621825deab0fed4347"),
+    (_broken_parazorn, "json", "316c1b56cbc38e46539dc7aa5456e0b041e4f8c8cf44d05283b04d0fdfae7405"),
+]
+
+
+@pytest.mark.parametrize("build,fmt,digest", PINNED_WITNESS_SHAPES)
+def test_certify_witness_shapes_are_pinned(capsys, tmp_path, monkeypatch, build, fmt, digest):
+    """A degenerate form ('form has a radical'), a unit that is not one
+    (basis index 0) and a para-Zorn algebra with one broken structure
+    constant ('transpose-intertwines-product' and raised RelationFails)."""
+    name = build.__name__.lstrip("_")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(build()))
+    rc, out, err = run(capsys, "certify", f"{name}.json", "--format", fmt)
+    assert (rc, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_expcheck_command(capsys):
     rc, out, _ = run(capsys, "expcheck", "para2", "1,1,-2")
     assert rc == 0

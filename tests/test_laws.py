@@ -791,19 +791,20 @@ def test_tuple_checks_keep_their_witnesses(field):
                               ref_quartic_exchange_identities)):
                 assert outcome(new, alg) == outcome(ref, alg), (name, new.__name__)
             core = dict(cli._suite_core(alg))
-            for check_id, want in ref_core_checks(alg).items():
-                assert core[check_id]() == want, (name, check_id)
+            for check_id, (_, witness) in ref_core_checks(alg).items():
+                assert core[check_id]() == witness, (name, check_id)
         checked += 1
     assert checked >= len(NAMED) - 2
 
 
-GENERATING = ["form_associativity", "linearized"]
-IMPLIED = ["two_sided_norm", "composition", "polarized", "product_exchange"]
+GENERATING = ["linearized"]
+IMPLIED = ["two_sided_norm", "composition", "polarized", "form_associativity",
+           "product_exchange"]
 
 
 def test_symmetric_composition_scans_only_the_generating_clauses(monkeypatch):
-    """Linearized and form associativity imply the other four clauses, so
-    a certified algebra scans only those two; a failing one scans all six."""
+    """Linearized implies the other five clauses, so a certified algebra
+    scans only that one; a failing one scans all six."""
     scanned = []
     scan = symcomp.first_failing_tuple
 
@@ -891,6 +892,48 @@ def test_sigma_theta_product_check_matches_reference(case, seed, kind):
         assert got is None or "product" not in got[1]
     if kind == 0:
         assert got is None
+
+
+def ref_order3_auto(a, idem):
+    """order3_auto as it was: sigma theta and theta sigma, sigma^3 and
+    theta^3 all tested."""
+    x = idem.elem
+    sigma = a.right_op(x) @ a.right_op(x)
+    theta = a.left_op(x) @ a.left_op(x)
+    autos.certify_automorphism(a, sigma)
+    autos.certify_automorphism(a, theta)
+    if not (sigma @ theta).is_identity() or not (theta @ sigma).is_identity():
+        raise RelationFails("sigma and theta are not mutual inverses")
+    if not (sigma @ sigma @ sigma).is_identity() or not (theta @ theta @ theta).is_identity():
+        raise RelationFails("order is not 3")
+    failure = ref_order3_isometries(a, sigma, theta)
+    if failure is not None:
+        raise RelationFails(failure[0], witness=failure[1])
+    return sigma
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SYMCOMP), seed=seeds, kind=st.integers(0, 2),
+       stub=st.booleans())
+def test_order3_auto_matches_reference(case, seed, kind, stub):
+    """kind 0: a found idempotent; 1: Idempotent(a, x) for a random norm-one
+    x, for which sigma theta = <x|x>^2 Id = Id but sigma^3 != Id in general;
+    2: Idempotent(a, x) for a random x.  With `stub`, certify_automorphism
+    is stubbed out so that every x reaches the inverse and order tests."""
+    rng = random.Random(seed)
+    a = algebra(*case)
+    idems = autos.find_idempotents(a)
+    if kind == 0 and idems:
+        idem = rng.choice(idems)
+    else:
+        idem = autos.Idempotent(a, (dense_unit if kind == 1 else random_element)(a, rng))
+    with pytest.MonkeyPatch.context() as mp:
+        if stub:
+            mp.setattr(autos, "certify_automorphism", lambda alg, g: g)
+        want = outcome(ref_order3_auto, a, idem)
+        assert outcome(autos.order3_auto, a, idem) == want
+    if kind == 0 and idems:
+        assert want is None
 
 
 # ---------------------------------------------------------------------------

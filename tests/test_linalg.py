@@ -162,6 +162,49 @@ def square_matrices(draw):
     return field, matrix(n, n)
 
 
+@st.composite
+def square_test_matrices(draw):
+    """A zero, square-zero, involutive or random n x n matrix; the first
+    three conjugated by a random shear I + t E_rc (r != c), whose inverse is
+    I - t E_rc, so that they are dense."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(("zero", "square-zero", "involutive", "random")))
+    zero, one = field.zero(), field.one()
+    if shape == "random":
+        return field, [[draw(scalars(field)) for _ in range(n)] for _ in range(n)]
+    if shape == "zero":
+        m = linalg.zeros(n, n, zero)
+    elif shape == "square-zero":
+        # entries only in rows < h <= columns, so m m = 0
+        h = draw(st.integers(0, n))
+        m = [[draw(scalars(field)) if i < h <= j else zero for j in range(n)]
+             for i in range(n)]
+    else:
+        m = [[draw(st.sampled_from((one, -one))) if i == j else zero for j in range(n)]
+             for i in range(n)]
+    r, c, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(scalars(field))
+    if r != c:
+        shear, unshear = linalg.identity(n, one, zero), linalg.identity(n, one, zero)
+        shear[r][c], unshear[r][c] = t, -t
+        m = linalg.mat_mul(linalg.mat_mul(shear, m), unshear)
+    return field, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_test_matrices(), st.data())
+def test_sparse_square_test_matches_the_dense_product(case, data):
+    """squares_to(m, c) reads m m = c Id off the nonzero entries of m; the
+    dense mat_mul decides it too, for c = 0, 1 and a random scalar."""
+    field, m = case
+    n = len(m)
+    zero, one = field.zero(), field.one()
+    square = linalg.mat_mul(m, m)
+    for c in (zero, one, data.draw(scalars(field))):
+        want = linalg.mat_eq(square, linalg.mat_scale(c, linalg.identity(n, one, zero)))
+        assert linalg.squares_to(m, c, zero) == want
+
+
 def require_invertible_outcome(a, field):
     try:
         linalg.require_invertible(a, field.zero(), field.one())

@@ -1,0 +1,247 @@
+"""Seeded mutants against src/trialkit: a mutation gate for the test suite.
+
+Each mutant is a textual patch (one exact `old` -> `new` replacement in one
+source file) plus the tests that should catch it.  For each mutant the tool
+copies src/, tests/ and pyproject.toml to a temporary directory, applies the
+patch there, and runs pytest on the named tests.  A mutant is killed when
+pytest reports a failure.  Mutants listed as equivalent compute the same
+results as the original code, for the reason given; they are run too and
+are expected to survive.
+
+The exit status is 0 when every patch applies, the unpatched copy passes the
+selected tests, every other mutant is killed and every equivalent one
+survives.  The repository itself is never modified.  Not part of tier-1:
+a full run of the 29 mutants takes about ten minutes on two cores, most of
+it in hypothesis shrinking the counterexamples of the slower tests.
+
+Usage:
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CLI_PINS = "tests/test_cli.py::test_certify_output_is_pinned"
+SHAPE_PINS = "tests/test_cli.py::test_certify_witness_shapes_are_pinned"
+LAWS = "tests/test_laws.py::"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str                       # relative to src/trialkit
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+    equivalent: Optional[str] = None  # why it cannot be caught
+
+
+MUTANTS = (
+    # -- one outcome record: Certificate, the report and the CLI checks ------
+    Mutant("witness string rendered without its quotes", "cli.py",
+           "return \"'form has a radical'\"", "return \"form has a radical\"",
+           (SHAPE_PINS,)),
+    Mutant("clause name rendered without its quotes", "cli.py",
+           "return repr(bad[0]) if bad else None", "return bad[0] if bad else None",
+           (SHAPE_PINS,)),
+    Mutant("unit witness off by one", "cli.py",
+           'f"basis index {i}" for i, b in enumerate(a.basis_elements())\n'
+           "                         if not e * b == b == b * e",
+           'f"basis index {i + 1}" for i, b in enumerate(a.basis_elements())\n'
+           "                         if not e * b == b == b * e",
+           (SHAPE_PINS, LAWS + "test_tuple_checks_keep_their_witnesses")),
+    Mutant("a crashed check passes", "cli.py",
+           "cert.add(check_id, witness is None, witness)", "cert.add(check_id, True, witness)",
+           (CLI_PINS,)),
+    Mutant("slot-swap check keeps the swap clause", "cli.py",
+           'if not ok and clause != "swap-intertwines-product"]', "if not ok]",
+           (CLI_PINS,)),
+    Mutant("report counts every check as passed", "report.py",
+           "passed = sum(ok for _, ok, _ in self.checks.records)", "passed = total",
+           (CLI_PINS,)),
+    Mutant("require drops the witness", "triality.py",
+           "raise RelationFails(message, witness=self.witness)", "raise RelationFails(message)",
+           (LAWS + "test_conjugate_consistency_reports_the_first_failing_tuple",)),
+    Mutant("require never raises", "triality.py",
+           "        if not self.ok:\n            raise RelationFails(message",
+           "        if False:\n            raise RelationFails(message",
+           (LAWS + "test_conjugate_consistency_reports_the_first_failing_tuple",)),
+    Mutant("round trip skips the bridge", "cli.py",
+           '            autos.unipotent_bridge(d, "der_to_auto")', "            pass",
+           (CLI_PINS,),
+           equivalent="find_nilpotent_derivation returns only exact derivations "
+                      "(derivation_space checks its nullspace exactly) with d d = 0, "
+                      "which are the two checks the bridge makes"),
+    # -- is_symmetric_composition: linearized implies the other five -------
+    Mutant("skip taken when linearized fails", "symcomp.py",
+           "w = None if linearized_witness is None else failure()", "w = None",
+           (LAWS + "test_symmetric_composition_scans_only_the_generating_clauses",)),
+    Mutant("skip gated on form associativity", "symcomp.py",
+           'linearized_witness = dict(clauses)["linearized-norm-law"]()',
+           'linearized_witness = dict(clauses)["form-associativity"]()',
+           (LAWS + "test_symmetric_composition_scans_only_the_generating_clauses",)),
+    Mutant("implied records in reversed order", "symcomp.py",
+           "    for clause, failure in clauses:\n        if clause == \"linearized-norm-law\":",
+           "    for clause, failure in reversed(clauses):\n"
+           "        if clause == \"linearized-norm-law\":",
+           (LAWS + "test_symmetric_composition_scans_only_the_generating_clauses",)),
+    Mutant("fallback drops the linearized witness", "symcomp.py",
+           "            w = linearized_witness\n", "            w = None\n",
+           (LAWS + "test_symmetric_composition_scans_only_the_generating_clauses",)),
+    # -- sigma_theta_triples and order3_auto: one-sided inverses -------------
+    Mutant("sigma_j theta_j test dropped", "symcomp.py",
+           "if not (sigma.comp(j) @ theta.comp(j)).is_identity():", "if False:",
+           (LAWS + "test_sigma_theta_product_check_matches_reference",)),
+    Mutant("theta_j sigma_j tested in place of sigma_j theta_j", "symcomp.py",
+           "if not (sigma.comp(j) @ theta.comp(j)).is_identity():",
+           "if not (theta.comp(j) @ sigma.comp(j)).is_identity():",
+           (LAWS + "test_sigma_theta_product_check_matches_reference",),
+           equivalent="a one-sided inverse of a square matrix is two-sided"),
+    Mutant("theta product at j=2, message and witness j=2", "symcomp.py",
+           'if not (theta.comp(1) @ theta.comp(2) @ theta.comp(3)).is_identity():\n'
+           '        raise RelationFails("theta product at j=1 is not Id", witness=(1,))',
+           'if not (theta.comp(2) @ theta.comp(3) @ theta.comp(1)).is_identity():\n'
+           '        raise RelationFails("theta product at j=2 is not Id", witness=(2,))',
+           (LAWS + "test_sigma_theta_product_check_matches_reference",)),
+    Mutant("theta product at j=2 with the j=1 message", "symcomp.py",
+           "if not (theta.comp(1) @ theta.comp(2) @ theta.comp(3)).is_identity():",
+           "if not (theta.comp(2) @ theta.comp(3) @ theta.comp(1)).is_identity():",
+           (LAWS + "test_sigma_theta_product_check_matches_reference",),
+           equivalent="theta_2 theta_3 theta_1 is a conjugate of theta_1 theta_2 theta_3, "
+                      "so one is Id exactly when the other is"),
+    Mutant("order3_auto inverse test dropped", "autos.py",
+           "    if not (sigma @ theta).is_identity():", "    if False:",
+           (LAWS + "test_order3_auto_matches_reference",)),
+    Mutant("order3_auto order test dropped", "autos.py",
+           '"sigma and theta are not mutual inverses")\n'
+           "    if not (sigma @ sigma @ sigma).is_identity():",
+           '"sigma and theta are not mutual inverses")\n    if False:',
+           (LAWS + "test_order3_auto_matches_reference",)),
+    # -- one sparse square test ---------------------------------------------
+    Mutant("square test ignores its target", "linalg.py",
+           "sq[i] = sq[i] - c", "sq[i] = sq[i] - zero",
+           ("tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product",
+            "tests/test_algebra.py")),
+    Mutant("square test reads the first row only", "linalg.py",
+           "for i, row in enumerate(rows):\n        sq = [zero] * len(rows)",
+           "for i, row in enumerate(rows[:1]):\n        sq = [zero] * len(rows)",
+           ("tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product",)),
+    Mutant("nilpotent search accepts d = 0", "autos.py",
+           "return any(not x.is_zero() for row in d for x in row) and linalg.squares_to(",
+           "return linalg.squares_to(",
+           ("tests/test_autos.py",),
+           equivalent="derivation_space returns a basis, so no basis vector and no sum "
+                      "or difference of two of them is zero"),
+    # -- earlier cuts: certify each identity once ---------------------------
+    Mutant("mat_inv accepts when the y blocks only have a unit diagonal", "linalg.py",
+           "if [v[n:] for v in basis] != identity(n, one, zero):",
+           "if len(basis) != n or any(v[n + i] != one for i, v in enumerate(basis)):",
+           ("tests/test_linalg.py",),
+           equivalent="an RREF kernel vector is zero past its free column, so a "
+                      "singular matrix always leaves a 0 on that diagonal"),
+    Mutant("solve accepts an inconsistent system", "linalg.py",
+           "if not basis or basis[-1][cols].is_zero():", "if not basis:",
+           ("tests/test_linalg.py::test_solve_matches_exact_rref",)),
+    Mutant("first-order factorization with theta factors swapped", "symcomp.py",
+           "theta_b = linalg.mat_mul(dual_left(j + 2), dual_left(j + 1))",
+           "theta_b = linalg.mat_mul(dual_left(j + 1), dual_left(j + 2))",
+           (LAWS + "test_first_order_factorization_matches_reference",)),
+    Mutant("commutator covariance shifted by j + k", "triality.py",
+           "left, right = moved[(j - k) % 3]", "left, right = moved[(j + k) % 3]",
+           (LAWS + "test_covariance_checks_match_reference",)),
+    Mutant("conjugate product without the involution", "constructors.py",
+           "structure = [[a.involute(x * y).coords for y in basis] for x in basis]",
+           "structure = [[(x * y).coords for y in basis] for x in basis]",
+           ("tests/test_constructors.py",)),
+    Mutant("der_to_auto without the d d = 0 test", "autos.py",
+           "if not linalg.squares_to(m.rows, a.field.zero(), a.field.zero()):",
+           "if False:",
+           (LAWS + "test_unipotent_bridge_matches_reference",)),
+    Mutant("auto_to_der returns m + Id", "autos.py",
+           "        return m - ident\n", "        return m + ident\n",
+           (LAWS + "test_unipotent_bridge_matches_reference",)),
+)
+
+
+def _copy_tree(dest: str) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def _pytest(workdir: str, tests) -> Tuple[int, str]:
+    """Exit code and last output line of pytest on `tests` in `workdir`;
+    hypothesis runs with a fixed seed, so a verdict is reproducible."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(workdir, "src"))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           "--hypothesis-seed=0", *tests],
+                          cwd=workdir, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode, lines[-1] if lines else proc.stderr.strip()[-200:]
+
+
+def _patched(source: str, m: Mutant) -> str:
+    count = source.count(m.old)
+    if count != 1:
+        raise SystemExit(f"stale mutant {m.name!r}: its text occurs {count} times in {m.path}")
+    return source.replace(m.old, m.new)
+
+
+def run(mutants) -> int:
+    selected = sorted({t for m in mutants for t in m.tests})
+    with tempfile.TemporaryDirectory(prefix="trialkit-mutants-") as tmp:
+        _copy_tree(tmp)
+        for m in mutants:  # every patch must apply before anything runs
+            with open(os.path.join(tmp, "src", "trialkit", m.path)) as fh:
+                _patched(fh.read(), m)
+        code, last = _pytest(tmp, selected)
+        if code != 0:
+            print(f"the unpatched copy fails the selected tests: {last}")
+            return 1
+        bad = 0
+        killed = 0
+        for m in mutants:
+            path = os.path.join(tmp, "src", "trialkit", m.path)
+            with open(path) as fh:
+                original = fh.read()
+            with open(path, "w") as fh:
+                fh.write(_patched(original, m))
+            start = time.perf_counter()
+            try:
+                code, last = _pytest(tmp, m.tests)
+            finally:
+                with open(path, "w") as fh:
+                    fh.write(original)
+            if code not in (0, 1, 2):
+                print(f"ERROR     {m.name}: pytest exit {code}: {last}")
+                bad += 1
+                continue
+            died = code != 0
+            killed += died and m.equivalent is None
+            if m.equivalent is None:
+                verdict, reason = ("killed" if died else "SURVIVED"), ""
+                bad += not died
+            else:
+                verdict = "KILLED (listed as equivalent)" if died else "equivalent"
+                reason = f": {m.equivalent}"
+                bad += died
+            print(f"{verdict:<12}{m.name}{reason}  [{time.perf_counter() - start:.1f} s]")
+    equivalent = sum(m.equivalent is not None for m in mutants)
+    print(f"{killed} of {len(mutants) - equivalent} mutants killed; "
+          f"{equivalent} equivalent mutants listed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(MUTANTS))
