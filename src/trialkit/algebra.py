@@ -175,6 +175,14 @@ class Algebra:
         # product_terms[i][j]: the nonzero (k, c[i][j][k]) of e_i e_j, by k.
         self.product_terms = [[tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
                                for row in plane] for plane in self.structure]
+        # The same terms on integers, for linalg's kernel: int_terms[i][j] is
+        # the (k, c0, c1) with c[i][j][k] = (c0 + c1 sqrt d)/int_den (over
+        # F_p, int_den = 1 and c0 is the residue).
+        self.int_den, n0s, n1s = linalg._lift(
+            [c for plane in self.product_terms for terms in plane for _, c in terms])
+        ints = iter(zip(n0s, n1s))
+        self.int_terms = [[tuple((k, *next(ints)) for k, _ in terms) for terms in plane]
+                          for plane in self.product_terms]
         # the Certificate of symcomp.is_symmetric_composition, once computed
         self._symcomp_cache = None
 
@@ -288,8 +296,8 @@ class ResidueAlgebra:
         self.p = a.field.p
         self.dim = a.dim
         # terms[i][j]: the nonzero (k, c) of e_i e_j with c a residue
-        self.terms = [[tuple((k, c.a) for k, c in row) for row in plane]
-                      for plane in a.product_terms]
+        self.terms = [[tuple((k, c) for k, c, _ in row) for row in plane]
+                      for plane in a.int_terms]
         self.form = None if a.form is None else [[c.a for c in row] for row in a.form]
 
     def multiply(self, x: tuple, y: tuple) -> tuple:

@@ -1,19 +1,34 @@
-"""Dense exact linear algebra over any ring whose elements support +, -, *, /.
+"""Dense exact linear algebra over FieldElement matrices.
 
-Matrices are plain lists of lists.  Everything here works for FieldElement
-entries and, where no division is used, for dual-number entries too.
-`nullspace` takes FieldElements only: it row-reduces modulo primes and checks
-the lifted result exactly (see its docstring).  `mat_inv` and `solve` read
-their results off a `nullspace` basis.
+Matrices are plain lists of lists of FieldElements of one field.
+
+Products and comparisons run on the integers that a FieldElement already
+stores, (n0 + n1 sqrt d)/q (see `fields`): `_lift` puts a row, a column or a
+whole matrix over one common denominator, the lcm of its entries' q, so that
+each sum of products is a sum of integer pair products
+(u0 + u1 sqrt d)(v0 + v1 sqrt d) = (u0 v0 + d u1 v1) + (u0 v1 + u1 v0) sqrt d
+(`_dot` on dense vectors, `_add_multiple` on sparse ones), and `_wrap` builds
+one FieldElement per result.  Over Q the n1 parts are zero and skipped; over
+F_p every q is 1, the n0 are the residues, and a result is reduced mod p only
+when it is wrapped or compared.  This is exact with no stated bound: Python
+ints do not overflow, and two quotients over positive denominators are equal
+exactly when their numerators, each multiplied by the other's denominator,
+are equal (mod p over F_p), which is when their canonical FieldElements are
+equal.
+
+`nullspace` row-reduces modulo primes and checks the lifted result exactly
+(see its docstring).  `mat_inv` and `solve` read their results off a
+`nullspace` basis.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul, sub
 from typing import List, Optional, Tuple
 
-from .fields import _make, _reduced
+from .fields import FieldDescriptor, FieldElement, _make, _reduced
 
 Matrix = List[list]
 Vector = List
@@ -44,27 +59,39 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    """a b, each entry the integer dot product of a row of a and a column of
+    b, each lifted over its own denominator; every zero entry is one shared
+    zero element."""
+    if not b or not b[0]:
+        return [[] for _ in a]
+    desc = b[0][0].desc
+    d = desc.d
+    zero = _make(desc, 0, 0, 1)
+    cols = [_lift(col) for col in zip(*b)]
     out = []
-    for i in range(rows):
-        row = []
-        ai = a[i]
-        for j in range(cols):
-            acc = ai[0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + ai[k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        q, u0, u1 = _lift(row)
+        line = []
+        for r, v0, v1 in cols:
+            s0, s1 = _dot(d, u0, u1, v0, v1)
+            line.append(_wrap(desc, s0, s1, q * r) if s0 or s1 else zero)
+        out.append(line)
     return out
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
+    """a v, each entry the integer dot product of a lifted row and the
+    lifted v."""
+    if not a:
+        return []
+    desc = v[0].desc
+    d = desc.d
+    qv, v0, v1 = _lift(v)
     out = []
     for row in a:
-        acc = row[0] * v[0]
-        for k in range(1, len(v)):
-            acc = acc + row[k] * v[k]
-        out.append(acc)
+        q, u0, u1 = _lift(row)
+        s0, s1 = _dot(d, u0, u1, v0, v1)
+        out.append(_wrap(desc, s0, s1, q * qv))
     return out
 
 
@@ -97,6 +124,93 @@ def squares_to(m: Matrix, c, zero) -> bool:
         if not all(v.is_zero() for v in sq):
             return False
     return True
+
+
+# -- the integer kernel (see the module docstring) ----------------------------
+
+def _lift(xs) -> Tuple[int, List[int], List[int]]:
+    """(q, n0s, n1s) with xs[t] = (n0s[t] + n1s[t] sqrt d)/q, where q is the
+    lcm of the denominators of the FieldElements xs (1 over F_p)."""
+    q = lcm(*[x._q for x in xs])
+    if q == 1:
+        return 1, [x._n0 for x in xs], [x._n1 for x in xs]
+    return q, [x._n0 * (q // x._q) for x in xs], [x._n1 * (q // x._q) for x in xs]
+
+
+def _lift_rows(m: Matrix) -> Tuple[int, List[list]]:
+    """A whole matrix over one denominator q: (q, rows), rows[i] the nonzero
+    entries of row i as (column, n0, n1), entry (n0 + n1 sqrt d)/q."""
+    q, n0s, n1s = _lift([x for row in m for x in row])
+    rows, t = [], 0
+    for row in m:
+        rows.append([(c, n0s[t + c], n1s[t + c]) for c in range(len(row))
+                     if n0s[t + c] or n1s[t + c]])
+        t += len(row)
+    return q, rows
+
+
+def _lift_columns(m: Matrix) -> Tuple[int, List[list]]:
+    """`_lift_rows` of the transpose: the nonzero entries of each column."""
+    return _lift_rows(list(zip(*m)))
+
+
+def _wrap(desc: FieldDescriptor, s0: int, s1: int, q: int) -> FieldElement:
+    """The FieldElement (s0 + s1 sqrt d)/q for integers s0, s1 and q > 0;
+    over F_p (q = 1, s1 = 0) the residue of s0."""
+    p = desc.p
+    if p is not None:
+        return _make(desc, s0 % p, 0, 1)
+    return _reduced(desc, s0, s1, q)
+
+
+def _add_multiple(d: Optional[int], acc0: list, acc1: list, y0: int, y1: int,
+                  terms) -> None:
+    """acc += y v in place, for the scalar y = y0 + y1 sqrt d and the sparse
+    vector v given as its nonzero (r, v0, v1), all numerators; over Q and
+    F_p (d None) the sqrt d parts are not read and acc1 is not written."""
+    if d is None:
+        for r, v0, _ in terms:
+            acc0[r] += y0 * v0
+    elif y1:
+        dy1 = d * y1
+        for r, v0, v1 in terms:
+            acc0[r] += y0 * v0 + dy1 * v1
+            acc1[r] += y0 * v1 + y1 * v0
+    else:
+        for r, v0, v1 in terms:
+            acc0[r] += y0 * v0
+            acc1[r] += y0 * v1
+
+
+def _dot(d: Optional[int], u0: list, u1: list, v0, v1) -> Tuple[int, int]:
+    """Numerators (s0, s1) of sum_t u_t v_t for dense vectors u = u0 +
+    u1 sqrt d and v = v0 + v1 sqrt d; over Q and F_p (d None) s1 = 0."""
+    s0 = sum(map(mul, u0, v0))
+    if d is None:
+        return s0, 0
+    return (s0 + d * sum(map(mul, u1, v1)),
+            sum(map(mul, u0, v1)) + sum(map(mul, u1, v0)))
+
+
+def _agree(p: Optional[int], u0: list, u1: list, v0: list, v1: list) -> bool:
+    """Whether the vectors u = u0 + u1 sqrt d and v = v0 + v1 sqrt d of
+    numerators over one denominator are equal; over F_p, whether u0 = v0
+    mod p."""
+    if p is not None:
+        return not any(map(p.__rmod__, map(sub, u0, v0)))
+    return u0 == v0 and u1 == v1
+
+
+def _scaled(s: int, vectors: List[list]) -> List[list]:
+    """Sparse vectors (see `_lift_rows`) multiplied by the integer s."""
+    if s == 1:
+        return vectors
+    return [[(r, s * x0, s * x1) for r, x0, x1 in v] for v in vectors]
+
+
+def _sparse(v0: list, v1: list) -> list:
+    """The nonzero (r, v0[r], v1[r]) of a dense vector of numerators."""
+    return [(r, x0, x1) for r, (x0, x1) in enumerate(zip(v0, v1)) if x0 or x1]
 
 
 # Primes for the modular nullspace: the twelve largest primes below 2**62 that
@@ -162,21 +276,20 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
         return out
     int_rows = []
     for row in a:
-        nonzero = [(c, x) for c, x in enumerate(row) if x is not zero and (x._n0 or x._n1)]
-        if nonzero:
-            den = lcm(*(x._q for _, x in nonzero))
-            int_rows.append({c: (x._n0 * (den // x._q), x._n1 * (den // x._q))
-                             for c, x in nonzero})
+        cs = [c for c, x in enumerate(row) if x is not zero and (x._n0 or x._n1)]
+        if cs:
+            _, n0s, n1s = _lift([row[c] for c in cs])
+            int_rows.append(list(zip(cs, n0s, n1s)))
     for p, roots in _embeddings(desc.d):
         images = []
         for s in roots:
-            rows = [{c: y for c, (n0, n1) in row.items() if (y := (n0 + n1 * s) % p)}
+            rows = [{c: y for c, n0, n1 in row if (y := (n0 + n1 * s) % p)}
                     for row in int_rows]
             images.append(_rref_mod(rows, cols, p))
         if images[-1].keys() != images[0].keys():
             continue
-        lifted = _lift(images, roots, cols, p)
-        if lifted is not None and _in_kernel(int_rows, lifted, desc.d or 0):
+        lifted = _reconstruct(images, roots, cols, p)
+        if lifted is not None and _in_kernel(int_rows, lifted, desc.d):
             out = []
             for den, w in lifted:
                 v = [zero] * cols
@@ -261,7 +374,7 @@ def _rational(u: int, p: int, bound: int) -> Optional[Tuple[int, int]]:
     return r1, t1
 
 
-def _lift(images: List[dict], roots: tuple, cols: int, p: int) -> Optional[list]:
+def _reconstruct(images: List[dict], roots: tuple, cols: int, p: int) -> Optional[list]:
     """Rational reconstruction of the mod-p kernel basis.
 
     One (den, {column: (n0, n1)}) per free column, for the vector with
@@ -294,19 +407,19 @@ def _lift(images: List[dict], roots: tuple, cols: int, p: int) -> Optional[list]
     return out
 
 
-def _in_kernel(int_rows: List[dict], vectors: list, d: int) -> bool:
-    """Exact check that every row of the integer system kills every vector."""
+def _in_kernel(int_rows: List[list], vectors: list, d: Optional[int]) -> bool:
+    """Exact check that every row of the integer system (see `_lift_rows`)
+    kills every vector: the columns of the system weighted by the vector's
+    entries sum to zero."""
     by_col: dict = {}
     for i, row in enumerate(int_rows):
-        for c, x in row.items():
-            by_col.setdefault(c, []).append((i, x))
+        for c, n0, n1 in row:
+            by_col.setdefault(c, []).append((i, n0, n1))
     for _, w in vectors:
         s0 = [0] * len(int_rows)
         s1 = [0] * len(int_rows)
         for c, (w0, w1) in w.items():
-            for i, (n0, n1) in by_col.get(c, ()):
-                s0[i] += n0 * w0 + d * n1 * w1
-                s1[i] += n0 * w1 + n1 * w0
+            _add_multiple(d, s0, s1, w0, w1, by_col.get(c, ()))
         if any(s0) or any(s1):
             return False
     return True

@@ -22,6 +22,7 @@ from .algebra import Algebra, AlgebraError, Element, LinearMap, ResidueAlgebra
 from .constructors import make_para_dim2
 from .dual import Dual
 from .fields import FieldDescriptor, FieldElement, sqrt_in_field
+from .linalg import _add_multiple, _agree, _lift_rows, _scaled
 from .triality import (
     Certificate,
     LocalTriple,
@@ -72,15 +73,46 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
     """
     if a._symcomp_cache is not None:
         return a._symcomp_cache
+    if a.form is None:
+        raise AlgebraError("algebra has no bilinear form")
     cert = Certificate()
     n = a.dim
-    basis = a.basis_elements()
+    d, prime = a.field.d, a.field.p
 
-    # Loop-invariant tables: prods[i][j] = e_i e_j and gram[i][k] = <e_i|e_k>.
-    prods = [[basis[i] * basis[j] for j in range(n)] for i in range(n)]
-    gram = [[a.form_eval(basis[i], basis[k]) for k in range(n)] for i in range(n)]
-    two = a.field.from_int(2)
+    # The linearized law on linalg's integer kernel.  e_i e_j is
+    # terms[i][j] over den and <e_i|e_k> is gram_rows[i] over qg, so with the
+    # outer product's terms multiplied by qg, each half of the law and
+    # 2<x|z>y (twice_gram) are numerator vectors over den^2 qg, compared
+    # exactly (mod p over F_p).
+    den, terms = a.int_den, a.int_terms
+    qg, gram_rows = _lift_rows(a.form)
+    outer_terms = [_scaled(qg, plane) for plane in terms]
+    twice_gram = [[(0, 0)] * n for _ in range(n)]
+    for i, row in enumerate(gram_rows):
+        for k, g0, g1 in row:
+            twice_gram[i][k] = (2 * den * den * g0, 2 * den * den * g1)
 
+    def linearized(i, j, k):
+        want0, want1 = [0] * n, [0] * n
+        want0[j], want1[j] = twice_gram[i][k]
+        # (xy)z + (zy)x, then x(yz) + z(yx)
+        l0, l1 = [0] * n, [0] * n
+        for m, c0, c1 in outer_terms[i][j]:
+            _add_multiple(d, l0, l1, c0, c1, terms[m][k])
+        for m, c0, c1 in outer_terms[k][j]:
+            _add_multiple(d, l0, l1, c0, c1, terms[m][i])
+        if not _agree(prime, l0, l1, want0, want1):
+            return False
+        r0, r1 = [0] * n, [0] * n
+        for m, c0, c1 in outer_terms[j][k]:
+            _add_multiple(d, r0, r1, c0, c1, terms[i][m])
+        for m, c0, c1 in outer_terms[j][i]:
+            _add_multiple(d, r0, r1, c0, c1, terms[k][m])
+        return _agree(prime, r0, r1, want0, want1)
+
+    # The other five clauses run on FieldElements, scanned only when
+    # linearized fails: prods[i][j] = e_i e_j and gram[i][k] = <e_i|e_k> are
+    # built then.
     def two_sided_norm(i, j):
         x, y, nx = basis[i], basis[j], gram[i][i]
         return prods[i][j] * x == nx * y and x * prods[j][i] == nx * y
@@ -96,12 +128,6 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
 
     def form_associativity(i, j, k):
         return a.form_eval(prods[i][j], basis[k]) == a.form_eval(basis[i], prods[j][k])
-
-    def linearized(i, j, k):
-        x, z = basis[i], basis[k]
-        rhs = two * gram[i][k] * basis[j]
-        return (prods[i][j] * z + prods[k][j] * x == rhs
-                and x * prods[j][k] + z * prods[j][i] == rhs)
 
     # (xy)(yz) = 2<x|yz>y - <y|y>zx, quadratic in y so sums of basis pairs
     # are also exercised
@@ -126,6 +152,11 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
                ("linearized-norm-law", partial(first_failing_tuple, linearized, n, n, n)),
                ("product-exchange-law", product_exchange_failure))
     linearized_witness = dict(clauses)["linearized-norm-law"]()
+    if linearized_witness is not None:
+        basis = a.basis_elements()
+        prods = [[basis[i] * basis[j] for j in range(n)] for i in range(n)]
+        gram = [[a.form_eval(basis[i], basis[k]) for k in range(n)] for i in range(n)]
+        two = a.field.from_int(2)
     for clause, failure in clauses:
         if clause == "linearized-norm-law":
             w = linearized_witness
@@ -404,6 +435,11 @@ def first_order_factorization(p: LambdaVector) -> None:
     """Exact dual-number form of the infinitesimal statement: over F[eps]
     with eps^2 = 0, sigma_j(a) theta_j(a + eps p) = Id + eps D_j(a, p).
 
+    theta_j(a + eps p) = L(a_{j+2} + eps p_{j+2}) L(a_{j+1} + eps p_{j+1}),
+    and L is linear, so the product is (S)(A + eps P)(B + eps Q) =
+    S A B + eps S (A Q + P B), two FieldElement matrices.  Each entry is
+    compared as a dual number with the one of Id + eps D_j.
+
     Only the factorization is checked here; `local_D` certifies D(a, p) as a
     local triple."""
     a = p.base
@@ -413,19 +449,19 @@ def first_order_factorization(p: LambdaVector) -> None:
     ds = _local_D_maps(a, p)
     sigmas = sigma_maps(a)
 
-    def dual_left(j: int) -> List[List[Dual]]:
-        """L(a_j + eps p_j) = L(a_j) + eps L(p_j), by linearity."""
-        re, ep = alg.left_op(a.comp(j)).rows, alg.left_op(p.p_comp(j)).rows
-        return [list(map(Dual, r, e)) for r, e in zip(re, ep)]
+    def left(j: int) -> Tuple[linalg.Matrix, linalg.Matrix]:
+        """L(a_j) and L(p_j), the two parts of L(a_j + eps p_j)."""
+        return alg.left_op(a.comp(j)).rows, alg.left_op(p.p_comp(j)).rows
 
     for j in range(1, 4):
-        sig = [[Dual.lift(v) for v in row] for row in sigmas[j - 1].rows]
-        theta_b = linalg.mat_mul(dual_left(j + 2), dual_left(j + 1))
-        prod = linalg.mat_mul(sig, theta_b)
+        (a2, p2), (a1, p1) = left(j + 2), left(j + 1)
+        sig = sigmas[j - 1].rows
+        re = linalg.mat_mul(sig, linalg.mat_mul(a2, a1))
+        ep = linalg.mat_mul(sig, linalg.mat_add(linalg.mat_mul(a2, p1), linalg.mat_mul(p2, a1)))
         for k in range(n):
             for l in range(n):
                 want = Dual(fdesc.one() if k == l else fdesc.zero(), ds[j - 1].rows[k][l])
-                if prod[k][l] != want:
+                if Dual(re[k][l], ep[k][l]) != want:
                     raise RelationFails("first-order factorization fails",
                                         witness=(j, k, l))
 

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .fields import FieldElement, FieldNotEmbeddable
+from .linalg import _add_multiple, _agree, _lift_columns, _lift_rows, _scaled, _sparse
 
 Pair = Tuple[int, int]
 
@@ -89,27 +90,6 @@ class LocalTriple(TripleBase):
     pass
 
 
-def _sparse(v: Sequence[FieldElement]) -> list:
-    """The nonzero (row, entry) of a coordinate vector."""
-    return [(r, x) for r, x in enumerate(v) if not x.is_zero()]
-
-
-def _columns(m: Optional[LinearMap], n: int, one: FieldElement) -> List[list]:
-    """Each column m e_i in sparse form; None is the identity."""
-    if m is None:
-        return [[(i, one)] for i in range(n)]
-    return [_sparse(col) for col in zip(*m.rows)]
-
-
-def _combine(n: int, zero: FieldElement, weighted) -> List[FieldElement]:
-    """Coordinates of sum c v over (c, v) in `weighted`, each v sparse."""
-    out = [zero] * n
-    for c, v in weighted:
-        for r, x in v:
-            out[r] = out[r] + c * x
-    return out
-
-
 def product_law_failure(a: Algebra, outer: LinearMap, left: LinearMap,
                         right: LinearMap, local: bool = False) -> Optional[Pair]:
     """First basis pair (i, k), in row-major order, where
@@ -119,41 +99,76 @@ def product_law_failure(a: Algebra, outer: LinearMap, left: LinearMap,
 
     Triality and local triples are three such laws; automorphisms and
     derivations are the cases outer = left = right.
+
+    Both sides run on linalg's integer kernel: the columns of each map are
+    lifted over one denominator and the structure constants are
+    `a.int_terms` over `a.int_den`.  Each map is multiplied up front by the
+    denominators of the maps on the other side, so that both sides at (i, k)
+    are numerator vectors over the same denominator, compared exactly (mod p
+    over F_p).
     """
-    n = a.dim
-    zero, one = a.field.zero(), a.field.one()
-    terms = a.product_terms
-    outer_cols = _columns(outer, n, one)
-    lcols, rcols = _columns(left, n, one), _columns(right, n, one)
-    # by_right[k][l]: e_l (right e_k) in sparse form
-    by_right = [[_sparse(_combine(n, zero, ((v, terms[l][m]) for m, v in rcols[k])))
-                 for l in range(n)] for k in range(n)]
+    n, d, p = a.dim, a.field.d, a.field.p
+    terms = a.int_terms
+    qo, ocols = _lift_columns(outer.rows)
+    ql, lcols = _lift_columns(left.rows)
+    qr, rcols = _lift_columns(right.rows)
+    # outer(e_i e_k) is over qo int_den; (left e_i)(right e_k) over
+    # ql qr int_den; (left e_i) e_k over ql int_den; e_i (right e_k) over
+    # qr int_den
+    if local:
+        ocols = _scaled(ql * qr, ocols)
+        lcols, rcols = _scaled(qo * qr, lcols), _scaled(qo * ql, rcols)
+    else:
+        ocols, lcols = _scaled(ql * qr, ocols), _scaled(qo, lcols)
+    # by_right[k][l]: e_l (right e_k), sparse
+    by_right = []
+    for k in range(n):
+        row = []
+        for l in range(n):
+            v0, v1 = [0] * n, [0] * n
+            for m, y0, y1 in rcols[k]:
+                _add_multiple(d, v0, v1, y0, y1, terms[l][m])
+            row.append(_sparse(v0, v1))
+        by_right.append(row)
     for i in range(n):
         for k in range(n):
             # outer(e_i e_k): the columns of outer weighted by e_i e_k
-            lhs = _combine(n, zero, ((c, outer_cols[m]) for m, c in terms[i][k]))
+            lhs0, lhs1 = [0] * n, [0] * n
+            for m, c0, c1 in terms[i][k]:
+                _add_multiple(d, lhs0, lhs1, c0, c1, ocols[m])
+            rhs0, rhs1 = [0] * n, [0] * n
             if local:
-                rhs = _combine(n, zero, [(u, terms[l][k]) for l, u in lcols[i]]
-                               + [(one, by_right[k][i])])
+                for l, x0, x1 in lcols[i]:
+                    _add_multiple(d, rhs0, rhs1, x0, x1, terms[l][k])
+                _add_multiple(d, rhs0, rhs1, 1, 0, by_right[k][i])
             else:
-                rhs = _combine(n, zero, ((u, by_right[k][l]) for l, u in lcols[i]))
-            if lhs != rhs:
+                for l, x0, x1 in lcols[i]:
+                    _add_multiple(d, rhs0, rhs1, x0, x1, by_right[k][l])
+            if not _agree(p, lhs0, lhs1, rhs0, rhs1):
                 return (i, k)
     return None
 
 
-def _pairings(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> List[list]:
-    """Matrix of <f e_i | g e_k>; None is the identity."""
-    n = a.dim
-    zero, one = a.field.zero(), a.field.one()
-    form_rows = [_sparse(row) for row in a.form]
-    gcols = _columns(g, n, one)
-    out = []
-    for fcol in _columns(f, n, one):
-        # w = (f e_i)^T G, so that <f e_i | v> = w . v
-        w = _combine(n, zero, ((x, form_rows[l]) for l, x in fcol))
-        out.append([sum((w[m] * y for m, y in gcol), zero) for gcol in gcols])
-    return out
+def _pairings(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> tuple:
+    """(q, P0, P1): <f e_i | g e_k> = (P0[i][k] + P1[i][k] sqrt d)/(q h),
+    h the denominator of the lifted form; None is the identity."""
+    n, d = a.dim, a.field.d
+    unit = [[(i, 1, 0)] for i in range(n)]
+    _, form_rows = _lift_rows(a.form)
+    qf, fcols = (1, unit) if f is None else _lift_columns(f.rows)
+    qg, grows = (1, unit) if g is None else _lift_rows(g.rows)
+    p0, p1 = [], []
+    for fcol in fcols:
+        # w = (f e_i)^T G, so that <f e_i | g e_k> = sum_m w_m g[m][k]
+        w0, w1 = [0] * n, [0] * n
+        for l, x0, x1 in fcol:
+            _add_multiple(d, w0, w1, x0, x1, form_rows[l])
+        s0, s1 = [0] * n, [0] * n
+        for m, x0, x1 in _sparse(w0, w1):
+            _add_multiple(d, s0, s1, x0, x1, grows[m])
+        p0.append(s0)
+        p1.append(s1)
+    return qf * qg, p0, p1
 
 
 def form_law_failure(a: Algebra, f1: Optional[LinearMap], g1: Optional[LinearMap],
@@ -162,14 +177,24 @@ def form_law_failure(a: Algebra, f1: Optional[LinearMap], g1: Optional[LinearMap
     """First basis pair (i, k), in row-major order, where
     <f1 e_i | g1 e_k> != <f2 e_i | g2 e_k> (a map given as None is the
     identity), or None.  Isometry is (g, g), adjointness (s, None, None, t)
-    and skewness (t, None, None, -t)."""
+    and skewness (t, None, None, -t).
+
+    Both sides are integer pairing matrices (`_pairings`), each row
+    multiplied by the other side's denominator and compared exactly (mod p
+    over F_p)."""
     if a.form is None:
         raise AlgebraError("algebra has no bilinear form")
-    lhs, rhs = _pairings(a, f1, g1), _pairings(a, f2, g2)
+    p = a.field.p
+    q1, lhs0, lhs1 = _pairings(a, f1, g1)
+    q2, rhs0, rhs1 = _pairings(a, f2, g2)
     for i in range(a.dim):
-        for k in range(a.dim):
-            if lhs[i][k] != rhs[i][k]:
-                return (i, k)
+        u0, u1, v0, v1 = lhs0[i], lhs1[i], rhs0[i], rhs1[i]
+        if q1 != q2:
+            u0, u1 = [x * q2 for x in u0], [x * q2 for x in u1]
+            v0, v1 = [x * q1 for x in v0], [x * q1 for x in v1]
+        if not _agree(p, u0, u1, v0, v1):
+            return i, next(k for k in range(a.dim)
+                           if not _agree(p, u0[k:k + 1], u1[k:k + 1], v0[k:k + 1], v1[k:k + 1]))
     return None
 
 

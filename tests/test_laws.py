@@ -519,6 +519,131 @@ def test_form_law_needs_a_form():
 
 
 # ---------------------------------------------------------------------------
+# The law checkers on the integer kernel against the FieldElement checkers
+# ---------------------------------------------------------------------------
+#
+# product_law_failure and form_law_failure as they were before they ran on
+# linalg's integer kernel: every scalar product and sum a FieldElement.
+
+def _ref_sparse(v):
+    return [(r, x) for r, x in enumerate(v) if not x.is_zero()]
+
+
+def _ref_columns(m, n, one):
+    if m is None:
+        return [[(i, one)] for i in range(n)]
+    return [_ref_sparse(col) for col in zip(*m.rows)]
+
+
+def _ref_combine(n, zero, weighted):
+    out = [zero] * n
+    for c, v in weighted:
+        for r, x in v:
+            out[r] = out[r] + c * x
+    return out
+
+
+def ref_product_law_failure(a, outer, left, right, local=False):
+    n = a.dim
+    zero, one = a.field.zero(), a.field.one()
+    terms = a.product_terms
+    outer_cols = _ref_columns(outer, n, one)
+    lcols, rcols = _ref_columns(left, n, one), _ref_columns(right, n, one)
+    by_right = [[_ref_sparse(_ref_combine(n, zero, ((v, terms[l][m]) for m, v in rcols[k])))
+                 for l in range(n)] for k in range(n)]
+    for i in range(n):
+        for k in range(n):
+            lhs = _ref_combine(n, zero, ((c, outer_cols[m]) for m, c in terms[i][k]))
+            if local:
+                rhs = _ref_combine(n, zero, [(u, terms[l][k]) for l, u in lcols[i]]
+                                   + [(one, by_right[k][i])])
+            else:
+                rhs = _ref_combine(n, zero, ((u, by_right[k][l]) for l, u in lcols[i]))
+            if lhs != rhs:
+                return (i, k)
+    return None
+
+
+def _ref_pairings(a, f, g):
+    n = a.dim
+    zero, one = a.field.zero(), a.field.one()
+    form_rows = [_ref_sparse(row) for row in a.form]
+    gcols = _ref_columns(g, n, one)
+    out = []
+    for fcol in _ref_columns(f, n, one):
+        w = _ref_combine(n, zero, ((x, form_rows[l]) for l, x in fcol))
+        out.append([sum((w[m] * y for m, y in gcol), zero) for gcol in gcols])
+    return out
+
+
+def ref_form_law_failure(a, f1, g1, f2=None, g2=None):
+    lhs, rhs = _ref_pairings(a, f1, g1), _ref_pairings(a, f2, g2)
+    for i in range(a.dim):
+        for k in range(a.dim):
+            if lhs[i][k] != rhs[i][k]:
+                return (i, k)
+    return None
+
+
+# Q, Q(sqrt d) for d = -3, -1, 2, 3, 5, and F_p for p = 3, 7, 13
+KERNEL_CASES = [("para:4", "Q"), ("para:4", "Qsqrt-1"), ("para:4", "F3"),
+                ("para:8", "Qsqrt2"), ("para:8", "Qsqrt5"), ("para:8", "F13"),
+                ("para:8", "Qsqrt-3"), ("okubo", "Qsqrt3"), ("okubo", "F13"), ("para:4", "F7"),
+                ("parazorn:1:1", "Qsqrt-1"), ("parazorn:2:1", "F3"),
+                ("parazorn:3:1", "Qsqrt5"), ("parazorn:1:3", "Qsqrt2")]
+
+
+def big_scalar(f, rng):
+    """A nonzero scalar with numerators and denominators up to 10^12 (a
+    residue over F_p)."""
+    if f.p is not None:
+        return f.from_int(rng.randrange(1, f.p))
+
+    def big():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12))
+
+    return f.element(big(), big()) if f.d is not None else f.element(big())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(KERNEL_CASES), seed=seeds,
+       shift=st.sampled_from(("none", "small", "big")), bad=st.booleans())
+def test_law_kernels_match_the_fieldelement_checkers(case, seed, shift, bad):
+    """Triality and local triples of a named algebra, one entry of a map
+    perturbed (bad), checked on a copy of the algebra with one structure
+    constant shifted: the same first witness, law by law."""
+    rng = random.Random(seed)
+    a = algebra(*case)
+    if case[0].startswith("parazorn"):
+        triple = zorn._rho_maps(a, small_scalar(a.field, rng))
+        local = zorn.zorn_s_triple(a)[0].maps
+    else:
+        triple = symcomp.sigma_maps(product_triple(a, rng))
+        local = triality.derivation_pair(a, random_element(a, rng),
+                                         random_element(a, rng)).maps()
+    triple, local = maybe_perturb(triple, rng, bad), maybe_perturb(local, rng, bad)
+    n = a.dim
+    c = {"none": a.field.zero(), "small": small_scalar(a.field, rng),
+         "big": big_scalar(a.field, rng)}[shift]
+    alg = _shifted(a, rng.randrange(n), rng.randrange(n), rng.randrange(n), c)
+    triple = [LinearMap(alg, m.rows) for m in triple]
+    local = [LinearMap(alg, m.rows) for m in local]
+    witnesses = []
+    for j in range(3):
+        for maps, is_local in ((triple, False), (local, True)):
+            args = (alg, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])
+            want = ref_product_law_failure(*args, local=is_local)
+            assert triality.product_law_failure(*args, local=is_local) == want
+            witnesses.append(want)
+    if shift == "none" and not bad:
+        assert witnesses == [None] * 6
+    s, t = triple[0], triple[1]
+    for args in ([(m, None, None, -m) for m in local]
+                 + [(s, s), (s, None, None, t), (None, None, t, s), (None, t)]):
+        assert triality.form_law_failure(alg, *args) == ref_form_law_failure(alg, *args)
+
+
+# ---------------------------------------------------------------------------
 # conjugate_consistency reports the first failing tuple
 # ---------------------------------------------------------------------------
 
@@ -1073,9 +1198,14 @@ def ref_dual_left(alg, coords):
              for s in range(n)] for k in range(n)]
 
 
+def _dual_mat_mul(x, y):
+    """The product of two matrices of dual numbers, entry by entry."""
+    return [[sum((r[k] * y[k][j] for k in range(1, len(y))), r[0] * y[0][j])
+             for j in range(len(y[0]))] for r in x]
+
+
 def ref_factorization(p, ds):
     """The dual-number loop of first_order_factorization, given the D_j."""
-    from trialkit import linalg
     from trialkit.dual import Dual
 
     a = p.base
@@ -1086,8 +1216,8 @@ def ref_factorization(p, ds):
         sig = [[Dual.lift(v) for v in row] for row in symcomp.sigma_maps(a)[j - 1].rows]
         bj1 = [Dual(a.comp(j + 1).coords[i], p.p_comp(j + 1).coords[i]) for i in range(n)]
         bj2 = [Dual(a.comp(j + 2).coords[i], p.p_comp(j + 2).coords[i]) for i in range(n)]
-        prod = linalg.mat_mul(sig, linalg.mat_mul(ref_dual_left(alg, bj2),
-                                                  ref_dual_left(alg, bj1)))
+        prod = _dual_mat_mul(sig, _dual_mat_mul(ref_dual_left(alg, bj2),
+                                                ref_dual_left(alg, bj1)))
         for k in range(n):
             for l in range(n):
                 want = Dual(fdesc.one() if k == l else fdesc.zero(), ds[j - 1].rows[k][l])

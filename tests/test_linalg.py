@@ -1,4 +1,5 @@
-"""The modular nullspace against exact row reduction.
+"""The modular nullspace against exact row reduction, and the integer
+products against the FieldElement loops they replaced.
 
 `linalg.nullspace` row-reduces over F_P and lifts the result, with an exact
 check; the reference below is the exact RREF path it replaced, kept here
@@ -424,3 +425,72 @@ def test_derivation_space_matches_exact_reference(field):
         assert [key(d.rows) for d in got] == [key(d.rows) for d in want], name
         checked += 1
     assert checked >= len(NAMED) - 2
+
+
+# ---------------------------------------------------------------------------
+# mat_mul and mat_vec on the integer kernel against the ring loops
+# ---------------------------------------------------------------------------
+
+def ref_mat_mul(a, b):
+    """mat_mul as it was: one FieldElement product and sum per term."""
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(rows):
+        row = []
+        ai = a[i]
+        for j in range(cols):
+            acc = ai[0] * b[0][j]
+            for k in range(1, inner):
+                acc = acc + ai[k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def ref_mat_vec(a, v):
+    out = []
+    for row in a:
+        acc = row[0] * v[0]
+        for k in range(1, len(v)):
+            acc = acc + row[k] * v[k]
+        out.append(acc)
+    return out
+
+
+KERNEL_FIELDS = ([Q] + [FieldDescriptor(QUADRATIC, d=d) for d in (-3, -1, 2, 3, 5)]
+                 + [FieldDescriptor(PRIME, p=p) for p in (3, 7, 13)])
+
+
+@st.composite
+def products(draw):
+    """(field, a, b): square 1 x 1, 2 x 2 or 8 x 8 factors, or a
+    non-square pair; small or big entries with mixed denominators, and
+    some rows of a and columns of b set to zero."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    shape = draw(st.sampled_from(((1, 1, 1), (2, 2, 2), (8, 8, 8), "other")))
+    if shape == "other":
+        shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    rows, inner, cols = shape
+    big = draw(st.booleans())
+
+    def matrix(r, c):
+        return [[draw(scalars(field, big)) for _ in range(c)] for _ in range(r)]
+
+    a, b = matrix(rows, inner), matrix(inner, cols)
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        a[i] = [field.zero()] * inner
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        for row in b:
+            row[j] = field.zero()
+    return field, a, b
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(products())
+def test_integer_products_match_the_ring_loop(case):
+    """Entry for entry the same canonical FieldElements: same field, same
+    stored integers."""
+    field, a, b = case
+    assert key(linalg.mat_mul(a, b)) == key(ref_mat_mul(a, b))
+    v = [row[0] for row in b]
+    assert key([linalg.mat_vec(a, v)]) == key([ref_mat_vec(a, v)])

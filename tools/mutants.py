@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 29 mutants takes about ten minutes on two cores, most of
+a full run of the 36 mutants takes about ten minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -34,6 +34,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_PINS = "tests/test_cli.py::test_certify_output_is_pinned"
 SHAPE_PINS = "tests/test_cli.py::test_certify_witness_shapes_are_pinned"
 LAWS = "tests/test_laws.py::"
+KERNEL_LAWS = LAWS + "test_law_kernels_match_the_fieldelement_checkers"
+KERNEL_PRODUCTS = "tests/test_linalg.py::test_integer_products_match_the_ring_loop"
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,30 @@ MUTANTS = (
            ("tests/test_autos.py",),
            equivalent="derivation_space returns a basis, so no basis vector and no sum "
                       "or difference of two of them is zero"),
+    # -- the integer kernel -------------------------------------------------
+    Mutant("pair product drops the d u1 v1 term", "linalg.py",
+           "acc0[r] += y0 * v0 + dy1 * v1", "acc0[r] += y0 * v0",
+           (KERNEL_LAWS,)),
+    Mutant("dot product drops the d u1 v1 term", "linalg.py",
+           "return (s0 + d * sum(map(mul, u1, v1)),", "return (s0,",
+           (KERNEL_PRODUCTS,)),
+    Mutant("product law compared without cross-multiplying", "triality.py",
+           "ocols, lcols = _scaled(ql * qr, ocols), _scaled(qo, lcols)",
+           "ocols, lcols = ocols, lcols",
+           (KERNEL_LAWS,)),
+    Mutant("form law compared without cross-multiplying", "triality.py",
+           "        if q1 != q2:\n", "        if False:\n",
+           (KERNEL_LAWS,)),
+    Mutant("comparison skips the mod-p reduction", "linalg.py",
+           "return not any(map(p.__rmod__, map(sub, u0, v0)))", "return u0 == v0",
+           (KERNEL_LAWS,)),
+    Mutant("lift with max in place of lcm", "linalg.py",
+           "q = lcm(*[x._q for x in xs])", "q = max([x._q for x in xs], default=1)",
+           (KERNEL_PRODUCTS,)),
+    Mutant("product law scans (k, i) in place of (i, k)", "triality.py",
+           "    for i in range(n):\n        for k in range(n):\n            # outer(e_i e_k)",
+           "    for k in range(n):\n        for i in range(n):\n            # outer(e_i e_k)",
+           (KERNEL_LAWS,)),
     # -- earlier cuts: certify each identity once ---------------------------
     Mutant("mat_inv accepts when the y blocks only have a unit diagonal", "linalg.py",
            "if [v[n:] for v in basis] != identity(n, one, zero):",
@@ -153,8 +179,8 @@ MUTANTS = (
            "if not basis or basis[-1][cols].is_zero():", "if not basis:",
            ("tests/test_linalg.py::test_solve_matches_exact_rref",)),
     Mutant("first-order factorization with theta factors swapped", "symcomp.py",
-           "theta_b = linalg.mat_mul(dual_left(j + 2), dual_left(j + 1))",
-           "theta_b = linalg.mat_mul(dual_left(j + 1), dual_left(j + 2))",
+           "(a2, p2), (a1, p1) = left(j + 2), left(j + 1)",
+           "(a2, p2), (a1, p1) = left(j + 1), left(j + 2)",
            (LAWS + "test_first_order_factorization_matches_reference",)),
     Mutant("commutator covariance shifted by j + k", "triality.py",
            "left, right = moved[(j - k) % 3]", "left, right = moved[(j + k) % 3]",
