@@ -3,8 +3,11 @@
 An :class:`Algebra` bundles a field, a structure tensor c[i][j][k] with
 e_i e_j = sum_k c[i][j][k] e_k, a symmetric bilinear form, an optional
 involution matrix, and an optional unit element.  Instances are treated as
-immutable; the nonzero terms of every basis product e_i e_j are listed once at
-construction, and products and multiplication operators read only those.
+immutable.  The nonzero structure constants are lifted once, at construction,
+to integers over one denominator (`Algebra.int_terms` over `int_den`), and
+every product of elements runs one integer loop on them
+(`Algebra.int_product`): `multiply`, `left_op` and `right_op` wrap its
+numerators as FieldElements, and the F_p enumerations reduce them mod p.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import List, Optional, Sequence
 
 from . import linalg
 from .fields import FieldDescriptor, FieldElement
+from .linalg import _add_multiple, _lift, _wrap
 
 Matrix = List[list]
 
@@ -172,18 +176,18 @@ class Algebra:
         # the family a constructor declares (constructors.PARA_ZORN) or None;
         # the CLI picks its suites by it, never by the name
         self.kind: Optional[str] = None
-        # product_terms[i][j]: the nonzero (k, c[i][j][k]) of e_i e_j, by k.
-        self.product_terms = [[tuple((k, c) for k, c in enumerate(row) if not c.is_zero())
-                               for row in plane] for plane in self.structure]
-        # The same terms on integers, for linalg's kernel: int_terms[i][j] is
-        # the (k, c0, c1) with c[i][j][k] = (c0 + c1 sqrt d)/int_den (over
-        # F_p, int_den = 1 and c0 is the residue).
-        self.int_den, n0s, n1s = linalg._lift(
-            [c for plane in self.product_terms for terms in plane for _, c in terms])
-        ints = iter(zip(n0s, n1s))
-        self.int_terms = [[tuple((k, *next(ints)) for k, _ in terms) for terms in plane]
-                          for plane in self.product_terms]
-        # the Certificate of symcomp.is_symmetric_composition, once computed
+        # The structure constants and the form on integers (linalg._lift_rows):
+        # int_terms[i][j] lists the nonzero (k, c0, c1), c[i][j][k] = (c0 + c1
+        # sqrt d)/int_den, and int_form is (q, rows), the form over q.
+        self.int_den, flat = linalg._lift_rows([row for plane in self.structure for row in plane])
+        self.int_terms = [flat[i * n:(i + 1) * n] for i in range(n)]
+        self.int_form = None if self.form is None else linalg._lift_rows(self.form)
+        # each basis vector e_i as ints, with the zero sqrt d part
+        self._units = [([int(i == j) for j in range(n)], [0] * n) for i in range(n)]
+        self._zero = field.zero()
+        # (witness,) of symcomp.linearized_failure and the Certificate of
+        # symcomp.is_symmetric_composition, once computed
+        self._linearized_cache = None
         self._symcomp_cache = None
 
     # -- element builders ---------------------------------------------------
@@ -208,45 +212,55 @@ class Algebra:
         return [self.basis(i) for i in range(self.dim)]
 
     # -- operations ---------------------------------------------------------
+    def int_product(self, x0: list, y0: list, x1: list = None, y1: list = None) -> tuple:
+        """Numerators (s0, s1) with x y = (s0 + s1 sqrt d)/(qx qy int_den), for
+        x = (x0 + x1 sqrt d)/qx and y = (y0 + y1 sqrt d)/qy, all dense int lists;
+        over Q and F_p, x1 and y1 are not read and s1 is zero."""
+        terms, d = self.int_terms, self.field.d
+        s0, s1 = [0] * self.dim, [0] * self.dim
+        if d is None:
+            ys = [(j, b) for j, b in enumerate(y0) if b]
+            for i, a in enumerate(x0):
+                if a:
+                    row = terms[i]
+                    for j, b in ys:
+                        for k, c, _ in row[j]:
+                            s0[k] += a * b * c
+            return s0, s1
+        ys = [(j, b0, b1) for j, (b0, b1) in enumerate(zip(y0, y1)) if b0 or b1]
+        for i, (a0, a1) in enumerate(zip(x0, x1)):
+            if a0 or a1:
+                row = terms[i]
+                for j, b0, b1 in ys:
+                    # (a0 + a1 sqrt d)(b0 + b1 sqrt d) times e_i e_j
+                    _add_multiple(d, s0, s1, a0 * b0 + d * a1 * b1, a0 * b1 + a1 * b0, row[j])
+        return s0, s1
+
+    def _elements(self, s0: list, s1: list, q: int) -> list:
+        """The FieldElements (s0[k] + s1[k] sqrt d)/q; each zero is one shared object."""
+        desc, zero = self.field, self._zero
+        return [_wrap(desc, v0, v1, q) if v0 or v1 else zero for v0, v1 in zip(s0, s1)]
+
     def multiply(self, x: Element, y: Element) -> Element:
-        out = [self.field.zero()] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y.coords) if not yj.is_zero()]
-        for i, xi in enumerate(x.coords):
-            if xi.is_zero():
-                continue
-            terms = self.product_terms[i]
-            for j, yj in ys:
-                if terms[j]:
-                    coef = xi * yj
-                    for k, c in terms[j]:
-                        out[k] = out[k] + coef * c
-        return Element(self, out)
+        qx, x0, x1 = _lift(x.coords)
+        qy, y0, y1 = _lift(y.coords)
+        return Element(self, self._elements(*self.int_product(x0, y0, x1, y1),
+                                            qx * qy * self.int_den))
 
     def left_op(self, x: Element) -> LinearMap:
-        """L(x): e_j -> x e_j, so entry (k, j) is sum_i x_i c[i][j][k]."""
-        n = self.dim
-        zero = self.field.zero()
-        rows = [[zero] * n for _ in range(n)]
-        for i, xi in enumerate(x.coords):
-            if xi.is_zero():
-                continue
-            for j, terms in enumerate(self.product_terms[i]):
-                for k, c in terms:
-                    rows[k][j] = rows[k][j] + xi * c
-        return LinearMap(self, rows)
+        """L(x): e_j -> x e_j, so column j is the product x e_j."""
+        q, x0, x1 = _lift(x.coords)
+        return self._operator(q, [self.int_product(x0, e, x1, z) for e, z in self._units])
 
     def right_op(self, y: Element) -> LinearMap:
-        """R(y): e_i -> e_i y, so entry (k, i) is sum_j y_j c[i][j][k]."""
-        n = self.dim
-        zero = self.field.zero()
-        rows = [[zero] * n for _ in range(n)]
-        for j, yj in enumerate(y.coords):
-            if yj.is_zero():
-                continue
-            for i, plane in enumerate(self.product_terms):
-                for k, c in plane[j]:
-                    rows[k][i] = rows[k][i] + yj * c
-        return LinearMap(self, rows)
+        """R(y): e_i -> e_i y, so column i is the product e_i y."""
+        q, y0, y1 = _lift(y.coords)
+        return self._operator(q, [self.int_product(e, y0, z, y1) for e, z in self._units])
+
+    def _operator(self, q: int, columns: list) -> LinearMap:
+        """The map whose columns are `int_product` numerators over q int_den."""
+        cols = [self._elements(s0, s1, q * self.int_den) for s0, s1 in columns]
+        return LinearMap(self, list(zip(*cols)))
 
     def form_eval(self, x: Element, y: Element) -> FieldElement:
         if self.form is None:
@@ -276,47 +290,3 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra(name={self.name!r}, dim={self.dim}, field={self.field})"
-
-
-class ResidueAlgebra:
-    """An algebra over F_p with its product terms and form read as int
-    residues, for loops that would otherwise build millions of
-    FieldElements.  Vectors are tuples of residues in [0, p).
-
-    Exact: a FieldElement over F_p is its residue, every stored residue is
-    < p, and Python ints do not overflow, so one reduction mod p after each
-    sum gives the coordinate the FieldElement path computes.
-    """
-
-    __slots__ = ("p", "dim", "terms", "form")
-
-    def __init__(self, a: Algebra):
-        if a.field.p is None:
-            raise AlgebraError("residue arithmetic needs a prime field")
-        self.p = a.field.p
-        self.dim = a.dim
-        # terms[i][j]: the nonzero (k, c) of e_i e_j with c a residue
-        self.terms = [[tuple((k, c) for k, c, _ in row) for row in plane]
-                      for plane in a.int_terms]
-        self.form = None if a.form is None else [[c.a for c in row] for row in a.form]
-
-    def multiply(self, x: tuple, y: tuple) -> tuple:
-        out = [0] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if xi:
-                terms = self.terms[i]
-                for j, yj in ys:
-                    for k, c in terms[j]:
-                        out[k] += xi * yj * c
-        p = self.p
-        return tuple(v % p for v in out)
-
-    def form_eval(self, x: tuple, y: tuple) -> int:
-        if self.form is None:
-            raise AlgebraError("algebra has no bilinear form")
-        acc = 0
-        for xi, row in zip(x, self.form):
-            if xi:
-                acc += xi * sum(c * yj for c, yj in zip(row, y))
-        return acc % self.p

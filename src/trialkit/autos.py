@@ -43,50 +43,46 @@ def certify_derivation(a: Algebra, d: LinearMap) -> LinearMap:
 
 def derivation_space(a: Algebra) -> List[LinearMap]:
     """Basis of the full derivation algebra, by solving the linear
-    conditions d(e_i e_j) = (d e_i) e_j + e_i (d e_j) for the n^2 entries."""
+    conditions d(e_i e_j) = (d e_i) e_j + e_i (d e_j) for the n^2 entries.
+
+    The system is homogeneous, with structure constants over `a.int_den` for
+    coefficients, so its rows are the integers of `a.int_terms`."""
     n = a.dim
-    zero, one = a.field.zero(), a.field.one()
-    terms = a.product_terms
+    terms = a.int_terms
     rows = []
-    # unknown d[k][l] laid out as k * n + l; block[m] is the row of condition
-    # (i, j, m), and only the nonzero structure constants are written
+    # unknown d[k][l] laid out as k * n + l; entry (m, column, n0, n1) lies
+    # in the row of condition (i, j, m), and entries of one column are summed
     for i in range(n):
         for j in range(n):
-            block = [[zero] * (n * n) for _ in range(n)]
             # d(e_i e_j)_m = sum_l d[m][l] (e_i e_j)_l
-            for l, c in terms[i][j]:
-                for m in range(n):
-                    block[m][m * n + l] = block[m][m * n + l] + c
+            entries = [(m, m * n + l, c0, c1) for l, c0, c1 in terms[i][j] for m in range(n)]
             # -(d e_i)_l (e_l e_j)_m  and  -(e_i e_l)_m (d e_j)_l
-            for l in range(n):
-                for m, c in terms[l][j]:
-                    block[m][l * n + i] = block[m][l * n + i] - c
-                for m, c in terms[i][l]:
-                    block[m][l * n + j] = block[m][l * n + j] - c
-            rows.extend(block)
-    out = []
-    for v in linalg.nullspace(rows, zero, one):
-        out.append(LinearMap(a, [v[k * n:(k + 1) * n] for k in range(n)]))
-    return out
+            entries += [(m, l * n + i, -c0, -c1) for l in range(n) for m, c0, c1 in terms[l][j]]
+            entries += [(m, l * n + j, -c0, -c1) for l in range(n) for m, c0, c1 in terms[i][l]]
+            block = [{} for _ in range(n)]
+            for m, col, c0, c1 in entries:
+                s0, s1 = block[m].get(col, (0, 0))
+                block[m][col] = (s0 + c0, s1 + c1)
+            rows.extend([(col, s0, s1) for col, (s0, s1) in row.items() if s0 or s1]
+                        for row in block)
+    return [LinearMap(a, [v[k * n:(k + 1) * n] for k in range(n)])
+            for v in linalg.int_nullspace(rows, n * n, a.field.zero(), a.field.one())]
 
 
 def find_nilpotent_derivation(a: Algebra) -> Optional[LinearMap]:
-    """First nonzero derivation with d^2 = 0, searched deterministically over
-    single basis derivations and then pairwise sums/differences."""
+    """First derivation with d^2 = 0, searched deterministically over
+    single basis derivations and then pairwise sums/differences.  None of
+    these is zero, since the basis is independent."""
     zero = a.field.zero()
-
-    def square_zero(d: linalg.Matrix) -> bool:
-        return any(not x.is_zero() for row in d for x in row) and linalg.squares_to(d, zero, zero)
-
     basis = derivation_space(a)
     for d in basis:
-        if square_zero(d.rows):
+        if linalg.squares_to(d.rows, zero, zero):
             return d
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             for combine in (linalg.mat_add, linalg.mat_sub):
                 rows = combine(basis[i].rows, basis[j].rows)
-                if square_zero(rows):
+                if linalg.squares_to(rows, zero, zero):
                     return LinearMap(a, rows)
     return None
 

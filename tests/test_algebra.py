@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit import linalg
 from trialkit.algebra import Algebra, AlgebraError, LinearMap
 from trialkit.constructors import make_hurwitz, make_para, named_algebra
-from trialkit.fields import FieldDescriptor, PRIME, RATIONALS
+from trialkit.fields import FieldDescriptor, FieldElement, PRIME, QUADRATIC, RATIONALS
 from trialkit.linalg import NotInvertible
-from trialkit.symcomp import is_symmetric_composition
+from trialkit.symcomp import is_symmetric_composition, residue_arithmetic
 
 Q = FieldDescriptor(RATIONALS)
 
@@ -100,3 +102,145 @@ def test_sparse_involution_check_matches_dense_square(entries):
     n = len(m)
     dense = linalg.mat_eq(linalg.mat_mul(m, m), linalg.identity(n, F3.one(), F3.zero()))
     assert linalg.squares_to(m, F3.one(), F3.zero()) == dense
+
+
+# ---------------------------------------------------------------------------
+# The integer product loop against the FieldElement and residue loops
+# ---------------------------------------------------------------------------
+#
+# multiply, left_op and right_op as they were before they ran on
+# Algebra.int_product (one FieldElement product and sum per term), and the
+# residue class the F_p enumerations used.
+
+def ref_terms(a):
+    return [[[(k, c) for k, c in enumerate(row) if not c.is_zero()] for row in plane]
+            for plane in a.structure]
+
+
+def ref_multiply(a, x, y):
+    terms = ref_terms(a)
+    out = [a.field.zero()] * a.dim
+    ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
+    for i, xi in enumerate(x):
+        if not xi.is_zero():
+            for j, yj in ys:
+                for k, c in terms[i][j]:
+                    out[k] = out[k] + xi * yj * c
+    return out
+
+
+def ref_left_op(a, x):
+    """Entry (k, j) is sum_i x_i c[i][j][k]."""
+    rows = [[a.field.zero()] * a.dim for _ in range(a.dim)]
+    for xi, plane in zip(x, ref_terms(a)):
+        for j, terms in enumerate(plane):
+            for k, c in terms:
+                rows[k][j] = rows[k][j] + xi * c
+    return rows
+
+
+def ref_right_op(a, y):
+    """Entry (k, i) is sum_j y_j c[i][j][k]."""
+    rows = [[a.field.zero()] * a.dim for _ in range(a.dim)]
+    all_terms = ref_terms(a)
+    for j, yj in enumerate(y):
+        for i, plane in enumerate(all_terms):
+            for k, c in plane[j]:
+                rows[k][i] = rows[k][i] + yj * c
+    return rows
+
+
+class RefResidueAlgebra:
+    """The residue product and form of an algebra over F_p, on the int
+    residues of its FieldElement structure constants and form."""
+
+    def __init__(self, a):
+        self.p, self.dim = a.field.p, a.dim
+        self.terms = [[[(k, c.a) for k, c in row] for row in plane] for plane in ref_terms(a)]
+        self.form = [[c.a for c in row] for row in a.form]
+
+    def multiply(self, x, y):
+        out = [0] * self.dim
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                for k, c in self.terms[i][j]:
+                    out[k] += xi * yj * c
+        return tuple(v % self.p for v in out)
+
+    def form_eval(self, x, y):
+        return sum(xi * c * yj for xi, row in zip(x, self.form)
+                   for c, yj in zip(row, y)) % self.p
+
+
+PRODUCT_FIELDS = ([Q] + [FieldDescriptor(QUADRATIC, d=d) for d in (-3, -1, 2, 3, 5)]
+                  + [FieldDescriptor(PRIME, p=p) for p in (3, 7, 13)])
+
+
+@st.composite
+def scalars(draw, field):
+    """Zero a third of the time, else a residue or a (pair of) fractions
+    with mixed denominators."""
+    if draw(st.integers(0, 2)) == 0:
+        return field.zero()
+    if field.kind == PRIME:
+        return field.from_int(draw(st.integers(1, field.p - 1)))
+    part = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    if field.kind == QUADRATIC:
+        return FieldElement(field, draw(part), draw(part))
+    return FieldElement(field, draw(part))
+
+
+@st.composite
+def algebras_and_pairs(draw):
+    """(a, x, y): a random structure tensor and symmetric form of dimension
+    1 to 4, or a named algebra, with two vectors."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    named = {3: "okubo", 2: "para:8", -1: "parazorn:1:1", 13: "okubo", 7: "para:4"}
+    key = field.p if field.p is not None else field.d
+    if key in named and draw(st.booleans()):
+        a = named_algebra(named[key], field)
+    else:
+        n = draw(st.integers(1, 4))
+        structure = [[[draw(scalars(field)) for _ in range(n)] for _ in range(n)]
+                     for _ in range(n)]
+        form = [[field.zero()] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(i, n):
+                form[i][k] = form[k][i] = draw(scalars(field))
+        a = Algebra(field, structure, form=form)
+    x = [draw(scalars(field)) for _ in range(a.dim)]
+    y = [draw(scalars(field)) for _ in range(a.dim)]
+    return a, x, y
+
+
+def canonical(values):
+    return [(c.desc, c._n0, c._n1, c._q) for c in values]
+
+
+@settings(max_examples=250, deadline=None)
+@given(algebras_and_pairs())
+def test_product_loop_matches_the_fieldelement_and_residue_loops(case):
+    a, x, y = case
+    field = a.field
+    want = ref_multiply(a, x, y)
+    # the loop itself: numerators over qx qy int_den, read back independently
+    qx, x0, x1 = linalg._lift(x)
+    qy, y0, y1 = linalg._lift(y)
+    s0, s1 = a.int_product(x0, y0, x1, y1)
+    q = qx * qy * a.int_den
+    if field.p is not None:
+        got = [field.from_int(v) for v in s0]
+    else:
+        got = [FieldElement(field, Fraction(v0, q), Fraction(v1, q)) if field.d is not None
+               else FieldElement(field, Fraction(v0, q)) for v0, v1 in zip(s0, s1)]
+    assert got == want
+    assert canonical(a.multiply(a.element(x), a.element(y)).coords) == canonical(want)
+    left, right = a.left_op(a.element(x)).rows, a.right_op(a.element(y)).rows
+    assert [canonical(r) for r in left] == [canonical(r) for r in ref_left_op(a, x)]
+    assert [canonical(r) for r in right] == [canonical(r) for r in ref_right_op(a, y)]
+    if field.p is not None:
+        multiply, form_eval = residue_arithmetic(a)
+        ref = RefResidueAlgebra(a)
+        rx, ry = tuple(c.a for c in x), tuple(c.a for c in y)
+        assert multiply(rx, ry) == ref.multiply(rx, ry)
+        assert form_eval(rx, ry) == ref.form_eval(rx, ry)

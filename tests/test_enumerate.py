@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit import cli, symcomp
-from trialkit.algebra import AlgebraError, LinearMap, ResidueAlgebra
+from trialkit.algebra import LinearMap
 from trialkit.constructors import named_algebra
 from trialkit.fields import FieldDescriptor, PRIME
 from trialkit.triality import RelationFails, TrialityTriple, klein_triples, trig_mul
@@ -100,24 +100,19 @@ RESIDUE_ALGEBRAS += [("okubo", 3), ("okubo", 13)]
 @lru_cache(maxsize=None)
 def residue_pair(name, p):
     a = named_algebra(name, Fp(p))
-    return a, ResidueAlgebra(a)
+    return a, symcomp.residue_arithmetic(a)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(RESIDUE_ALGEBRAS), st.data())
 def test_residue_product_and_form_match_field_elements(case, data):
-    a, r = residue_pair(*case)
+    a, (multiply, form_eval) = residue_pair(*case)
     p, n = case[1], a.dim
     vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
     x, y = data.draw(vec), data.draw(vec)
     ex, ey = a.element(list(x)), a.element(list(y))
-    assert r.multiply(x, y) == tuple(c.a for c in a.multiply(ex, ey).coords)
-    assert r.form_eval(x, y) == a.form_eval(ex, ey).a
-
-
-def test_residue_algebra_needs_a_prime_field():
-    with pytest.raises(AlgebraError, match="residue arithmetic needs a prime field"):
-        ResidueAlgebra(named_algebra("para2"))
+    assert multiply(x, y) == tuple(c.a for c in a.multiply(ex, ey).coords)
+    assert form_eval(x, y) == a.form_eval(ex, ey).a
 
 
 @settings(max_examples=60, deadline=None)

@@ -546,7 +546,7 @@ def _ref_combine(n, zero, weighted):
 def ref_product_law_failure(a, outer, left, right, local=False):
     n = a.dim
     zero, one = a.field.zero(), a.field.one()
-    terms = a.product_terms
+    terms = [[_ref_sparse(row) for row in plane] for plane in a.structure]
     outer_cols = _ref_columns(outer, n, one)
     lcols, rcols = _ref_columns(left, n, one), _ref_columns(right, n, one)
     by_right = [[_ref_sparse(_ref_combine(n, zero, ((v, terms[l][m]) for m, v in rcols[k])))
@@ -687,22 +687,48 @@ def test_cached_symcomp_verdict_matches_a_fresh_one(field):
     assert checked >= len(NAMED) - 2
 
 
-def test_verify_local_builds_the_symcomp_certificate_once(monkeypatch):
-    built = []
+def spy_symcomp_scans(monkeypatch):
+    """Record the sizes of every basis-tuple scan of the linearized law, and
+    every symcomp Certificate built."""
+    scans, built = [], []
+    scan = symcomp.first_failing_tuple
+
+    def scan_spy(holds, *sizes):
+        scans.append(sizes)
+        return scan(holds, *sizes)
 
     class Counting(symcomp.Certificate):
         def __init__(self, *args, **kwargs):
             built.append(self)
             super().__init__(*args, **kwargs)
 
+    monkeypatch.setattr(symcomp, "first_failing_tuple", scan_spy)
     monkeypatch.setattr(symcomp, "Certificate", Counting)
+    return scans, built
+
+
+def test_verify_local_scans_the_linearized_law_once(monkeypatch):
+    scans, built = spy_symcomp_scans(monkeypatch)
     a = named_algebra("okubo")
     basis = a.basis_elements()
     for i in range(3):
         pair = triality.derivation_pair(a, basis[i], basis[i + 1])
         triality.verify_local(a, *pair.maps())
-    assert len(built) == 1
-    assert a._symcomp_cache is built[0] and built[0].ok
+    assert scans == [(8, 8, 8)] and built == []
+    assert a._linearized_cache == (None,) and a._symcomp_cache is None
+    # the full certificate reads the same scan
+    assert symcomp.is_symmetric_composition(a).ok and scans == [(8, 8, 8)]
+
+
+def test_verify_local_on_para_zorn_skips_the_five_clause_scan(monkeypatch):
+    """A para-Zorn algebra fails the linearized law; verify_local reads that
+    verdict alone, never the witnesses of the other five clauses."""
+    scans, built = spy_symcomp_scans(monkeypatch)
+    a = named_algebra("parazorn:3:1")
+    zorn.zorn_s_triple(a)  # its triple goes through verify_local
+    assert symcomp.linearized_failure(a) is not None
+    assert scans == [(a.dim, a.dim, a.dim)] and built == []
+    assert a._symcomp_cache is None
 
 
 # ---------------------------------------------------------------------------

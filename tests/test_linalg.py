@@ -427,6 +427,18 @@ def test_derivation_space_matches_exact_reference(field):
     assert checked >= len(NAMED) - 2
 
 
+@pytest.mark.parametrize("name,field", [("okubo", "Qsqrt3"), ("para:8", "Q"),
+                                        ("parazorn:3:1", "Qsqrt2"), ("okubo", "F13")])
+def test_derivation_rows_need_no_exact_fallback(monkeypatch, name, field):
+    """The integer rows derivation_space writes from int_terms lift at the
+    first usable prime (okubo's constants have sqrt 3 parts)."""
+    from trialkit.cli import parse_field
+    a = named_algebra(name, parse_field(field))
+    primes, fallbacks = spy(monkeypatch)
+    autos.derivation_space(a)
+    assert fallbacks == [] and len(set(primes)) <= 1
+
+
 # ---------------------------------------------------------------------------
 # mat_mul and mat_vec on the integer kernel against the ring loops
 # ---------------------------------------------------------------------------
