@@ -152,6 +152,8 @@ class Algebra:
         involution: Optional[Matrix] = None,
         unit: Optional[Sequence[FieldElement]] = None,
         name: str = "",
+        para_unit: Optional[Sequence[FieldElement]] = None,
+        kind: Optional[str] = None,
     ):
         self.field = field
         self.dim = len(structure)
@@ -173,9 +175,12 @@ class Algebra:
             raise AlgebraError("involution matrix must square to the identity")
         self.unit = list(unit) if unit is not None else None
         self.name = name
+        # the coordinates of a para-unit e (e x = x e = conj x; see
+        # constructors.make_para) or None
+        self.para_unit = list(para_unit) if para_unit is not None else None
         # the family a constructor declares (constructors.PARA_ZORN) or None;
         # the CLI picks its suites by it, never by the name
-        self.kind: Optional[str] = None
+        self.kind = kind
         # The structure constants and the form on integers (linalg._lift_rows):
         # int_terms[i][j] lists the nonzero (k, c0, c1), c[i][j][k] = (c0 + c1
         # sqrt d)/int_den, and int_form is (q, rows), the form over q.

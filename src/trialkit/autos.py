@@ -106,9 +106,8 @@ def certify_idempotent(a: Algebra, x: Element) -> Idempotent:
 
 
 def _para_unit(a: Algebra) -> Element:
-    coords = getattr(a, "para_unit", None)
-    if coords is not None:
-        return a.element(coords)
+    if a.para_unit is not None:
+        return a.element(a.para_unit)
     return a.basis(0)
 
 

@@ -95,9 +95,8 @@ def _suite_core(a: Algebra) -> List[Check]:
                          if not e * b == b == b * e), None)
 
     def para_unit_law():
-        e_coords = getattr(a, "para_unit", None)
-        if e_coords is not None and a.involution is not None:
-            e = a.element(list(e_coords))
+        if a.para_unit is not None and a.involution is not None:
+            e = a.element(a.para_unit)
             return next((f"basis index {i}" for i, b in enumerate(a.basis_elements())
                          if not e * b == a.involute(b) == b * e), None)
 

@@ -92,7 +92,8 @@ def make_hurwitz(field: FieldDescriptor, gammas: Sequence) -> Algebra:
                    name=f"hurwitz-{n}")
 
 
-def _conjugate_product(a: Algebra, what: str, name: str) -> Algebra:
+def _conjugate_product(a: Algebra, what: str, name: str,
+                       para_unit: Optional[Sequence[FieldElement]] = None) -> Algebra:
     """The algebra with product x . y = conj(x * y) on the space, form and
     involution of `a`, without a unit."""
     if a.involution is None:
@@ -100,7 +101,7 @@ def _conjugate_product(a: Algebra, what: str, name: str) -> Algebra:
     basis = a.basis_elements()
     structure = [[a.involute(x * y).coords for y in basis] for x in basis]
     return Algebra(a.field, structure, form=a.form, involution=a.involution,
-                   unit=None, name=name)
+                   unit=None, name=name, para_unit=para_unit)
 
 
 def make_para(h: Algebra) -> Algebra:
@@ -109,9 +110,7 @@ def make_para(h: Algebra) -> Algebra:
     The old unit e becomes the para-unit (e . x = x . e = conj(x)); it is
     kept on the result as `para_unit` since it is no longer an identity.
     """
-    out = _conjugate_product(h, "para", f"para-{h.name}")
-    out.para_unit = list(h.unit) if h.unit is not None else None
-    return out
+    return _conjugate_product(h, "para", f"para-{h.name}", para_unit=h.unit)
 
 
 def make_conjugate(astar: Algebra) -> Algebra:
@@ -410,10 +409,8 @@ def make_para_zorn(b: Algebra, k=1) -> Algebra:
             for j in range(m):
                 invol[1 + i][1 + j] = b.involution[i][j]
                 invol[1 + m + i][1 + m + j] = b.involution[i][j]
-    out = Algebra(field, structure, form=form, involution=invol, unit=None,
-                  name=f"para-zorn-{m}")
-    out.kind = PARA_ZORN
-    return out
+    return Algebra(field, structure, form=form, involution=invol, unit=None,
+                   name=f"para-zorn-{m}", kind=PARA_ZORN)
 
 
 def make_zorn(field: FieldDescriptor) -> Algebra:

@@ -16,15 +16,14 @@ exactly when their numerators, each multiplied by the other's denominator,
 are equal (mod p over F_p), which is when their canonical FieldElements are
 equal.
 
-`nullspace` row-reduces modulo primes and checks the lifted result exactly
-(see its docstring).  `mat_inv` and `solve` read their results off a
-`nullspace` basis.
+`nullspace` row-reduces the same integers: mod p over F_p, and without
+division over Q and Q(sqrt d) (see its docstring).  `mat_inv` and `solve`
+read their results off a `nullspace` basis.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul, sub
 from typing import List, Optional, Tuple
 
@@ -213,17 +212,6 @@ def _sparse(v0: list, v1: list) -> list:
     return [(r, x0, x1) for r, (x0, x1) in enumerate(zip(v0, v1)) if x0 or x1]
 
 
-# Primes for the modular nullspace: the twelve largest primes below 2**62 that
-# are not 1 mod 8, so that _sqrt_mod needs no search.  Each of d = -3, -1,
-# +-2, 3, 5, 6, 7 is a square mod at least three of them.
-NULLSPACE_PRIMES = (
-    4611686018427387847, 4611686018427387787, 4611686018427387751,
-    4611686018427387733, 4611686018427387709, 4611686018427387701,
-    4611686018427387631, 4611686018427387587, 4611686018427387461,
-    4611686018427387421, 4611686018427387323, 4611686018427387301,
-)
-
-
 def nullspace(a: Matrix, zero, one) -> List[Vector]:
     """Basis of {v : a v = 0} for a matrix of FieldElements.
 
@@ -231,107 +219,56 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
     vector per free (non-pivot) column f, with 1 at f, 0 at the other free
     columns and minus column f of the RREF at the pivot columns.
 
-    Over F_p the residues are row-reduced as plain ints, which is exact.
-    Over Q and Q(sqrt d) the matrix is first scaled by the lcm of its
-    denominators, which leaves the kernel unchanged and means no prime has to
-    be skipped for dividing a denominator.  The integer rows are mapped to
-    F_P for P in NULLSPACE_PRIMES (over Q(sqrt d) only the P with d a nonzero
-    square r^2 mod P, mapped twice, by sqrt d -> r and sqrt d -> -r, which
-    gives both coordinates), row-reduced there, and the mod-P basis is lifted
-    by rational reconstruction.  Every lifted vector v is then checked
-    exactly: a v = 0 in integer arithmetic.  If the two embeddings disagree,
-    or reconstruction or the check fails, the next prime is tried; after the
-    last one the exact RREF over the field runs.
-
-    Why an accepted lift is exactly the RREF basis over the field K:
-
-    * Reduction mod P is a ring map, so it can only lower the rank: the
-      nullity over K is at most the nullity mod P, the number of free
-      columns mod P.
-    * The lifted vectors lie in the kernel over K (checked exactly), and they
-      are independent, because the vector for free column f is 1 at f and 0
-      at the other free columns.  So the two nullities are equal.
-    * The vector for f is zero past f, so column f of `a` is a combination of
-      earlier columns: f is a non-pivot over K too.  With equal counts, the
-      free columns over K are those mod P.
-    * A kernel vector is fixed by its values on the free columns, so each
-      lifted vector is the RREF basis vector of its column, entry for entry.
+    Over F_p the residues are row-reduced as plain ints (`_rref_mod`).  Over
+    Q and Q(sqrt d) the matrix is scaled by the lcm of its denominators,
+    which leaves the kernel unchanged, and the integer rows are row-reduced
+    without division (`_rref_exact`).  Both are exact, with no bound to
+    state: Python ints do not overflow.
     """
     if not a:
         return []
-    # entries over F_p are their residues, and need no lift
-    int_rows = (_lift_rows(a)[1] if zero.desc.p is None else
-                [[(c, x._n0, 0) for c, x in enumerate(row) if x._n0] for row in a])
-    return int_nullspace(int_rows, len(a[0]), zero, one)
+    cols = len(a[0])
+    p = zero.desc.p
+    if p is not None:
+        # entries over F_p are their residues, and need no lift
+        rows = [{c: x._n0 for c, x in enumerate(row) if x._n0} for row in a]
+        return _basis(_rref_mod(rows, cols, p), cols, zero, one)
+    return int_nullspace(_lift_rows(a)[1], cols, zero, one)
 
 
 def int_nullspace(int_rows: List[list], cols: int, zero, one) -> List[Vector]:
     """`nullspace` of the system given as integer rows (see `_lift_rows`);
-    a row times a nonzero integer has the same kernel.  FieldElement rows
-    are built only for the exact fallback."""
+    a row times a nonzero integer has the same kernel."""
     desc = zero.desc
-    if desc.p is not None:
-        rows = [{c: y for c, n0, _ in row if (y := n0 % desc.p)} for row in int_rows]
-        pivots = _rref_mod(rows, cols, desc.p)
-        out = []
-        for f in range(cols):
-            if f not in pivots:
-                v = [zero] * cols
-                v[f] = one
-                for pc, row in pivots.items():
-                    if f in row:
-                        v[pc] = _make(desc, -row[f] % desc.p, 0, 1)
-                out.append(v)
-        return out
-    for p, roots in _embeddings(desc.d):
-        images = []
-        for s in roots:
-            rows = [{c: y for c, n0, n1 in row if (y := (n0 + n1 * s) % p)}
-                    for row in int_rows]
-            images.append(_rref_mod(rows, cols, p))
-        if images[-1].keys() != images[0].keys():
-            continue
-        lifted = _reconstruct(images, roots, cols, p)
-        if lifted is not None and _in_kernel(int_rows, lifted, desc.d):
-            out = []
-            for den, w in lifted:
-                v = [zero] * cols
-                for c, (n0, n1) in w.items():
-                    v[c] = _reduced(desc, n0, n1, den)
-                out.append(v)
-            return out
-    a = [[zero] * cols for _ in int_rows]
-    for row, entries in zip(a, int_rows):
-        for c, n0, n1 in entries:
-            row[c] = _reduced(desc, n0, n1, 1)
-    return _nullspace_exact(a, zero, one)
+    p = desc.p
+    if p is not None:
+        rows = [{c: y for c, n0, _ in row if (y := n0 % p)} for row in int_rows]
+        return _basis(_rref_mod(rows, cols, p), cols, zero, one)
+    rows = [{c: (n0, n1) for c, n0, n1 in row} for row in int_rows]
+    return _basis(_rref_exact(rows, cols, desc.d or 0), cols, zero, one)
 
 
-@lru_cache(maxsize=64)
-def _embeddings(d: Optional[int]) -> tuple:
-    """(P, images of sqrt d) for each usable P in NULLSPACE_PRIMES: (0,) over
-    Q; the two square roots r, -r of d over Q(sqrt d), where d is a nonzero
-    square mod P."""
-    if d is None:
-        return tuple((p, (0,)) for p in NULLSPACE_PRIMES)
+def _basis(pivots: dict, cols: int, zero, one) -> List[Vector]:
+    """The RREF kernel basis (see `nullspace`) read off the reduced pivot
+    rows of `_rref_mod` or `_rref_exact`: entry pc of the vector of free
+    column f is -row[f]/row[pc] for the pivot row of column pc."""
+    desc = zero.desc
+    p = desc.p
     out = []
-    for p in NULLSPACE_PRIMES:
-        r = _sqrt_mod(d, p)
-        if r:
-            out.append((p, (r, p - r)))
-    return tuple(out)
-
-
-def _sqrt_mod(a: int, p: int) -> Optional[int]:
-    """r with r^2 = a mod p, for p = 3 mod 4 or p = 5 mod 8 (Atkin), or None
-    when a is not a square mod p."""
-    a %= p
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        v = pow(2 * a, (p - 5) // 8, p)
-        r = a * v * (2 * a * v * v - 1) % p
-    return r if r * r % p == a else None
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [zero] * cols
+        v[f] = one
+        for pc, row in pivots.items():
+            if f in row:
+                if p is not None:
+                    v[pc] = _make(desc, -row[f] % p, 0, 1)
+                else:
+                    (f0, f1), (q, _) = row[f], row[pc]
+                    v[pc] = _reduced(desc, -f0, -f1, q) if q > 0 else _reduced(desc, f0, f1, -q)
+        out.append(v)
+    return out
 
 
 def _rref_mod(rows: List[dict], cols: int, p: int) -> dict:
@@ -366,102 +303,62 @@ def _rref_mod(rows: List[dict], cols: int, p: int) -> dict:
     return pivots
 
 
-def _rational(u: int, p: int, bound: int) -> Optional[Tuple[int, int]]:
-    """(n, q) with n = u q mod p, |n| <= bound and 0 < q <= bound, in lowest
-    terms (Wang's rational reconstruction), or None."""
-    r0, r1, t0, t1 = p, u, 0, 1
-    while r1 > bound:
-        k = r0 // r1
-        r0, r1 = r1, r0 - k * r1
-        t0, t1 = t1, t0 - k * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    if t1 > bound or gcd(r1, t1) != 1:
-        return None
-    return r1, t1
+def _rref_exact(rows: List[dict], cols: int, d: int) -> dict:
+    """Fraction-free Gauss-Jordan elimination on sparse rows {column: (n0,
+    n1)}, each entry n0 + n1 sqrt d in Z[sqrt d] (d = 0 over Q).
 
+    The sparsest row holding column c is the pivot row.  If its pivot has a
+    sqrt d part, the row is first multiplied by the pivot's conjugate, which
+    makes the pivot the integer norm n0^2 - d n1^2, nonzero because d is not
+    a square.  Every other row r holding c, earlier pivot rows included,
+    becomes pivot r - r[c] pivot_row, which is 0 at c and has the same
+    kernel, and is then divided by the gcd of its integers.
 
-def _reconstruct(images: List[dict], roots: tuple, cols: int, p: int) -> Optional[list]:
-    """Rational reconstruction of the mod-p kernel basis.
-
-    One (den, {column: (n0, n1)}) per free column, for the vector with
-    entries (n0 + n1 sqrt d)/den (n1 = 0 over Q); None if an entry has no
-    reconstruction.
+    Returns {pivot column: row}, in column order; each row is a nonzero
+    integer at its pivot and 0 at every other pivot column, so the RREF
+    entry (row, f) is row[f]/row[pc].  The rows passed in are consumed.
     """
-    bound = isqrt((p - 1) // 2)
-    if len(roots) == 2:
-        half = (p + 1) // 2
-        half_root = pow(2 * roots[0], -1, p)
-    # entry pc of the vector for free column f is minus entry f of pivot row pc
-    vectors = {f: {f: (1, 1, 0, 1)} for f in range(cols) if f not in images[0]}
-    for pc in images[0]:
-        rows = [im[pc] for im in images]
-        for f in set().union(*rows) - {pc}:
-            u = [-row.get(f, 0) % p for row in rows]
-            if len(u) == 2:
-                a, b = (u[0] + u[1]) * half % p, (u[0] - u[1]) * half_root % p
-            else:
-                a, b = u[0], 0
-            ra, rb = _rational(a, p, bound), _rational(b, p, bound)
-            if ra is None or rb is None:
-                return None
-            vectors[f][pc] = ra + rb
-    out = []
-    for entries in vectors.values():
-        den = lcm(*(e[1] for e in entries.values()), *(e[3] for e in entries.values()))
-        out.append((den, {c: (an * (den // ad), bn * (den // bd))
-                          for c, (an, ad, bn, bd) in entries.items()}))
-    return out
-
-
-def _in_kernel(int_rows: List[list], vectors: list, d: Optional[int]) -> bool:
-    """Exact check that every row of the integer system (see `_lift_rows`)
-    kills every vector: the columns of the system weighted by the vector's
-    entries sum to zero."""
-    by_col: dict = {}
-    for i, row in enumerate(int_rows):
-        for c, n0, n1 in row:
-            by_col.setdefault(c, []).append((i, n0, n1))
-    for _, w in vectors:
-        s0 = [0] * len(int_rows)
-        s1 = [0] * len(int_rows)
-        for c, (w0, w1) in w.items():
-            _add_multiple(d, s0, s1, w0, w1, by_col.get(c, ()))
-        if any(s0) or any(s1):
-            return False
-    return True
-
-
-def _nullspace_exact(a: Matrix, zero, one) -> List[Vector]:
-    """The RREF basis of the kernel, by exact Gauss-Jordan elimination over
-    the field."""
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    pivots: List[int] = []
+    active = [r for r in rows if r]
+    pivots: dict = {}
     for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i][c] != zero), None)
-        if pivot is None:
+        hits = [r for r in active if c in r]
+        if not hits:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [inv * x for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != zero:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    basis = []
-    for fc in range(cols):
-        if fc not in pivots:
-            v = [zero] * cols
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(v)
-    return basis
+        piv = min(hits, key=len)
+        p0, p1 = piv[c]
+        if p1:
+            dp1 = d * p1
+            for k, (x0, x1) in piv.items():
+                piv[k] = (p0 * x0 - dp1 * x1, p0 * x1 - p1 * x0)
+            p0 = piv[c][0]
+        for r in hits + [r for r in pivots.values() if c in r]:
+            if r is piv:
+                continue
+            f0, f1 = r[c]
+            df1 = d * f1
+            for k, (x0, x1) in r.items():
+                r[k] = (p0 * x0, p0 * x1)
+            for k, (y0, y1) in piv.items():
+                x0, x1 = r.get(k, (0, 0))
+                x0 -= f0 * y0 + df1 * y1
+                x1 -= f0 * y1 + f1 * y0
+                if x0 or x1:
+                    r[k] = (x0, x1)
+                else:
+                    del r[k]
+            # fold the gcd entry by entry: a gcd(*all) call per row
+            # fragments the heap with its argument tuples
+            g = 0
+            for x0, x1 in r.values():
+                g = gcd(g, x0, x1)
+                if g == 1:
+                    break
+            if g > 1:
+                for k, (x0, x1) in r.items():
+                    r[k] = (x0 // g, x1 // g)
+        pivots[c] = piv
+        active = [r for r in active if r and r is not piv]
+    return pivots
 
 
 def require_invertible(a: Matrix, zero, one) -> None:
@@ -469,10 +366,7 @@ def require_invertible(a: Matrix, zero, one) -> None:
     invertible, without computing the inverse.
 
     `a` is invertible iff its kernel is zero, and `nullspace` finds the kernel
-    exactly.  The usual case costs one modular row reduction: reduction mod P
-    is a ring map, so rank mod P <= rank over K, and full rank mod P already
-    proves full rank over K, with no vector to lift.  A kernel that is nonzero
-    mod P is lifted and checked exactly, so a singular verdict is exact too.
+    exactly, so both verdicts are exact.
     """
     if nullspace(a, zero, one):
         raise NotInvertible("matrix is singular")

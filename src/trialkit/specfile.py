@@ -45,9 +45,8 @@ def algebra_to_dict(a: Algebra) -> dict:
         else None,
         "unit": [format_scalar(v) for v in a.unit] if a.unit else None,
     }
-    para_unit = getattr(a, "para_unit", None)
-    if para_unit is not None:
-        out["para_unit"] = [format_scalar(v) for v in para_unit]
+    if a.para_unit is not None:
+        out["para_unit"] = [format_scalar(v) for v in a.para_unit]
     if a.kind is not None:
         out["kind"] = a.kind
     return out
@@ -117,20 +116,16 @@ def algebra_from_dict(obj: dict) -> Algebra:
                             f"with 0 <= i, j, k < {n}")
         i, j, k, text = entry
         structure[i][j][k] = _scalar(text, field, "structure")
-    try:
-        out = Algebra(field, structure, form=_matrix(obj, "form", n, field),
-                      involution=_matrix(obj, "involution", n, field),
-                      unit=_vector(obj, "unit", n, field), name=name)
-    except AlgebraError as exc:
-        raise SpecError(str(exc)) from exc
-    para_unit = _vector(obj, "para_unit", n, field)
-    if para_unit is not None:
-        out.para_unit = para_unit
     kind = obj.get("kind")
     if kind not in (None, PARA_ZORN):
         raise SpecError(f"unknown 'kind' {kind!r}; known: {PARA_ZORN!r}")
-    out.kind = kind
-    return out
+    try:
+        return Algebra(field, structure, form=_matrix(obj, "form", n, field),
+                       involution=_matrix(obj, "involution", n, field),
+                       unit=_vector(obj, "unit", n, field), name=name,
+                       para_unit=_vector(obj, "para_unit", n, field), kind=kind)
+    except AlgebraError as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def save_algebra(a: Algebra, path: str) -> None:

@@ -16,7 +16,7 @@ import pytest
 
 import trialkit
 from trialkit import autos
-from trialkit.algebra import AlgebraError
+from trialkit.algebra import Algebra, AlgebraError
 from trialkit.constructors import make_hurwitz, named_algebra
 from trialkit.fields import FieldDescriptor, FieldError, RATIONALS
 from trialkit.triality import RelationFails
@@ -61,14 +61,15 @@ def test_the_nine_classes_keep_their_bases():
 
 
 def test_chain_search_lets_a_missing_involution_through():
-    z = named_algebra("zorn")
-    z.involution = None
+    zorn = named_algebra("zorn")
+    z = Algebra(zorn.field, zorn.structure, form=zorn.form, unit=zorn.unit, name=zorn.name)
     with pytest.raises(AlgebraError, match="^algebra has no involution$"):
         autos.find_r3_data(z)
 
 
 def test_sphere_search_lets_a_missing_form_through():
-    h = make_hurwitz(FieldDescriptor(RATIONALS), (-1, -1))
-    h.form = None
+    quaternions = make_hurwitz(FieldDescriptor(RATIONALS), (-1, -1))
+    h = Algebra(quaternions.field, quaternions.structure,
+                involution=quaternions.involution, unit=quaternions.unit)
     with pytest.raises(AlgebraError, match="^algebra has no bilinear form$"):
         autos._sphere_patterns(h)

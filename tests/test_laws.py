@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trialkit import assoc, autos, cli, symcomp, triality, zorn
-from trialkit.algebra import AlgebraError, Element, LinearMap
+from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap
 from trialkit.cli import parse_field
 from trialkit.constructors import cross_space, make_para_zorn, named_algebra
 from trialkit.fields import SqrtUnavailable
@@ -512,8 +512,8 @@ def test_order3_and_sphere_isometries_certify():
 
 
 def test_form_law_needs_a_form():
-    b = named_algebra("hurwitz:2")
-    b.form = None
+    h = named_algebra("hurwitz:2")
+    b = Algebra(h.field, h.structure, involution=h.involution, unit=h.unit)
     with pytest.raises(AlgebraError, match="no bilinear form"):
         triality.form_law_failure(b, None, None)
 
@@ -908,10 +908,8 @@ def _shifted(a, i, j, k, c):
     """A fresh copy of a with structure constant (i, j, k) shifted by c."""
     structure = [[list(row) for row in plane] for plane in a.structure]
     structure[i][j][k] = structure[i][j][k] + c
-    out = type(a)(a.field, structure, form=a.form, involution=a.involution, unit=a.unit,
-                  name=a.name)
-    out.para_unit = getattr(a, "para_unit", None)
-    return out
+    return type(a)(a.field, structure, form=a.form, involution=a.involution, unit=a.unit,
+                   name=a.name, para_unit=a.para_unit)
 
 
 def _perturbed(a):

@@ -1,10 +1,11 @@
-"""The modular nullspace against exact row reduction, and the integer
+"""The integer nullspace against exact row reduction, and the integer
 products against the FieldElement loops they replaced.
 
-`linalg.nullspace` row-reduces over F_P and lifts the result, with an exact
-check; the reference below is the exact RREF path it replaced, kept here
-unchanged apart from skipping the zero entries of the pivot row (x - f*0 is
-x exactly), which makes it fast enough for the 512 x 64 derivation systems.
+`linalg.nullspace` row-reduces integer rows, mod p or without division; the
+reference below is Gauss-Jordan elimination over the field on
+FieldElements, kept unchanged apart from skipping the zero entries of the
+pivot row (x - f*0 is x exactly), which makes it fast enough for the
+512 x 64 derivation systems.
 """
 
 from fractions import Fraction
@@ -21,7 +22,6 @@ from trialkit.fields import (FieldDescriptor, FieldElement, PRIME, QUADRATIC,
 Q = FieldDescriptor(RATIONALS)
 FIELDS = ([Q] + [FieldDescriptor(QUADRATIC, d=d) for d in (-3, -1, 2, 3, 5)]
           + [FieldDescriptor(PRIME, p=p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)])
-P0, P1 = linalg.NULLSPACE_PRIMES[:2]
 
 
 def reference_rref(a, zero):
@@ -100,7 +100,6 @@ def assert_same_as_reference(a, field):
     zero, one = field.zero(), field.one()
     expected = key(reference_nullspace(a, zero, one))
     assert key(linalg.nullspace(a, zero, one)) == expected
-    assert key(linalg._nullspace_exact(a, zero, one)) == expected
 
 
 @st.composite
@@ -301,106 +300,39 @@ def test_mat_inv_and_solve_on_fixed_cases():
     assert linalg.solve([[F7.from_int(3)]], [F7.one()], F7.zero(), F7.one()) == [F7.from_int(5)]
 
 
-def test_require_invertible_past_a_bad_prime_and_into_the_exact_fallback():
-    # invertible, but singular mod P0
-    assert require_invertible_outcome([q(1, 1), q(1, 1 + P0)], Q) is None
-    # singular with a kernel vector (-2^100 - 1, 1) no prime reconstructs
+P = 4611686018427387847  # a prime just below 2**62
+
+
+def test_require_invertible_on_fixed_cases():
+    # invertible, with an entry 1 + P
+    assert require_invertible_outcome([q(1, 1), q(1, 1 + P)], Q) is None
+    # singular, with the kernel vector (-2^100 - 1, 1)
     big = 2 ** 100 + 1
     assert require_invertible_outcome([q(1, big), q(2, 2 * big)], Q) == "matrix is singular"
-
-
-def spy(monkeypatch):
-    """Record the prime of every modular elimination and every exact fallback."""
-    primes, fallbacks = [], []
-    rref_mod, exact = linalg._rref_mod, linalg._nullspace_exact
-
-    def rref_mod_spy(rows, cols, p):
-        primes.append(p)
-        return rref_mod(rows, cols, p)
-
-    def exact_spy(a, zero, one):
-        fallbacks.append(len(a))
-        return exact(a, zero, one)
-
-    monkeypatch.setattr(linalg, "_rref_mod", rref_mod_spy)
-    monkeypatch.setattr(linalg, "_nullspace_exact", exact_spy)
-    return primes, fallbacks
 
 
 def q(*values):
     return [Q.element(Fraction(v)) for v in values]
 
 
-def test_denominator_equal_to_the_first_prime_needs_no_skip(monkeypatch):
-    # rows are scaled to integers before reduction, so 1/P0 is harmless
-    a = [q(Fraction(1, P0), Fraction(-2, P0), 0), q(0, Fraction(1, P0), Fraction(1, P0))]
-    assert_same_as_reference(a, Q)
-    primes, fallbacks = spy(monkeypatch)
-    [v] = linalg.nullspace(a, Q.zero(), Q.one())
-    assert v == q(-2, -1, 1)
-    assert primes == [P0] and fallbacks == []
+S3 = FieldDescriptor(QUADRATIC, d=3)
+SM3 = FieldDescriptor(QUADRATIC, d=-3)
+SM118 = FieldDescriptor(QUADRATIC, d=-118)
 
 
-def test_rank_drop_mod_the_first_prime_retries_the_next(monkeypatch):
-    # [[1, 1], [1, 1 + P0]] is invertible, but singular mod P0
-    primes, fallbacks = spy(monkeypatch)
-    assert linalg.nullspace([q(1, 1), q(1, 1 + P0)], Q.zero(), Q.one()) == []
-    assert primes == [P0, P1] and fallbacks == []
-
-
-def test_d_not_a_square_mod_the_first_prime_skips_it(monkeypatch):
-    field = FieldDescriptor(QUADRATIC, d=3)
-    assert pow(3, (P0 - 1) // 2, P0) == P0 - 1
-    a = [[field.one(), field.element(0, 1), field.element(Fraction(1, 2), 1)]]
+@pytest.mark.parametrize("field,a", [
+    (Q, [q(Fraction(1, P), Fraction(-2, P), 0), q(0, Fraction(1, P), Fraction(1, P))]),
+    (Q, [q(1, 1), q(1, 1 + P)]),
+    (Q, [q(1, 2 ** 100 + 1)]),
+    (S3, [[S3.one(), S3.element(0, 1), S3.element(Fraction(1, 2), 1)]]),
+    # 1309334561089365911 is a square root of -3 mod P
+    (SM3, [[SM3.element(1309334561089365911, 1)]]),
+    (SM3, [[SM3.element(1309334561089365911, -1)]]),
+    (SM118, [[SM118.element(0, 1), SM118.one()]]),
+], ids=["denominators-1/P", "rank-drop-mod-P", "kernel-2^100+1", "sqrt3-entries",
+        "r+sqrt-3", "r-sqrt-3", "sqrt-118"])
+def test_nullspace_on_fixed_cases(field, a):
     assert_same_as_reference(a, field)
-    primes, fallbacks = spy(monkeypatch)
-    basis = linalg.nullspace(a, field.zero(), field.one())
-    assert basis == [[field.element(0, -1), field.one(), field.zero()],
-                     [field.element(Fraction(-1, 2), -1), field.zero(), field.one()]]
-    assert P0 not in primes and len(primes) == 2 and primes[0] == primes[1]
-    assert fallbacks == []
-
-
-def test_embeddings_that_disagree_retry_the_next_prime(monkeypatch):
-    # r -+ sqrt(-3) vanishes mod P0 under one of sqrt(-3) -> +-r, not both
-    field = FieldDescriptor(QUADRATIC, d=-3)
-    r = linalg._sqrt_mod(-3, P0)
-    for sign in (-1, 1):
-        primes, fallbacks = spy(monkeypatch)
-        assert linalg.nullspace([[field.element(r, sign)]], field.zero(), field.one()) == []
-        assert primes[:2] == [P0, P0] and P0 not in primes[2:] and fallbacks == []
-        monkeypatch.undo()
-
-
-def test_exact_fallback_when_no_prime_lifts(monkeypatch):
-    # the kernel entry -2^100 - 1 is beyond rational reconstruction mod P < 2^62
-    primes, fallbacks = spy(monkeypatch)
-    big = 2 ** 100 + 1
-    [v] = linalg.nullspace([q(1, big)], Q.zero(), Q.one())
-    assert v == q(-big, 1)
-    assert primes == list(linalg.NULLSPACE_PRIMES) and fallbacks == [1]
-
-
-def test_exact_fallback_when_d_is_a_square_mod_no_prime(monkeypatch):
-    d = -118
-    assert all(pow(d % p, (p - 1) // 2, p) == p - 1 for p in linalg.NULLSPACE_PRIMES)
-    field = FieldDescriptor(QUADRATIC, d=d)
-    primes, fallbacks = spy(monkeypatch)
-    [v] = linalg.nullspace([[field.element(0, 1), field.one()]], field.zero(), field.one())
-    assert v == [field.element(0, Fraction(1, 118)), field.one()]
-    assert primes == [] and fallbacks == [1]
-
-
-def test_nullspace_primes_are_primes_with_cheap_square_roots():
-    sympy = pytest.importorskip("sympy")
-    for p in linalg.NULLSPACE_PRIMES:
-        assert sympy.isprime(p) and p < 2 ** 62 and p % 8 != 1
-    for d in (-3, -1, 2, -2, 3, 5, 6, 7):
-        roots = [linalg._sqrt_mod(d, p) for p in linalg.NULLSPACE_PRIMES]
-        assert sum(r is not None for r in roots) >= 3
-        for p, r in zip(linalg.NULLSPACE_PRIMES, roots):
-            assert (r is not None) == (pow(d % p, (p - 1) // 2, p) == 1)
-            assert r is None or r * r % p == d % p
 
 
 NAMED = ("ground", "para2", "hurwitz:1", "hurwitz:2", "hurwitz:4", "hurwitz:8",
@@ -425,18 +357,6 @@ def test_derivation_space_matches_exact_reference(field):
         assert [key(d.rows) for d in got] == [key(d.rows) for d in want], name
         checked += 1
     assert checked >= len(NAMED) - 2
-
-
-@pytest.mark.parametrize("name,field", [("okubo", "Qsqrt3"), ("para:8", "Q"),
-                                        ("parazorn:3:1", "Qsqrt2"), ("okubo", "F13")])
-def test_derivation_rows_need_no_exact_fallback(monkeypatch, name, field):
-    """The integer rows derivation_space writes from int_terms lift at the
-    first usable prime (okubo's constants have sqrt 3 parts)."""
-    from trialkit.cli import parse_field
-    a = named_algebra(name, parse_field(field))
-    primes, fallbacks = spy(monkeypatch)
-    autos.derivation_space(a)
-    assert fallbacks == [] and len(set(primes)) <= 1
 
 
 # ---------------------------------------------------------------------------

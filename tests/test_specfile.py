@@ -88,12 +88,8 @@ def algebras(draw):
         n = a.dim
         structure = [[[random_scalar(field, rng) if rng.random() < 0.5 else field.zero()
                        for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        b = Algebra(field, structure, form=a.form, involution=a.involution, unit=a.unit,
-                    name=a.name)
-        b.kind = a.kind
-        if getattr(a, "para_unit", None) is not None:
-            b.para_unit = a.para_unit
-        a = b
+        a = Algebra(field, structure, form=a.form, involution=a.involution, unit=a.unit,
+                    name=a.name, para_unit=a.para_unit, kind=a.kind)
     return a
 
 

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 40 mutants takes about ten minutes on two cores, most of
+a full run of the 43 mutants takes about ten minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -37,6 +37,7 @@ LAWS = "tests/test_laws.py::"
 KERNEL_LAWS = LAWS + "test_law_kernels_match_the_fieldelement_checkers"
 KERNEL_PRODUCTS = "tests/test_linalg.py::test_integer_products_match_the_ring_loop"
 PRODUCT_LOOP = "tests/test_algebra.py::test_product_loop_matches_the_fieldelement_and_residue_loops"
+NULLSPACE = "tests/test_linalg.py::test_nullspace_matches_exact_rref"
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,24 @@ MUTANTS = (
     Mutant("one sign flipped in the derivation rows", "autos.py",
            "(m, l * n + i, -c0, -c1)", "(m, l * n + i, c0, -c1)",
            ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
-    Mutant("integer-row nullspace ignores n1", "linalg.py",
-           "(y := (n0 + n1 * s) % p)", "(y := n0 % p)",
-           ("tests/test_linalg.py::test_derivation_rows_need_no_exact_fallback",
-            "tests/test_linalg.py::test_d_not_a_square_mod_the_first_prime_skips_it")),
+    # -- one exact elimination: _rref_exact -----------------------------------
+    Mutant("pivot row not multiplied by the pivot's conjugate", "linalg.py",
+           "        if p1:\n            dp1 = d * p1", "        if False:\n            dp1 = d * p1",
+           (NULLSPACE,)),
+    Mutant("earlier pivot rows not re-reduced", "linalg.py",
+           "        for r in hits + [r for r in pivots.values() if c in r]:\n"
+           "            if r is piv:\n                continue\n            f0, f1 = r[c]",
+           "        for r in hits:\n"
+           "            if r is piv:\n                continue\n            f0, f1 = r[c]",
+           (NULLSPACE,)),
+    Mutant("wrong sign on the negative-pivot read-off", "linalg.py",
+           "else _reduced(desc, f0, f1, -q)", "else _reduced(desc, -f0, -f1, -q)",
+           (NULLSPACE,)),
+    Mutant("gcd division dropped", "linalg.py",
+           "            if g > 1:\n", "            if False:\n",
+           (NULLSPACE,),
+           equivalent="dividing a row by a positive integer only rescales it, which "
+                      "changes neither its kernel nor any ratio row[f]/row[pc]"),
     # -- earlier cuts: certify each identity once ---------------------------
     Mutant("mat_inv accepts when the y blocks only have a unit diagonal", "linalg.py",
            "if [v[n:] for v in basis] != identity(n, one, zero):",
