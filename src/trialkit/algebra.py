@@ -279,6 +279,12 @@ class Algebra:
                     acc = acc + xi * self.form[i][j] * yj
         return acc
 
+    def covector(self, w: Element) -> list:
+        """The list of <e_l|w> over every basis index l: the form times w."""
+        if self.form is None:
+            raise AlgebraError("algebra has no bilinear form")
+        return linalg.mat_vec(self.form, w.coords)
+
     def involute(self, x: Element) -> Element:
         if self.involution is None:
             raise AlgebraError("algebra has no involution")

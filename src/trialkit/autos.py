@@ -141,12 +141,6 @@ def find_idempotents(a: Algebra) -> List[Idempotent]:
     if root3 is not None and imag:
         candidates.append(half * (-e + root3 * a.basis(imag[0])))
         candidates.append(half * (-e - root3 * a.basis(imag[0])))
-    if fdesc.kind == "Fp" and n == 2 and imag:
-        # small enough to sweep the whole coordinate line
-        for v in range(fdesc.p):
-            alpha = fdesc.from_int(v)
-            if alpha * alpha == fdesc.from_int(3):
-                candidates.append(half * (-e + alpha * a.basis(imag[0])))
     for x in candidates:
         try:
             idem = certify_idempotent(a, x)
@@ -474,11 +468,7 @@ def hurwitz_D(h: Algebra, a: Element, p: Element) -> LinearMap:
 def transport_orthogonal(h: Algebra, a: Element) -> List[Element]:
     """Basis of {p : <p|a> = <p|e> = 0}, the parameter space of D(a, .)."""
     e = h.unit_element()
-    n = h.dim
-    rows = [
-        [h.form_eval(h.basis(i), a) for i in range(n)],
-        [h.form_eval(h.basis(i), e) for i in range(n)],
-    ]
+    rows = [h.covector(a), h.covector(e)]
     return [h.element(v) for v in linalg.nullspace(rows, h.field.zero(), h.field.one())]
 
 

@@ -20,6 +20,7 @@ integer residue over F_p).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -431,26 +432,28 @@ def format_scalar(x: FieldElement) -> str:
     return str(x.a)
 
 
+# a+b*sqrt(d), a-b*sqrt(d) or b*sqrt(d), a and b "n" or "n/m", b possibly signed
+_QUADRATIC_TEXT = re.compile(
+    r"(?:([+-]?\d+)(?:/(\d+))?([+-]))?([+-]?\d+)(?:/(\d+))?\*sqrt\(([+-]?\d+)\)")
+
+
 def parse_scalar(text: str, desc: FieldDescriptor) -> FieldElement:
+    """Read a scalar as `format_scalar` or `str` writes it: an integer
+    residue, a rational, or over Q(sqrt d) also a+b*sqrt(d), a-b*sqrt(d) or
+    b*sqrt(d).  A sqrt of any other d, or a sqrt outside Q(sqrt d), is a
+    ValueError."""
     text = text.strip().replace(" ", "")
     if desc.kind == PRIME:
         return desc.element(int(text))
-    if desc.kind == QUADRATIC:
-        if "sqrt" in text:
-            head, tail = text.split("+", 1) if "+" in text.split("sqrt")[0] else _split_quad(text)
-            b_part = tail[: tail.index("*sqrt(")]
-            return desc.element(Fraction(head), Fraction(b_part))
+    if desc.kind != QUADRATIC or not text.endswith(")"):
         return desc.element(Fraction(text))
-    return desc.element(Fraction(text))
-
-
-def _split_quad(text: str):
-    # "a+b*sqrt(d)" where a may itself start with '-'; split at the '+' or '-'
-    # that precedes the sqrt coefficient.
-    idx = text.index("*sqrt(")
-    # walk back to the sign separating a from b
-    for i in range(idx - 1, 0, -1):
-        ch = text[i]
-        if ch in "+-" and text[i - 1] not in "/+-":
-            return text[:i], text[i:idx + len(text) - idx]
-    raise ValueError(f"cannot parse quadratic scalar: {text}")
+    m = _QUADRATIC_TEXT.fullmatch(text)
+    if m is None:
+        raise ValueError(f"cannot parse quadratic scalar: {text}")
+    an, ad, sign, bn, bd, d = m.groups()
+    if int(d) != desc.d:
+        raise ValueError(f"sqrt({d}) is not in Q(sqrt({desc.d}))")
+    an, ad, bn, bd = int(an or 0), int(ad or 1), int(bn), int(bd or 1)
+    if ad == 0 or bd == 0:
+        raise ZeroDivisionError(f"zero denominator in {text}")
+    return _reduced(desc, an * bd, -bn * ad if sign == "-" else bn * ad, ad * bd)

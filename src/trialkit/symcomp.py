@@ -390,8 +390,8 @@ def lambda_space(a: SigmaTriple) -> List[LambdaVector]:
     alg = a.algebra
     n = alg.dim
     zero = alg.field.zero()
-    row1 = [alg.form_eval(alg.basis(i), a.comp(1)) for i in range(n)] + [zero] * n
-    row2 = [zero] * n + [alg.form_eval(alg.basis(i), a.comp(2)) for i in range(n)]
+    row1 = alg.covector(a.comp(1)) + [zero] * n
+    row2 = [zero] * n + alg.covector(a.comp(2))
     out = []
     for v in linalg.nullspace([row1, row2], zero, alg.field.one()):
         p1 = alg.element(v[:n])
@@ -402,7 +402,7 @@ def lambda_space(a: SigmaTriple) -> List[LambdaVector]:
 
 def _outer(alg: Algebra, u: Element, w: Element) -> LinearMap:
     """Map x -> <w|x> u as a matrix."""
-    wdual = [alg.form_eval(alg.basis(l), w) for l in range(alg.dim)]
+    wdual = alg.covector(w)
     return LinearMap(alg, [[u.coords[k] * wdual[l] for l in range(alg.dim)]
                            for k in range(alg.dim)])
 
@@ -488,7 +488,7 @@ def express_D_as_d(p: LambdaVector, alpha: FieldElement, beta: FieldElement) -> 
     alg = a.algebra
     u = (p.p_comp(2) + alpha * a.comp(2)) / (alg.field.from_int(2) * beta)
     v = beta * a.comp(2)
-    d = derivation_pair(alg, u, v, "symmetric_composition")
+    d = derivation_pair(alg, u, v)
     big = local_D(a, p)
     for j in range(1, 4):
         if big.comp(j) != d.comp(j):
@@ -518,7 +518,7 @@ def cubic_identity(a: Algebra, x: Element, y: Element) -> CubicReport:
     four = a.field.from_int(4)
     delta = four * (a.form_eval(x, y) * a.form_eval(x, y)
                     - a.form_eval(x, x) * a.form_eval(y, y))
-    pair = derivation_pair(a, x, y, "symmetric_composition")
+    pair = derivation_pair(a, x, y)
     ident = a.identity_map()
     cubic = tuple(
         (pair.comp(j) @ pair.comp(j) @ pair.comp(j)) == delta * pair.comp(j)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap
@@ -255,9 +255,6 @@ def trig_mul(g: TrialityTriple, h: TrialityTriple) -> TrialityTriple:
     return TrialityTriple(g.algebra, tuple(gm @ hm for gm, hm in zip(g.maps, h.maps)))
 
 
-_S4_GENERATORS = ("phi", "phi_inv", "tau1", "tau2", "tau3", "theta")
-
-
 def s4_act(word: Sequence[str], g: TrialityTriple) -> TrialityTriple:
     """Apply a word of outer symmetries to a triple, leftmost letter first.
 
@@ -351,108 +348,63 @@ class DerivationPair:
         return (self.d1, self.d2, self.d3)
 
 
-D3Rule = Union[str, Callable[[Algebra, Element, Element], LinearMap]]
+def _d3_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:
+    """d3(x,y) z = 4(<x|z> y - <y|z> x)."""
+    four, bx, by = a.field.from_int(4), a.covector(x), a.covector(y)
+    return LinearMap(a, [[four * (yk * u - xk * v) for u, v in zip(bx, by)]
+                         for xk, yk in zip(x.coords, y.coords)])
 
 
-def _d3_matrix(a: Algebra, x: Element, y: Element, rule: D3Rule) -> LinearMap:
-    if callable(rule):
-        return rule(a, x, y)
-    if rule == "symmetric_composition":
-        # d3(x,y) z = 4(<x|z> y - <y|z> x)
-        four = a.field.from_int(4)
-        bx = [a.form_eval(a.basis(l), x) for l in range(a.dim)]
-        by = [a.form_eval(a.basis(l), y) for l in range(a.dim)]
-        rows = [
-            [four * (y.coords[k] * bx[l] - x.coords[k] * by[l]) for l in range(a.dim)]
-            for k in range(a.dim)
-        ]
-        return LinearMap(a, rows)
-    if rule == "lie":
-        return a.left_op(x * y - y * x)
-    raise ValueError(f"unknown d3 rule: {rule}")
-
-
-def derivation_pair(a: Algebra, x: Element, y: Element, d3_rule: D3Rule = "symmetric_composition") -> DerivationPair:
+def derivation_pair(a: Algebra, x: Element, y: Element) -> DerivationPair:
+    """d1(x,y) = R_y L_x - R_x L_y, d2(x,y) = L_y R_x - L_x R_y and d3 as in
+    the triality Lie algebra of a symmetric composition algebra."""
     d1 = a.right_op(y) @ a.left_op(x) - a.right_op(x) @ a.left_op(y)
     d2 = a.left_op(y) @ a.right_op(x) - a.left_op(x) @ a.right_op(y)
-    d3 = _d3_matrix(a, x, y, d3_rule)
-    return DerivationPair(a, x, y, d1, d2, d3)
+    return DerivationPair(a, x, y, d1, d2, _d3_matrix(a, x, y))
 
 
-def _is_local(a: Algebra, maps: Sequence[LinearMap]) -> bool:
-    try:
-        verify_local(a, *maps)
-        return True
-    except RelationFails:
-        return False
-
-
-def classify_regularity(a: Algebra, d3_rule: D3Rule = "symmetric_composition") -> str:
-    """Classify the derivation system: 'normal', 'pre-normal', 'regular', or 'none'.
+def classify_regularity(a: Algebra) -> str:
+    """Classify the derivation system: 'normal', 'pre-normal' or 'none'.
 
     Regular: (d1, d2, d3)(x, y) is a local triple for all x, y.
     Pre-normal adds the cyclic sum d3(x,y)z + d3(y,z)x + d3(z,x)y = 0.
-    Normal adds d1(z,xy) + d2(y,zx) + d3(x,yz) = 0.
+    Normal adds Q(x,y,z) = d1(z,xy) + d2(y,zx) + d3(x,yz) = 0 as operators.
+
+    Only the local law and Q are scanned; the rest holds by construction.
+    Each d_j(x, y) is bilinear, and d_j(x, x) = 0 and d_j(y, x) = -d_j(x, y)
+    hold entry by entry: d1(x, x) and d2(x, x) are a product minus itself,
+    and d3(x, y)z = 4(<z|x> y - <z|y> x) is alternating in (x, y).  The
+    local law is linear in the triple, so on the basis pairs i < j it proves
+    the law for all x, y.  The cyclic
+    sum is 4(<z|x>y - <z|y>x + <x|y>z - <x|z>y + <y|z>x - <y|x>z), which is
+    zero because `Algebra.__init__` rejects a form that is not symmetric;
+    so every regular system is pre-normal, and 'regular' is never returned.
     """
     n = a.dim
     basis = a.basis_elements()
-    pairs = {}
     for i in range(n):
         for j in range(i + 1, n):
-            pairs[(i, j)] = derivation_pair(a, basis[i], basis[j], d3_rule)
-            if not _is_local(a, pairs[(i, j)].maps()):
+            try:
+                verify_local(a, *derivation_pair(a, basis[i], basis[j]).maps())
+            except RelationFails:
                 return "none"
-    # d_j(x, x) must vanish for the bilinear antisymmetric system
-    for i in range(n):
-        p = derivation_pair(a, basis[i], basis[i], d3_rule)
-        zero_rows = linalg.zeros(n, n, a.field.zero())
-        if any(not linalg.mat_eq(m.rows, zero_rows) for m in p.maps()):
-            return "none"
-    pre_normal = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = _pair_d3(pairs, a, i, j, d3_rule)(basis[k])
-                acc = acc + _pair_d3(pairs, a, j, k, d3_rule)(basis[i])
-                acc = acc + _pair_d3(pairs, a, k, i, d3_rule)(basis[j])
-                if not acc.is_zero():
-                    pre_normal = False
-                    break
-            if not pre_normal:
-                break
-        if not pre_normal:
-            break
-    if not pre_normal:
-        return "regular"
-    # normality: Q(x,y,z) = d1(z, xy) + d2(y, zx) + d3(x, yz) = 0 as operators
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                q1 = derivation_pair(a, z, x * y, d3_rule).d1
-                q2 = derivation_pair(a, y, z * x, d3_rule).d2
-                q3 = _d3_matrix(a, x, y * z, d3_rule)
-                total = q1 + q2 + q3
-                if not linalg.mat_eq(total.rows, linalg.zeros(n, n, a.field.zero())):
-                    return "pre-normal"
-    return "normal"
+    zero = linalg.zeros(n, n, a.field.zero())
+
+    def q_vanishes(i: int, j: int, k: int) -> bool:
+        x, y, z = basis[i], basis[j], basis[k]
+        q = (derivation_pair(a, z, x * y).d1 + derivation_pair(a, y, z * x).d2
+             + _d3_matrix(a, x, y * z))
+        return linalg.mat_eq(q.rows, zero)
+
+    return "normal" if first_failing_tuple(q_vanishes, n, n, n) is None else "pre-normal"
 
 
-def _pair_d3(pairs, a: Algebra, i: int, j: int, rule: D3Rule) -> LinearMap:
-    if i == j:
-        return LinearMap(a, linalg.zeros(a.dim, a.dim, a.field.zero()))
-    if (i, j) in pairs:
-        return pairs[(i, j)].d3
-    return -pairs[(j, i)].d3
-
-
-def commutator_covariance(a: Algebra, t: LocalTriple, x: Element, y: Element,
-                          d3_rule: D3Rule = "symmetric_composition") -> None:
+def commutator_covariance(a: Algebra, t: LocalTriple, x: Element, y: Element) -> None:
     """[t_j, d_k(x,y)] = d_k(t_{j-k}x, y) + d_k(x, t_{j-k}y) for all j, k."""
-    d = derivation_pair(a, x, y, d3_rule)
+    d = derivation_pair(a, x, y)
     # the right-hand side depends on j - k only (mod 3)
-    moved = [(derivation_pair(a, t.comp(s)(x), y, d3_rule),
-              derivation_pair(a, x, t.comp(s)(y), d3_rule)) for s in range(3)]
+    moved = [(derivation_pair(a, t.comp(s)(x), y),
+              derivation_pair(a, x, t.comp(s)(y))) for s in range(3)]
     for j in range(1, 4):
         for k in range(1, 4):
             left, right = moved[(j - k) % 3]
@@ -461,12 +413,11 @@ def commutator_covariance(a: Algebra, t: LocalTriple, x: Element, y: Element,
                                     witness=(j, k))
 
 
-def conjugation_covariance(a: Algebra, g: TrialityTriple, x: Element, y: Element,
-                           d3_rule: D3Rule = "symmetric_composition") -> None:
+def conjugation_covariance(a: Algebra, g: TrialityTriple, x: Element, y: Element) -> None:
     """g_j d_k(x,y) g_j^{-1} = d_k(g_{j-k}x, g_{j-k}y) for all j, k."""
-    d = derivation_pair(a, x, y, d3_rule)
+    d = derivation_pair(a, x, y)
     # the right-hand side depends on j - k only (mod 3)
-    moved = [derivation_pair(a, g.comp(s)(x), g.comp(s)(y), d3_rule) for s in range(3)]
+    moved = [derivation_pair(a, g.comp(s)(x), g.comp(s)(y)) for s in range(3)]
     for j in range(1, 4):
         gj = g.comp(j)
         gj_inv = gj.inverse()

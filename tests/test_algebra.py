@@ -244,3 +244,23 @@ def test_product_loop_matches_the_fieldelement_and_residue_loops(case):
         rx, ry = tuple(c.a for c in x), tuple(c.a for c in y)
         assert multiply(rx, ry) == ref.multiply(rx, ry)
         assert form_eval(rx, ry) == ref.form_eval(rx, ry)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_and_pairs())
+def test_covector_matches_the_form_eval_comprehension(case):
+    """covector(w) lists <e_l|w>, as the comprehension it replaced did, over
+    random symmetric forms and the named algebras (parazorn:1:1's form is
+    not the identity)."""
+    a, x, _ = case
+    w = a.element(x)
+    want = [a.form_eval(a.basis(l), w) for l in range(a.dim)]
+    got = a.covector(w)
+    assert got == want and canonical(got) == canonical(want)
+
+
+def test_covector_needs_a_form():
+    h = quaternions()
+    h.form = None
+    with pytest.raises(AlgebraError, match="^algebra has no bilinear form$"):
+        h.covector(h.basis(0))

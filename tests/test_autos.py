@@ -5,7 +5,7 @@ from trialkit.cli import parse_field
 from trialkit.constructors import make_hurwitz, make_para_dim2, named_algebra
 from trialkit.algebra import AlgebraError
 from trialkit.fields import (FieldDescriptor, PRIME, QUADRATIC, RATIONALS,
-                             SqrtUnavailable)
+                             SqrtUnavailable, sqrt_in_field)
 from trialkit.triality import RelationFails
 
 Q = FieldDescriptor(RATIONALS)
@@ -234,3 +234,77 @@ def test_elduque_form_chains():
         autos.verify_elduque_form(h, [])
     with pytest.raises(ValueError):
         autos.verify_elduque_form(h, [i, -i], side="diagonal")
+
+
+def ref_find_idempotents(a):
+    """find_idempotents as it was, with the sweep of F_p for alpha^2 = 3 on a
+    two-dimensional algebra."""
+    e = autos._para_unit(a)
+    f = a.field
+    half, one = f.from_int(2).inverse(), f.one()
+    out = []
+    try:
+        out.append(autos.certify_idempotent(a, e))
+    except RelationFails:
+        pass
+    imag = [i for i in range(a.dim) if a.basis(i) != e]
+    candidates = []
+    if len(imag) >= 3:
+        for s0 in (one, -one):
+            for s1 in (one, -one):
+                for s2 in (one, -one):
+                    candidates.append(half * (-e + s0 * a.basis(imag[0]) + s1 * a.basis(imag[1])
+                                              + s2 * a.basis(imag[2])))
+    root3 = sqrt_in_field(f.from_int(3))
+    if root3 is not None and imag:
+        candidates.append(half * (-e + root3 * a.basis(imag[0])))
+        candidates.append(half * (-e - root3 * a.basis(imag[0])))
+    if f.kind == "Fp" and a.dim == 2 and imag:
+        for v in range(f.p):
+            alpha = f.from_int(v)
+            if alpha * alpha == f.from_int(3):
+                candidates.append(half * (-e + alpha * a.basis(imag[0])))
+    for x in candidates:
+        try:
+            idem = autos.certify_idempotent(a, x)
+        except RelationFails:
+            continue
+        if all(idem.elem != known.elem for known in out):
+            out.append(idem)
+    return out
+
+
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+
+
+@pytest.mark.parametrize("name", ["para2", "para:2", "para:2:split", "hurwitz:2", "ground",
+                                  "para:1", "para:4"])
+def test_find_idempotents_matches_the_sweeping_reference(name):
+    """The F_p sweep for alpha^2 = 3 found only +-sqrt_in_field(3), which the
+    sqrt(3) candidates already cover."""
+    for p in SMALL_PRIMES:
+        a = named_algebra(name, FieldDescriptor(PRIME, p=p))
+        got = [idem.elem for idem in autos.find_idempotents(a)]
+        assert got == [idem.elem for idem in ref_find_idempotents(a)], p
+
+
+def para8_f11_square_zero_derivation():
+    """d = B0 + 10 B1 + 8 B2 over the derivation_space basis B of para:8 over
+    F11, a square-zero derivation outside the B_i and B_i +- B_j."""
+    a = named_algebra("para:8", parse_field("F11"))
+    basis = autos.derivation_space(a)
+    return a, basis[0] + 10 * basis[1] + 8 * basis[2]
+
+
+def test_para8_f11_has_a_square_zero_derivation():
+    a, d = para8_f11_square_zero_derivation()
+    autos.certify_derivation(a, d)
+    assert linalg.squares_to(d.rows, a.field.zero(), a.field.zero())
+    assert autos.unipotent_bridge(d, "der_to_auto") == a.identity_map() + d
+
+
+@pytest.mark.xfail(strict=True, reason="find_nilpotent_derivation tries only B_i and "
+                                       "B_i +- B_j of the derivation_space basis")
+def test_nilpotent_search_finds_the_para8_f11_derivation():
+    a, _ = para8_f11_square_zero_derivation()
+    assert autos.find_nilpotent_derivation(a) is not None

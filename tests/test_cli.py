@@ -7,7 +7,7 @@ from trialkit import specfile
 from trialkit.algebra import Algebra
 from trialkit.cli import main, parse_field
 from trialkit.constructors import named_algebra
-from trialkit.fields import FieldDescriptor, PRIME, QUADRATIC, RATIONALS
+from trialkit.fields import FieldDescriptor, PRIME, QUADRATIC, RATIONALS, parse_scalar
 
 Q = FieldDescriptor(RATIONALS)
 
@@ -399,3 +399,37 @@ def test_unreadable_spec_path_is_rejected_with_exit_2(capsys, tmp_path):
     rc, out, err = run(capsys, "certify", str(tmp_path))
     assert (rc, out) == (2, "")
     assert err.startswith("error: cannot read spec file")
+
+
+def _okubo_spec():
+    return specfile.algebra_to_dict(named_algebra("okubo", FieldDescriptor(QUADRATIC, d=3)))
+
+
+def test_spec_with_a_foreign_radicand_is_rejected_with_exit_2(capsys, tmp_path):
+    """A scalar written over sqrt(5) in a Q(sqrt 3) spec is bad input, not a
+    different element of Q(sqrt 3)."""
+    spec = _okubo_spec()
+    entry = next(e for e in spec["structure"] if not e[3].startswith("0+"))
+    entry[3] = entry[3].replace("sqrt(3)", "sqrt(5)")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, "certify", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: bad scalar {entry[3]!r} in structure: sqrt(5) is not in Q(sqrt(3))\n"
+
+
+def test_spec_scalars_written_by_str_certify_the_same(capsys, tmp_path):
+    """str() writes b*sqrt(d) when the rational part is 0, and a alone when
+    the sqrt part is; a spec in that spelling certifies as the canonical one."""
+    spec = _okubo_spec()
+    field = FieldDescriptor(QUADRATIC, d=3)
+    path = tmp_path / "canonical.json"
+    path.write_text(json.dumps(spec))
+    want = run(capsys, "certify", str(path))
+    for entry in spec["structure"]:
+        entry[3] = str(parse_scalar(entry[3], field))
+    spec["form"] = [[str(parse_scalar(v, field)) for v in row] for row in spec["form"]]
+    assert any("*sqrt" in e[3] and "+" not in e[3] for e in spec["structure"])
+    path.write_text(json.dumps(spec))
+    assert run(capsys, "certify", str(path)) == want
+    assert want[0] == 0

@@ -1453,3 +1453,123 @@ def test_covariance_checks_match_reference(case, seed, bad):
     assert outcome(triality.conjugation_covariance, a, g, x, y) == want
     if not bad:
         assert want is None
+
+
+# ---------------------------------------------------------------------------
+# classify_regularity against its four scans
+# ---------------------------------------------------------------------------
+
+
+def ref_d3(a, x, y):
+    """d3(x,y) z = 4(<x|z> y - <y|z> x), the covectors built by form_eval."""
+    four = a.field.from_int(4)
+    bx = [a.form_eval(a.basis(l), x) for l in range(a.dim)]
+    by = [a.form_eval(a.basis(l), y) for l in range(a.dim)]
+    return LinearMap(a, [[four * (y.coords[k] * bx[l] - x.coords[k] * by[l])
+                          for l in range(a.dim)] for k in range(a.dim)])
+
+
+def ref_derivation_maps(a, x, y):
+    d1 = a.right_op(y) @ a.left_op(x) - a.right_op(x) @ a.left_op(y)
+    d2 = a.left_op(y) @ a.right_op(x) - a.left_op(x) @ a.right_op(y)
+    return d1, d2, ref_d3(a, x, y)
+
+
+def ref_classify_regularity(a):
+    """classify_regularity as it was: the local law on the pairs i < j, then
+    d(e_i, e_i) = 0, then the cyclic sum of d3, then normality."""
+    n = a.dim
+    basis = a.basis_elements()
+    zero = [[a.field.zero()] * n for _ in range(n)]
+    d3 = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            maps = ref_derivation_maps(a, basis[i], basis[j])
+            d3[i, j], d3[j, i] = maps[2], -maps[2]
+            try:
+                triality.verify_local(a, *maps)
+            except RelationFails:
+                return "none"
+    for i in range(n):
+        if any(m.rows != zero for m in ref_derivation_maps(a, basis[i], basis[i])):
+            return "none"
+        d3[i, i] = LinearMap(a, zero)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = d3[i, j](basis[k]) + d3[j, k](basis[i]) + d3[k, i](basis[j])
+                if not acc.is_zero():
+                    return "regular"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = basis[i], basis[j], basis[k]
+                total = (ref_derivation_maps(a, z, x * y)[0]
+                         + ref_derivation_maps(a, y, z * x)[1] + ref_d3(a, x, y * z))
+                if total.rows != zero:
+                    return "pre-normal"
+    return "normal"
+
+
+def classified(fn, a):
+    try:
+        return fn(a)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("field", ["Q", "Qsqrt3", "F7", "F13"])
+def test_classify_regularity_matches_reference(field):
+    """Every named algebra of dimension at most 4, and two copies of it with
+    one structure constant shifted."""
+    seen = set()
+    for name in NAMED:
+        try:
+            a = algebra(name, field)
+        except SqrtUnavailable:
+            continue
+        if a.dim > 4:
+            continue
+        n = a.dim
+        for b in (a, _perturbed(a), _shifted(a, n - 1, 0, n // 2, a.field.from_int(2))):
+            want = ref_classify_regularity(b)
+            assert classified(triality.classify_regularity, b) == want, name
+            seen.add(want)
+    assert seen == {"normal", "none"}
+
+
+@st.composite
+def small_algebras(draw):
+    """Two- and three-dimensional algebras over F3, F5 and Q with sparse
+    random structure constants and a random symmetric form, degenerate or
+    not."""
+    f = parse_field(draw(st.sampled_from(["F3", "F5", "Q"])))
+    n = draw(st.integers(2, 3))
+    values = st.integers(-1, 1) if f.p is None else st.integers(0, f.p - 1)
+    structure = [[[f.from_int(draw(values)) if draw(st.integers(0, 3)) == 0 else f.zero()
+                   for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    form = [[f.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i, n):
+            form[i][k] = form[k][i] = f.from_int(draw(values))
+    return Algebra(f, structure, form=form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras())
+def test_classify_regularity_matches_reference_on_small_algebras(a):
+    assert triality.classify_regularity(a) == ref_classify_regularity(a)
+
+
+def test_classify_regularity_reaches_each_verdict():
+    """e0 e0 = e1 with the form diag(1, 0) is pre-normal: its derivation
+    triples are local, but Q(e0, e0, e0) = d3(e0, e1) != 0."""
+    f = parse_field("F5")
+    one, zero = f.one(), f.zero()
+    structure = [[[zero, one], [zero, zero]], [[zero, zero], [zero, zero]]]
+    a = Algebra(f, structure, form=[[one, zero], [zero, zero]])
+    assert triality.classify_regularity(a) == ref_classify_regularity(a) == "pre-normal"
+    assert triality.classify_regularity(algebra("para:4", "F5")) == "normal"
+    assert triality.classify_regularity(algebra("hurwitz:2", "F5")) == "none"
+    with pytest.raises(AlgebraError, match="^algebra has no bilinear form$"):
+        triality.classify_regularity(Algebra(f, [[[one]]]))

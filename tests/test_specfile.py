@@ -3,6 +3,7 @@ and every scalar survives format_scalar then parse_scalar."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit.algebra import Algebra
@@ -105,3 +106,30 @@ def test_spec_dict_round_trip(a):
 def test_scalar_text_round_trip(x):
     back = parse_scalar(format_scalar(x), x.desc)
     assert back == x and exact(back) == exact(x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(scalars))
+def test_scalar_str_round_trip(x):
+    """str() writes b*sqrt(d) when the rational part is 0, as it is in x minus
+    its rational part, and a negative b as a+-b."""
+    for y in (x, x - x.desc.element(x.a)):
+        back = parse_scalar(str(y), y.desc)
+        assert back == y and exact(back) == exact(y)
+
+
+def test_quadratic_scalar_spellings():
+    f = FieldDescriptor(QUADRATIC, d=3)
+    want = {"1+2*sqrt(3)": (1, 2), "1-2*sqrt(3)": (1, -2), "1+-2*sqrt(3)": (1, -2),
+            "3*sqrt(3)": (0, 3), "-3/2*sqrt(3)": (0, Fraction(-3, 2)),
+            "-1/2+-3/4*sqrt(3)": (Fraction(-1, 2), Fraction(-3, 4)), "7/3": (Fraction(7, 3), 0),
+            " 1 + 2 * sqrt(3) ": (1, 2)}
+    for text, (a, b) in want.items():
+        assert parse_scalar(text, f) == FieldElement(f, a, b), text
+
+
+@pytest.mark.parametrize("text", ["1+2*sqrt(5)", "2*sqrt(-3)", "sqrt(3)", "1+2+3*sqrt(3)",
+                                  "1+2*sqrt(3)x", "1*2*sqrt(3)"])
+def test_quadratic_scalar_outside_the_field_is_a_value_error(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text, FieldDescriptor(QUADRATIC, d=3))

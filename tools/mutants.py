@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 43 mutants takes about ten minutes on two cores, most of
+a full run of the 48 mutants takes about ten minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -207,6 +207,23 @@ MUTANTS = (
            "(a2, p2), (a1, p1) = left(j + 2), left(j + 1)",
            "(a2, p2), (a1, p1) = left(j + 1), left(j + 2)",
            (LAWS + "test_first_order_factorization_matches_reference",)),
+    # -- one derivation-pair rule: classify_regularity, covector, parse_scalar
+    Mutant("normality sum without its d3 term", "triality.py",
+           "\n             + _d3_matrix(a, x, y * z))", ")",
+           (LAWS + "test_classify_regularity_matches_reference",)),
+    Mutant("local-law failure ignored", "triality.py",
+           "            except RelationFails:\n                return \"none\"",
+           "            except RelationFails:\n                pass",
+           (LAWS + "test_classify_regularity_matches_reference",)),
+    Mutant("covector assumes the identity form", "algebra.py",
+           "return linalg.mat_vec(self.form, w.coords)", "return list(w.coords)",
+           ("tests/test_algebra.py::test_covector_matches_the_form_eval_comprehension",)),
+    Mutant("parse_scalar ignores the radicand", "fields.py",
+           "    if int(d) != desc.d:\n", "    if False:\n",
+           ("tests/test_cli.py::test_spec_with_a_foreign_radicand_is_rejected_with_exit_2",)),
+    Mutant("parse_scalar drops the sign before b", "fields.py",
+           '-bn * ad if sign == "-" else bn * ad', "bn * ad",
+           ("tests/test_specfile.py::test_quadratic_scalar_spellings",)),
     Mutant("commutator covariance shifted by j + k", "triality.py",
            "left, right = moved[(j - k) % 3]", "left, right = moved[(j + k) % 3]",
            (LAWS + "test_covariance_checks_match_reference",)),
