@@ -63,8 +63,7 @@ def derivation_space(a: Algebra) -> List[LinearMap]:
             for m, col, c0, c1 in entries:
                 s0, s1 = block[m].get(col, (0, 0))
                 block[m][col] = (s0 + c0, s1 + c1)
-            rows.extend([(col, s0, s1) for col, (s0, s1) in row.items() if s0 or s1]
-                        for row in block)
+            rows.extend({col: s for col, s in row.items() if s != (0, 0)} for row in block)
     return [LinearMap(a, [v[k * n:(k + 1) * n] for k in range(n)])
             for v in linalg.int_nullspace(rows, n * n, a.field.zero(), a.field.one())]
 
@@ -153,22 +152,21 @@ def find_idempotents(a: Algebra) -> List[Idempotent]:
 
 def order3_auto(a: Algebra, idem: Idempotent) -> LinearMap:
     """sigma(a) = R(a)R(a) for an idempotent: an automorphism of order 3
-    with inverse theta(a) = L(a)L(a), both isometries."""
+    with inverse theta(a) = L(a)L(a), both isometries.  Only sigma is
+    certified: once sigma theta = Id, theta = sigma^-1 is an automorphism
+    (sigma(theta(x) theta(y)) = xy), has order 3 and is an isometry
+    (<theta x|theta y> = <sigma theta x|sigma theta y> = <x|y>)."""
     x = idem.elem
     sigma = a.right_op(x) @ a.right_op(x)
     theta = a.left_op(x) @ a.left_op(x)
     certify_automorphism(a, sigma)
-    certify_automorphism(a, theta)
-    # For square matrices sigma theta = Id gives theta sigma = Id, and then
-    # sigma^3 = Id gives theta^3 = (sigma^3)^-1 = Id.
     if not (sigma @ theta).is_identity():
         raise RelationFails("sigma and theta are not mutual inverses")
     if not (sigma @ sigma @ sigma).is_identity():
         raise RelationFails("order is not 3")
-    failure = earliest_failure([("sigma is not an isometry", form_law_failure(a, sigma, sigma)),
-                                ("theta is not an isometry", form_law_failure(a, theta, theta))])
-    if failure is not None:
-        raise RelationFails(failure[0], witness=failure[1])
+    w = form_law_failure(a, sigma, sigma)
+    if w is not None:
+        raise RelationFails("sigma is not an isometry", witness=w)
     return sigma
 
 
@@ -524,8 +522,8 @@ def quartic_exchange_identities(h: Algebra) -> None:
     basis = h.basis_elements()
     n = h.dim
     prods = [[x * y for y in basis] for x in basis]
-    on_e = [h.form_eval(x, e) for x in basis]
-    gram = [[h.form_eval(x, y) for y in basis] for x in basis]
+    on_e = h.covector(e)
+    gram = h.form
 
     def identity_1(i, j, k):
         f, g, x = basis[i], basis[j], basis[k]

@@ -16,9 +16,10 @@ exactly when their numerators, each multiplied by the other's denominator,
 are equal (mod p over F_p), which is when their canonical FieldElements are
 equal.
 
-`nullspace` row-reduces the same integers: mod p over F_p, and without
-division over Q and Q(sqrt d) (see its docstring).  `mat_inv` and `solve`
-read their results off a `nullspace` basis.
+`nullspace` and `require_invertible` row-reduce the same integers with one
+elimination, `_rref`, for all three kinds of field: Gauss-Jordan without
+division, the pivot made 1 and every entry reduced mod p over F_p.
+`mat_inv` and `solve` read their results off a `nullspace` basis.
 """
 
 from __future__ import annotations
@@ -217,43 +218,32 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
 
     The basis is the one read off the reduced row echelon form (RREF): one
     vector per free (non-pivot) column f, with 1 at f, 0 at the other free
-    columns and minus column f of the RREF at the pivot columns.
-
-    Over F_p the residues are row-reduced as plain ints (`_rref_mod`).  Over
-    Q and Q(sqrt d) the matrix is scaled by the lcm of its denominators,
-    which leaves the kernel unchanged, and the integer rows are row-reduced
-    without division (`_rref_exact`).  Both are exact, with no bound to
-    state: Python ints do not overflow.
+    columns and minus column f of the RREF at the pivot columns.  It is
+    `int_nullspace` of the integer rows of `a` (see `_int_rows`).
     """
     if not a:
         return []
-    cols = len(a[0])
-    p = zero.desc.p
-    if p is not None:
-        # entries over F_p are their residues, and need no lift
-        rows = [{c: x._n0 for c, x in enumerate(row) if x._n0} for row in a]
-        return _basis(_rref_mod(rows, cols, p), cols, zero, one)
-    return int_nullspace(_lift_rows(a)[1], cols, zero, one)
+    return int_nullspace(_int_rows(a), len(a[0]), zero, one)
 
 
-def int_nullspace(int_rows: List[list], cols: int, zero, one) -> List[Vector]:
-    """`nullspace` of the system given as integer rows (see `_lift_rows`);
-    a row times a nonzero integer has the same kernel."""
+def _int_rows(a: Matrix) -> List[dict]:
+    """The rows of `a` times the lcm q of its denominators, which leaves the
+    kernel unchanged, as sparse rows {column: (n0, n1)} of the nonzero
+    integer entries n0 + n1 sqrt d (over F_p q is 1 and n0 is the residue)."""
+    q = lcm(*[x._q for row in a for x in row])
+    if q == 1:
+        return [{c: (x._n0, x._n1) for c, x in enumerate(row) if x._n0 or x._n1} for row in a]
+    return [{c: (x._n0 * (q // x._q), x._n1 * (q // x._q))
+             for c, x in enumerate(row) if x._n0 or x._n1} for row in a]
+
+
+def int_nullspace(rows: List[dict], cols: int, zero, one) -> List[Vector]:
+    """`nullspace` of the system given as sparse integer rows {column: (n0,
+    n1)} of nonzero entries n0 + n1 sqrt d (n1 = 0 over Q and F_p; over F_p
+    any integers, read mod p): a row times a nonzero integer has the same
+    kernel.  The rows are consumed."""
     desc = zero.desc
-    p = desc.p
-    if p is not None:
-        rows = [{c: y for c, n0, _ in row if (y := n0 % p)} for row in int_rows]
-        return _basis(_rref_mod(rows, cols, p), cols, zero, one)
-    rows = [{c: (n0, n1) for c, n0, n1 in row} for row in int_rows]
-    return _basis(_rref_exact(rows, cols, desc.d or 0), cols, zero, one)
-
-
-def _basis(pivots: dict, cols: int, zero, one) -> List[Vector]:
-    """The RREF kernel basis (see `nullspace`) read off the reduced pivot
-    rows of `_rref_mod` or `_rref_exact`: entry pc of the vector of free
-    column f is -row[f]/row[pc] for the pivot row of column pc."""
-    desc = zero.desc
-    p = desc.p
+    pivots = _rref(rows, cols, desc)
     out = []
     for f in range(cols):
         if f in pivots:
@@ -262,71 +252,58 @@ def _basis(pivots: dict, cols: int, zero, one) -> List[Vector]:
         v[f] = one
         for pc, row in pivots.items():
             if f in row:
-                if p is not None:
-                    v[pc] = _make(desc, -row[f] % p, 0, 1)
-                else:
-                    (f0, f1), (q, _) = row[f], row[pc]
-                    v[pc] = _reduced(desc, -f0, -f1, q) if q > 0 else _reduced(desc, f0, f1, -q)
+                # the RREF entry row[f]/row[pc], negated
+                (f0, f1), (q, _) = row[f], row[pc]
+                v[pc] = _wrap(desc, -f0, -f1, q) if q > 0 else _wrap(desc, f0, f1, -q)
         out.append(v)
     return out
 
 
-def _rref_mod(rows: List[dict], cols: int, p: int) -> dict:
-    """Gauss-Jordan elimination mod p on sparse rows {column: residue}.
+def _rref(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
+    """Gauss-Jordan elimination without division on sparse rows {column:
+    (n0, n1)}, each entry n0 + n1 sqrt d in Z[sqrt d] (d = 0 over Q and
+    F_p); over F_p an entry stands for its residue n0 mod p.
 
-    Returns {pivot column: row}, in column order; each row is 1 at its pivot
-    and 0 at every other pivot column.  The rows passed in are consumed.
-    """
-    active = [r for r in rows if r]
-    pivots: dict = {}
-    for c in range(cols):
-        hits = [r for r in active if c in r]
-        if not hits:
-            continue
-        piv = min(hits, key=len)
-        inv = pow(piv[c], -1, p)
-        if inv != 1:
-            for k in piv:
-                piv[k] = piv[k] * inv % p
-        for r in hits + [r for r in pivots.values() if c in r]:
-            if r is piv:
-                continue
-            f = r[c]
-            for k, x in piv.items():
-                y = (r.get(k, 0) - f * x) % p
-                if y:
-                    r[k] = y
-                else:
-                    del r[k]
-        pivots[c] = piv
-        active = [r for r in active if r and r is not piv]
-    return pivots
-
-
-def _rref_exact(rows: List[dict], cols: int, d: int) -> dict:
-    """Fraction-free Gauss-Jordan elimination on sparse rows {column: (n0,
-    n1)}, each entry n0 + n1 sqrt d in Z[sqrt d] (d = 0 over Q).
-
-    The sparsest row holding column c is the pivot row.  If its pivot has a
-    sqrt d part, the row is first multiplied by the pivot's conjugate, which
-    makes the pivot the integer norm n0^2 - d n1^2, nonzero because d is not
-    a square.  Every other row r holding c, earlier pivot rows included,
-    becomes pivot r - r[c] pivot_row, which is 0 at c and has the same
-    kernel, and is then divided by the gcd of its integers.
+    The sparsest row holding column c (over F_p: nonzero mod p) is the
+    pivot row.  Over F_p it is rebuilt from the residues of its entries
+    times the inverse of its pivot, which makes the pivot 1; over
+    Q(sqrt d), if its pivot has a sqrt d part, it is multiplied by the
+    pivot's conjugate, which makes the pivot the integer norm
+    n0^2 - d n1^2, nonzero because d is not a square.  Every other row r
+    holding c, earlier pivot rows included, becomes pivot r - r[c]
+    pivot_row, which is 0 at c and has the same kernel.  Over F_p the
+    pivot is 1, so r is never rescaled, and each updated entry is reduced
+    mod p; a row whose entry at c is 0 mod p needs no update and keeps
+    that entry.  Over Q and Q(sqrt d) r is then divided by the gcd of its
+    integers.
 
     Returns {pivot column: row}, in column order; each row is a nonzero
-    integer at its pivot and 0 at every other pivot column, so the RREF
-    entry (row, f) is row[f]/row[pc].  The rows passed in are consumed.
+    integer at its pivot (1 over F_p, and every entry a nonzero residue)
+    and 0 at every other pivot column, so the RREF entry (row, f) is
+    row[f]/row[pc].  The rows passed in are consumed.
     """
-    active = [r for r in rows if r]
+    d, p = desc.d or 0, desc.p
+    # the rows that are neither pivot rows nor zero, by id: a row leaves as
+    # it becomes one or the other, so they are never filtered in a pass
+    active = {id(r): r for r in rows if r}
     pivots: dict = {}
     for c in range(cols):
-        hits = [r for r in active if c in r]
+        if p is None:
+            hits = [r for r in active.values() if c in r]
+        else:
+            hits = [r for r in active.values() if c in r and r[c][0] % p]
         if not hits:
             continue
-        piv = min(hits, key=len)
+        piv = hits[0] if len(hits) == 1 else min(hits, key=len)
+        del active[id(piv)]
         p0, p1 = piv[c]
-        if p1:
+        if p is not None:
+            inv = pow(p0, -1, p)
+            ys = [(k, y0) for k, (x0, _) in piv.items() if (y0 := x0 * inv % p)]
+            piv.clear()
+            for k, y0 in ys:
+                piv[k] = (y0, 0)
+        elif p1:
             dp1 = d * p1
             for k, (x0, x1) in piv.items():
                 piv[k] = (p0 * x0 - dp1 * x1, p0 * x1 - p1 * x0)
@@ -335,40 +312,53 @@ def _rref_exact(rows: List[dict], cols: int, d: int) -> dict:
             if r is piv:
                 continue
             f0, f1 = r[c]
-            df1 = d * f1
-            for k, (x0, x1) in r.items():
-                r[k] = (p0 * x0, p0 * x1)
-            for k, (y0, y1) in piv.items():
-                x0, x1 = r.get(k, (0, 0))
-                x0 -= f0 * y0 + df1 * y1
-                x1 -= f0 * y1 + f1 * y0
-                if x0 or x1:
-                    r[k] = (x0, x1)
-                else:
-                    del r[k]
-            # fold the gcd entry by entry: a gcd(*all) call per row
-            # fragments the heap with its argument tuples
-            g = 0
-            for x0, x1 in r.values():
-                g = gcd(g, x0, x1)
-                if g == 1:
-                    break
-            if g > 1:
+            if p is not None:
+                for k, y0 in ys:
+                    x0 = (r.get(k, _ZERO)[0] - f0 * y0) % p
+                    if x0:
+                        r[k] = (x0, 0)
+                    else:
+                        del r[k]
+            else:
+                df1 = d * f1
                 for k, (x0, x1) in r.items():
-                    r[k] = (x0 // g, x1 // g)
+                    r[k] = (p0 * x0, p0 * x1)
+                for k, (y0, y1) in piv.items():
+                    x0, x1 = r.get(k, _ZERO)
+                    x0 -= f0 * y0 + df1 * y1
+                    x1 -= f0 * y1 + f1 * y0
+                    if x0 or x1:
+                        r[k] = (x0, x1)
+                    else:
+                        del r[k]
+                # fold the gcd entry by entry: a gcd(*all) call per row
+                # fragments the heap with its argument tuples
+                g = 0
+                for x0, x1 in r.values():
+                    g = gcd(g, x0, x1)
+                    if g == 1:
+                        break
+                if g > 1:
+                    for k, (x0, x1) in r.items():
+                        r[k] = (x0 // g, x1 // g)
+            if not r:
+                # only a row that is not a pivot row can vanish
+                del active[id(r)]
         pivots[c] = piv
-        active = [r for r in active if r and r is not piv]
     return pivots
+
+
+_ZERO = (0, 0)
 
 
 def require_invertible(a: Matrix, zero, one) -> None:
     """Raise NotInvertible unless the square FieldElement matrix `a` is
     invertible, without computing the inverse.
 
-    `a` is invertible iff its kernel is zero, and `nullspace` finds the kernel
-    exactly, so both verdicts are exact.
+    `a` is invertible iff its rank is its size, and `_rref` of its integer
+    rows finds the rank exactly, so both verdicts are exact.
     """
-    if nullspace(a, zero, one):
+    if len(_rref(_int_rows(a), len(a), zero.desc)) < len(a):
         raise NotInvertible("matrix is singular")
 
 

@@ -29,7 +29,6 @@ from .triality import (
     RelationFails,
     TrialityTriple,
     derivation_pair,
-    earliest_failure,
     first_failing_tuple,
     form_law_failure,
     klein_triples,
@@ -121,8 +120,8 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
     n = a.dim
 
     # The other five clauses run on FieldElements, scanned only when
-    # linearized fails: prods[i][j] = e_i e_j and gram[i][k] = <e_i|e_k> are
-    # built then.
+    # linearized fails: prods[i][j] = e_i e_j is built then, and gram[i][k] =
+    # <e_i|e_k> is the form itself.
     def two_sided_norm(i, j):
         x, y, nx = basis[i], basis[j], gram[i][i]
         return prods[i][j] * x == nx * y and x * prods[j][i] == nx * y
@@ -165,7 +164,7 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
     if linearized_witness is not None:
         basis = a.basis_elements()
         prods = [[basis[i] * basis[j] for j in range(n)] for i in range(n)]
-        gram = [[a.form_eval(basis[i], basis[k]) for k in range(n)] for i in range(n)]
+        gram = a.form
         two = a.field.from_int(2)
     for clause, failure in clauses:
         if clause == "linearized-norm-law":
@@ -236,12 +235,16 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
     both are isometries; and the closed forms
     sigma_j x = 2<a_{j+1}|x>a_{j+2} - a_j x,
     theta_j x = 2<a_{j+2}|x>a_{j+1} - x a_j.
+
+    Only sigma is certified as a triality triple and an isometry: once
+    sigma_j theta_j = Id, theta_j = sigma_j^{-1}, and the inverses of a
+    triality triple are one (put x = theta_{j+1} u, y = theta_{j+2} v in the
+    law of sigma_j); <sigma_j x|y> = <sigma_j x|sigma_j theta_j y> =
+    <x|theta_j y> and <theta_j x|theta_j y> = <x|y> the same way.
     """
     alg = a.algebra
-    sig = sigma_maps(a)
-    the = theta_maps(a)
-    sigma = verify_triality(alg, *sig)
-    theta = verify_triality(alg, *the)
+    sigma = verify_triality(alg, *sigma_maps(a))
+    theta = TrialityTriple(alg, theta_maps(a))
     n = alg.dim
     basis = alg.basis_elements()
     two = alg.field.from_int(2)
@@ -255,13 +258,9 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
     if not (theta.comp(1) @ theta.comp(2) @ theta.comp(3)).is_identity():
         raise RelationFails("theta product at j=1 is not Id", witness=(1,))
     for j in range(1, 4):
-        sj, tj = sigma.comp(j), theta.comp(j)
-        failure = earliest_failure([
-            ("sigma/theta adjointness fails", form_law_failure(alg, sj, None, None, tj)),
-            ("sigma is not an isometry", form_law_failure(alg, sj, sj)),
-            ("theta is not an isometry", form_law_failure(alg, tj, tj))])
-        if failure is not None:
-            raise RelationFails(failure[0], witness=(j, *failure[1]))
+        w = form_law_failure(alg, sigma.comp(j), sigma.comp(j))
+        if w is not None:
+            raise RelationFails("sigma is not an isometry", witness=(j, *w))
     for j in range(1, 4):
         aj, aj1, aj2 = a.comp(j), a.comp(j + 1), a.comp(j + 2)
         for i in range(n):

@@ -221,8 +221,9 @@ def earliest_failure(laws: Sequence[Tuple[str, Optional[Pair]]]) -> Optional[Tup
 def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> TrialityTriple:
     """Certify g_j(xy) = (g_{j+1}x)(g_{j+2}y) on all basis pairs for all j."""
     maps = (g1, g2, g3)
+    zero, one = a.field.zero(), a.field.one()
     for g in maps:
-        linalg.require_invertible(g.rows, a.field.zero(), a.field.one())
+        linalg.require_invertible(g.rows, zero, one)
     for j in range(3):
         w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])
         if w is not None:
@@ -355,12 +356,21 @@ def _d3_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:
                          for xk, yk in zip(x.coords, y.coords)])
 
 
+def _d1_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:
+    """d1(x,y) = R_y L_x - R_x L_y."""
+    return a.right_op(y) @ a.left_op(x) - a.right_op(x) @ a.left_op(y)
+
+
+def _d2_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:
+    """d2(x,y) = L_y R_x - L_x R_y."""
+    return a.left_op(y) @ a.right_op(x) - a.left_op(x) @ a.right_op(y)
+
+
 def derivation_pair(a: Algebra, x: Element, y: Element) -> DerivationPair:
-    """d1(x,y) = R_y L_x - R_x L_y, d2(x,y) = L_y R_x - L_x R_y and d3 as in
-    the triality Lie algebra of a symmetric composition algebra."""
-    d1 = a.right_op(y) @ a.left_op(x) - a.right_op(x) @ a.left_op(y)
-    d2 = a.left_op(y) @ a.right_op(x) - a.left_op(x) @ a.right_op(y)
-    return DerivationPair(a, x, y, d1, d2, _d3_matrix(a, x, y))
+    """(d1, d2, d3)(x, y) as in the triality Lie algebra of a symmetric
+    composition algebra (see `_d1_matrix`, `_d2_matrix`, `_d3_matrix`)."""
+    return DerivationPair(a, x, y, _d1_matrix(a, x, y), _d2_matrix(a, x, y),
+                          _d3_matrix(a, x, y))
 
 
 def classify_regularity(a: Algebra) -> str:
@@ -392,7 +402,7 @@ def classify_regularity(a: Algebra) -> str:
 
     def q_vanishes(i: int, j: int, k: int) -> bool:
         x, y, z = basis[i], basis[j], basis[k]
-        q = (derivation_pair(a, z, x * y).d1 + derivation_pair(a, y, z * x).d2
+        q = (_d1_matrix(a, z, x * y) + _d2_matrix(a, y, z * x)
              + _d3_matrix(a, x, y * z))
         return linalg.mat_eq(q.rows, zero)
 

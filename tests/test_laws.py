@@ -486,7 +486,7 @@ def test_form_laws_match_reference(case, seed, bad):
     for t in maps:
         assert form_law(a, t, None, None, -t) == ref_skew(a, t)
         assert form_law(a, t, t) == ref_isometry(a, t)
-    # the calls of sigma_theta_triples and order3_auto
+    # the joined form checks of ref_sigma_theta_triples and ref_order3_auto
     want = ref_sigma_theta_forms(a, sj, tj)
     assert triality.earliest_failure([
         ("sigma/theta adjointness fails", form_law(a, sj, None, None, tj)),
@@ -1043,6 +1043,100 @@ def test_sigma_theta_product_check_matches_reference(case, seed, kind):
         assert got is None
 
 
+def ref_sigma_theta_triples(a):
+    """sigma_theta_triples as it was: theta certified as a triality triple
+    and as an isometry, and <sigma_j x|y> = <x|theta_j y> tested."""
+    alg = a.algebra
+    sigma = symcomp.verify_triality(alg, *symcomp.sigma_maps(a))
+    theta = symcomp.verify_triality(alg, *symcomp.theta_maps(a))
+    n = alg.dim
+    basis = alg.basis_elements()
+    two = alg.field.from_int(2)
+    for j in range(1, 4):
+        if not (sigma.comp(j) @ theta.comp(j)).is_identity():
+            raise RelationFails(f"sigma_{j} theta_{j} != Id", witness=(j,))
+    if not (theta.comp(1) @ theta.comp(2) @ theta.comp(3)).is_identity():
+        raise RelationFails("theta product at j=1 is not Id", witness=(1,))
+    form_law = triality.form_law_failure
+    for j in range(1, 4):
+        sj, tj = sigma.comp(j), theta.comp(j)
+        failure = triality.earliest_failure([
+            ("sigma/theta adjointness fails", form_law(alg, sj, None, None, tj)),
+            ("sigma is not an isometry", form_law(alg, sj, sj)),
+            ("theta is not an isometry", form_law(alg, tj, tj))])
+        if failure is not None:
+            raise RelationFails(failure[0], witness=(j, *failure[1]))
+    for j in range(1, 4):
+        aj, aj1, aj2 = a.comp(j), a.comp(j + 1), a.comp(j + 2)
+        for i in range(n):
+            x = basis[i]
+            if sigma.comp(j)(x) != two * alg.form_eval(aj1, x) * aj2 - aj * x:
+                raise RelationFails("sigma closed form fails", witness=(j, i))
+            if theta.comp(j)(x) != two * alg.form_eval(aj2, x) * aj1 - x * aj:
+                raise RelationFails("theta closed form fails", witness=(j, i))
+    return sigma, theta
+
+
+def sigma_theta_outcome(alg, sig, the, want):
+    """The outcome sigma_theta_triples must have, given the reference's
+    `want`.  It is `want`, except where the reference first fails a check
+    that involves theta and that sigma_theta_triples no longer runs.  Then
+    some sigma_j theta_j is not Id (theta's triality check: sigma's
+    passed), or, at the same j, sigma_j is no isometry (the adjointness and
+    theta isometry checks, equivalent to it once theta_j = sigma_j^-1)."""
+    if want is None:
+        return None
+    if want[1] in ("sigma/theta adjointness fails", "theta is not an isometry"):
+        j = want[2][0]
+        w = triality.form_law_failure(alg, sig[j - 1], sig[j - 1])
+        return "RelationFails", "sigma is not an isometry", (j, *w)
+    if outcome(symcomp.verify_triality, alg, *sig) is None and \
+            outcome(symcomp.verify_triality, alg, *the) == want:
+        j = next(j for j in range(1, 4) if not (sig[j - 1] @ the[j - 1]).is_identity())
+        return "RelationFails", f"sigma_{j} theta_{j} != Id", (j,)
+    return want
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SYMCOMP), seed=seeds, kind=st.integers(0, 2), stub=st.booleans())
+def test_sigma_theta_triples_match_reference(case, seed, kind, stub):
+    """kind 0: the maps of a product triple; 1: one entry of one of the six
+    maps perturbed; 2: sigma_t, sigma_{t+1} scaled by c, 1/c and theta_t,
+    theta_{t+1} by 1/c, c with c^2 != 1, which keeps every inverse and
+    triple product but no isometry.  With `stub`, always on for kind 2,
+    verify_triality is stubbed out so that the maps reach the later checks.
+    The verdicts agree, and the failures too, but where the reference first
+    fails a check that sigma_theta_triples no longer runs (see
+    `sigma_theta_outcome`)."""
+    rng = random.Random(seed)
+    a = algebra(*case)
+    triple = product_triple(a, rng)
+    sig, the = symcomp.sigma_maps(triple), symcomp.theta_maps(triple)
+    if kind == 1:
+        maps = perturb(sig + the, rng)
+        sig, the = maps[:3], maps[3:]
+    elif kind == 2:
+        stub = True
+        t, c = rng.randrange(3), small_scalar(a.field, rng)
+        if c * c == a.field.one():
+            c = c + c
+        u = (t + 1) % 3
+        sig[t], sig[u] = c * sig[t], c.inverse() * sig[u]
+        the[t], the[u] = c.inverse() * the[t], c * the[u]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symcomp, "sigma_maps", lambda _: sig)
+        mp.setattr(symcomp, "theta_maps", lambda _: the)
+        if stub:
+            mp.setattr(symcomp, "verify_triality",
+                       lambda alg, *maps: triality.TrialityTriple(alg, maps))
+        want = outcome(ref_sigma_theta_triples, triple)
+        got = outcome(symcomp.sigma_theta_triples, triple)
+        assert got == sigma_theta_outcome(a, sig, the, want)
+    assert (got is None) == (want is None)
+    if kind == 0:
+        assert got is None
+
+
 def ref_order3_auto(a, idem):
     """order3_auto as it was: sigma theta and theta sigma, sigma^3 and
     theta^3 all tested."""
@@ -1080,9 +1174,26 @@ def test_order3_auto_matches_reference(case, seed, kind, stub):
         if stub:
             mp.setattr(autos, "certify_automorphism", lambda alg, g: g)
         want = outcome(ref_order3_auto, a, idem)
-        assert outcome(autos.order3_auto, a, idem) == want
+        assert outcome(autos.order3_auto, a, idem) == order3_outcome(a, idem, want)
     if kind == 0 and idems:
         assert want is None
+
+
+def order3_outcome(a, idem, want):
+    """The outcome order3_auto must have, given the reference's `want`.  It
+    is `want`, except where the reference first fails a check of theta
+    alone, which order3_auto no longer runs: then theta is not sigma^-1,
+    or sigma is no isometry either."""
+    x = idem.elem
+    sigma = a.right_op(x) @ a.right_op(x)
+    if want is None:
+        return None
+    if want[1] == "map is not an automorphism" and \
+            outcome(autos.certify_automorphism, a, sigma) is None:
+        return "RelationFails", "sigma and theta are not mutual inverses", None
+    if want[1] == "theta is not an isometry":
+        return "RelationFails", "sigma is not an isometry", triality.form_law_failure(a, sigma, sigma)
+    return want
 
 
 # ---------------------------------------------------------------------------

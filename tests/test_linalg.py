@@ -145,6 +145,51 @@ def test_nullspace_matches_exact_rref(system):
     assert_same_as_reference(a, field)
 
 
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def raw_residue_systems(draw):
+    """(p, rows, cols): sparse integer rows {column: (n0, 0)} standing for a
+    random matrix of low rank mod p, each residue shifted by a random
+    multiple of p, so that entries are negative, >= p, large, or nonzero
+    multiples of p; a row whose coefficients are all 0 vanishes mod p."""
+    p = draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(rows, cols)))
+    gens = [[draw(st.integers(0, p - 1)) for _ in range(cols)] for _ in range(rank)]
+    shifts = st.one_of(st.integers(-3, 3), st.sampled_from((10 ** 12, -10 ** 12)))
+    out = []
+    for _ in range(rows):
+        coeffs = [draw(st.integers(0, p - 1)) for _ in range(rank)]
+        row = {}
+        for c in range(cols):
+            x = sum(k * g[c] for k, g in zip(coeffs, gens)) % p + p * draw(shifts)
+            if x:
+                row[c] = (x, 0)
+        out.append(row)
+    return p, out, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_residue_systems())
+def test_int_nullspace_reads_raw_integer_rows_mod_p(system):
+    """Over F_p, int_nullspace reads any integers as their residues: its
+    kernel is that of the reduced FieldElement matrix, and the pivot rows
+    it reads the kernel off hold reduced residues, pivot 1."""
+    p, rows, cols = system
+    field = FieldDescriptor(PRIME, p=p)
+    zero, one = field.zero(), field.one()
+    a = [[field.from_int(row.get(c, (0, 0))[0]) for c in range(cols)] for row in rows]
+    want = key(reference_nullspace(a, zero, one))
+    assert key(linalg.int_nullspace([dict(r) for r in rows], cols, zero, one)) == want
+    pivots = linalg._rref([dict(r) for r in rows], cols, field)
+    assert len(pivots) == cols - len(want)
+    for pc, row in pivots.items():
+        assert row[pc] == (1, 0)
+        assert all(0 < x0 < p and x1 == 0 for x0, x1 in row.values())
+
+
 @st.composite
 def square_matrices(draw):
     field = draw(st.sampled_from(FIELDS))

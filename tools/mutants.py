@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 48 mutants takes about ten minutes on two cores, most of
+a full run of the 52 mutants takes about ten minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -38,6 +38,7 @@ KERNEL_LAWS = LAWS + "test_law_kernels_match_the_fieldelement_checkers"
 KERNEL_PRODUCTS = "tests/test_linalg.py::test_integer_products_match_the_ring_loop"
 PRODUCT_LOOP = "tests/test_algebra.py::test_product_loop_matches_the_fieldelement_and_residue_loops"
 NULLSPACE = "tests/test_linalg.py::test_nullspace_matches_exact_rref"
+RAW_ROWS = "tests/test_linalg.py::test_int_nullspace_reads_raw_integer_rows_mod_p"
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,10 @@ MUTANTS = (
            (LAWS + "test_sigma_theta_product_check_matches_reference",),
            equivalent="theta_2 theta_3 theta_1 is a conjugate of theta_1 theta_2 theta_3, "
                       "so one is Id exactly when the other is"),
-    Mutant("order3_auto inverse test dropped", "autos.py",
+    Mutant("sigma isometry check dropped", "symcomp.py",
+           "w = form_law_failure(alg, sigma.comp(j), sigma.comp(j))", "w = None",
+           (LAWS + "test_sigma_theta_triples_match_reference",)),
+    Mutant("order3_auto sigma-theta inverse test dropped", "autos.py",
            "    if not (sigma @ theta).is_identity():", "    if False:",
            (LAWS + "test_order3_auto_matches_reference",)),
     Mutant("order3_auto order test dropped", "autos.py",
@@ -175,9 +179,9 @@ MUTANTS = (
     Mutant("one sign flipped in the derivation rows", "autos.py",
            "(m, l * n + i, -c0, -c1)", "(m, l * n + i, c0, -c1)",
            ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
-    # -- one exact elimination: _rref_exact -----------------------------------
+    # -- one elimination for Q, Q(sqrt d) and F_p: _rref ---------------------
     Mutant("pivot row not multiplied by the pivot's conjugate", "linalg.py",
-           "        if p1:\n            dp1 = d * p1", "        if False:\n            dp1 = d * p1",
+           "        elif p1:\n            dp1 = d * p1", "        elif False:\n            dp1 = d * p1",
            (NULLSPACE,)),
     Mutant("earlier pivot rows not re-reduced", "linalg.py",
            "        for r in hits + [r for r in pivots.values() if c in r]:\n"
@@ -186,13 +190,22 @@ MUTANTS = (
            "            if r is piv:\n                continue\n            f0, f1 = r[c]",
            (NULLSPACE,)),
     Mutant("wrong sign on the negative-pivot read-off", "linalg.py",
-           "else _reduced(desc, f0, f1, -q)", "else _reduced(desc, -f0, -f1, -q)",
+           "else _wrap(desc, f0, f1, -q)", "else _wrap(desc, -f0, -f1, -q)",
            (NULLSPACE,)),
     Mutant("gcd division dropped", "linalg.py",
-           "            if g > 1:\n", "            if False:\n",
+           "                if g > 1:\n", "                if False:\n",
            (NULLSPACE,),
            equivalent="dividing a row by a positive integer only rescales it, which "
                       "changes neither its kernel nor any ratio row[f]/row[pc]"),
+    Mutant("F_p update skips the mod-p reduction", "linalg.py",
+           "x0 = (r.get(k, _ZERO)[0] - f0 * y0) % p", "x0 = r.get(k, _ZERO)[0] - f0 * y0",
+           (RAW_ROWS,)),
+    Mutant("F_p pivot row not normalized", "linalg.py",
+           "if (y0 := x0 * inv % p)]", "if (y0 := x0 % p)]",
+           (NULLSPACE,)),
+    Mutant("F_p pivot not tested mod p", "linalg.py",
+           "if c in r and r[c][0] % p]", "if c in r]",
+           (RAW_ROWS,)),
     # -- earlier cuts: certify each identity once ---------------------------
     Mutant("mat_inv accepts when the y blocks only have a unit diagonal", "linalg.py",
            "if [v[n:] for v in basis] != identity(n, one, zero):",
