@@ -12,7 +12,10 @@ products of multiplication operators with a unit chain condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import product
+from operator import matmul, mul
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap
@@ -110,6 +113,26 @@ def _para_unit(a: Algebra) -> Element:
     return a.basis(0)
 
 
+def _sign_patterns(a: Algebra, e: Element, imag: List[int], every: bool) -> Iterator[Element]:
+    """Candidates (1/2)(-e + s_0 e_i + s_1 e_j + s_2 e_k), signs s = +-1, over
+    the runs i, j, k of three consecutive entries of `imag`, then
+    (1/2)(-e + s sqrt(3) e_i) over the entries i when 3 is a square: the first
+    run and the first entry only, unless `every`."""
+    f = a.field
+    half = f.from_int(2).inverse()
+    signs = (f.one(), -f.one())
+    starts = range(len(imag) - 2)
+    for t in starts if every else starts[:1]:
+        i0, i1, i2 = imag[t:t + 3]
+        for s0, s1, s2 in product(signs, repeat=3):
+            yield half * (-e + s0 * a.basis(i0) + s1 * a.basis(i1) + s2 * a.basis(i2))
+    root3 = sqrt_in_field(f.from_int(3))
+    if root3 is not None:
+        for i in imag if every else imag[:1]:
+            for s in signs:
+                yield half * (-e + s * root3 * a.basis(i))
+
+
 def find_idempotents(a: Algebra) -> List[Idempotent]:
     """Idempotents of a para-Hurwitz algebra of shape
     (1/2)(-e + sum alpha_lambda e_lambda) with sum alpha^2 = 3, found from
@@ -117,30 +140,13 @@ def find_idempotents(a: Algebra) -> List[Idempotent]:
     coordinate, plus the para-unit itself when it is idempotent.  The list
     is empty when there is none over the declared field."""
     e = _para_unit(a)
-    n = a.dim
-    fdesc = a.field
-    half = fdesc.from_int(2).inverse()
-    one = fdesc.one()
     out: List[Idempotent] = []
     try:
         out.append(certify_idempotent(a, e))
     except RelationFails:
         pass  # not every symmetric composition algebra has a para-unit
-    imag = [i for i in range(n) if a.basis(i) != e]
-    candidates: List[Element] = []
-    if len(imag) >= 3:
-        i0, i1, i2 = imag[0], imag[1], imag[2]
-        for s0 in (one, -one):
-            for s1 in (one, -one):
-                for s2 in (one, -one):
-                    candidates.append(
-                        half * (-e + s0 * a.basis(i0) + s1 * a.basis(i1) + s2 * a.basis(i2))
-                    )
-    root3 = sqrt_in_field(fdesc.from_int(3))
-    if root3 is not None and imag:
-        candidates.append(half * (-e + root3 * a.basis(imag[0])))
-        candidates.append(half * (-e - root3 * a.basis(imag[0])))
-    for x in candidates:
+    imag = [i for i in range(a.dim) if a.basis(i) != e]
+    for x in _sign_patterns(a, e, imag, every=False):
         try:
             idem = certify_idempotent(a, x)
         except RelationFails:
@@ -150,6 +156,24 @@ def find_idempotents(a: Algebra) -> List[Idempotent]:
     return out
 
 
+def _certify_order3(a: Algebra, sigma: LinearMap, inverse: LinearMap, not_inverse: str,
+                    fixed: Optional[Element] = None) -> LinearMap:
+    """Certify sigma as an automorphism, with sigma inverse = Id (else
+    `not_inverse`), sigma^3 = Id, sigma(fixed) = fixed when `fixed` is
+    given, and as an isometry."""
+    certify_automorphism(a, sigma)
+    if not (sigma @ inverse).is_identity():
+        raise RelationFails(not_inverse)
+    if not (sigma @ sigma @ sigma).is_identity():
+        raise RelationFails("order is not 3")
+    if fixed is not None and sigma(fixed) != fixed:
+        raise RelationFails("unit is not fixed")
+    w = form_law_failure(a, sigma, sigma)
+    if w is not None:
+        raise RelationFails("sigma is not an isometry", witness=w)
+    return sigma
+
+
 def order3_auto(a: Algebra, idem: Idempotent) -> LinearMap:
     """sigma(a) = R(a)R(a) for an idempotent: an automorphism of order 3
     with inverse theta(a) = L(a)L(a), both isometries.  Only sigma is
@@ -157,17 +181,8 @@ def order3_auto(a: Algebra, idem: Idempotent) -> LinearMap:
     (sigma(theta(x) theta(y)) = xy), has order 3 and is an isometry
     (<theta x|theta y> = <sigma theta x|sigma theta y> = <x|y>)."""
     x = idem.elem
-    sigma = a.right_op(x) @ a.right_op(x)
-    theta = a.left_op(x) @ a.left_op(x)
-    certify_automorphism(a, sigma)
-    if not (sigma @ theta).is_identity():
-        raise RelationFails("sigma and theta are not mutual inverses")
-    if not (sigma @ sigma @ sigma).is_identity():
-        raise RelationFails("order is not 3")
-    w = form_law_failure(a, sigma, sigma)
-    if w is not None:
-        raise RelationFails("sigma is not an isometry", witness=w)
-    return sigma
+    return _certify_order3(a, a.right_op(x) @ a.right_op(x), a.left_op(x) @ a.left_op(x),
+                           "sigma and theta are not mutual inverses")
 
 
 # ---------------------------------------------------------------------------
@@ -200,46 +215,14 @@ def hurwitz_sigma(h: Algebra, a: Element) -> LinearMap:
     sigma = h.left_op(abar) @ h.right_op(a)
     if sigma != h.right_op(a) @ h.left_op(abar):
         raise RelationFails("the two operator orders disagree")
-    certify_automorphism(h, sigma)
-    if not (sigma @ (h.left_op(a) @ h.right_op(abar))).is_identity():
-        raise RelationFails("sigma(conj a) is not the inverse")
-    if not (sigma @ sigma @ sigma).is_identity():
-        raise RelationFails("order is not 3")
-    if sigma(h.unit_element()) != h.unit_element():
-        raise RelationFails("unit is not fixed")
-    w = form_law_failure(h, sigma, sigma)
-    if w is not None:
-        raise RelationFails("sigma is not an isometry", witness=w)
-    return sigma
+    return _certify_order3(h, sigma, h.left_op(a) @ h.right_op(abar),
+                           "sigma(conj a) is not the inverse", fixed=h.unit_element())
 
 
 def _sphere_patterns(h: Algebra) -> List[Element]:
     """Deterministic candidate sphere points built from sign patterns."""
-    e = h.unit_element()
-    n = h.dim
-    fdesc = h.field
-    half = fdesc.from_int(2).inverse()
-    one = fdesc.one()
-    out = []
-    imag = list(range(1, n))
-    if len(imag) >= 3:
-        for t in range(len(imag) - 2):
-            i0, i1, i2 = imag[t], imag[t + 1], imag[t + 2]
-            for s0 in (one, -one):
-                for s1 in (one, -one):
-                    for s2 in (one, -one):
-                        x = half * (-e + s0 * h.basis(i0) + s1 * h.basis(i1)
-                                    + s2 * h.basis(i2))
-                        if _sphere_defect(h, x) is None:
-                            out.append(x)
-    root3 = sqrt_in_field(fdesc.from_int(3))
-    if root3 is not None and imag:
-        for i in imag:
-            for s in (one, -one):
-                x = half * (-e + s * root3 * h.basis(i))
-                if _sphere_defect(h, x) is None:
-                    out.append(x)
-    return out
+    return [x for x in _sign_patterns(h, h.unit_element(), list(range(1, h.dim)), every=True)
+            if _sphere_defect(h, x) is None]
 
 
 def _transport_once(h: Algebra, b: Element, c: Element) -> Element:
@@ -368,14 +351,11 @@ def r3_construction(h: Algebra, data: R3Data) -> LinearMap:
                                 witness=(j + 1,))
     if a[0] * (a[1] * a[2]) != e or (a[2] * a[1]) * a[0] != e:
         raise RelationFails("unit chain condition fails")
-    sigma = h.left_op(a[0]) @ h.left_op(a[1]) @ h.left_op(a[2])
-    rights = h.right_op(a[0]) @ h.right_op(a[1]) @ h.right_op(a[2])
-    mixed = (h.left_op(a[0]) @ h.right_op(a[0]) @ h.left_op(a[1]) @ h.right_op(a[1])
-             @ h.left_op(a[2]) @ h.right_op(a[2]))
+    sigma = _chain_operator(h, a, "left")
     ident = h.identity_map()
     rewrites = [
-        rights,
-        mixed,
+        _chain_operator(h, a, "right"),
+        _chain_operator(h, a, "mixed"),
         ident + eps[2] * (h.left_op(bs[0]) @ h.left_op(bs[1])),
         ident + eps[1] * (h.left_op(bs[2]) @ h.left_op(bs[0])),
         ident + eps[0] * (h.left_op(bs[1]) @ h.left_op(bs[2])),
@@ -556,6 +536,20 @@ def quartic_exchange_identities(h: Algebra) -> None:
 # Products of multiplication operators with a unit chain condition
 # ---------------------------------------------------------------------------
 
+def _chain_operator(h: Algebra, chain: Sequence[Element], side: str) -> LinearMap:
+    """The product over the chain, first element leftmost, of l(a_j) for
+    side "left", r(a_j) for "right" and l(a_j) r(a_j) for "mixed"."""
+    if side == "left":
+        factors = [h.left_op(x) for x in chain]
+    elif side == "right":
+        factors = [h.right_op(x) for x in chain]
+    elif side == "mixed":
+        factors = [op for x in chain for op in (h.left_op(x), h.right_op(x))]
+    else:
+        raise ValueError("side must be left, right, or mixed")
+    return reduce(matmul, factors)
+
+
 def verify_elduque_form(h: Algebra, a_list: Sequence[Element],
                         side: str = "left") -> LinearMap:
     """Certify the product of multiplication operators of a unit chain
@@ -567,28 +561,11 @@ def verify_elduque_form(h: Algebra, a_list: Sequence[Element],
     if r == 0:
         raise ValueError("empty chain")
     e = h.unit_element()
-    nested = a_list[-1]
-    for x in reversed(a_list[:-1]):
-        nested = x * nested
-    reversed_nested = a_list[-1]
-    for x in reversed(a_list[:-1]):
-        reversed_nested = reversed_nested * x
-    if nested != e or reversed_nested != e:
+    rest = list(reversed(a_list[:-1]))
+    nested = reduce(lambda acc, x: x * acc, rest, a_list[-1])
+    if nested != e or reduce(mul, rest, a_list[-1]) != e:
         raise RelationFails("the chain does not multiply to the unit")
-    if side == "left":
-        op = h.left_op(a_list[0])
-        for x in a_list[1:]:
-            op = op @ h.left_op(x)
-    elif side == "right":
-        op = h.right_op(a_list[0])
-        for x in a_list[1:]:
-            op = op @ h.right_op(x)
-    elif side == "mixed":
-        op = h.left_op(a_list[0]) @ h.right_op(a_list[0])
-        for x in a_list[1:]:
-            op = op @ h.left_op(x) @ h.right_op(x)
-    else:
-        raise ValueError("side must be left, right, or mixed")
+    op = _chain_operator(h, a_list, side)
     certify_automorphism(h, op)
     if r == 2 and not op.is_identity():
         raise RelationFails("length-2 chain must give the identity")

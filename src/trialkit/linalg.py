@@ -130,8 +130,9 @@ def squares_to(m: Matrix, c, zero) -> bool:
 
 def _lift(xs) -> Tuple[int, List[int], List[int]]:
     """(q, n0s, n1s) with xs[t] = (n0s[t] + n1s[t] sqrt d)/q, where q is the
-    lcm of the denominators of the FieldElements xs (1 over F_p)."""
-    q = lcm(*[x._q for x in xs])
+    lcm of the denominators of the FieldElements xs; over F_p every
+    denominator is 1 and no lcm is taken."""
+    q = lcm(*[x._q for x in xs]) if xs and xs[0].desc.p is None else 1
     if q == 1:
         return 1, [x._n0 for x in xs], [x._n1 for x in xs]
     return q, [x._n0 * (q // x._q) for x in xs], [x._n1 * (q // x._q) for x in xs]
@@ -223,14 +224,15 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
     """
     if not a:
         return []
-    return int_nullspace(_int_rows(a), len(a[0]), zero, one)
+    return int_nullspace(_int_rows(a, zero.desc), len(a[0]), zero, one)
 
 
-def _int_rows(a: Matrix) -> List[dict]:
+def _int_rows(a: Matrix, desc: FieldDescriptor) -> List[dict]:
     """The rows of `a` times the lcm q of its denominators, which leaves the
     kernel unchanged, as sparse rows {column: (n0, n1)} of the nonzero
-    integer entries n0 + n1 sqrt d (over F_p q is 1 and n0 is the residue)."""
-    q = lcm(*[x._q for row in a for x in row])
+    integer entries n0 + n1 sqrt d (over F_p q is 1, taken without an lcm,
+    and n0 is the residue)."""
+    q = 1 if desc.p is not None else lcm(*[x._q for row in a for x in row])
     if q == 1:
         return [{c: (x._n0, x._n1) for c, x in enumerate(row) if x._n0 or x._n1} for row in a]
     return [{c: (x._n0 * (q // x._q), x._n1 * (q // x._q))
@@ -358,7 +360,7 @@ def require_invertible(a: Matrix, zero, one) -> None:
     `a` is invertible iff its rank is its size, and `_rref` of its integer
     rows finds the rank exactly, so both verdicts are exact.
     """
-    if len(_rref(_int_rows(a), len(a), zero.desc)) < len(a):
+    if len(_rref(_int_rows(a, zero.desc), len(a), zero.desc)) < len(a):
         raise NotInvertible("matrix is singular")
 
 

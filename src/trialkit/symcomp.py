@@ -19,6 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap
+from .autos import certify_automorphism
 from .constructors import make_para_dim2
 from .dual import Dual
 from .fields import FieldDescriptor, FieldElement, sqrt_in_field
@@ -28,11 +29,12 @@ from .triality import (
     LocalTriple,
     RelationFails,
     TrialityTriple,
+    _require_triality_law,
+    _wedge,
     derivation_pair,
     first_failing_tuple,
     form_law_failure,
     klein_triples,
-    product_law_failure,
     verify_local,
     verify_triality,
 )
@@ -399,13 +401,6 @@ def lambda_space(a: SigmaTriple) -> List[LambdaVector]:
     return out
 
 
-def _outer(alg: Algebra, u: Element, w: Element) -> LinearMap:
-    """Map x -> <w|x> u as a matrix."""
-    wdual = alg.covector(w)
-    return LinearMap(alg, [[u.coords[k] * wdual[l] for l in range(alg.dim)]
-                           for k in range(alg.dim)])
-
-
 def _local_D_maps(a: SigmaTriple, p: LambdaVector) -> List[LinearMap]:
     """D_j x = (p_{j+1} x) a_{j+1} + a_j (x q_j) for j = 1, 2, 3, uncertified."""
     alg = a.algebra
@@ -421,11 +416,10 @@ def local_D(a: SigmaTriple, p: LambdaVector) -> LocalTriple:
     two = alg.field.from_int(2)
     mats = _local_D_maps(a, p)
     for j, dj in enumerate(mats, 1):
-        alt1 = (two * _outer(alg, a.comp(j + 2), p.q_comp(j + 2))
-                - two * _outer(alg, p.q_comp(j + 2), a.comp(j + 2))
+        # x -> 2<q|x> a - 2<a|x> q and 2<p|x> a - 2<a|x> p, for a, p, q at j + 2
+        alt1 = (_wedge(alg, two * a.comp(j + 2), p.q_comp(j + 2))
                 + alg.left_op(a.comp(j)) @ alg.right_op(p.p_comp(j)))
-        alt2 = (two * _outer(alg, a.comp(j + 2), p.p_comp(j + 2))
-                - two * _outer(alg, p.p_comp(j + 2), a.comp(j + 2))
+        alt2 = (_wedge(alg, two * a.comp(j + 2), p.p_comp(j + 2))
                 + alg.right_op(a.comp(j + 1)) @ alg.left_op(p.q_comp(j + 1)))
         if dj != alt1 or dj != alt2:
             raise RelationFails("alternative forms of D disagree", witness=(j,))
@@ -631,10 +625,19 @@ def residue_arithmetic(a: Algebra) -> Tuple[Callable, Callable]:
 
 def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
     """Every member of Trig(A) for a two-dimensional A over F_p, certified,
-    with its residue form (see `enumerate_trig_small`)."""
+    with its residue form (see `enumerate_trig_small`).
+
+    Members share their maps: at p = 7, 128 members have 16 distinct maps.
+    Each distinct map is built and proven invertible once, where it first
+    occurs, and then the triality law is scanned per member.  That is
+    `verify_triality` on every member, in the same order of checks: a map
+    seen before has already passed its elimination."""
     multiply, form_eval = residue_arithmetic(a)
     p = a.field.p
+    zero, one = a.field.zero(), a.field.one()
     scalars = [a.field.from_int(v) for v in range(p)]
+    # residue matrix -> its LinearMap, proven invertible
+    proven = {}
     circle = [(mu, nu) for mu in range(p) for nu in range(p) if (mu * mu + nu * nu) % p == 1]
     elements, members = [], []
     for q1 in circle:
@@ -648,8 +651,14 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
                 member = tuple(((-pj[0] % p, qj[0]), (-pj[1] % p, qj[1])) for pj, qj in
                                ((multiply(qs[(j + 1) % 3], qs[(j + 2) % 3]), qs[j])
                                 for j in range(3)))
-                maps = [LinearMap(a, [[scalars[v] for v in row] for row in m]) for m in member]
-                elements.append(verify_triality(a, *maps))
+                for m in member:
+                    if m not in proven:
+                        g = LinearMap(a, [[scalars[v] for v in row] for row in m])
+                        linalg.require_invertible(g.rows, zero, one)
+                        proven[m] = g
+                maps = tuple(proven[m] for m in member)
+                _require_triality_law(a, maps)
+                elements.append(TrialityTriple(a, maps))
                 members.append(member)
     # polynomial identity on the e-components <e|g_j e> of the members
     for member in members:
@@ -657,7 +666,7 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
         if (2 * x * y * z - (x * x + y * y + z * z) + 1) % p:
             raise RelationFails("member violates the alpha identity")
     # every map of every member, each distinct map once
-    for m in {m for member in members for m in member}:
+    for m in proven:
         cols = tuple(zip(*m))
         if any(form_eval(cols[i], cols[k]) != a.form[i][k].a for i in range(2) for k in range(2)):
             raise RelationFails("member is not an isometry")
@@ -672,9 +681,10 @@ def enumerate_trig_small(a: Algebra, p_cap: int = 31) -> TrigGroup:
     Dimension 2: each component is determined by a point (mu, nu) on the
     circle mu^2 + nu^2 = 1 via g_j(f) = q_j = mu e + nu f, with the single
     compatibility constraint <q_3|q_1 q_2> = 0 and g_j(e) = -q_{j+1} q_{j+2}.
-    Every member is certified with `verify_triality` and checked to be an
-    isometry, and the group is checked for closure, inverses, and the Klein
-    subgroup, all from one Cayley table (`_group_table`).
+    Every member is certified as by `verify_triality` (see `_dim2_members`)
+    and checked to be an isometry, and the group is checked for closure,
+    inverses, and the Klein subgroup, all from one Cayley table
+    (`_group_table`).
 
     The search, the isometry and alpha checks and the table run on int
     residues (`residue_arithmetic`), not FieldElements.  That is exact: a
@@ -734,8 +744,5 @@ def auto_dim2(field: FieldDescriptor) -> AutoGroup:
     if not (p @ p).is_identity():
         raise RelationFails("generator relations fail")
     for g in elements:
-        linalg.require_invertible(g.rows, zero, one)
-        w = product_law_failure(a, g, g, g)
-        if w is not None:
-            raise RelationFails("map is not an automorphism", witness=w)
+        certify_automorphism(a, g)
     return AutoGroup(a, elements, len(elements))

@@ -224,6 +224,12 @@ def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> 
     zero, one = a.field.zero(), a.field.one()
     for g in maps:
         linalg.require_invertible(g.rows, zero, one)
+    _require_triality_law(a, maps)
+    return TrialityTriple(a, maps)
+
+
+def _require_triality_law(a: Algebra, maps: Sequence[LinearMap]) -> None:
+    """Raise at the first j and basis pair where g_j(xy) != (g_{j+1}x)(g_{j+2}y)."""
     for j in range(3):
         w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])
         if w is not None:
@@ -231,7 +237,6 @@ def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> 
                 f"g{j + 1}(e{w[0]} e{w[1]}) != (g{j + 2 if j < 2 else 1}...)",
                 witness=(j + 1, *w),
             )
-    return TrialityTriple(a, maps)
 
 
 def scaled_identity_triple(a: Algebra, s1: int, s2: int, s3: int) -> TrialityTriple:
@@ -349,11 +354,16 @@ class DerivationPair:
         return (self.d1, self.d2, self.d3)
 
 
+def _wedge(a: Algebra, u: Element, w: Element) -> LinearMap:
+    """The rank-two map z -> <w|z> u - <u|z> w."""
+    bu, bw = a.covector(u), a.covector(w)
+    return LinearMap(a, [[uk * cw - wk * cu for cu, cw in zip(bu, bw)]
+                         for uk, wk in zip(u.coords, w.coords)])
+
+
 def _d3_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:
-    """d3(x,y) z = 4(<x|z> y - <y|z> x)."""
-    four, bx, by = a.field.from_int(4), a.covector(x), a.covector(y)
-    return LinearMap(a, [[four * (yk * u - xk * v) for u, v in zip(bx, by)]
-                         for xk, yk in zip(x.coords, y.coords)])
+    """d3(x,y) z = 4(<x|z> y - <y|z> x), the wedge of 4y and x."""
+    return _wedge(a, a.field.from_int(4) * y, x)
 
 
 def _d1_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:

@@ -288,6 +288,41 @@ def test_find_idempotents_matches_the_sweeping_reference(name):
         assert got == [idem.elem for idem in ref_find_idempotents(a)], p
 
 
+def ref_sphere_patterns(h):
+    """_sphere_patterns as it was, with its own copy of the sign patterns of
+    find_idempotents."""
+    e = h.unit_element()
+    f = h.field
+    half, one = f.from_int(2).inverse(), f.one()
+    out = []
+    imag = list(range(1, h.dim))
+    if len(imag) >= 3:
+        for t in range(len(imag) - 2):
+            i0, i1, i2 = imag[t], imag[t + 1], imag[t + 2]
+            for s0 in (one, -one):
+                for s1 in (one, -one):
+                    for s2 in (one, -one):
+                        x = half * (-e + s0 * h.basis(i0) + s1 * h.basis(i1) + s2 * h.basis(i2))
+                        if autos._sphere_defect(h, x) is None:
+                            out.append(x)
+    root3 = sqrt_in_field(f.from_int(3))
+    if root3 is not None and imag:
+        for i in imag:
+            for s in (one, -one):
+                x = half * (-e + s * root3 * h.basis(i))
+                if autos._sphere_defect(h, x) is None:
+                    out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("name", ["hurwitz:4", "hurwitz:4:split", "hurwitz:8", "hurwitz:8:split"])
+def test_sphere_patterns_match_the_reference(name):
+    """3 is a square in Q(sqrt 3), F11 and F13, and not in Q, F5 or F7."""
+    for field in ("Q", "Qsqrt3", "F5", "F7", "F11", "F13"):
+        h = named_algebra(name, parse_field(field))
+        assert autos._sphere_patterns(h) == ref_sphere_patterns(h), field
+
+
 def para8_f11_square_zero_derivation():
     """d = B0 + 10 B1 + 8 B2 over the derivation_space basis B of para:8 over
     F11, a square-zero derivation outside the B_i and B_i +- B_j."""

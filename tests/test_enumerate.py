@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit import cli, symcomp
-from trialkit.algebra import LinearMap
+from trialkit.algebra import Algebra, LinearMap
 from trialkit.constructors import named_algebra
 from trialkit.fields import FieldDescriptor, PRIME
-from trialkit.triality import RelationFails, TrialityTriple, klein_triples, trig_mul
+from trialkit.triality import (RelationFails, TrialityTriple, klein_triples, trig_mul,
+                               verify_triality)
 
 CLOSURE_MESSAGES = ("group is not closed under inverses",
                     "group is not closed under products",
@@ -132,6 +133,75 @@ def test_table_hash_matches_the_field_element_hash(p):
     _, elements, _ = group(p)
     assert symcomp.enumerate_trig_small(named_algebra("para2", Fp(p))).table_hash \
         == ref_group_hash(elements)
+
+
+# -- the members of Trig(A): each distinct map proven invertible once -----
+
+def ref_dim2_members(a):
+    """_dim2_members as it was: verify_triality on every member."""
+    multiply, form_eval = symcomp.residue_arithmetic(a)
+    p = a.field.p
+    scalars = [a.field.from_int(v) for v in range(p)]
+    circle = [(mu, nu) for mu in range(p) for nu in range(p) if (mu * mu + nu * nu) % p == 1]
+    elements, members = [], []
+    for q1 in circle:
+        for q2 in circle:
+            w = multiply(q1, q2)
+            for q3 in circle:
+                if form_eval(q3, w):
+                    continue
+                qs = (q1, q2, q3)
+                member = tuple(((-pj[0] % p, qj[0]), (-pj[1] % p, qj[1])) for pj, qj in
+                               ((multiply(qs[(j + 1) % 3], qs[(j + 2) % 3]), qs[j])
+                                for j in range(3)))
+                maps = [LinearMap(a, [[scalars[v] for v in row] for row in m]) for m in member]
+                elements.append(verify_triality(a, *maps))
+                members.append(member)
+    for member in members:
+        x, y, z = (form_eval((1, 0), (m[0][0], m[1][0])) for m in member)
+        if (2 * x * y * z - (x * x + y * y + z * z) + 1) % p:
+            raise RelationFails("member violates the alpha identity")
+    for m in {m for member in members for m in member}:
+        cols = tuple(zip(*m))
+        if any(form_eval(cols[i], cols[k]) != a.form[i][k].a for i in range(2) for k in range(2)):
+            raise RelationFails("member is not an isometry")
+    return elements, members
+
+
+def members_outcome(fn, a):
+    try:
+        elements, members = fn(a)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return [[m.rows for m in g.maps] for g in elements], members
+
+
+def two_dim_variants(p):
+    """para2 over F_p, and copies with e f shifted by e, with the form
+    doubled, with the form diag(1, 2), and with the zero product, whose
+    members have g_j(e) = 0."""
+    a = named_algebra("para2", Fp(p))
+    f = a.field
+    one, zero = f.one(), f.zero()
+    structure = [[list(row) for row in plane] for plane in a.structure]
+    structure[0][1][0] = structure[0][1][0] + one
+    return [a, Algebra(f, structure, form=a.form),
+            Algebra(f, a.structure, form=[[x + x for x in row] for row in a.form]),
+            Algebra(f, a.structure, form=[[one, zero], [zero, one + one]]),
+            Algebra(f, [[[zero] * 2] * 2] * 2, form=a.form)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_dim2_members_match_reference(p):
+    """The same members, maps and first failure as verify_triality on every
+    member, on each variant; between them they fail every check."""
+    seen = set()
+    for a in two_dim_variants(p):
+        want = members_outcome(ref_dim2_members, a)
+        assert members_outcome(symcomp._dim2_members, a) == want
+        seen.add(want[1] if isinstance(want[0], str) else None)
+    assert len(seen) == 5 and seen >= {None, "matrix is singular", "member is not an isometry",
+                                       "member violates the alpha identity"}
 
 
 # -- the closure, inverse and Klein checks must still catch a bad set -----

@@ -1684,3 +1684,243 @@ def test_classify_regularity_reaches_each_verdict():
     assert triality.classify_regularity(algebra("hurwitz:2", "F5")) == "none"
     with pytest.raises(AlgebraError, match="^algebra has no bilinear form$"):
         triality.classify_regularity(Algebra(f, [[[one]]]))
+
+
+# ---------------------------------------------------------------------------
+# One builder per construction: hurwitz_sigma, verify_elduque_form and
+# r3_construction against the copies they replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_hurwitz_sigma(h, a):
+    """hurwitz_sigma as it was, with its own copy of order3_auto's checks."""
+    autos.check_sphere_point(h, a)
+    abar = h.involute(a)
+    sigma = h.left_op(abar) @ h.right_op(a)
+    if sigma != h.right_op(a) @ h.left_op(abar):
+        raise RelationFails("the two operator orders disagree")
+    autos.certify_automorphism(h, sigma)
+    if not (sigma @ (h.left_op(a) @ h.right_op(abar))).is_identity():
+        raise RelationFails("sigma(conj a) is not the inverse")
+    if not (sigma @ sigma @ sigma).is_identity():
+        raise RelationFails("order is not 3")
+    if sigma(h.unit_element()) != h.unit_element():
+        raise RelationFails("unit is not fixed")
+    w = triality.form_law_failure(h, sigma, sigma)
+    if w is not None:
+        raise RelationFails("sigma is not an isometry", witness=w)
+    return sigma
+
+
+def ref_verify_elduque_form(h, a_list, side="left"):
+    """verify_elduque_form as it was, with a loop per side."""
+    r = len(a_list)
+    if r == 0:
+        raise ValueError("empty chain")
+    e = h.unit_element()
+    nested = a_list[-1]
+    for x in reversed(a_list[:-1]):
+        nested = x * nested
+    reversed_nested = a_list[-1]
+    for x in reversed(a_list[:-1]):
+        reversed_nested = reversed_nested * x
+    if nested != e or reversed_nested != e:
+        raise RelationFails("the chain does not multiply to the unit")
+    if side == "left":
+        op = h.left_op(a_list[0])
+        for x in a_list[1:]:
+            op = op @ h.left_op(x)
+    elif side == "right":
+        op = h.right_op(a_list[0])
+        for x in a_list[1:]:
+            op = op @ h.right_op(x)
+    elif side == "mixed":
+        op = h.left_op(a_list[0]) @ h.right_op(a_list[0])
+        for x in a_list[1:]:
+            op = op @ h.left_op(x) @ h.right_op(x)
+    else:
+        raise ValueError("side must be left, right, or mixed")
+    autos.certify_automorphism(h, op)
+    if r == 2 and not op.is_identity():
+        raise RelationFails("length-2 chain must give the identity")
+    if r == 3:
+        one = h.field.one()
+        norms_one = all(h.form_eval(x, x) == one for x in a_list)
+        eps = [h.form_eval(e, x) for x in a_list]
+        degenerate = (one - (eps[0] ** 2 + eps[1] ** 2 + eps[2] ** 2)
+                      + h.field.from_int(2) * eps[0] * eps[1] * eps[2]).is_zero()
+        if norms_one and degenerate:
+            ident = h.identity_map()
+            if op @ op != h.field.from_int(2) * op - ident:
+                raise RelationFails("length-3 degenerate chain is not unipotent")
+    return op
+
+
+def ref_r3_construction(h, data):
+    """r3_construction as it was, with the three chain products written out."""
+    defect = autos._r3_defect(h, data)
+    if defect is not None:
+        raise AlgebraError(defect)
+    eps, bs = data.eps, data.bs
+    e = h.unit_element()
+    a = [bs[j] + eps[j] * e for j in range(3)]
+    for j in range(3):
+        want = h.involute(a[(j + 2) % 3])
+        if a[j] * a[(j + 1) % 3] != want or a[(j + 1) % 3] * a[j] != want:
+            raise RelationFails("chain elements do not pair to conjugates",
+                                witness=(j + 1,))
+    if a[0] * (a[1] * a[2]) != e or (a[2] * a[1]) * a[0] != e:
+        raise RelationFails("unit chain condition fails")
+    sigma = h.left_op(a[0]) @ h.left_op(a[1]) @ h.left_op(a[2])
+    rights = h.right_op(a[0]) @ h.right_op(a[1]) @ h.right_op(a[2])
+    mixed = (h.left_op(a[0]) @ h.right_op(a[0]) @ h.left_op(a[1]) @ h.right_op(a[1])
+             @ h.left_op(a[2]) @ h.right_op(a[2]))
+    ident = h.identity_map()
+    rewrites = [
+        rights,
+        mixed,
+        ident + eps[2] * (h.left_op(bs[0]) @ h.left_op(bs[1])),
+        ident + eps[1] * (h.left_op(bs[2]) @ h.left_op(bs[0])),
+        ident + eps[0] * (h.left_op(bs[1]) @ h.left_op(bs[2])),
+    ]
+    for t, other in enumerate(rewrites):
+        if sigma != other:
+            raise RelationFails("rewrites of sigma disagree", witness=(t,))
+    autos.certify_automorphism(h, sigma)
+    if sigma @ sigma != h.field.from_int(2) * sigma - ident:
+        raise RelationFails("sigma is not unipotent")
+    return sigma
+
+
+def returned(fn, *args):
+    """`outcome` on failure, else the rows of the map returned."""
+    try:
+        m = fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return m.rows
+
+
+def message(verdict):
+    return verdict[1] if isinstance(verdict, tuple) else None
+
+
+def unital_variants(h):
+    """h, and copies with structure constant (1, 2, 2) or (1, 3, 0) shifted
+    by one, with the involution negated, with its (1, 1) entry negated, with
+    the unit moved by e_1 - e_2, and with the last diagonal form entry
+    doubled."""
+    f, n, one = h.field, h.dim, h.field.one()
+    parts = dict(form=h.form, involution=h.involution, unit=h.unit, name=h.name)
+    flipped = [list(r) for r in h.involution]
+    flipped[1][1] = -flipped[1][1]
+    unit = list(h.unit)
+    unit[1], unit[2] = unit[1] + one, unit[2] - one
+    form = [list(r) for r in h.form]
+    form[n - 1][n - 1] = f.from_int(2) * form[n - 1][n - 1]
+    return [h, _shifted(h, 1, 2, 2, one), _shifted(h, 1, 3, 0, one)] + [
+        Algebra(f, h.structure, **dict(parts, **change)) for change in (
+            {"involution": [[-x for x in r] for r in h.involution]}, {"involution": flipped},
+            {"unit": unit}, {"form": form})]
+
+
+
+UNITAL = [("hurwitz:4", "Q"), ("hurwitz:4", "F13"), ("hurwitz:8", "Qsqrt3"),
+          ("hurwitz:8:split", "F7")]
+
+
+def test_hurwitz_sigma_matches_reference():
+    """Three sphere points, one of them moved off the sphere, and a random
+    element, on each variant of each algebra; with certify_automorphism
+    stubbed out as well, so that every check after it is reached."""
+    seen = set()
+    for case in UNITAL:
+        h = algebra(*case)
+        rng = random.Random(case[0] + case[1])
+        points = rng.sample(autos._sphere_patterns(h), 3)
+        points[2] = points[2] + h.basis(rng.randrange(1, h.dim))
+        points.append(random_element(h, rng))
+        for v in unital_variants(h):
+            for stub in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    if stub:
+                        mp.setattr(autos, "certify_automorphism", lambda alg, g: g)
+                    for x in points:
+                        x = v.element(x.coords)
+                        want = returned(ref_hurwitz_sigma, v, x)
+                        assert returned(autos.hurwitz_sigma, v, x) == want, case
+                        seen.add(message(want))
+    assert seen == {None, "point does not have norm one",
+                    "point is not on the affine sphere slice",
+                    "the two operator orders disagree", "map is not an automorphism",
+                    "sigma(conj a) is not the inverse", "order is not 3", "unit is not fixed",
+                    "sigma is not an isometry"}
+
+
+def chains(h, rng, data):
+    """Chains of length 0 to 3: x, x^-1 both ways round, with e in front,
+    and with e scaled by 2 against x^-1 / 2; a norm-one u with e in front of
+    u and conj(u); x, x; and the r3 chain b_j + e of `data`, if any."""
+    e = h.unit_element()
+    two = h.field.from_int(2)
+    x = next(y for y in iter(lambda: random_element(h, rng), None)
+             if not h.form_eval(y, y).is_zero())
+    xinv = h.involute(x) / h.form_eval(x, x)
+    out = [[], [e], [x, xinv], [xinv, x], [x, x], [e, x, xinv], [two * e, x, xinv / two]]
+    units = [b for b in h.basis_elements()[1:] if h.form_eval(b, b) == h.field.one()]
+    if units:
+        out.append([e, units[0], h.involute(units[0])])
+    if data is not None:
+        out.append([b + e for b in data.bs])
+    return out
+
+
+def r3_inputs(data):
+    """The chain data, with two signs flipped, with b_2 and b_3 swapped, and
+    with one sign flipped."""
+    one, bs = data.eps[0], data.bs
+    return [data, autos.R3Data((one, -one, -one), bs),
+            autos.R3Data(data.eps, (bs[0], bs[2], bs[1])), autos.R3Data((one, one, -one), bs)]
+
+
+CHAIN_ALGEBRAS = [("hurwitz:4", "Q"), ("zorn", "F5"), ("hurwitz:8:split", "Qsqrt3")]
+
+
+def test_chain_products_match_reference():
+    """verify_elduque_form on every side and a bad one, and r3_construction,
+    on each variant of each algebra, with certify_automorphism stubbed out
+    as well."""
+    seen = set()
+    for case in CHAIN_ALGEBRAS:
+        h = algebra(*case)
+        rng = random.Random(case[0] + case[1])
+        try:
+            data = autos.find_r3_data(h)
+        except AlgebraError:  # a division algebra has no such chain
+            data = None
+        inputs = chains(h, rng, data)
+        data = [] if data is None else r3_inputs(data)
+        for v in unital_variants(h):
+            moved = [[v.element(x.coords) for x in c] for c in inputs]
+            moved_data = [autos.R3Data(d.eps, tuple(v.element(b.coords) for b in d.bs))
+                          for d in data]
+            for stub in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    if stub:
+                        mp.setattr(autos, "certify_automorphism", lambda alg, g: g)
+                    for c in moved:
+                        for side in ("left", "right", "mixed", "diagonal"):
+                            want = returned(ref_verify_elduque_form, v, c, side)
+                            assert returned(autos.verify_elduque_form, v, c, side) == want
+                            seen.add(("chain", message(want)))
+                    for d in moved_data:
+                        want = returned(ref_r3_construction, v, d)
+                        assert returned(autos.r3_construction, v, d) == want
+                        seen.add(("r3", message(want)))
+    assert {m for kind, m in seen if kind == "chain"} == {
+        None, "empty chain", "side must be left, right, or mixed",
+        "the chain does not multiply to the unit", "map is not an automorphism",
+        "length-2 chain must give the identity", "length-3 degenerate chain is not unipotent"}
+    assert {m for kind, m in seen if kind == "r3"} >= {
+        None, "eps product is not 1", "chain elements do not pair to conjugates",
+        "rewrites of sigma disagree"}

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 52 mutants takes about ten minutes on two cores, most of
+a full run of the 58 mutants takes about twelve minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -39,6 +39,7 @@ KERNEL_PRODUCTS = "tests/test_linalg.py::test_integer_products_match_the_ring_lo
 PRODUCT_LOOP = "tests/test_algebra.py::test_product_loop_matches_the_fieldelement_and_residue_loops"
 NULLSPACE = "tests/test_linalg.py::test_nullspace_matches_exact_rref"
 RAW_ROWS = "tests/test_linalg.py::test_int_nullspace_reads_raw_integer_rows_mod_p"
+HURWITZ_SIGMA = LAWS + "test_hurwitz_sigma_matches_reference"
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ MUTANTS = (
     Mutant("fallback drops the linearized witness", "symcomp.py",
            "            w = linearized_witness\n", "            w = None\n",
            (LAWS + "test_symmetric_composition_scans_only_the_generating_clauses",)),
-    # -- sigma_theta_triples and order3_auto: one-sided inverses -------------
+    # -- sigma_theta_triples: one-sided inverses -----------------------------
     Mutant("sigma_j theta_j test dropped", "symcomp.py",
            "if not (sigma.comp(j) @ theta.comp(j)).is_identity():", "if False:",
            (LAWS + "test_sigma_theta_product_check_matches_reference",)),
@@ -121,14 +122,31 @@ MUTANTS = (
     Mutant("sigma isometry check dropped", "symcomp.py",
            "w = form_law_failure(alg, sigma.comp(j), sigma.comp(j))", "w = None",
            (LAWS + "test_sigma_theta_triples_match_reference",)),
-    Mutant("order3_auto sigma-theta inverse test dropped", "autos.py",
-           "    if not (sigma @ theta).is_identity():", "    if False:",
-           (LAWS + "test_order3_auto_matches_reference",)),
-    Mutant("order3_auto order test dropped", "autos.py",
-           '"sigma and theta are not mutual inverses")\n'
-           "    if not (sigma @ sigma @ sigma).is_identity():",
-           '"sigma and theta are not mutual inverses")\n    if False:',
-           (LAWS + "test_order3_auto_matches_reference",)),
+    # -- one builder per construction --------------------------------------
+    Mutant("order-3 certifier: inverse test dropped", "autos.py",
+           "    if not (sigma @ inverse).is_identity():", "    if False:",
+           (LAWS + "test_order3_auto_matches_reference", HURWITZ_SIGMA)),
+    Mutant("order-3 certifier: order test dropped", "autos.py",
+           "    if not (sigma @ sigma @ sigma).is_identity():", "    if False:",
+           (LAWS + "test_order3_auto_matches_reference", HURWITZ_SIGMA)),
+    Mutant("order-3 certifier: unit test dropped", "autos.py",
+           "if fixed is not None and sigma(fixed) != fixed:", "if False:",
+           (HURWITZ_SIGMA,)),
+    Mutant("pattern points skip a sign run", "autos.py",
+           "starts = range(len(imag) - 2)", "starts = range(1, len(imag) - 2)",
+           ("tests/test_autos.py::test_sphere_patterns_match_the_reference",)),
+    Mutant("mixed chain built as right", "autos.py",
+           "factors = [op for x in chain for op in (h.left_op(x), h.right_op(x))]",
+           "factors = [h.right_op(x) for x in chain]",
+           (LAWS + "test_chain_products_match_reference",)),
+    Mutant("wedge with u and w swapped", "triality.py",
+           "    bu, bw = a.covector(u), a.covector(w)\n",
+           "    u, w = w, u\n    bu, bw = a.covector(u), a.covector(w)\n",
+           ("tests/test_symcomp.py::test_local_D_certifies_and_cycles",
+            "tests/test_triality.py::test_derivation_pair_gives_local_triple")),
+    Mutant("_dim2_members invertibility proof dropped", "symcomp.py",
+           "                        linalg.require_invertible(g.rows, zero, one)\n", "",
+           ("tests/test_enumerate.py::test_dim2_members_match_reference",)),
     # -- one sparse square test ---------------------------------------------
     Mutant("square test ignores its target", "linalg.py",
            "sq[i] = sq[i] - c", "sq[i] = sq[i] - zero",
@@ -202,6 +220,10 @@ MUTANTS = (
            (RAW_ROWS,)),
     Mutant("F_p pivot row not normalized", "linalg.py",
            "if (y0 := x0 * inv % p)]", "if (y0 := x0 % p)]",
+           (NULLSPACE,)),
+    Mutant("integer rows without the lcm over Q", "linalg.py",
+           "q = 1 if desc.p is not None else lcm(*[x._q for row in a for x in row])",
+           "q = 1",
            (NULLSPACE,)),
     Mutant("F_p pivot not tested mod p", "linalg.py",
            "if c in r and r[c][0] % p]", "if c in r]",
