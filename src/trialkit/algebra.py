@@ -6,17 +6,26 @@ involution matrix, and an optional unit element.  Instances are treated as
 immutable.  The nonzero structure constants are lifted once, at construction,
 to integers over one denominator (`Algebra.int_terms` over `int_den`), and
 every product of elements runs one integer loop on them
-(`Algebra.int_product`): `multiply`, `left_op` and `right_op` wrap its
-numerators as FieldElements, and the F_p enumerations reduce them mod p.
+(`Algebra.int_product`): `multiply` wraps its numerators as FieldElements,
+`left_op` and `right_op` keep them as the columns of a map, and the F_p
+enumerations reduce them mod p.
+
+A :class:`LinearMap` keeps one canonical integer form (q, R0, R1), entry
+(R0 + R1 sqrt d)/q with gcd(q, every entry) = 1: its products, sums, scalar
+multiples, comparisons and hash, its tests for invertibility and d d = 0 and
+the law checks of `triality` read these integers (see `linalg`), and its
+FieldElement `rows` are built only when read.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from math import gcd, lcm
 from typing import List, Optional, Sequence
 
 from . import linalg
 from .fields import FieldDescriptor, FieldElement
-from .linalg import _add_multiple, _lift, _wrap
+from .linalg import _add_multiple, _lift, _wrap_vector
 
 Matrix = List[list]
 
@@ -87,46 +96,105 @@ class Element:
 
 
 class LinearMap:
-    """A dense linear operator on one algebra, applied as a callable."""
+    """A dense linear operator on one algebra, applied as a callable.
 
-    __slots__ = ("algebra", "rows")
+    A map keeps one canonical integer form (q, R0, R1): entry (r, c) is
+    (R0[r][c] + R1[r][c] sqrt d)/q, with q > 0 and gcd(q, every entry) = 1.
+    Over Q, R1 is None; over F_p, q = 1 and R0 holds the residues.  So ==
+    and hash are structural, as for FieldElement, and @, +, -, scalar *,
+    m(x), the law checks of `triality` and the tests for invertibility and
+    d d = 0 all read these integers.  `.rows`, the entries as FieldElements,
+    is built on its first read and is read-only: a write into it would not
+    reach the integers."""
+
+    __slots__ = ("algebra", "_q", "_r0", "_r1", "_rows", "_row_lines", "_col_lines")
 
     def __init__(self, algebra: "Algebra", rows: Matrix):
         n = algebra.dim
         if len(rows) != n or any(len(r) != n for r in rows):
             raise AlgebraError("operator shape does not match the algebra")
         self.algebra = algebra
-        self.rows = [list(r) for r in rows]
+        self._rows = [list(r) for r in rows]
+        self._q, self._r0, self._r1 = linalg._lift_matrix(self._rows, algebra.field)
+        self._row_lines = self._col_lines = None
+
+    @property
+    def rows(self) -> Matrix:
+        """The entries as FieldElements; read-only."""
+        if self._rows is None:
+            desc, q = self.algebra.field, self._q
+            self._rows = [_wrap_vector(desc, q, u0, u1)
+                          for u0, u1 in zip(self._r0, self._r1 or repeat(None))]
+        return self._rows
 
     def __call__(self, x: Element) -> Element:
-        return Element(self.algebra, linalg.mat_vec(self.rows, x.coords))
+        a = self.algebra
+        q, x0, x1 = _lift(x.coords)
+        column = [[(0, t0, t1)] if t0 or t1 else [] for t0, t1 in zip(x0, x1)]
+        c0, c1 = linalg._int_matmul(a.field.d, self._lines(False), column, 1)
+        return Element(a, _wrap_vector(a.field, q * self._q, [s for s, in c0],
+                                       c1 and [s for s, in c1]))
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.algebra, linalg.mat_mul(self.rows, other.rows))
+        a = self.algebra
+        return _int_map(a, self._q * other._q, *linalg._int_matmul(
+            a.field.d, self._lines(False), other._lines(False), a.dim))
+
+    def _sum(self, other: "LinearMap", sign: int) -> tuple:
+        """(q, r0, r1), not reduced, with self + sign other = (r0 + r1 sqrt d)/q."""
+        q = lcm(self._q, other._q)
+        s, t = q // self._q, sign * (q // other._q)
+
+        def combine(m, n):
+            return [[s * x + t * y for x, y in zip(u, v)] for u, v in zip(m, n)]
+
+        return q, combine(self._r0, other._r0), self._r1 and combine(self._r1, other._r1)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.algebra, linalg.mat_add(self.rows, other.rows))
+        return _int_map(self.algebra, *self._sum(other, 1))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.algebra, linalg.mat_sub(self.rows, other.rows))
+        return _int_map(self.algebra, *self._sum(other, -1))
 
     def __neg__(self) -> "LinearMap":
-        return LinearMap(self.algebra, linalg.mat_scale(self.algebra.field.from_int(-1), self.rows))
+        return self * -1
 
     def __mul__(self, c) -> "LinearMap":
         if isinstance(c, LinearMap):
             return self @ c
+        a = self.algebra
         if not isinstance(c, FieldElement):
-            c = self.algebra.field.from_int(int(c))
-        return LinearMap(self.algebra, linalg.mat_scale(c, self.rows))
+            c = a.field.from_int(int(c))
+        return self @ LinearMap(a, linalg.identity(a.dim, c, a.field.zero()))
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LinearMap) and linalg.mat_eq(self.rows, other.rows)
+        return (isinstance(other, LinearMap) and self._q == other._q and self._r0 == other._r0
+                and self._r1 == other._r1 and self.algebra.field == other.algebra.field)
 
     def __hash__(self) -> int:
-        return hash(tuple(tuple(r) for r in self.rows))
+        return hash((self._q, *map(tuple, self._r0)))
+
+    def squares_to_zero(self) -> bool:
+        """Whether self self = 0, read off the integers (`linalg._squares_to`)."""
+        return linalg._squares_to(self.algebra.field, self._lines(False))
+
+    def require_invertible(self) -> None:
+        """Raise linalg.NotInvertible unless the map is invertible."""
+        linalg._require_full_rank(self.algebra.field, self._r0, self._r1)
+
+    def _lines(self, columns: bool) -> list:
+        """The nonzero entries (index, n0, n1) of each row, or of each
+        column, of the numerators; each built once."""
+        if columns:
+            if self._col_lines is None:
+                self._col_lines = linalg._sparse_lines(list(zip(*self._r0)),
+                                                       self._r1 and list(zip(*self._r1)))
+            return self._col_lines
+        if self._row_lines is None:
+            self._row_lines = linalg._sparse_lines(self._r0, self._r1)
+        return self._row_lines
 
     def inverse(self) -> "LinearMap":
         f = self.algebra.field
@@ -136,11 +204,32 @@ class LinearMap:
         return self @ other - other @ self
 
     def is_identity(self) -> bool:
-        f = self.algebra.field
-        return linalg.mat_eq(self.rows, linalg.identity(self.algebra.dim, f.one(), f.zero()))
+        return self == self.algebra.identity_map()
 
     def __repr__(self) -> str:
         return f"LinearMap({[[str(c) for c in r] for r in self.rows]})"
+
+
+def _int_map(algebra: "Algebra", q: int, r0: list, r1: Optional[list]) -> LinearMap:
+    """The map (r0 + r1 sqrt d)/q on `algebra`, for integer rows (lists) and
+    q > 0, r1 None over Q and F_p and q = 1 over F_p, in the canonical form
+    of `LinearMap`: over F_p each entry reduced mod p, else q and every
+    entry divided by their gcd."""
+    p = algebra.field.p
+    if p is not None:
+        r0 = [[x % p for x in row] for row in r0]
+    elif q != 1:
+        g = gcd(q, *chain.from_iterable(r0), *chain.from_iterable(r1 or ()))
+        if g != 1:
+            q, r0 = q // g, [[x // g for x in row] for row in r0]
+            r1 = r1 and [[x // g for x in row] for row in r1]
+    m = _new(LinearMap)
+    m.algebra, m._q, m._r0, m._r1 = algebra, q, r0, r1
+    m._rows = m._row_lines = m._col_lines = None
+    return m
+
+
+_new = object.__new__
 
 
 class Algebra:
@@ -184,12 +273,12 @@ class Algebra:
         # The structure constants and the form on integers (linalg._lift_rows):
         # int_terms[i][j] lists the nonzero (k, c0, c1), c[i][j][k] = (c0 + c1
         # sqrt d)/int_den, and int_form is (q, rows), the form over q.
-        self.int_den, flat = linalg._lift_rows([row for plane in self.structure for row in plane])
+        self.int_den, flat = linalg._lift_rows([row for plane in self.structure for row in plane],
+                                               field)
         self.int_terms = [flat[i * n:(i + 1) * n] for i in range(n)]
-        self.int_form = None if self.form is None else linalg._lift_rows(self.form)
+        self.int_form = None if self.form is None else linalg._lift_rows(self.form, field)
         # each basis vector e_i as ints, with the zero sqrt d part
         self._units = [([int(i == j) for j in range(n)], [0] * n) for i in range(n)]
-        self._zero = field.zero()
         # (witness,) of symcomp.linearized_failure and the Certificate of
         # symcomp.is_symmetric_composition, once computed
         self._linearized_cache = None
@@ -241,16 +330,11 @@ class Algebra:
                     _add_multiple(d, s0, s1, a0 * b0 + d * a1 * b1, a0 * b1 + a1 * b0, row[j])
         return s0, s1
 
-    def _elements(self, s0: list, s1: list, q: int) -> list:
-        """The FieldElements (s0[k] + s1[k] sqrt d)/q; each zero is one shared object."""
-        desc, zero = self.field, self._zero
-        return [_wrap(desc, v0, v1, q) if v0 or v1 else zero for v0, v1 in zip(s0, s1)]
-
     def multiply(self, x: Element, y: Element) -> Element:
         qx, x0, x1 = _lift(x.coords)
         qy, y0, y1 = _lift(y.coords)
-        return Element(self, self._elements(*self.int_product(x0, y0, x1, y1),
-                                            qx * qy * self.int_den))
+        return Element(self, _wrap_vector(self.field, qx * qy * self.int_den,
+                                          *self.int_product(x0, y0, x1, y1)))
 
     def left_op(self, x: Element) -> LinearMap:
         """L(x): e_j -> x e_j, so column j is the product x e_j."""
@@ -264,8 +348,9 @@ class Algebra:
 
     def _operator(self, q: int, columns: list) -> LinearMap:
         """The map whose columns are `int_product` numerators over q int_den."""
-        cols = [self._elements(s0, s1, q * self.int_den) for s0, s1 in columns]
-        return LinearMap(self, list(zip(*cols)))
+        r1 = None if self.field.d is None else [list(r) for r in zip(*[s1 for _, s1 in columns])]
+        return _int_map(self, q * self.int_den, [list(r) for r in zip(*[s0 for s0, _ in columns])],
+                        r1)
 
     def form_eval(self, x: Element, y: Element) -> FieldElement:
         if self.form is None:
@@ -296,8 +381,9 @@ class Algebra:
         return LinearMap(self, self.involution)
 
     def identity_map(self) -> LinearMap:
-        f = self.field
-        return LinearMap(self, linalg.identity(self.dim, f.one(), f.zero()))
+        n = self.dim
+        return _int_map(self, 1, [[int(i == j) for j in range(n)] for i in range(n)],
+                        None if self.field.d is None else [[0] * n for _ in range(n)])
 
     def __repr__(self) -> str:
         return f"Algebra(name={self.name!r}, dim={self.dim}, field={self.field})"

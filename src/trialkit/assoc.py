@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, Element, LinearMap
+from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .constructors import make_conjugate
 from .triality import (LocalTriple, RelationFails, TrialityTriple, first_failing_tuple,
                        verify_local, verify_triality)
@@ -81,7 +81,7 @@ def para_associativity(a: Algebra) -> None:
 
 
 def _rebind(target: Algebra, m: LinearMap) -> LinearMap:
-    return LinearMap(target, m.rows)
+    return _int_map(target, m._q, m._r0, m._r1)
 
 
 def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
@@ -113,14 +113,14 @@ def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
             raise RelationFails("involution conjugate of sigma is wrong",
                                 witness=(j + 1,))
     for j in range(1, 4):
-        m = sig[j - 1].rows
+        m = sig[j - 1]
         left_form = (conj_alg.left_op(conj_alg.element([c for c in u.comp(j + 1).coords]))
                      @ conj_alg.left_op(conj_alg.element([c for c in u.comp(j).coords])))
         abar_j = astar.involute(u.comp(j))
         abar_j1 = astar.involute(u.comp(j + 1))
         right_form = (conj_alg.right_op(conj_alg.element(abar_j.coords))
                       @ conj_alg.right_op(conj_alg.element(abar_j1.coords)))
-        if not linalg.mat_eq(m, left_form.rows) or not linalg.mat_eq(m, right_form.rows):
+        if m != left_form or m != right_form:
             raise RelationFails("operator factorizations disagree", witness=(j,))
     return verify_triality(conj_alg, *[_rebind(conj_alg, m) for m in sig])
 

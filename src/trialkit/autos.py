@@ -18,7 +18,7 @@ from operator import matmul, mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, Element, LinearMap
+from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .fields import FieldElement, SqrtUnavailable, sqrt_in_field
 from .triality import (RelationFails, earliest_failure, first_failing_tuple,
                        form_law_failure, product_law_failure)
@@ -29,7 +29,7 @@ from .triality import (RelationFails, earliest_failure, first_failing_tuple,
 
 def certify_automorphism(a: Algebra, g: LinearMap) -> LinearMap:
     """g(xy) = g(x)g(y) on all basis pairs, g invertible."""
-    linalg.require_invertible(g.rows, a.field.zero(), a.field.one())
+    g.require_invertible()
     w = product_law_failure(a, g, g, g)
     if w is not None:
         raise RelationFails("map is not an automorphism", witness=w)
@@ -49,12 +49,15 @@ def derivation_space(a: Algebra) -> List[LinearMap]:
     conditions d(e_i e_j) = (d e_i) e_j + e_i (d e_j) for the n^2 entries.
 
     The system is homogeneous, with structure constants over `a.int_den` for
-    coefficients, so its rows are the integers of `a.int_terms`."""
+    coefficients, so its rows are the integers of `a.int_terms`, and each
+    map is built from an integer kernel vector (`linalg._kernel`)."""
     n = a.dim
     terms = a.int_terms
+    pair = a.field.d is not None
     rows = []
     # unknown d[k][l] laid out as k * n + l; entry (m, column, n0, n1) lies
-    # in the row of condition (i, j, m), and entries of one column are summed
+    # in the row of condition (i, j, m), entries of one column are summed,
+    # and an entry is n0 alone over Q and F_p (see `linalg._eliminate`)
     for i in range(n):
         for j in range(n):
             # d(e_i e_j)_m = sum_l d[m][l] (e_i e_j)_l
@@ -66,26 +69,35 @@ def derivation_space(a: Algebra) -> List[LinearMap]:
             for m, col, c0, c1 in entries:
                 s0, s1 = block[m].get(col, (0, 0))
                 block[m][col] = (s0 + c0, s1 + c1)
-            rows.extend({col: s for col, s in row.items() if s != (0, 0)} for row in block)
-    return [LinearMap(a, [v[k * n:(k + 1) * n] for k in range(n)])
-            for v in linalg.int_nullspace(rows, n * n, a.field.zero(), a.field.one())]
+            rows.extend({col: s if pair else s[0] for col, s in row.items() if s != (0, 0)}
+                        for row in block)
+
+    def rows_of(v: Optional[list]) -> Optional[list]:
+        return v and [v[k * n:(k + 1) * n] for k in range(n)]
+
+    return [_int_map(a, q, rows_of(v0), rows_of(v1))
+            for q, v0, v1 in linalg._kernel(rows, n * n, a.field)]
 
 
 def find_nilpotent_derivation(a: Algebra) -> Optional[LinearMap]:
     """First derivation with d^2 = 0, searched deterministically over
     single basis derivations and then pairwise sums/differences.  None of
-    these is zero, since the basis is independent."""
-    zero = a.field.zero()
+    these is zero, since the basis is independent.
+
+    B_i + s B_j (s = +-1) is (q_j N_i + s q_i N_j)/(q_i q_j), up to a
+    positive integer scale, for B_i = N_i/q_i, and a scale does not change
+    whether a square is 0; so each candidate is tested on its numerators
+    and becomes a map only when it is returned."""
     basis = derivation_space(a)
     for d in basis:
-        if linalg.squares_to(d.rows, zero, zero):
+        if d.squares_to_zero():
             return d
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            for combine in (linalg.mat_add, linalg.mat_sub):
-                rows = combine(basis[i].rows, basis[j].rows)
-                if linalg.squares_to(rows, zero, zero):
-                    return LinearMap(a, rows)
+    for i, bi in enumerate(basis):
+        for bj in basis[i + 1:]:
+            for sign in (1, -1):
+                q, r0, r1 = bi._sum(bj, sign)
+                if linalg._squares_to(a.field, linalg._sparse_lines(r0, r1)):
+                    return _int_map(a, q, r0, r1)
     return None
 
 
@@ -117,20 +129,28 @@ def _sign_patterns(a: Algebra, e: Element, imag: List[int], every: bool) -> Iter
     """Candidates (1/2)(-e + s_0 e_i + s_1 e_j + s_2 e_k), signs s = +-1, over
     the runs i, j, k of three consecutive entries of `imag`, then
     (1/2)(-e + s sqrt(3) e_i) over the entries i when 3 is a square: the first
-    run and the first entry only, unless `every`."""
+    run and the first entry only, unless `every`.  Each coordinate is
+    written once: -e_k/2, plus s/2 or s sqrt(3)/2 on the entries of a
+    pattern."""
     f = a.field
     half = f.from_int(2).inverse()
-    signs = (f.one(), -f.one())
+    base = [-half * c for c in e.coords]
+
+    def point(moves) -> Element:
+        coords = list(base)
+        for i, x in moves:
+            coords[i] = base[i] + x
+        return Element(a, coords)
+
     starts = range(len(imag) - 2)
     for t in starts if every else starts[:1]:
-        i0, i1, i2 = imag[t:t + 3]
-        for s0, s1, s2 in product(signs, repeat=3):
-            yield half * (-e + s0 * a.basis(i0) + s1 * a.basis(i1) + s2 * a.basis(i2))
+        for signs in product((half, -half), repeat=3):
+            yield point(zip(imag[t:t + 3], signs))
     root3 = sqrt_in_field(f.from_int(3))
     if root3 is not None:
         for i in imag if every else imag[:1]:
-            for s in signs:
-                yield half * (-e + s * root3 * a.basis(i))
+            for s in (root3, -root3):
+                yield point([(i, s * half)])
 
 
 def find_idempotents(a: Algebra) -> List[Idempotent]:
@@ -291,7 +311,7 @@ def unipotent_bridge(m: LinearMap, direction: str) -> LinearMap:
         return m - ident
     if direction == "der_to_auto":
         certify_derivation(a, m)
-        if not linalg.squares_to(m.rows, a.field.zero(), a.field.zero()):
+        if not m.squares_to_zero():
             raise AlgebraError("derivation does not square to zero")
         return ident + m
     raise ValueError("direction must be auto_to_der or der_to_auto")

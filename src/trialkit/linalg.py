@@ -1,29 +1,38 @@
-"""Dense exact linear algebra over FieldElement matrices.
+"""Dense exact linear algebra: FieldElement matrices and the integer kernel
+under `algebra.LinearMap`.
 
-Matrices are plain lists of lists of FieldElements of one field.
+A FieldElement matrix is a plain list of lists of FieldElements of one
+field; `mat_mul`, `mat_vec`, `nullspace`, `solve`, `mat_inv`, `squares_to`
+and `require_invertible` take these.
 
-Products and comparisons run on the integers that a FieldElement already
-stores, (n0 + n1 sqrt d)/q (see `fields`): `_lift` puts a row, a column or a
-whole matrix over one common denominator, the lcm of its entries' q, so that
-each sum of products is a sum of integer pair products
+Everything runs on the integers that a FieldElement already stores,
+(n0 + n1 sqrt d)/q (see `fields`).  `_lift` puts a row, a column or a
+vector over one common denominator, the lcm of its entries' q, and
+`_lift_matrix` a whole matrix: (q, R0, R1), the form a LinearMap keeps.
+Each sum of products is then a sum of integer pair products
 (u0 + u1 sqrt d)(v0 + v1 sqrt d) = (u0 v0 + d u1 v1) + (u0 v1 + u1 v0) sqrt d
-(`_dot` on dense vectors, `_add_multiple` on sparse ones), and `_wrap` builds
-one FieldElement per result.  Over Q the n1 parts are zero and skipped; over
-F_p every q is 1, the n0 are the residues, and a result is reduced mod p only
-when it is wrapped or compared.  This is exact with no stated bound: Python
-ints do not overflow, and two quotients over positive denominators are equal
-exactly when their numerators, each multiplied by the other's denominator,
-are equal (mod p over F_p), which is when their canonical FieldElements are
-equal.
+(`_dot` on dense vectors, `_add_multiple` on sparse ones, `_int_matmul` on
+integer matrices), and `_wrap` builds one FieldElement per result that is
+read as one.  Over Q the n1 parts are zero and skipped (R1 is None); over
+F_p every q is 1, the n0 are the residues, and a result is reduced mod p
+only when it is wrapped or compared.  This is exact with no stated bound:
+Python ints do not overflow, and two quotients over positive denominators
+are equal exactly when their numerators, each multiplied by the other's
+denominator, are equal (mod p over F_p), which is when their canonical
+FieldElements are equal.
 
-`nullspace` and `require_invertible` row-reduce the same integers with one
-elimination, `_rref`, for all three kinds of field: Gauss-Jordan without
-division, the pivot made 1 and every entry reduced mod p over F_p.
-`mat_inv` and `solve` read their results off a `nullspace` basis.
+`nullspace`, `require_invertible` and `algebra.LinearMap` row-reduce the
+integer rows with one elimination, `_eliminate`, for all three kinds of
+field: Gauss-Jordan without division on plain ints over Q and F_p and on
+pairs (n0, n1) over Q(sqrt d), the pivot made 1 and every entry reduced mod
+p over F_p.  `_kernel` reads the kernel basis off it as integer vectors over
+one denominator; `mat_inv` and `solve` read their results off a `nullspace`
+basis.  `_squares_to` decides m m = c Id on the integer rows.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd, lcm
 from operator import mul, sub
 from typing import List, Optional, Tuple
@@ -48,10 +57,6 @@ def identity(n: int, one, zero) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
@@ -112,18 +117,12 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def squares_to(m: Matrix, c, zero) -> bool:
-    """Whether m m = c Id, each row of m m summed over the nonzero entries of
-    m only and tested as soon as it is complete."""
-    rows = [[(j, x) for j, x in enumerate(row) if not x.is_zero()] for row in m]
-    for i, row in enumerate(rows):
-        sq = [zero] * len(rows)
-        for j, x in row:
-            for k, y in rows[j]:
-                sq[k] = sq[k] + x * y
-        sq[i] = sq[i] - c
-        if not all(v.is_zero() for v in sq):
-            return False
-    return True
+    """Whether m m = c Id for a square FieldElement matrix: for m = R/q and
+    c = (c0 + c1 sqrt d)/s, whether s R R = q^2 (c0 + c1 sqrt d) Id
+    (`_squares_to`)."""
+    desc = zero.desc
+    q, rows = _lift_rows(m, desc)
+    return _squares_to(desc, rows, c._q, q * q * c._n0, q * q * c._n1)
 
 
 # -- the integer kernel (see the module docstring) ----------------------------
@@ -138,21 +137,31 @@ def _lift(xs) -> Tuple[int, List[int], List[int]]:
     return q, [x._n0 * (q // x._q) for x in xs], [x._n1 * (q // x._q) for x in xs]
 
 
-def _lift_rows(m: Matrix) -> Tuple[int, List[list]]:
+def _lift_matrix(m: Matrix, desc: FieldDescriptor) -> tuple:
+    """(q, R0, R1) with m[r][c] = (R0[r][c] + R1[r][c] sqrt d)/q over the lcm
+    q of the denominators; R1 is None over Q and F_p, and over F_p q is 1,
+    taken without an lcm, and R0 holds the residues.  For canonical
+    FieldElements this is the canonical form of `algebra.LinearMap`: a prime
+    dividing q divides some entry's denominator to the full power, and that
+    entry's numerators are prime to it."""
+    q = 1 if desc.p is not None else lcm(*[x._q for row in m for x in row])
+    r0 = [[x._n0 * (q // x._q) for x in row] for row in m]
+    return q, r0, None if desc.d is None else [[x._n1 * (q // x._q) for x in row] for row in m]
+
+
+def _lift_rows(m: Matrix, desc: FieldDescriptor) -> Tuple[int, List[list]]:
     """A whole matrix over one denominator q: (q, rows), rows[i] the nonzero
     entries of row i as (column, n0, n1), entry (n0 + n1 sqrt d)/q."""
-    q, n0s, n1s = _lift([x for row in m for x in row])
-    rows, t = [], 0
-    for row in m:
-        rows.append([(c, n0s[t + c], n1s[t + c]) for c in range(len(row))
-                     if n0s[t + c] or n1s[t + c]])
-        t += len(row)
-    return q, rows
+    q, r0, r1 = _lift_matrix(m, desc)
+    return q, _sparse_lines(r0, r1)
 
 
-def _lift_columns(m: Matrix) -> Tuple[int, List[list]]:
-    """`_lift_rows` of the transpose: the nonzero entries of each column."""
-    return _lift_rows(list(zip(*m)))
+def _sparse_lines(r0: list, r1: Optional[list]) -> List[list]:
+    """`_sparse` of every row of the integer matrix r0 + r1 sqrt d (r1 None:
+    zero)."""
+    if r1 is None:
+        return [[(c, x, 0) for c, x in enumerate(row) if x] for row in r0]
+    return [_sparse(u0, u1) for u0, u1 in zip(r0, r1)]
 
 
 def _wrap(desc: FieldDescriptor, s0: int, s1: int, q: int) -> FieldElement:
@@ -162,6 +171,14 @@ def _wrap(desc: FieldDescriptor, s0: int, s1: int, q: int) -> FieldElement:
     if p is not None:
         return _make(desc, s0 % p, 0, 1)
     return _reduced(desc, s0, s1, q)
+
+
+def _wrap_vector(desc: FieldDescriptor, q: int, v0: list, v1: Optional[list]) -> list:
+    """The FieldElements (v0[k] + v1[k] sqrt d)/q (v1 None: zero); each zero
+    numerator gives one shared zero element."""
+    zero = _make(desc, 0, 0, 1)
+    return [_wrap(desc, x0, x1, q) if x0 or x1 else zero
+            for x0, x1 in zip(v0, v1 or repeat(0))]
 
 
 def _add_multiple(d: Optional[int], acc0: list, acc1: list, y0: int, y1: int,
@@ -193,6 +210,42 @@ def _dot(d: Optional[int], u0: list, u1: list, v0, v1) -> Tuple[int, int]:
             sum(map(mul, u0, v1)) + sum(map(mul, u1, v0)))
 
 
+def _int_matmul(d: Optional[int], a: List[list], b: List[list], width: int) -> tuple:
+    """(C0, C1) with C0 + C1 sqrt d = A B for integer matrices A and B given
+    by their sparse rows (`_sparse_lines`), B with `width` columns: row i of
+    C is the sum of the rows of B weighted by the entries of row i of A.
+    Over Q and F_p (d None) C1 is None."""
+    c0, c1 = [], []
+    for u in a:
+        acc0, acc1 = [0] * width, [0] * width
+        for j, x0, x1 in u:
+            _add_multiple(d, acc0, acc1, x0, x1, b[j])
+        c0.append(acc0)
+        c1.append(acc1)
+    return c0, c1 if d else None
+
+
+def _squares_to(desc: FieldDescriptor, rows: List[list], s: int = 1, t0: int = 0,
+                t1: int = 0) -> bool:
+    """Whether s m m = (t0 + t1 sqrt d) Id for the integer matrix m given by
+    its sparse rows (`_sparse_lines`), mod p over F_p; each row of s m m
+    summed over the nonzero entries of m only and tested as soon as it is
+    complete.  With the defaults, whether m m = 0: for a map m/q too, whose
+    square is m m / q^2."""
+    d, p = desc.d, desc.p
+    for i, row in enumerate(rows):
+        acc0, acc1 = [0] * len(rows), [0] * len(rows)
+        for j, x0, x1 in row:
+            _add_multiple(d, acc0, acc1, s * x0, s * x1, rows[j])
+        acc0[i] -= t0
+        acc1[i] -= t1
+        if p is not None:
+            acc0 = [x % p for x in acc0]
+        if any(acc0) or any(acc1):
+            return False
+    return True
+
+
 def _agree(p: Optional[int], u0: list, u1: list, v0: list, v1: list) -> bool:
     """Whether the vectors u = u0 + u1 sqrt d and v = v0 + v1 sqrt d of
     numerators over one denominator are equal; over F_p, whether u0 = v0
@@ -209,7 +262,7 @@ def _scaled(s: int, vectors: List[list]) -> List[list]:
     return [[(r, s * x0, s * x1) for r, x0, x1 in v] for v in vectors]
 
 
-def _sparse(v0: list, v1: list) -> list:
+def _sparse(v0, v1) -> list:
     """The nonzero (r, v0[r], v1[r]) of a dense vector of numerators."""
     return [(r, x0, x1) for r, (x0, x1) in enumerate(zip(v0, v1)) if x0 or x1]
 
@@ -219,52 +272,89 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
 
     The basis is the one read off the reduced row echelon form (RREF): one
     vector per free (non-pivot) column f, with 1 at f, 0 at the other free
-    columns and minus column f of the RREF at the pivot columns.  It is
-    `int_nullspace` of the integer rows of `a` (see `_int_rows`).
+    columns and minus column f of the RREF at the pivot columns (see
+    `_kernel`, here on the integer rows of `a` times the lcm of its
+    denominators, which leaves the kernel unchanged).
     """
     if not a:
         return []
-    return int_nullspace(_int_rows(a, zero.desc), len(a[0]), zero, one)
+    desc = zero.desc
+    _, r0, r1 = _lift_matrix(a, desc)
+    return [_wrap_vector(desc, *v) for v in _kernel(_dict_rows(r0, r1), len(a[0]), desc)]
 
 
-def _int_rows(a: Matrix, desc: FieldDescriptor) -> List[dict]:
-    """The rows of `a` times the lcm q of its denominators, which leaves the
-    kernel unchanged, as sparse rows {column: (n0, n1)} of the nonzero
-    integer entries n0 + n1 sqrt d (over F_p q is 1, taken without an lcm,
-    and n0 is the residue)."""
-    q = 1 if desc.p is not None else lcm(*[x._q for row in a for x in row])
-    if q == 1:
-        return [{c: (x._n0, x._n1) for c, x in enumerate(row) if x._n0 or x._n1} for row in a]
-    return [{c: (x._n0 * (q // x._q), x._n1 * (q // x._q))
-             for c, x in enumerate(row) if x._n0 or x._n1} for row in a]
+def _dict_rows(r0: list, r1: Optional[list]) -> List[dict]:
+    """The rows of the integer matrix r0 + r1 sqrt d as the sparse rows
+    `_eliminate` takes: {column: n0} of the nonzero entries, or {column:
+    (n0, n1)} when r1 is given (over Q(sqrt d))."""
+    if r1 is None:
+        return [{c: x for c, x in enumerate(row) if x} for row in r0]
+    return [{c: (x0, x1) for c, (x0, x1) in enumerate(zip(u0, u1)) if x0 or x1}
+            for u0, u1 in zip(r0, r1)]
+
+
+def _native(rows: List[dict], desc: FieldDescriptor) -> List[dict]:
+    """Sparse rows {column: (n0, n1)} in the form `_eliminate` takes: over Q
+    and F_p the n0 alone."""
+    if desc.d is not None:
+        return rows
+    return [{c: x0 for c, (x0, _) in row.items()} for row in rows]
 
 
 def int_nullspace(rows: List[dict], cols: int, zero, one) -> List[Vector]:
     """`nullspace` of the system given as sparse integer rows {column: (n0,
     n1)} of nonzero entries n0 + n1 sqrt d (n1 = 0 over Q and F_p; over F_p
     any integers, read mod p): a row times a nonzero integer has the same
-    kernel.  The rows are consumed."""
+    kernel.  The rows may be consumed."""
     desc = zero.desc
-    pivots = _rref(rows, cols, desc)
+    return [_wrap_vector(desc, *v) for v in _kernel(_native(rows, desc), cols, desc)]
+
+
+def _kernel(rows: List[dict], cols: int, desc: FieldDescriptor) -> List[tuple]:
+    """The RREF kernel basis (see `nullspace`) of the sparse integer rows that
+    `_eliminate` takes, each vector as integers over one denominator:
+    (q, v0, v1) with v = (v0 + v1 sqrt d)/q, v1 None over Q and F_p.
+
+    The RREF entry at (pivot row pc, f) is row[f]/row[pc], and row[pc] is a
+    nonzero integer (1 over F_p), so over the lcm q of the pivots of the rows
+    holding f, v[f] = q and v[pc] = -row[f] (q/row[pc]).  The rows are
+    consumed."""
+    pivots = _eliminate(rows, cols, desc)
+    pair = desc.d is not None
     out = []
     for f in range(cols):
         if f in pivots:
             continue
-        v = [zero] * cols
-        v[f] = one
-        for pc, row in pivots.items():
-            if f in row:
-                # the RREF entry row[f]/row[pc], negated
-                (f0, f1), (q, _) = row[f], row[pc]
-                v[pc] = _wrap(desc, -f0, -f1, q) if q > 0 else _wrap(desc, f0, f1, -q)
-        out.append(v)
+        held = [(pc, row[pc][0] if pair else row[pc], row[f])
+                for pc, row in pivots.items() if f in row]
+        q = lcm(*[s for _, s, _ in held])
+        v0, v1 = [0] * cols, [0] * cols
+        v0[f] = q
+        for pc, s, x in held:
+            t = -(q // s)
+            if pair:
+                v0[pc], v1[pc] = t * x[0], t * x[1]
+            else:
+                v0[pc] = t * x
+        out.append((q, v0, v1 if pair else None))
     return out
 
 
 def _rref(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
-    """Gauss-Jordan elimination without division on sparse rows {column:
-    (n0, n1)}, each entry n0 + n1 sqrt d in Z[sqrt d] (d = 0 over Q and
-    F_p); over F_p an entry stands for its residue n0 mod p.
+    """`_eliminate` on sparse rows {column: (n0, n1)} for every field, the
+    form `int_nullspace` takes; the pivot rows come back in that form too.
+    The rows may be consumed."""
+    pivots = _eliminate(_native(rows, desc), cols, desc)
+    if desc.d is not None:
+        return pivots
+    return {c: {k: (x, 0) for k, x in row.items()} for c, row in pivots.items()}
+
+
+def _eliminate(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
+    """Gauss-Jordan elimination without division on sparse integer rows:
+    {column: n} over Q and F_p, where over F_p an entry stands for its
+    residue n mod p, and {column: (n0, n1)} for n0 + n1 sqrt d in Z[sqrt d]
+    over Q(sqrt d).
 
     The sparsest row holding column c (over F_p: nonzero mod p) is the
     pivot row.  Over F_p it is rebuilt from the residues of its entries
@@ -280,11 +370,11 @@ def _rref(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
     integers.
 
     Returns {pivot column: row}, in column order; each row is a nonzero
-    integer at its pivot (1 over F_p, and every entry a nonzero residue)
-    and 0 at every other pivot column, so the RREF entry (row, f) is
-    row[f]/row[pc].  The rows passed in are consumed.
+    integer at its pivot (1 over F_p, and every entry a nonzero residue;
+    (integer, 0) over Q(sqrt d)) and 0 at every other pivot column, so the
+    RREF entry (row, f) is row[f]/row[pc].  The rows passed in are consumed.
     """
-    d, p = desc.d or 0, desc.p
+    d, p = desc.d, desc.p
     # the rows that are neither pivot rows nor zero, by id: a row leaves as
     # it becomes one or the other, so they are never filtered in a pass
     active = {id(r): r for r in rows if r}
@@ -293,35 +383,58 @@ def _rref(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
         if p is None:
             hits = [r for r in active.values() if c in r]
         else:
-            hits = [r for r in active.values() if c in r and r[c][0] % p]
+            hits = [r for r in active.values() if c in r and r[c] % p]
         if not hits:
             continue
         piv = hits[0] if len(hits) == 1 else min(hits, key=len)
         del active[id(piv)]
-        p0, p1 = piv[c]
         if p is not None:
-            inv = pow(p0, -1, p)
-            ys = [(k, y0) for k, (x0, _) in piv.items() if (y0 := x0 * inv % p)]
+            inv = pow(piv[c], -1, p)
+            ys = [(k, y) for k, x in piv.items() if (y := x * inv % p)]
             piv.clear()
-            for k, y0 in ys:
-                piv[k] = (y0, 0)
-        elif p1:
-            dp1 = d * p1
-            for k, (x0, x1) in piv.items():
-                piv[k] = (p0 * x0 - dp1 * x1, p0 * x1 - p1 * x0)
-            p0 = piv[c][0]
+            piv.update(ys)
+        elif d is None:
+            p0 = piv[c]
+        else:
+            p0, p1 = piv[c]
+            if p1:
+                dp1 = d * p1
+                for k, (x0, x1) in piv.items():
+                    piv[k] = (p0 * x0 - dp1 * x1, p0 * x1 - p1 * x0)
+                p0 = piv[c][0]
         for r in hits + [r for r in pivots.values() if c in r]:
             if r is piv:
                 continue
-            f0, f1 = r[c]
+            f = r[c]
             if p is not None:
-                for k, y0 in ys:
-                    x0 = (r.get(k, _ZERO)[0] - f0 * y0) % p
-                    if x0:
-                        r[k] = (x0, 0)
+                for k, y in ys:
+                    x = (r.get(k, 0) - f * y) % p
+                    if x:
+                        r[k] = x
                     else:
                         del r[k]
+            elif d is None:
+                if p0 != 1:
+                    for k, x in r.items():
+                        r[k] = p0 * x
+                for k, y in piv.items():
+                    x = r.get(k, 0) - f * y
+                    if x:
+                        r[k] = x
+                    else:
+                        del r[k]
+                # fold the gcd entry by entry: a gcd(*all) call per row
+                # fragments the heap with its argument tuples
+                g = 0
+                for x in r.values():
+                    g = gcd(g, x)
+                    if g == 1:
+                        break
+                if g > 1:
+                    for k, x in r.items():
+                        r[k] = x // g
             else:
+                f0, f1 = f
                 df1 = d * f1
                 for k, (x0, x1) in r.items():
                     r[k] = (p0 * x0, p0 * x1)
@@ -333,8 +446,6 @@ def _rref(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
                         r[k] = (x0, x1)
                     else:
                         del r[k]
-                # fold the gcd entry by entry: a gcd(*all) call per row
-                # fragments the heap with its argument tuples
                 g = 0
                 for x0, x1 in r.values():
                     g = gcd(g, x0, x1)
@@ -355,12 +466,17 @@ _ZERO = (0, 0)
 
 def require_invertible(a: Matrix, zero, one) -> None:
     """Raise NotInvertible unless the square FieldElement matrix `a` is
-    invertible, without computing the inverse.
+    invertible, without computing the inverse (see `_require_full_rank`)."""
+    _, r0, r1 = _lift_matrix(a, zero.desc)
+    _require_full_rank(zero.desc, r0, r1)
 
-    `a` is invertible iff its rank is its size, and `_rref` of its integer
-    rows finds the rank exactly, so both verdicts are exact.
-    """
-    if len(_rref(_int_rows(a, zero.desc), len(a), zero.desc)) < len(a):
+
+def _require_full_rank(desc: FieldDescriptor, r0: list, r1: Optional[list]) -> None:
+    """Raise NotInvertible unless the square integer matrix r0 + r1 sqrt d
+    (mod p over F_p) is invertible: iff its rank is its size, which
+    `_eliminate` finds exactly, so both verdicts are exact.  A matrix over a
+    denominator q has the rank of its numerators."""
+    if len(_eliminate(_dict_rows(r0, r1), len(r0), desc)) < len(r0):
         raise NotInvertible("matrix is singular")
 
 

@@ -18,7 +18,7 @@ from operator import add, mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, Element, LinearMap
+from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .autos import certify_automorphism
 from .constructors import make_para_dim2
 from .dual import Dual
@@ -634,8 +634,6 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
     seen before has already passed its elimination."""
     multiply, form_eval = residue_arithmetic(a)
     p = a.field.p
-    zero, one = a.field.zero(), a.field.one()
-    scalars = [a.field.from_int(v) for v in range(p)]
     # residue matrix -> its LinearMap, proven invertible
     proven = {}
     circle = [(mu, nu) for mu in range(p) for nu in range(p) if (mu * mu + nu * nu) % p == 1]
@@ -653,8 +651,8 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
                                 for j in range(3)))
                 for m in member:
                     if m not in proven:
-                        g = LinearMap(a, [[scalars[v] for v in row] for row in m])
-                        linalg.require_invertible(g.rows, zero, one)
+                        g = _int_map(a, 1, [list(row) for row in m], None)
+                        g.require_invertible()
                         proven[m] = g
                 maps = tuple(proven[m] for m in member)
                 _require_triality_law(a, maps)

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap
 from .fields import FieldElement, FieldNotEmbeddable
-from .linalg import _add_multiple, _agree, _lift_columns, _lift_rows, _scaled, _sparse
+from .linalg import _add_multiple, _agree, _scaled, _sparse
 
 Pair = Tuple[int, int]
 
@@ -101,17 +100,17 @@ def product_law_failure(a: Algebra, outer: LinearMap, left: LinearMap,
     derivations are the cases outer = left = right.
 
     Both sides run on linalg's integer kernel: the columns of each map are
-    lifted over one denominator and the structure constants are
-    `a.int_terms` over `a.int_den`.  Each map is multiplied up front by the
-    denominators of the maps on the other side, so that both sides at (i, k)
-    are numerator vectors over the same denominator, compared exactly (mod p
-    over F_p).
+    its numerators over its denominator (see `LinearMap`) and the structure
+    constants are `a.int_terms` over `a.int_den`.  Each map is multiplied up
+    front by the denominators of the maps on the other side, so that both
+    sides at (i, k) are numerator vectors over the same denominator,
+    compared exactly (mod p over F_p).
     """
     n, d, p = a.dim, a.field.d, a.field.p
     terms = a.int_terms
-    qo, ocols = _lift_columns(outer.rows)
-    ql, lcols = _lift_columns(left.rows)
-    qr, rcols = _lift_columns(right.rows)
+    qo, ocols = outer._q, outer._lines(True)
+    ql, lcols = left._q, left._lines(True)
+    qr, rcols = right._q, right._lines(True)
     # outer(e_i e_k) is over qo int_den; (left e_i)(right e_k) over
     # ql qr int_den; (left e_i) e_k over ql int_den; e_i (right e_k) over
     # qr int_den
@@ -155,8 +154,8 @@ def _pairings(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> tup
     n, d = a.dim, a.field.d
     unit = [[(i, 1, 0)] for i in range(n)]
     _, form_rows = a.int_form
-    qf, fcols = (1, unit) if f is None else _lift_columns(f.rows)
-    qg, grows = (1, unit) if g is None else _lift_rows(g.rows)
+    qf, fcols = (1, unit) if f is None else (f._q, f._lines(True))
+    qg, grows = (1, unit) if g is None else (g._q, g._lines(False))
     p0, p1 = [], []
     for fcol in fcols:
         # w = (f e_i)^T G, so that <f e_i | g e_k> = sum_m w_m g[m][k]
@@ -221,9 +220,8 @@ def earliest_failure(laws: Sequence[Tuple[str, Optional[Pair]]]) -> Optional[Tup
 def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> TrialityTriple:
     """Certify g_j(xy) = (g_{j+1}x)(g_{j+2}y) on all basis pairs for all j."""
     maps = (g1, g2, g3)
-    zero, one = a.field.zero(), a.field.one()
     for g in maps:
-        linalg.require_invertible(g.rows, zero, one)
+        g.require_invertible()
     _require_triality_law(a, maps)
     return TrialityTriple(a, maps)
 
@@ -408,13 +406,13 @@ def classify_regularity(a: Algebra) -> str:
                 verify_local(a, *derivation_pair(a, basis[i], basis[j]).maps())
             except RelationFails:
                 return "none"
-    zero = linalg.zeros(n, n, a.field.zero())
+    zero = 0 * a.identity_map()
 
     def q_vanishes(i: int, j: int, k: int) -> bool:
         x, y, z = basis[i], basis[j], basis[k]
         q = (_d1_matrix(a, z, x * y) + _d2_matrix(a, y, z * x)
              + _d3_matrix(a, x, y * z))
-        return linalg.mat_eq(q.rows, zero)
+        return q == zero
 
     return "normal" if first_failing_tuple(q_vanishes, n, n, n) is None else "pre-normal"
 

@@ -115,11 +115,9 @@ def zorn_operator_factorization(a: Algebra, lam: FieldElement) -> Certificate:
     cert.add("e-times-g-is-h", e * g == h)
     cert.add("g-times-h-is-e", g * h == e)
     cert.add("h-times-e-is-g", h * e == g)
-    n = a.dim
-    swap = _diag_map(a, one, one, one, one).rows
-    swap[0][0], swap[0][n - 1] = zero, one
-    swap[n - 1][n - 1], swap[n - 1][0] = zero, one
-    diag_swap = LinearMap(a, swap)
+    # row r holds its 1 in column cols[r]: alpha and beta exchanged
+    cols = [a.dim - 1, *range(1, a.dim - 1), 0]
+    diag_swap = LinearMap(a, [[one if k == c else zero for k in range(a.dim)] for c in cols])
     cert.add("e-multiplication-swaps-diagonal",
              a.left_op(e) == diag_swap and a.right_op(e) == diag_swap)
     rho = _rho_maps(a, lam)
@@ -260,9 +258,8 @@ def zorn_s_triple(a: Algebra) -> Tuple[LocalTriple, Certificate]:
         jmap = a.involution_map()
         for j in range(3):
             partner = maps[(1, 0, 2)[j]]
-            neg = LinearMap(a, [[-c for c in row] for row in partner.rows])
             cert.add(f"involution-pairs-components-{j + 1}",
-                     jmap @ maps[j] @ jmap == neg, (j + 1,))
+                     jmap @ maps[j] @ jmap == -partner, (j + 1,))
     cert.require("grading-triple laws fail")
     return triple, cert
 

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialkit import linalg
-from trialkit.algebra import Algebra, AlgebraError, LinearMap
+from trialkit import autos, linalg
+from trialkit.algebra import Algebra, AlgebraError, LinearMap, _int_map
 from trialkit.constructors import make_hurwitz, make_para, named_algebra
 from trialkit.fields import FieldDescriptor, FieldElement, PRIME, QUADRATIC, RATIONALS
 from trialkit.linalg import NotInvertible
@@ -264,3 +265,170 @@ def test_covector_needs_a_form():
     h.form = None
     with pytest.raises(AlgebraError, match="^algebra has no bilinear form$"):
         h.covector(h.basis(0))
+
+
+# ---------------------------------------------------------------------------
+# The integer form of LinearMap against FieldElement loops
+# ---------------------------------------------------------------------------
+#
+# A LinearMap keeps (q, R0, R1), entry (R0 + R1 sqrt d)/q.  The references
+# below are the FieldElement loops the map operations ran on before: one
+# FieldElement product and sum per term.
+
+def ref_mat_mul(a, b):
+    n = len(b)
+    return [[sum((row[k] * b[k][j] for k in range(1, n)), row[0] * b[0][j])
+             for j in range(len(b[0]))] for row in a]
+
+
+def ref_mat_vec(a, v):
+    return [sum((row[k] * v[k] for k in range(1, len(v))), row[0] * v[0]) for row in a]
+
+
+def ref_combine(a, b, sign):
+    return [[x + y if sign == 1 else x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_is_zero(m):
+    return all(x.is_zero() for row in m for x in row)
+
+
+def ref_entry(field, q, n0, n1):
+    """(n0 + n1 sqrt d)/q as a FieldElement, built from Fractions."""
+    if field.p is not None:
+        return field.from_int(n0) / field.from_int(q)
+    if field.d is None:
+        return FieldElement(field, Fraction(n0, q))
+    return FieldElement(field, Fraction(n0, q), Fraction(n1, q))
+
+
+def big_scalar(draw, field):
+    """A scalar with numerators near 10^12 and mixed denominators."""
+    if field.kind == PRIME:
+        return field.from_int(draw(st.integers(10 ** 12 - 50, 10 ** 12 + 50)))
+    part = st.builds(Fraction, st.integers(10 ** 12 - 50, 10 ** 12 + 50).map(
+        lambda v: v if draw(st.booleans()) else -v), st.sampled_from((1, 7, 12, 10 ** 12 + 39)))
+    if field.kind == QUADRATIC:
+        return FieldElement(field, draw(part), draw(part))
+    return FieldElement(field, draw(part))
+
+
+@st.composite
+def map_rows(draw, field, n):
+    """An n x n FieldElement matrix: random with small or big entries, or
+    square-zero (entries only in rows < h <= columns) conjugated by a shear
+    I + t E_rc, whose inverse is I - t E_rc."""
+    shape = draw(st.sampled_from(("small", "big", "square-zero")))
+
+    def entry():
+        return big_scalar(draw, field) if shape == "big" else draw(scalars(field))
+
+    if shape != "square-zero":
+        return [[entry() for _ in range(n)] for _ in range(n)]
+    h = draw(st.integers(0, n))
+    m = [[entry() if i < h <= j else field.zero() for j in range(n)] for i in range(n)]
+    r, c, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(scalars(field))
+    if r != c:
+        shear, unshear = linalg.identity(n, field.one(), field.zero()), \
+            linalg.identity(n, field.one(), field.zero())
+        shear[r][c], unshear[r][c] = t, -t
+        m = ref_mat_mul(ref_mat_mul(shear, m), unshear)
+    return m
+
+
+@st.composite
+def map_cases(draw):
+    """(a, rows, m, x, c): an algebra of dimension 1 to 8 with a sparse random
+    structure tensor, a FieldElement matrix `rows`, a map m equal to it built
+    from the rows or from integers (random numerators over a random q, or
+    over F_p any integers, brought to canonical form by the constructor), a
+    vector x and a scalar c."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    n = draw(st.integers(1, 8))
+    structure = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        structure[i][j][k] = draw(scalars(field))
+    a = Algebra(field, structure)
+    if draw(st.booleans()):
+        rows = draw(map_rows(field, n))
+        m = LinearMap(a, rows)
+    else:
+        # from integers: over F_p q is 1 and the numerators any integers
+        q = 1 if field.p is not None else draw(st.sampled_from((1, 2, 6, 35, 10 ** 12)))
+        top = draw(st.sampled_from((5, 10 ** 12)))
+        ints = st.integers(-top, top)
+        r0 = [[draw(ints) * draw(st.sampled_from((1, q))) for _ in range(n)] for _ in range(n)]
+        r1 = None if field.d is None else [[draw(ints) for _ in range(n)] for _ in range(n)]
+        m = _int_map(a, q, r0, r1)
+        rows = [[ref_entry(field, q, r0[i][j], 0 if r1 is None else r1[i][j])
+                 for j in range(n)] for i in range(n)]
+    x = [draw(scalars(field)) for _ in range(n)]
+    return a, rows, m, x, draw(scalars(field))
+
+
+def assert_canonical(m):
+    """m holds the canonical integer form, and m.rows rebuilds an equal map
+    with an equal hash."""
+    field, q, r0, r1 = m.algebra.field, m._q, m._r0, m._r1
+    assert q > 0 and (r1 is None) == (field.d is None)
+    if field.p is not None:
+        assert q == 1 and all(0 <= v < field.p for row in r0 for v in row)
+    else:
+        assert gcd(q, *[v for row in r0 + (r1 or []) for v in row]) == 1
+    again = LinearMap(m.algebra, m.rows)
+    assert again == m and hash(again) == hash(m)
+    assert (again._q, again._r0, again._r1) == (q, r0, r1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_cases(), st.data())
+def test_integer_maps_match_the_fieldelement_loops(case, data):
+    a, rows, m, x, c = case
+    field = a.field
+    assert canonical_rows(m.rows) == canonical_rows(rows)
+    assert_canonical(m)
+    # a second map from rows: a new matrix, a copy of the first one, or a
+    # matrix one entry away from it
+    kind = data.draw(st.sampled_from(("new", "copy", "moved")))
+    rows2 = data.draw(map_rows(field, a.dim)) if kind == "new" else [list(r) for r in rows]
+    if kind == "moved":
+        i, j = data.draw(st.integers(0, a.dim - 1)), data.draw(st.integers(0, a.dim - 1))
+        rows2[i][j] = rows2[i][j] + field.one()
+    m2 = LinearMap(a, rows2)
+    assert (m == m2) == (canonical_rows(rows) == canonical_rows(rows2))
+    if m == m2:
+        assert hash(m) == hash(m2)
+    results = [
+        (m @ m2, ref_mat_mul(rows, rows2)),
+        (m + m2, ref_combine(rows, rows2, 1)),
+        (m - m2, ref_combine(rows, rows2, -1)),
+        (-m, [[-v for v in row] for row in rows]),
+        (c * m, [[c * v for v in row] for row in rows]),
+        (m * 3, [[v * 3 for v in row] for row in rows]),
+    ]
+    for got, want in results:
+        assert canonical_rows(got.rows) == canonical_rows(want)
+        assert_canonical(got)
+    assert canonical(m(a.element(x)).coords) == canonical(ref_mat_vec(rows, x))
+    left, right = a.left_op(a.element(x)), a.right_op(a.element(x))
+    assert canonical_rows(left.rows) == canonical_rows(ref_left_op(a, x))
+    assert canonical_rows(right.rows) == canonical_rows(ref_right_op(a, x))
+    assert_canonical(left)
+    assert_canonical(right)
+    # the identity and the derivation basis, built from integers
+    assert_canonical(a.identity_map())
+    assert a.identity_map().rows == linalg.identity(a.dim, field.one(), field.zero())
+    for d in autos.derivation_space(a)[:3]:
+        assert_canonical(d)
+    # d d = 0 on the integers, for a map and for the numerators of m +- m2
+    assert m.squares_to_zero() == ref_is_zero(ref_mat_mul(rows, rows))
+    for sign in (1, -1):
+        q, r0, r1 = m._sum(m2, sign)
+        want = ref_combine(rows, rows2, sign)
+        assert linalg._squares_to(field, linalg._sparse_lines(r0, r1)) == \
+            ref_is_zero(ref_mat_mul(want, want))
+
+
+def canonical_rows(m):
+    return [canonical(r) for r in m]

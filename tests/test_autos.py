@@ -3,7 +3,7 @@ import pytest
 from trialkit import autos, linalg
 from trialkit.cli import parse_field
 from trialkit.constructors import make_hurwitz, make_para_dim2, named_algebra
-from trialkit.algebra import AlgebraError
+from trialkit.algebra import AlgebraError, LinearMap
 from trialkit.fields import (FieldDescriptor, PRIME, QUADRATIC, RATIONALS,
                              SqrtUnavailable, sqrt_in_field)
 from trialkit.triality import RelationFails
@@ -138,6 +138,18 @@ def test_find_nilpotent_derivation_matches_full_product_search(name, field):
     if got is not None:
         assert got.rows == want.rows
         assert (got @ got).rows == linalg.zeros(a.dim, a.dim, a.field.zero())
+
+
+@pytest.mark.parametrize("field", ["Q", "Qsqrt3", "F7"])
+def test_pair_search_returns_a_square_zero_difference(field, monkeypatch):
+    """With the basis B0 = N + E, B1 = E, where N = E_01 squares to 0 and
+    E = E_00 to itself, only B0 - B1 = N squares to 0 among B0, B1 and
+    B0 +- B1, so the search must return N itself, not -N."""
+    a = named_algebra("para2", parse_field(field))
+    one, zero = a.field.one(), a.field.zero()
+    n, e = LinearMap(a, [[zero, one], [zero, zero]]), LinearMap(a, [[one, zero], [zero, zero]])
+    monkeypatch.setattr(autos, "derivation_space", lambda alg: [n + e, e])
+    assert autos.find_nilpotent_derivation(a) == reference_find_nilpotent_derivation(a) == n
 
 
 def test_unipotent_bridge_over_prime_field_has_order_p():

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 58 mutants takes about twelve minutes on two cores, most of
+a full run of the 62 mutants takes about twelve minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -40,6 +40,9 @@ PRODUCT_LOOP = "tests/test_algebra.py::test_product_loop_matches_the_fieldelemen
 NULLSPACE = "tests/test_linalg.py::test_nullspace_matches_exact_rref"
 RAW_ROWS = "tests/test_linalg.py::test_int_nullspace_reads_raw_integer_rows_mod_p"
 HURWITZ_SIGMA = LAWS + "test_hurwitz_sigma_matches_reference"
+INT_MAPS = "tests/test_algebra.py::test_integer_maps_match_the_fieldelement_loops"
+PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
+               "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
 
 @dataclass(frozen=True)
@@ -145,16 +148,16 @@ MUTANTS = (
            ("tests/test_symcomp.py::test_local_D_certifies_and_cycles",
             "tests/test_triality.py::test_derivation_pair_gives_local_triple")),
     Mutant("_dim2_members invertibility proof dropped", "symcomp.py",
-           "                        linalg.require_invertible(g.rows, zero, one)\n", "",
+           "                        g.require_invertible()\n", "",
            ("tests/test_enumerate.py::test_dim2_members_match_reference",)),
-    # -- one sparse square test ---------------------------------------------
+    # -- one sparse square test, on the integers ---------------------------
     Mutant("square test ignores its target", "linalg.py",
-           "sq[i] = sq[i] - c", "sq[i] = sq[i] - zero",
+           "        acc0[i] -= t0\n        acc1[i] -= t1\n", "",
            ("tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product",
             "tests/test_algebra.py")),
     Mutant("square test reads the first row only", "linalg.py",
-           "for i, row in enumerate(rows):\n        sq = [zero] * len(rows)",
-           "for i, row in enumerate(rows[:1]):\n        sq = [zero] * len(rows)",
+           "for i, row in enumerate(rows):\n        acc0, acc1 = [0] * len(rows)",
+           "for i, row in enumerate(rows[:1]):\n        acc0, acc1 = [0] * len(rows)",
            ("tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product",)),
     # -- the integer kernel -------------------------------------------------
     Mutant("pair product drops the d u1 v1 term", "linalg.py",
@@ -185,7 +188,7 @@ MUTANTS = (
            "a0 * b0 + d * a1 * b1, a0 * b1 + a1 * b0", "a0 * b0, a0 * b1 + a1 * b0",
            (PRODUCT_LOOP,)),
     Mutant("wrap without int_den", "algebra.py",
-           "qx * qy * self.int_den))", "qx * qy))",
+           "qx * qy * self.int_den,", "qx * qy,",
            (PRODUCT_LOOP,)),
     Mutant("residue product without mod p", "symcomp.py",
            "return tuple(map(p.__rmod__, product(x, y)[0]))", "return tuple(product(x, y)[0])",
@@ -199,35 +202,49 @@ MUTANTS = (
            ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
     # -- one elimination for Q, Q(sqrt d) and F_p: _rref ---------------------
     Mutant("pivot row not multiplied by the pivot's conjugate", "linalg.py",
-           "        elif p1:\n            dp1 = d * p1", "        elif False:\n            dp1 = d * p1",
+           "            if p1:\n                dp1 = d * p1", "            if False:\n                dp1 = d * p1",
            (NULLSPACE,)),
     Mutant("earlier pivot rows not re-reduced", "linalg.py",
            "        for r in hits + [r for r in pivots.values() if c in r]:\n"
-           "            if r is piv:\n                continue\n            f0, f1 = r[c]",
+           "            if r is piv:\n                continue\n            f = r[c]",
            "        for r in hits:\n"
-           "            if r is piv:\n                continue\n            f0, f1 = r[c]",
+           "            if r is piv:\n                continue\n            f = r[c]",
            (NULLSPACE,)),
     Mutant("wrong sign on the negative-pivot read-off", "linalg.py",
-           "else _wrap(desc, f0, f1, -q)", "else _wrap(desc, -f0, -f1, -q)",
+           "t = -(q // s)", "t = -(q // abs(s))",
            (NULLSPACE,)),
     Mutant("gcd division dropped", "linalg.py",
-           "                if g > 1:\n", "                if False:\n",
+           "                if g > 1:\n                    for k, x in r.items():",
+           "                if False:\n                    for k, x in r.items():",
            (NULLSPACE,),
            equivalent="dividing a row by a positive integer only rescales it, which "
                       "changes neither its kernel nor any ratio row[f]/row[pc]"),
     Mutant("F_p update skips the mod-p reduction", "linalg.py",
-           "x0 = (r.get(k, _ZERO)[0] - f0 * y0) % p", "x0 = r.get(k, _ZERO)[0] - f0 * y0",
+           "x = (r.get(k, 0) - f * y) % p", "x = r.get(k, 0) - f * y",
            (RAW_ROWS,)),
     Mutant("F_p pivot row not normalized", "linalg.py",
-           "if (y0 := x0 * inv % p)]", "if (y0 := x0 % p)]",
+           "if (y := x * inv % p)]", "if (y := x % p)]",
            (NULLSPACE,)),
     Mutant("integer rows without the lcm over Q", "linalg.py",
-           "q = 1 if desc.p is not None else lcm(*[x._q for row in a for x in row])",
+           "q = 1 if desc.p is not None else lcm(*[x._q for row in m for x in row])",
            "q = 1",
            (NULLSPACE,)),
     Mutant("F_p pivot not tested mod p", "linalg.py",
-           "if c in r and r[c][0] % p]", "if c in r]",
+           "if c in r and r[c] % p]", "if c in r]",
            (RAW_ROWS,)),
+    # -- integer-native maps: LinearMap's canonical (q, R0, R1) -------------
+    Mutant("map canonical form skips the gcd", "algebra.py",
+           "        if g != 1:\n            q, r0 = q // g", "        if False:\n            q, r0 = q // g",
+           (INT_MAPS,)),
+    Mutant("square-zero test without the mod-p reduction", "linalg.py",
+           "acc0 = [x % p for x in acc0]", "acc0 = acc0",
+           (INT_MAPS, *PAIR_SEARCH)),
+    Mutant("pair search with the difference flipped", "autos.py",
+           "q, r0, r1 = bi._sum(bj, sign)", "q, r0, r1 = bj._sum(bi, sign)",
+           PAIR_SEARCH),
+    Mutant("map product drops d x1 y1", "linalg.py",
+           "dy1 = d * y1", "dy1 = 0 * y1",
+           (INT_MAPS,)),
     # -- earlier cuts: certify each identity once ---------------------------
     Mutant("mat_inv accepts when the y blocks only have a unit diagonal", "linalg.py",
            "if [v[n:] for v in basis] != identity(n, one, zero):",
@@ -267,7 +284,7 @@ MUTANTS = (
            "structure = [[(x * y).coords for y in basis] for x in basis]",
            ("tests/test_constructors.py",)),
     Mutant("der_to_auto without the d d = 0 test", "autos.py",
-           "if not linalg.squares_to(m.rows, a.field.zero(), a.field.zero()):",
+           "if not m.squares_to_zero():",
            "if False:",
            (LAWS + "test_unipotent_bridge_matches_reference",)),
     Mutant("auto_to_der returns m + Id", "autos.py",
