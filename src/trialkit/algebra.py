@@ -4,17 +4,20 @@ An :class:`Algebra` bundles a field, a structure tensor c[i][j][k] with
 e_i e_j = sum_k c[i][j][k] e_k, a symmetric bilinear form, an optional
 involution matrix, and an optional unit element.  Instances are treated as
 immutable.  The nonzero structure constants are lifted once, at construction,
-to integers over one denominator (`Algebra.int_terms` over `int_den`), and
-every product of elements runs one integer loop on them
-(`Algebra.int_product`): `multiply` wraps its numerators as FieldElements,
-`left_op` and `right_op` keep them as the columns of a map, and the F_p
-enumerations reduce them mod p.
+to integers over one denominator (`Algebra.int_terms` over `int_den`), as are
+the form (`int_form`) and the involution (a map), and every product of
+elements runs one integer loop on them (`Algebra.int_product`): `multiply`
+keeps its numerators as an element, `left_op` and `right_op` as the columns
+of a map, and the F_p enumerations reduce them mod p.
 
-A :class:`LinearMap` keeps one canonical integer form (q, R0, R1), entry
-(R0 + R1 sqrt d)/q with gcd(q, every entry) = 1: its products, sums, scalar
-multiples, comparisons and hash, its tests for invertibility and d d = 0 and
-the law checks of `triality` read these integers (see `linalg`), and its
-FieldElement `rows` are built only when read.
+An :class:`Element` keeps one canonical integer form (q, x0, x1), coordinate
+(x0 + x1 sqrt d)/q with gcd(q, every entry) = 1, and a :class:`LinearMap`
+one (q, R0, R1), entry (R0 + R1 sqrt d)/q.  Their sums, scalar multiples,
+comparisons and hash, the algebra product, the form, the involution, map
+products, m(x), the tests for invertibility and d d = 0 and the law checks
+of `triality` read these integers (see `linalg`); an element's FieldElement
+`coords` and a map's FieldElement `rows` are built only when read, and are
+read-only.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from math import gcd, lcm
 from typing import List, Optional, Sequence
 
 from . import linalg
-from .fields import FieldDescriptor, FieldElement
-from .linalg import _add_multiple, _lift, _wrap_vector
+from .fields import DescriptorMismatch, FieldDescriptor, FieldElement
+from .linalg import _add_multiple, _lift, _wrap, _wrap_vector
 
 Matrix = List[list]
 
@@ -36,56 +39,92 @@ class AlgebraError(Exception):
 
 
 class Element:
-    """A vector in an algebra, supporting + - scalar* and the algebra product."""
+    """A vector in an algebra, supporting + - scalar* and the algebra product.
 
-    __slots__ = ("algebra", "coords")
+    An element keeps one canonical integer form (q, x0, x1): coordinate t is
+    (x0[t] + x1[t] sqrt d)/q, with q > 0 and gcd(q, every entry) = 1.  Over
+    Q, x1 is None; over F_p, q = 1 and x0 holds the residues.  So == and
+    hash are structural, as for FieldElement, and +, -, scalar * and /, the
+    algebra product, the form, the involution and every map applied to the
+    element read these integers.  `.coords`, the coordinates as
+    FieldElements, is built on its first read and is read-only: a write into
+    it would not reach the integers."""
+
+    __slots__ = ("algebra", "_q", "_x0", "_x1", "_coords")
 
     def __init__(self, algebra: "Algebra", coords: Sequence[FieldElement]):
         if len(coords) != algebra.dim:
             raise AlgebraError(f"expected {algebra.dim} coords, got {len(coords)}")
         self.algebra = algebra
-        self.coords = list(coords)
+        self._coords = list(coords)
+        # canonical already for canonical FieldElements (see linalg._lift_matrix)
+        self._q, self._x0, x1 = _lift(self._coords)
+        self._x1 = None if algebra.field.d is None else x1
+
+    @property
+    def coords(self) -> list:
+        """The coordinates as FieldElements; read-only."""
+        if self._coords is None:
+            self._coords = _wrap_vector(self.algebra.field, self._q, self._x0, self._x1)
+        return self._coords
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and other.algebra is self.algebra
-            and other.coords == self.coords
-        )
+        return (isinstance(other, Element) and other.algebra is self.algebra
+                and self._q == other._q and self._x0 == other._x0 and self._x1 == other._x1)
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), tuple(self.coords)))
+        return hash((id(self.algebra), self._q, *self._x0))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not any(self._x0) and not any(self._x1 or ())
+
+    def _sum(self, other: "Element", sign: int) -> "Element":
+        """self + sign other, over the lcm of the two denominators."""
+        self._check(other)
+        q = lcm(self._q, other._q)
+        s, t = q // self._q, sign * (q // other._q)
+        x1 = self._x1 and [s * u + t * v for u, v in zip(self._x1, other._x1)]
+        return _int_element(self.algebra, q, [s * u + t * v for u, v in zip(self._x0, other._x0)],
+                            x1)
 
     def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, linalg.vec_add(self.coords, other.coords))
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, linalg.vec_sub(self.coords, other.coords))
+        return self._sum(other, -1)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, [-c for c in self.coords])
+        return self * -1
+
+    def _times(self, c: FieldElement) -> "Element":
+        """c self: (c0 + c1 sqrt d)/r times (x0 + x1 sqrt d)/q (c1 = 0 over Q
+        and F_p)."""
+        c0, c1, x0 = c._n0, c._n1, self._x0
+        if self._x1 is None:
+            return _int_element(self.algebra, c._q * self._q, [c0 * u for u in x0], None)
+        xs, dc1 = list(zip(x0, self._x1)), self.algebra.field.d * c1
+        return _int_element(self.algebra, c._q * self._q, [c0 * u + dc1 * v for u, v in xs],
+                            [c0 * v + c1 * u for u, v in xs])
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
             return self.algebra.multiply(self, other)
-        return Element(self.algebra, linalg.vec_scale(self._scalar(other), self.coords))
+        return self._times(self._scalar(other))
 
-    def __rmul__(self, other):
-        return Element(self.algebra, linalg.vec_scale(self._scalar(other), self.coords))
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self._scalar(other).inverse()
+        return self._times(self._scalar(other).inverse())
 
     def _scalar(self, c) -> FieldElement:
-        if isinstance(c, FieldElement):
-            return c
-        return self.algebra.field.from_int(int(c))
+        """c as a FieldElement of the algebra's field."""
+        field = self.algebra.field
+        if not isinstance(c, FieldElement):
+            return field.from_int(int(c))
+        if c.desc is not field and c.desc != field:
+            raise DescriptorMismatch(f"{c.desc} vs {field}")
+        return c
 
     def _check(self, other: "Element") -> None:
         if other.algebra is not self.algebra:
@@ -93,6 +132,26 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({[str(c) for c in self.coords]})"
+
+
+def _int_element(algebra: "Algebra", q: int, x0: list, x1: Optional[list]) -> Element:
+    """The element (x0 + x1 sqrt d)/q of `algebra`, for integer lists and
+    q > 0 (x1 not read over Q and F_p, q = 1 over F_p), in the canonical form
+    of `Element`: over F_p each entry reduced mod p, else q and every entry
+    divided by their gcd.  The lists are kept, not copied."""
+    field = algebra.field
+    if field.d is None:
+        x1 = None
+    if field.p is not None:
+        x0 = [u % field.p for u in x0]
+    elif q != 1:
+        g = gcd(q, *x0, *(x1 or ()))
+        if g != 1:
+            q, x0 = q // g, [u // g for u in x0]
+            x1 = x1 and [u // g for u in x1]
+    x = _new(Element)
+    x.algebra, x._q, x._x0, x._x1, x._coords = algebra, q, x0, x1, None
+    return x
 
 
 class LinearMap:
@@ -128,12 +187,14 @@ class LinearMap:
         return self._rows
 
     def __call__(self, x: Element) -> Element:
+        """m x: the columns of the numerators weighted by those of x."""
         a = self.algebra
-        q, x0, x1 = _lift(x.coords)
-        column = [[(0, t0, t1)] if t0 or t1 else [] for t0, t1 in zip(x0, x1)]
-        c0, c1 = linalg._int_matmul(a.field.d, self._lines(False), column, 1)
-        return Element(a, _wrap_vector(a.field, q * self._q, [s for s, in c0],
-                                       c1 and [s for s, in c1]))
+        d, n = a.field.d, a.dim
+        s0, s1 = [0] * n, [0] * n
+        for t0, t1, column in zip(x._x0, x._x1 or repeat(0), self._lines(True)):
+            if t0 or t1:
+                _add_multiple(d, s0, s1, t0, t1, column)
+        return _int_element(a, x._q * self._q, s0, s1)
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         a = self.algebra
@@ -279,6 +340,9 @@ class Algebra:
         self.int_form = None if self.form is None else linalg._lift_rows(self.form, field)
         # each basis vector e_i as ints, with the zero sqrt d part
         self._units = [([int(i == j) for j in range(n)], [0] * n) for i in range(n)]
+        # the form and the involution lifted once, as maps
+        self._form = None if self.form is None else LinearMap(self, self.form)
+        self._involution = None if self.involution is None else LinearMap(self, self.involution)
         # (witness,) of symcomp.linearized_failure and the Certificate of
         # symcomp.is_symmetric_composition, once computed
         self._linearized_cache = None
@@ -286,16 +350,13 @@ class Algebra:
 
     # -- element builders ---------------------------------------------------
     def element(self, coords) -> Element:
-        out = []
-        for c in coords:
-            if not isinstance(c, FieldElement):
-                c = self.field.from_int(int(c))
-            out.append(c)
-        return Element(self, out)
+        """The element with these coordinates, FieldElements of the field or
+        ints."""
+        return Element(self, [c if isinstance(c, FieldElement) else self.field.from_int(int(c))
+                              for c in coords])
 
     def basis(self, i: int) -> Element:
-        f = self.field
-        return Element(self, [f.one() if j == i else f.zero() for j in range(self.dim)])
+        return _int_element(self, 1, *self._units[i])
 
     def unit_element(self) -> Element:
         if self.unit is None:
@@ -331,20 +392,18 @@ class Algebra:
         return s0, s1
 
     def multiply(self, x: Element, y: Element) -> Element:
-        qx, x0, x1 = _lift(x.coords)
-        qy, y0, y1 = _lift(y.coords)
-        return Element(self, _wrap_vector(self.field, qx * qy * self.int_den,
-                                          *self.int_product(x0, y0, x1, y1)))
+        return _int_element(self, x._q * y._q * self.int_den,
+                            *self.int_product(x._x0, y._x0, x._x1, y._x1))
 
     def left_op(self, x: Element) -> LinearMap:
         """L(x): e_j -> x e_j, so column j is the product x e_j."""
-        q, x0, x1 = _lift(x.coords)
-        return self._operator(q, [self.int_product(x0, e, x1, z) for e, z in self._units])
+        x0, x1 = x._x0, x._x1
+        return self._operator(x._q, [self.int_product(x0, e, x1, z) for e, z in self._units])
 
     def right_op(self, y: Element) -> LinearMap:
         """R(y): e_i -> e_i y, so column i is the product e_i y."""
-        q, y0, y1 = _lift(y.coords)
-        return self._operator(q, [self.int_product(e, y0, z, y1) for e, z in self._units])
+        y0, y1 = y._x0, y._x1
+        return self._operator(y._q, [self.int_product(e, y0, z, y1) for e, z in self._units])
 
     def _operator(self, q: int, columns: list) -> LinearMap:
         """The map whose columns are `int_product` numerators over q int_den."""
@@ -353,32 +412,55 @@ class Algebra:
                         r1)
 
     def form_eval(self, x: Element, y: Element) -> FieldElement:
+        """<x|y> = sum x_i g_ik y_k over the nonzero g_ik of `int_form`, on
+        numerators over qx qg qy."""
         if self.form is None:
             raise AlgebraError("algebra has no bilinear form")
-        acc = self.field.zero()
-        for i, xi in enumerate(x.coords):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y.coords):
-                if not yj.is_zero() and not self.form[i][j].is_zero():
-                    acc = acc + xi * self.form[i][j] * yj
-        return acc
+        qg, gram = self.int_form
+        d, y0, y1 = self.field.d, y._x0, y._x1
+        s0 = s1 = 0
+        if d is None:
+            for a, row in zip(x._x0, gram):
+                if a:
+                    for k, g, _ in row:
+                        s0 += a * g * y0[k]
+        else:
+            for a0, a1, row in zip(x._x0, x._x1, gram):
+                if a0 or a1:
+                    for k, g0, g1 in row:
+                        # (a0 + a1 sqrt d)(g0 + g1 sqrt d), then times y_k
+                        c0, c1 = a0 * g0 + d * a1 * g1, a0 * g1 + a1 * g0
+                        b0, b1 = y0[k], y1[k]
+                        s0 += c0 * b0 + d * c1 * b1
+                        s1 += c0 * b1 + c1 * b0
+        return _wrap(self.field, s0, s1, x._q * y._q * qg)
 
     def covector(self, w: Element) -> list:
         """The list of <e_l|w> over every basis index l: the form times w."""
+        return self.form_map()(w).coords
+
+    def orthogonal_space(self, vectors: Sequence[Element]) -> List[Element]:
+        """Basis of {p : <p|v> = 0 for every v in `vectors`}: the RREF kernel
+        basis (see `linalg.nullspace`) of their covectors, read off the
+        numerators, as a row times a nonzero integer has the same kernel."""
+        rows = [self.form_map()(v) for v in vectors]
+        r1 = None if self.field.d is None else [r._x1 for r in rows]
+        return [_int_element(self, *v) for v in linalg._kernel(
+            linalg._dict_rows([r._x0 for r in rows], r1), self.dim, self.field)]
+
+    def form_map(self) -> LinearMap:
+        """The form as a map: w -> the vector of <e_l|w>."""
         if self.form is None:
             raise AlgebraError("algebra has no bilinear form")
-        return linalg.mat_vec(self.form, w.coords)
+        return self._form
 
     def involute(self, x: Element) -> Element:
-        if self.involution is None:
-            raise AlgebraError("algebra has no involution")
-        return Element(self, linalg.mat_vec(self.involution, x.coords))
+        return self.involution_map()(x)
 
     def involution_map(self) -> LinearMap:
         if self.involution is None:
             raise AlgebraError("algebra has no involution")
-        return LinearMap(self, self.involution)
+        return self._involution
 
     def identity_map(self) -> LinearMap:
         n = self.dim

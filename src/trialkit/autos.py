@@ -465,9 +465,7 @@ def hurwitz_D(h: Algebra, a: Element, p: Element) -> LinearMap:
 
 def transport_orthogonal(h: Algebra, a: Element) -> List[Element]:
     """Basis of {p : <p|a> = <p|e> = 0}, the parameter space of D(a, .)."""
-    e = h.unit_element()
-    rows = [h.covector(a), h.covector(e)]
-    return [h.element(v) for v in linalg.nullspace(rows, h.field.zero(), h.field.one())]
+    return h.orthogonal_space([a, h.unit_element()])
 
 
 def standard_derivation(h: Algebra, f: Element, g: Element) -> LinearMap:

@@ -356,38 +356,17 @@ def make_para_zorn(b: Algebra, k=1) -> Algebra:
     dim = 2 * m + 2
     zero, one = field.zero(), field.one()
 
-    def split(coords):
-        return coords[0], coords[1:1 + m], coords[1 + m:1 + 2 * m], coords[1 + 2 * m]
+    def split(i):
+        """Basis vector i as (alpha, x, y, beta), x and y elements of B."""
+        c = [one if t == i else zero for t in range(dim)]
+        return c[0], b.element(c[1:1 + m]), b.element(c[1 + m:1 + 2 * m]), c[-1]
 
-    def bform(u, v):
-        acc = zero
-        for i in range(m):
-            for j in range(m):
-                if not b.form[i][j].is_zero():
-                    acc = acc + u[i] * b.form[i][j] * v[j]
-        return acc
-
-    def bmul(u, v):
-        return (b.element(u) * b.element(v)).coords
-
-    structure = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        ci = [one if t == i else zero for t in range(dim)]
-        a1, x1, y1, b1 = split(ci)
-        for j in range(dim):
-            cj = [one if t == j else zero for t in range(dim)]
-            a2, x2, y2, b2 = split(cj)
-            alpha = b1 * b2 + bform(y1, x2)
-            beta = a1 * a2 + bform(x1, y2)
-            xs = [a1 * x2[t] + b2 * x1[t] for t in range(m)]
-            ys = [a2 * y1[t] + b1 * y2[t] for t in range(m)]
-            yy = bmul(y1, y2)
-            xx = bmul(x1, x2)
-            xs = [xs[t] + k * yy[t] for t in range(m)]
-            ys = [ys[t] + k * xx[t] for t in range(m)]
-            prod = [alpha] + xs + ys + [beta]
-            for t in range(dim):
-                structure[i][j][t] = prod[t]
+    # (a1, x1, y1, b1)(a2, x2, y2, b2) = (b1 b2 + <y1|x2>, a1 x2 + b2 x1 + k y1 y2,
+    # a2 y1 + b1 y2 + k x1 x2, a1 a2 + <x1|y2>)
+    parts = [split(i) for i in range(dim)]
+    structure = [[[b1 * b2 + b.form_eval(y1, x2), *(a1 * x2 + b2 * x1 + k * (y1 * y2)).coords,
+                   *(a2 * y1 + b1 * y2 + k * (x1 * x2)).coords, a1 * a2 + b.form_eval(x1, y2)]
+                  for a2, x2, y2, b2 in parts] for a1, x1, y1, b1 in parts]
 
     half = field.one() / field.from_int(2) if field.characteristic != 2 else None
     form = [[zero] * dim for _ in range(dim)]

@@ -1,7 +1,8 @@
 """Dual numbers a + eps*b with eps^2 = 0 over an exact field.
 
-Used to turn first-order heuristics into exact statements: an identity that
-holds "up to eps^2" becomes an exact equation of Dual matrices.
+An identity that holds "up to eps^2" is an exact equation of Dual matrices:
+`symcomp.first_order_factorization` checks its two parts as maps and reads
+the first differing Dual entry off them as its witness.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ class Dual:
     def __add__(self, other: "Dual") -> "Dual":
         return Dual(self.re + other.re, self.ep + other.ep)
 
-    def __sub__(self, other: "Dual") -> "Dual":
-        return Dual(self.re - other.re, self.ep - other.ep)
-
-    def __neg__(self) -> "Dual":
-        return Dual(-self.re, -self.ep)
-
     def __mul__(self, other: "Dual") -> "Dual":
         return Dual(self.re * other.re, self.re * other.ep + self.ep * other.re)
 
@@ -37,9 +32,6 @@ class Dual:
 
     def __hash__(self) -> int:
         return hash((self.re, self.ep))
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.ep.is_zero()
 
     def __repr__(self) -> str:
         return f"Dual({self.re}, {self.ep})"

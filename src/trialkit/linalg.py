@@ -55,10 +55,6 @@ def identity(n: int, one, zero) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(c, a: Matrix) -> Matrix:
     return [[c * x for x in row] for row in a]
 
@@ -98,18 +94,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
         s0, s1 = _dot(d, u0, u1, v0, v1)
         out.append(_wrap(desc, s0, s1, q * qv))
     return out
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    return [c * x for x in v]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:

@@ -17,7 +17,6 @@ from functools import partial
 from operator import add, mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .autos import certify_automorphism
 from .constructors import make_para_dim2
@@ -387,18 +386,15 @@ def lambda_vector(a: SigmaTriple, p1: Element, p2: Element,
 
 def lambda_space(a: SigmaTriple) -> List[LambdaVector]:
     """Basis of the space of transport vectors: all (p1, p2) with
-    <p1|a1> = <p2|a2> = 0, each packaged and re-certified."""
+    <p1|a1> = <p2|a2> = 0, each packaged and re-certified.  The basis is the
+    RREF kernel basis (see `linalg.nullspace`) of the two covector rows,
+    <a1|.> on p1 and <a2|.> on p2: the two rows share no column, so it is
+    the basis of a1's orthogonal space paired with 0, then 0 paired with the
+    basis of a2's."""
     alg = a.algebra
-    n = alg.dim
-    zero = alg.field.zero()
-    row1 = alg.covector(a.comp(1)) + [zero] * n
-    row2 = [zero] * n + alg.covector(a.comp(2))
-    out = []
-    for v in linalg.nullspace([row1, row2], zero, alg.field.one()):
-        p1 = alg.element(v[:n])
-        p2 = alg.element(v[n:])
-        out.append(lambda_vector(a, p1, p2))
-    return out
+    zero = 0 * a.comp(1)
+    return ([lambda_vector(a, p1, zero) for p1 in alg.orthogonal_space([a.comp(1)])]
+            + [lambda_vector(a, zero, p2) for p2 in alg.orthogonal_space([a.comp(2)])])
 
 
 def _local_D_maps(a: SigmaTriple, p: LambdaVector) -> List[LinearMap]:
@@ -440,33 +436,30 @@ def first_order_factorization(p: LambdaVector) -> None:
 
     theta_j(a + eps p) = L(a_{j+2} + eps p_{j+2}) L(a_{j+1} + eps p_{j+1}),
     and L is linear, so the product is (S)(A + eps P)(B + eps Q) =
-    S A B + eps S (A Q + P B), two FieldElement matrices.  Each entry is
-    compared as a dual number with the one of Id + eps D_j.
+    S A B + eps S (A Q + P B): it equals Id + eps D_j when the maps S A B
+    and S (A Q + P B) equal Id and D_j.  On a mismatch the witness is the
+    first entry (k, l), in row-major order, where the two dual numbers
+    differ.
 
     Only the factorization is checked here; `local_D` certifies D(a, p) as a
     local triple."""
     a = p.base
     alg = a.algebra
     n = alg.dim
-    fdesc = alg.field
     ds = _local_D_maps(a, p)
     sigmas = sigma_maps(a)
-
-    def left(j: int) -> Tuple[linalg.Matrix, linalg.Matrix]:
-        """L(a_j) and L(p_j), the two parts of L(a_j + eps p_j)."""
-        return alg.left_op(a.comp(j)).rows, alg.left_op(p.p_comp(j)).rows
-
+    ident = alg.identity_map()
+    # L(a_j) and L(p_j), the two parts of L(a_j + eps p_j), at j - 1
+    left = [(alg.left_op(a.comp(j)), alg.left_op(p.p_comp(j))) for j in range(1, 4)]
     for j in range(1, 4):
-        (a2, p2), (a1, p1) = left(j + 2), left(j + 1)
-        sig = sigmas[j - 1].rows
-        re = linalg.mat_mul(sig, linalg.mat_mul(a2, a1))
-        ep = linalg.mat_mul(sig, linalg.mat_add(linalg.mat_mul(a2, p1), linalg.mat_mul(p2, a1)))
-        for k in range(n):
-            for l in range(n):
-                want = Dual(fdesc.one() if k == l else fdesc.zero(), ds[j - 1].rows[k][l])
-                if Dual(re[k][l], ep[k][l]) != want:
-                    raise RelationFails("first-order factorization fails",
-                                        witness=(j, k, l))
+        (a2, p2), (a1, p1) = left[(j + 1) % 3], left[j % 3]
+        sig = sigmas[j - 1]
+        re = sig @ (a2 @ a1)
+        ep = sig @ (a2 @ p1 + p2 @ a1)
+        if re != ident or ep != ds[j - 1]:
+            w = first_failing_tuple(lambda k, l: Dual(re.rows[k][l], ep.rows[k][l])
+                                    == Dual(ident.rows[k][l], ds[j - 1].rows[k][l]), n, n)
+            raise RelationFails("first-order factorization fails", witness=(j, *w))
 
 
 def express_D_as_d(p: LambdaVector, alpha: FieldElement, beta: FieldElement) -> None:

@@ -10,12 +10,12 @@ run over every basis pair, which proves the law by bilinearity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, AlgebraError, Element, LinearMap
+from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .fields import FieldElement, FieldNotEmbeddable
-from .linalg import _add_multiple, _agree, _scaled, _sparse
+from .linalg import _add_multiple, _agree, _int_matmul, _scaled, _sparse, _sparse_lines
 
 Pair = Tuple[int, int]
 
@@ -353,10 +353,16 @@ class DerivationPair:
 
 
 def _wedge(a: Algebra, u: Element, w: Element) -> LinearMap:
-    """The rank-two map z -> <w|z> u - <u|z> w."""
-    bu, bw = a.covector(u), a.covector(w)
-    return LinearMap(a, [[uk * cw - wk * cu for cu, cw in zip(bu, bw)]
-                         for uk, wk in zip(u.coords, w.coords)])
+    """The rank-two map z -> <w|z> u - <u|z> w: on the numerators, the
+    n x 2 matrix (u | -w) times the 2 x n matrix with rows <w|.> and <u|.>,
+    both terms brought over s t, where s t = qu qbw qw qbu for the
+    denominators of u, bw = <w|.>, w and bu = <u|.>."""
+    bu, bw = a.form_map()(u), a.form_map()(w)
+    s, t = w._q * bu._q, u._q * bw._q
+    outer = [[(0, s * x0, s * x1), (1, -t * y0, -t * y1)]
+             for x0, x1, y0, y1 in zip(u._x0, u._x1 or repeat(0), w._x0, w._x1 or repeat(0))]
+    rows = _sparse_lines([bw._x0, bu._x0], bw._x1 and [bw._x1, bu._x1])
+    return _int_map(a, s * t, *_int_matmul(a.field.d, outer, rows, a.dim))
 
 
 def _d3_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:

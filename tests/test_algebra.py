@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit import autos, linalg
-from trialkit.algebra import Algebra, AlgebraError, LinearMap, _int_map
+from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap, _int_element, _int_map
 from trialkit.constructors import make_hurwitz, make_para, named_algebra
 from trialkit.fields import FieldDescriptor, FieldElement, PRIME, QUADRATIC, RATIONALS
 from trialkit.linalg import NotInvertible
@@ -432,3 +432,113 @@ def test_integer_maps_match_the_fieldelement_loops(case, data):
 
 def canonical_rows(m):
     return [canonical(r) for r in m]
+
+
+# ---------------------------------------------------------------------------
+# The integer form of Element against FieldElement loops
+# ---------------------------------------------------------------------------
+#
+# An Element keeps (q, x0, x1), coordinate (x0 + x1 sqrt d)/q.  The
+# references below are the FieldElement loops the element operations ran on
+# before: one FieldElement product and sum per term.
+
+ELEMENT_FIELDS = ([Q] + [FieldDescriptor(QUADRATIC, d=d) for d in (-3, -1, 2, 3, 5)]
+                  + [FieldDescriptor(PRIME, p=p) for p in (3, 5, 7, 11, 13)])
+
+
+def ref_form_eval(form, x, y):
+    zero = x[0] - x[0]
+    return sum((xi * form[i][k] * yk for i, xi in enumerate(x) for k, yk in enumerate(y)), zero)
+
+
+@st.composite
+def element_cases(draw):
+    """(a, x, y, c, rows): an algebra of dimension 1 to 4 with a sparse random
+    structure tensor, a random symmetric form and an involution (a signed
+    diagonal conjugated by a shear I + t E_rc), two vectors, a nonzero
+    scalar and a FieldElement matrix."""
+    field = draw(st.sampled_from(ELEMENT_FIELDS))
+    n = draw(st.integers(1, 4))
+    one, zero = field.one(), field.zero()
+    structure = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        structure[i][j][k] = draw(scalars(field))
+    form = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i, n):
+            form[i][k] = form[k][i] = draw(scalars(field))
+    signs = linalg.identity(n, one, zero)
+    for i in range(n):
+        if draw(st.booleans()):
+            signs[i][i] = -one
+    shear, unshear = linalg.identity(n, one, zero), linalg.identity(n, one, zero)
+    r, s, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(scalars(field))
+    if r != s:
+        shear[r][s], unshear[r][s] = t, -t
+    involution = ref_mat_mul(ref_mat_mul(shear, signs), unshear)
+    a = Algebra(field, structure, form=form, involution=involution)
+    x = [draw(scalars(field)) for _ in range(n)]
+    y = [draw(scalars(field)) for _ in range(n)]
+    c = draw(scalars(field))
+    rows = [[draw(scalars(field)) for _ in range(n)] for _ in range(n)]
+    return a, x, y, one if c.is_zero() else c, rows
+
+
+def assert_canonical_element(x):
+    """x holds the canonical integer form, and x.coords rebuilds an equal
+    element with an equal hash and the same integers."""
+    field, q, x0, x1 = x.algebra.field, x._q, x._x0, x._x1
+    assert q > 0 and (x1 is None) == (field.d is None)
+    if field.p is not None:
+        assert q == 1 and all(0 <= v < field.p for v in x0)
+    else:
+        assert gcd(q, *x0, *(x1 or ())) == 1
+    again = Element(x.algebra, x.coords)
+    assert again == x and hash(again) == hash(x)
+    assert (again._q, again._x0, again._x1) == (q, x0, x1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_cases(), st.integers(2, 10 ** 12), st.lists(st.integers(-10 ** 12, 10 ** 12),
+                                                          min_size=8, max_size=8))
+def test_integer_elements_match_the_fieldelement_loops(case, k, ints):
+    a, x, y, c, rows = case
+    field, n = a.field, a.dim
+    ex, ey = a.element(x), a.element(y)
+    assert canonical(ex.coords) == canonical(x)
+    assert_canonical_element(ex)
+    results = [
+        (ex + ey, [u + v for u, v in zip(x, y)]),
+        (ex - ey, [u - v for u, v in zip(x, y)]),
+        (-ex, [-u for u in x]),
+        (c * ex, [c * u for u in x]),
+        (ex * c, [u * c for u in x]),
+        (3 * ex, [3 * u for u in x]),
+        (ex / c, [u / c for u in x]),
+        (ex * ey, ref_multiply(a, x, y)),
+        (a.involute(ex), ref_mat_vec(a.involution, x)),
+        (LinearMap(a, rows)(ex), ref_mat_vec(rows, x)),
+        (a.basis(n - 1), [field.one() if i == n - 1 else field.zero() for i in range(n)]),
+    ]
+    for got, want in results:
+        assert canonical(got.coords) == canonical(want)
+        assert_canonical_element(got)
+        assert got == a.element(want) and hash(got) == hash(a.element(want))
+    assert canonical([a.form_eval(ex, ey)]) == canonical([ref_form_eval(a.form, x, y)])
+    assert canonical(a.covector(ey)) == canonical(ref_mat_vec(a.form, y))
+    assert (ex == ey) == (canonical(x) == canonical(y))
+    assert ex.is_zero() == all(u.is_zero() for u in x)
+    # one element from integers over q, and from k times them over k q (2/4
+    # against 1/2; over F_p, q = 1 and any integers, read mod p)
+    q = 1 if field.p is not None else ints[0] % 97 + 1
+    x0, x1 = ints[:n], (None if field.d is None else ints[4:4 + n])
+    want = [ref_entry(field, q, u, 0 if x1 is None else x1[i]) for i, u in enumerate(x0)]
+    if field.p is not None:
+        x0 = [u + k * field.p for u in x0]
+    else:
+        q, x0, x1 = k * q, [k * u for u in x0], x1 and [k * u for u in x1]
+    got = _int_element(a, q, x0, x1)
+    assert canonical(got.coords) == canonical(want)
+    assert_canonical_element(got)
+    assert got == a.element(want) and hash(got) == hash(a.element(want))

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 62 mutants takes about twelve minutes on two cores, most of
+a full run of the 66 mutants takes about thirteen minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -41,6 +41,7 @@ NULLSPACE = "tests/test_linalg.py::test_nullspace_matches_exact_rref"
 RAW_ROWS = "tests/test_linalg.py::test_int_nullspace_reads_raw_integer_rows_mod_p"
 HURWITZ_SIGMA = LAWS + "test_hurwitz_sigma_matches_reference"
 INT_MAPS = "tests/test_algebra.py::test_integer_maps_match_the_fieldelement_loops"
+INT_ELEMENTS = "tests/test_algebra.py::test_integer_elements_match_the_fieldelement_loops"
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -143,8 +144,8 @@ MUTANTS = (
            "factors = [h.right_op(x) for x in chain]",
            (LAWS + "test_chain_products_match_reference",)),
     Mutant("wedge with u and w swapped", "triality.py",
-           "    bu, bw = a.covector(u), a.covector(w)\n",
-           "    u, w = w, u\n    bu, bw = a.covector(u), a.covector(w)\n",
+           "    bu, bw = a.form_map()(u), a.form_map()(w)\n",
+           "    u, w = w, u\n    bu, bw = a.form_map()(u), a.form_map()(w)\n",
            ("tests/test_symcomp.py::test_local_D_certifies_and_cycles",
             "tests/test_triality.py::test_derivation_pair_gives_local_triple")),
     Mutant("_dim2_members invertibility proof dropped", "symcomp.py",
@@ -188,7 +189,7 @@ MUTANTS = (
            "a0 * b0 + d * a1 * b1, a0 * b1 + a1 * b0", "a0 * b0, a0 * b1 + a1 * b0",
            (PRODUCT_LOOP,)),
     Mutant("wrap without int_den", "algebra.py",
-           "qx * qy * self.int_den,", "qx * qy,",
+           "x._q * y._q * self.int_den,", "x._q * y._q,",
            (PRODUCT_LOOP,)),
     Mutant("residue product without mod p", "symcomp.py",
            "return tuple(map(p.__rmod__, product(x, y)[0]))", "return tuple(product(x, y)[0])",
@@ -245,6 +246,20 @@ MUTANTS = (
     Mutant("map product drops d x1 y1", "linalg.py",
            "dy1 = d * y1", "dy1 = 0 * y1",
            (INT_MAPS,)),
+    # -- integer-native elements: Element's canonical (q, x0, x1) -----------
+    Mutant("element canonical form skips the gcd", "algebra.py",
+           "        if g != 1:\n            q, x0 = q // g", "        if False:\n            q, x0 = q // g",
+           (INT_ELEMENTS,)),
+    Mutant("element canonical form skips the mod-p reduction", "algebra.py",
+           "x0 = [u % field.p for u in x0]", "x0 = list(x0)",
+           (INT_ELEMENTS,)),
+    Mutant("form_eval with the d a1 g1 term negated", "algebra.py",
+           "c0, c1 = a0 * g0 + d * a1 * g1, a0 * g1 + a1 * g0",
+           "c0, c1 = a0 * g0 - d * a1 * g1, a0 * g1 + a1 * g0",
+           (INT_ELEMENTS,)),
+    Mutant("first-order factorization without the eps part", "symcomp.py",
+           "if re != ident or ep != ds[j - 1]:", "if re != ident:",
+           (LAWS + "test_first_order_factorization_matches_reference",)),
     # -- earlier cuts: certify each identity once ---------------------------
     Mutant("mat_inv accepts when the y blocks only have a unit diagonal", "linalg.py",
            "if [v[n:] for v in basis] != identity(n, one, zero):",
@@ -256,8 +271,8 @@ MUTANTS = (
            "if not basis or basis[-1][cols].is_zero():", "if not basis:",
            ("tests/test_linalg.py::test_solve_matches_exact_rref",)),
     Mutant("first-order factorization with theta factors swapped", "symcomp.py",
-           "(a2, p2), (a1, p1) = left(j + 2), left(j + 1)",
-           "(a2, p2), (a1, p1) = left(j + 1), left(j + 2)",
+           "(a2, p2), (a1, p1) = left[(j + 1) % 3], left[j % 3]",
+           "(a2, p2), (a1, p1) = left[j % 3], left[(j + 1) % 3]",
            (LAWS + "test_first_order_factorization_matches_reference",)),
     # -- one derivation-pair rule: classify_regularity, covector, parse_scalar
     Mutant("normality sum without its d3 term", "triality.py",
@@ -268,7 +283,7 @@ MUTANTS = (
            "            except RelationFails:\n                pass",
            (LAWS + "test_classify_regularity_matches_reference",)),
     Mutant("covector assumes the identity form", "algebra.py",
-           "return linalg.mat_vec(self.form, w.coords)", "return list(w.coords)",
+           "return self.form_map()(w).coords", "return list(w.coords)",
            ("tests/test_algebra.py::test_covector_matches_the_form_eval_comprehension",)),
     Mutant("parse_scalar ignores the radicand", "fields.py",
            "    if int(d) != desc.d:\n", "    if False:\n",
