@@ -354,9 +354,10 @@ class DerivationPair:
 
 def _wedge(a: Algebra, u: Element, w: Element) -> LinearMap:
     """The rank-two map z -> <w|z> u - <u|z> w: on the numerators, the
-    n x 2 matrix (u | -w) times the 2 x n matrix with rows <w|.> and <u|.>,
-    both terms brought over s t, where s t = qu qbw qw qbu for the
-    denominators of u, bw = <w|.>, w and bu = <u|.>."""
+    n x 2 matrix (u | -w) times the 2 x n matrix with rows <w|.> and <u|.>.
+    With bu = <u|.> and bw = <w|.> as elements, u_k bw_l lies over
+    t = qu qbw and w_k bu_l over s = qw qbu, so the first is scaled by s,
+    the second by t, and the map is over s t."""
     bu, bw = a.form_map()(u), a.form_map()(w)
     s, t = w._q * bu._q, u._q * bw._q
     outer = [[(0, s * x0, s * x1), (1, -t * y0, -t * y1)]
