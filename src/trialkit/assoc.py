@@ -81,7 +81,7 @@ def para_associativity(a: Algebra) -> None:
 
 
 def _rebind(target: Algebra, m: LinearMap) -> LinearMap:
-    return _int_map(target, m._q, m._r0, m._r1)
+    return _int_map(target, m._q, m._n0, m._n1)
 
 
 def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:

@@ -50,7 +50,8 @@ def derivation_space(a: Algebra) -> List[LinearMap]:
 
     The system is homogeneous, with structure constants over `a.int_den` for
     coefficients, so its rows are the integers of `a.int_terms`, and each
-    map is built from an integer kernel vector (`linalg._kernel`)."""
+    map is an integer kernel vector (`linalg._kernel`), whose layout is the
+    row-major block of a map."""
     n = a.dim
     terms = a.int_terms
     pair = a.field.d is not None
@@ -71,33 +72,22 @@ def derivation_space(a: Algebra) -> List[LinearMap]:
                 block[m][col] = (s0 + c0, s1 + c1)
             rows.extend({col: s if pair else s[0] for col, s in row.items() if s != (0, 0)}
                         for row in block)
-
-    def rows_of(v: Optional[list]) -> Optional[list]:
-        return v and [v[k * n:(k + 1) * n] for k in range(n)]
-
-    return [_int_map(a, q, rows_of(v0), rows_of(v1))
-            for q, v0, v1 in linalg._kernel(rows, n * n, a.field)]
+    return [_int_map(a, q, v0, v1) for q, v0, v1 in linalg._kernel(rows, n * n, a.field)]
 
 
 def find_nilpotent_derivation(a: Algebra) -> Optional[LinearMap]:
     """First derivation with d^2 = 0, searched deterministically over
     single basis derivations and then pairwise sums/differences.  None of
-    these is zero, since the basis is independent.
-
-    B_i + s B_j (s = +-1) is (q_j N_i + s q_i N_j)/(q_i q_j), up to a
-    positive integer scale, for B_i = N_i/q_i, and a scale does not change
-    whether a square is 0; so each candidate is tested on its numerators
-    and becomes a map only when it is returned."""
+    these is zero, since the basis is independent."""
     basis = derivation_space(a)
     for d in basis:
         if d.squares_to_zero():
             return d
     for i, bi in enumerate(basis):
         for bj in basis[i + 1:]:
-            for sign in (1, -1):
-                q, r0, r1 = bi._sum(bj, sign)
-                if linalg._squares_to(a.field, linalg._sparse_lines(r0, r1)):
-                    return _int_map(a, q, r0, r1)
+            for d in (bi + bj, bi - bj):
+                if d.squares_to_zero():
+                    return d
     return None
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from itertools import product
 from typing import Callable, List, Optional, Tuple
 
@@ -78,14 +79,16 @@ def _suite_core(a: Algebra) -> List[Check]:
 
     def form_nondegenerate():
         if a.form is not None:
-            if linalg.nullspace(a.form, a.field.zero(), a.field.one()):
+            try:
+                a.form_map().require_invertible()
+            except linalg.NotInvertible:
                 return "'form has a radical'"
 
     def involution_squares_to_identity():
         # Algebra.__init__ already rejects such an involution; there is no
         # witness to give, so a failure raises
         if a.involution is not None:
-            if not linalg.squares_to(a.involution, a.field.one(), a.field.zero()):
+            if not a.involution_map().squares_to_identity():
                 raise AlgebraError("involution matrix must square to the identity")
 
     def unit_law():
@@ -354,9 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser for every call of `main`: argparse keeps no state between
+# parse_args calls
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (AlgebraError, FieldError, ValueError) as exc:

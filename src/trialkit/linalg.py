@@ -1,19 +1,15 @@
-"""Dense exact linear algebra: FieldElement matrices and the integer kernel
-under `algebra.LinearMap`.
-
-A FieldElement matrix is a plain list of lists of FieldElements of one
-field; `mat_mul`, `mat_vec`, `nullspace`, `solve`, `mat_inv`, `squares_to`
-and `require_invertible` take these.
+"""Dense exact linear algebra on integers: the kernel under `algebra.Element`
+and `algebra.LinearMap`, and the FieldElement matrix front-ends `mat_mul`,
+`nullspace`, `solve`, `mat_inv` and `identity`.
 
 Everything runs on the integers that a FieldElement already stores,
-(n0 + n1 sqrt d)/q (see `fields`).  `_lift` puts a row, a column or a
-vector over one common denominator, the lcm of its entries' q, and
-`_lift_matrix` a whole matrix: (q, R0, R1), the form a LinearMap keeps.
+(n0 + n1 sqrt d)/q (see `fields`).  `_lift_matrix` puts a FieldElement
+matrix over one common denominator, the lcm of its entries' q: (q, R0, R1).
 Each sum of products is then a sum of integer pair products
 (u0 + u1 sqrt d)(v0 + v1 sqrt d) = (u0 v0 + d u1 v1) + (u0 v1 + u1 v0) sqrt d
-(`_dot` on dense vectors, `_add_multiple` on sparse ones, `_int_matmul` on
-integer matrices), and `_wrap` builds one FieldElement per result that is
-read as one.  Over Q the n1 parts are zero and skipped (R1 is None); over
+(`_add_multiple` on sparse vectors, `_int_matmul` on integer matrices given
+by their sparse rows), and `_wrap` builds one FieldElement per result that
+is read as one.  Over Q the n1 parts are zero and skipped (R1 is None); over
 F_p every q is 1, the n0 are the residues, and a result is reduced mod p
 only when it is wrapped or compared.  This is exact with no stated bound:
 Python ints do not overflow, and two quotients over positive denominators
@@ -21,20 +17,23 @@ are equal exactly when their numerators, each multiplied by the other's
 denominator, are equal (mod p over F_p), which is when their canonical
 FieldElements are equal.
 
-`nullspace`, `require_invertible` and `algebra.LinearMap` row-reduce the
-integer rows with one elimination, `_eliminate`, for all three kinds of
-field: Gauss-Jordan without division on plain ints over Q and F_p and on
+One elimination, `_eliminate`, row-reduces integer rows for all three kinds
+of field: Gauss-Jordan without division on plain ints over Q and F_p and on
 pairs (n0, n1) over Q(sqrt d), the pivot made 1 and every entry reduced mod
 p over F_p.  `_kernel` reads the kernel basis off it as integer vectors over
-one denominator; `mat_inv` and `solve` read their results off a `nullspace`
-basis.  `_squares_to` decides m m = c Id on the integer rows.
+one denominator, and `nullspace` and `solve` read theirs off that basis;
+`_inverse` (under `mat_inv` and `LinearMap.inverse`) reads an inverse off
+the kernel of [R | -I], and `_require_full_rank` the invertibility of R off
+its rank.  `_squares_to` decides m m = t Id on the integer rows.
+`_int_matmul` and `_inverse` return their matrices row by row in one list,
+the block a LinearMap keeps.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from math import gcd, lcm
-from operator import mul, sub
+from operator import sub
 from typing import List, Optional, Tuple
 
 from .fields import FieldDescriptor, FieldElement, _make, _reduced
@@ -47,79 +46,24 @@ class NotInvertible(ValueError):
     pass
 
 
-def zeros(rows: int, cols: int, zero) -> Matrix:
-    return [[zero for _ in range(cols)] for _ in range(rows)]
-
-
 def identity(n: int, one, zero) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_scale(c, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, each entry the integer dot product of a row of a and a column of
-    b, each lifted over its own denominator; every zero entry is one shared
-    zero element."""
+    """a b for FieldElement matrices, on their integer forms (`_lift_matrix`,
+    `_int_matmul`); every zero entry is one shared zero element."""
     if not b or not b[0]:
         return [[] for _ in a]
-    desc = b[0][0].desc
-    d = desc.d
-    zero = _make(desc, 0, 0, 1)
-    cols = [_lift(col) for col in zip(*b)]
-    out = []
-    for row in a:
-        q, u0, u1 = _lift(row)
-        line = []
-        for r, v0, v1 in cols:
-            s0, s1 = _dot(d, u0, u1, v0, v1)
-            line.append(_wrap(desc, s0, s1, q * r) if s0 or s1 else zero)
-        out.append(line)
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    """a v, each entry the integer dot product of a lifted row and the
-    lifted v."""
-    if not a:
-        return []
-    desc = v[0].desc
-    d = desc.d
-    qv, v0, v1 = _lift(v)
-    out = []
-    for row in a:
-        q, u0, u1 = _lift(row)
-        s0, s1 = _dot(d, u0, u1, v0, v1)
-        out.append(_wrap(desc, s0, s1, q * qv))
-    return out
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def squares_to(m: Matrix, c, zero) -> bool:
-    """Whether m m = c Id for a square FieldElement matrix: for m = R/q and
-    c = (c0 + c1 sqrt d)/s, whether s R R = q^2 (c0 + c1 sqrt d) Id
-    (`_squares_to`)."""
-    desc = zero.desc
-    q, rows = _lift_rows(m, desc)
-    return _squares_to(desc, rows, c._q, q * q * c._n0, q * q * c._n1)
+    desc, width = b[0][0].desc, len(b[0])
+    qa, a0, a1 = _lift_matrix(a, desc)
+    qb, b0, b1 = _lift_matrix(b, desc)
+    flat = _wrap_vector(desc, qa * qb, *_int_matmul(
+        desc.d, _sparse_lines(a0, a1), _sparse_lines(b0, b1), width))
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
 # -- the integer kernel (see the module docstring) ----------------------------
-
-def _lift(xs) -> Tuple[int, List[int], List[int]]:
-    """(q, n0s, n1s) with xs[t] = (n0s[t] + n1s[t] sqrt d)/q, where q is the
-    lcm of the denominators of the FieldElements xs; over F_p every
-    denominator is 1 and no lcm is taken."""
-    q = lcm(*[x._q for x in xs]) if xs and xs[0].desc.p is None else 1
-    if q == 1:
-        return 1, [x._n0 for x in xs], [x._n1 for x in xs]
-    return q, [x._n0 * (q // x._q) for x in xs], [x._n1 * (q // x._q) for x in xs]
-
 
 def _lift_matrix(m: Matrix, desc: FieldDescriptor) -> tuple:
     """(q, R0, R1) with m[r][c] = (R0[r][c] + R1[r][c] sqrt d)/q over the lcm
@@ -184,45 +128,34 @@ def _add_multiple(d: Optional[int], acc0: list, acc1: list, y0: int, y1: int,
             acc1[r] += y0 * v1
 
 
-def _dot(d: Optional[int], u0: list, u1: list, v0, v1) -> Tuple[int, int]:
-    """Numerators (s0, s1) of sum_t u_t v_t for dense vectors u = u0 +
-    u1 sqrt d and v = v0 + v1 sqrt d; over Q and F_p (d None) s1 = 0."""
-    s0 = sum(map(mul, u0, v0))
-    if d is None:
-        return s0, 0
-    return (s0 + d * sum(map(mul, u1, v1)),
-            sum(map(mul, u0, v1)) + sum(map(mul, u1, v0)))
-
-
 def _int_matmul(d: Optional[int], a: List[list], b: List[list], width: int) -> tuple:
     """(C0, C1) with C0 + C1 sqrt d = A B for integer matrices A and B given
     by their sparse rows (`_sparse_lines`), B with `width` columns: row i of
     C is the sum of the rows of B weighted by the entries of row i of A.
-    Over Q and F_p (d None) C1 is None."""
+    C0 and C1 hold the entries row by row, the block of an
+    `algebra.LinearMap`; over Q and F_p (d None) C1 is None."""
     c0, c1 = [], []
     for u in a:
         acc0, acc1 = [0] * width, [0] * width
         for j, x0, x1 in u:
             _add_multiple(d, acc0, acc1, x0, x1, b[j])
-        c0.append(acc0)
-        c1.append(acc1)
+        c0 += acc0
+        c1 += acc1
     return c0, c1 if d else None
 
 
-def _squares_to(desc: FieldDescriptor, rows: List[list], s: int = 1, t0: int = 0,
-                t1: int = 0) -> bool:
-    """Whether s m m = (t0 + t1 sqrt d) Id for the integer matrix m given by
-    its sparse rows (`_sparse_lines`), mod p over F_p; each row of s m m
-    summed over the nonzero entries of m only and tested as soon as it is
-    complete.  With the defaults, whether m m = 0: for a map m/q too, whose
-    square is m m / q^2."""
+def _squares_to(desc: FieldDescriptor, rows: List[list], t: int = 0) -> bool:
+    """Whether m m = t Id for the integer matrix m given by its sparse rows
+    (`_sparse_lines`), mod p over F_p; each row of m m summed over the
+    nonzero entries of m only and tested as soon as it is complete.  With
+    t = 0, whether m m = 0: for a map m/q too, whose square is m m / q^2;
+    with t = q^2, whether (m/q)(m/q) = Id."""
     d, p = desc.d, desc.p
     for i, row in enumerate(rows):
         acc0, acc1 = [0] * len(rows), [0] * len(rows)
         for j, x0, x1 in row:
-            _add_multiple(d, acc0, acc1, s * x0, s * x1, rows[j])
-        acc0[i] -= t0
-        acc1[i] -= t1
+            _add_multiple(d, acc0, acc1, x0, x1, rows[j])
+        acc0[i] -= t
         if p is not None:
             acc0 = [x % p for x in acc0]
         if any(acc0) or any(acc1):
@@ -277,23 +210,6 @@ def _dict_rows(r0: list, r1: Optional[list]) -> List[dict]:
             for u0, u1 in zip(r0, r1)]
 
 
-def _native(rows: List[dict], desc: FieldDescriptor) -> List[dict]:
-    """Sparse rows {column: (n0, n1)} in the form `_eliminate` takes: over Q
-    and F_p the n0 alone."""
-    if desc.d is not None:
-        return rows
-    return [{c: x0 for c, (x0, _) in row.items()} for row in rows]
-
-
-def int_nullspace(rows: List[dict], cols: int, zero, one) -> List[Vector]:
-    """`nullspace` of the system given as sparse integer rows {column: (n0,
-    n1)} of nonzero entries n0 + n1 sqrt d (n1 = 0 over Q and F_p; over F_p
-    any integers, read mod p): a row times a nonzero integer has the same
-    kernel.  The rows may be consumed."""
-    desc = zero.desc
-    return [_wrap_vector(desc, *v) for v in _kernel(_native(rows, desc), cols, desc)]
-
-
 def _kernel(rows: List[dict], cols: int, desc: FieldDescriptor) -> List[tuple]:
     """The RREF kernel basis (see `nullspace`) of the sparse integer rows that
     `_eliminate` takes, each vector as integers over one denominator:
@@ -322,16 +238,6 @@ def _kernel(rows: List[dict], cols: int, desc: FieldDescriptor) -> List[tuple]:
                 v0[pc] = t * x
         out.append((q, v0, v1 if pair else None))
     return out
-
-
-def _rref(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
-    """`_eliminate` on sparse rows {column: (n0, n1)} for every field, the
-    form `int_nullspace` takes; the pivot rows come back in that form too.
-    The rows may be consumed."""
-    pivots = _eliminate(_native(rows, desc), cols, desc)
-    if desc.d is not None:
-        return pivots
-    return {c: {k: (x, 0) for k, x in row.items()} for c, row in pivots.items()}
 
 
 def _eliminate(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
@@ -448,13 +354,6 @@ def _eliminate(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
 _ZERO = (0, 0)
 
 
-def require_invertible(a: Matrix, zero, one) -> None:
-    """Raise NotInvertible unless the square FieldElement matrix `a` is
-    invertible, without computing the inverse (see `_require_full_rank`)."""
-    _, r0, r1 = _lift_matrix(a, zero.desc)
-    _require_full_rank(zero.desc, r0, r1)
-
-
 def _require_full_rank(desc: FieldDescriptor, r0: list, r1: Optional[list]) -> None:
     """Raise NotInvertible unless the square integer matrix r0 + r1 sqrt d
     (mod p over F_p) is invertible: iff its rank is its size, which
@@ -464,17 +363,34 @@ def _require_full_rank(desc: FieldDescriptor, r0: list, r1: Optional[list]) -> N
         raise NotInvertible("matrix is singular")
 
 
-def mat_inv(a: Matrix, zero, one) -> Matrix:
-    """Inverse of a square FieldElement matrix, from the kernel basis of
-    [a | -I] (see `nullspace`): each basis vector (x, y) has a x = y, so y
-    blocks that form the identity prove a X = I.  An invertible a always
-    gives them, since its free columns are the last n."""
-    n = len(a)
-    aug = [row[:] + [-one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
-    basis = nullspace(aug, zero, one)
-    if [v[n:] for v in basis] != identity(n, one, zero):
+def _inverse(desc: FieldDescriptor, q: int, r0: list, r1: Optional[list]) -> tuple:
+    """(s, C0, C1) with (C0 + C1 sqrt d)/s, row by row, the inverse of the
+    square matrix (r0 + r1 sqrt d)/q given by its integer rows; raise
+    NotInvertible if it is singular.
+
+    It is read off the kernel basis of [R | -I] (see `nullspace`) for R =
+    r0 + r1 sqrt d: basis vector j is (x, y) over its own denominator t, with
+    R x = y, so y blocks that form the identity, y = t e_j for every j, prove
+    R X = I, and column j of (R/q)^-1 = q R^-1 is then q x/t.  An invertible
+    R always gives them, since its free columns are the last n, and a
+    singular R never does, since R X = I has no solution."""
+    n = len(r0)
+    aug0 = [row + [-int(i == j) for j in range(n)] for i, row in enumerate(r0)]
+    basis = _kernel(_dict_rows(aug0, r1 and [row + [0] * n for row in r1]), 2 * n, desc)
+    if any(v0[n:] != [t * (k == j) for k in range(n)] or (v1 and any(v1[n:]))
+           for j, (t, v0, v1) in enumerate(basis)):
         raise NotInvertible("matrix is singular")
-    return [[v[r] for v in basis] for r in range(n)]
+    s = lcm(*[t for t, _, _ in basis])
+    scaled = [(q * (s // t), v0, v1) for t, v0, v1 in basis]
+    c1 = r1 and [f * v1[r] for r in range(n) for f, _, v1 in scaled]
+    return s, [f * v0[r] for r in range(n) for f, v0, _ in scaled], c1
+
+
+def mat_inv(a: Matrix, zero, one) -> Matrix:
+    """Inverse of a square FieldElement matrix (see `_inverse`)."""
+    n = len(a)
+    flat = _wrap_vector(zero.desc, *_inverse(zero.desc, *_lift_matrix(a, zero.desc)))
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 def solve(a: Matrix, b: Vector, zero, one) -> Optional[Vector]:

@@ -644,7 +644,7 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
                                 for j in range(3)))
                 for m in member:
                     if m not in proven:
-                        g = _int_map(a, 1, [list(row) for row in m], None)
+                        g = _int_map(a, 1, [*m[0], *m[1]], None)
                         g.require_invertible()
                         proven[m] = g
                 maps = tuple(proven[m] for m in member)

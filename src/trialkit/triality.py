@@ -361,8 +361,8 @@ def _wedge(a: Algebra, u: Element, w: Element) -> LinearMap:
     bu, bw = a.form_map()(u), a.form_map()(w)
     s, t = w._q * bu._q, u._q * bw._q
     outer = [[(0, s * x0, s * x1), (1, -t * y0, -t * y1)]
-             for x0, x1, y0, y1 in zip(u._x0, u._x1 or repeat(0), w._x0, w._x1 or repeat(0))]
-    rows = _sparse_lines([bw._x0, bu._x0], bw._x1 and [bw._x1, bu._x1])
+             for x0, x1, y0, y1 in zip(u._n0, u._n1 or repeat(0), w._n0, w._n1 or repeat(0))]
+    rows = _sparse_lines([bw._n0, bu._n0], bw._n1 and [bw._n1, bu._n1])
     return _int_map(a, s * t, *_int_matmul(a.field.d, outer, rows, a.dim))
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit import autos, linalg
-from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap, _int_element, _int_map
+from trialkit.algebra import (Algebra, AlgebraError, Element, LinearMap, _int_element, _int_map,
+                              _lift)
 from trialkit.constructors import make_hurwitz, make_para, named_algebra
-from trialkit.fields import FieldDescriptor, FieldElement, PRIME, QUADRATIC, RATIONALS
+from trialkit.fields import (DescriptorMismatch, DivisionByZero, FieldDescriptor, FieldElement,
+                             PRIME, QUADRATIC, RATIONALS)
 from trialkit.linalg import NotInvertible
 from trialkit.symcomp import is_symmetric_composition, residue_arithmetic
 
@@ -61,6 +63,58 @@ def test_singular_map_raises():
         zero_map.inverse()
 
 
+SCALAR_FIELDS = (Q, FieldDescriptor(QUADRATIC, d=3), FieldDescriptor(PRIME, p=7))
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=["Q", "Qsqrt3", "F7"])
+def test_scalars_coerce_exactly_or_raise(field):
+    """An int or a Fraction scales an element or a map, or becomes a
+    coordinate, exactly as its FieldElement does; a float or any other type
+    raises TypeError, and a FieldElement of another field
+    DescriptorMismatch.  Over F_7 a denominator divisible by 7 raises
+    DivisionByZero."""
+    a = named_algebra("para:4", field)
+    x = a.element([1, 2, 0, 3])
+    m = a.left_op(x)
+    half, h = Fraction(1, 2), field.from_int(Fraction(1, 2))
+    assert not (x * half).is_zero()
+    assert canonical((x * half).coords) == canonical([h * c for c in x.coords])
+    assert x * half == half * x == x * h == x / 2 == x / field.from_int(2)
+    assert x * 3 == 3 * x == x + x + x and x * Fraction(6, 2) == x * 3
+    assert m * half == half * m == h * m and (m * half)(x) == h * m(x)
+    assert a.element([half, 0, 0, 0]) == h * a.basis(0)
+    assert a.element([Fraction(-3, 4), 1, 0, 0]).coords[0] == field.from_int(Fraction(-3, 4))
+    operations = (lambda c: x * c, lambda c: c * x, lambda c: x / c, lambda c: m * c,
+                  lambda c: c * m, lambda c: a.element([c, 0, 0, 0]))
+    for bad in (2.7, 0.5, 2.0, "2", None, complex(1, 0)):
+        for op in operations:
+            with pytest.raises(TypeError):
+                op(bad)
+    for op in operations:
+        with pytest.raises(DescriptorMismatch):
+            op(FieldDescriptor(PRIME, p=11).one())
+        if field.p is not None:
+            with pytest.raises(DivisionByZero):
+                op(Fraction(3, 14))
+
+
+def test_operands_must_share_an_algebra():
+    """Map +, -, @ (and map * map) and m(x) raise on operands of two
+    algebras, as element arithmetic does: over two fields, and over one
+    field from two constructions."""
+    s2, s3 = FieldDescriptor(QUADRATIC, d=2), FieldDescriptor(QUADRATIC, d=3)
+    for f, g in ((s2, s3), (Q, s2), (Q, Q)):
+        a, b = named_algebra("para:4", f), named_algebra("para:4", g)
+        m, n, x, y = a.left_op(a.basis(1)), b.left_op(b.basis(2)), a.basis(1), b.basis(2)
+        for op in (lambda: m + n, lambda: m - n, lambda: m @ n, lambda: m * n, lambda: m(y),
+                   lambda: m.commutator(n)):
+            with pytest.raises(AlgebraError, match="^maps belong to different algebras$"):
+                op()
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(AlgebraError, match="^elements belong to different algebras$"):
+                op()
+
+
 def test_unit_element():
     h = quaternions()
     e = h.unit_element()
@@ -101,8 +155,14 @@ def test_sparse_involution_check_matches_dense_square(entries):
     F3 = FieldDescriptor(PRIME, p=3)
     m = [[F3.from_int(v) for v in row] for row in entries]
     n = len(m)
-    dense = linalg.mat_eq(linalg.mat_mul(m, m), linalg.identity(n, F3.one(), F3.zero()))
-    assert linalg.squares_to(m, F3.one(), F3.zero()) == dense
+    dense = linalg.mat_mul(m, m) == linalg.identity(n, F3.one(), F3.zero())
+    structure = [[[F3.zero()] * n for _ in range(n)] for _ in range(n)]
+    assert LinearMap(Algebra(F3, structure), m).squares_to_identity() == dense
+    try:
+        Algebra(F3, structure, involution=m)
+        assert dense
+    except AlgebraError:
+        assert not dense
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +285,8 @@ def test_product_loop_matches_the_fieldelement_and_residue_loops(case):
     field = a.field
     want = ref_multiply(a, x, y)
     # the loop itself: numerators over qx qy int_den, read back independently
-    qx, x0, x1 = linalg._lift(x)
-    qy, y0, y1 = linalg._lift(y)
+    qx, x0, x1 = _lift(field, x)
+    qy, y0, y1 = _lift(field, y)
     s0, s1 = a.int_product(x0, y0, x1, y1)
     q = qx * qy * a.int_den
     if field.p is not None:
@@ -360,7 +420,7 @@ def map_cases(draw):
         ints = st.integers(-top, top)
         r0 = [[draw(ints) * draw(st.sampled_from((1, q))) for _ in range(n)] for _ in range(n)]
         r1 = None if field.d is None else [[draw(ints) for _ in range(n)] for _ in range(n)]
-        m = _int_map(a, q, r0, r1)
+        m = _int_map(a, q, [v for row in r0 for v in row], r1 and [v for row in r1 for v in row])
         rows = [[ref_entry(field, q, r0[i][j], 0 if r1 is None else r1[i][j])
                  for j in range(n)] for i in range(n)]
     x = [draw(scalars(field)) for _ in range(n)]
@@ -370,15 +430,15 @@ def map_cases(draw):
 def assert_canonical(m):
     """m holds the canonical integer form, and m.rows rebuilds an equal map
     with an equal hash."""
-    field, q, r0, r1 = m.algebra.field, m._q, m._r0, m._r1
-    assert q > 0 and (r1 is None) == (field.d is None)
+    field, q, n0, n1 = m.algebra.field, m._q, m._n0, m._n1
+    assert q > 0 and (n1 is None) == (field.d is None) and len(n0) == m.algebra.dim ** 2
     if field.p is not None:
-        assert q == 1 and all(0 <= v < field.p for row in r0 for v in row)
+        assert q == 1 and all(0 <= v < field.p for v in n0)
     else:
-        assert gcd(q, *[v for row in r0 + (r1 or []) for v in row]) == 1
+        assert gcd(q, *n0, *(n1 or [])) == 1
     again = LinearMap(m.algebra, m.rows)
     assert again == m and hash(again) == hash(m)
-    assert (again._q, again._r0, again._r1) == (q, r0, r1)
+    assert (again._q, again._n0, again._n1) == (q, n0, n1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -407,6 +467,10 @@ def test_integer_maps_match_the_fieldelement_loops(case, data):
         (c * m, [[c * v for v in row] for row in rows]),
         (m * 3, [[v * 3 for v in row] for row in rows]),
     ]
+    # scalar times map on the numerators, entry by entry against c m[r][k]
+    for s in (field.zero(), -field.one(), c, data.draw(scalars(field))):
+        results.append((s * m, [[s * v for v in row] for row in m.rows]))
+        results.append((m * s, [[s * v for v in row] for row in m.rows]))
     for got, want in results:
         assert canonical_rows(got.rows) == canonical_rows(want)
         assert_canonical(got)
@@ -421,13 +485,11 @@ def test_integer_maps_match_the_fieldelement_loops(case, data):
     assert a.identity_map().rows == linalg.identity(a.dim, field.one(), field.zero())
     for d in autos.derivation_space(a)[:3]:
         assert_canonical(d)
-    # d d = 0 on the integers, for a map and for the numerators of m +- m2
+    # d d = 0 on the integers, for a map and for m +- m2
     assert m.squares_to_zero() == ref_is_zero(ref_mat_mul(rows, rows))
-    for sign in (1, -1):
-        q, r0, r1 = m._sum(m2, sign)
+    for got, sign in ((m + m2, 1), (m - m2, -1)):
         want = ref_combine(rows, rows2, sign)
-        assert linalg._squares_to(field, linalg._sparse_lines(r0, r1)) == \
-            ref_is_zero(ref_mat_mul(want, want))
+        assert got.squares_to_zero() == ref_is_zero(ref_mat_mul(want, want))
 
 
 def canonical_rows(m):
@@ -488,7 +550,7 @@ def element_cases(draw):
 def assert_canonical_element(x):
     """x holds the canonical integer form, and x.coords rebuilds an equal
     element with an equal hash and the same integers."""
-    field, q, x0, x1 = x.algebra.field, x._q, x._x0, x._x1
+    field, q, x0, x1 = x.algebra.field, x._q, x._n0, x._n1
     assert q > 0 and (x1 is None) == (field.d is None)
     if field.p is not None:
         assert q == 1 and all(0 <= v < field.p for v in x0)
@@ -496,7 +558,7 @@ def assert_canonical_element(x):
         assert gcd(q, *x0, *(x1 or ())) == 1
     again = Element(x.algebra, x.coords)
     assert again == x and hash(again) == hash(x)
-    assert (again._q, again._x0, again._x1) == (q, x0, x1)
+    assert (again._q, again._n0, again._n1) == (q, x0, x1)
 
 
 @settings(max_examples=150, deadline=None)

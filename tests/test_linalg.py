@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trialkit import autos, linalg
-from trialkit.algebra import LinearMap
+from trialkit.algebra import Algebra, AlgebraError, LinearMap
 from trialkit.constructors import named_algebra
 from trialkit.fields import (FieldDescriptor, FieldElement, PRIME, QUADRATIC,
                              RATIONALS, SqrtUnavailable)
@@ -96,6 +96,16 @@ def key(vectors):
     return [[(x.desc, x._n0, x._n1, x._q) for x in v] for v in vectors]
 
 
+def zero_algebra(field, n):
+    """An n-dimensional algebra with every product zero, to hold maps."""
+    return Algebra(field, [[[field.zero()] * n for _ in range(n)] for _ in range(n)])
+
+
+def apply(a, x):
+    """a x for a FieldElement matrix a, by mat_mul with x as a column."""
+    return [row[0] for row in linalg.mat_mul(a, [[v] for v in x])]
+
+
 def assert_same_as_reference(a, field):
     zero, one = field.zero(), field.one()
     expected = key(reference_nullspace(a, zero, one))
@@ -150,8 +160,8 @@ PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 @st.composite
 def raw_residue_systems(draw):
-    """(p, rows, cols): sparse integer rows {column: (n0, 0)} standing for a
-    random matrix of low rank mod p, each residue shifted by a random
+    """(p, rows, cols): sparse integer rows {column: n0}, the form
+    `_eliminate` takes over F_p, standing for a random matrix of low rank mod p, each residue shifted by a random
     multiple of p, so that entries are negative, >= p, large, or nonzero
     multiples of p; a row whose coefficients are all 0 vanishes mod p."""
     p = draw(st.sampled_from(PRIMES))
@@ -166,34 +176,36 @@ def raw_residue_systems(draw):
         for c in range(cols):
             x = sum(k * g[c] for k, g in zip(coeffs, gens)) % p + p * draw(shifts)
             if x:
-                row[c] = (x, 0)
+                row[c] = x
         out.append(row)
     return p, out, cols
 
 
 @settings(max_examples=300, deadline=None)
 @given(raw_residue_systems())
-def test_int_nullspace_reads_raw_integer_rows_mod_p(system):
-    """Over F_p, int_nullspace reads any integers as their residues: its
-    kernel is that of the reduced FieldElement matrix, and the pivot rows
-    it reads the kernel off hold reduced residues, pivot 1."""
+def test_kernel_reads_raw_integer_rows_mod_p(system):
+    """Over F_p, `_kernel` reads any integers as their residues: its kernel
+    is that of the reduced FieldElement matrix, and the pivot rows of
+    `_eliminate`, which it reads the kernel off, hold reduced residues,
+    pivot 1."""
     p, rows, cols = system
     field = FieldDescriptor(PRIME, p=p)
     zero, one = field.zero(), field.one()
-    a = [[field.from_int(row.get(c, (0, 0))[0]) for c in range(cols)] for row in rows]
+    a = [[field.from_int(row.get(c, 0)) for c in range(cols)] for row in rows]
     want = key(reference_nullspace(a, zero, one))
-    assert key(linalg.int_nullspace([dict(r) for r in rows], cols, zero, one)) == want
-    pivots = linalg._rref([dict(r) for r in rows], cols, field)
+    got = linalg._kernel([dict(r) for r in rows], cols, field)
+    assert key([linalg._wrap_vector(field, *v) for v in got]) == want
+    pivots = linalg._eliminate([dict(r) for r in rows], cols, field)
     assert len(pivots) == cols - len(want)
     for pc, row in pivots.items():
-        assert row[pc] == (1, 0)
-        assert all(0 < x0 < p and x1 == 0 for x0, x1 in row.values())
+        assert row[pc] == 1
+        assert all(0 < x < p for x in row.values())
 
 
 @st.composite
-def square_matrices(draw):
+def square_matrices(draw, top=6):
     field = draw(st.sampled_from(FIELDS))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, top))
     shape = draw(st.sampled_from(("random", "singular", "big")))
 
     def matrix(r, c):
@@ -202,7 +214,7 @@ def square_matrices(draw):
     if shape == "singular":
         inner = draw(st.integers(0, n - 1))
         if inner == 0:
-            return field, linalg.zeros(n, n, field.zero())
+            return field, [[field.zero()] * n for _ in range(n)]
         return field, linalg.mat_mul(matrix(n, inner), matrix(inner, n))
     return field, matrix(n, n)
 
@@ -219,7 +231,7 @@ def square_test_matrices(draw):
     if shape == "random":
         return field, [[draw(scalars(field)) for _ in range(n)] for _ in range(n)]
     if shape == "zero":
-        m = linalg.zeros(n, n, zero)
+        m = [[zero] * n for _ in range(n)]
     elif shape == "square-zero":
         # entries only in rows < h <= columns, so m m = 0
         h = draw(st.integers(0, n))
@@ -239,20 +251,30 @@ def square_test_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(square_test_matrices(), st.data())
 def test_sparse_square_test_matches_the_dense_product(case, data):
-    """squares_to(m, c) reads m m = c Id off the nonzero entries of m; the
-    dense mat_mul decides it too, for c = 0, 1 and a random scalar."""
+    """The square-zero test (m m = 0) and the involution check (m m = Id,
+    as a map and at Algebra construction) read m m off the nonzero entries
+    of m; the dense mat_mul decides both, and m m = c Id for a random scalar
+    c, compared as maps."""
     field, m = case
     n = len(m)
     zero, one = field.zero(), field.one()
-    square = linalg.mat_mul(m, m)
-    for c in (zero, one, data.draw(scalars(field))):
-        want = linalg.mat_eq(square, linalg.mat_scale(c, linalg.identity(n, one, zero)))
-        assert linalg.squares_to(m, c, zero) == want
+    a = zero_algebra(field, n)
+    square, mm = linalg.mat_mul(m, m), LinearMap(a, m)
+    assert mm.squares_to_zero() == (square == linalg.identity(n, zero, zero))
+    want = square == linalg.identity(n, one, zero)
+    assert mm.squares_to_identity() == want
+    try:
+        Algebra(field, a.structure, involution=m)
+        assert want
+    except AlgebraError as exc:
+        assert not want and str(exc) == "involution matrix must square to the identity"
+    c = data.draw(scalars(field))
+    assert (mm @ mm == c * a.identity_map()) == (square == linalg.identity(n, c, zero))
 
 
 def require_invertible_outcome(a, field):
     try:
-        linalg.require_invertible(a, field.zero(), field.one())
+        LinearMap(zero_algebra(field, len(a)), a).require_invertible()
     except linalg.NotInvertible as exc:
         return str(exc)
     return None
@@ -306,6 +328,18 @@ def test_mat_inv_matches_exact_rref(system):
     assert inverse_outcome(linalg.mat_inv, a, field) == inverse_outcome(reference_mat_inv, a, field)
 
 
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(square_matrices(top=4))
+def test_map_inverse_matches_exact_rref(system):
+    """LinearMap.inverse, read off the integer kernel of the map's own
+    numerators, on maps of dimension 1 to 4 over Q, Q(sqrt d) and F_p,
+    singular ones included."""
+    field, a = system
+    m = LinearMap(zero_algebra(field, len(a)), a)
+    got = inverse_outcome(lambda *_: m.inverse().rows, a, field)
+    assert got == inverse_outcome(reference_mat_inv, a, field)
+
+
 @st.composite
 def linear_systems(draw):
     """(field, a, b): b drawn freely (often inconsistent when a has low rank)
@@ -314,7 +348,7 @@ def linear_systems(draw):
     cols = len(a[0])
     if draw(st.booleans()):
         x = [draw(scalars(field)) for _ in range(cols)]
-        b = linalg.mat_vec(a, x)
+        b = apply(a, x)
     else:
         b = [draw(scalars(field)) for _ in a]
     return field, a, b
@@ -330,7 +364,7 @@ def test_solve_matches_exact_rref(system):
     assert (got is None) == (want is None)
     if want is not None:
         assert key([got]) == key([want])
-        assert linalg.mat_vec(a, got) == b
+        assert apply(a, got) == b
 
 
 def test_mat_inv_and_solve_on_fixed_cases():
@@ -405,7 +439,7 @@ def test_derivation_space_matches_exact_reference(field):
 
 
 # ---------------------------------------------------------------------------
-# mat_mul and mat_vec on the integer kernel against the ring loops
+# mat_mul and m(x) on the integer kernel against the ring loops
 # ---------------------------------------------------------------------------
 
 def ref_mat_mul(a, b):
@@ -470,4 +504,7 @@ def test_integer_products_match_the_ring_loop(case):
     field, a, b = case
     assert key(linalg.mat_mul(a, b)) == key(ref_mat_mul(a, b))
     v = [row[0] for row in b]
-    assert key([linalg.mat_vec(a, v)]) == key([ref_mat_vec(a, v)])
+    assert key([apply(a, v)]) == key([ref_mat_vec(a, v)])
+    if len(a) == len(v):
+        alg = zero_algebra(field, len(a))
+        assert key([LinearMap(alg, a)(alg.element(v)).coords]) == key([ref_mat_vec(a, v)])

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 66 mutants takes about thirteen minutes on two cores, most of
+a full run of the 70 mutants takes about eighteen minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -38,10 +38,13 @@ KERNEL_LAWS = LAWS + "test_law_kernels_match_the_fieldelement_checkers"
 KERNEL_PRODUCTS = "tests/test_linalg.py::test_integer_products_match_the_ring_loop"
 PRODUCT_LOOP = "tests/test_algebra.py::test_product_loop_matches_the_fieldelement_and_residue_loops"
 NULLSPACE = "tests/test_linalg.py::test_nullspace_matches_exact_rref"
-RAW_ROWS = "tests/test_linalg.py::test_int_nullspace_reads_raw_integer_rows_mod_p"
+RAW_ROWS = "tests/test_linalg.py::test_kernel_reads_raw_integer_rows_mod_p"
 HURWITZ_SIGMA = LAWS + "test_hurwitz_sigma_matches_reference"
 INT_MAPS = "tests/test_algebra.py::test_integer_maps_match_the_fieldelement_loops"
 INT_ELEMENTS = "tests/test_algebra.py::test_integer_elements_match_the_fieldelement_loops"
+SQUARE_TEST = "tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product"
+INVERSES = ("tests/test_linalg.py::test_map_inverse_matches_exact_rref",
+            "tests/test_linalg.py::test_mat_inv_matches_exact_rref")
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -153,19 +156,22 @@ MUTANTS = (
            ("tests/test_enumerate.py::test_dim2_members_match_reference",)),
     # -- one sparse square test, on the integers ---------------------------
     Mutant("square test ignores its target", "linalg.py",
-           "        acc0[i] -= t0\n        acc1[i] -= t1\n", "",
-           ("tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product",
-            "tests/test_algebra.py")),
+           "        acc0[i] -= t\n", "",
+           (SQUARE_TEST, "tests/test_algebra.py")),
     Mutant("square test reads the first row only", "linalg.py",
            "for i, row in enumerate(rows):\n        acc0, acc1 = [0] * len(rows)",
            "for i, row in enumerate(rows[:1]):\n        acc0, acc1 = [0] * len(rows)",
-           ("tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product",)),
+           (SQUARE_TEST,)),
+    Mutant("involution test against q Id in place of q^2 Id", "algebra.py",
+           "self._lines(False), self._q * self._q)", "self._lines(False), self._q)",
+           (SQUARE_TEST, "tests/test_algebra.py")),
     # -- the integer kernel -------------------------------------------------
     Mutant("pair product drops the d u1 v1 term", "linalg.py",
            "acc0[r] += y0 * v0 + dy1 * v1", "acc0[r] += y0 * v0",
            (KERNEL_LAWS,)),
-    Mutant("dot product drops the d u1 v1 term", "linalg.py",
-           "return (s0 + d * sum(map(mul, u1, v1)),", "return (s0,",
+    Mutant("mat_mul over the denominator of a alone", "linalg.py",
+           "flat = _wrap_vector(desc, qa * qb, *_int_matmul(",
+           "flat = _wrap_vector(desc, qa, *_int_matmul(",
            (KERNEL_PRODUCTS,)),
     Mutant("product law compared without cross-multiplying", "triality.py",
            "ocols, lcols = _scaled(ql * qr, ocols), _scaled(qo, lcols)",
@@ -177,9 +183,10 @@ MUTANTS = (
     Mutant("comparison skips the mod-p reduction", "linalg.py",
            "return not any(map(p.__rmod__, map(sub, u0, v0)))", "return u0 == v0",
            (KERNEL_LAWS,)),
-    Mutant("lift with max in place of lcm", "linalg.py",
-           "q = lcm(*[x._q for x in xs])", "q = max([x._q for x in xs], default=1)",
-           (KERNEL_PRODUCTS,)),
+    Mutant("lift with max in place of lcm", "algebra.py",
+           "q = 1 if field.p is not None else lcm(*[x._q for x in xs])",
+           "q = 1 if field.p is not None else max([x._q for x in xs], default=1)",
+           (INT_MAPS, INT_ELEMENTS)),
     Mutant("product law scans (k, i) in place of (i, k)", "triality.py",
            "    for i in range(n):\n        for k in range(n):\n            # outer(e_i e_k)",
            "    for k in range(n):\n        for i in range(n):\n            # outer(e_i e_k)",
@@ -201,7 +208,7 @@ MUTANTS = (
     Mutant("one sign flipped in the derivation rows", "autos.py",
            "(m, l * n + i, -c0, -c1)", "(m, l * n + i, c0, -c1)",
            ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
-    # -- one elimination for Q, Q(sqrt d) and F_p: _rref ---------------------
+    # -- one elimination for Q, Q(sqrt d) and F_p: _eliminate ----------------
     Mutant("pivot row not multiplied by the pivot's conjugate", "linalg.py",
            "            if p1:\n                dp1 = d * p1", "            if False:\n                dp1 = d * p1",
            (NULLSPACE,)),
@@ -233,26 +240,37 @@ MUTANTS = (
     Mutant("F_p pivot not tested mod p", "linalg.py",
            "if c in r and r[c] % p]", "if c in r]",
            (RAW_ROWS,)),
-    # -- integer-native maps: LinearMap's canonical (q, R0, R1) -------------
-    Mutant("map canonical form skips the gcd", "algebra.py",
-           "        if g != 1:\n            q, r0 = q // g", "        if False:\n            q, r0 = q // g",
-           (INT_MAPS,)),
+    # -- one integer block under Element and LinearMap ----------------------
+    Mutant("canonical form skips the gcd", "algebra.py",
+           "            if g != 1:\n                q, n0 = q // g",
+           "            if False:\n                q, n0 = q // g",
+           (INT_MAPS, INT_ELEMENTS)),
+    Mutant("canonical form skips the mod-p reduction", "algebra.py",
+           "n0 = [u % field.p for u in n0]", "n0 = list(n0)",
+           (INT_MAPS, INT_ELEMENTS)),
+    Mutant("scalar scaling drops d c1 n1", "algebra.py",
+           "[c0 * u + dc1 * v for u, v in pairs]", "[c0 * u for u, v in pairs]",
+           (INT_MAPS, INT_ELEMENTS)),
+    Mutant("operand check removed", "algebra.py",
+           "        if other.algebra is not self.algebra:\n            raise AlgebraError(",
+           "        if False:\n            raise AlgebraError(",
+           ("tests/test_algebra.py::test_operands_must_share_an_algebra",)),
+    Mutant("scalar coercion accepts a float", "algebra.py",
+           "if isinstance(c, (int, Fraction)):", "if isinstance(c, (int, Fraction, float)):",
+           ("tests/test_algebra.py::test_scalars_coerce_exactly_or_raise",)),
+    Mutant("inverse read off without the map's denominator", "linalg.py",
+           "scaled = [(q * (s // t), v0, v1)", "scaled = [(s // t, v0, v1)",
+           INVERSES),
     Mutant("square-zero test without the mod-p reduction", "linalg.py",
            "acc0 = [x % p for x in acc0]", "acc0 = acc0",
            (INT_MAPS, *PAIR_SEARCH)),
     Mutant("pair search with the difference flipped", "autos.py",
-           "q, r0, r1 = bi._sum(bj, sign)", "q, r0, r1 = bj._sum(bi, sign)",
+           "for d in (bi + bj, bi - bj):", "for d in (bi + bj, bj - bi):",
            PAIR_SEARCH),
     Mutant("map product drops d x1 y1", "linalg.py",
            "dy1 = d * y1", "dy1 = 0 * y1",
            (INT_MAPS,)),
-    # -- integer-native elements: Element's canonical (q, x0, x1) -----------
-    Mutant("element canonical form skips the gcd", "algebra.py",
-           "        if g != 1:\n            q, x0 = q // g", "        if False:\n            q, x0 = q // g",
-           (INT_ELEMENTS,)),
-    Mutant("element canonical form skips the mod-p reduction", "algebra.py",
-           "x0 = [u % field.p for u in x0]", "x0 = list(x0)",
-           (INT_ELEMENTS,)),
+    # -- integer-native elements ---------------------------------------------
     Mutant("form_eval with the d a1 g1 term negated", "algebra.py",
            "c0, c1 = a0 * g0 + d * a1 * g1, a0 * g1 + a1 * g0",
            "c0, c1 = a0 * g0 - d * a1 * g1, a0 * g1 + a1 * g0",
@@ -261,9 +279,9 @@ MUTANTS = (
            "if re != ident or ep != ds[j - 1]:", "if re != ident:",
            (LAWS + "test_first_order_factorization_matches_reference",)),
     # -- earlier cuts: certify each identity once ---------------------------
-    Mutant("mat_inv accepts when the y blocks only have a unit diagonal", "linalg.py",
-           "if [v[n:] for v in basis] != identity(n, one, zero):",
-           "if len(basis) != n or any(v[n + i] != one for i, v in enumerate(basis)):",
+    Mutant("inverse accepts when the y blocks only have a unit diagonal", "linalg.py",
+           "if any(v0[n:] != [t * (k == j) for k in range(n)] or (v1 and any(v1[n:]))",
+           "if any(v0[n + j] != t",
            ("tests/test_linalg.py",),
            equivalent="an RREF kernel vector is zero past its free column, so a "
                       "singular matrix always leaves a 0 on that diagonal"),
