@@ -3,36 +3,46 @@
 An :class:`Algebra` bundles a field, a structure tensor c[i][j][k] with
 e_i e_j = sum_k c[i][j][k] e_k, a symmetric bilinear form, an optional
 involution matrix, and an optional unit element.  Instances are treated as
-immutable.  The nonzero structure constants are lifted once, at construction,
-to integers over one denominator (`Algebra.int_terms` over `int_den`), as are
-the form (`int_form`) and the involution (a map), and every product of
-elements runs one integer loop on them (`Algebra.int_product`): `multiply`
-keeps its numerators as an element, `left_op` and `right_op` as the columns
-of a map, and the F_p enumerations reduce them mod p.
+immutable.
+
+Every value enters by one rule and one lift.  A scalar, whether it is a
+coordinate, a matrix entry, a structure constant or a factor of `*` and
+`/`, is read by `FieldDescriptor.coerce`: a FieldElement of the algebra's
+field as it is, an int or a Fraction exactly, and a FieldElement of another
+field (DescriptorMismatch) or any other type (TypeError) not at all.
+`linalg._lift` applies that rule to a list of scalars and puts them over one
+denominator; `Element`, `LinearMap` and `Algebra` build through it, and
+their FieldElement views (`coords`, `rows`, `structure`, `form`,
+`involution`, `unit`, `para_unit`) hold the values it read.
+
+The nonzero structure constants are lifted once, at construction, to
+integers over one denominator (`Algebra.int_terms` over `int_den`), and
+the form and the involution to maps (`form_map`, `involution_map`), whose
+blocks and sparse rows are the form and the involution on integers.  Every
+product of elements runs one integer loop on them (`Algebra.int_product`):
+`multiply` keeps its numerators as an element, `left_op` and `right_op` as
+the columns of a map, and the F_p enumerations reduce them mod p.
 
 An :class:`Element` and a :class:`LinearMap` keep one integer block (see
 `_Block`): (q, n0, n1), the entries (n0 + n1 sqrt d)/q in canonical form,
 the n coordinates of an element or the n^2 entries of a map row by row.
-One lift from FieldElements (`_lift`), one canonical form (`_Block._of`),
-one lcm sum, one scalar scaling and one operand check serve both, and a
-scalar is an int, a Fraction or a FieldElement of the field (`_coerce`).
-The algebra product, the form, the involution, map products, m(x), the
-inverse, the tests for invertibility, m m = Id and d d = 0 and the law
-checks of `triality` read these integers (see `linalg`); an element's
-FieldElement `coords` and a map's FieldElement `rows` are built only when
-read, and are read-only.
+One canonical form (`_Block._of`), one lcm sum, one scalar scaling and one
+operand check serve both.  The algebra product, the form, the involution,
+map products, m(x), the inverse, the tests for invertibility, m m = Id and
+d d = 0 and the law checks of `triality` read these integers (see
+`linalg`); an element's FieldElement `coords` and a map's FieldElement
+`rows` are built only when read, and are read-only.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
 from . import linalg
-from .fields import DescriptorMismatch, FieldDescriptor, FieldElement
-from .linalg import _add_multiple, _wrap, _wrap_vector
+from .fields import FieldDescriptor, FieldElement
+from .linalg import _add_multiple, _lift, _split, _wrap, _wrap_vector
 
 Matrix = List[list]
 
@@ -40,36 +50,6 @@ Matrix = List[list]
 class AlgebraError(Exception):
     """The input lies outside a construction's domain: mismatched shapes, a
     missing form, involution or unit, or a failed precondition."""
-
-
-def _coerce(field: FieldDescriptor, c) -> FieldElement:
-    """c as a FieldElement of `field`: an int or a Fraction exactly (over F_p
-    a denominator divisible by p raises DivisionByZero), a FieldElement of
-    `field` as it is.  A FieldElement of another field raises
-    DescriptorMismatch, and any other type, a float included, TypeError."""
-    if isinstance(c, FieldElement):
-        if c.desc is not field and c.desc != field:
-            raise DescriptorMismatch(f"{c.desc} vs {field}")
-        return c
-    if isinstance(c, (int, Fraction)):
-        return field.from_int(c)
-    raise TypeError(f"not a scalar of {field}: {c!r}")
-
-
-def _lift(field: FieldDescriptor, xs: Sequence[FieldElement]) -> tuple:
-    """The block (q, n0, n1) of the FieldElements xs: xs[t] = (n0[t] + n1[t]
-    sqrt d)/q over the lcm q of their denominators.  It is canonical (see
-    `_Block`) for canonical FieldElements: a prime dividing q divides some
-    entry's denominator to the full power, and that entry's numerators are
-    prime to it.  Over F_p, q = 1 and n0 holds the residues."""
-    q = 1 if field.p is not None else lcm(*[x._q for x in xs])
-    n1 = None if field.d is None else [x._n1 * (q // x._q) for x in xs]
-    return q, [x._n0 * (q // x._q) for x in xs], n1
-
-
-def _split(v: Optional[list], n: int) -> Optional[list]:
-    """The n^2 entries of a row-major block list as n rows (None stays None)."""
-    return v and [v[i * n:(i + 1) * n] for i in range(n)]
 
 
 class _Block:
@@ -150,10 +130,10 @@ class _Block:
 
     def __mul__(self, other):
         """The product with a block of the same kind (`_product`), else the
-        multiple by a scalar (`_coerce`)."""
+        multiple by a scalar (`FieldDescriptor.coerce`)."""
         if type(other) is type(self):
             return self._product(other)
-        return self._times(_coerce(self.algebra.field, other))
+        return self._times(self.algebra.field.coerce(other))
 
     __rmul__ = __mul__
 
@@ -174,8 +154,7 @@ class Element(_Block):
         if len(coords) != algebra.dim:
             raise AlgebraError(f"expected {algebra.dim} coords, got {len(coords)}")
         self.algebra = algebra
-        self._coords = list(coords)
-        self._q, self._n0, self._n1 = _lift(algebra.field, self._coords)
+        self._coords, self._q, self._n0, self._n1 = _lift(algebra.field, coords)
 
     def _forget(self) -> None:
         self._coords = None
@@ -197,7 +176,7 @@ class Element(_Block):
         return self.algebra.multiply(self, other)
 
     def __truediv__(self, other):
-        return self._times(_coerce(self.algebra.field, other).inverse())
+        return self._times(self.algebra.field.coerce(other).inverse())
 
     def __repr__(self) -> str:
         return f"Element({[str(c) for c in self.coords]})"
@@ -221,8 +200,8 @@ class LinearMap(_Block):
         if len(rows) != n or any(len(r) != n for r in rows):
             raise AlgebraError("operator shape does not match the algebra")
         self.algebra = algebra
-        self._rows = [list(r) for r in rows]
-        self._q, self._n0, self._n1 = _lift(algebra.field, [x for r in self._rows for x in r])
+        xs, self._q, self._n0, self._n1 = _lift(algebra.field, [x for r in rows for x in r])
+        self._rows = _split(xs, n)
         self._row_lines = self._col_lines = None
 
     def _forget(self) -> None:
@@ -326,8 +305,15 @@ class Algebra:
         n = self.dim
         if any(len(plane) != n or any(len(row) != n for row in plane) for plane in structure):
             raise AlgebraError("structure tensor must be dim^3")
-        self.structure = [[[structure[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
-        self.form = [list(r) for r in form] if form is not None else None
+        # The structure constants read by field.coerce and lifted once
+        # (linalg._lift): int_terms[i][j] lists the nonzero (k, c0, c1),
+        # c[i][j][k] = (c0 + c1 sqrt d)/int_den.
+        flat, self.int_den, c0, c1 = _lift(field, [c for plane in structure for row in plane
+                                                   for c in row])
+        self.structure = _split(_split(flat, n), n)
+        self.int_terms = _split(linalg._sparse_lines(_split(c0, n), _split(c1, n)), n)
+        coerce = field.coerce
+        self.form = None if form is None else [[coerce(c) for c in r] for r in form]
         if self.form is not None:
             if len(self.form) != n or any(len(r) != n for r in self.form):
                 raise AlgebraError("form must be dim x dim")
@@ -335,31 +321,26 @@ class Algebra:
                 for j in range(i):
                     if self.form[i][j] != self.form[j][i]:
                         raise AlgebraError("form is not symmetric")
-        self.involution = [list(r) for r in involution] if involution is not None else None
+        self.involution = (None if involution is None
+                           else [[coerce(c) for c in r] for r in involution])
         # the involution lifted once, as a map
         self._involution = None if involution is None else LinearMap(self, self.involution)
         if self._involution is not None and not self._involution.squares_to_identity():
             raise AlgebraError("involution matrix must square to the identity")
-        self.unit = list(unit) if unit is not None else None
+        self.unit = None if unit is None else [coerce(c) for c in unit]
         self.name = name
         # the coordinates of a para-unit e (e x = x e = conj x; see
         # constructors.make_para) or None
-        self.para_unit = list(para_unit) if para_unit is not None else None
+        self.para_unit = None if para_unit is None else [coerce(c) for c in para_unit]
         # the family a constructor declares (constructors.PARA_ZORN) or None;
         # the CLI picks its suites by it, never by the name
         self.kind = kind
-        # The structure constants and the form on integers (linalg._lift_rows):
-        # int_terms[i][j] lists the nonzero (k, c0, c1), c[i][j][k] = (c0 + c1
-        # sqrt d)/int_den, and int_form is (q, rows), the form over q.
-        self.int_den, flat = linalg._lift_rows([row for plane in self.structure for row in plane],
-                                               field)
-        self.int_terms = [flat[i * n:(i + 1) * n] for i in range(n)]
-        self.int_form = None if self.form is None else linalg._lift_rows(self.form, field)
         # each basis vector e_i as ints, with the zero sqrt d part
         self._units = [([int(i == j) for j in range(n)], [0] * n) for i in range(n)]
-        # the form lifted once, as a map
+        # the form lifted once, as a map; its block and its sparse rows
+        # (LinearMap._lines) are the form on integers
         self._form = None if self.form is None else LinearMap(self, self.form)
-        # (witness,) of symcomp.linearized_failure and the Certificate of
+        # (witness,) of triality.linearized_failure and the Certificate of
         # symcomp.is_symmetric_composition, once computed
         self._linearized_cache = None
         self._symcomp_cache = None
@@ -367,8 +348,8 @@ class Algebra:
     # -- element builders ---------------------------------------------------
     def element(self, coords) -> Element:
         """The element with these coordinates: FieldElements of the field,
-        ints or Fractions (see `_coerce`)."""
-        return Element(self, [_coerce(self.field, c) for c in coords])
+        ints or Fractions (see `FieldDescriptor.coerce`)."""
+        return Element(self, coords)
 
     def basis(self, i: int) -> Element:
         return _int_element(self, 1, *self._units[i])
@@ -427,11 +408,10 @@ class Algebra:
                         [x for r in zip(*[s0 for s0, _ in columns]) for x in r], r1)
 
     def form_eval(self, x: Element, y: Element) -> FieldElement:
-        """<x|y> = sum x_i g_ik y_k over the nonzero g_ik of `int_form`, on
-        numerators over qx qg qy."""
-        if self.form is None:
-            raise AlgebraError("algebra has no bilinear form")
-        qg, gram = self.int_form
+        """<x|y> = sum x_i g_ik y_k over the nonzero g_ik of the form's map
+        (its sparse rows, `LinearMap._lines`), on numerators over qx qg qy."""
+        g = self.form_map()
+        qg, gram = g._q, g._lines(False)
         d, y0, y1 = self.field.d, y._n0, y._n1
         s0 = s1 = 0
         if d is None:

@@ -297,6 +297,8 @@ def _parse_triple_spec(a: Algebra, spec: str):
         head, rest = spec.split(":", 1)
         j = int(head[1:])
         i, k = (int(s) for s in rest.split(","))
+        if not (0 <= i < a.dim and 0 <= k < a.dim):
+            raise ValueError(f"basis index out of range 0..{a.dim - 1}: {rest}")
         basis = a.basis_elements()
         pair = triality.derivation_pair(a, basis[i], basis[k])
         return pair, j

@@ -70,7 +70,7 @@ def make_hurwitz(field: FieldDescriptor, gammas: Sequence) -> Algebra:
     """Unital composition algebra of dimension 2^len(gammas) by doubling."""
     if len(gammas) > 3:
         raise AlgebraError("doubling past dimension 8 loses the composition law")
-    gs = [g if isinstance(g, FieldElement) else field.from_int(int(g)) for g in gammas]
+    gs = [field.coerce(g) for g in gammas]
     level = len(gs)
     n = 2 ** level
     zero, one = field.zero(), field.one()
@@ -350,8 +350,7 @@ def make_para_zorn(b: Algebra, k=1) -> Algebra:
     field = b.field
     if b.form is None:
         raise AlgebraError("para-Zorn needs a bilinear form on B")
-    if not isinstance(k, FieldElement):
-        k = field.from_int(int(k))
+    k = field.coerce(k)
     m = b.dim
     dim = 2 * m + 2
     zero, one = field.zero(), field.one()

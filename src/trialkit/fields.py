@@ -3,6 +3,14 @@
 Every coefficient in the library flows through :class:`FieldElement`.  Elements
 are immutable and hashable, so they can be shared freely between threads.
 
+A value enters a field by one rule, :meth:`FieldDescriptor.coerce`: a
+FieldElement of the field is kept as it is, an int or a Fraction converts
+exactly (over F_p a denominator divisible by p raises DivisionByZero), a
+FieldElement of another field raises DescriptorMismatch, and anything else,
+a float, a str or a Decimal, raises TypeError.  `FieldElement(desc, a, b)`,
+`element`, `from_int`, the operators of FieldElement and, through them, every
+`algebra` entry point read their scalars by this rule.
+
 An element stores three plain Python integers ``(n0, n1, q)`` and stands for
 ``(n0 + n1*sqrt(d)) / q``:
 
@@ -107,7 +115,7 @@ class FieldDescriptor:
 
     def from_int(self, n: int) -> "FieldElement":
         if n.__class__ is not int:
-            return self.from_fraction(Fraction(n))
+            return self.coerce(n)
         if self.p is not None:
             n %= self.p
         return _make(self, n, 0, 1)
@@ -121,18 +129,35 @@ class FieldDescriptor:
             raise DivisionByZero(f"denominator divisible by p={p}")
         return _make(self, num * pow(den, p - 2, p) % p, 0, 1)
 
-    def element(self, a, b=None) -> "FieldElement":
-        """Build an element from raw coordinates.
+    def coerce(self, x) -> "FieldElement":
+        """x as an element of this field, the one rule for every value that
+        enters it: a FieldElement of this field as it is, an int or a
+        Fraction exactly (over F_p a denominator divisible by p raises
+        DivisionByZero).  A FieldElement of another field raises
+        DescriptorMismatch, and any other type, a float, a str or a Decimal
+        included, TypeError."""
+        if isinstance(x, FieldElement):
+            if x.desc is not self and x.desc != self:
+                raise DescriptorMismatch(f"{x.desc} vs {self}")
+            return x
+        if isinstance(x, int):
+            return self.from_int(int(x))
+        if isinstance(x, Fraction):
+            return self.from_fraction(x)
+        raise TypeError(f"not a scalar of {self}: {x!r}")
 
-        Q: a rational; Q(sqrt d): a + b*sqrt(d); F_p: an integer residue.
-        """
-        if self.kind == QUADRATIC:
-            return FieldElement(self, a, 0 if b is None else b)
-        if b is not None:
+    def element(self, a, b=None) -> "FieldElement":
+        """a, or a + b*sqrt(d) over Q(sqrt d), each read by `coerce`; a second
+        coordinate over Q or F_p is a ValueError."""
+        x = self.coerce(a)
+        if b is None:
+            return x
+        if self.d is None:
             raise ValueError("second coordinate only valid for quadratic fields")
-        if self.kind == PRIME:
-            return _make(self, int(a) % self.p, 0, 1)
-        return FieldElement(self, a)
+        y = self.coerce(b)
+        # y sqrt d = (d y1 + y0 sqrt d)/qy
+        qx, qy = x._q, y._q
+        return _reduced(self, x._n0 * qy + self.d * y._n1 * qx, x._n1 * qy + y._n0 * qx, qx * qy)
 
     def to_json(self) -> dict:
         if self.kind == RATIONALS:
@@ -160,21 +185,13 @@ class FieldElement:
     """Immutable exact scalar in one of the three supported field families.
 
     ``FieldElement(desc, a, b=None)`` builds ``a`` (Q, F_p) or
-    ``a + b*sqrt(d)`` (Q(sqrt d)) from rational coordinates.
+    ``a + b*sqrt(d)`` (Q(sqrt d)), as `FieldDescriptor.element` does.
     """
 
     __slots__ = ("desc", "_n0", "_n1", "_q")
 
     def __init__(self, desc: FieldDescriptor, a, b=None):
-        a = Fraction(a)
-        if desc.kind == QUADRATIC:
-            b = Fraction(0 if b is None else b)
-            x = _reduced(desc, a.numerator * b.denominator, b.numerator * a.denominator,
-                         a.denominator * b.denominator)
-        elif b is not None and b != 0:
-            raise ValueError("second coordinate only valid for quadratic fields")
-        else:
-            x = desc.from_fraction(a)
+        x = desc.element(a, b)
         _set_desc(self, desc)
         _set_n0(self, x._n0)
         _set_n1(self, x._n1)
@@ -201,14 +218,11 @@ class FieldElement:
         return Fraction(self._n1, self._q)
 
     def _coerce(self, other: Scalar) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.desc is not self.desc and other.desc != self.desc:
-                raise DescriptorMismatch(f"{self.desc} vs {other.desc}")
-            return other
-        if isinstance(other, int):
-            return self.desc.from_int(other)
-        if isinstance(other, Fraction):
-            return self.desc.from_fraction(other)
+        """`coerce` for a FieldElement, an int or a Fraction; NotImplemented
+        for anything else, so that c * x with an `algebra.Element` x reaches
+        the element's own operator."""
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self.desc.coerce(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __eq__(self, other) -> bool:

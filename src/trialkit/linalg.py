@@ -3,8 +3,9 @@ and `algebra.LinearMap`, and the FieldElement matrix front-ends `mat_mul`,
 `nullspace`, `solve`, `mat_inv` and `identity`.
 
 Everything runs on the integers that a FieldElement already stores,
-(n0 + n1 sqrt d)/q (see `fields`).  `_lift_matrix` puts a FieldElement
-matrix over one common denominator, the lcm of its entries' q: (q, R0, R1).
+(n0 + n1 sqrt d)/q (see `fields`).  `_lift`, the one way in, reads a list of
+scalars by `FieldDescriptor.coerce` and puts them over one common
+denominator, the lcm of their q: (q, n0, n1), a matrix row by row.
 Each sum of products is then a sum of integer pair products
 (u0 + u1 sqrt d)(v0 + v1 sqrt d) = (u0 v0 + d u1 v1) + (u0 v1 + u1 v0) sqrt d
 (`_add_multiple` on sparse vectors, `_int_matmul` on integer matrices given
@@ -34,7 +35,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import gcd, lcm
 from operator import sub
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .fields import FieldDescriptor, FieldElement, _make, _reduced
 
@@ -51,37 +52,39 @@ def identity(n: int, one, zero) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b for FieldElement matrices, on their integer forms (`_lift_matrix`,
+    """a b for FieldElement matrices, on their integer forms (`_lift`,
     `_int_matmul`); every zero entry is one shared zero element."""
     if not b or not b[0]:
         return [[] for _ in a]
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("a has a row whose length is not the height of b")
     desc, width = b[0][0].desc, len(b[0])
-    qa, a0, a1 = _lift_matrix(a, desc)
-    qb, b0, b1 = _lift_matrix(b, desc)
-    flat = _wrap_vector(desc, qa * qb, *_int_matmul(
-        desc.d, _sparse_lines(a0, a1), _sparse_lines(b0, b1), width))
-    return [flat[i:i + width] for i in range(0, len(flat), width)]
+    _, qa, a0, a1 = _lift(desc, [x for row in a for x in row])
+    _, qb, b0, b1 = _lift(desc, [x for row in b for x in row])
+    return _split(_wrap_vector(desc, qa * qb, *_int_matmul(
+        desc.d, _sparse_lines(_split(a0, len(b)), _split(a1, len(b))),
+        _sparse_lines(_split(b0, width), _split(b1, width)), width)), width)
 
 
 # -- the integer kernel (see the module docstring) ----------------------------
 
-def _lift_matrix(m: Matrix, desc: FieldDescriptor) -> tuple:
-    """(q, R0, R1) with m[r][c] = (R0[r][c] + R1[r][c] sqrt d)/q over the lcm
-    q of the denominators; R1 is None over Q and F_p, and over F_p q is 1,
-    taken without an lcm, and R0 holds the residues.  For canonical
-    FieldElements this is the canonical form of `algebra.LinearMap`: a prime
-    dividing q divides some entry's denominator to the full power, and that
-    entry's numerators are prime to it."""
-    q = 1 if desc.p is not None else lcm(*[x._q for row in m for x in row])
-    r0 = [[x._n0 * (q // x._q) for x in row] for row in m]
-    return q, r0, None if desc.d is None else [[x._n1 * (q // x._q) for x in row] for row in m]
+def _lift(desc: FieldDescriptor, xs) -> tuple:
+    """(xs, q, n0, n1): the scalars xs read by `desc.coerce`, and their block,
+    xs[t] = (n0[t] + n1[t] sqrt d)/q over the lcm q of their denominators;
+    n1 is None over Q and F_p, and over F_p q is 1, taken without an lcm, and
+    n0 holds the residues.  The one way FieldElements enter the kernel.  For
+    canonical FieldElements the block is canonical (see `algebra._Block`): a
+    prime dividing q divides some entry's denominator to the full power, and
+    that entry's numerators are prime to it."""
+    xs = [x if x.__class__ is FieldElement and x.desc is desc else desc.coerce(x) for x in xs]
+    q = 1 if desc.p is not None else lcm(*[x._q for x in xs])
+    n1 = None if desc.d is None else [x._n1 * (q // x._q) for x in xs]
+    return xs, q, [x._n0 * (q // x._q) for x in xs], n1
 
 
-def _lift_rows(m: Matrix, desc: FieldDescriptor) -> Tuple[int, List[list]]:
-    """A whole matrix over one denominator q: (q, rows), rows[i] the nonzero
-    entries of row i as (column, n0, n1), entry (n0 + n1 sqrt d)/q."""
-    q, r0, r1 = _lift_matrix(m, desc)
-    return q, _sparse_lines(r0, r1)
+def _split(v: Optional[list], width: int) -> Optional[list]:
+    """A row-major list as its rows of `width` entries (None stays None)."""
+    return v and [v[i:i + width] for i in range(0, len(v), width)]
 
 
 def _sparse_lines(r0: list, r1: Optional[list]) -> List[list]:
@@ -173,7 +176,7 @@ def _agree(p: Optional[int], u0: list, u1: list, v0: list, v1: list) -> bool:
 
 
 def _scaled(s: int, vectors: List[list]) -> List[list]:
-    """Sparse vectors (see `_lift_rows`) multiplied by the integer s."""
+    """Sparse vectors (see `_sparse_lines`) multiplied by the integer s."""
     if s == 1:
         return vectors
     return [[(r, s * x0, s * x1) for r, x0, x1 in v] for v in vectors]
@@ -195,9 +198,10 @@ def nullspace(a: Matrix, zero, one) -> List[Vector]:
     """
     if not a:
         return []
-    desc = zero.desc
-    _, r0, r1 = _lift_matrix(a, desc)
-    return [_wrap_vector(desc, *v) for v in _kernel(_dict_rows(r0, r1), len(a[0]), desc)]
+    desc, cols = zero.desc, len(a[0])
+    _, _, r0, r1 = _lift(desc, [x for row in a for x in row])
+    return [_wrap_vector(desc, *v)
+            for v in _kernel(_dict_rows(_split(r0, cols), _split(r1, cols)), cols, desc)]
 
 
 def _dict_rows(r0: list, r1: Optional[list]) -> List[dict]:
@@ -388,9 +392,9 @@ def _inverse(desc: FieldDescriptor, q: int, r0: list, r1: Optional[list]) -> tup
 
 def mat_inv(a: Matrix, zero, one) -> Matrix:
     """Inverse of a square FieldElement matrix (see `_inverse`)."""
-    n = len(a)
-    flat = _wrap_vector(zero.desc, *_inverse(zero.desc, *_lift_matrix(a, zero.desc)))
-    return [flat[i * n:(i + 1) * n] for i in range(n)]
+    desc, n = zero.desc, len(a)
+    _, q, r0, r1 = _lift(desc, [x for row in a for x in row])
+    return _split(_wrap_vector(desc, *_inverse(desc, q, _split(r0, n), _split(r1, n))), n)
 
 
 def solve(a: Matrix, b: Vector, zero, one) -> Optional[Vector]:

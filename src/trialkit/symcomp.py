@@ -22,7 +22,6 @@ from .autos import certify_automorphism
 from .constructors import make_para_dim2
 from .dual import Dual
 from .fields import FieldDescriptor, FieldElement, sqrt_in_field
-from .linalg import _add_multiple, _agree, _scaled
 from .triality import (
     Certificate,
     LocalTriple,
@@ -34,6 +33,7 @@ from .triality import (
     first_failing_tuple,
     form_law_failure,
     klein_triples,
+    linearized_failure,
     verify_local,
     verify_triality,
 )
@@ -42,50 +42,6 @@ from .triality import (
 # ---------------------------------------------------------------------------
 # Defining identities
 # ---------------------------------------------------------------------------
-
-def linearized_failure(a: Algebra) -> Optional[tuple]:
-    """First basis triple (i, j, k), in row-major order, where the linearized
-    law (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx) fails, or None: the verdict
-    of `is_symmetric_composition` without the other clauses' witnesses,
-    scanned once per algebra and kept on it.  On linalg's integer kernel,
-    e_i e_j is terms[i][j] over den and <e_i|e_k> is gram_rows[i] over qg, so
-    with the outer terms times qg, each half of the law and 2<x|z>y
-    (twice_gram) are numerator vectors over den^2 qg, compared exactly."""
-    if a._linearized_cache is not None:
-        return a._linearized_cache[0]
-    if a.form is None:
-        raise AlgebraError("algebra has no bilinear form")
-    n = a.dim
-    d, prime = a.field.d, a.field.p
-    den, terms = a.int_den, a.int_terms
-    qg, gram_rows = a.int_form
-    outer_terms = [_scaled(qg, plane) for plane in terms]
-    twice_gram = [[(0, 0)] * n for _ in range(n)]
-    for i, row in enumerate(gram_rows):
-        for k, g0, g1 in row:
-            twice_gram[i][k] = (2 * den * den * g0, 2 * den * den * g1)
-
-    def linearized(i, j, k):
-        want0, want1 = [0] * n, [0] * n
-        want0[j], want1[j] = twice_gram[i][k]
-        # (xy)z + (zy)x, then x(yz) + z(yx)
-        l0, l1 = [0] * n, [0] * n
-        for m, c0, c1 in outer_terms[i][j]:
-            _add_multiple(d, l0, l1, c0, c1, terms[m][k])
-        for m, c0, c1 in outer_terms[k][j]:
-            _add_multiple(d, l0, l1, c0, c1, terms[m][i])
-        if not _agree(prime, l0, l1, want0, want1):
-            return False
-        r0, r1 = [0] * n, [0] * n
-        for m, c0, c1 in outer_terms[j][k]:
-            _add_multiple(d, r0, r1, c0, c1, terms[i][m])
-        for m, c0, c1 in outer_terms[j][i]:
-            _add_multiple(d, r0, r1, c0, c1, terms[k][m])
-        return _agree(prime, r0, r1, want0, want1)
-
-    a._linearized_cache = (first_failing_tuple(linearized, n, n, n),)
-    return a._linearized_cache[0]
-
 
 def is_symmetric_composition(a: Algebra) -> Certificate:
     """Certify (xy)x = x(yx) = <x|x>y together with its consequences:
@@ -601,11 +557,11 @@ def _table_hash(members: List[tuple], table: List[List[int]]) -> str:
 
 def residue_arithmetic(a: Algebra) -> Tuple[Callable, Callable]:
     """(multiply, form_eval) over F_p on tuples of int residues:
-    `Algebra.int_product` and `Algebra.int_form` reduced mod p, which is
-    exact, as every stored numerator is a residue and ints do not overflow."""
-    if a.form is None:
-        raise AlgebraError("algebra has no bilinear form")
-    p, product, form = a.field.p, a.int_product, a.int_form[1]
+    `Algebra.int_product` and the sparse rows of the form's map
+    (`LinearMap._lines`) reduced mod p, which is exact, as every stored
+    numerator is a residue (over F_p a map's denominator is 1) and ints do
+    not overflow."""
+    p, product, form = a.field.p, a.int_product, a.form_map()._lines(False)
 
     def multiply(x: tuple, y: tuple) -> tuple:
         return tuple(map(p.__rmod__, product(x, y)[0]))
@@ -703,6 +659,8 @@ def dim2_local(a: Algebra, lambdas: Sequence[FieldElement]) -> LocalTriple:
     two-dimensional algebra; valid exactly when the lambdas sum to zero."""
     if a.dim != 2:
         raise ValueError("this shape of local triple needs dimension 2")
+    if len(lambdas) != 3:
+        raise ValueError("three lambdas required")
     mats = [LinearMap(a, [[a.field.zero(), -lam], [lam, a.field.zero()]])
             for lam in lambdas]
     return verify_local(a, *mats)

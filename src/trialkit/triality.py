@@ -148,12 +148,56 @@ def product_law_failure(a: Algebra, outer: LinearMap, left: LinearMap,
     return None
 
 
+def linearized_failure(a: Algebra) -> Optional[tuple]:
+    """First basis triple (i, j, k), in row-major order, where the linearized
+    law (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx) fails, or None: the verdict
+    of `symcomp.is_symmetric_composition` without the other clauses'
+    witnesses, scanned once per algebra and kept on it.  On linalg's integer
+    kernel, e_i e_j is terms[i][j] over den and <e_i|e_k> is gram_rows[i] over
+    qg (the form's map), so with the outer terms times qg, each half of the
+    law and 2<x|z>y (twice_gram) are numerator vectors over den^2 qg,
+    compared exactly."""
+    if a._linearized_cache is not None:
+        return a._linearized_cache[0]
+    g = a.form_map()
+    n = a.dim
+    d, prime = a.field.d, a.field.p
+    den, terms = a.int_den, a.int_terms
+    qg, gram_rows = g._q, g._lines(False)
+    outer_terms = [_scaled(qg, plane) for plane in terms]
+    twice_gram = [[(0, 0)] * n for _ in range(n)]
+    for i, row in enumerate(gram_rows):
+        for k, g0, g1 in row:
+            twice_gram[i][k] = (2 * den * den * g0, 2 * den * den * g1)
+
+    def linearized(i, j, k):
+        want0, want1 = [0] * n, [0] * n
+        want0[j], want1[j] = twice_gram[i][k]
+        # (xy)z + (zy)x, then x(yz) + z(yx)
+        l0, l1 = [0] * n, [0] * n
+        for m, c0, c1 in outer_terms[i][j]:
+            _add_multiple(d, l0, l1, c0, c1, terms[m][k])
+        for m, c0, c1 in outer_terms[k][j]:
+            _add_multiple(d, l0, l1, c0, c1, terms[m][i])
+        if not _agree(prime, l0, l1, want0, want1):
+            return False
+        r0, r1 = [0] * n, [0] * n
+        for m, c0, c1 in outer_terms[j][k]:
+            _add_multiple(d, r0, r1, c0, c1, terms[i][m])
+        for m, c0, c1 in outer_terms[j][i]:
+            _add_multiple(d, r0, r1, c0, c1, terms[k][m])
+        return _agree(prime, r0, r1, want0, want1)
+
+    a._linearized_cache = (first_failing_tuple(linearized, n, n, n),)
+    return a._linearized_cache[0]
+
+
 def _pairings(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> tuple:
     """(q, P0, P1): <f e_i | g e_k> = (P0[i][k] + P1[i][k] sqrt d)/(q h),
-    h the denominator of the lifted form; None is the identity."""
+    h the denominator of the form's map; None is the identity."""
     n, d = a.dim, a.field.d
     unit = [[(i, 1, 0)] for i in range(n)]
-    _, form_rows = a.int_form
+    form_rows = a.form_map()._lines(False)
     qf, fcols = (1, unit) if f is None else (f._q, f._lines(True))
     qg, grows = (1, unit) if g is None else (g._q, g._lines(False))
     p0, p1 = [], []
@@ -288,8 +332,6 @@ def s4_act(word: Sequence[str], g: TrialityTriple) -> TrialityTriple:
 def verify_local(a: Algebra, t1: LinearMap, t2: LinearMap, t3: LinearMap) -> LocalTriple:
     """Certify t_j(xy) = (t_{j+1}x)y + x(t_{j+2}y) on all basis pairs; on a
     symmetric composition algebra each component must also be skew for the form."""
-    from .symcomp import linearized_failure  # symcomp imports this module
-
     maps = (t1, t2, t3)
     for j in range(3):
         w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3], local=True)

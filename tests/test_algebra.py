@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -5,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit import autos, linalg
-from trialkit.algebra import (Algebra, AlgebraError, Element, LinearMap, _int_element, _int_map,
-                              _lift)
-from trialkit.constructors import make_hurwitz, make_para, named_algebra
+from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap, _int_element, _int_map
+from trialkit.constructors import (cross_space, make_hurwitz, make_para, make_para_zorn,
+                                   named_algebra)
 from trialkit.fields import (DescriptorMismatch, DivisionByZero, FieldDescriptor, FieldElement,
                              PRIME, QUADRATIC, RATIONALS)
-from trialkit.linalg import NotInvertible
+from trialkit.linalg import NotInvertible, _lift
 from trialkit.symcomp import is_symmetric_composition, residue_arithmetic
 
 Q = FieldDescriptor(RATIONALS)
@@ -69,8 +70,9 @@ SCALAR_FIELDS = (Q, FieldDescriptor(QUADRATIC, d=3), FieldDescriptor(PRIME, p=7)
 @pytest.mark.parametrize("field", SCALAR_FIELDS, ids=["Q", "Qsqrt3", "F7"])
 def test_scalars_coerce_exactly_or_raise(field):
     """An int or a Fraction scales an element or a map, or becomes a
-    coordinate, exactly as its FieldElement does; a float or any other type
-    raises TypeError, and a FieldElement of another field
+    coordinate, a matrix entry, an argument of Algebra or a constructor's
+    scalar, exactly as its FieldElement does; a float, a str or any other
+    type raises TypeError, and a FieldElement of another field
     DescriptorMismatch.  Over F_7 a denominator divisible by 7 raises
     DivisionByZero."""
     a = named_algebra("para:4", field)
@@ -96,6 +98,74 @@ def test_scalars_coerce_exactly_or_raise(field):
         if field.p is not None:
             with pytest.raises(DivisionByZero):
                 op(Fraction(3, 14))
+    # One table of inputs for every entry point: each reads c as
+    # FieldDescriptor.coerce does, so an int or a Fraction gives what its
+    # FieldElement gives (views and integers alike), and the rest raise.
+    one, zero = field.one(), field.zero()
+
+    def small(**args):
+        """A two-dimensional algebra with one argument replaced."""
+        full = dict(structure=[[[zero, zero], [zero, zero]], [[zero, zero], [zero, zero]]],
+                    form=[[one, zero], [zero, one]], involution=[[one, zero], [zero, -one]],
+                    unit=[one, zero], para_unit=[one, zero])
+        b = Algebra(field, **{**full, **args})
+        e0, e1 = b.basis_elements()
+        return [*(e0 * e0).coords, b.form_eval(e0, e1), *b.involute(e1).coords,
+                *b.unit_element().coords, *[x for p in b.structure for r in p for x in r],
+                *[x for r in b.form + b.involution for x in r], *b.unit, *b.para_unit]
+
+    entry_points = {
+        "FieldElement()": lambda c: [FieldElement(field, c)],
+        "element()": lambda c: [field.element(c)],
+        "from_int()": lambda c: [field.from_int(c)],
+        "Algebra.element": lambda c: a.element([c, 0, 0, 0]).coords,
+        "Element()": lambda c: Element(a, [c, one, zero, one]).coords,
+        "LinearMap()": lambda c: [y for r in LinearMap(a, [[c] * 4] * 4).rows for y in r]
+                                 + LinearMap(a, [[c] * 4] * 4)(x).coords,
+        "Algebra structure": lambda c: small(structure=[[[c, zero], [zero, zero]],
+                                                        [[zero, zero], [zero, zero]]]),
+        "Algebra form": lambda c: small(form=[[one, c], [c, one]]),
+        "Algebra involution": lambda c: small(involution=[[one, c], [zero, -one]]),
+        "Algebra unit": lambda c: small(unit=[c, zero]),
+        "Algebra para_unit": lambda c: small(para_unit=[zero, c]),
+        "make_hurwitz gammas": lambda c: (lambda h: [h.form[i][i] for i in range(4)]
+                                          + (h.basis(1) * h.basis(1)).coords)(
+                                              make_hurwitz(field, (c, -1))),
+        "make_para_zorn k": lambda c: [y for p in make_para_zorn(cross_space(field), c).structure
+                                       for r in p for y in r],
+        "x * c": lambda c: (x * c).coords,
+        "x / c": lambda c: (x / c).coords,
+        "m * c": lambda c: [y for r in (m * c).rows for y in r],
+    }
+    exact = {c: field.from_int(c) if isinstance(c, int) else field.from_fraction(c)
+             for c in (-3, Fraction(-5, 4))}
+    foreign = FieldDescriptor(QUADRATIC, d=2).element(0, 1)
+    raising = [(TypeError, c) for c in (2.5, 0.1, "3", Decimal("0.5"))]
+    raising.append((DescriptorMismatch, foreign))
+    if field.p is not None:
+        raising.append((DivisionByZero, Fraction(3, 14)))
+    for name, entry in entry_points.items():
+        for c, fe in exact.items():
+            got = entry(c)
+            assert all(y.desc == field for y in got), (name, c)
+            assert canonical(got) == canonical(entry(fe)), (name, c)
+        for error, c in raising:
+            with pytest.raises(error):
+                entry(c)
+                pytest.fail(f"{name} accepted {c!r}")
+    # the three faults of the earlier entry points, fixed: a foreign
+    # structure constant made the product zero, a Fraction gamma was
+    # truncated to a degenerate form, and element() truncated over F_p
+    with pytest.raises(DescriptorMismatch):
+        Algebra(Q, [[[foreign]]])
+    with pytest.raises(DescriptorMismatch):
+        Element(named_algebra("para:4"), [foreign] * 4)
+    half = Q.from_fraction(Fraction(-1, 2))
+    assert make_hurwitz(Q, (Fraction(1, 2), -1)).form == [
+        [[Q.one(), half, Q.one(), half][i] if i == j else Q.zero() for j in range(4)]
+        for i in range(4)]
+    f7 = FieldDescriptor(PRIME, p=7)
+    assert f7.element(Fraction(1, 2)) == FieldElement(f7, Fraction(1, 2)) == f7.from_int(4)
 
 
 def test_operands_must_share_an_algebra():
@@ -285,8 +355,8 @@ def test_product_loop_matches_the_fieldelement_and_residue_loops(case):
     field = a.field
     want = ref_multiply(a, x, y)
     # the loop itself: numerators over qx qy int_den, read back independently
-    qx, x0, x1 = _lift(field, x)
-    qy, y0, y1 = _lift(field, y)
+    _, qx, x0, x1 = _lift(field, x)
+    _, qy, y0, y1 = _lift(field, y)
     s0, s1 = a.int_product(x0, y0, x1, y1)
     q = qx * qy * a.int_den
     if field.p is not None:

@@ -303,6 +303,13 @@ def test_expcheck_command(capsys):
     assert rc == 0
     rc, _, err = run(capsys, "expcheck", "para2", "1,1,1")
     assert rc == 2
+    # bad specs are bad input: exit 2 with one error line, never a traceback
+    # (two or four lambdas; a basis index outside 0..dim-1, negative included)
+    for args in (("para2", "1,1"), ("para2", "1,1,1,1"), ("para:4", "d1:0,9"),
+                 ("para:4", "d1:-1,0"), ("para:4", "d1:0,-1"), ("para:4", "d1:4,0")):
+        rc, out, err = run(capsys, "expcheck", *args)
+        assert rc == 2 and out == "" and err.startswith("error: "), args
+        assert err.count("\n") == 1 and "Traceback" not in err, args
 
 
 def test_parse_field():

@@ -688,8 +688,9 @@ def test_cached_symcomp_verdict_matches_a_fresh_one(field):
 
 
 def spy_symcomp_scans(monkeypatch):
-    """Record the sizes of every basis-tuple scan of the linearized law, and
-    every symcomp Certificate built."""
+    """Record the sizes of every basis-tuple scan of the linearized law
+    (triality) and of the other clauses (symcomp), and every symcomp
+    Certificate built."""
     scans, built = [], []
     scan = symcomp.first_failing_tuple
 
@@ -702,6 +703,7 @@ def spy_symcomp_scans(monkeypatch):
             built.append(self)
             super().__init__(*args, **kwargs)
 
+    monkeypatch.setattr(triality, "first_failing_tuple", scan_spy)
     monkeypatch.setattr(symcomp, "first_failing_tuple", scan_spy)
     monkeypatch.setattr(symcomp, "Certificate", Counting)
     return scans, built
@@ -961,6 +963,7 @@ def test_symmetric_composition_scans_only_the_generating_clauses(monkeypatch):
         scanned.append(holds.__name__)
         return scan(holds, *sizes)
 
+    monkeypatch.setattr(triality, "first_failing_tuple", counting)
     monkeypatch.setattr(symcomp, "first_failing_tuple", counting)
     for name in ("okubo", "para:8"):
         scanned.clear()

@@ -377,6 +377,9 @@ def test_mat_inv_and_solve_on_fixed_cases():
     assert linalg.solve([q(1, 2), q(2, 4)], q(1, 3), Q.zero(), Q.one()) is None
     F7 = FieldDescriptor(PRIME, p=7)
     assert linalg.solve([[F7.from_int(3)]], [F7.one()], F7.zero(), F7.one()) == [F7.from_int(5)]
+    # a 2x3 matrix times a 2x2 one has no product, whatever the flat entries
+    with pytest.raises(ValueError, match="height of b"):
+        linalg.mat_mul([q(1, 2, 3), q(4, 5, 6)], [q(1, 0), q(0, 1)])
 
 
 P = 4611686018427387847  # a prime just below 2**62

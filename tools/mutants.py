@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 70 mutants takes about eighteen minutes on two cores, most of
+a full run of the 76 mutants takes about sixteen minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -45,6 +45,7 @@ INT_ELEMENTS = "tests/test_algebra.py::test_integer_elements_match_the_fieldelem
 SQUARE_TEST = "tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product"
 INVERSES = ("tests/test_linalg.py::test_map_inverse_matches_exact_rref",
             "tests/test_linalg.py::test_mat_inv_matches_exact_rref")
+COERCE = "tests/test_algebra.py::test_scalars_coerce_exactly_or_raise"
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -170,8 +171,8 @@ MUTANTS = (
            "acc0[r] += y0 * v0 + dy1 * v1", "acc0[r] += y0 * v0",
            (KERNEL_LAWS,)),
     Mutant("mat_mul over the denominator of a alone", "linalg.py",
-           "flat = _wrap_vector(desc, qa * qb, *_int_matmul(",
-           "flat = _wrap_vector(desc, qa, *_int_matmul(",
+           "return _split(_wrap_vector(desc, qa * qb, *_int_matmul(",
+           "return _split(_wrap_vector(desc, qa, *_int_matmul(",
            (KERNEL_PRODUCTS,)),
     Mutant("product law compared without cross-multiplying", "triality.py",
            "ocols, lcols = _scaled(ql * qr, ocols), _scaled(qo, lcols)",
@@ -183,9 +184,9 @@ MUTANTS = (
     Mutant("comparison skips the mod-p reduction", "linalg.py",
            "return not any(map(p.__rmod__, map(sub, u0, v0)))", "return u0 == v0",
            (KERNEL_LAWS,)),
-    Mutant("lift with max in place of lcm", "algebra.py",
-           "q = 1 if field.p is not None else lcm(*[x._q for x in xs])",
-           "q = 1 if field.p is not None else max([x._q for x in xs], default=1)",
+    Mutant("lift with max in place of lcm", "linalg.py",
+           "q = 1 if desc.p is not None else lcm(*[x._q for x in xs])",
+           "q = 1 if desc.p is not None else max([x._q for x in xs], default=1)",
            (INT_MAPS, INT_ELEMENTS)),
     Mutant("product law scans (k, i) in place of (i, k)", "triality.py",
            "    for i in range(n):\n        for k in range(n):\n            # outer(e_i e_k)",
@@ -234,7 +235,7 @@ MUTANTS = (
            "if (y := x * inv % p)]", "if (y := x % p)]",
            (NULLSPACE,)),
     Mutant("integer rows without the lcm over Q", "linalg.py",
-           "q = 1 if desc.p is not None else lcm(*[x._q for row in m for x in row])",
+           "q = 1 if desc.p is not None else lcm(*[x._q for x in xs])",
            "q = 1",
            (NULLSPACE,)),
     Mutant("F_p pivot not tested mod p", "linalg.py",
@@ -255,9 +256,24 @@ MUTANTS = (
            "        if other.algebra is not self.algebra:\n            raise AlgebraError(",
            "        if False:\n            raise AlgebraError(",
            ("tests/test_algebra.py::test_operands_must_share_an_algebra",)),
-    Mutant("scalar coercion accepts a float", "algebra.py",
-           "if isinstance(c, (int, Fraction)):", "if isinstance(c, (int, Fraction, float)):",
-           ("tests/test_algebra.py::test_scalars_coerce_exactly_or_raise",)),
+    Mutant("scalar coercion accepts a float", "fields.py",
+           "        if isinstance(x, int):\n            return self.from_int(int(x))",
+           "        if isinstance(x, (int, float)):\n            return self.from_int(int(x))",
+           (COERCE,)),
+    Mutant("coerce reads a str or a float through Fraction()", "fields.py",
+           "        if isinstance(x, Fraction):\n            return self.from_fraction(x)",
+           "        if isinstance(x, (Fraction, float, str)):\n"
+           "            return self.from_fraction(Fraction(x))",
+           (COERCE,)),
+    Mutant("element() truncates over F_p again", "fields.py",
+           "        x = self.coerce(a)\n        if b is None:",
+           "        x = self.coerce(a if self.p is None or isinstance(a, FieldElement) else int(a))\n"
+           "        if b is None:",
+           (COERCE,)),
+    Mutant("lift skips the field check", "linalg.py",
+           "x if x.__class__ is FieldElement and x.desc is desc else desc.coerce(x)",
+           "x if x.__class__ is FieldElement else desc.coerce(x)",
+           (COERCE,)),
     Mutant("inverse read off without the map's denominator", "linalg.py",
            "scaled = [(q * (s // t), v0, v1)", "scaled = [(s // t, v0, v1)",
            INVERSES),
@@ -323,6 +339,17 @@ MUTANTS = (
     Mutant("auto_to_der returns m + Id", "autos.py",
            "        return m - ident\n", "        return m + ident\n",
            (LAWS + "test_unipotent_bridge_matches_reference",)),
+    # -- hand-seeded mutants of the basis scans and the F_p group table ------
+    Mutant("basis tuples scanned column-major", "triality.py",
+           "    for t in product(*map(range, sizes)):",
+           "    for t in sorted(product(*map(range, sizes)), key=lambda t: t[::-1]):",
+           (SHAPE_PINS, LAWS + "test_tuple_checks_keep_their_witnesses")),
+    Mutant("Klein check reads -1 as +1", "symcomp.py",
+           "minus = tuple(tuple((p - 1) * v for v in row) for row in ident)", "minus = ident",
+           ("tests/test_enumerate.py::test_subgroup_without_the_klein_group_fails",)),
+    Mutant("Cayley table with its operands swapped", "symcomp.py",
+           "comps.get(_mat_mul_mod(x, y, p), -1)", "comps.get(_mat_mul_mod(y, x, p), -1)",
+           ("tests/test_enumerate.py::test_cayley_table_matches_trig_mul",)),
 )
 
 
