@@ -312,21 +312,27 @@ class Algebra:
                                                    for c in row])
         self.structure = _split(_split(flat, n), n)
         self.int_terms = _split(linalg._sparse_lines(_split(c0, n), _split(c1, n)), n)
-        coerce = field.coerce
-        self.form = None if form is None else [[coerce(c) for c in r] for r in form]
-        if self.form is not None:
-            if len(self.form) != n or any(len(r) != n for r in self.form):
+        # the form and the involution lifted once, as maps; .form and
+        # .involution are their entries as the lift read them, and the form
+        # map's block and sparse rows (LinearMap._lines) are the form on
+        # integers
+        self._form = self.form = None
+        if form is not None:
+            if len(form) != n or any(len(r) != n for r in form):
                 raise AlgebraError("form must be dim x dim")
+            self._form = LinearMap(self, form)
+            self.form = self._form.rows
             for i in range(n):
                 for j in range(i):
                     if self.form[i][j] != self.form[j][i]:
                         raise AlgebraError("form is not symmetric")
-        self.involution = (None if involution is None
-                           else [[coerce(c) for c in r] for r in involution])
-        # the involution lifted once, as a map
-        self._involution = None if involution is None else LinearMap(self, self.involution)
-        if self._involution is not None and not self._involution.squares_to_identity():
-            raise AlgebraError("involution matrix must square to the identity")
+        self._involution = self.involution = None
+        if involution is not None:
+            self._involution = LinearMap(self, involution)
+            self.involution = self._involution.rows
+            if not self._involution.squares_to_identity():
+                raise AlgebraError("involution matrix must square to the identity")
+        coerce = field.coerce
         self.unit = None if unit is None else [coerce(c) for c in unit]
         self.name = name
         # the coordinates of a para-unit e (e x = x e = conj x; see
@@ -337,9 +343,6 @@ class Algebra:
         self.kind = kind
         # each basis vector e_i as ints, with the zero sqrt d part
         self._units = [([int(i == j) for j in range(n)], [0] * n) for i in range(n)]
-        # the form lifted once, as a map; its block and its sparse rows
-        # (LinearMap._lines) are the form on integers
-        self._form = None if self.form is None else LinearMap(self, self.form)
         # (witness,) of triality.linearized_failure and the Certificate of
         # symcomp.is_symmetric_composition, once computed
         self._linearized_cache = None

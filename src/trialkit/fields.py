@@ -185,13 +185,14 @@ class FieldElement:
     """Immutable exact scalar in one of the three supported field families.
 
     ``FieldElement(desc, a, b=None)`` builds ``a`` (Q, F_p) or
-    ``a + b*sqrt(d)`` (Q(sqrt d)), as `FieldDescriptor.element` does.
+    ``a + b*sqrt(d)`` (Q(sqrt d)), as `FieldDescriptor.element` does, except
+    that over Q and F_p it also takes a zero ``b``.
     """
 
     __slots__ = ("desc", "_n0", "_n1", "_q")
 
     def __init__(self, desc: FieldDescriptor, a, b=None):
-        x = desc.element(a, b)
+        x = desc.element(a, None if desc.d is None and b == 0 else b)
         _set_desc(self, desc)
         _set_n0(self, x._n0)
         _set_n1(self, x._n1)

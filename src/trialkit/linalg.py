@@ -76,7 +76,7 @@ def _lift(desc: FieldDescriptor, xs) -> tuple:
     canonical FieldElements the block is canonical (see `algebra._Block`): a
     prime dividing q divides some entry's denominator to the full power, and
     that entry's numerators are prime to it."""
-    xs = [x if x.__class__ is FieldElement and x.desc is desc else desc.coerce(x) for x in xs]
+    xs = [desc.coerce(x) for x in xs]
     q = 1 if desc.p is not None else lcm(*[x._q for x in xs])
     n1 = None if desc.d is None else [x._n1 * (q // x._q) for x in xs]
     return xs, q, [x._n0 * (q // x._q) for x in xs], n1

@@ -166,6 +166,15 @@ def test_scalars_coerce_exactly_or_raise(field):
         for i in range(4)]
     f7 = FieldDescriptor(PRIME, p=7)
     assert f7.element(Fraction(1, 2)) == FieldElement(f7, Fraction(1, 2)) == f7.from_int(4)
+    # FieldElement() takes a zero second coordinate over Q and F_p, and
+    # element() takes none; a nonzero one raises in both
+    if field.d is None:
+        assert FieldElement(field, Fraction(-5, 4), 0) == exact[Fraction(-5, 4)]
+        for second in (lambda: FieldElement(field, 1, 1), lambda: field.element(1, 0)):
+            with pytest.raises(ValueError, match="^second coordinate only valid"):
+                second()
+    else:
+        assert FieldElement(field, Fraction(-5, 4), 0) == field.element(Fraction(-5, 4), 0)
 
 
 def test_operands_must_share_an_algebra():

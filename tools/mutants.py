@@ -271,8 +271,8 @@ MUTANTS = (
            "        if b is None:",
            (COERCE,)),
     Mutant("lift skips the field check", "linalg.py",
-           "x if x.__class__ is FieldElement and x.desc is desc else desc.coerce(x)",
-           "x if x.__class__ is FieldElement else desc.coerce(x)",
+           "xs = [desc.coerce(x) for x in xs]",
+           "xs = [x if isinstance(x, FieldElement) else desc.coerce(x) for x in xs]",
            (COERCE,)),
     Mutant("inverse read off without the map's denominator", "linalg.py",
            "scaled = [(q * (s // t), v0, v1)", "scaled = [(s // t, v0, v1)",
