@@ -32,6 +32,11 @@ map products, m(x), the inverse, the tests for invertibility, m m = Id and
 d d = 0 and the law checks of `triality` read these integers (see
 `linalg`); an element's FieldElement `coords` and a map's FieldElement
 `rows` are built only when read, and are read-only.
+
+An identity between two maps is checked on their difference, and one
+read-off, `LinearMap.first_nonzero`, gives its witness: the first nonzero
+entry, column by column, as (column, row).  It reads the canonical sparse
+columns, so over F_p, where they hold reduced residues, it is exact.
 """
 
 from __future__ import annotations
@@ -266,6 +271,15 @@ class LinearMap(_Block):
             n = self.algebra.dim
             self._row_lines = linalg._sparse_lines(_split(self._n0, n), _split(self._n1, n))
         return self._row_lines
+
+    def first_nonzero(self) -> Optional[tuple]:
+        """(column, row) of the first nonzero entry, column by column, or
+        None for the zero map: read off the canonical sparse columns, whose
+        entries over F_p are reduced residues, so the test is exact."""
+        for c, column in enumerate(self._lines(True)):
+            if column:
+                return c, column[0][0]
+        return None
 
     def inverse(self) -> "LinearMap":
         """The inverse, read off the integer kernel (`linalg._inverse`)."""

@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .fields import FieldElement, SqrtUnavailable, sqrt_in_field
-from .triality import (RelationFails, earliest_failure, first_failing_tuple,
+from .triality import (RelationFails, _wedge, earliest_failure, first_failing_tuple,
                        form_law_failure, product_law_failure)
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,11 @@ def find_idempotents(a: Algebra) -> List[Idempotent]:
     """Idempotents of a para-Hurwitz algebra of shape
     (1/2)(-e + sum alpha_lambda e_lambda) with sum alpha^2 = 3, found from
     canonical sign patterns (three entries +-1) or a single sqrt(3)
-    coordinate, plus the para-unit itself when it is idempotent.  The list
-    is empty when there is none over the declared field."""
+    coordinate, plus the para-unit itself when it is idempotent.  Only
+    these para-Hurwitz sign patterns are searched, so an empty list does
+    not mean that there is none: okubo has the idempotents
+    (sqrt(3)/2) e_0 + (1/2) e_7 over Q(sqrt 3) and 2 e_0 + 7 e_7 over F13,
+    and the list is empty for both."""
     e = _para_unit(a)
     out: List[Idempotent] = []
     try:
@@ -442,14 +445,9 @@ def hurwitz_D(h: Algebra, a: Element, p: Element) -> LinearMap:
     if q * p != pp * a or p * q != pp * abar:
         raise RelationFails("product relations among p and q fail")
     d = h.left_op(abar) @ h.left_op(p) + h.right_op(abar) @ h.right_op(q)
-    pq = p + q
-    n = h.dim
-    for i in range(n):
-        x = h.basis(i)
-        closed = (x * q + p * x) + two * h.form_eval(abar, x) * pq \
-            - two * h.form_eval(pq, x) * abar
-        if d(x) != closed:
-            raise RelationFails("closed form of D disagrees", witness=(i,))
+    w = (d - (h.right_op(q) + h.left_op(p) + 2 * _wedge(h, p + q, abar))).first_nonzero()
+    if w is not None:
+        raise RelationFails("closed form of D disagrees", witness=w[:1])
     return certify_derivation(h, d)
 
 
@@ -476,12 +474,9 @@ def standard_derivation(h: Algebra, f: Element, g: Element) -> LinearMap:
     two, six = h.field.from_int(2), h.field.from_int(6)
     left = -two * (f * g) - (g * f) + six * h.form_eval(g, e) * f
     right = two * (f * g) + (g * f) - six * h.form_eval(f, e) * g
-    for i in range(h.dim):
-        x = h.basis(i)
-        expand = left * x + x * right + six * h.form_eval(f, x) * g \
-            - six * h.form_eval(g, x) * f
-        if d(x) != expand:
-            raise RelationFails("expansion of d disagrees", witness=(i,))
+    w = (d - (l(left) + r(right) + 6 * _wedge(h, g, f))).first_nonzero()
+    if w is not None:
+        raise RelationFails("expansion of d disagrees", witness=w[:1])
     return certify_derivation(h, d)
 
 

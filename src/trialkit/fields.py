@@ -227,10 +227,16 @@ class FieldElement:
         return NotImplemented  # type: ignore[return-value]
 
     def __eq__(self, other) -> bool:
+        """Equality with an element, an int or a Fraction, read by `coerce`;
+        a scalar with no value in the field (over F_p, a Fraction whose
+        denominator p divides) equals no element."""
         if other.__class__ is not FieldElement:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = self._coerce(other)
+            try:
+                other = self._coerce(other)
+            except DivisionByZero:
+                return False
         return (
             self._n0 == other._n0
             and self._n1 == other._n1
@@ -239,7 +245,14 @@ class FieldElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self._n0, self._n1, self._q))
+        """An element with no sqrt d part hashes as the Fraction n0/q, so over
+        Q and Q(sqrt d) as the equal int or Fraction.  Over F_p that is the
+        residue: an element there equals every int of its residue class
+        (F7(2) == 9), which no hash can match, so only the residue's own
+        hash agrees."""
+        if self._n1:
+            return hash((self._n0, self._n1, self._q))
+        return hash(Fraction(self._n0, self._q))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

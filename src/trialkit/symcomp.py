@@ -27,9 +27,11 @@ from .triality import (
     LocalTriple,
     RelationFails,
     TrialityTriple,
+    _outer,
     _require_triality_law,
     _wedge,
     derivation_pair,
+    earliest_failure,
     first_failing_tuple,
     form_law_failure,
     klein_triples,
@@ -202,9 +204,6 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
     alg = a.algebra
     sigma = verify_triality(alg, *sigma_maps(a))
     theta = TrialityTriple(alg, theta_maps(a))
-    n = alg.dim
-    basis = alg.basis_elements()
-    two = alg.field.from_int(2)
     # A one-sided inverse of a square matrix is two-sided, so sigma_j theta_j
     # = Id gives theta_j sigma_j = Id too.
     for j in range(1, 4):
@@ -220,12 +219,14 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
             raise RelationFails("sigma is not an isometry", witness=(j, *w))
     for j in range(1, 4):
         aj, aj1, aj2 = a.comp(j), a.comp(j + 1), a.comp(j + 2)
-        for i in range(n):
-            x = basis[i]
-            if sigma.comp(j)(x) != two * alg.form_eval(aj1, x) * aj2 - aj * x:
-                raise RelationFails("sigma closed form fails", witness=(j, i))
-            if theta.comp(j)(x) != two * alg.form_eval(aj2, x) * aj1 - x * aj:
-                raise RelationFails("theta closed form fails", witness=(j, i))
+        # the first basis index where each map and its closed form differ;
+        # the row is left out, so that a tie goes to sigma
+        ws = (sigma.comp(j) - (2 * _outer(alg, aj2, aj1) - alg.left_op(aj))).first_nonzero()
+        wt = (theta.comp(j) - (2 * _outer(alg, aj1, aj2) - alg.right_op(aj))).first_nonzero()
+        failure = earliest_failure([("sigma closed form fails", ws and ws[0]),
+                                    ("theta closed form fails", wt and wt[0])])
+        if failure is not None:
+            raise RelationFails(failure[0], witness=(j, failure[1]))
     return sigma, theta
 
 
@@ -460,15 +461,13 @@ def cubic_identity(a: Algebra, x: Element, y: Element) -> CubicReport:
     four = a.field.from_int(4)
     delta = four * (a.form_eval(x, y) * a.form_eval(x, y)
                     - a.form_eval(x, x) * a.form_eval(y, y))
-    pair = derivation_pair(a, x, y)
+    ds = derivation_pair(a, x, y).maps()
+    squares = [d @ d for d in ds]
+    cubes = [s @ d for s, d in zip(squares, ds)]
     ident = a.identity_map()
-    cubic = tuple(
-        (pair.comp(j) @ pair.comp(j) @ pair.comp(j)) == delta * pair.comp(j)
-        for j in range(1, 4)
-    )
-    square = tuple((pair.comp(j) @ pair.comp(j)) == delta * ident for j in (1, 2))
-    d3 = pair.comp(3)
-    scaled = (d3 @ d3 @ d3) == (four * delta) * d3
+    cubic = tuple(c == delta * d for c, d in zip(cubes, ds))
+    square = tuple(s == delta * ident for s in squares[:2])
+    scaled = cubes[2] == (four * delta) * ds[2]
     return CubicReport(delta=delta, cubic=cubic, square=square, scaled_third_cubic=scaled)
 
 

@@ -5,12 +5,18 @@ g_j(xy) = (g_{j+1}x)(g_{j+2}y) for all j (indices mod 3); the set of such
 triples forms the group Trig(A).  A local triple (t1, t2, t3) satisfies the
 derivation-style law t_j(xy) = (t_{j+1}x)y + x(t_{j+2}y).  All verifications
 run over every basis pair, which proves the law by bilinearity.
+
+A form law <f1 x|g1 y> = <f2 x|g2 y> (isometry, adjointness, skewness) is
+checked as an identity of two Gram maps, entry (k, i) <f e_i|g e_k> (see
+`_gram`), and a closed form of a map as an identity with the map built from
+`left_op`, `right_op` and the rank-one `_outer`.  In both the witness is the
+first nonzero entry of the difference (`LinearMap.first_nonzero`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
@@ -192,26 +198,17 @@ def linearized_failure(a: Algebra) -> Optional[tuple]:
     return a._linearized_cache[0]
 
 
-def _pairings(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> tuple:
-    """(q, P0, P1): <f e_i | g e_k> = (P0[i][k] + P1[i][k] sqrt d)/(q h),
-    h the denominator of the form's map; None is the identity."""
-    n, d = a.dim, a.field.d
-    unit = [[(i, 1, 0)] for i in range(n)]
-    form_rows = a.form_map()._lines(False)
-    qf, fcols = (1, unit) if f is None else (f._q, f._lines(True))
-    qg, grows = (1, unit) if g is None else (g._q, g._lines(False))
-    p0, p1 = [], []
-    for fcol in fcols:
-        # w = (f e_i)^T G, so that <f e_i | g e_k> = sum_m w_m g[m][k]
-        w0, w1 = [0] * n, [0] * n
-        for l, x0, x1 in fcol:
-            _add_multiple(d, w0, w1, x0, x1, form_rows[l])
-        s0, s1 = [0] * n, [0] * n
-        for m, x0, x1 in _sparse(w0, w1):
-            _add_multiple(d, s0, s1, x0, x1, grows[m])
-        p0.append(s0)
-        p1.append(s1)
-    return qf * qg, p0, p1
+def _gram(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> LinearMap:
+    """The map whose entry (k, i) is <f e_i | g e_k>, g^T (G f) for G the
+    form's map; a map given as None is the identity.  It is stored
+    transposed, so that its columns run over i and `first_nonzero` meets
+    the pairs (i, k) in row-major order."""
+    gf = a.form_map() if f is None else a.form_map() @ f
+    if g is None:
+        return gf
+    gf._check(g)
+    return _int_map(a, g._q * gf._q, *_int_matmul(a.field.d, g._lines(True), gf._lines(False),
+                                                  a.dim))
 
 
 def form_law_failure(a: Algebra, f1: Optional[LinearMap], g1: Optional[LinearMap],
@@ -222,23 +219,9 @@ def form_law_failure(a: Algebra, f1: Optional[LinearMap], g1: Optional[LinearMap
     identity), or None.  Isometry is (g, g), adjointness (s, None, None, t)
     and skewness (t, None, None, -t).
 
-    Both sides are integer pairing matrices (`_pairings`), each row
-    multiplied by the other side's denominator and compared exactly (mod p
-    over F_p)."""
-    if a.form is None:
-        raise AlgebraError("algebra has no bilinear form")
-    p = a.field.p
-    q1, lhs0, lhs1 = _pairings(a, f1, g1)
-    q2, rhs0, rhs1 = _pairings(a, f2, g2)
-    for i in range(a.dim):
-        u0, u1, v0, v1 = lhs0[i], lhs1[i], rhs0[i], rhs1[i]
-        if q1 != q2:
-            u0, u1 = [x * q2 for x in u0], [x * q2 for x in u1]
-            v0, v1 = [x * q1 for x in v0], [x * q1 for x in v1]
-        if not _agree(p, u0, u1, v0, v1):
-            return i, next(k for k in range(a.dim)
-                           if not _agree(p, u0[k:k + 1], u1[k:k + 1], v0[k:k + 1], v1[k:k + 1]))
-    return None
+    Each side is one Gram map (`_gram`), and the witness is the first
+    nonzero entry of their difference."""
+    return (_gram(a, f1, g1) - _gram(a, f2, g2)).first_nonzero()
 
 
 def first_failing_tuple(holds: Callable[..., bool], *sizes: int) -> Optional[tuple]:
@@ -394,18 +377,18 @@ class DerivationPair:
         return (self.d1, self.d2, self.d3)
 
 
+def _outer(a: Algebra, u: Element, w: Element) -> LinearMap:
+    """The rank-one map z -> <w|z> u: the column u times the row <w|.>,
+    the form's map applied to w, on the numerators."""
+    bw = a.form_map()(w)
+    column = _sparse_lines([[x] for x in u._n0], u._n1 and [[x] for x in u._n1])
+    row = _sparse_lines([bw._n0], bw._n1 and [bw._n1])
+    return _int_map(a, u._q * bw._q, *_int_matmul(a.field.d, column, row, a.dim))
+
+
 def _wedge(a: Algebra, u: Element, w: Element) -> LinearMap:
-    """The rank-two map z -> <w|z> u - <u|z> w: on the numerators, the
-    n x 2 matrix (u | -w) times the 2 x n matrix with rows <w|.> and <u|.>.
-    With bu = <u|.> and bw = <w|.> as elements, u_k bw_l lies over
-    t = qu qbw and w_k bu_l over s = qw qbu, so the first is scaled by s,
-    the second by t, and the map is over s t."""
-    bu, bw = a.form_map()(u), a.form_map()(w)
-    s, t = w._q * bu._q, u._q * bw._q
-    outer = [[(0, s * x0, s * x1), (1, -t * y0, -t * y1)]
-             for x0, x1, y0, y1 in zip(u._n0, u._n1 or repeat(0), w._n0, w._n1 or repeat(0))]
-    rows = _sparse_lines([bw._n0, bu._n0], bw._n1 and [bw._n1, bu._n1])
-    return _int_map(a, s * t, *_int_matmul(a.field.d, outer, rows, a.dim))
+    """The rank-two map z -> <w|z> u - <u|z> w."""
+    return _outer(a, u, w) - _outer(a, w, u)
 
 
 def _d3_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialkit import autos, linalg
+from trialkit import autos, linalg, triality
 from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap, _int_element, _int_map
 from trialkit.constructors import (cross_space, make_hurwitz, make_para, make_para_zorn,
                                    named_algebra)
@@ -55,6 +55,16 @@ def test_linear_map_operations():
     assert (li @ inv).is_identity()
     assert (li - li)(j).is_zero()
     assert (Q.from_int(3) * li)(j) == 3 * (i * j)
+    # the first nonzero entry, column by column, as (column, row): over F7
+    # the entry 7 is 0, and over Q(sqrt 3) the entry s = sqrt 3 has no
+    # rational part
+    for field in SCALAR_FIELDS:
+        a = Algebra(field, [[[0] * 3] * 3] * 3)
+        s = field.element(0, 1) if field.d is not None else Fraction(1, 2)
+        m = LinearMap(a, [[0, 7, 1], [0, 0, 0], [0, s, 0]])
+        assert m.first_nonzero() == ((1, 2) if field.p == 7 else (1, 0))
+        assert (m - LinearMap(a, [[0, 7, 0]] + [[0] * 3] * 2)).first_nonzero() == (1, 2)
+        assert (m - m).first_nonzero() is None
 
 
 def test_singular_map_raises():
@@ -178,15 +188,16 @@ def test_scalars_coerce_exactly_or_raise(field):
 
 
 def test_operands_must_share_an_algebra():
-    """Map +, -, @ (and map * map) and m(x) raise on operands of two
-    algebras, as element arithmetic does: over two fields, and over one
-    field from two constructions."""
+    """Map +, -, @ (and map * map), m(x) and a form law raise on operands
+    of two algebras, as element arithmetic does: over two fields, and over
+    one field from two constructions."""
     s2, s3 = FieldDescriptor(QUADRATIC, d=2), FieldDescriptor(QUADRATIC, d=3)
     for f, g in ((s2, s3), (Q, s2), (Q, Q)):
         a, b = named_algebra("para:4", f), named_algebra("para:4", g)
         m, n, x, y = a.left_op(a.basis(1)), b.left_op(b.basis(2)), a.basis(1), b.basis(2)
         for op in (lambda: m + n, lambda: m - n, lambda: m @ n, lambda: m * n, lambda: m(y),
-                   lambda: m.commutator(n)):
+                   lambda: m.commutator(n), lambda: triality.form_law_failure(a, n, None),
+                   lambda: triality.form_law_failure(a, None, n)):
             with pytest.raises(AlgebraError, match="^maps belong to different algebras$"):
                 op()
         for op in (lambda: x + y, lambda: x - y, lambda: x * y):

@@ -239,11 +239,15 @@ def test_equality_with_ints_and_fractions(desc, data):
     try:
         want = rx == ref_coords(desc, f)
     except DivisionByZero:
-        with pytest.raises(DivisionByZero):
-            x == f
-    else:
-        assert (x == f) == want
-        assert (x != f) == (not want)
+        want = False  # f has no value in the field, so it equals no element
+    assert (x == f) == want
+    assert (x != f) == (not want)
+    # equal values hash equal: an int or a Fraction, over F_p the residue
+    residue = n if desc.p is None else n % desc.p
+    if x == n:
+        assert hash(x) == hash(residue) and {residue: "x"}.get(x) == "x"
+    if want and desc.p is None:
+        assert hash(x) == hash(f) and x in {f}
     # a value given as an int or Fraction coerces in arithmetic too
     assert_matches(x + n, desc, ref_op(desc, "add", rx, ref_coords(desc, Fraction(n))))
     assert_matches(n * x, desc, ref_op(desc, "mul", ref_coords(desc, Fraction(n)), rx))

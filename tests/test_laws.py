@@ -1140,6 +1140,33 @@ def test_sigma_theta_triples_match_reference(case, seed, kind, stub):
         assert got is None
 
 
+@pytest.mark.parametrize("field", ["Q", "F7", "Qsqrt3"])
+@pytest.mark.parametrize("flips, want", [((1, 2), ("sigma closed form fails", (1, 1))),
+                                         ((2,), ("theta closed form fails", (1, 1)))])
+def test_sigma_theta_closed_forms_fail_at_the_first_basis_index(field, flips, want):
+    """sigma_1 h, h theta_1, sigma_2 k and k theta_2 for the isometry h that
+    negates the coordinates `flips` and k = sigma_1 h theta_1, both
+    involutions, keep every inverse, triple product and isometry but fail
+    the closed forms at j = 1.  With flips (1, 2) both first fail at basis
+    index 1, sigma in row 3 and theta in row 2: the tie goes to sigma, whose
+    check the reference's basis loop meets first, though theta's row is the
+    smaller.  With flips (2,) theta fails at index 1, before sigma."""
+    a = algebra("para:4", field)
+    triple = product_triple(a, random.Random(3))
+    sig, the = symcomp.sigma_maps(triple), symcomp.theta_maps(triple)
+    h = LinearMap(a, [[int(i == k) * (-1 if i in flips else 1) for k in range(4)]
+                      for i in range(4)])
+    k = sig[0] @ h @ the[0]
+    sig[0], the[0], sig[1], the[1] = sig[0] @ h, h @ the[0], sig[1] @ k, k @ the[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symcomp, "sigma_maps", lambda _: sig)
+        mp.setattr(symcomp, "theta_maps", lambda _: the)
+        mp.setattr(symcomp, "verify_triality",
+                   lambda alg, *maps: triality.TrialityTriple(alg, maps))
+        got = outcome(symcomp.sigma_theta_triples, triple)
+        assert got == outcome(ref_sigma_theta_triples, triple) == ("RelationFails", *want)
+
+
 def ref_order3_auto(a, idem):
     """order3_auto as it was: sigma theta and theta sigma, sigma^3 and
     theta^3 all tested."""

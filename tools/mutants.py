@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 76 mutants takes about sixteen minutes on two cores, most of
+a full run of the 82 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -46,6 +46,7 @@ SQUARE_TEST = "tests/test_linalg.py::test_sparse_square_test_matches_the_dense_p
 INVERSES = ("tests/test_linalg.py::test_map_inverse_matches_exact_rref",
             "tests/test_linalg.py::test_mat_inv_matches_exact_rref")
 COERCE = "tests/test_algebra.py::test_scalars_coerce_exactly_or_raise"
+FIELD_EQUALITY = "tests/test_fields.py::test_equality_with_ints_and_fractions"
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -148,8 +149,7 @@ MUTANTS = (
            "factors = [h.right_op(x) for x in chain]",
            (LAWS + "test_chain_products_match_reference",)),
     Mutant("wedge with u and w swapped", "triality.py",
-           "    bu, bw = a.form_map()(u), a.form_map()(w)\n",
-           "    u, w = w, u\n    bu, bw = a.form_map()(u), a.form_map()(w)\n",
+           "return _outer(a, u, w) - _outer(a, w, u)", "return _outer(a, w, u) - _outer(a, u, w)",
            ("tests/test_symcomp.py::test_local_D_certifies_and_cycles",
             "tests/test_triality.py::test_derivation_pair_gives_local_triple")),
     Mutant("_dim2_members invertibility proof dropped", "symcomp.py",
@@ -178,8 +178,8 @@ MUTANTS = (
            "ocols, lcols = _scaled(ql * qr, ocols), _scaled(qo, lcols)",
            "ocols, lcols = ocols, lcols",
            (KERNEL_LAWS,)),
-    Mutant("form law compared without cross-multiplying", "triality.py",
-           "        if q1 != q2:\n", "        if False:\n",
+    Mutant("Gram map over the denominator of G f alone", "triality.py",
+           "_int_map(a, g._q * gf._q,", "_int_map(a, gf._q,",
            (KERNEL_LAWS,)),
     Mutant("comparison skips the mod-p reduction", "linalg.py",
            "return not any(map(p.__rmod__, map(sub, u0, v0)))", "return u0 == v0",
@@ -350,6 +350,29 @@ MUTANTS = (
     Mutant("Cayley table with its operands swapped", "symcomp.py",
            "comps.get(_mat_mul_mod(x, y, p), -1)", "comps.get(_mat_mul_mod(y, x, p), -1)",
            ("tests/test_enumerate.py::test_cayley_table_matches_trig_mul",)),
+    # -- identities of maps as maps: Gram maps, _outer, one read-off ---------
+    Mutant("Gram map without its transpose", "triality.py",
+           "g._lines(True), gf._lines(False)", "g._lines(False), gf._lines(False)",
+           (KERNEL_LAWS,)),
+    Mutant("read-off scans rows in place of columns", "algebra.py",
+           "for c, column in enumerate(self._lines(True)):",
+           "for c, column in enumerate(self._lines(False)):",
+           ("tests/test_algebra.py::test_linear_map_operations", KERNEL_LAWS)),
+    Mutant("_outer with u and w swapped", "triality.py",
+           "    bw = a.form_map()(w)\n", "    u, w = w, u\n    bw = a.form_map()(w)\n",
+           ("tests/test_symcomp.py::test_sigma_theta_triples_on_three_instances",
+            "tests/test_triality.py::test_derivation_pair_gives_local_triple")),
+    Mutant("theta closed form dropped", "symcomp.py",
+           '("theta closed form fails", wt and wt[0])', '("theta closed form fails", None)',
+           (LAWS + "test_sigma_theta_closed_forms_fail_at_the_first_basis_index",)),
+    Mutant("FieldElement == raises on a scalar with no value in the field", "fields.py",
+           "            try:\n                other = self._coerce(other)\n"
+           "            except DivisionByZero:\n                return False\n",
+           "            other = self._coerce(other)\n",
+           (FIELD_EQUALITY,)),
+    Mutant("FieldElement hashed as its integer triple", "fields.py",
+           "return hash(Fraction(self._n0, self._q))", "return hash((self._n0, self._n1, self._q))",
+           (FIELD_EQUALITY,)),
 )
 
 
