@@ -5,6 +5,10 @@ or quaternion conjugation), unitary elements a (conj(a)*a = e) give
 sandwich maps x -> a_j * x * conj(a_{j+1}); these become triality triples of
 the conjugate algebra (product xy = conj(x*y)).  Skew elements give local
 triples x -> p_j*x - x*p_{j+1}, and the Cayley transform bridges the two.
+
+Associativity and para-associativity are checked on basis triples as
+identities of maps: the product law of L(e_i) for each i, and
+R(xy) J = R(J x) L(y) for each pair of basis vectors x, y.
 """
 
 from __future__ import annotations
@@ -13,24 +17,21 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import linalg
-from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
+from .algebra import Algebra, AlgebraError, Element
 from .constructors import make_conjugate
-from .triality import (LocalTriple, RelationFails, TrialityTriple, first_failing_tuple,
+from .triality import (LocalTriple, RelationFails, TrialityTriple, product_law_failure,
                        verify_local, verify_triality)
 
 
-def _basis_products(a: Algebra):
-    """The basis of a and the table of products e_i e_j."""
-    basis = a.basis_elements()
-    return basis, [[x * y for y in basis] for x in basis]
-
-
 def check_associative(a: Algebra) -> None:
-    basis, prods = _basis_products(a)
-    w = first_failing_tuple(
-        lambda i, j, k: prods[i][j] * basis[k] == basis[i] * prods[j][k], a.dim, a.dim, a.dim)
-    if w is not None:
-        raise RelationFails(f"associativity fails at ({w[0]}, {w[1]}, {w[2]})")
+    """(xy)z = x(yz) on all basis triples (i, j, k): for each i the product
+    law e_i(yz) = (e_i y)z, that is L(e_i)(yz) = (L(e_i) y)(Id z), at (j, k)."""
+    identity = a.identity_map()
+    for i in range(a.dim):
+        left = a.left_op(a.basis(i))
+        w = product_law_failure(a, left, left, identity)
+        if w is not None:
+            raise RelationFails(f"associativity fails at ({i}, {w[0]}, {w[1]})")
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,23 @@ def certify_skew(astar: Algebra, p1: Element, p2: Element, p3: Element) -> SkewT
 
 
 def para_associativity(a: Algebra) -> None:
-    """conj(z)(xy) = (yz)conj(x) on all basis triples of a conjugate algebra."""
-    basis, prods = _basis_products(a)
-    conj = [a.involute(x) for x in basis]
-    w = first_failing_tuple(
-        lambda i, j, k: conj[k] * prods[i][j] == prods[j][k] * conj[i], a.dim, a.dim, a.dim)
-    if w is not None:
-        raise RelationFails("para-associativity fails", witness=w)
+    """conj(z)(xy) = (yz)conj(x) on all basis triples (i, j, k) of a
+    conjugate algebra: for each x = e_i, y = e_j the maps of z,
+    R(xy) J = R(J x) L(y), whose first differing column is k."""
+    jmap = a.involution_map()
+    for i in range(a.dim):
+        x = a.basis(i)
+        right_conj = a.right_op(jmap(x))
+        for j in range(a.dim):
+            y = a.basis(j)
+            w = (a.right_op(x * y) @ jmap - right_conj @ a.left_op(y)).first_nonzero()
+            if w is not None:
+                raise RelationFails("para-associativity fails", witness=(i, j, w[0]))
 
 
-def _rebind(target: Algebra, m: LinearMap) -> LinearMap:
-    return _int_map(target, m._q, m._n0, m._n1)
+def _rebind(target: Algebra, m):
+    """The element or map m, with the same entries, on the algebra target."""
+    return type(m)._of(target, m._q, m._n0, m._n1)
 
 
 def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
@@ -114,12 +121,10 @@ def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
                                 witness=(j + 1,))
     for j in range(1, 4):
         m = sig[j - 1]
-        left_form = (conj_alg.left_op(conj_alg.element([c for c in u.comp(j + 1).coords]))
-                     @ conj_alg.left_op(conj_alg.element([c for c in u.comp(j).coords])))
-        abar_j = astar.involute(u.comp(j))
-        abar_j1 = astar.involute(u.comp(j + 1))
-        right_form = (conj_alg.right_op(conj_alg.element(abar_j.coords))
-                      @ conj_alg.right_op(conj_alg.element(abar_j1.coords)))
+        a_j, a_j1 = (_rebind(conj_alg, u.comp(k)) for k in (j, j + 1))
+        abar_j, abar_j1 = (_rebind(conj_alg, astar.involute(u.comp(k))) for k in (j, j + 1))
+        left_form = conj_alg.left_op(a_j1) @ conj_alg.left_op(a_j)
+        right_form = conj_alg.right_op(abar_j) @ conj_alg.right_op(abar_j1)
         if m != left_form or m != right_form:
             raise RelationFails("operator factorizations disagree", witness=(j,))
     return verify_triality(conj_alg, *[_rebind(conj_alg, m) for m in sig])

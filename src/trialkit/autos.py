@@ -20,8 +20,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .fields import FieldElement, SqrtUnavailable, sqrt_in_field
-from .triality import (RelationFails, _wedge, earliest_failure, first_failing_tuple,
-                       form_law_failure, product_law_failure)
+from .triality import (RelationFails, _outer, _wedge, earliest_failure, form_law_failure,
+                       product_law_failure)
 
 # ---------------------------------------------------------------------------
 # Generic certification helpers
@@ -499,40 +499,37 @@ def quartic_exchange_identities(h: Algebra) -> None:
       (xf)g =  (fg)x + 2<f|e>(xg) - 2<g|e>(fx) - 2<f|x>g + 2<g|x>f
       f(xg) = -x(fg) + 2<x|e>(fg) + 2<f|e>(xg) - 2<f|x>g
       (fx)g = -(fg)x + 2<x|e>(fg) + 2<g|e>(fx) - 2<g|x>f
+
+    For fixed f and g each is an identity of maps of x, with outer(u, w) the
+    rank-one map x -> <w|x>u:
+      L_f L_g =  R_fg - 2<f|e>R_g + 2<g|e>L_f + 2 outer(g, f) - 2 outer(f, g)
+      R_g R_f =  L_fg + 2<f|e>R_g - 2<g|e>L_f - 2 outer(g, f) + 2 outer(f, g)
+      L_f R_g = -R_fg + 2 outer(fg, e) + 2<f|e>R_g - 2 outer(g, f)
+      R_g L_f = -L_fg + 2 outer(fg, e) + 2<g|e>L_f - 2 outer(f, g)
+    and its first failing x is the first nonzero column of the difference.
+    The basis pairs (f, g) run in row-major order, so the first pair where
+    one fails holds the earliest witness.
     """
     e = h.unit_element()
-    two = h.field.from_int(2)
-    basis = h.basis_elements()
-    n = h.dim
-    prods = [[x * y for y in basis] for x in basis]
     on_e = h.covector(e)
-    gram = h.form
-
-    def identity_1(i, j, k):
-        f, g, x = basis[i], basis[j], basis[k]
-        return f * prods[j][k] == x * prods[i][j] - two * on_e[i] * prods[k][j] \
-            + two * on_e[j] * prods[i][k] + two * gram[i][k] * g - two * gram[j][k] * f
-
-    def identity_2(i, j, k):
-        f, g, x = basis[i], basis[j], basis[k]
-        return prods[k][i] * g == prods[i][j] * x + two * on_e[i] * prods[k][j] \
-            - two * on_e[j] * prods[i][k] - two * gram[i][k] * g + two * gram[j][k] * f
-
-    def identity_3(i, j, k):
-        f, g, x = basis[i], basis[j], basis[k]
-        return f * prods[k][j] == -(x * prods[i][j]) + two * on_e[k] * prods[i][j] \
-            + two * on_e[i] * prods[k][j] - two * gram[i][k] * g
-
-    def identity_4(i, j, k):
-        f, g, x = basis[i], basis[j], basis[k]
-        return prods[i][k] * g == -(prods[i][j] * x) + two * on_e[k] * prods[i][j] \
-            + two * on_e[j] * prods[i][k] - two * gram[j][k] * f
-
-    failure = earliest_failure([
-        (f"exchange identity {t} fails", first_failing_tuple(law, n, n, n))
-        for t, law in enumerate((identity_1, identity_2, identity_3, identity_4), start=1)])
-    if failure is not None:
-        raise RelationFails(failure[0], witness=failure[1])
+    basis = h.basis_elements()
+    lefts = [h.left_op(x) for x in basis]
+    rights = [h.right_op(x) for x in basis]
+    for i, f in enumerate(basis):
+        for j, g in enumerate(basis):
+            fg = f * g
+            l_fg, r_fg, fg_e = h.left_op(fg), h.right_op(fg), 2 * _outer(h, fg, e)
+            g_f, f_g = 2 * _outer(h, g, f), 2 * _outer(h, f, g)
+            r_g, l_f = 2 * on_e[i] * rights[j], 2 * on_e[j] * lefts[i]
+            sides = ((lefts[i] @ lefts[j], r_fg - r_g + l_f + g_f - f_g),
+                     (rights[j] @ rights[i], l_fg + r_g - l_f - g_f + f_g),
+                     (lefts[i] @ rights[j], fg_e + r_g - g_f - r_fg),
+                     (rights[j] @ lefts[i], fg_e + l_f - f_g - l_fg))
+            ws = [(lhs - rhs).first_nonzero() for lhs, rhs in sides]
+            failure = earliest_failure([(f"exchange identity {t} fails", w and (i, j, w[0]))
+                                        for t, w in enumerate(ws, start=1)])
+            if failure is not None:
+                raise RelationFails(failure[0], witness=failure[1])
 
 
 # ---------------------------------------------------------------------------

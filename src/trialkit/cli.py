@@ -212,8 +212,11 @@ def cmd_certify(args) -> int:
     rep = CertificationReport(algebra_id, args.suite, _run_checks(checks))
     text = rep.render(args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0 if rep.checks.ok else 1

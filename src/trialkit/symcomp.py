@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import partial
 from operator import add, mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -27,6 +26,7 @@ from .triality import (
     LocalTriple,
     RelationFails,
     TrialityTriple,
+    _gram,
     _outer,
     _require_triality_law,
     _wedge,
@@ -71,68 +71,90 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
       (xy)(yz) = 2<xy|z>y - z(y(xy)) = 2<x|yz>y - <y|y>zx.
 
     When linearized fails, the other five are scanned for their witnesses
-    too, in record order.
+    too, in record order.  Each but composition, which reads only the
+    diagonal (i, j, i, j) of polarized, is then checked as identities of
+    maps built from L(e_i) and R(e_i): two-sided norm against <x|x> Id,
+    polarized as Gram maps, form associativity as an adjointness and
+    product exchange as a closed form.
     """
     if a._symcomp_cache is not None:
         return a._symcomp_cache
     cert = Certificate()
-    n = a.dim
-
-    # The other five clauses run on FieldElements, scanned only when
-    # linearized fails: prods[i][j] = e_i e_j is built then, and gram[i][k] =
-    # <e_i|e_k> is the form itself.
-    def two_sided_norm(i, j):
-        x, y, nx = basis[i], basis[j], gram[i][i]
-        return prods[i][j] * x == nx * y and x * prods[j][i] == nx * y
-
-    def composition(i, j):
-        p = prods[i][j]
-        return a.form_eval(p, p) == gram[i][i] * gram[j][j]
-
-    # polarized composition law <xy|zw> + <zy|xw> = 2<x|z><y|w>
-    def polarized(i, j, k, l):
-        lhs = a.form_eval(prods[i][j], prods[k][l]) + a.form_eval(prods[k][j], prods[i][l])
-        return lhs == two * gram[i][k] * gram[j][l]
-
-    def form_associativity(i, j, k):
-        return a.form_eval(prods[i][j], basis[k]) == a.form_eval(basis[i], prods[j][k])
-
-    # (xy)(yz) = 2<x|yz>y - <y|y>zx, quadratic in y so sums of basis pairs
-    # are also exercised
-    def product_exchange_failure():
-        ys = basis + [basis[i] + basis[j] for i in range(n) for j in range(i + 1, n)]
-        y_norms = [a.form_eval(y, y) for y in ys]
-        y_prods = [[y * basis[k] for k in range(n)] for y in ys]
-        xys = [[basis[i] * y for y in ys] for i in range(n)]
-
-        def product_exchange(i, t, k):
-            yz = y_prods[t][k]
-            rhs = two * a.form_eval(basis[i], yz) * ys[t] - y_norms[t] * prods[k][i]
-            return xys[i][t] * yz == rhs
-
-        w = first_failing_tuple(product_exchange, n, len(ys), n)
-        return None if w is None else (w[0], w[2])
-
-    clauses = (("two-sided-norm-law", partial(first_failing_tuple, two_sided_norm, n, n)),
-               ("composition-law", partial(first_failing_tuple, composition, n, n)),
-               ("polarized-composition-law", partial(first_failing_tuple, polarized, n, n, n, n)),
-               ("form-associativity", partial(first_failing_tuple, form_associativity, n, n, n)),
-               ("linearized-norm-law", partial(linearized_failure, a)),
-               ("product-exchange-law", product_exchange_failure))
-    linearized_witness = dict(clauses)["linearized-norm-law"]()
-    if linearized_witness is not None:
-        basis = a.basis_elements()
-        prods = [[basis[i] * basis[j] for j in range(n)] for i in range(n)]
-        gram = a.form
-        two = a.field.from_int(2)
-    for clause, failure in clauses:
-        if clause == "linearized-norm-law":
-            w = linearized_witness
-        else:
-            w = None if linearized_witness is None else failure()
+    linearized = linearized_failure(a)
+    if linearized is not None:
+        lefts = [a.left_op(a.basis(i)) for i in range(a.dim)]
+        rights = [a.right_op(a.basis(i)) for i in range(a.dim)]
+    for clause, failure in (("two-sided-norm-law", _two_sided_norm_failure),
+                            ("composition-law", _composition_failure),
+                            ("polarized-composition-law", _polarized_failure),
+                            ("form-associativity", _form_associativity_failure),
+                            ("linearized-norm-law", None),
+                            ("product-exchange-law", _product_exchange_failure)):
+        w = failure(a, lefts, rights) if failure and linearized is not None else linearized
         cert.add(clause, w is None, w)
     a._symcomp_cache = cert
     return cert
+
+
+# The clauses linearized implies, each given the maps L(e_i) and R(e_i) and
+# returning its first failing basis tuple in row-major order, or None.
+
+def _two_sided_norm_failure(a: Algebra, lefts: list, rights: list) -> Optional[tuple]:
+    """(xy)x = <x|x>y = x(yx) at x = e_i, y = e_j: the maps R_x L_x and
+    L_x R_x of y against <x|x> Id; j is their first nonzero column."""
+    identity = a.identity_map()
+    for i, (lx, rx) in enumerate(zip(lefts, rights)):
+        norm = a.form[i][i] * identity
+        ws = [w for m in (rx @ lx, lx @ rx) if (w := (m - norm).first_nonzero())]
+        if ws:
+            return (i, min(ws)[0])
+    return None
+
+
+def _composition_failure(a: Algebra, lefts: list, rights: list) -> Optional[tuple]:
+    """<xy|xy> = <x|x><y|y> at x = e_i, y = e_j."""
+    return first_failing_tuple(lambda i, j: a.form_eval(p := lefts[i](a.basis(j)), p)
+                               == a.form[i][i] * a.form[j][j], a.dim, a.dim)
+
+
+def _polarized_failure(a: Algebra, lefts: list, rights: list) -> Optional[tuple]:
+    """<xy|zw> + <zy|xw> = 2<x|z><y|w> at (e_i, e_j, e_k, e_l): for each x
+    and z the Gram maps (entry (l, j); see `triality._gram`) of (L_x, L_z)
+    and (L_z, L_x) against 2<x|z> G.  Their first nonzero entry (j, l) gives
+    the least (j, k, l) for the least i."""
+    g = a.form_map()
+    for i, lx in enumerate(lefts):
+        ws = [(w[0], k, w[1]) for k, lz in enumerate(lefts)
+              if (w := (_gram(a, lx, lz) + _gram(a, lz, lx)
+                        - 2 * a.form[i][k] * g).first_nonzero())]
+        if ws:
+            return (i, *min(ws))
+    return None
+
+
+def _form_associativity_failure(a: Algebra, lefts: list, rights: list) -> Optional[tuple]:
+    """<xy|z> = <x|yz> at (e_i, e_j, e_k): for each y = e_j the adjointness
+    <R_y x|z> = <x|L_y z> at (i, k), the least (i, j, k) of them."""
+    return min(((w[0], j, w[1]) for j, (ly, ry) in enumerate(zip(lefts, rights))
+                if (w := form_law_failure(a, ry, None, None, ly))), default=None)
+
+
+def _product_exchange_failure(a: Algebra, lefts: list, rights: list) -> Optional[tuple]:
+    """(xy)(yz) = 2<x|yz>y - <y|y>zx at x = e_i, z = e_k, with y over the
+    basis and then the sums e_s + e_t (s < t), as the law is quadratic in
+    y: the map L_xy L_y - 2 outer(y, x) L_y + <y|y> R_x of z (`_outer`)
+    vanishes.  The witness is (i, k), for the first y that fails."""
+    n = a.dim
+    ys = [(a.basis(s), lefts[s]) for s in range(n)] + [
+        (a.basis(s) + a.basis(t), lefts[s] + lefts[t]) for s in range(n) for t in range(s + 1, n)]
+    for i, rx in enumerate(rights):
+        x = a.basis(i)
+        for y, ly in ys:
+            w = (a.left_op(x * y) @ ly - 2 * _outer(a, y, x) @ ly
+                 + a.form_eval(y, y) * rx).first_nonzero()
+            if w is not None:
+                return (i, w[0])
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -253,15 +253,22 @@ def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> 
     return TrialityTriple(a, maps)
 
 
-def _require_triality_law(a: Algebra, maps: Sequence[LinearMap]) -> None:
-    """Raise at the first j and basis pair where g_j(xy) != (g_{j+1}x)(g_{j+2}y)."""
+def triality_law_failure(a: Algebra, maps: Sequence[LinearMap]) -> Optional[tuple]:
+    """(j, i, k) of the first j and basis pair (i, k) where
+    g_j(xy) != (g_{j+1}x)(g_{j+2}y), or None."""
     for j in range(3):
         w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])
         if w is not None:
-            raise RelationFails(
-                f"g{j + 1}(e{w[0]} e{w[1]}) != (g{j + 2 if j < 2 else 1}...)",
-                witness=(j + 1, *w),
-            )
+            return (j + 1, *w)
+    return None
+
+
+def _require_triality_law(a: Algebra, maps: Sequence[LinearMap]) -> None:
+    """Raise at the first j and basis pair where g_j(xy) != (g_{j+1}x)(g_{j+2}y)."""
+    w = triality_law_failure(a, maps)
+    if w is not None:
+        j, i, k = w
+        raise RelationFails(f"g{j}(e{i} e{k}) != (g{j + 1 if j < 3 else 1}...)", witness=w)
 
 
 def scaled_identity_triple(a: Algebra, s1: int, s2: int, s3: int) -> TrialityTriple:

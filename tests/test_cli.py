@@ -128,6 +128,15 @@ def test_certify_writes_out_file(capsys, tmp_path):
     assert "summary:" in target.read_text()
 
 
+def test_certify_to_an_unwritable_out_path_exits_2(capsys, tmp_path):
+    """A report path in a missing directory, or a directory, is bad input:
+    exit 2 with one error line, never a traceback."""
+    for target in (tmp_path / "no" / "such" / "x.txt", tmp_path):
+        rc, out, err = run(capsys, "certify", "para:1", "--out", str(target))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot write report: ") and err.count("\n") == 1, target
+
+
 def test_certify_spec_file_and_perturbed_failure(capsys, tmp_path):
     a = named_algebra("para:4")
     good = tmp_path / "para4.json"

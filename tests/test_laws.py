@@ -232,21 +232,23 @@ def ref_sigma_theta_forms(alg, sj, tj):
 
 
 def ref_first_conjugate_failure(a, lam):
-    """First failing (j, i, k) of the scaling triple on the conjugate algebra."""
+    """(clause, (j, i, k)) of the first failing triple on the conjugate
+    algebra, the scaling triple before the transpose triple, or None."""
     from trialkit.constructors import make_conjugate
 
     conj = make_conjugate(a)
     jmap = a.involution_map()
-    maps = zorn._rho_maps(a, lam)
     basis = conj.basis_elements()
-    for j in range(3):
-        bar = LinearMap(conj, (jmap @ maps[j] @ jmap).rows)
-        g1 = LinearMap(conj, maps[(j + 1) % 3].rows)
-        g2 = LinearMap(conj, maps[(j + 2) % 3].rows)
-        for i in range(a.dim):
-            for k in range(a.dim):
-                if bar(basis[i] * basis[k]) != g1(basis[i]) * g2(basis[k]):
-                    return (j + 1, i, k)
+    for name, maps in (("scaling", zorn._rho_maps(a, lam)),
+                       ("transpose", (zorn._slot_swap(a, True),) * 3)):
+        for j in range(3):
+            bar = LinearMap(conj, (jmap @ maps[j] @ jmap).rows)
+            g1 = LinearMap(conj, maps[(j + 1) % 3].rows)
+            g2 = LinearMap(conj, maps[(j + 2) % 3].rows)
+            for i in range(a.dim):
+                for k in range(a.dim):
+                    if bar(basis[i] * basis[k]) != g1(basis[i]) * g2(basis[k]):
+                        return f"{name}-triple-transfers-to-conjugate-product", (j + 1, i, k)
     return None
 
 
@@ -650,10 +652,44 @@ def test_law_kernels_match_the_fieldelement_checkers(case, seed, shift, bad):
 def test_conjugate_consistency_reports_the_first_failing_tuple():
     a = named_algebra("zorn")
     lam = a.field.from_int(2)
-    assert ref_first_conjugate_failure(a, lam) == (1, 0, 0)
+    want = ("scaling-triple-transfers-to-conjugate-product", (1, 0, 0))
+    assert ref_first_conjugate_failure(a, lam) == want
     with pytest.raises(RelationFails) as info:
         zorn.conjugate_consistency(a, lam)
-    assert info.value.witness == ("scaling-triple-transfers-to-conjugate-product", (1, 0, 0))
+    assert info.value.witness == want
+
+
+def conjugate_outcome(a, lam):
+    """None when conjugate_consistency certifies, else its witness."""
+    try:
+        zorn.conjugate_consistency(a, lam)
+    except RelationFails as exc:
+        return exc.witness
+    return None
+
+
+@pytest.mark.parametrize("case", [("parazorn:1:1", "Q"), ("parazorn:2:1", "Qsqrt3"),
+                                  ("parazorn:3:1", "F7"), ("parazorn:1:3", "Q"),
+                                  ("zorn", "Qsqrt3")])
+def test_conjugate_transfer_matches_the_conjugate_algebra(case):
+    """Checked on the algebra itself, the transfer reports what the
+    conjugate algebra reports: pass, or the clause and (j, i, k) of the first
+    failure, on the unshifted algebra and on copies with one structure
+    constant shifted, at a random scale.  Over the shifts both triples fail
+    first somewhere and some copy passes."""
+    rng = random.Random(case[0] + case[1])
+    a = algebra(*case)
+    n = a.dim
+    seen = set()
+    for t in range(16):
+        c = small_scalar(a.field, rng) if t else a.field.zero()
+        alg = _shifted(a, rng.randrange(n), rng.randrange(n), rng.randrange(n), c)
+        lam = small_scalar(a.field, rng) if t % 2 else a.field.one()
+        got = conjugate_outcome(alg, lam)
+        assert got == ref_first_conjugate_failure(alg, lam), (t, got)
+        seen.add(got and got[0])
+    assert seen == {None, "scaling-triple-transfers-to-conjugate-product",
+                    "transpose-triple-transfers-to-conjugate-product"}, seen
 
 
 # ---------------------------------------------------------------------------
@@ -948,23 +984,28 @@ def test_tuple_checks_keep_their_witnesses(field):
     assert checked >= len(NAMED) - 2
 
 
-GENERATING = ["linearized"]
-IMPLIED = ["two_sided_norm", "composition", "polarized", "form_associativity",
-           "product_exchange"]
+GENERATING = ["linearized_failure"]
+IMPLIED = ["_two_sided_norm_failure", "_composition_failure", "_polarized_failure",
+           "_form_associativity_failure", "_product_exchange_failure"]
 
 
 def test_symmetric_composition_scans_only_the_generating_clauses(monkeypatch):
     """Linearized implies the other five clauses, so a certified algebra
-    scans only that one; a failing one scans all six."""
+    scans only that one; a failing one scans all six, the five implied ones
+    in record order.  Each clause function is counted where symcomp calls it."""
     scanned = []
-    scan = symcomp.first_failing_tuple
 
-    def counting(holds, *sizes):
-        scanned.append(holds.__name__)
-        return scan(holds, *sizes)
+    def counting(name):
+        clause = getattr(symcomp, name)
 
-    monkeypatch.setattr(triality, "first_failing_tuple", counting)
-    monkeypatch.setattr(symcomp, "first_failing_tuple", counting)
+        def count(*args):
+            scanned.append(name)
+            return clause(*args)
+
+        return count
+
+    for name in GENERATING + IMPLIED:
+        monkeypatch.setattr(symcomp, name, counting(name))
     for name in ("okubo", "para:8"):
         scanned.clear()
         assert symcomp.is_symmetric_composition(named_algebra(name)).ok

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 82 mutants takes about twenty minutes on two cores, most of
+a full run of the 88 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -40,6 +40,8 @@ PRODUCT_LOOP = "tests/test_algebra.py::test_product_loop_matches_the_fieldelemen
 NULLSPACE = "tests/test_linalg.py::test_nullspace_matches_exact_rref"
 RAW_ROWS = "tests/test_linalg.py::test_kernel_reads_raw_integer_rows_mod_p"
 HURWITZ_SIGMA = LAWS + "test_hurwitz_sigma_matches_reference"
+TUPLE_CHECKS = LAWS + "test_tuple_checks_keep_their_witnesses"
+SHIFTED_RECORDS = LAWS + "test_symmetric_composition_records_match_reference_after_a_random_shift"
 INT_MAPS = "tests/test_algebra.py::test_integer_maps_match_the_fieldelement_loops"
 INT_ELEMENTS = "tests/test_algebra.py::test_integer_elements_match_the_fieldelement_loops"
 SQUARE_TEST = "tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product"
@@ -74,7 +76,7 @@ MUTANTS = (
            "                         if not e * b == b == b * e",
            'f"basis index {i + 1}" for i, b in enumerate(a.basis_elements())\n'
            "                         if not e * b == b == b * e",
-           (SHAPE_PINS, LAWS + "test_tuple_checks_keep_their_witnesses")),
+           (SHAPE_PINS, TUPLE_CHECKS)),
     Mutant("a crashed check passes", "cli.py",
            "cert.add(check_id, witness is None, witness)", "cert.add(check_id, True, witness)",
            (CLI_PINS,)),
@@ -93,19 +95,22 @@ MUTANTS = (
            (LAWS + "test_conjugate_consistency_reports_the_first_failing_tuple",)),
     # -- is_symmetric_composition: linearized implies the other five -------
     Mutant("skip taken when linearized fails", "symcomp.py",
-           "w = None if linearized_witness is None else failure()", "w = None",
+           "w = failure(a, lefts, rights) if failure and linearized is not None else linearized",
+           "w = None if failure and linearized is not None else linearized",
            (LAWS + "test_symmetric_composition_scans_only_the_generating_clauses",)),
-    Mutant("skip gated on form associativity", "symcomp.py",
-           'linearized_witness = dict(clauses)["linearized-norm-law"]()',
-           'linearized_witness = dict(clauses)["form-associativity"]()',
+    Mutant("form associativity skipped when linearized fails", "symcomp.py",
+           "if failure and linearized is not None else linearized",
+           "if failure not in (None, _form_associativity_failure) and linearized is not None "
+           "else linearized",
            (LAWS + "test_symmetric_composition_scans_only_the_generating_clauses",)),
-    Mutant("implied records in reversed order", "symcomp.py",
-           "    for clause, failure in clauses:\n        if clause == \"linearized-norm-law\":",
-           "    for clause, failure in reversed(clauses):\n"
-           "        if clause == \"linearized-norm-law\":",
+    Mutant("implied records out of order", "symcomp.py",
+           '    for clause, failure in (("two-sided-norm-law", _two_sided_norm_failure),\n'
+           '                            ("composition-law", _composition_failure),',
+           '    for clause, failure in (("composition-law", _composition_failure),\n'
+           '                            ("two-sided-norm-law", _two_sided_norm_failure),',
            (LAWS + "test_symmetric_composition_scans_only_the_generating_clauses",)),
     Mutant("fallback drops the linearized witness", "symcomp.py",
-           "            w = linearized_witness\n", "            w = None\n",
+           "linearized is not None else linearized", "linearized is not None else None",
            (LAWS + "test_symmetric_composition_scans_only_the_generating_clauses",)),
     # -- sigma_theta_triples: one-sided inverses -----------------------------
     Mutant("sigma_j theta_j test dropped", "symcomp.py",
@@ -343,7 +348,7 @@ MUTANTS = (
     Mutant("basis tuples scanned column-major", "triality.py",
            "    for t in product(*map(range, sizes)):",
            "    for t in sorted(product(*map(range, sizes)), key=lambda t: t[::-1]):",
-           (SHAPE_PINS, LAWS + "test_tuple_checks_keep_their_witnesses")),
+           (SHAPE_PINS, TUPLE_CHECKS)),
     Mutant("Klein check reads -1 as +1", "symcomp.py",
            "minus = tuple(tuple((p - 1) * v for v in row) for row in ident)", "minus = ident",
            ("tests/test_enumerate.py::test_subgroup_without_the_klein_group_fails",)),
@@ -365,6 +370,27 @@ MUTANTS = (
     Mutant("theta closed form dropped", "symcomp.py",
            '("theta closed form fails", wt and wt[0])', '("theta closed form fails", None)',
            (LAWS + "test_sigma_theta_closed_forms_fail_at_the_first_basis_index",)),
+    # -- the last basis-tuple identities as identities of maps --------------
+    Mutant("form-associativity adjointness with L and R swapped", "symcomp.py",
+           "form_law_failure(a, ry, None, None, ly)", "form_law_failure(a, ly, None, None, ry)",
+           (SHIFTED_RECORDS, TUPLE_CHECKS)),
+    Mutant("polarized with one Gram map", "symcomp.py",
+           "(_gram(a, lx, lz) + _gram(a, lz, lx)", "(2 * _gram(a, lx, lz)",
+           (SHIFTED_RECORDS, TUPLE_CHECKS)),
+    Mutant("product exchange without <y|y>R(x)", "symcomp.py",
+           "\n                 + a.form_eval(y, y) * rx).first_nonzero()", ").first_nonzero()",
+           (SHIFTED_RECORDS, TUPLE_CHECKS)),
+    Mutant("conjugate transfer with its components unshifted", "triality.py",
+           "product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])\n",
+           "product_law_failure(a, maps[j], maps[j], maps[j])\n",
+           (LAWS + "test_conjugate_transfer_matches_the_conjugate_algebra",)),
+    Mutant("para-associativity without J", "assoc.py",
+           "a.right_op(x * y) @ jmap", "a.right_op(x * y)",
+           (TUPLE_CHECKS,)),
+    Mutant("exchange identity 3 without its 2 outer(fg, e) term", "autos.py",
+           "(lefts[i] @ rights[j], fg_e + r_g - g_f - r_fg)",
+           "(lefts[i] @ rights[j], r_g - g_f - r_fg)",
+           (TUPLE_CHECKS,)),
     Mutant("FieldElement == raises on a scalar with no value in the field", "fields.py",
            "            try:\n                other = self._coerce(other)\n"
            "            except DivisionByZero:\n                return False\n",
