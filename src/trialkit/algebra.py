@@ -287,6 +287,12 @@ class LinearMap(_Block):
         return _int_map(self.algebra, *linalg._inverse(
             self.algebra.field, self._q, _split(self._n0, n), _split(self._n1, n)))
 
+    def transpose(self) -> "LinearMap":
+        """The transposed map, read off the block column by column."""
+        n = self.algebra.dim
+        return _int_map(self.algebra, self._q, *[v and [x for c in range(n) for x in v[c::n]]
+                                                 for v in (self._n0, self._n1)])
+
     def commutator(self, other: "LinearMap") -> "LinearMap":
         return self @ other - other @ self
 
@@ -336,10 +342,8 @@ class Algebra:
                 raise AlgebraError("form must be dim x dim")
             self._form = LinearMap(self, form)
             self.form = self._form.rows
-            for i in range(n):
-                for j in range(i):
-                    if self.form[i][j] != self.form[j][i]:
-                        raise AlgebraError("form is not symmetric")
+            if self._form.transpose() != self._form:
+                raise AlgebraError("form is not symmetric")
         self._involution = self.involution = None
         if involution is not None:
             self._involution = LinearMap(self, involution)

@@ -10,9 +10,12 @@ Each sum of products is then a sum of integer pair products
 (u0 + u1 sqrt d)(v0 + v1 sqrt d) = (u0 v0 + d u1 v1) + (u0 v1 + u1 v0) sqrt d
 (`_add_multiple` on sparse vectors, `_int_matmul` on integer matrices given
 by their sparse rows), and `_wrap` builds one FieldElement per result that
-is read as one.  Over Q the n1 parts are zero and skipped (R1 is None); over
-F_p every q is 1, the n0 are the residues, and a result is reduced mod p
-only when it is wrapped or compared.  This is exact with no stated bound:
+is read as one.  `_first_difference` compares two numerator vectors over one
+denominator and returns the first index where they differ: the product law
+of `triality` is two block products of `_int_matmul` read off by it.  Over
+Q the n1 parts are zero and skipped (R1 is None); over F_p every q is 1, the
+n0 are the residues, and a result is reduced mod p only when it is wrapped
+or compared.  This is exact with no stated bound:
 Python ints do not overflow, and two quotients over positive denominators
 are equal exactly when their numerators, each multiplied by the other's
 denominator, are equal (mod p over F_p), which is when their canonical
@@ -32,9 +35,9 @@ the block a LinearMap keeps.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, count, repeat
 from math import gcd, lcm
-from operator import sub
+from operator import ne, sub
 from typing import List, Optional
 
 from .fields import FieldDescriptor, FieldElement, _make, _reduced
@@ -139,11 +142,11 @@ def _int_matmul(d: Optional[int], a: List[list], b: List[list], width: int) -> t
     `algebra.LinearMap`; over Q and F_p (d None) C1 is None."""
     c0, c1 = [], []
     for u in a:
-        acc0, acc1 = [0] * width, [0] * width
+        acc0, acc1 = [0] * width, d and [0] * width
         for j, x0, x1 in u:
             _add_multiple(d, acc0, acc1, x0, x1, b[j])
         c0 += acc0
-        c1 += acc1
+        c1 += acc1 or ()
     return c0, c1 if d else None
 
 
@@ -166,13 +169,16 @@ def _squares_to(desc: FieldDescriptor, rows: List[list], t: int = 0) -> bool:
     return True
 
 
-def _agree(p: Optional[int], u0: list, u1: list, v0: list, v1: list) -> bool:
-    """Whether the vectors u = u0 + u1 sqrt d and v = v0 + v1 sqrt d of
-    numerators over one denominator are equal; over F_p, whether u0 = v0
-    mod p."""
-    if p is not None:
-        return not any(map(p.__rmod__, map(sub, u0, v0)))
-    return u0 == v0 and u1 == v1
+def _first_difference(p: Optional[int], u0: list, u1, v0: list, v1) -> Optional[int]:
+    """The first index t where the vectors u = u0 + u1 sqrt d and
+    v = v0 + v1 sqrt d of numerators over one denominator differ, or None
+    when they are equal; over F_p, where u0 - v0 is nonzero mod p.  u1 and
+    v1 are both None (over Q and F_p) or both lists."""
+    if p is None and u0 == v0 and u1 == v1:
+        return None
+    differs = (map(p.__rmod__, map(sub, u0, v0)) if p is not None
+               else map(ne, zip(u0, u1 or repeat(0)), zip(v0, v1 or repeat(0))))
+    return next(compress(count(), differs), None)
 
 
 def _scaled(s: int, vectors: List[list]) -> List[list]:

@@ -26,7 +26,7 @@ from .triality import (
     LocalTriple,
     RelationFails,
     TrialityTriple,
-    _gram,
+    _gram_of,
     _outer,
     _require_triality_law,
     _wedge,
@@ -119,14 +119,23 @@ def _composition_failure(a: Algebra, lefts: list, rights: list) -> Optional[tupl
 
 def _polarized_failure(a: Algebra, lefts: list, rights: list) -> Optional[tuple]:
     """<xy|zw> + <zy|xw> = 2<x|z><y|w> at (e_i, e_j, e_k, e_l): for each x
-    and z the Gram maps (entry (l, j); see `triality._gram`) of (L_x, L_z)
-    and (L_z, L_x) against 2<x|z> G.  Their first nonzero entry (j, l) gives
-    the least (j, k, l) for the least i."""
+    and z the map P = M + M^T - 2<x|z> G, M the Gram map (entry (l, j); see
+    `triality._gram`) of (L_x, L_z), read off G L_x, built once per x.  As
+    G is symmetric, M^T is the Gram map of (L_z, L_x) and P(z, x) = P(x, z),
+    so at x = e_i each z = e_k with k < i was read as zero at x = e_k, and
+    only k >= i is read.  The first nonzero entry (j, l) of P gives the
+    least (j, k, l) for the least i."""
     g = a.form_map()
     for i, lx in enumerate(lefts):
-        ws = [(w[0], k, w[1]) for k, lz in enumerate(lefts)
-              if (w := (_gram(a, lx, lz) + _gram(a, lz, lx)
-                        - 2 * a.form[i][k] * g).first_nonzero())]
+        glx = g @ lx
+        ws = []
+        for k in range(i, a.dim):
+            m = _gram_of(glx, lefts[k])
+            m = m + m.transpose()
+            if a.form[i][k]:
+                m = m - 2 * a.form[i][k] * g
+            if w := m.first_nonzero():
+                ws.append((w[0], k, w[1]))
         if ws:
             return (i, *min(ws))
     return None
@@ -506,8 +515,10 @@ class TrigGroup:
 
 
 def _residue_triple(g: TrialityTriple) -> tuple:
-    """The three maps of a triple over F_p as tuples of residue rows."""
-    return tuple(tuple(tuple(c.a for c in row) for row in m.rows) for m in g.maps)
+    """The three maps of a triple over F_p as tuples of residue rows, read
+    off their canonical blocks, which hold the residues."""
+    n = g.algebra.dim
+    return tuple(tuple(tuple(m._n0[r:r + n]) for r in range(0, n * n, n)) for m in g.maps)
 
 
 def _mat_mul_mod(x: tuple, y: tuple, p: int) -> tuple:

@@ -6,6 +6,11 @@ triples forms the group Trig(A).  A local triple (t1, t2, t3) satisfies the
 derivation-style law t_j(xy) = (t_{j+1}x)y + x(t_{j+2}y).  All verifications
 run over every basis pair, which proves the law by bilinearity.
 
+Such a product law (`product_law_failure`) is checked as two integer block
+products of `linalg._int_matmul`, one per side, laid out by (i, k, t) for
+the pair (i, k) and the output coordinate t; the witness is the first pair
+where they differ (`linalg._first_difference`).
+
 A form law <f1 x|g1 y> = <f2 x|g2 y> (isometry, adjointness, skewness) is
 checked as an identity of two Gram maps, entry (k, i) <f e_i|g e_k> (see
 `_gram`), and a closed form of a map as an identity with the map built from
@@ -21,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .fields import FieldElement, FieldNotEmbeddable
-from .linalg import _add_multiple, _agree, _int_matmul, _scaled, _sparse, _sparse_lines
+from .linalg import _add_multiple, _first_difference, _int_matmul, _scaled, _sparse_lines
 
 Pair = Tuple[int, int]
 
@@ -109,10 +114,17 @@ def product_law_failure(a: Algebra, outer: LinearMap, left: LinearMap,
     its numerators over its denominator (see `LinearMap`) and the structure
     constants are `a.int_terms` over `a.int_den`.  Each map is multiplied up
     front by the denominators of the maps on the other side, so that both
-    sides at (i, k) are numerator vectors over the same denominator,
-    compared exactly (mod p over F_p).
+    sides are numerator vectors over the same denominator.  Each side is one
+    block product (`_int_matmul`) laid out by (i, k, t), t the output
+    coordinate: the lhs is the rows e_i e_k times the columns of outer, and
+    by_right[l], over (k, t), is the columns of right times the plane e_l e_m
+    of the structure constants, e_l (right e_k).  The rhs is the columns of
+    left times the rows of by_right; with `local` the rows e_l e_k are
+    stacked above them and column i of left gets weight 1 at by_right[i],
+    e_i (right e_k).  The first entry where the sides differ (mod p over
+    F_p; `_first_difference`) gives the witness.
     """
-    n, d, p = a.dim, a.field.d, a.field.p
+    n, d = a.dim, a.field.d
     terms = a.int_terms
     qo, ocols = outer._q, outer._lines(True)
     ql, lcols = left._q, left._lines(True)
@@ -125,33 +137,16 @@ def product_law_failure(a: Algebra, outer: LinearMap, left: LinearMap,
         lcols, rcols = _scaled(qo * qr, lcols), _scaled(qo * ql, rcols)
     else:
         ocols, lcols = _scaled(ql * qr, ocols), _scaled(qo, lcols)
-    # by_right[k][l]: e_l (right e_k), sparse
-    by_right = []
-    for k in range(n):
-        row = []
-        for l in range(n):
-            v0, v1 = [0] * n, [0] * n
-            for m, y0, y1 in rcols[k]:
-                _add_multiple(d, v0, v1, y0, y1, terms[l][m])
-            row.append(_sparse(v0, v1))
-        by_right.append(row)
-    for i in range(n):
-        for k in range(n):
-            # outer(e_i e_k): the columns of outer weighted by e_i e_k
-            lhs0, lhs1 = [0] * n, [0] * n
-            for m, c0, c1 in terms[i][k]:
-                _add_multiple(d, lhs0, lhs1, c0, c1, ocols[m])
-            rhs0, rhs1 = [0] * n, [0] * n
-            if local:
-                for l, x0, x1 in lcols[i]:
-                    _add_multiple(d, rhs0, rhs1, x0, x1, terms[l][k])
-                _add_multiple(d, rhs0, rhs1, 1, 0, by_right[k][i])
-            else:
-                for l, x0, x1 in lcols[i]:
-                    _add_multiple(d, rhs0, rhs1, x0, x1, by_right[k][l])
-            if not _agree(p, lhs0, lhs1, rhs0, rhs1):
-                return (i, k)
-    return None
+    lhs0, lhs1 = _int_matmul(d, [row for plane in terms for row in plane], ocols, n)
+    by_right = [_int_matmul(d, rcols, plane, n) for plane in terms]
+    rows = _sparse_lines([r0 for r0, _ in by_right], d and [r1 for _, r1 in by_right])
+    if local:
+        rows = [[(k * n + t, c0, c1) for k, row in enumerate(plane) for t, c0, c1 in row]
+                for plane in terms] + rows
+        lcols = [column + [(n + i, 1, 0)] for i, column in enumerate(lcols)]
+    rhs0, rhs1 = _int_matmul(d, lcols, rows, n * n)
+    t = _first_difference(a.field.p, lhs0, lhs1, rhs0, rhs1)
+    return None if t is None else divmod(t // n, n)
 
 
 def linearized_failure(a: Algebra) -> Optional[tuple]:
@@ -185,14 +180,14 @@ def linearized_failure(a: Algebra) -> Optional[tuple]:
             _add_multiple(d, l0, l1, c0, c1, terms[m][k])
         for m, c0, c1 in outer_terms[k][j]:
             _add_multiple(d, l0, l1, c0, c1, terms[m][i])
-        if not _agree(prime, l0, l1, want0, want1):
+        if _first_difference(prime, l0, l1, want0, want1) is not None:
             return False
         r0, r1 = [0] * n, [0] * n
         for m, c0, c1 in outer_terms[j][k]:
             _add_multiple(d, r0, r1, c0, c1, terms[i][m])
         for m, c0, c1 in outer_terms[j][i]:
             _add_multiple(d, r0, r1, c0, c1, terms[k][m])
-        return _agree(prime, r0, r1, want0, want1)
+        return _first_difference(prime, r0, r1, want0, want1) is None
 
     a._linearized_cache = (first_failing_tuple(linearized, n, n, n),)
     return a._linearized_cache[0]
@@ -204,9 +199,13 @@ def _gram(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> LinearM
     transposed, so that its columns run over i and `first_nonzero` meets
     the pairs (i, k) in row-major order."""
     gf = a.form_map() if f is None else a.form_map() @ f
-    if g is None:
-        return gf
+    return gf if g is None else _gram_of(gf, g)
+
+
+def _gram_of(gf: LinearMap, g: LinearMap) -> LinearMap:
+    """`_gram` of (f, g) read off gf = G f: g^T gf."""
     gf._check(g)
+    a = gf.algebra
     return _int_map(a, g._q * gf._q, *_int_matmul(a.field.d, g._lines(True), gf._lines(False),
                                                   a.dim))
 

@@ -238,6 +238,21 @@ def test_bad_involution_is_rejected():
         Algebra(Q, h.structure, form=h.form, involution=good, unit=h.unit)
 
 
+@pytest.mark.parametrize("field", [Q, FieldDescriptor(QUADRATIC, d=3), FieldDescriptor(PRIME, p=7)])
+def test_asymmetric_form_is_rejected(field):
+    """A form is accepted exactly when it equals its transpose, entry by
+    entry as FieldElements; entries equal only mod p count as equal."""
+    h = make_hurwitz(field, (-1, -1))
+    for (r, c), (x, y) in (((0, 1), (1, 1)), ((2, 3), (2, 9)), ((1, 3), (1, -1)), ((3, 0), (0, 5))):
+        form = [list(row) for row in h.form]
+        form[r][c], form[c][r] = field.from_int(x), field.from_int(y)
+        if form[r][c] == form[c][r]:
+            assert Algebra(field, h.structure, form=form).form == form
+        else:
+            with pytest.raises(AlgebraError, match="^form is not symmetric$"):
+                Algebra(field, h.structure, form=form)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
@@ -556,6 +571,7 @@ def test_integer_maps_match_the_fieldelement_loops(case, data):
         (-m, [[-v for v in row] for row in rows]),
         (c * m, [[c * v for v in row] for row in rows]),
         (m * 3, [[v * 3 for v in row] for row in rows]),
+        (m.transpose(), [list(column) for column in zip(*rows)]),
     ]
     # scalar times map on the numerators, entry by entry against c m[r][k]
     for s in (field.zero(), -field.one(), c, data.draw(scalars(field))):

@@ -645,6 +645,26 @@ def test_law_kernels_match_the_fieldelement_checkers(case, seed, shift, bad):
         assert triality.form_law_failure(alg, *args) == ref_form_law_failure(alg, *args)
 
 
+@pytest.mark.parametrize("local", [False, True])
+def test_product_law_fails_first_in_the_sqrt_d_part_alone(local):
+    """On para:4 over Q(sqrt 3) with outer = left = right = Id + sqrt 3 E_13
+    (sqrt 3 E_13 for the local law), the two sides first differ at a pair
+    where their rational parts agree: the witness is the reference's."""
+    a = algebra("para:4", "Qsqrt3")
+    f, n = a.field, a.dim
+    rows = [[f.zero()] * n for _ in range(n)]
+    rows[1][3] = f.element(0, 1)
+    m = LinearMap(a, rows)
+    if not local:
+        m = a.identity_map() + m
+    want = ref_product_law_failure(a, m, m, m, local=local)
+    assert want is not None
+    assert triality.product_law_failure(a, m, m, m, local=local) == want
+    x, y = a.basis(want[0]), a.basis(want[1])
+    diff = (m(x * y) - (m(x) * y + x * m(y) if local else m(x) * m(y))).coords
+    assert all(c.a == 0 for c in diff) and any(c.b != 0 for c in diff)
+
+
 # ---------------------------------------------------------------------------
 # conjugate_consistency reports the first failing tuple
 # ---------------------------------------------------------------------------

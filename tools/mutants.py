@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 88 mutants takes about twenty minutes on two cores, most of
+a full run of the 93 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -35,6 +35,7 @@ CLI_PINS = "tests/test_cli.py::test_certify_output_is_pinned"
 SHAPE_PINS = "tests/test_cli.py::test_certify_witness_shapes_are_pinned"
 LAWS = "tests/test_laws.py::"
 KERNEL_LAWS = LAWS + "test_law_kernels_match_the_fieldelement_checkers"
+SQRT_D_LAW = LAWS + "test_product_law_fails_first_in_the_sqrt_d_part_alone"
 KERNEL_PRODUCTS = "tests/test_linalg.py::test_integer_products_match_the_ring_loop"
 PRODUCT_LOOP = "tests/test_algebra.py::test_product_loop_matches_the_fieldelement_and_residue_loops"
 NULLSPACE = "tests/test_linalg.py::test_nullspace_matches_exact_rref"
@@ -187,15 +188,26 @@ MUTANTS = (
            "_int_map(a, g._q * gf._q,", "_int_map(a, gf._q,",
            (KERNEL_LAWS,)),
     Mutant("comparison skips the mod-p reduction", "linalg.py",
-           "return not any(map(p.__rmod__, map(sub, u0, v0)))", "return u0 == v0",
+           "differs = (map(p.__rmod__, map(sub, u0, v0)) if p is not None",
+           "differs = (map(sub, u0, v0) if p is not None",
            (KERNEL_LAWS,)),
+    Mutant("comparison reads the sqrt d parts only where the rational parts differ", "linalg.py",
+           "if p is None and u0 == v0 and u1 == v1:", "if p is None and u0 == v0:",
+           (SQRT_D_LAW,)),
     Mutant("lift with max in place of lcm", "linalg.py",
            "q = 1 if desc.p is not None else lcm(*[x._q for x in xs])",
            "q = 1 if desc.p is not None else max([x._q for x in xs], default=1)",
            (INT_MAPS, INT_ELEMENTS)),
-    Mutant("product law scans (k, i) in place of (i, k)", "triality.py",
-           "    for i in range(n):\n        for k in range(n):\n            # outer(e_i e_k)",
-           "    for k in range(n):\n        for i in range(n):\n            # outer(e_i e_k)",
+    Mutant("product law witness read as (k, i) in place of (i, k)", "triality.py",
+           "return None if t is None else divmod(t // n, n)",
+           "return None if t is None else divmod(t // n, n)[::-1]",
+           (KERNEL_LAWS,)),
+    Mutant("local law drops e_i (right e_k)", "triality.py",
+           "lcols = [column + [(n + i, 1, 0)]", "lcols = [column + [(n + i, 0, 0)]",
+           (KERNEL_LAWS, LAWS + "test_local_law_matches_reference")),
+    Mutant("by_right built from left's columns", "triality.py",
+           "by_right = [_int_matmul(d, rcols, plane, n)",
+           "by_right = [_int_matmul(d, lcols, plane, n)",
            (KERNEL_LAWS,)),
     # -- one structure-constant table: Algebra.int_product -----------------
     Mutant("product loop drops d x1 y1", "algebra.py",
@@ -375,8 +387,15 @@ MUTANTS = (
            "form_law_failure(a, ry, None, None, ly)", "form_law_failure(a, ly, None, None, ry)",
            (SHIFTED_RECORDS, TUPLE_CHECKS)),
     Mutant("polarized with one Gram map", "symcomp.py",
-           "(_gram(a, lx, lz) + _gram(a, lz, lx)", "(2 * _gram(a, lx, lz)",
+           "m = m + m.transpose()", "m = 2 * m",
            (SHIFTED_RECORDS, TUPLE_CHECKS)),
+    Mutant("polarized skips z = x", "symcomp.py",
+           "for k in range(i, a.dim):", "for k in range(i + 1, a.dim):",
+           (SHIFTED_RECORDS, TUPLE_CHECKS)),
+    Mutant("transpose reads the rows in place of the columns", "algebra.py",
+           "[x for c in range(n) for x in v[c::n]]",
+           "[x for c in range(n) for x in v[c * n:c * n + n]]",
+           (INT_MAPS, "tests/test_algebra.py::test_asymmetric_form_is_rejected")),
     Mutant("product exchange without <y|y>R(x)", "symcomp.py",
            "\n                 + a.form_eval(y, y) * rx).first_nonzero()", ").first_nonzero()",
            (SHIFTED_RECORDS, TUPLE_CHECKS)),
