@@ -35,8 +35,8 @@ d d = 0 and the law checks of `triality` read these integers (see
 
 An identity between two maps is checked on their difference, and one
 read-off, `LinearMap.first_nonzero`, gives its witness: the first nonzero
-entry, column by column, as (column, row).  It reads the canonical sparse
-columns, so over F_p, where they hold reduced residues, it is exact.
+entry, column by column, as (column, row).  It reads the canonical
+numerators, so over F_p, where they hold reduced residues, it is exact.
 """
 
 from __future__ import annotations
@@ -274,12 +274,16 @@ class LinearMap(_Block):
 
     def first_nonzero(self) -> Optional[tuple]:
         """(column, row) of the first nonzero entry, column by column, or
-        None for the zero map: read off the canonical sparse columns, whose
-        entries over F_p are reduced residues, so the test is exact."""
-        for c, column in enumerate(self._lines(True)):
-            if column:
-                return c, column[0][0]
-        return None
+        None for the zero map: read off the canonical numerators, which
+        over F_p are reduced residues, so the test is exact.  The scan stops
+        at the witness and builds no sparse columns."""
+        if self.is_zero():
+            return None
+        n, n0, n1 = self.algebra.dim, self._n0, self._n1
+        for c in range(n):
+            for r in range(n):
+                if n0[n * r + c] or n1 and n1[n * r + c]:
+                    return c, r
 
     def inverse(self) -> "LinearMap":
         """The inverse, read off the integer kernel (`linalg._inverse`)."""

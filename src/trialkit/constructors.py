@@ -4,16 +4,21 @@ Ground field, two-dimensional para-algebra, Cayley-Dickson composition
 algebras and their para twins, the eight-dimensional pseudo-octonion algebra,
 full matrix algebras with transpose involution, and para-Zorn algebras built
 over a bilinear space.
+
+The pseudo-octonion structure constants are computed in M(3, Q(i)), built
+by `make_matrix_algebra`, from traces of Gell-Mann matrices, and kept as
+one table of Fractions per sign, built on first use; each construction
+only maps that table into its field.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Algebra, AlgebraError
+from .algebra import Algebra, AlgebraError, Element
 from .fields import (
     PRIME,
     QUADRATIC,
@@ -26,7 +31,7 @@ from .fields import (
 
 
 def make_ground(field: FieldDescriptor) -> Algebra:
-    one, zero = field.one(), field.zero()
+    one = field.one()
     return Algebra(
         field,
         [[[one]]],
@@ -123,7 +128,7 @@ def make_conjugate(astar: Algebra) -> Algebra:
     return out
 
 
-def find_unit(a: Algebra) -> Optional["object"]:
+def find_unit(a: Algebra) -> Optional[Element]:
     """Two-sided identity of a, or None."""
     n = a.dim
     zero, one = a.field.zero(), a.field.one()
@@ -151,98 +156,38 @@ def make_para_dim2(field: FieldDescriptor) -> Algebra:
 # ---------------------------------------------------------------------------
 # Pseudo-octonion algebra
 # ---------------------------------------------------------------------------
-# Structure constants come from the eight traceless hermitian 3x3 generator
-# matrices via trace formulas; the arithmetic below is exact over
-# Q(sqrt 3) adjoined i, so nothing is transcribed by hand.
-
-# number = (a, b, c, d) <-> (a + b*sqrt3) + i*(c + d*sqrt3)
-_C0 = (Fraction(0),) * 4
-
-
-def _cadd(x, y):
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
-
-
-def _csub(x, y):
-    return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
-
-
-def _cmul(x, y):
-    re = (x[0] * y[0] + 3 * x[1] * y[1] - x[2] * y[2] - 3 * x[3] * y[3],
-          x[0] * y[1] + x[1] * y[0] - x[2] * y[3] - x[3] * y[2])
-    im = (x[0] * y[2] + 3 * x[1] * y[3] + x[2] * y[0] + 3 * x[3] * y[1],
-          x[0] * y[3] + x[1] * y[2] + x[2] * y[1] + x[3] * y[0])
-    return (re[0], re[1], im[0], im[1])
-
-
-def _num(a=0, b=0, c=0, d=0):
-    return (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-
-def _generator_matrices():
-    i1 = _num(1)
-    im = _num(0, 0, 1)
-    # 1/sqrt(3) = sqrt(3)/3
-    r3 = _num(0, Fraction(1, 3))
-    z = _C0
-    return [
-        [[z, i1, z], [i1, z, z], [z, z, z]],
-        [[z, _num(0, 0, -1), z], [im, z, z], [z, z, z]],
-        [[i1, z, z], [z, _num(-1), z], [z, z, z]],
-        [[z, z, i1], [z, z, z], [i1, z, z]],
-        [[z, z, _num(0, 0, -1)], [z, z, z], [im, z, z]],
-        [[z, z, z], [z, z, i1], [z, i1, z]],
-        [[z, z, z], [z, z, _num(0, 0, -1)], [z, im, z]],
-        [[r3, z, z], [z, r3, z], [z, z, _num(0, Fraction(-2, 3))]],
-    ]
+# The basis is the eight Gell-Mann matrices l_1..l_8, and l_j l_k =
+# sum_l (sqrt3 d_jkl + s f_jkl) l_l with Tr(l_j l_k l_l) = 2(d_jkl + i f_jkl)
+# (Okubo 1978).  The traces are computed exactly in M(3, Q(i)), the
+# package's own matrix algebra, on generators with entries in Z[i]:
+# l_8 enters scaled by sqrt 3, so a trace holding it m times is sqrt3^m
+# times the true one, which the table divides out again.
 
 
 @lru_cache(maxsize=None)
-def _pseudo_octonion_tensors() -> Tuple[tuple, tuple]:
-    """Symmetric tensor d and antisymmetric tensor f, each entry a pair
-    (rational part, sqrt3 coefficient), as immutable nested tuples.
-
-    T[j][k][l] = Tr(l_j l_k l_l) is summed over the nonzero generator
-    entries only; d and f come from T[j][k] + T[k][j] and T[j][k] - T[k][j].
-    """
-    lam = [{(r, c): m[r][c] for r in range(3) for c in range(3) if m[r][c] != _C0}
-           for m in _generator_matrices()]
-    trace = [[None] * 8 for _ in range(8)]
-    for j in range(8):
-        for k in range(8):
-            prod = {}  # nonzero entries of l_j l_k
-            for (r, s), x in lam[j].items():
-                for (s2, t), y in lam[k].items():
-                    if s == s2:
-                        prod[r, t] = _cadd(prod.get((r, t), _C0), _cmul(x, y))
-            row = []
-            for l in range(8):
-                acc = _C0
-                for (r, t), x in prod.items():
-                    y = lam[l].get((t, r))
-                    if y is not None:
-                        acc = _cadd(acc, _cmul(x, y))
-                row.append(acc)
-            trace[j][k] = row
-    d, f = [], []
-    for j in range(8):
-        dj, fj = [], []
-        for k in range(8):
-            djk, fjk = [], []
-            for l in range(8):
-                td = _cadd(trace[j][k][l], trace[k][j][l])
-                tf = _csub(trace[j][k][l], trace[k][j][l])
-                # d = Tr({l_j,l_k} l_l)/4 is real; Tr([l_j,l_k] l_l) is purely
-                # imaginary, and f = that trace / (4i).
-                assert td[2] == 0 and td[3] == 0
-                assert tf[0] == 0 and tf[1] == 0
-                djk.append((td[0] / 4, td[1] / 4))
-                fjk.append((tf[2] / 4, tf[3] / 4))
-            dj.append(tuple(djk))
-            fj.append(tuple(fjk))
-        d.append(tuple(dj))
-        f.append(tuple(fj))
-    return tuple(d), tuple(f)
+def _pseudo_octonion_table(s: int) -> tuple:
+    """The nonzero structure constants of sign s, as (j, k, l, rational
+    part, sqrt3 coefficient) with Fraction parts; built on first use."""
+    m = make_matrix_algebra(FieldDescriptor(QUADRATIC, d=-1), 3)
+    e, i = m.basis, m.field.element(0, 1)
+    lam = []
+    for r, c in ((0, 1), (0, 2), (1, 2)):
+        lam += [e(3 * r + c) + e(3 * c + r), (e(3 * c + r) - e(3 * r + c)) * i]
+    lam.insert(2, e(0) - e(4))
+    lam.append(e(0) + e(4) - 2 * e(8))  # sqrt3 l_8 = diag(1, 1, -2)
+    table = []
+    for j, k in product(range(8), repeat=2):
+        jk = m.involute(lam[j] * lam[k])  # form_eval(t(x), y) = Tr(x y)
+        for l in range(8):
+            t = m.form_eval(jk, lam[l])
+            if t:
+                half, odd = divmod((j == 7) + (k == 7) + (l == 7), 2)
+                q = 2 * 3 ** half
+                d, f = t.a / q, t.b / q
+                # sqrt3 d + s f; an odd m leaves one sqrt3 in d and f, so the
+                # rational part is sqrt3 (d / sqrt3) and the sqrt3 part s f / 3
+                table.append((j, k, l, d, s * f / 3) if odd else (j, k, l, s * f, d))
+    return tuple(table)
 
 
 def sqrt3_in(field: FieldDescriptor) -> FieldElement:
@@ -260,19 +205,9 @@ def make_pseudo_octonion(field: FieldDescriptor, sign: str = "+") -> Algebra:
     s = 1 if sign == "+" else -1
     r3 = sqrt3_in(field)
     zero, one = field.zero(), field.one()
-    d, f = _pseudo_octonion_tensors()
     structure = [[[zero] * 8 for _ in range(8)] for _ in range(8)]
-    for j in range(8):
-        for k in range(8):
-            for l in range(8):
-                da, db = d[j][k][l]
-                fa, fb = f[j][k][l]
-                # sqrt3*(da + db*sqrt3) + s*(fa + fb*sqrt3)
-                rat = 3 * db + s * fa
-                irr = da + s * fb
-                if rat or irr:
-                    structure[j][k][l] = (field.from_fraction(rat)
-                                          + field.from_fraction(irr) * r3)
+    for j, k, l, rat, irr in _pseudo_octonion_table(s):
+        structure[j][k][l] = field.from_fraction(rat) + field.from_fraction(irr) * r3
     form = [[one if i == j else zero for j in range(8)] for i in range(8)]
     flip = {1, 4, 6}  # imaginary antisymmetric generators change sign under transpose
     invol = [[(-one if i in flip else one) if i == j else zero for j in range(8)] for i in range(8)]

@@ -15,8 +15,8 @@ from trialkit import constructors
 from trialkit.algebra import Algebra, AlgebraError
 from trialkit.constructors import (cross_space, find_unit, make_conjugate,
                                    make_ground, make_hurwitz, make_para,
-                                   make_para_dim2, make_para_zorn,
-                                   make_pseudo_octonion, make_zorn,
+                                   make_matrix_algebra, make_para_dim2,
+                                   make_para_zorn, make_pseudo_octonion, make_zorn,
                                    named_algebra, quadratic_space, sqrt3_in)
 from trialkit.fields import (FieldDescriptor, PRIME, QUADRATIC, RATIONALS,
                              format_scalar)
@@ -94,11 +94,30 @@ def _ctrace_of_product(x, y):
                                     for r in range(3) for c in range(3)))
 
 
+def _ref_generator_matrices():
+    """The Gell-Mann matrices l_1..l_8 over Q(sqrt3, i), l_8 with its
+    1/sqrt3 = sqrt3/3 entries."""
+    def num(a=0, b=0, c=0, d=0):
+        return (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+    z, one, i, minus_i = num(), num(1), num(0, 0, 1), num(0, 0, -1)
+    r3 = num(0, Fraction(1, 3))
+    return [
+        [[z, one, z], [one, z, z], [z, z, z]],
+        [[z, minus_i, z], [i, z, z], [z, z, z]],
+        [[one, z, z], [z, num(-1), z], [z, z, z]],
+        [[z, z, one], [z, z, z], [one, z, z]],
+        [[z, z, minus_i], [z, z, z], [i, z, z]],
+        [[z, z, z], [z, z, one], [z, one, z]],
+        [[z, z, z], [z, z, minus_i], [z, i, z]],
+        [[r3, z, z], [z, r3, z], [z, z, num(0, Fraction(-2, 3))]],
+    ]
+
+
 @functools.lru_cache(maxsize=None)
 def _ref_pseudo_octonion_tensors():
     """d = Tr({l_j,l_k} l_l)/4 and f = Tr([l_j,l_k] l_l)/4i from full 3x3
     products, entries (rational part, sqrt3 coefficient)."""
-    lam = constructors._generator_matrices()
+    lam = _ref_generator_matrices()
     prods = [[_cmat_mul(a, b) for b in lam] for a in lam]
     d = [[[None] * 8 for _ in range(8)] for _ in range(8)]
     f = [[[None] * 8 for _ in range(8)] for _ in range(8)]
@@ -390,16 +409,53 @@ def test_hurwitz_matches_dense_doubling_on_drawn_gammas(field, gammas):
 
 
 def test_pseudo_octonion_tensors_match_dense_traces():
-    d, f = constructors._pseudo_octonion_tensors()
     ref_d, ref_f = _ref_pseudo_octonion_tensors()
-    assert [[list(row) for row in plane] for plane in d] == ref_d
-    assert [[list(row) for row in plane] for plane in f] == ref_f
-    # cached, and immutable so no caller can change what the next one reads
-    assert constructors._pseudo_octonion_tensors()[0] is d
-    assert isinstance(d[0][0], tuple) and isinstance(f[0][0], tuple)
-    nonzero = sum(1 for j, k, l in itertools.product(range(8), repeat=3)
-                  if any(d[j][k][l]) or any(f[j][k][l]))
-    assert nonzero == 112
+    for s in (1, -1):
+        table = constructors._pseudo_octonion_table(s)
+        # cached, and immutable so no caller can change what the next one reads
+        assert constructors._pseudo_octonion_table(s) is table
+        assert isinstance(table, tuple) and all(isinstance(t, tuple) for t in table)
+        assert len(table) == 112
+        want = {}
+        for j, k, l in itertools.product(range(8), repeat=3):
+            (da, db), (fa, fb) = ref_d[j][k][l], ref_f[j][k][l]
+            # sqrt3 (da + db sqrt3) + s (fa + fb sqrt3)
+            if da or db or fa or fb:
+                want[j, k, l] = (3 * db + s * fa, da + s * fb)
+        assert {(j, k, l): (rat, irr) for j, k, l, rat, irr in table} == want
+        assert all(isinstance(x, Fraction) for t in table for x in t[3:])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("field", [Q, FieldDescriptor(QUADRATIC, d=-1), F7], ids=str)
+def test_matrix_algebra_matches_nested_list_matrices(field, n):
+    # e_{rc} has index n r + c; the product is the matrix product and the
+    # declared form is tr(t(x) y), on nested lists of FieldElements
+    a = make_matrix_algebra(field, n)
+    zero, one = field.zero(), field.one()
+    w = field.element(0, 1) if field.d is not None else field.from_int(3)
+
+    def mat(x):
+        return [x.coords[n * r:n * r + n] for r in range(n)]
+
+    def mul(x, y):
+        return [[sum((x[r][t] * y[t][c] for t in range(n)), zero) for c in range(n)]
+                for r in range(n)]
+
+    def transpose(x):
+        return [list(col) for col in zip(*x)]
+
+    samples = a.basis_elements() + [
+        a.element([field.from_int(t * t - 2) + (w if t % 2 else zero) for t in range(n * n)]),
+        a.element([w * (t - 1) + 5 for t in range(n * n)])]
+    for x, y in itertools.product(samples, repeat=2):
+        assert mat(x * y) == mul(mat(x), mat(y))
+        tty = mul(transpose(mat(x)), mat(y))
+        assert a.form_eval(x, y) == sum((tty[r][r] for r in range(n)), zero)
+    for x in samples:
+        assert mat(a.involute(x)) == transpose(mat(x))
+    assert mat(a.unit_element()) == [[one if r == c else zero for c in range(n)]
+                                     for r in range(n)]
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -432,7 +488,7 @@ def test_startup_builds_no_pseudo_octonion_tensors():
     code = (
         "import contextlib, io\n"
         "from trialkit import cli, constructors\n"
-        "info = constructors._pseudo_octonion_tensors.cache_info\n"
+        "info = constructors._pseudo_octonion_table.cache_info\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['enumerate', 'trig', 'ground', 'F5']) == 0\n"
         "assert info().currsize == 0, info()\n"

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 93 mutants takes about twenty minutes on two cores, most of
+a full run of the 97 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -50,6 +50,7 @@ INVERSES = ("tests/test_linalg.py::test_map_inverse_matches_exact_rref",
             "tests/test_linalg.py::test_mat_inv_matches_exact_rref")
 COERCE = "tests/test_algebra.py::test_scalars_coerce_exactly_or_raise"
 FIELD_EQUALITY = "tests/test_fields.py::test_equality_with_ints_and_fractions"
+OKUBO_TABLE = "tests/test_constructors.py::test_okubo_matches_dense_trace_reference"
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -371,9 +372,9 @@ MUTANTS = (
     Mutant("Gram map without its transpose", "triality.py",
            "g._lines(True), gf._lines(False)", "g._lines(False), gf._lines(False)",
            (KERNEL_LAWS,)),
-    Mutant("read-off scans rows in place of columns", "algebra.py",
-           "for c, column in enumerate(self._lines(True)):",
-           "for c, column in enumerate(self._lines(False)):",
+    Mutant("first_nonzero scans rows before columns", "algebra.py",
+           "        for c in range(n):\n            for r in range(n):\n                if n0[",
+           "        for r in range(n):\n            for c in range(n):\n                if n0[",
            ("tests/test_algebra.py::test_linear_map_operations", KERNEL_LAWS)),
     Mutant("_outer with u and w swapped", "triality.py",
            "    bw = a.form_map()(w)\n", "    u, w = w, u\n    bw = a.form_map()(w)\n",
@@ -418,6 +419,20 @@ MUTANTS = (
     Mutant("FieldElement hashed as its integer triple", "fields.py",
            "return hash(Fraction(self._n0, self._q))", "return hash((self._n0, self._n1, self._q))",
            (FIELD_EQUALITY,)),
+    # -- the pseudo-octonion table read off M(3, Q(i)) ----------------------
+    Mutant("odd power of the scaled l_8 leaves f undivided", "constructors.py",
+           "s * f / 3) if odd", "s * f) if odd",
+           (OKUBO_TABLE,)),
+    Mutant("sign applied to d in place of f", "constructors.py",
+           "(j, k, l, d, s * f / 3) if odd else (j, k, l, s * f, d)",
+           "(j, k, l, s * d, f / 3) if odd else (j, k, l, f, s * d)",
+           (OKUBO_TABLE,)),
+    Mutant("sqrt3 scaling undone on d alone", "constructors.py",
+           "d, f = t.a / q, t.b / q", "d, f = t.a / 2, t.b / q",
+           (OKUBO_TABLE,)),
+    Mutant("matrix algebra with the identity as involution", "constructors.py",
+           "invol[n * c + r][n * r + c] = one", "invol[n * r + c][n * r + c] = one",
+           ("tests/test_constructors.py::test_matrix_algebra_matches_nested_list_matrices",)),
 )
 
 
