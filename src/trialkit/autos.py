@@ -21,7 +21,7 @@ from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .fields import FieldElement, SqrtUnavailable, sqrt_in_field
 from .triality import (RelationFails, _outer, _wedge, earliest_failure, form_law_failure,
-                       product_law_failure)
+                       linearized_failure, product_law_failure)
 
 # ---------------------------------------------------------------------------
 # Generic certification helpers
@@ -44,21 +44,91 @@ def certify_derivation(a: Algebra, d: LinearMap) -> LinearMap:
     return d
 
 
+def _skew_weights(a: Algebra) -> Optional[List[Tuple[int, int]]]:
+    """The diagonal g_k = <e_k|e_k> = (g0 + g1 sqrt d)/q of the form's map as
+    numerators (g0, g1), when every derivation of `a` is skew for the form,
+    the form is diagonal and every g_k is nonzero (mod p); else None.
+
+    Skew holds once the linearized law (xy)z + (zy)x = 2<x|z>y = x(yz) +
+    z(yx) holds (`triality.linearized_failure`).  At z = x it gives x(yx) =
+    <x|x>y, as 2 is invertible (Q, Q(sqrt d) and odd F_p).  A derivation d
+    applied to it gives (dx)(yx) + x((dy)x) + x(y(dx)) = <x|x>dy, and
+    x((dy)x) = <x|x>dy, so x(y(dx)) + (dx)(yx) = 0; the law at z = dx makes
+    that sum 2<x|dx>y, so <x|dx> = 0 for every x.  Then g_k d[k][l] = -g_l
+    d[l][k], so d = T G with T antisymmetric: d[k][l] = T[k][l] g_l.  A zero
+    g_k leaves row k of d free, which T G does not (the zero algebra with the
+    zero form satisfies the law and has every map as a derivation), hence
+    the guard."""
+    if a.form is None:
+        return None
+    g = a.form_map()
+    n = a.dim
+    n0, n1 = g._n0, g._n1 or [0] * (n * n)
+    weights = [(n0[k * n + k], n1[k * n + k]) for k in range(n)]
+    if not all(g0 or g1 for g0, g1 in weights) or any(
+            n0[t] or n1[t] for t in range(n * n) if t % (n + 1)):
+        return None
+    return weights if linearized_failure(a) is None else None
+
+
+def _real_sign(x0: int, x1: int, d: Optional[int]) -> int:
+    """The sign of x0 + x1 sqrt d under the real embedding sqrt d > 0, for
+    d > 0 not a square (d None: the sign of x0), exact on integers: with
+    opposite signs the larger of x0^2 and d x1^2 wins, and they differ."""
+    s0, s1 = (x0 > 0) - (x0 < 0), (x1 > 0) - (x1 < 0)
+    if d is None or not s1 or s0 == s1:
+        return s0
+    if not s0:
+        return s1
+    return s0 if x0 * x0 > d * x1 * x1 else s1
+
+
+def _is_definite(a: Algebra, weights: List[Tuple[int, int]]) -> bool:
+    """Whether the diagonal form with these entries has one strict sign under
+    sqrt d > 0; False over F_p and for d < 0, which have no real embedding."""
+    d = a.field.d
+    if a.field.p is not None or (d is not None and d < 0):
+        return False
+    return len({_real_sign(g0, g1, d) for g0, g1 in weights}) == 1
+
+
 def derivation_space(a: Algebra) -> List[LinearMap]:
     """Basis of the full derivation algebra, by solving the linear
-    conditions d(e_i e_j) = (d e_i) e_j + e_i (d e_j) for the n^2 entries.
+    conditions d(e_i e_j) = (d e_i) e_j + e_i (d e_j): the RREF kernel basis
+    of the system on the n^2 entries d[k][l].
 
     The system is homogeneous, with structure constants over `a.int_den` for
     coefficients, so its rows are the integers of `a.int_terms`, and each
     map is an integer kernel vector (`linalg._kernel`), whose layout is the
-    row-major block of a map."""
+    row-major block of a map.  Zero and repeated rows are dropped.
+
+    Where every derivation is skew for a diagonal form with nonzero entries
+    g_l (see `_skew_weights`), d = T G for T antisymmetric, and the system
+    is solved for the n(n-1)/2 unknowns s_kl = T[k][l], k < l: d[k][l] =
+    g_l s_kl and d[l][k] = -g_k s_kl.  Its kernel, mapped back to the n^2
+    entries, spans the derivations, and `linalg._span_kernel_basis` reduces
+    it to the basis that the full system gives."""
     n = a.dim
     terms = a.int_terms
+    d, p = a.field.d or 0, a.field.p
     pair = a.field.d is not None
-    rows = []
+    weights = _skew_weights(a)
+    cols, place = n * n, None
+    if weights is not None:
+        # place[k * n + l] = (u, w0, w1): d[k][l] = (w0 + w1 sqrt d) s_kl
+        # over the form's denominator, s_kl the unknown at column u; the
+        # diagonal of d is 0
+        place, cols = [None] * (n * n), 0
+        for k in range(n):
+            for l in range(k + 1, n):
+                place[k * n + l] = (cols, *weights[l])
+                place[l * n + k] = (cols, -weights[k][0], -weights[k][1])
+                cols += 1
+    rows = {}
     # unknown d[k][l] laid out as k * n + l; entry (m, column, n0, n1) lies
     # in the row of condition (i, j, m), entries of one column are summed,
-    # and an entry is n0 alone over Q and F_p (see `linalg._eliminate`)
+    # and an entry is n0 alone over Q and F_p (see `linalg._eliminate`),
+    # reduced mod p
     for i in range(n):
         for j in range(n):
             # d(e_i e_j)_m = sum_l d[m][l] (e_i e_j)_l
@@ -70,15 +140,54 @@ def derivation_space(a: Algebra) -> List[LinearMap]:
             for m, col, c0, c1 in entries:
                 s0, s1 = block[m].get(col, (0, 0))
                 block[m][col] = (s0 + c0, s1 + c1)
-            rows.extend({col: s if pair else s[0] for col, s in row.items() if s != (0, 0)}
-                        for row in block)
-    return [_int_map(a, q, v0, v1) for q, v0, v1 in linalg._kernel(rows, n * n, a.field)]
+            for row in block:
+                if place is not None:
+                    # the entry x at d[k][l] is the entry +-g_l x at s_kl
+                    skew = {}
+                    for col, (x0, x1) in row.items():
+                        if place[col] is not None:
+                            u, w0, w1 = place[col]
+                            s0, s1 = skew.get(u, (0, 0))
+                            skew[u] = (s0 + x0 * w0 + d * x1 * w1, s1 + x0 * w1 + x1 * w0)
+                    row = skew
+                if p is not None:
+                    row = {u: s0 % p for u, (s0, _) in row.items() if s0 % p}
+                elif pair:
+                    row = {u: s for u, s in row.items() if s != (0, 0)}
+                else:
+                    row = {u: s0 for u, (s0, _) in row.items() if s0}
+                if row:
+                    rows.setdefault(frozenset(row.items()), row)
+    basis = linalg._kernel(list(rows.values()), cols, a.field)
+    if place is not None:
+        # each s back at the n^2 entries, d[k][l] = +-g_l s_kl, as a sparse
+        # row of `linalg._eliminate`
+        spans = []
+        for _, v0, v1 in basis:
+            v1 = v1 or [0] * cols
+            span = {}
+            for t, at in enumerate(place):
+                if at is not None and (v0[at[0]] or v1[at[0]]):
+                    u, w0, w1 = at
+                    x0, x1 = v0[u] * w0 + d * v1[u] * w1, v0[u] * w1 + v1[u] * w0
+                    span[t] = (x0, x1) if pair else x0
+            spans.append(span)
+        basis = linalg._span_kernel_basis(spans, n * n, a.field)
+    return [_int_map(a, q, v0, v1) for q, v0, v1 in basis]
 
 
 def find_nilpotent_derivation(a: Algebra) -> Optional[LinearMap]:
     """First derivation with d^2 = 0, searched deterministically over
     single basis derivations and then pairwise sums/differences.  None of
-    these is zero, since the basis is independent."""
+    these is zero, since the basis is independent.
+
+    None is proved without a search where every derivation is skew for a
+    diagonal form (see `_skew_weights`) that is definite under sqrt d > 0:
+    d^2 = 0 then gives <dx|dx> = -<x|d^2 x> = 0, and a definite form leaves
+    only dx = 0."""
+    weights = _skew_weights(a)
+    if weights is not None and _is_definite(a, weights):
+        return None
     basis = derivation_space(a)
     for d in basis:
         if d.squares_to_zero():

@@ -150,7 +150,13 @@ def _suite_autos(a: Algebra) -> List[Check]:
 
     def nilpotent():
         # unipotent_bridge(d, "der_to_auto") would only repeat the search's
-        # exact checks: d is a derivation (an exact nullspace) with d d = 0
+        # exact checks: d is a derivation (an exact nullspace) with d d = 0.
+        # Where the linearized law holds, every derivation is skew for the
+        # form, so on a diagonal form that is definite under sqrt d > 0 a
+        # square-zero d has <dx|dx> = -<x|d d x> = 0 and is 0: the search
+        # returns None without solving anything; on other diagonal forms
+        # with nonzero entries it solves the skew system in n(n-1)/2
+        # unknowns.  A None is still vacuous where no proof applies.
         autos.find_nilpotent_derivation(a)
 
     return [("autos:idempotent-squaring-maps-certify", idempotents),

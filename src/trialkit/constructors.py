@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element
 from .fields import (
-    PRIME,
     QUADRATIC,
     RATIONALS,
     FieldDescriptor,

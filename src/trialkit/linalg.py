@@ -26,6 +26,8 @@ of field: Gauss-Jordan without division on plain ints over Q and F_p and on
 pairs (n0, n1) over Q(sqrt d), the pivot made 1 and every entry reduced mod
 p over F_p.  `_kernel` reads the kernel basis off it as integer vectors over
 one denominator, and `nullspace` and `solve` read theirs off that basis;
+`_span_kernel_basis` gives that same basis for a kernel known by a spanning
+set;
 `_inverse` (under `mat_inv` and `LinearMap.inverse`) reads an inverse off
 the kernel of [R | -I], and `_require_full_rank` the invertibility of R off
 its rank.  `_squares_to` decides m m = t Id on the integer rows.
@@ -247,6 +249,30 @@ def _kernel(rows: List[dict], cols: int, desc: FieldDescriptor) -> List[tuple]:
             else:
                 v0[pc] = t * x
         out.append((q, v0, v1 if pair else None))
+    return out
+
+
+def _span_kernel_basis(vectors: List[dict], cols: int, desc: FieldDescriptor) -> List[tuple]:
+    """The basis that `_kernel` reads off any system whose kernel is the span
+    of `vectors` (sparse integer rows as `_eliminate` takes them), in its
+    layout (q, v0, v1).
+
+    That basis is unique: the vector of free column f is 1 at f, 0 at the
+    other free columns, and nonzero elsewhere only at pivot columns before
+    f.  So f is its last nonzero entry, and the basis is the RREF of the span
+    with the column order reversed, each row over its pivot."""
+    last = cols - 1
+    pivots = _eliminate([{last - c: x for c, x in v.items()} for v in vectors], cols, desc)
+    pair = desc.d is not None
+    out = []
+    for c, row in reversed(pivots.items()):
+        s = row[c][0] if pair else row[c]
+        sign = -1 if s < 0 else 1
+        v0, v1 = [0] * cols, [0] * cols
+        for k, x in row.items():
+            x0, x1 = x if pair else (x, 0)
+            v0[last - k], v1[last - k] = sign * x0, sign * x1
+        out.append((sign * s, v0, v1 if pair else None))
     return out
 
 

@@ -130,7 +130,13 @@ def reference_find_nilpotent_derivation(a):
 @pytest.mark.parametrize("name, field", [
     ("zorn", "Q"), ("zorn", "F5"), ("hurwitz:8:split", "Q"), ("para:4:split", "Q"),
     ("para:8:split", "Qsqrt3"), ("parazorn:3:1", "Q"), ("parazorn:1:1", "F7"),
-    ("para:8", "Q"), ("okubo", "F13"), ("matrix:2", "Q")])
+    ("para:8", "Q"), ("okubo", "F13"), ("matrix:2", "Q"),
+    # definite diagonal forms: none, proved without a search
+    ("okubo", "Qsqrt3"), ("okubo:-", "Qsqrt3"), ("para:4", "Qsqrt2"),
+    # no real embedding, so the search runs on the skew system
+    ("para:4", "Qsqrt-1"),
+    # the skew system over F_p
+    ("para:8", "F11")])
 def test_find_nilpotent_derivation_matches_full_product_search(name, field):
     a = named_algebra(name, parse_field(field))
     got, want = autos.find_nilpotent_derivation(a), reference_find_nilpotent_derivation(a)
@@ -140,12 +146,39 @@ def test_find_nilpotent_derivation_matches_full_product_search(name, field):
         assert (got @ got).rows == [[a.field.zero()] * a.dim for _ in range(a.dim)]
 
 
+@pytest.mark.parametrize("name, field, proved", [
+    ("okubo", "Qsqrt3", True), ("okubo:-", "Qsqrt3", True), ("para:4", "Qsqrt2", True),
+    ("para:8", "Q", True), ("para:4", "Qsqrt-1", False), ("para:8:split", "Qsqrt3", False),
+    ("para:8", "F11", False), ("hurwitz:8", "Q", False)])
+def test_no_square_zero_derivation_is_proved_on_definite_forms(name, field, proved, monkeypatch):
+    """The proof of none needs the linearized law and a diagonal form that
+    is definite under sqrt d > 0; everywhere else the search runs."""
+    a = named_algebra(name, parse_field(field))
+    calls = []
+    space = autos.derivation_space
+    monkeypatch.setattr(autos, "derivation_space", lambda alg: calls.append(alg) or space(alg))
+    autos.find_nilpotent_derivation(a)
+    assert calls == ([] if proved else [a])
+
+
+@pytest.mark.parametrize("x0, x1, d, sign", [
+    (2, -1, 3, 1), (1, -1, 3, -1), (2, -1, 5, -1), (-2, 1, 3, -1), (-1, 1, 3, 1),
+    (-2, 1, 5, 1), (0, -1, 2, -1), (3, 0, 2, 1), (0, 0, 2, 0), (7, 5, 2, 1),
+    (-7, 5, 2, 1), (7, -5, 2, -1), (-3, 0, None, -1), (4, 0, None, 1)])
+def test_real_sign_is_exact_near_zero(x0, x1, d, sign):
+    """Signs of x0 + x1 sqrt d under sqrt d > 0, mostly of values within 1
+    of zero whose two parts have opposite signs: 2 - sqrt 3 > 0, 1 - sqrt 3
+    < 0, 2 - sqrt 5 < 0, 7 - 5 sqrt 2 < 0 (49 < 50), -7 + 5 sqrt 2 > 0."""
+    assert autos._real_sign(x0, x1, d) == sign
+
+
 @pytest.mark.parametrize("field", ["Q", "Qsqrt3", "F7"])
 def test_pair_search_returns_a_square_zero_difference(field, monkeypatch):
     """With the basis B0 = N + E, B1 = E, where N = E_01 squares to 0 and
     E = E_00 to itself, only B0 - B1 = N squares to 0 among B0, B1 and
-    B0 +- B1, so the search must return N itself, not -N."""
-    a = named_algebra("para2", parse_field(field))
+    B0 +- B1, so the search must return N itself, not -N.  The form of
+    para:2:split is indefinite, so no proof of none skips the search."""
+    a = named_algebra("para:2:split", parse_field(field))
     one, zero = a.field.one(), a.field.zero()
     n, e = LinearMap(a, [[zero, one], [zero, zero]]), LinearMap(a, [[one, zero], [zero, zero]])
     monkeypatch.setattr(autos, "derivation_space", lambda alg: [n + e, e])

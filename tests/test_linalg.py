@@ -155,6 +155,33 @@ def test_nullspace_matches_exact_rref(system):
     assert_same_as_reference(a, field)
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems(), st.data())
+def test_span_kernel_basis_recovers_the_rref_kernel_basis(system, data):
+    """Any spanning set of a kernel re-reduces to its RREF basis: here that
+    basis mixed by a unit triangular matrix, one more combination added and
+    the order shuffled."""
+    field, a = system
+    want = linalg.nullspace(a, field.zero(), field.one())
+    coef = st.integers(-3, 3)
+    mixed = []
+    for i, v in enumerate(want):
+        for w in want[i + 1:]:
+            c = data.draw(coef)
+            v = [x + c * y for x, y in zip(v, w)]
+        mixed.append(v)
+    if want:
+        cs = [data.draw(coef) for _ in want]
+        mixed.append([sum((c * v[t] for c, v in zip(cs, want)), field.zero())
+                      for t in range(len(a[0]))])
+    rows = []
+    for v in data.draw(st.permutations(mixed)):
+        _, _, n0, n1 = linalg._lift(field, v)
+        rows += linalg._dict_rows([n0], n1 and [n1])
+    got = linalg._span_kernel_basis(rows, len(a[0]), field)
+    assert key([linalg._wrap_vector(field, *v) for v in got]) == key(want)
+
+
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
@@ -439,6 +466,21 @@ def test_derivation_space_matches_exact_reference(field):
         assert [key(d.rows) for d in got] == [key(d.rows) for d in want], name
         checked += 1
     assert checked >= len(NAMED) - 2
+
+
+@pytest.mark.parametrize("field", ["Q", "Qsqrt3", "F7"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_algebra_with_zero_form_has_every_map_as_derivation(field, n):
+    """The zero form satisfies the linearized law vacuously, but a zero g_k
+    leaves row k of a derivation free: no skew system applies."""
+    from trialkit.cli import parse_field
+    desc = parse_field(field)
+    zero = desc.zero()
+    a = Algebra(desc, [[[zero] * n for _ in range(n)] for _ in range(n)],
+                form=[[zero] * n for _ in range(n)])
+    got = autos.derivation_space(a)
+    assert [key(d.rows) for d in got] == [key(d.rows) for d in reference_derivation_space(a)]
+    assert len(got) == n * n
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 97 mutants takes about twenty minutes on two cores, most of
+a full run of the 104 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -227,6 +227,29 @@ MUTANTS = (
     Mutant("one sign flipped in the derivation rows", "autos.py",
            "(m, l * n + i, -c0, -c1)", "(m, l * n + i, c0, -c1)",
            ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
+    # -- the derivation system at its size: skew unknowns, proof of none ----
+    Mutant("skew system without the linearized precondition", "autos.py",
+           "return weights if linearized_failure(a) is None else None", "return weights",
+           ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
+    Mutant("skew system with a zero form entry", "autos.py",
+           "if not all(g0 or g1 for g0, g1 in weights) or any(", "if any(",
+           ("tests/test_linalg.py::test_zero_algebra_with_zero_form_has_every_map_as_derivation",)),
+    Mutant("sign test ignores the sqrt d part", "autos.py",
+           "if d is None or not s1 or s0 == s1:", "if True:",
+           ("tests/test_autos.py::test_real_sign_is_exact_near_zero",)),
+    Mutant("skew weight g_k in place of g_l", "autos.py",
+           "place[k * n + l] = (cols, *weights[l])", "place[k * n + l] = (cols, *weights[k])",
+           ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
+    Mutant("skew kernel not re-reduced", "autos.py",
+           "basis = linalg._span_kernel_basis(spans, n * n, a.field)",
+           "basis = [(1, [s.get(t, 0) for t in range(n * n)], None) for s in spans]",
+           ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
+    Mutant("span basis keeps a negative pivot", "linalg.py",
+           "sign = -1 if s < 0 else 1", "sign = 1",
+           ("tests/test_linalg.py::test_span_kernel_basis_recovers_the_rref_kernel_basis",)),
+    Mutant("proof of none on an indefinite form", "autos.py",
+           "return len({_real_sign(g0, g1, d) for g0, g1 in weights}) == 1", "return True",
+           PAIR_SEARCH),
     # -- one elimination for Q, Q(sqrt d) and F_p: _eliminate ----------------
     Mutant("pivot row not multiplied by the pivot's conjugate", "linalg.py",
            "            if p1:\n                dp1 = d * p1", "            if False:\n                dp1 = d * p1",
