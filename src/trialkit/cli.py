@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, List, Optional, Tuple
 
 from . import autos, linalg, symcomp, triality, zorn
@@ -228,41 +228,55 @@ def cmd_certify(args) -> int:
     return 0 if rep.checks.ok else 1
 
 
-# Most entries `_enumerate_sigma` scans (p^n vectors) or tabulates (s^2
-# products of the s unit vectors).
+# Most entries `_enumerate_sigma` scans (p^n vectors) or tabulates (the s^2
+# products of the s unit vectors, one packed integer product per row).
 SIGMA_CAP = 200000
 
 
-def _enumerate_sigma(a: Algebra) -> List[tuple]:
+def _enumerate_sigma(a: Algebra) -> List[Tuple[str, str, str]]:
     """All product-closed unit-norm triples (a1, a2, a1 a2) over a finite
-    field, found by brute force over unit-norm pairs.
+    field, found by brute force over unit-norm pairs, as sorted triples of
+    labels "c1,...,cn".
 
-    The pairs are read off one table of the products of unit vectors, built
-    on int residues (`symcomp.residue_arithmetic`).  That is exact: every
-    residue is < p and Python ints do not overflow."""
+    The pairs are read off one table of the products of the s unit vectors,
+    one row per unit vector x, each row one integer product (Kronecker
+    substitution).  Y_j packs coordinate j of every unit vector, vector t in
+    block t of n slots of W bytes; C_j packs column j of L(x), the residues
+    of x e_j (`symcomp.residue_arithmetic`).  Slot k of block t of
+    sum_j C_j Y_j is then (x y_t)_k before its reduction mod p: n products
+    of residues < p, at most n(p-1)^2.  W is the least of 1, 2, 4, 8 bytes
+    with n(p-1)^2 < 256^W, so no slot carries into the next, and the row is
+    exact on integers."""
     if a.field.kind != PRIME:
         raise AlgebraError("sigma enumeration needs a finite field")
-    p = a.field.p
-    n = a.dim
+    p, n = a.field.p, a.dim
     if p ** n > SIGMA_CAP:
         raise ValueError("space too large to enumerate")
     multiply, form_eval = symcomp.residue_arithmetic(a)
-    unit_sphere = [x for x in product(range(p), repeat=n) if form_eval(x, x) == 1]
-    if len(unit_sphere) ** 2 > SIGMA_CAP:
+    # in the order of the decimal labels, so the scan below emits sorted triples
+    unit_sphere = sorted((x for x in product(range(p), repeat=n) if form_eval(x, x) == 1),
+                         key=lambda x: [str(c) for c in x])
+    s = len(unit_sphere)
+    if s ** 2 > SIGMA_CAP:
         raise ValueError("space too large to enumerate")
+    width = next(w for w in (1, 2, 4, 8) if n * (p - 1) ** 2 < 256 ** w)
+    block, fmt = n * width, {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    ys = [int.from_bytes(b"".join(y[j].to_bytes(block, "little") for y in unit_sphere), "little")
+          for j in range(n)]
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    where = {x: i for i, x in enumerate(unit_sphere)}
     # table[i][j]: the index of x_i x_j in the unit sphere, or -1 when the
     # product has another norm; the checks below then cost lookups only
-    where = {x: i for i, x in enumerate(unit_sphere)}
-    table = [[where.get(multiply(x, y), -1) for y in unit_sphere] for x in unit_sphere]
-    label = [tuple(map(str, x)) for x in unit_sphere]
-    found = []
-    for i, row in enumerate(table):
-        for j, k in enumerate(row):
-            # z = x_i x_j with <z|z> = 1, y z = x and z x = y
-            if k >= 0 and table[j][k] == i and table[k][i] == j:
-                found.append((label[i], label[j], label[k]))
-    found.sort()
-    return found
+    table = []
+    for x in unit_sphere:
+        row = sum(int.from_bytes(b"".join(c.to_bytes(width, "little") for c in multiply(x, e)),
+                                 "little") * y for e, y in zip(basis, ys))
+        slots = memoryview(row.to_bytes(s * block, sys.byteorder)).cast(fmt)
+        table.append(list(map(where.get, zip(*[map(p.__rmod__, slots)] * n), repeat(-1))))
+    label = [",".join(map(str, x)) for x in unit_sphere]
+    # z = x_i x_j with <z|z> = 1, y z = x and z x = y
+    return [(label[i], label[j], label[k]) for i, row in enumerate(table)
+            for j, k in enumerate(row) if k >= 0 and table[j][k] == i and table[k][i] == j]
 
 
 def cmd_enumerate(args) -> int:
@@ -292,7 +306,7 @@ def cmd_enumerate(args) -> int:
                   f"over {args.field}\n")
         out.write(f"count: {len(triples)}\n")
         for t in triples:
-            out.write("  " + " | ".join(",".join(c) for c in t) + "\n")
+            out.write("  " + " | ".join(t) + "\n")
         return 0
     raise ValueError(f"unknown target {args.target!r}")
 

@@ -181,6 +181,7 @@ PINNED_TRIG = [
 PINNED_SIGMA = [
     ("F3", "db027fd40b92dfac8d20444906447b2e8e8cdd3a96213facf4bbcacdbb475624"),
     ("F5", "71ca20c489612e713eac35eb2c8c33c211c24952fac8a8209424d9f1816bdff8"),
+    ("F7", "83f0c58da3dd41aa3ea07c7a8eb6a898d122fb70df2d7f2fe99c1037bdd2c528"),
 ]
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trialkit import cli, symcomp
-from trialkit.algebra import Algebra, LinearMap
+from trialkit.algebra import Algebra, AlgebraError, LinearMap
 from trialkit.constructors import named_algebra
 from trialkit.fields import FieldDescriptor, PRIME
 from trialkit.triality import (RelationFails, TrialityTriple, klein_triples, trig_mul,
@@ -266,9 +266,66 @@ def test_table_checks_match_the_field_element_checks(data):
 
 # -- the sigma enumeration against the FieldElement search ----------------
 
+def joined(triples):
+    """Reference triples of coordinate tuples as `_enumerate_sigma` labels."""
+    return [tuple(",".join(v) for v in t) for t in triples]
+
+
+# ("ground", 17) has n(p-1)^2 = 256, the first slot of two bytes; ("hurwitz:2", 17)
+# needs two where n(p-1) < 256; ("para2", 11) has labels "10" that sort before "2"
 @pytest.mark.parametrize("name,p", [("para2", 5), ("para2", 13), ("para:4", 3),
                                     ("hurwitz:2", 7), ("matrix:2", 3),
-                                    ("parazorn:1:1", 3), ("ground", 7)])
+                                    ("parazorn:1:1", 3), ("ground", 7),
+                                    ("ground", 17), ("hurwitz:2", 17), ("para2", 11)])
 def test_sigma_matches_the_field_element_search(name, p):
     a = named_algebra(name, Fp(p))
-    assert cli._enumerate_sigma(a) == ref_enumerate_sigma(a)
+    assert cli._enumerate_sigma(a) == joined(ref_enumerate_sigma(a))
+
+
+def ref_residue_sigma(a):
+    """_enumerate_sigma as it was: one residue product per pair of unit vectors."""
+    if a.field.kind != PRIME:
+        raise AlgebraError("sigma enumeration needs a finite field")
+    p = a.field.p
+    n = a.dim
+    if p ** n > cli.SIGMA_CAP:
+        raise ValueError("space too large to enumerate")
+    multiply, form_eval = symcomp.residue_arithmetic(a)
+    unit_sphere = [x for x in product(range(p), repeat=n) if form_eval(x, x) == 1]
+    if len(unit_sphere) ** 2 > cli.SIGMA_CAP:
+        raise ValueError("space too large to enumerate")
+    # table[i][j]: the index of x_i x_j in the unit sphere, or -1 when the
+    # product has another norm; the checks below then cost lookups only
+    where = {x: i for i, x in enumerate(unit_sphere)}
+    table = [[where.get(multiply(x, y), -1) for y in unit_sphere] for x in unit_sphere]
+    label = [tuple(map(str, x)) for x in unit_sphere]
+    found = []
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            # z = x_i x_j with <z|z> = 1, y z = x and z x = y
+            if k >= 0 and table[j][k] == i and table[k][i] == j:
+                found.append((label[i], label[j], label[k]))
+    found.sort()
+    return found
+
+
+def primes_below(bound):
+    sieve = bytearray([1]) * bound
+    for q in range(2, int(bound ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, bound, q)))
+    return [q for q in range(3, bound) if sieve[q]]
+
+
+SIGMA_DIMS = {"ground": 1, "para2": 2, "hurwitz:2": 2, "para:4": 4, "matrix:2": 4,
+              "parazorn:1:1": 4, "hurwitz:4": 4}
+# the odd primes whose p^n vectors and s^2 unit-vector products the cap admits;
+# between them they need slots of 1, 2, 4 and 8 bytes
+CAP_PRIMES = {1: primes_below(200000), 2: primes_below(444), 4: [3, 5, 7]}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(SIGMA_DIMS)), st.data())
+def test_sigma_matches_the_residue_table(name, data):
+    a = named_algebra(name, Fp(data.draw(st.sampled_from(CAP_PRIMES[SIGMA_DIMS[name]]))))
+    assert cli._enumerate_sigma(a) == joined(ref_residue_sigma(a))

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 104 mutants takes about twenty minutes on two cores, most of
+a full run of the 109 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -51,6 +51,7 @@ INVERSES = ("tests/test_linalg.py::test_map_inverse_matches_exact_rref",
 COERCE = "tests/test_algebra.py::test_scalars_coerce_exactly_or_raise"
 FIELD_EQUALITY = "tests/test_fields.py::test_equality_with_ints_and_fractions"
 OKUBO_TABLE = "tests/test_constructors.py::test_okubo_matches_dense_trace_reference"
+SIGMA_SEARCH = "tests/test_enumerate.py::test_sigma_matches_the_field_element_search"
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -456,6 +457,22 @@ MUTANTS = (
     Mutant("matrix algebra with the identity as involution", "constructors.py",
            "invol[n * c + r][n * r + c] = one", "invol[n * r + c][n * r + c] = one",
            ("tests/test_constructors.py::test_matrix_algebra_matches_nested_list_matrices",)),
+    # -- the sigma table: one packed integer product per unit vector ---------
+    Mutant("slot width admits n(p-1)^2 = 256^W", "cli.py",
+           "if n * (p - 1) ** 2 < 256 ** w)", "if n * (p - 1) ** 2 <= 256 ** w)",
+           (SIGMA_SEARCH,)),
+    Mutant("slot bound n(p-1) in place of n(p-1)^2", "cli.py",
+           "if n * (p - 1) ** 2 < 256 ** w)", "if n * (p - 1) < 256 ** w)",
+           (SIGMA_SEARCH,)),
+    Mutant("unit sphere left in numeric order", "cli.py",
+           "key=lambda x: [str(c) for c in x])", "key=None)",
+           (SIGMA_SEARCH,)),
+    Mutant("closure check without y z = x", "cli.py",
+           "table[j][k] == i and table[k][i] == j", "table[k][i] == j",
+           (SIGMA_SEARCH,)),
+    Mutant("closure check without z x = y", "cli.py",
+           "table[j][k] == i and table[k][i] == j", "table[j][k] == i",
+           (SIGMA_SEARCH,)),
 )
 
 
