@@ -151,12 +151,12 @@ def cayley_transform(astar: Algebra, p: Element) -> Element:
     if astar.involute(p) != -p:
         raise RelationFails("the argument is not skew")
     e = astar.unit_element()
-    lop = astar.left_op(e + p)
-    inv_coords = linalg.solve(lop.rows, e.coords, astar.field.zero(), astar.field.one())
-    if inv_coords is None:
-        raise linalg.NotInvertible("e + p is not invertible")
-    inv = astar.element(inv_coords)
-    if (e + p) * inv != e or inv * (e + p) != e:
+    try:
+        # (e + p) inv = e, read off the inverse of L(e + p)
+        inv = astar.left_op(e + p).inverse()(e)
+    except linalg.NotInvertible:
+        raise linalg.NotInvertible("e + p is not invertible") from None
+    if inv * (e + p) != e:
         raise linalg.NotInvertible("e + p has no two-sided inverse")
     a = (e - p) * inv
     if astar.involute(a) * a != e or a * astar.involute(a) != e:

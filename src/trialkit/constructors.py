@@ -3,7 +3,12 @@
 Ground field, two-dimensional para-algebra, Cayley-Dickson composition
 algebras and their para twins, the eight-dimensional pseudo-octonion algebra,
 full matrix algebras with transpose involution, and para-Zorn algebras built
-over a bilinear space.
+over a bilinear space.  Each construction has one builder: the para twin and
+the conjugate share `_conjugate_product`, and the para-Zorn algebras and
+Zorn's split octonions share `_para_zorn_tables`, Zorn's product being the
+para-Zorn one with the alpha and beta entries exchanged.  `find_unit` reads
+a two-sided identity off the integer kernel (`linalg._kernel`) of the
+structure constants.
 
 The pseudo-octonion structure constants are computed in M(3, Q(i)), built
 by `make_matrix_algebra`, from traces of Gell-Mann matrices, and kept as
@@ -128,28 +133,37 @@ def make_conjugate(astar: Algebra) -> Algebra:
 
 
 def find_unit(a: Algebra) -> Optional[Element]:
-    """Two-sided identity of a, or None."""
-    n = a.dim
-    zero, one = a.field.zero(), a.field.one()
-    rows = []
-    rhs = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([a.structure[i][j][k] for i in range(n)])
-            rhs.append(one if j == k else zero)
+    """Two-sided identity of a, or None.
+
+    The unit u solves the 2 n^2 conditions (u e_j)_k = delta_jk and
+    (e_i u)_k = delta_ik, written as integer rows off `a.int_terms`: row
+    (j, k) holds c[i][j][k] at column i, row (i, k) holds it at column j,
+    and -int_den delta is column n.  So a kernel vector (u, 1) is a unit.
+    The system is consistent exactly when column n is free (not a pivot),
+    and then the last vector of the RREF kernel basis (`linalg._kernel`) is
+    the one of column n, nonzero there and (u, 1) over its denominator.
+    Otherwise every basis vector belongs to a free column before n and is
+    zero at n, since an RREF row is zero before its pivot.
+    """
+    n, d = a.dim, a.field.d
+    left, right = [{} for _ in range(n * n)], [{} for _ in range(n * n)]
+    for i, plane in enumerate(a.int_terms):
+        for j, terms in enumerate(plane):
+            for k, c0, c1 in terms:
+                left[n * j + k][i] = right[n * i + k][j] = c0 if d is None else (c0, c1)
     for i in range(n):
-        for k in range(n):
-            rows.append([a.structure[i][j][k] for j in range(n)])
-            rhs.append(one if i == k else zero)
-    sol = linalg.solve(rows, rhs, zero, one)
-    return None if sol is None else a.element(sol)
+        left[n * i + i][n] = right[n * i + i][n] = -a.int_den if d is None else (-a.int_den, 0)
+    basis = linalg._kernel(left + right, n + 1, a.field)
+    if not basis or not basis[-1][1][n]:
+        return None
+    q, v0, v1 = basis[-1]
+    return Element._of(a, q, v0[:n], v1 and v1[:n])
 
 
 def make_para_dim2(field: FieldDescriptor) -> Algebra:
     """2-dimensional para-algebra: ee = e, ff = -e, ef = fe = -f."""
-    out = make_para(make_hurwitz(field, (-1,)))
-    out.name = "para2"
-    return out
+    h = make_hurwitz(field, (-1,))
+    return _conjugate_product(h, "para", "para2", para_unit=h.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +289,10 @@ def cross_space(field: FieldDescriptor) -> Algebra:
 PARA_ZORN = "para-zorn"
 
 
-def make_para_zorn(b: Algebra, k=1) -> Algebra:
-    """Para-Zorn algebra F + B + B + F over a bilinear space B.
-
-    Coordinates order: [alpha, x (dim B), y (dim B), beta].  When B has zero
-    product the k-terms vanish automatically.  The result has kind PARA_ZORN.
-    """
+def _para_zorn_tables(b: Algebra, k) -> tuple:
+    """(structure, form, involution) of the para-Zorn product F + B + B + F
+    over the bilinear space B (see `make_para_zorn`); the involution is None
+    when B has none."""
     field = b.field
     if b.form is None:
         raise AlgebraError("para-Zorn needs a bilinear form on B")
@@ -301,7 +313,7 @@ def make_para_zorn(b: Algebra, k=1) -> Algebra:
                    *(a2 * y1 + b1 * y2 + k * (x1 * x2)).coords, a1 * a2 + b.form_eval(x1, y2)]
                   for a2, x2, y2, b2 in parts] for a1, x1, y1, b1 in parts]
 
-    half = field.one() / field.from_int(2) if field.characteristic != 2 else None
+    half = one / field.from_int(2)
     form = [[zero] * dim for _ in range(dim)]
     # polarization of N(X) = alpha*beta - (x|y)
     form[0][dim - 1] = half
@@ -321,31 +333,34 @@ def make_para_zorn(b: Algebra, k=1) -> Algebra:
             for j in range(m):
                 invol[1 + i][1 + j] = b.involution[i][j]
                 invol[1 + m + i][1 + m + j] = b.involution[i][j]
-    return Algebra(field, structure, form=form, involution=invol, unit=None,
-                   name=f"para-zorn-{m}", kind=PARA_ZORN)
+    return structure, form, invol
+
+
+def make_para_zorn(b: Algebra, k=1) -> Algebra:
+    """Para-Zorn algebra F + B + B + F over a bilinear space B.
+
+    Coordinates order: [alpha, x (dim B), y (dim B), beta].  When B has zero
+    product the k-terms vanish automatically.  The result has kind PARA_ZORN.
+    """
+    structure, form, invol = _para_zorn_tables(b, k)
+    return Algebra(b.field, structure, form=form, involution=invol, unit=None,
+                   name=f"para-zorn-{b.dim}", kind=PARA_ZORN)
 
 
 def make_zorn(field: FieldDescriptor) -> Algebra:
     """Split octonion algebra in vector-matrix form.
 
-    The unital product is recovered from the para-Zorn product by swapping
-    the diagonal of every output (the para product stores results with the
-    diagonal exchanged).  The attached involution is the standard one that
-    swaps the diagonal and negates both vector slots.
+    The unital product is the para-Zorn product over `cross_space` with the
+    alpha and beta entries of every product exchanged (the para product
+    stores its results with the diagonal exchanged), on the same form and
+    involution: the standard involution, which swaps the diagonal and
+    negates both vector slots.  The unit is alpha = beta = 1.
     """
-    pz = make_para_zorn(cross_space(field), 1)
-    n = pz.dim
-    swap = list(range(n))
-    swap[0], swap[n - 1] = n - 1, 0
-    structure = [
-        [[pz.structure[i][j][swap[k]] for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+    structure, form, invol = _para_zorn_tables(cross_space(field), 1)
+    structure = [[[s[-1], *s[1:-1], s[0]] for s in row] for row in structure]
     one, zero = field.one(), field.zero()
-    unit = [one if t in (0, n - 1) else zero for t in range(n)]
-    out = Algebra(field, structure, form=pz.form, involution=pz.involution,
-                  unit=unit, name="zorn")
-    return out
+    unit = [one, *[zero] * (len(structure) - 2), one]
+    return Algebra(field, structure, form=form, involution=invol, unit=unit, name="zorn")
 
 
 # ---------------------------------------------------------------------------

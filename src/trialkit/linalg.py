@@ -1,6 +1,9 @@
 """Dense exact linear algebra on integers: the kernel under `algebra.Element`
 and `algebra.LinearMap`, and the FieldElement matrix front-ends `mat_mul`,
-`nullspace`, `solve`, `mat_inv` and `identity`.
+`nullspace` and `mat_inv`.  Nothing in the package calls the front-ends;
+they stay because the benchmark's per-layer view measures them
+(`perfbench/micro.py` times `mat_mul`, and its tracer reports `mat_mul`,
+`mat_inv` and `nullspace`).
 
 Everything runs on the integers that a FieldElement already stores,
 (n0 + n1 sqrt d)/q (see `fields`).  `_lift`, the one way in, reads a list of
@@ -25,12 +28,12 @@ One elimination, `_eliminate`, row-reduces integer rows for all three kinds
 of field: Gauss-Jordan without division on plain ints over Q and F_p and on
 pairs (n0, n1) over Q(sqrt d), the pivot made 1 and every entry reduced mod
 p over F_p.  `_kernel` reads the kernel basis off it as integer vectors over
-one denominator, and `nullspace` and `solve` read theirs off that basis;
-`_span_kernel_basis` gives that same basis for a kernel known by a spanning
-set;
-`_inverse` (under `mat_inv` and `LinearMap.inverse`) reads an inverse off
-the kernel of [R | -I], and `_require_full_rank` the invertibility of R off
-its rank.  `_squares_to` decides m m = t Id on the integer rows.
+one denominator, and `nullspace` and `constructors.find_unit` read theirs
+off that basis; `_span_kernel_basis` gives that same basis for a kernel
+known by a spanning set; `_inverse` (under `mat_inv` and
+`LinearMap.inverse`) reads an inverse off the kernel of [R | -I], and
+`_require_full_rank` the invertibility of R off its rank.  `_squares_to`
+decides m m = t Id on the integer rows.
 `_int_matmul` and `_inverse` return their matrices row by row in one list,
 the block a LinearMap keeps.
 """
@@ -50,10 +53,6 @@ Vector = List
 
 class NotInvertible(ValueError):
     pass
-
-
-def identity(n: int, one, zero) -> Matrix:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -427,15 +426,3 @@ def mat_inv(a: Matrix, zero, one) -> Matrix:
     desc, n = zero.desc, len(a)
     _, q, r0, r1 = _lift(desc, [x for row in a for x in row])
     return _split(_wrap_vector(desc, *_inverse(desc, q, _split(r0, n), _split(r1, n))), n)
-
-
-def solve(a: Matrix, b: Vector, zero, one) -> Optional[Vector]:
-    """One solution of a x = b, or None if inconsistent.  The kernel basis of
-    [a | -b] (see `nullspace`) ends in (x, 1), x zero at the free columns of
-    a, exactly when the last column is free, i.e. a x = b is consistent;
-    every other basis vector is zero past its own free column."""
-    cols = len(a[0])
-    basis = nullspace([row[:] + [-x] for row, x in zip(a, b)], zero, one)
-    if not basis or basis[-1][cols].is_zero():
-        return None
-    return basis[-1][:cols]

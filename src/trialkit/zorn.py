@@ -48,17 +48,17 @@ def split_element(a: Algebra, v: Element) -> ZornElement:
     return ZornElement(c[0], tuple(c[1:1 + m]), tuple(c[1 + m:1 + 2 * m]), c[-1])
 
 
+def _placed(a: Algebra, entries, cols) -> LinearMap:
+    """The map whose row r holds entries[r] in column cols[r], and 0
+    elsewhere: the diagonal maps, the slot swaps and the alpha/beta swap."""
+    zero = a.field.zero()
+    return LinearMap(a, [[x if k == c else zero for k in range(a.dim)]
+                         for x, c in zip(entries, cols)])
+
+
 def _diag_map(a: Algebra, alpha, x_scale, y_scale, beta) -> LinearMap:
     m = coeff_dim(a)
-    n = a.dim
-    zero = a.field.zero()
-    rows = [[zero] * n for _ in range(n)]
-    rows[0][0] = alpha
-    for t in range(m):
-        rows[1 + t][1 + t] = x_scale
-        rows[1 + m + t][1 + m + t] = y_scale
-    rows[n - 1][n - 1] = beta
-    return LinearMap(a, rows)
+    return _placed(a, [alpha, *[x_scale] * m, *[y_scale] * m, beta], range(a.dim))
 
 
 def _rho_maps(a: Algebra, lam: FieldElement) -> Tuple[LinearMap, LinearMap, LinearMap]:
@@ -118,9 +118,8 @@ def zorn_operator_factorization(a: Algebra, lam: FieldElement) -> Certificate:
     cert.add("e-times-g-is-h", e * g == h)
     cert.add("g-times-h-is-e", g * h == e)
     cert.add("h-times-e-is-g", h * e == g)
-    # row r holds its 1 in column cols[r]: alpha and beta exchanged
-    cols = [a.dim - 1, *range(1, a.dim - 1), 0]
-    diag_swap = LinearMap(a, [[one if k == c else zero for k in range(a.dim)] for c in cols])
+    # alpha and beta exchanged
+    diag_swap = _placed(a, [one] * a.dim, [a.dim - 1, *range(1, a.dim - 1), 0])
     cert.add("e-multiplication-swaps-diagonal",
              a.left_op(e) == diag_swap and a.right_op(e) == diag_swap)
     rho = _rho_maps(a, lam)
@@ -137,16 +136,10 @@ def zorn_operator_factorization(a: Algebra, lam: FieldElement) -> Certificate:
 
 
 def _slot_swap(a: Algebra, swap_diag: bool) -> LinearMap:
-    m = coeff_dim(a)
-    n = a.dim
-    zero, one = a.field.zero(), a.field.one()
-    rows = [[zero] * n for _ in range(n)]
-    rows[0][n - 1 if swap_diag else 0] = one
-    rows[n - 1][0 if swap_diag else n - 1] = one
-    for t in range(m):
-        rows[1 + t][1 + m + t] = one
-        rows[1 + m + t][1 + t] = one
-    return LinearMap(a, rows)
+    m, n = coeff_dim(a), a.dim
+    cols = [n - 1 if swap_diag else 0, *range(1 + m, n - 1), *range(1, 1 + m),
+            0 if swap_diag else n - 1]
+    return _placed(a, [a.field.one()] * n, cols)
 
 
 def zorn_pi(a: Algebra, lam: Optional[FieldElement] = None

@@ -95,5 +95,5 @@ def test_cayley_transform_needs_invertibility():
     m5 = named_algebra("matrix:2", F5)
     # (e + 2p) has determinant 1 + 4 = 0 over F5
     p = F5.from_int(2) * m5.element([F5.zero(), F5.one(), -F5.one(), F5.zero()])
-    with pytest.raises(NotInvertible):
+    with pytest.raises(NotInvertible, match=r"^e \+ p is not invertible$"):
         assoc.cayley_transform(m5, p)

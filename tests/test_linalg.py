@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trialkit import autos, linalg
 from trialkit.algebra import Algebra, AlgebraError, LinearMap
-from trialkit.constructors import named_algebra
+from trialkit.constructors import find_unit, make_conjugate, named_algebra, quadratic_space
 from trialkit.fields import (FieldDescriptor, FieldElement, PRIME, QUADRATIC,
                              RATIONALS, SqrtUnavailable)
 
@@ -99,6 +99,10 @@ def key(vectors):
 def zero_algebra(field, n):
     """An n-dimensional algebra with every product zero, to hold maps."""
     return Algebra(field, [[[field.zero()] * n for _ in range(n)] for _ in range(n)])
+
+
+def ref_identity(n, one, zero):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def apply(a, x):
@@ -269,7 +273,7 @@ def square_test_matrices(draw):
              for i in range(n)]
     r, c, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(scalars(field))
     if r != c:
-        shear, unshear = linalg.identity(n, one, zero), linalg.identity(n, one, zero)
+        shear, unshear = ref_identity(n, one, zero), ref_identity(n, one, zero)
         shear[r][c], unshear[r][c] = t, -t
         m = linalg.mat_mul(linalg.mat_mul(shear, m), unshear)
     return field, m
@@ -287,8 +291,8 @@ def test_sparse_square_test_matches_the_dense_product(case, data):
     zero, one = field.zero(), field.one()
     a = zero_algebra(field, n)
     square, mm = linalg.mat_mul(m, m), LinearMap(a, m)
-    assert mm.squares_to_zero() == (square == linalg.identity(n, zero, zero))
-    want = square == linalg.identity(n, one, zero)
+    assert mm.squares_to_zero() == (square == ref_identity(n, zero, zero))
+    want = square == ref_identity(n, one, zero)
     assert mm.squares_to_identity() == want
     try:
         Algebra(field, a.structure, involution=m)
@@ -296,7 +300,7 @@ def test_sparse_square_test_matches_the_dense_product(case, data):
     except AlgebraError as exc:
         assert not want and str(exc) == "involution matrix must square to the identity"
     c = data.draw(scalars(field))
-    assert (mm @ mm == c * a.identity_map()) == (square == linalg.identity(n, c, zero))
+    assert (mm @ mm == c * a.identity_map()) == (square == ref_identity(n, c, zero))
 
 
 def require_invertible_outcome(a, field):
@@ -341,6 +345,51 @@ def reference_solve(a, b, zero, one):
     return x
 
 
+UNIT_NAMES = ("ground", "para2", "hurwitz:2", "hurwitz:4", "hurwitz:8", "hurwitz:4:split",
+              "para:4", "para:8", "okubo", "okubo:-", "matrix:2", "parazorn:1:1",
+              "parazorn:3:1", "zorn")
+
+
+def reference_unit(a):
+    """find_unit as it was: the 2 n^2 FieldElement conditions (u e_j)_k =
+    delta_jk and (e_i u)_k = delta_ik, solved by exact Gauss-Jordan."""
+    n, zero, one = a.dim, a.field.zero(), a.field.one()
+    rows, rhs = [], []
+    for j in range(n):
+        for k in range(n):
+            rows.append([a.structure[i][j][k] for i in range(n)])
+            rhs.append(one if j == k else zero)
+    for i in range(n):
+        for k in range(n):
+            rows.append([a.structure[i][j][k] for j in range(n)])
+            rhs.append(one if i == k else zero)
+    return reference_solve(rows, rhs, zero, one)
+
+
+@pytest.mark.parametrize("field", [Q, *(FieldDescriptor(QUADRATIC, d=d) for d in (2, 3, -1)),
+                                   *(FieldDescriptor(PRIME, p=p) for p in (7, 13))])
+def test_find_unit_matches_the_fieldelement_system(field):
+    """The unit read off the integer kernel is the solution of the
+    FieldElement system, on the named algebras, their conjugates, and two
+    algebras with no unit but a nonzero two-sided annihilator, where the
+    kernel has a free column before the right-hand side."""
+    algebras = [quadratic_space(field, 2), zero_algebra(field, 1)]
+    for name in UNIT_NAMES:
+        try:
+            a = named_algebra(name, field)
+        except SqrtUnavailable:
+            continue
+        algebras += [a, make_conjugate(a)]
+    units = 0
+    for a in algebras:
+        got, want = find_unit(a), reference_unit(a)
+        assert (got is None) == (want is None), a.name
+        if want is not None:
+            assert key([got.coords]) == key([want]), a.name
+            units += 1
+    assert units >= 8
+
+
 def inverse_outcome(inv, a, field):
     try:
         return key(inv(a, field.zero(), field.one()))
@@ -367,43 +416,11 @@ def test_map_inverse_matches_exact_rref(system):
     assert got == inverse_outcome(reference_mat_inv, a, field)
 
 
-@st.composite
-def linear_systems(draw):
-    """(field, a, b): b drawn freely (often inconsistent when a has low rank)
-    or as a x for a drawn x (consistent)."""
-    field, a = draw(systems())
-    cols = len(a[0])
-    if draw(st.booleans()):
-        x = [draw(scalars(field)) for _ in range(cols)]
-        b = apply(a, x)
-    else:
-        b = [draw(scalars(field)) for _ in a]
-    return field, a, b
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(linear_systems())
-def test_solve_matches_exact_rref(system):
-    field, a, b = system
-    zero, one = field.zero(), field.one()
-    want = reference_solve(a, b, zero, one)
-    got = linalg.solve(a, b, zero, one)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert key([got]) == key([want])
-        assert apply(a, got) == b
-
-
-def test_mat_inv_and_solve_on_fixed_cases():
+def test_mat_inv_and_mat_mul_on_fixed_cases():
     # the kernel basis of [a | -I] is (-1, 1, 0, 0), (1, 0, 1, 1)
     with pytest.raises(linalg.NotInvertible, match="matrix is singular"):
         linalg.mat_inv([q(1, 1), q(1, 1)], Q.zero(), Q.one())
     assert linalg.mat_inv([q(2, 1), q(1, 1)], Q.zero(), Q.one()) == [q(1, -1), q(-1, 2)]
-    # consistent with a free column: x is 0 there
-    assert linalg.solve([q(1, 2, 3), q(2, 4, 7)], q(1, 3), Q.zero(), Q.one()) == q(-2, 0, 1)
-    assert linalg.solve([q(1, 2), q(2, 4)], q(1, 3), Q.zero(), Q.one()) is None
-    F7 = FieldDescriptor(PRIME, p=7)
-    assert linalg.solve([[F7.from_int(3)]], [F7.one()], F7.zero(), F7.one()) == [F7.from_int(5)]
     # a 2x3 matrix times a 2x2 one has no product, whatever the flat entries
     with pytest.raises(ValueError, match="height of b"):
         linalg.mat_mul([q(1, 2, 3), q(4, 5, 6)], [q(1, 0), q(0, 1)])

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 109 mutants takes about twenty minutes on two cores, most of
+a full run of the 112 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -46,6 +46,7 @@ SHIFTED_RECORDS = LAWS + "test_symmetric_composition_records_match_reference_aft
 INT_MAPS = "tests/test_algebra.py::test_integer_maps_match_the_fieldelement_loops"
 INT_ELEMENTS = "tests/test_algebra.py::test_integer_elements_match_the_fieldelement_loops"
 SQUARE_TEST = "tests/test_linalg.py::test_sparse_square_test_matches_the_dense_product"
+UNIT_SYSTEM = "tests/test_linalg.py::test_find_unit_matches_the_fieldelement_system"
 INVERSES = ("tests/test_linalg.py::test_map_inverse_matches_exact_rref",
             "tests/test_linalg.py::test_mat_inv_matches_exact_rref")
 COERCE = "tests/test_algebra.py::test_scalars_coerce_exactly_or_raise"
@@ -343,9 +344,9 @@ MUTANTS = (
            ("tests/test_linalg.py",),
            equivalent="an RREF kernel vector is zero past its free column, so a "
                       "singular matrix always leaves a 0 on that diagonal"),
-    Mutant("solve accepts an inconsistent system", "linalg.py",
-           "if not basis or basis[-1][cols].is_zero():", "if not basis:",
-           ("tests/test_linalg.py::test_solve_matches_exact_rref",)),
+    Mutant("find_unit accepts an inconsistent system", "constructors.py",
+           "if not basis or not basis[-1][1][n]:", "if not basis:",
+           (UNIT_SYSTEM,)),
     Mutant("first-order factorization with theta factors swapped", "symcomp.py",
            "(a2, p2), (a1, p1) = left[(j + 1) % 3], left[j % 3]",
            "(a2, p2), (a1, p1) = left[j % 3], left[(j + 1) % 3]",
@@ -473,6 +474,19 @@ MUTANTS = (
     Mutant("closure check without z x = y", "cli.py",
            "table[j][k] == i and table[k][i] == j", "table[j][k] == i",
            (SIGMA_SEARCH,)),
+    # -- one builder per construction; the unit off the integer kernel -------
+    Mutant("find_unit's right-hand side with the wrong sign", "constructors.py",
+           "-a.int_den if d is None else (-a.int_den, 0)",
+           "a.int_den if d is None else (a.int_den, 0)",
+           ("tests/test_constructors.py::test_conjugate_of_para_recovers_original",)),
+    Mutant("make_zorn without the alpha/beta swap", "constructors.py",
+           "structure = [[[s[-1], *s[1:-1], s[0]] for s in row] for row in structure]",
+           "structure = [[list(s) for s in row] for row in structure]",
+           ("tests/test_constructors.py::test_zorn_is_unital_diag_swap_of_para_zorn",)),
+    Mutant("the map builder ignores cols", "zorn.py",
+           "for x, c in zip(entries, cols)]", "for x, c in zip(entries, range(a.dim))]",
+           ("tests/test_zorn.py::test_slot_swap_conjugates_scalings_but_is_not_an_automorphism",
+            "tests/test_zorn.py::test_scaling_triple_certifies_over_all_coefficient_spaces")),
 )
 
 
