@@ -235,6 +235,8 @@ def make_pseudo_octonion(field: FieldDescriptor, sign: str = "+") -> Algebra:
 def make_matrix_algebra(field: FieldDescriptor, n: int) -> Algebra:
     """M(n, F) with basis e_{rc} (index n*r + c), transpose involution, and
     the trace pairing tr(t(x) y) as declared form."""
+    if n < 1:
+        raise ValueError("matrix size must be at least 1")
     dim = n * n
     zero, one = field.zero(), field.one()
     structure = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
@@ -261,6 +263,8 @@ def make_matrix_algebra(field: FieldDescriptor, n: int) -> Algebra:
 def quadratic_space(field: FieldDescriptor, dim: int) -> Algebra:
     """A bilinear space packaged as an algebra with zero product, identity
     form, and identity involution."""
+    if dim < 0:
+        raise ValueError("space dimension must not be negative")
     zero, one = field.zero(), field.one()
     structure = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     form = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
@@ -373,35 +377,43 @@ def default_field(name: str) -> FieldDescriptor:
     return FieldDescriptor(RATIONALS)
 
 
+# the fewest and the most parts each name takes after its head
+_NAME_PARTS = {"ground": (0, 0), "para2": (0, 0), "zorn": (0, 0), "okubo": (0, 1),
+              "matrix": (1, 1), "hurwitz": (1, 2), "para": (1, 2), "parazorn": (1, 2)}
+
+
 def named_algebra(name: str, field: Optional[FieldDescriptor] = None) -> Algebra:
-    parts = name.split(":")
-    head = parts[0]
-    if field is None:
-        field = default_field(head)
+    """The algebra of a name: `ground`, `para2`, `zorn`, `okubo[:+|:-]`,
+    `matrix:N` (N >= 1), `hurwitz:N[:split]` and `para:N[:split]` (N = 1, 2,
+    4, 8) or `parazorn:M[:K]` (M >= 0, K an integer).  Every part is read,
+    and a name with a part missing, extra or misspelt raises ValueError."""
+    head, *parts = name.split(":")
+    lo, hi = _NAME_PARTS.get(head, (0, -1))
+    if not lo <= len(parts) <= hi or (head in ("hurwitz", "para")
+                                      and parts[1:] not in ([], ["split"])):
+        raise ValueError(f"unknown algebra name: {name}")
+    field = field or default_field(head)
     if head == "ground":
         return make_ground(field)
     if head == "para2":
         return make_para_dim2(field)
     if head in ("hurwitz", "para"):
-        dim = int(parts[1])
+        dim = int(parts[0])
         if dim not in (1, 2, 4, 8):
             raise ValueError("dimension must be 1, 2, 4 or 8")
         level = dim.bit_length() - 1
         gammas = [-1] * level
-        if len(parts) > 2 and parts[2] == "split":
+        if parts[1:]:
             if level == 0:
                 raise ValueError("dimension 1 has no split form")
             gammas[-1] = 1
         h = make_hurwitz(field, gammas)
         return h if head == "hurwitz" else make_para(h)
     if head == "okubo":
-        return make_pseudo_octonion(field, parts[1] if len(parts) > 1 else "+")
+        return make_pseudo_octonion(field, parts[0] if parts else "+")
     if head == "matrix":
-        return make_matrix_algebra(field, int(parts[1]))
+        return make_matrix_algebra(field, int(parts[0]))
     if head == "parazorn":
-        bdim = int(parts[1])
-        k = int(parts[2]) if len(parts) > 2 else 1
-        return make_para_zorn(quadratic_space(field, bdim), k)
-    if head == "zorn":
-        return make_zorn(field)
-    raise ValueError(f"unknown algebra name: {name}")
+        k = int(parts[1]) if parts[1:] else 1
+        return make_para_zorn(quadratic_space(field, int(parts[0])), k)
+    return make_zorn(field)

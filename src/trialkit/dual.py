@@ -3,6 +3,12 @@
 An identity that holds "up to eps^2" is an exact equation of Dual matrices:
 `symcomp.first_order_factorization` checks its two parts as maps and reads
 the first differing Dual entry off them as its witness.
+
+That witness could be read off the two difference maps with
+`LinearMap.first_nonzero`, and this module deleted, but the benchmark's
+per-layer view (`perfbench/tracing.py`) counts `dual.mul` and looks the
+module up in `sys.modules`, where only symcomp's import puts it; it goes
+when that view stops naming it.
 """
 
 from __future__ import annotations

@@ -24,16 +24,14 @@ from typing import Optional
 from .algebra import Algebra, AlgebraError
 from .constructors import PARA_ZORN
 from .fields import FieldDescriptor, FieldError, format_scalar, parse_scalar
+from .linalg import _wrap
 
 
 def algebra_to_dict(a: Algebra) -> dict:
-    entries = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                v = a.structure[i][j][k]
-                if not v.is_zero():
-                    entries.append([i, j, k, format_scalar(v)])
+    # the nonzero structure constants, in (i, j, k) order, off the sparse table
+    entries = [[i, j, k, format_scalar(_wrap(a.field, c0, c1, a.int_den))]
+               for i, plane in enumerate(a.int_terms) for j, row in enumerate(plane)
+               for k, c0, c1 in row]
     out = {
         "name": a.name,
         "field": a.field.to_json(),

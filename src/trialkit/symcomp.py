@@ -20,13 +20,14 @@ from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .autos import certify_automorphism
 from .constructors import make_para_dim2
 from .dual import Dual
-from .fields import FieldDescriptor, FieldElement, sqrt_in_field
+from .fields import PRIME, FieldDescriptor, FieldElement, sqrt_in_field
 from .triality import (
     Certificate,
     LocalTriple,
     RelationFails,
     TrialityTriple,
     _gram_of,
+    _linearized_law,
     _outer,
     _require_triality_law,
     _wedge,
@@ -71,11 +72,11 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
       (xy)(yz) = 2<xy|z>y - z(y(xy)) = 2<x|yz>y - <y|y>zx.
 
     When linearized fails, the other five are scanned for their witnesses
-    too, in record order.  Each but composition, which reads only the
-    diagonal (i, j, i, j) of polarized, is then checked as identities of
-    maps built from L(e_i) and R(e_i): two-sided norm against <x|x> Id,
-    polarized as Gram maps, form associativity as an adjointness and
-    product exchange as a closed form.
+    too, in record order.  Two-sided norm reads the linearized test at
+    (i, j, i), and composition only the diagonal (i, j, i, j) of polarized;
+    the other three are checked as identities of maps built from L(e_i) and
+    R(e_i): polarized as Gram maps, form associativity as an adjointness
+    and product exchange as a closed form.
     """
     if a._symcomp_cache is not None:
         return a._symcomp_cache
@@ -100,15 +101,10 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
 # returning its first failing basis tuple in row-major order, or None.
 
 def _two_sided_norm_failure(a: Algebra, lefts: list, rights: list) -> Optional[tuple]:
-    """(xy)x = <x|x>y = x(yx) at x = e_i, y = e_j: the maps R_x L_x and
-    L_x R_x of y against <x|x> Id; j is their first nonzero column."""
-    identity = a.identity_map()
-    for i, (lx, rx) in enumerate(zip(lefts, rights)):
-        norm = a.form[i][i] * identity
-        ws = [w for m in (rx @ lx, lx @ rx) if (w := (m - norm).first_nonzero())]
-        if ws:
-            return (i, min(ws)[0])
-    return None
+    """(xy)x = <x|x>y = x(yx) at x = e_i, y = e_j: the linearized law at
+    (i, j, i), whose halves there read 2(xy)x and 2x(yx) against 2<x|x>y."""
+    law = _linearized_law(a)
+    return first_failing_tuple(lambda i, j: law(i, j, i), a.dim, a.dim)
 
 
 def _composition_failure(a: Algebra, lefts: list, rights: list) -> Optional[tuple]:
@@ -671,7 +667,7 @@ def enumerate_trig_small(a: Algebra, p_cap: int = 31) -> TrigGroup:
     ints do not overflow, so reducing mod p after each sum gives the field
     result.
     """
-    if a.field.kind != "Fp":
+    if a.field.kind != PRIME:
         raise AlgebraError("enumeration requires a prime field")
     if a.field.p > p_cap:
         raise ValueError(f"prime exceeds the enumeration cap {p_cap}")
@@ -709,8 +705,6 @@ def auto_dim2(field: FieldDescriptor) -> AutoGroup:
     """Automorphism group of the two-dimensional symmetric composition
     algebra: order 2 generated by f -> -f, extended to the symmetric group
     of order 6 exactly when the field contains sqrt(3)."""
-    if field.characteristic == 2:
-        raise ValueError("characteristic two is out of scope")
     a = make_para_dim2(field)
     one, zero = field.one(), field.zero()
     p = LinearMap(a, [[one, zero], [zero, -one]])

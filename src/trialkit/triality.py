@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
@@ -153,13 +154,20 @@ def linearized_failure(a: Algebra) -> Optional[tuple]:
     """First basis triple (i, j, k), in row-major order, where the linearized
     law (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx) fails, or None: the verdict
     of `symcomp.is_symmetric_composition` without the other clauses'
-    witnesses, scanned once per algebra and kept on it.  On linalg's integer
-    kernel, e_i e_j is terms[i][j] over den and <e_i|e_k> is gram_rows[i] over
-    qg (the form's map), so with the outer terms times qg, each half of the
-    law and 2<x|z>y (twice_gram) are numerator vectors over den^2 qg,
-    compared exactly."""
-    if a._linearized_cache is not None:
-        return a._linearized_cache[0]
+    witnesses, scanned once per algebra by `_linearized_law` and kept on
+    it."""
+    if a._linearized_cache is None:
+        a._linearized_cache = (first_failing_tuple(_linearized_law(a), *[a.dim] * 3),)
+    return a._linearized_cache[0]
+
+
+def _linearized_law(a: Algebra) -> Callable[[int, int, int], bool]:
+    """The linearized law at (e_i, e_j, e_k), as a test of (i, j, k).  On
+    linalg's integer kernel, e_i e_j is terms[i][j] over den and <e_i|e_k> is
+    gram_rows[i] over qg (the form's map), so with the outer terms times qg,
+    each half of the law and 2<x|z>y (twice_gram) are numerator vectors over
+    den^2 qg, compared exactly.  At k = i the halves read 2(xy)x and
+    2x(yx) against 2<x|x>y: the two-sided norm law."""
     g = a.form_map()
     n = a.dim
     d, prime = a.field.d, a.field.p
@@ -189,8 +197,7 @@ def linearized_failure(a: Algebra) -> Optional[tuple]:
             _add_multiple(d, r0, r1, c0, c1, terms[k][m])
         return _first_difference(prime, r0, r1, want0, want1) is None
 
-    a._linearized_cache = (first_failing_tuple(linearized, n, n, n),)
-    return a._linearized_cache[0]
+    return linearized
 
 
 def _gram(a: Algebra, f: Optional[LinearMap], g: Optional[LinearMap]) -> LinearMap:
@@ -397,26 +404,14 @@ def _wedge(a: Algebra, u: Element, w: Element) -> LinearMap:
     return _outer(a, u, w) - _outer(a, w, u)
 
 
-def _d3_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:
-    """d3(x,y) z = 4(<x|z> y - <y|z> x), the wedge of 4y and x."""
-    return _wedge(a, a.field.from_int(4) * y, x)
-
-
-def _d1_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:
-    """d1(x,y) = R_y L_x - R_x L_y."""
-    return a.right_op(y) @ a.left_op(x) - a.right_op(x) @ a.left_op(y)
-
-
-def _d2_matrix(a: Algebra, x: Element, y: Element) -> LinearMap:
-    """d2(x,y) = L_y R_x - L_x R_y."""
-    return a.left_op(y) @ a.right_op(x) - a.left_op(x) @ a.right_op(y)
-
-
 def derivation_pair(a: Algebra, x: Element, y: Element) -> DerivationPair:
     """(d1, d2, d3)(x, y) as in the triality Lie algebra of a symmetric
-    composition algebra (see `_d1_matrix`, `_d2_matrix`, `_d3_matrix`)."""
-    return DerivationPair(a, x, y, _d1_matrix(a, x, y), _d2_matrix(a, x, y),
-                          _d3_matrix(a, x, y))
+    composition algebra: d1(x,y) = R_y L_x - R_x L_y,
+    d2(x,y) = L_y R_x - L_x R_y and d3(x,y) z = 4(<x|z> y - <y|z> x), the
+    wedge of 4y and x."""
+    lx, ly, rx, ry = a.left_op(x), a.left_op(y), a.right_op(x), a.right_op(y)
+    return DerivationPair(a, x, y, ry @ lx - rx @ ly, ly @ rx - lx @ ry,
+                          _wedge(a, a.field.from_int(4) * y, x))
 
 
 def classify_regularity(a: Algebra) -> str:
@@ -431,28 +426,44 @@ def classify_regularity(a: Algebra) -> str:
     hold entry by entry: d1(x, x) and d2(x, x) are a product minus itself,
     and d3(x, y)z = 4(<z|x> y - <z|y> x) is alternating in (x, y).  The
     local law is linear in the triple, so on the basis pairs i < j it proves
-    the law for all x, y.  The cyclic
+    the law for all x, y.  Q is trilinear, so once the local law holds
+    Q(e_i, e_j, e_k) is read off those n(n-1)/2 derivation pairs and the
+    structure constants, d1(e_k, e_i e_j) = sum_m c_ij^m d1(e_k, e_m) and
+    likewise for d2 and d3: all n^3 of them are one block product
+    (`linalg._int_matmul`), and no map of a product is built.  The cyclic
     sum is 4(<z|x>y - <z|y>x + <x|y>z - <x|z>y + <y|z>x - <y|x>z), which is
     zero because `Algebra.__init__` rejects a form that is not symmetric;
     so every regular system is pre-normal, and 'regular' is never returned.
     """
     n = a.dim
-    basis = a.basis_elements()
+    pairs = {}
     for i in range(n):
         for j in range(i + 1, n):
+            pairs[i, j] = derivation_pair(a, a.basis(i), a.basis(j)).maps()
             try:
-                verify_local(a, *derivation_pair(a, basis[i], basis[j]).maps())
+                verify_local(a, *pairs[i, j])
             except RelationFails:
                 return "none"
-    zero = 0 * a.identity_map()
-
-    def q_vanishes(i: int, j: int, k: int) -> bool:
-        x, y, z = basis[i], basis[j], basis[k]
-        q = (_d1_matrix(a, z, x * y) + _d2_matrix(a, y, z * x)
-             + _d3_matrix(a, x, y * z))
-        return q == zero
-
-    return "normal" if first_failing_tuple(q_vanishes, n, n, n) is None else "pre-normal"
+    # d_t(e_u, e_m) for every u and m, alternating in (u, m), each as one
+    # row of numerators over the common denominator q; the zero map is read
+    # off the form's map, which raises, as d3 does, when there is no form
+    # (also at n = 1, where there is no pair)
+    zero = 0 * a.form_map()
+    maps = [pairs[u, m][t] if u < m else -pairs[m, u][t] if u > m else zero
+            for t in range(3) for u in range(n) for m in range(n)]
+    q = lcm(*[f._q for f in maps])
+    stacked = [_scaled(q // f._q, _sparse_lines([f._n0], f._n1 and [f._n1]))[0] for f in maps]
+    # Q is trilinear: d1(e_k, e_i e_j) = sum_m c_ij^m d1(e_k, e_m), d2 reads
+    # c_ki and d3 reads c_jk, so Q(e_i, e_j, e_k) times int_den q is one row
+    # of structure constants times the stacked maps
+    rows = [[((t * n + u) * n + m, c0, c1)
+             for t, u, (v, w) in ((0, k, (i, j)), (1, j, (k, i)), (2, i, (j, k)))
+             for m, c0, c1 in a.int_terms[v][w]]
+            for i in range(n) for j in range(n) for k in range(n)]
+    q0, q1 = _int_matmul(a.field.d, rows, stacked, n * n)
+    zeros = [0] * len(q0)
+    normal = _first_difference(a.field.p, q0, q1, zeros, q1 and zeros) is None
+    return "normal" if normal else "pre-normal"
 
 
 def commutator_covariance(a: Algebra, t: LocalTriple, x: Element, y: Element) -> None:

@@ -338,6 +338,13 @@ def test_error_exit_codes(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "enumerate", "trig", "para2", "F37")
     assert rc == 2
+    # a name with a part missing, out of range, misspelt or extra
+    for argv in [("certify", name) for name in (
+                     "hurwitz", "para", "matrix", "parazorn", "matrix:-1", "matrix:0",
+                     "matrix:-2", "para:8:spilt", "parazorn:-1", "zorn:5")] + [
+                 ("enumerate", "trig", "hurwitz", "F7"), ("expcheck", "matrix", "x")]:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "") and err.startswith("error: unknown algebra "), argv
 
 
 def test_spec_round_trip_keeps_para_unit(capsys, tmp_path):

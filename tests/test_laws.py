@@ -977,18 +977,44 @@ def _perturbed(a):
     return _shifted(a, i, i, 0, a.field.one())
 
 
+def _with_asymmetric_form(a):
+    """A copy of a whose form has <e_1|e_2> and <e_3|e_0> shifted by one.
+    `Algebra.__init__` rejects such a form, so the copy takes it in after
+    construction; the CLI's symmetry check must still find it, at the first
+    (i, j) in row-major order."""
+    b = _shifted(a, 0, 0, 0, a.field.zero())
+    form = [list(row) for row in a.form]
+    form[1][2] = form[1][2] + 1
+    form[3][0] = form[3][0] + 1
+    b._form = LinearMap(b, form)
+    b.form = b._form.rows
+    return b
+
+
 @pytest.mark.parametrize("field", ["Q", "Qsqrt3", "F7"])
 def test_tuple_checks_keep_their_witnesses(field):
     """The checks rewritten over first_failing_tuple report what their
     loops reported, on the 71 algebra-field pairs and on a perturbed copy
-    of each."""
+    of each.  hurwitz:4 and para:4 also get a unit or para-unit e_0 that
+    fails on one side only, past index 0 (e_2 e_0 shifted, read by R(e_0)
+    alone, and e_0 e_3 shifted, read by L(e_0) alone), and a form that is
+    not symmetric."""
     checked = 0
     for name in NAMED:
         try:
             a = named_algebra(name, parse_field(field))
         except SqrtUnavailable:
             continue  # okubo needs sqrt(-3)
-        for alg in (a, _perturbed(a)):
+        copies = [a, _perturbed(a)]
+        if name in ("hurwitz:4", "para:4"):
+            one = a.field.one()
+            copies += [_shifted(a, 2, 0, 1, one), _shifted(a, 0, 3, 1, one)]
+            # the other checks may take the form to be symmetric
+            alg = _with_asymmetric_form(a)
+            core = dict(cli._suite_core(alg))
+            for check_id, (_, witness) in ref_core_checks(alg).items():
+                assert core[check_id]() == witness, (name, check_id)
+        for alg in copies:
             if alg.form is not None:
                 got = symcomp.is_symmetric_composition(alg).records
                 assert got == ref_symmetric_composition_records(alg), name

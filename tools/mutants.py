@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 112 mutants takes about twenty minutes on two cores, most of
+a full run of the 118 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -53,6 +53,9 @@ COERCE = "tests/test_algebra.py::test_scalars_coerce_exactly_or_raise"
 FIELD_EQUALITY = "tests/test_fields.py::test_equality_with_ints_and_fractions"
 OKUBO_TABLE = "tests/test_constructors.py::test_okubo_matches_dense_trace_reference"
 SIGMA_SEARCH = "tests/test_enumerate.py::test_sigma_matches_the_field_element_search"
+CLASSIFY = (LAWS + "test_classify_regularity_matches_reference",
+            LAWS + "test_classify_regularity_matches_reference_on_small_algebras",
+            LAWS + "test_classify_regularity_reaches_each_verdict")
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -76,10 +79,8 @@ MUTANTS = (
            "return repr(bad[0]) if bad else None", "return bad[0] if bad else None",
            (SHAPE_PINS,)),
     Mutant("unit witness off by one", "cli.py",
-           'f"basis index {i}" for i, b in enumerate(a.basis_elements())\n'
-           "                         if not e * b == b == b * e",
-           'f"basis index {i + 1}" for i, b in enumerate(a.basis_elements())\n'
-           "                         if not e * b == b == b * e",
+           'return f"basis index {min(ws)[0]}" if ws else None',
+           'return f"basis index {min(ws)[0] + 1}" if ws else None',
            (SHAPE_PINS, TUPLE_CHECKS)),
     Mutant("a crashed check passes", "cli.py",
            "cert.add(check_id, witness is None, witness)", "cert.add(check_id, True, witness)",
@@ -353,12 +354,12 @@ MUTANTS = (
            (LAWS + "test_first_order_factorization_matches_reference",)),
     # -- one derivation-pair rule: classify_regularity, covector, parse_scalar
     Mutant("normality sum without its d3 term", "triality.py",
-           "\n             + _d3_matrix(a, x, y * z))", ")",
-           (LAWS + "test_classify_regularity_matches_reference",)),
+           "(1, j, (k, i)), (2, i, (j, k)))", "(1, j, (k, i)))",
+           CLASSIFY),
     Mutant("local-law failure ignored", "triality.py",
            "            except RelationFails:\n                return \"none\"",
            "            except RelationFails:\n                pass",
-           (LAWS + "test_classify_regularity_matches_reference",)),
+           CLASSIFY),
     Mutant("covector assumes the identity form", "algebra.py",
            "return self.form_map()(w).coords", "return list(w.coords)",
            ("tests/test_algebra.py::test_covector_matches_the_form_eval_comprehension",)),
@@ -487,6 +488,26 @@ MUTANTS = (
            "for x, c in zip(entries, cols)]", "for x, c in zip(entries, range(a.dim))]",
            ("tests/test_zorn.py::test_slot_swap_conjugates_scalings_but_is_not_an_automorphism",
             "tests/test_zorn.py::test_scaling_triple_certifies_over_all_coefficient_spaces")),
+    # -- each leftover scan read off the law it specializes -----------------
+    Mutant("the unit law reads only R(e)", "cli.py",
+           "for op in (a.left_op(e), a.right_op(e))", "for op in (a.right_op(e),)",
+           (TUPLE_CHECKS,)),
+    Mutant("the para-unit law compares with Id in place of J", "cli.py",
+           "acts_as(a.element(a.para_unit), a.involution_map())",
+           "acts_as(a.element(a.para_unit), a.identity_map())",
+           (TUPLE_CHECKS,)),
+    Mutant("form symmetry compares G with itself", "cli.py",
+           "(a.form_map() - a.form_map().transpose())", "(a.form_map() - a.form_map())",
+           (TUPLE_CHECKS,)),
+    Mutant("two-sided norm reads the linearized test at (i, j, j)", "symcomp.py",
+           "law(i, j, i)", "law(i, j, j)",
+           (SHIFTED_RECORDS, TUPLE_CHECKS)),
+    Mutant("Q drops its d2 term", "triality.py",
+           "((0, k, (i, j)), (1, j, (k, i)), (2, i, (j, k)))", "((0, k, (i, j)), (2, i, (j, k)))",
+           CLASSIFY),
+    Mutant("Q reads c_ij for its d3 term", "triality.py",
+           "(2, i, (j, k)))", "(2, i, (i, j)))",
+           CLASSIFY),
 )
 
 
