@@ -20,8 +20,9 @@ integers over one denominator (`Algebra.int_terms` over `int_den`), and
 the form and the involution to maps (`form_map`, `involution_map`), whose
 blocks and sparse rows are the form and the involution on integers.  Every
 product of elements runs one integer loop on them (`Algebra.int_product`):
-`multiply` keeps its numerators as an element, `left_op` and `right_op` as
-the columns of a map, and the F_p enumerations reduce them mod p.
+`multiply` keeps its numerators as an element and the F_p enumerations
+reduce them mod p; `left_op` and `right_op` add each structure constant,
+times one coordinate, into one entry of the map.
 
 An :class:`Element` and a :class:`LinearMap` keep one integer block (see
 `_Block`): (q, n0, n1), the entries (n0 + n1 sqrt d)/q in canonical form,
@@ -417,20 +418,36 @@ class Algebra:
                             *self.int_product(x._n0, y._n0, x._n1, y._n1))
 
     def left_op(self, x: Element) -> LinearMap:
-        """L(x): e_j -> x e_j, so column j is the product x e_j."""
-        x0, x1 = x._n0, x._n1
-        return self._operator(x._q, [self.int_product(x0, e, x1, z) for e, z in self._units])
+        """L(x): e_j -> x e_j, so entry (k, j) is the sum of x_i c_ij^k."""
+        return self._multiplication(x, True)
 
     def right_op(self, y: Element) -> LinearMap:
-        """R(y): e_i -> e_i y, so column i is the product e_i y."""
-        y0, y1 = y._n0, y._n1
-        return self._operator(y._q, [self.int_product(e, y0, z, y1) for e, z in self._units])
+        """R(y): e_i -> e_i y, so entry (k, i) is the sum of y_j c_ij^k."""
+        return self._multiplication(y, False)
 
-    def _operator(self, q: int, columns: list) -> LinearMap:
-        """The map whose columns are `int_product` numerators over q int_den."""
-        r1 = None if self.field.d is None else [x for r in zip(*[s1 for _, s1 in columns]) for x in r]
-        return _int_map(self, q * self.int_den,
-                        [x for r in zip(*[s0 for s0, _ in columns]) for x in r], r1)
+    def _multiplication(self, x: Element, left: bool) -> LinearMap:
+        """L(x), or R(x) unless `left`, in one pass over `int_terms`: each
+        c_ij^k adds x_i c_ij^k to entry (k, j) of L(x), or x_j c_ij^k to
+        entry (k, i) of R(x), on numerators over qx int_den."""
+        n, d, terms = self.dim, self.field.d, self.int_terms
+        m0, m1 = [0] * (n * n), [0] * (n * n)
+        # planes[s][c] lists the c_sc^k of L(x), or the c_cs^k of R(x), which
+        # x_s times adds to column c
+        planes = terms if left else list(zip(*terms))
+        for s, (a0, a1) in enumerate(zip(x._n0, x._n1 or repeat(0))):
+            if a0 or a1:
+                lines = planes[s]
+                if d is None:
+                    for c, line in enumerate(lines):
+                        for k, c0, _ in line:
+                            m0[k * n + c] += a0 * c0
+                    continue
+                da1 = d * a1
+                for c, line in enumerate(lines):
+                    for k, c0, c1 in line:
+                        m0[k * n + c] += a0 * c0 + da1 * c1
+                        m1[k * n + c] += a0 * c1 + a1 * c0
+        return _int_map(self, x._q * self.int_den, m0, m1)
 
     def form_eval(self, x: Element, y: Element) -> FieldElement:
         """<x|y> = sum x_i g_ik y_k over the nonzero g_ik of the form's map

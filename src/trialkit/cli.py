@@ -45,10 +45,15 @@ def parse_field(text: str) -> FieldDescriptor:
 def _load(spec: str) -> Tuple[str, Algebra]:
     if os.path.exists(spec):
         return spec, load_algebra(spec)
+    return spec, _named(spec)
+
+
+def _named(name: str, field: Optional[FieldDescriptor] = None) -> Algebra:
+    """`named_algebra`, its errors prefixed with the name."""
     try:
-        return spec, named_algebra(spec)
+        return named_algebra(name, field)
     except (ValueError, FieldError) as exc:
-        raise ValueError(f"unknown algebra {spec!r}: {exc}") from exc
+        raise ValueError(f"unknown algebra {name!r}: {exc}") from exc
 
 
 def _is_vector_matrix(a: Algebra) -> bool:
@@ -287,7 +292,7 @@ def cmd_enumerate(args) -> int:
     field = parse_field(args.field)
     out = sys.stdout
     if args.target == "trig":
-        a = named_algebra(args.algebra, field)
+        a = _named(args.algebra, field)
         group = symcomp.enumerate_trig_small(a, p_cap=args.max_p)
         out.write(f"trig group of {args.algebra} over {args.field}\n")
         out.write(f"order: {group.order}\n")
@@ -304,7 +309,7 @@ def cmd_enumerate(args) -> int:
             out.write(f"  element {i}: [{flat}]\n")
         return 0
     if args.target == "sigma":
-        a = named_algebra(args.algebra, field)
+        a = _named(args.algebra, field)
         triples = _enumerate_sigma(a)
         out.write(f"product-closed unit triples of {args.algebra} "
                   f"over {args.field}\n")
@@ -316,14 +321,20 @@ def cmd_enumerate(args) -> int:
 
 
 def _parse_triple_spec(a: Algebra, spec: str):
-    """Either 'd<j>:<i>,<k>' (derivation of two basis vectors, returns the
-    local triple of that pair) or a comma list of scale factors for the
-    two-dimensional rotation triple."""
+    """Either 'd<j>:<i>,<k>' with j = 1 or 2 (derivation of two basis
+    vectors, returns the local triple of that pair) or a comma list of
+    scale factors for the two-dimensional rotation triple."""
     spec = spec.strip()
     if spec.startswith("d") and ":" in spec:
         head, rest = spec.split(":", 1)
+        # the closed form covers d1 and d2 (`triality.exp_closed_form`)
+        if head not in ("d1", "d2"):
+            raise ValueError(f"component must be d1 or d2: {head}")
         j = int(head[1:])
-        i, k = (int(s) for s in rest.split(","))
+        indices = rest.split(",")
+        if len(indices) != 2:
+            raise ValueError(f"expected two basis indices i,k: {rest}")
+        i, k = (int(s) for s in indices)
         if not (0 <= i < a.dim and 0 <= k < a.dim):
             raise ValueError(f"basis index out of range 0..{a.dim - 1}: {rest}")
         basis = a.basis_elements()

@@ -229,7 +229,10 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
     <x|theta_j y> and <theta_j x|theta_j y> = <x|y> the same way.
     """
     alg = a.algebra
-    sigma = verify_triality(alg, *sigma_maps(a))
+    maps = sigma_maps(a)
+    # checked here, raised below: verify_triality reads the first two
+    isometry = [form_law_failure(alg, s, s) for s in maps]
+    sigma = verify_triality(alg, *maps, isometric=isometry[0] is None and isometry[1] is None)
     theta = TrialityTriple(alg, theta_maps(a))
     # A one-sided inverse of a square matrix is two-sided, so sigma_j theta_j
     # = Id gives theta_j sigma_j = Id too.
@@ -240,8 +243,7 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
     # of this one or inverses of those, so they hold when it does.
     if not (theta.comp(1) @ theta.comp(2) @ theta.comp(3)).is_identity():
         raise RelationFails("theta product at j=1 is not Id", witness=(1,))
-    for j in range(1, 4):
-        w = form_law_failure(alg, sigma.comp(j), sigma.comp(j))
+    for j, w in enumerate(isometry, 1):
         if w is not None:
             raise RelationFails("sigma is not an isometry", witness=(j, *w))
     for j in range(1, 4):
@@ -605,14 +607,18 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
     with its residue form (see `enumerate_trig_small`).
 
     Members share their maps: at p = 7, 128 members have 16 distinct maps.
-    Each distinct map is built and proven invertible once, where it first
-    occurs, and then the triality law is scanned per member.  That is
-    `verify_triality` on every member, in the same order of checks: a map
-    seen before has already passed its elimination."""
+    Each distinct map is built, proven invertible and tested for isometry
+    once, where it first occurs, and then the triality law is checked per
+    member, reading the isometry verdicts of its first two maps (see
+    `triality`).  That is `verify_triality` on every member, in the same
+    order of checks: a map seen before has already passed its elimination.
+    A map that is not an isometry is reported after the alpha identity, as
+    before."""
     multiply, form_eval = residue_arithmetic(a)
     p = a.field.p
-    # residue matrix -> its LinearMap, proven invertible
-    proven = {}
+    # residue matrix -> its LinearMap, proven invertible, and whether it is
+    # an isometry
+    proven, isometric = {}, {}
     circle = [(mu, nu) for mu in range(p) for nu in range(p) if (mu * mu + nu * nu) % p == 1]
     elements, members = [], []
     for q1 in circle:
@@ -631,8 +637,11 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
                         g = _int_map(a, 1, [*m[0], *m[1]], None)
                         g.require_invertible()
                         proven[m] = g
+                        cols = tuple(zip(*m))
+                        isometric[m] = all(form_eval(cols[i], cols[k]) == a.form[i][k].a
+                                           for i in range(2) for k in range(2))
                 maps = tuple(proven[m] for m in member)
-                _require_triality_law(a, maps)
+                _require_triality_law(a, maps, isometric[member[0]] and isometric[member[1]])
                 elements.append(TrialityTriple(a, maps))
                 members.append(member)
     # polynomial identity on the e-components <e|g_j e> of the members
@@ -641,10 +650,8 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
         if (2 * x * y * z - (x * x + y * y + z * z) + 1) % p:
             raise RelationFails("member violates the alpha identity")
     # every map of every member, each distinct map once
-    for m in proven:
-        cols = tuple(zip(*m))
-        if any(form_eval(cols[i], cols[k]) != a.form[i][k].a for i in range(2) for k in range(2)):
-            raise RelationFails("member is not an isometry")
+    if not all(isometric.values()):
+        raise RelationFails("member is not an isometry")
     return elements, members
 
 

@@ -3,8 +3,50 @@
 A global triple (g1, g2, g3) of invertible maps satisfies
 g_j(xy) = (g_{j+1}x)(g_{j+2}y) for all j (indices mod 3); the set of such
 triples forms the group Trig(A).  A local triple (t1, t2, t3) satisfies the
-derivation-style law t_j(xy) = (t_{j+1}x)y + x(t_{j+2}y).  All verifications
-run over every basis pair, which proves the law by bilinearity.
+derivation-style law t_j(xy) = (t_{j+1}x)y + x(t_{j+2}y).  A law is
+verified over every basis pair, which proves it by bilinearity.
+
+On a symmetric composition algebra the first law implies the other two
+(the principle of triality; A. Elduque, "The magic square and symmetric
+compositions", Rev. Mat. Iberoamericana 20 (2004), and Knus, Merkurjev,
+Rost and Tignol, *The Book of Involutions*, 1998, sections 35 and 45), so
+`triality_law_failure` and `verify_local` scan law 1 and prove laws 2 and 3
+without a scan when two guards hold:
+
+(a) the algebra passes the linearized law (`linearized_failure` is None)
+    and its form is nonzero;
+(b) g1 and g2 are isometries, or for a local triple t1 and t2 are skew.
+
+Wherever a guard fails all three laws are scanned, so a verdict and its
+witness are those of the full scan.
+
+Proof.  The linearized law at z = x gives (xy)x = x(yx) = <x|x>y, as 2 is
+invertible.  Let x be anisotropic, <x|x> != 0, and z any vector.  Law 1 at
+(x, zx), as x(zx) = <x|x>z, reads
+
+    <x|x> g1(z) = (g2 x) g3(zx),
+
+and right-multiplied by g2 x, as (ab)a = <a|a>b and g2 is an isometry,
+
+    <x|x> (g1 z)(g2 x) = <g2 x|g2 x> g3(zx) = <x|x> g3(zx).
+
+For a local triple law 1 at (x, zx) reads <x|x> t1(z) = (t2 x)(zx) +
+x t3(zx), and right-multiplied by x
+
+    <x|x> (t1 z)x = ((t2 x)(zx))x + <x|x> t3(zx),
+
+where the linearized law and the skewness of t2 give
+
+    ((t2 x)(zx))x = 2<t2 x|x> zx - (x(zx))(t2 x) = -<x|x> z(t2 x).
+
+So law 3, g3(zx) = (g1 z)(g2 x) or t3(zx) = (t1 z)x + z(t2 x), holds at
+(z, x) for every anisotropic x.  These span the algebra: the form is
+symmetric and nonzero and 2 is invertible, so some <a|a> != 0; for any v,
+<v + ta|v + ta> is a nonzero polynomial in t of degree at most two, so over
+a field of odd characteristic (`FieldDescriptor` admits no other) some t
+makes v + ta anisotropic, and v = (v + ta) - ta.  Law 3 is bilinear, so it
+holds everywhere.  Law 3 is law 1 of the cycled triple (g3, g1, g2), whose
+second map is g1, so the same argument with guard (b) on g1 gives law 2.
 
 Such a product law (`product_law_failure`) is checked as two integer block
 products of `linalg._int_matmul`, one per side, laid out by (i, k, t) for
@@ -21,6 +63,7 @@ first nonzero entry of the difference (`LinearMap.first_nonzero`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -155,9 +198,11 @@ def linearized_failure(a: Algebra) -> Optional[tuple]:
     law (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx) fails, or None: the verdict
     of `symcomp.is_symmetric_composition` without the other clauses'
     witnesses, scanned once per algebra by `_linearized_law` and kept on
-    it."""
+    it.  Only the tuples with k >= i are tested (see `_linearized_law`)."""
     if a._linearized_cache is None:
-        a._linearized_cache = (first_failing_tuple(_linearized_law(a), *[a.dim] * 3),)
+        law = _linearized_law(a)
+        a._linearized_cache = (first_failing_tuple(lambda i, j, k: k < i or law(i, j, k),
+                                                   *[a.dim] * 3),)
     return a._linearized_cache[0]
 
 
@@ -167,7 +212,13 @@ def _linearized_law(a: Algebra) -> Callable[[int, int, int], bool]:
     gram_rows[i] over qg (the form's map), so with the outer terms times qg,
     each half of the law and 2<x|z>y (twice_gram) are numerator vectors over
     den^2 qg, compared exactly.  At k = i the halves read 2(xy)x and
-    2x(yx) against 2<x|x>y: the two-sided norm law."""
+    2x(yx) against 2<x|x>y: the two-sided norm law.
+
+    Both halves and <x|z> are symmetric in x and z, so the test at (i, j, k)
+    is the test at (k, j, i).  If it fails at some (i, j, k) with k < i, it
+    fails at (k, j, i), which comes earlier in row-major order; so the first
+    failing tuple has k >= i, and a scan in row-major order may skip the
+    tuples with k < i and still meet it first."""
     g = a.form_map()
     n = a.dim
     d, prime = a.field.d, a.field.p
@@ -250,28 +301,50 @@ def earliest_failure(laws: Sequence[Tuple[str, Optional[Pair]]]) -> Optional[Tup
     return None if found is None else (found[2], found[0])
 
 
-def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> TrialityTriple:
-    """Certify g_j(xy) = (g_{j+1}x)(g_{j+2}y) on all basis pairs for all j."""
+def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap, *,
+                    isometric: Optional[bool] = None) -> TrialityTriple:
+    """Certify g_j(xy) = (g_{j+1}x)(g_{j+2}y) on all basis pairs for all j.
+    `isometric`, when given, is whether g1 and g2 are isometries, as the
+    caller has checked (see `triality_law_failure`)."""
     maps = (g1, g2, g3)
     for g in maps:
         g.require_invertible()
-    _require_triality_law(a, maps)
+    _require_triality_law(a, maps, isometric)
     return TrialityTriple(a, maps)
 
 
-def triality_law_failure(a: Algebra, maps: Sequence[LinearMap]) -> Optional[tuple]:
-    """(j, i, k) of the first j and basis pair (i, k) where
-    g_j(xy) != (g_{j+1}x)(g_{j+2}y), or None."""
+def _cyclic_law_failure(a: Algebra, maps: Sequence[LinearMap], local: bool,
+                        guard_b: Callable[[], bool]) -> Optional[tuple]:
+    """(j, i, k) of the first of the three cyclic product laws of `maps`
+    (`product_law_failure`, with `local` for a local triple) and its first
+    failing basis pair, or None.  Laws 2 and 3 are not scanned once law 1
+    holds, guard (a) holds and `guard_b()` says guard (b) does (see the
+    module docstring)."""
     for j in range(3):
-        w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])
+        if (j == 1 and a.form is not None and not a.form_map().is_zero()
+                and linearized_failure(a) is None and guard_b()):
+            return None
+        w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3], local=local)
         if w is not None:
             return (j + 1, *w)
     return None
 
 
-def _require_triality_law(a: Algebra, maps: Sequence[LinearMap]) -> None:
+def triality_law_failure(a: Algebra, maps: Sequence[LinearMap],
+                         isometric: Optional[bool] = None) -> Optional[tuple]:
+    """(j, i, k) of the first j and basis pair (i, k) where
+    g_j(xy) != (g_{j+1}x)(g_{j+2}y), or None.  Whether g1 and g2 are
+    isometries is checked only where it decides whether laws 2 and 3 are
+    scanned, unless the caller passes it as `isometric`."""
+    return _cyclic_law_failure(a, maps, False, lambda: (
+        all(form_law_failure(a, g, g) is None for g in maps[:2])
+        if isometric is None else isometric))
+
+
+def _require_triality_law(a: Algebra, maps: Sequence[LinearMap],
+                          isometric: Optional[bool] = None) -> None:
     """Raise at the first j and basis pair where g_j(xy) != (g_{j+1}x)(g_{j+2}y)."""
-    w = triality_law_failure(a, maps)
+    w = triality_law_failure(a, maps, isometric)
     if w is not None:
         j, i, k = w
         raise RelationFails(f"g{j}(e{i} e{k}) != (g{j + 1 if j < 3 else 1}...)", witness=w)
@@ -329,18 +402,17 @@ def verify_local(a: Algebra, t1: LinearMap, t2: LinearMap, t3: LinearMap) -> Loc
     """Certify t_j(xy) = (t_{j+1}x)y + x(t_{j+2}y) on all basis pairs; on a
     symmetric composition algebra each component must also be skew for the form."""
     maps = (t1, t2, t3)
-    for j in range(3):
-        w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3], local=True)
-        if w is not None:
-            raise RelationFails(
-                f"local law fails at j={j + 1}, basis pair ({w[0]},{w[1]})",
-                witness=(j + 1, *w),
-            )
+    # <t x|y> + <x|t y> is symmetric in (x, y), so the first failing pair
+    # has i <= k; each component's verdict is computed once, when first read
+    skew_failure = cache(lambda j: form_law_failure(a, maps[j], None, None, -maps[j]))
+    w = _cyclic_law_failure(a, maps, True,
+                            lambda: skew_failure(0) is None and skew_failure(1) is None)
+    if w is not None:
+        raise RelationFails(f"local law fails at j={w[0]}, basis pair ({w[1]},{w[2]})",
+                            witness=w)
     if a.form is not None and linearized_failure(a) is None:
-        for j, t in enumerate(maps):
-            # <t x|y> + <x|t y> is symmetric in (x, y), so the first failing
-            # pair has i <= k
-            w = form_law_failure(a, t, None, None, -t)
+        for j in range(3):
+            w = skew_failure(j)
             if w is not None:
                 raise RelationFails(
                     f"component {j + 1} is not skew for the form",

@@ -322,6 +322,26 @@ def test_expcheck_command(capsys):
         assert err.count("\n") == 1 and "Traceback" not in err, args
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("d3:0,1", "component must be d1 or d2: d3"),
+    ("d0:0,1", "component must be d1 or d2: d0"),
+    ("d1:0", "expected two basis indices i,k: 0"),
+    ("d2:0,1,2", "expected two basis indices i,k: 0,1,2"),
+])
+def test_expcheck_rejects_a_bad_derivation_spec_before_any_work(capsys, monkeypatch, spec,
+                                                                 message):
+    """The component and the index count are read before the derivation
+    pair, the local triple or the float bridge is built."""
+    from trialkit import triality
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the spec was checked")
+
+    for name in ("derivation_pair", "verify_local", "exp_bridge"):
+        monkeypatch.setattr(triality, name, no_work)
+    assert run(capsys, "expcheck", "okubo", spec) == (2, "", f"error: {message}\n")
+
+
 def test_parse_field():
     assert parse_field("Q").kind == RATIONALS
     assert parse_field("Qsqrt3").kind == QUADRATIC
@@ -345,6 +365,12 @@ def test_error_exit_codes(capsys):
                  ("enumerate", "trig", "hurwitz", "F7"), ("expcheck", "matrix", "x")]:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "") and err.startswith("error: unknown algebra "), argv
+    # enumerate loads a name as certify and expcheck do, with their prefix
+    assert run(capsys, "enumerate", "trig", "okubo", "F7") == (
+        2, "", "error: unknown algebra 'okubo': sqrt(3) does not exist in "
+               "FieldDescriptor(kind='Fp', d=None, p=7)\n")
+    assert run(capsys, "enumerate", "trig", "hurwitz:3", "F7") == (
+        2, "", "error: unknown algebra 'hurwitz:3': dimension must be 1, 2, 4 or 8\n")
 
 
 def test_spec_round_trip_keeps_para_unit(capsys, tmp_path):

@@ -12,8 +12,8 @@ from trialkit import cli, symcomp
 from trialkit.algebra import Algebra, AlgebraError, LinearMap
 from trialkit.constructors import named_algebra
 from trialkit.fields import FieldDescriptor, PRIME
-from trialkit.triality import (RelationFails, TrialityTriple, klein_triples, trig_mul,
-                               verify_triality)
+from trialkit.triality import (RelationFails, TrialityTriple, klein_triples,
+                               product_law_failure, trig_mul)
 
 CLOSURE_MESSAGES = ("group is not closed under inverses",
                     "group is not closed under products",
@@ -137,8 +137,22 @@ def test_table_hash_matches_the_field_element_hash(p):
 
 # -- the members of Trig(A): each distinct map proven invertible once -----
 
+def verify_all_three_laws(a, *maps):
+    """verify_triality with every cyclic law scanned, none proven from
+    another (see `triality`)."""
+    for g in maps:
+        g.require_invertible()
+    for j in range(3):
+        w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])
+        if w is not None:
+            raise RelationFails(f"g{j + 1}(e{w[0]} e{w[1]}) != (g{j + 2 if j < 2 else 1}...)",
+                                witness=(j + 1, *w))
+    return TrialityTriple(a, maps)
+
+
 def ref_dim2_members(a):
-    """_dim2_members as it was: verify_triality on every member."""
+    """_dim2_members as it was: verify_triality on every member, scanning
+    all three laws."""
     multiply, form_eval = symcomp.residue_arithmetic(a)
     p = a.field.p
     scalars = [a.field.from_int(v) for v in range(p)]
@@ -155,7 +169,7 @@ def ref_dim2_members(a):
                                ((multiply(qs[(j + 1) % 3], qs[(j + 2) % 3]), qs[j])
                                 for j in range(3)))
                 maps = [LinearMap(a, [[scalars[v] for v in row] for row in m]) for m in member]
-                elements.append(verify_triality(a, *maps))
+                elements.append(verify_all_three_laws(a, *maps))
                 members.append(member)
     for member in members:
         x, y, z = (form_eval((1, 0), (m[0][0], m[1][0])) for m in member)

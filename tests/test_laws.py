@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialkit import assoc, autos, cli, symcomp, triality, zorn
+from trialkit import assoc, autos, cli, specfile, symcomp, triality, zorn
 from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap
 from trialkit.cli import parse_field
 from trialkit.constructors import cross_space, make_para_zorn, named_algebra
@@ -396,6 +396,171 @@ def test_local_law_matches_reference(case, seed, bad):
     assert outcome(triality.verify_local, a, *maps) == want
     if not bad:
         assert want is None
+
+
+# ---------------------------------------------------------------------------
+# Laws 2 and 3 proven from law 1 (the principle of triality)
+# ---------------------------------------------------------------------------
+
+# the algebras of `trialkit certify` in the benchmark's catalogue: by name at
+# the default field, as (name, field), and two copies whose first nonzero
+# structure constant is set to 2
+CATALOGUE = (["okubo", "para:8", "parazorn:3:1"]
+             + [("para:1", "Q"), ("para:2", "F7"), ("para:2:split", "Q"), ("para:4", "Qsqrt2"),
+                ("para:4:split", "F13"), ("para:4", "F11"), ("para:8", "F11"),
+                ("para:8:split", "Qsqrt3"), ("okubo", "F13"), ("okubo:-", "Qsqrt3"),
+                ("parazorn:1:1", "Q"), ("parazorn:2:1", "F7"), ("parazorn:3:2", "Qsqrt2"),
+                ("parazorn:1:3", "F13"), ("parazorn:3:1", "Qsqrt3")]
+             + [("perturbed", "okubo", "Qsqrt3"), ("perturbed", "para:4", "F7")])
+
+
+def catalogue_algebra(case):
+    if isinstance(case, str):
+        return named_algebra(case)
+    if case[0] != "perturbed":
+        return algebra(*case)
+    spec = specfile.algebra_to_dict(named_algebra(case[1], parse_field(case[2])))
+    i, j, k, _ = spec["structure"][0]
+    spec["structure"][0] = [i, j, k, "2"]
+    return specfile.algebra_from_dict(spec)
+
+
+def scalar_triple(a, *scales):
+    ident = a.identity_map()
+    return [a.field.coerce(c) * ident for c in scales]
+
+
+def count_law_scans(monkeypatch):
+    """The number of product laws scanned since the call, in a list."""
+    scans = [0]
+    scan = triality.product_law_failure
+
+    def counting(*args, **kwargs):
+        scans[0] += 1
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(triality, "product_law_failure", counting)
+    return scans
+
+
+def failed_law(want):
+    """The j of a RelationFails outcome, the exception name of another, or
+    None for a pass."""
+    return want and (want[2][0] if want[0] == "RelationFails" else want[0])
+
+
+@pytest.mark.parametrize("case", CATALOGUE, ids=str)
+def test_proven_laws_match_the_full_scan_on_the_catalogue(case, monkeypatch):
+    """verify_triality and verify_local, which prove laws 2 and 3 from law 1
+    where both guards hold, give the verdict and witness of the references,
+    which scan all three laws: on product-triple maps and derivation pairs,
+    one entry of a map perturbed, scalar triples failing at j = 2 or 3 and
+    the para-Zorn grading and scaling triples.  Where the guards hold a
+    passing triple costs one scan; elsewhere three."""
+    a = catalogue_algebra(case)
+    rng = random.Random(str(case))
+    scans = count_law_scans(monkeypatch)
+    half = a.field.from_int(2).inverse()
+    triples = [scalar_triple(a, *c) for c in ((1, 1, 1), (1, -1, -1), (2, 1, 2), (1, 2, half),
+                                              (2, 2, 1))]
+    locals_ = [scalar_triple(a, *c) for c in ((2, 1, 1), (1, 0, 1), (0, 1, -1))]
+    guarded = (a.form is not None and not a.form_map().is_zero()
+               and triality.linearized_failure(a) is None)
+    if guarded:
+        for x in a.basis_elements():
+            y = next((y for y in a.basis_elements()
+                      if outcome(symcomp.sigma_from_pair, a, x, y) is None), None)
+            if y is not None:
+                product = symcomp.sigma_from_pair(a, x, y)
+                triples += [symcomp.sigma_maps(product), symcomp.theta_maps(product)]
+                break
+        pair = triality.derivation_pair(a, a.basis(0), a.basis(a.dim - 1))
+        locals_.append(list(pair.maps()))
+    if a.kind is not None:
+        triples.append(list(zorn._rho_maps(a, a.field.from_int(2))))
+        locals_.append(list(zorn.zorn_s_triple(a)[0].maps))
+    triples += [perturb(maps, rng) for maps in triples[5:]]
+    locals_ += [perturb(maps, rng) for maps in locals_[3:]]
+    seen = set()
+    for maps in triples:
+        want = outcome(ref_verify_triality, a, *maps)
+        scans[0] = 0
+        assert outcome(triality.verify_triality, a, *maps) == want
+        if want is None:
+            proven = guarded and all(triality.form_law_failure(a, g, g) is None
+                                     for g in maps[:2])
+            assert scans[0] == (1 if proven else 3)
+        if want is None or want[0] != "NotInvertible":
+            assert triality.triality_law_failure(a, maps) == (want and want[2])
+        seen.add(failed_law(want))
+    for maps in locals_:
+        want = outcome(ref_verify_local, a, *maps)
+        scans[0] = 0
+        assert outcome(triality.verify_local, a, *maps) == want
+        if want is None:
+            proven = guarded and all(triality.form_law_failure(a, t, None, None, -t) is None
+                                     for t in maps[:2])
+            assert scans[0] == (1 if proven else 3)
+        seen.add(failed_law(want))
+    assert {None, 2} <= seen
+
+
+def _square_zero_algebra(field):
+    """e_0 e_0 = e_1, every other product zero, and the zero form: the
+    linearized law holds on both sides (every product of three vectors is
+    zero) and every map is an isometry and skew, but no vector is
+    anisotropic, so law 1 proves nothing."""
+    f = parse_field(field)
+    zero, one = f.zero(), f.one()
+    structure = [[[zero, zero] for _ in range(2)] for _ in range(2)]
+    structure[0][0][1] = one
+    return Algebra(f, structure, form=[[zero, zero], [zero, zero]])
+
+
+def _moufang(a):
+    """(L_e1 R_e1, L_e1, R_e1): law 1 is the Moufang identity
+    e(xy)e = (ex)(ye), and each map is an isometry, as e_1 has norm 1."""
+    e = a.basis(1)
+    left, right = a.left_op(e), a.right_op(e)
+    return [left @ right, left, right]
+
+
+@pytest.mark.parametrize("field", ["Q", "F7"])
+@pytest.mark.parametrize("name, build, local, want", [
+    # f1 is no isometry: law 2 fails, 1 != 2 2
+    ("para:4", lambda a: scalar_triple(a, 2, 1, 2), False, (2, 0, 0)),
+    # f2 is no isometry: law 2 fails, 2 != 1/2
+    ("para:4", lambda a: scalar_triple(a, 1, 2, a.field.from_int(2).inverse()), False,
+     (2, 0, 0)),
+    # neither is: law 3 alone fails, 1 != 2 2
+    ("para:4", lambda a: scalar_triple(a, 2, 2, 1), False, (3, 0, 0)),
+    # every map an isometry, but hurwitz:8 fails the linearized law
+    ("hurwitz:8", _moufang, False, (2, 0, 0)),
+    # every map an isometry and the linearized law holds, but the form is zero
+    ("square-zero", lambda a: [a.identity_map(), a.identity_map(),
+                               LinearMap(a, [[1, 0], [0, 2]])], False, (3, 0, 0)),
+    # t1 and t2 are not skew: law 2 fails, 1 != 1 + 2
+    ("para:4", lambda a: scalar_triple(a, 2, 1, 1), True, (2, 0, 0)),
+    # t2 = 0 is skew, t1 is not: law 2 fails, 0 != 1 + 1
+    ("para:4", lambda a: scalar_triple(a, 1, 0, 1), True, (2, 0, 0)),
+    # t1 = 0 is skew, t2 is not: law 2 fails, 1 != -1 + 0
+    ("para:4", lambda a: scalar_triple(a, 0, 1, -1), True, (2, 0, 0)),
+    # every map skew and the linearized law holds, but the form is zero
+    ("square-zero", lambda a: scalar_triple(a, 2, 1, 1), True, (2, 0, 0)),
+])
+def test_a_failed_guard_scans_every_law(field, name, build, local, want):
+    """Law 1 holds, one guard fails, and a later law fails: the witness is
+    the one the references find by scanning all three laws."""
+    a = _square_zero_algebra(field) if name == "square-zero" else algebra(name, field)
+    maps = build(a)
+    ref, check = (ref_verify_local, triality.verify_local) if local else (
+        ref_verify_triality, triality.verify_triality)
+    law = triality.product_law_failure(a, *maps, local=local)
+    assert law is None
+    got = outcome(check, a, *maps)
+    assert got == outcome(ref, a, *maps) and got[2] == want
+    if not local:
+        assert triality.triality_law_failure(a, maps) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -1123,7 +1288,7 @@ def test_sigma_theta_product_check_matches_reference(case, seed, kind):
         mp.setattr(symcomp, "sigma_maps", lambda _: sig)
         mp.setattr(symcomp, "theta_maps", lambda _: the)
         mp.setattr(symcomp, "verify_triality",
-                   lambda alg, *maps: triality.TrialityTriple(alg, maps))
+                   lambda alg, *maps, **_: triality.TrialityTriple(alg, maps))
         got = outcome(symcomp.sigma_theta_triples, triple)
     if want is not None:
         assert got == want
@@ -1218,7 +1383,7 @@ def test_sigma_theta_triples_match_reference(case, seed, kind, stub):
         mp.setattr(symcomp, "theta_maps", lambda _: the)
         if stub:
             mp.setattr(symcomp, "verify_triality",
-                       lambda alg, *maps: triality.TrialityTriple(alg, maps))
+                       lambda alg, *maps, **_: triality.TrialityTriple(alg, maps))
         want = outcome(ref_sigma_theta_triples, triple)
         got = outcome(symcomp.sigma_theta_triples, triple)
         assert got == sigma_theta_outcome(a, sig, the, want)
@@ -1249,7 +1414,7 @@ def test_sigma_theta_closed_forms_fail_at_the_first_basis_index(field, flips, wa
         mp.setattr(symcomp, "sigma_maps", lambda _: sig)
         mp.setattr(symcomp, "theta_maps", lambda _: the)
         mp.setattr(symcomp, "verify_triality",
-                   lambda alg, *maps: triality.TrialityTriple(alg, maps))
+                   lambda alg, *maps, **_: triality.TrialityTriple(alg, maps))
         got = outcome(symcomp.sigma_theta_triples, triple)
         assert got == outcome(ref_sigma_theta_triples, triple) == ("RelationFails", *want)
 

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 118 mutants takes about twenty minutes on two cores, most of
+a full run of the 127 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -56,6 +56,7 @@ SIGMA_SEARCH = "tests/test_enumerate.py::test_sigma_matches_the_field_element_se
 CLASSIFY = (LAWS + "test_classify_regularity_matches_reference",
             LAWS + "test_classify_regularity_matches_reference_on_small_algebras",
             LAWS + "test_classify_regularity_reaches_each_verdict")
+FAILED_GUARD = LAWS + "test_a_failed_guard_scans_every_law"
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -139,7 +140,7 @@ MUTANTS = (
            equivalent="theta_2 theta_3 theta_1 is a conjugate of theta_1 theta_2 theta_3, "
                       "so one is Id exactly when the other is"),
     Mutant("sigma isometry check dropped", "symcomp.py",
-           "w = form_law_failure(alg, sigma.comp(j), sigma.comp(j))", "w = None",
+           "for j, w in enumerate(isometry, 1):", "for j, w in enumerate([None] * 3, 1):",
            (LAWS + "test_sigma_theta_triples_match_reference",)),
     # -- one builder per construction --------------------------------------
     Mutant("order-3 certifier: inverse test dropped", "autos.py",
@@ -224,8 +225,10 @@ MUTANTS = (
            "return tuple(map(p.__rmod__, product(x, y)[0]))", "return tuple(product(x, y)[0])",
            (PRODUCT_LOOP,)),
     Mutant("left_op built as right_op", "algebra.py",
-           "[self.int_product(x0, e, x1, z) for e, z in self._units]",
-           "[self.int_product(e, x0, z, x1) for e, z in self._units]",
+           "return self._multiplication(x, True)", "return self._multiplication(x, False)",
+           (PRODUCT_LOOP,)),
+    Mutant("multiplication map drops d x1 c1", "algebra.py",
+           "m0[k * n + c] += a0 * c0 + da1 * c1", "m0[k * n + c] += a0 * c0",
            (PRODUCT_LOOP,)),
     Mutant("one sign flipped in the derivation rows", "autos.py",
            "(m, l * n + i, -c0, -c1)", "(m, l * n + i, c0, -c1)",
@@ -427,8 +430,8 @@ MUTANTS = (
            "\n                 + a.form_eval(y, y) * rx).first_nonzero()", ").first_nonzero()",
            (SHIFTED_RECORDS, TUPLE_CHECKS)),
     Mutant("conjugate transfer with its components unshifted", "triality.py",
-           "product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3])\n",
-           "product_law_failure(a, maps[j], maps[j], maps[j])\n",
+           "product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3], local=local)",
+           "product_law_failure(a, maps[j], maps[j], maps[j], local=local)",
            (LAWS + "test_conjugate_transfer_matches_the_conjugate_algebra",)),
     Mutant("para-associativity without J", "assoc.py",
            "a.right_op(x * y) @ jmap", "a.right_op(x * y)",
@@ -508,6 +511,36 @@ MUTANTS = (
     Mutant("Q reads c_ij for its d3 term", "triality.py",
            "(2, i, (j, k)))", "(2, i, (i, j)))",
            CLASSIFY),
+    # -- laws 2 and 3 proven from law 1; the half-scan of linearized --------
+    Mutant("isometry guard without g1", "triality.py",
+           "form_law_failure(a, g, g) is None for g in maps[:2])",
+           "form_law_failure(a, g, g) is None for g in maps[1:2])",
+           (FAILED_GUARD,)),
+    Mutant("isometry guard without g2", "triality.py",
+           "form_law_failure(a, g, g) is None for g in maps[:2])",
+           "form_law_failure(a, g, g) is None for g in maps[:1])",
+           (FAILED_GUARD,)),
+    Mutant("skew guard without t1", "triality.py",
+           "lambda: skew_failure(0) is None and skew_failure(1) is None",
+           "lambda: skew_failure(1) is None",
+           (FAILED_GUARD,)),
+    Mutant("skew guard without t2", "triality.py",
+           "lambda: skew_failure(0) is None and skew_failure(1) is None",
+           "lambda: skew_failure(0) is None",
+           (FAILED_GUARD,)),
+    Mutant("triality guard without the linearized law", "triality.py",
+           "and linearized_failure(a) is None and guard_b()", "and guard_b()",
+           (FAILED_GUARD,)),
+    Mutant("triality guard without the nonzero form", "triality.py",
+           "if (j == 1 and a.form is not None and not a.form_map().is_zero()",
+           "if (j == 1 and a.form is not None",
+           (FAILED_GUARD,)),
+    Mutant("laws 2 and 3 never proven", "triality.py",
+           "if (j == 1 and a.form is not None", "if (j == 4 and a.form is not None",
+           (LAWS + "test_proven_laws_match_the_full_scan_on_the_catalogue",)),
+    Mutant("linearized half-scan keeps only k > i", "triality.py",
+           "lambda i, j, k: k < i or law(i, j, k)", "lambda i, j, k: k <= i or law(i, j, k)",
+           (SHIFTED_RECORDS, TUPLE_CHECKS)),
 )
 
 
