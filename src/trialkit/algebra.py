@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import linalg
 from .fields import FieldDescriptor, FieldElement
@@ -196,9 +196,11 @@ class LinearMap(_Block):
     `triality` and the tests for invertibility, m m = Id and m m = 0 read
     these integers, through the sparse rows and columns of `_lines`.
     `.rows`, the entries as FieldElements, is built on its first read and is
-    read-only: a write into it would not reach the integers."""
+    read-only: a write into it would not reach the integers.  The verdicts
+    of the laws of one map (invertibility here, isometry and skewness in
+    `triality`) are kept on it, each computed once (`_verdict`)."""
 
-    __slots__ = ("_rows", "_row_lines", "_col_lines")
+    __slots__ = ("_rows", "_row_lines", "_col_lines", "_verdicts")
     _NOUN = "maps"
 
     def __init__(self, algebra: "Algebra", rows: Matrix):
@@ -207,11 +209,19 @@ class LinearMap(_Block):
             raise AlgebraError("operator shape does not match the algebra")
         self.algebra = algebra
         xs, self._q, self._n0, self._n1 = _lift(algebra.field, [x for r in rows for x in r])
+        self._forget()
         self._rows = _split(xs, n)
-        self._row_lines = self._col_lines = None
 
     def _forget(self) -> None:
         self._rows = self._row_lines = self._col_lines = None
+        self._verdicts = {}
+
+    def _verdict(self, law: str, check: Callable[[], object]):
+        """The verdict of the map's law `law`, check(), computed on its first
+        read and kept under the law's name."""
+        if law not in self._verdicts:
+            self._verdicts[law] = check()
+        return self._verdicts[law]
 
     @property
     def rows(self) -> Matrix:
@@ -255,9 +265,12 @@ class LinearMap(_Block):
         return linalg._squares_to(self.algebra.field, self._lines(False), self._q * self._q)
 
     def require_invertible(self) -> None:
-        """Raise linalg.NotInvertible unless the map is invertible."""
+        """Raise linalg.NotInvertible unless the map is invertible; its rank
+        is found once (`_verdict`)."""
         n = self.algebra.dim
-        linalg._require_full_rank(self.algebra.field, _split(self._n0, n), _split(self._n1, n))
+        if not self._verdict("invertible", lambda: linalg._full_rank(
+                self.algebra.field, _split(self._n0, n), _split(self._n1, n))):
+            raise linalg.NotInvertible("matrix is singular")
 
     def _lines(self, columns: bool) -> list:
         """The nonzero entries (index, n0, n1) of each row, or of each

@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .fields import FieldElement, SqrtUnavailable, sqrt_in_field
-from .triality import (RelationFails, _outer, _wedge, earliest_failure, form_law_failure,
+from .triality import (RelationFails, _outer, _wedge, earliest_failure, isometry_failure,
                        linearized_failure, product_law_failure)
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def _certify_order3(a: Algebra, sigma: LinearMap, inverse: LinearMap, not_invers
         raise RelationFails("order is not 3")
     if fixed is not None and sigma(fixed) != fixed:
         raise RelationFails("unit is not fixed")
-    w = form_law_failure(a, sigma, sigma)
+    w = isometry_failure(sigma)
     if w is not None:
         raise RelationFails("sigma is not an isometry", witness=w)
     return sigma

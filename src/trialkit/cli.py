@@ -26,20 +26,29 @@ from .triality import Certificate
 SUITES = ("core", "symcomp", "triality", "autos", "zorn", "all")
 
 
+def _int(text: str, message: str) -> int:
+    """The integer written in `text`, or ValueError(message) when it is not
+    one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(message) from None
+
+
 def parse_field(text: str) -> FieldDescriptor:
     text = text.strip()
     if text in ("Q", "q"):
         return FieldDescriptor(RATIONALS)
     low = text.lower().replace("(", "").replace(")", "")
+    message = f"cannot parse field {text!r}"
     if low.startswith("qsqrt") or low.startswith("q_sqrt"):
-        d = int(low.split("sqrt")[-1].lstrip("_"))
-        return FieldDescriptor(QUADRATIC, d=d)
+        return FieldDescriptor(QUADRATIC, d=_int(low.split("sqrt")[-1].lstrip("_"), message))
     if low.startswith("f"):
         try:
             return FieldDescriptor(PRIME, p=int(low[1:]))
         except ValueError as exc:
-            raise ValueError(f"cannot parse field {text!r}") from exc
-    raise ValueError(f"cannot parse field {text!r}")
+            raise ValueError(message) from exc
+    raise ValueError(message)
 
 
 def _load(spec: str) -> Tuple[str, Algebra]:
@@ -334,13 +343,14 @@ def _parse_triple_spec(a: Algebra, spec: str):
         indices = rest.split(",")
         if len(indices) != 2:
             raise ValueError(f"expected two basis indices i,k: {rest}")
-        i, k = (int(s) for s in indices)
+        i, k = (_int(s, f"basis indices must be integers: {rest}") for s in indices)
         if not (0 <= i < a.dim and 0 <= k < a.dim):
             raise ValueError(f"basis index out of range 0..{a.dim - 1}: {rest}")
         basis = a.basis_elements()
         pair = triality.derivation_pair(a, basis[i], basis[k])
         return pair, j
-    lambdas = [a.field.from_int(int(s)) for s in spec.split(",")]
+    lambdas = [a.field.from_int(_int(s, f"scale factors must be integers: {spec}"))
+               for s in spec.split(",")]
     return symcomp.dim2_local(a, lambdas), None
 
 

@@ -32,7 +32,7 @@ one denominator, and `nullspace` and `constructors.find_unit` read theirs
 off that basis; `_span_kernel_basis` gives that same basis for a kernel
 known by a spanning set; `_inverse` (under `mat_inv` and
 `LinearMap.inverse`) reads an inverse off the kernel of [R | -I], and
-`_require_full_rank` the invertibility of R off its rank.  `_squares_to`
+`_full_rank` the invertibility of R off its rank.  `_squares_to`
 decides m m = t Id on the integer rows.
 `_int_matmul` and `_inverse` return their matrices row by row in one list,
 the block a LinearMap keeps.
@@ -389,13 +389,12 @@ def _eliminate(rows: List[dict], cols: int, desc: FieldDescriptor) -> dict:
 _ZERO = (0, 0)
 
 
-def _require_full_rank(desc: FieldDescriptor, r0: list, r1: Optional[list]) -> None:
-    """Raise NotInvertible unless the square integer matrix r0 + r1 sqrt d
-    (mod p over F_p) is invertible: iff its rank is its size, which
-    `_eliminate` finds exactly, so both verdicts are exact.  A matrix over a
-    denominator q has the rank of its numerators."""
-    if len(_eliminate(_dict_rows(r0, r1), len(r0), desc)) < len(r0):
-        raise NotInvertible("matrix is singular")
+def _full_rank(desc: FieldDescriptor, r0: list, r1: Optional[list]) -> bool:
+    """Whether the square integer matrix r0 + r1 sqrt d (mod p over F_p) is
+    invertible: iff its rank is its size, which `_eliminate` finds exactly,
+    so both verdicts are exact.  A matrix over a denominator q has the rank
+    of its numerators."""
+    return len(_eliminate(_dict_rows(r0, r1), len(r0), desc)) == len(r0)
 
 
 def _inverse(desc: FieldDescriptor, q: int, r0: list, r1: Optional[list]) -> tuple:

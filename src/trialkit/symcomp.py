@@ -29,12 +29,12 @@ from .triality import (
     _gram_of,
     _linearized_law,
     _outer,
-    _require_triality_law,
     _wedge,
     derivation_pair,
     earliest_failure,
     first_failing_tuple,
     form_law_failure,
+    isometry_failure,
     klein_triples,
     linearized_failure,
     verify_local,
@@ -226,13 +226,13 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
     sigma_j theta_j = Id, theta_j = sigma_j^{-1}, and the inverses of a
     triality triple are one (put x = theta_{j+1} u, y = theta_{j+2} v in the
     law of sigma_j); <sigma_j x|y> = <sigma_j x|sigma_j theta_j y> =
-    <x|theta_j y> and <theta_j x|theta_j y> = <x|y> the same way.
+    <x|theta_j y> and <theta_j x|theta_j y> = <x|y> the same way.  The
+    isometry verdicts that `verify_triality` reads for its guard (sigma_1
+    and sigma_2) stay on the maps (`isometry_failure`), so each sigma_j is
+    scanned for isometry at most once.
     """
     alg = a.algebra
-    maps = sigma_maps(a)
-    # checked here, raised below: verify_triality reads the first two
-    isometry = [form_law_failure(alg, s, s) for s in maps]
-    sigma = verify_triality(alg, *maps, isometric=isometry[0] is None and isometry[1] is None)
+    sigma = verify_triality(alg, *sigma_maps(a))
     theta = TrialityTriple(alg, theta_maps(a))
     # A one-sided inverse of a square matrix is two-sided, so sigma_j theta_j
     # = Id gives theta_j sigma_j = Id too.
@@ -243,7 +243,8 @@ def sigma_theta_triples(a: SigmaTriple) -> Tuple[TrialityTriple, TrialityTriple]
     # of this one or inverses of those, so they hold when it does.
     if not (theta.comp(1) @ theta.comp(2) @ theta.comp(3)).is_identity():
         raise RelationFails("theta product at j=1 is not Id", witness=(1,))
-    for j, w in enumerate(isometry, 1):
+    for j, s in enumerate(sigma, 1):
+        w = isometry_failure(s)
         if w is not None:
             raise RelationFails("sigma is not an isometry", witness=(j, *w))
     for j in range(1, 4):
@@ -603,22 +604,18 @@ def residue_arithmetic(a: Algebra) -> Tuple[Callable, Callable]:
 
 
 def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
-    """Every member of Trig(A) for a two-dimensional A over F_p, certified,
-    with its residue form (see `enumerate_trig_small`).
+    """Every member of Trig(A) for a two-dimensional A over F_p, certified
+    by `verify_triality`, with its residue form (see `enumerate_trig_small`).
 
     Members share their maps: at p = 7, 128 members have 16 distinct maps.
-    Each distinct map is built, proven invertible and tested for isometry
-    once, where it first occurs, and then the triality law is checked per
-    member, reading the isometry verdicts of its first two maps (see
-    `triality`).  That is `verify_triality` on every member, in the same
-    order of checks: a map seen before has already passed its elimination.
-    A map that is not an isometry is reported after the alpha identity, as
-    before."""
+    Each distinct map is built once, where it first occurs, so its rank and
+    its isometry verdict, which `verify_triality` reads for its guard (see
+    `triality`), are found once and kept on it.  A map that is not an
+    isometry is reported after the alpha identity."""
     multiply, form_eval = residue_arithmetic(a)
     p = a.field.p
-    # residue matrix -> its LinearMap, proven invertible, and whether it is
-    # an isometry
-    proven, isometric = {}, {}
+    # residue matrix -> its LinearMap
+    built = {}
     circle = [(mu, nu) for mu in range(p) for nu in range(p) if (mu * mu + nu * nu) % p == 1]
     elements, members = [], []
     for q1 in circle:
@@ -633,16 +630,9 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
                                ((multiply(qs[(j + 1) % 3], qs[(j + 2) % 3]), qs[j])
                                 for j in range(3)))
                 for m in member:
-                    if m not in proven:
-                        g = _int_map(a, 1, [*m[0], *m[1]], None)
-                        g.require_invertible()
-                        proven[m] = g
-                        cols = tuple(zip(*m))
-                        isometric[m] = all(form_eval(cols[i], cols[k]) == a.form[i][k].a
-                                           for i in range(2) for k in range(2))
-                maps = tuple(proven[m] for m in member)
-                _require_triality_law(a, maps, isometric[member[0]] and isometric[member[1]])
-                elements.append(TrialityTriple(a, maps))
+                    if m not in built:
+                        built[m] = _int_map(a, 1, [*m[0], *m[1]], None)
+                elements.append(verify_triality(a, *(built[m] for m in member)))
                 members.append(member)
     # polynomial identity on the e-components <e|g_j e> of the members
     for member in members:
@@ -650,7 +640,7 @@ def _dim2_members(a: Algebra) -> Tuple[List[TrialityTriple], List[tuple]]:
         if (2 * x * y * z - (x * x + y * y + z * z) + 1) % p:
             raise RelationFails("member violates the alpha identity")
     # every map of every member, each distinct map once
-    if not all(isometric.values()):
+    if any(isometry_failure(g) is not None for g in built.values()):
         raise RelationFails("member is not an isometry")
     return elements, members
 
@@ -663,13 +653,13 @@ def enumerate_trig_small(a: Algebra, p_cap: int = 31) -> TrigGroup:
     Dimension 2: each component is determined by a point (mu, nu) on the
     circle mu^2 + nu^2 = 1 via g_j(f) = q_j = mu e + nu f, with the single
     compatibility constraint <q_3|q_1 q_2> = 0 and g_j(e) = -q_{j+1} q_{j+2}.
-    Every member is certified as by `verify_triality` (see `_dim2_members`)
+    Every member is certified by `verify_triality` (see `_dim2_members`)
     and checked to be an isometry, and the group is checked for closure,
     inverses, and the Klein subgroup, all from one Cayley table
     (`_group_table`).
 
-    The search, the isometry and alpha checks and the table run on int
-    residues (`residue_arithmetic`), not FieldElements.  That is exact: a
+    The search, the alpha check and the table run on int residues
+    (`residue_arithmetic`), not FieldElements.  That is exact: a
     FieldElement over F_p is its residue, every entry is < p, and Python
     ints do not overflow, so reducing mod p after each sum gives the field
     result.

@@ -15,7 +15,10 @@ without a scan when two guards hold:
 
 (a) the algebra passes the linearized law (`linearized_failure` is None)
     and its form is nonzero;
-(b) g1 and g2 are isometries, or for a local triple t1 and t2 are skew.
+(b) g1 and g2 are isometries, or for a local triple t1 and t2 are skew:
+    the verdicts are computed once per map and kept on it
+    (`isometry_failure`, `skew_failure`), so a later check of the same law
+    on the same map reads them.
 
 Wherever a guard fails all three laws are scanned, so a verdict and its
 witness are those of the full scan.
@@ -63,7 +66,6 @@ first nonzero entry of the difference (`LinearMap.first_nonzero`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import product
 from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -166,8 +168,11 @@ def product_law_failure(a: Algebra, outer: LinearMap, left: LinearMap,
     left times the rows of by_right; with `local` the rows e_l e_k are
     stacked above them and column i of left gets weight 1 at by_right[i],
     e_i (right e_k).  The first entry where the sides differ (mod p over
-    F_p; `_first_difference`) gives the witness.
+    F_p; `_first_difference`) gives the witness.  The three maps must be
+    maps of `a`.
     """
+    if any(m.algebra is not a for m in (outer, left, right)):
+        raise AlgebraError("maps belong to different algebras")
     n, d = a.dim, a.field.d
     terms = a.int_terms
     qo, ocols = outer._q, outer._lines(True)
@@ -276,9 +281,25 @@ def form_law_failure(a: Algebra, f1: Optional[LinearMap], g1: Optional[LinearMap
     identity), or None.  Isometry is (g, g), adjointness (s, None, None, t)
     and skewness (t, None, None, -t).
 
-    Each side is one Gram map (`_gram`), and the witness is the first
-    nonzero entry of their difference."""
-    return (_gram(a, f1, g1) - _gram(a, f2, g2)).first_nonzero()
+    Each side is one Gram map (`_gram`).  Canonical blocks make == exact,
+    so the difference, whose first nonzero entry is the witness, is built
+    only when the law fails."""
+    lhs, rhs = _gram(a, f1, g1), _gram(a, f2, g2)
+    return None if lhs == rhs else (lhs - rhs).first_nonzero()
+
+
+def isometry_failure(g: LinearMap) -> Optional[Pair]:
+    """First basis pair (i, k) where <g e_i | g e_k> != <e_i | e_k>, or
+    None: `form_law_failure` on the algebra of g, computed once per map and
+    kept on it."""
+    return g._verdict("isometry", lambda: form_law_failure(g.algebra, g, g))
+
+
+def skew_failure(t: LinearMap) -> Optional[Pair]:
+    """First basis pair (i, k) where <t e_i | e_k> != -<e_i | t e_k>, or
+    None, computed once per map and kept on it.  Both sides are symmetric in
+    (i, k), so the witness has i <= k."""
+    return t._verdict("skew", lambda: form_law_failure(t.algebra, t, None, None, -t))
 
 
 def first_failing_tuple(holds: Callable[..., bool], *sizes: int) -> Optional[tuple]:
@@ -301,28 +322,31 @@ def earliest_failure(laws: Sequence[Tuple[str, Optional[Pair]]]) -> Optional[Tup
     return None if found is None else (found[2], found[0])
 
 
-def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap, *,
-                    isometric: Optional[bool] = None) -> TrialityTriple:
-    """Certify g_j(xy) = (g_{j+1}x)(g_{j+2}y) on all basis pairs for all j.
-    `isometric`, when given, is whether g1 and g2 are isometries, as the
-    caller has checked (see `triality_law_failure`)."""
+def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> TrialityTriple:
+    """Certify that g1, g2 and g3 are invertible and that
+    g_j(xy) = (g_{j+1}x)(g_{j+2}y) on all basis pairs for all j."""
     maps = (g1, g2, g3)
     for g in maps:
         g.require_invertible()
-    _require_triality_law(a, maps, isometric)
+    w = triality_law_failure(a, maps)
+    if w is not None:
+        j, i, k = w
+        raise RelationFails(f"g{j}(e{i} e{k}) != (g{j + 1 if j < 3 else 1}...)", witness=w)
     return TrialityTriple(a, maps)
 
 
-def _cyclic_law_failure(a: Algebra, maps: Sequence[LinearMap], local: bool,
-                        guard_b: Callable[[], bool]) -> Optional[tuple]:
+def _cyclic_law_failure(a: Algebra, maps: Sequence[LinearMap], local: bool) -> Optional[tuple]:
     """(j, i, k) of the first of the three cyclic product laws of `maps`
     (`product_law_failure`, with `local` for a local triple) and its first
     failing basis pair, or None.  Laws 2 and 3 are not scanned once law 1
-    holds, guard (a) holds and `guard_b()` says guard (b) does (see the
-    module docstring)."""
+    holds and both guards do (see the module docstring): guard (b) reads the
+    isometry verdicts of the first two maps, or with `local` their skew
+    verdicts."""
+    law = skew_failure if local else isometry_failure
     for j in range(3):
         if (j == 1 and a.form is not None and not a.form_map().is_zero()
-                and linearized_failure(a) is None and guard_b()):
+                and linearized_failure(a) is None
+                and law(maps[0]) is None and law(maps[1]) is None):
             return None
         w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3], local=local)
         if w is not None:
@@ -330,24 +354,10 @@ def _cyclic_law_failure(a: Algebra, maps: Sequence[LinearMap], local: bool,
     return None
 
 
-def triality_law_failure(a: Algebra, maps: Sequence[LinearMap],
-                         isometric: Optional[bool] = None) -> Optional[tuple]:
+def triality_law_failure(a: Algebra, maps: Sequence[LinearMap]) -> Optional[tuple]:
     """(j, i, k) of the first j and basis pair (i, k) where
-    g_j(xy) != (g_{j+1}x)(g_{j+2}y), or None.  Whether g1 and g2 are
-    isometries is checked only where it decides whether laws 2 and 3 are
-    scanned, unless the caller passes it as `isometric`."""
-    return _cyclic_law_failure(a, maps, False, lambda: (
-        all(form_law_failure(a, g, g) is None for g in maps[:2])
-        if isometric is None else isometric))
-
-
-def _require_triality_law(a: Algebra, maps: Sequence[LinearMap],
-                          isometric: Optional[bool] = None) -> None:
-    """Raise at the first j and basis pair where g_j(xy) != (g_{j+1}x)(g_{j+2}y)."""
-    w = triality_law_failure(a, maps, isometric)
-    if w is not None:
-        j, i, k = w
-        raise RelationFails(f"g{j}(e{i} e{k}) != (g{j + 1 if j < 3 else 1}...)", witness=w)
+    g_j(xy) != (g_{j+1}x)(g_{j+2}y), or None."""
+    return _cyclic_law_failure(a, maps, False)
 
 
 def scaled_identity_triple(a: Algebra, s1: int, s2: int, s3: int) -> TrialityTriple:
@@ -402,22 +412,15 @@ def verify_local(a: Algebra, t1: LinearMap, t2: LinearMap, t3: LinearMap) -> Loc
     """Certify t_j(xy) = (t_{j+1}x)y + x(t_{j+2}y) on all basis pairs; on a
     symmetric composition algebra each component must also be skew for the form."""
     maps = (t1, t2, t3)
-    # <t x|y> + <x|t y> is symmetric in (x, y), so the first failing pair
-    # has i <= k; each component's verdict is computed once, when first read
-    skew_failure = cache(lambda j: form_law_failure(a, maps[j], None, None, -maps[j]))
-    w = _cyclic_law_failure(a, maps, True,
-                            lambda: skew_failure(0) is None and skew_failure(1) is None)
+    w = _cyclic_law_failure(a, maps, True)
     if w is not None:
         raise RelationFails(f"local law fails at j={w[0]}, basis pair ({w[1]},{w[2]})",
                             witness=w)
     if a.form is not None and linearized_failure(a) is None:
-        for j in range(3):
-            w = skew_failure(j)
+        for j, t in enumerate(maps, 1):
+            w = skew_failure(t)
             if w is not None:
-                raise RelationFails(
-                    f"component {j + 1} is not skew for the form",
-                    witness=(j + 1, *w),
-                )
+                raise RelationFails(f"component {j} is not skew for the form", witness=(j, *w))
     return LocalTriple(a, maps)
 
 

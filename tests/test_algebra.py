@@ -188,7 +188,8 @@ def test_scalars_coerce_exactly_or_raise(field):
 
 
 def test_operands_must_share_an_algebra():
-    """Map +, -, @ (and map * map), m(x) and a form law raise on operands
+    """Map +, -, @ (and map * map), m(x), a form law and the certifiers of
+    automorphisms, derivations, triality and local triples raise on operands
     of two algebras, as element arithmetic does: over two fields, and over
     one field from two constructions."""
     s2, s3 = FieldDescriptor(QUADRATIC, d=2), FieldDescriptor(QUADRATIC, d=3)
@@ -203,6 +204,15 @@ def test_operands_must_share_an_algebra():
         for op in (lambda: x + y, lambda: x - y, lambda: x * y):
             with pytest.raises(AlgebraError, match="^elements belong to different algebras$"):
                 op()
+        for name in ("hurwitz:4", "para:4"):
+            a, b = named_algebra(name, f), named_algebra(name, g)
+            one = b.identity_map()
+            for op in (lambda: autos.certify_automorphism(a, one),
+                       lambda: autos.certify_derivation(a, one),
+                       lambda: triality.verify_triality(a, one, one, one),
+                       lambda: triality.verify_local(a, one, one, one)):
+                with pytest.raises(AlgebraError, match="^maps belong to different algebras$"):
+                    op()
 
 
 def test_unit_element():

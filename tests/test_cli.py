@@ -327,11 +327,13 @@ def test_expcheck_command(capsys):
     ("d0:0,1", "component must be d1 or d2: d0"),
     ("d1:0", "expected two basis indices i,k: 0"),
     ("d2:0,1,2", "expected two basis indices i,k: 0,1,2"),
+    ("d1:0,x", "basis indices must be integers: 0,x"),
+    ("a,b,c", "scale factors must be integers: a,b,c"),
 ])
 def test_expcheck_rejects_a_bad_derivation_spec_before_any_work(capsys, monkeypatch, spec,
                                                                  message):
-    """The component and the index count are read before the derivation
-    pair, the local triple or the float bridge is built."""
+    """The component, the index count and every integer are read before
+    the derivation pair, the local triple or the float bridge is built."""
     from trialkit import triality
 
     def no_work(*args, **kwargs):
@@ -371,6 +373,12 @@ def test_error_exit_codes(capsys):
                "FieldDescriptor(kind='Fp', d=None, p=7)\n")
     assert run(capsys, "enumerate", "trig", "hurwitz:3", "F7") == (
         2, "", "error: unknown algebra 'hurwitz:3': dimension must be 1, 2, 4 or 8\n")
+    # a non-integer gets the CLI's own message, not Python's int() error
+    for argv, message in [
+            (("expcheck", "okubo", "d1:0,x"), "basis indices must be integers: 0,x"),
+            (("expcheck", "para2", "a,b,c"), "scale factors must be integers: a,b,c"),
+            (("enumerate", "trig", "para2", "Qsqrtx"), "cannot parse field 'Qsqrtx'")]:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_spec_round_trip_keeps_para_unit(capsys, tmp_path):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialkit import assoc, autos, cli, specfile, symcomp, triality, zorn
+from trialkit import assoc, autos, cli, linalg, specfile, symcomp, triality, zorn
 from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap
 from trialkit.cli import parse_field
 from trialkit.constructors import cross_space, make_para_zorn, named_algebra
@@ -550,7 +550,9 @@ def _moufang(a):
 ])
 def test_a_failed_guard_scans_every_law(field, name, build, local, want):
     """Law 1 holds, one guard fails, and a later law fails: the witness is
-    the one the references find by scanning all three laws."""
+    the one the references find by scanning all three laws.  A caller
+    cannot vouch for guard (b): `verify_triality` takes no isometry verdict
+    of its own."""
     a = _square_zero_algebra(field) if name == "square-zero" else algebra(name, field)
     maps = build(a)
     ref, check = (ref_verify_local, triality.verify_local) if local else (
@@ -561,6 +563,41 @@ def test_a_failed_guard_scans_every_law(field, name, build, local, want):
     assert got == outcome(ref, a, *maps) and got[2] == want
     if not local:
         assert triality.triality_law_failure(a, maps) == want
+        with pytest.raises(TypeError):
+            triality.verify_triality(a, *maps, isometric=True)
+
+
+def test_each_map_verdict_is_computed_once(monkeypatch):
+    """A map's rank and isometry verdict are found once and kept on it:
+    `enumerate_trig_small` on para2 over F7 runs one rank elimination and
+    one isometry scan per distinct map (16 among 128 members), and
+    `sigma_theta_triples` scans sigma_1 and sigma_2 for the guard of
+    `verify_triality` and sigma_3 for its own isometry check, 3 scans in
+    that order, not 5."""
+    ranks, isometries = [], []
+    full_rank, form_law = linalg._full_rank, triality.form_law_failure
+
+    def rank_spy(desc, r0, r1):
+        ranks.append(tuple(map(tuple, r0)))
+        return full_rank(desc, r0, r1)
+
+    def form_spy(a, f1, g1, f2=None, g2=None):
+        if f1 is g1:
+            isometries.append(f1)
+        return form_law(a, f1, g1, f2, g2)
+
+    monkeypatch.setattr(linalg, "_full_rank", rank_spy)
+    monkeypatch.setattr(triality, "form_law_failure", form_spy)
+    group = symcomp.enumerate_trig_small(named_algebra("para2", parse_field("F7")))
+    distinct = {m for g in group.elements for m in g.maps}
+    assert group.order == 128 and len(distinct) == 16
+    assert len(ranks) == len(set(ranks)) == 16
+    assert len(isometries) == 16 and set(isometries) == distinct
+    a = algebra("okubo", "Qsqrt3")
+    triple = product_triple(a, random.Random(0))
+    isometries.clear()
+    sigma, _ = symcomp.sigma_theta_triples(triple)
+    assert [id(m) for m in isometries] == [id(m) for m in sigma.maps]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1288,7 +1325,7 @@ def test_sigma_theta_product_check_matches_reference(case, seed, kind):
         mp.setattr(symcomp, "sigma_maps", lambda _: sig)
         mp.setattr(symcomp, "theta_maps", lambda _: the)
         mp.setattr(symcomp, "verify_triality",
-                   lambda alg, *maps, **_: triality.TrialityTriple(alg, maps))
+                   lambda alg, *maps: triality.TrialityTriple(alg, maps))
         got = outcome(symcomp.sigma_theta_triples, triple)
     if want is not None:
         assert got == want
@@ -1383,7 +1420,7 @@ def test_sigma_theta_triples_match_reference(case, seed, kind, stub):
         mp.setattr(symcomp, "theta_maps", lambda _: the)
         if stub:
             mp.setattr(symcomp, "verify_triality",
-                       lambda alg, *maps, **_: triality.TrialityTriple(alg, maps))
+                       lambda alg, *maps: triality.TrialityTriple(alg, maps))
         want = outcome(ref_sigma_theta_triples, triple)
         got = outcome(symcomp.sigma_theta_triples, triple)
         assert got == sigma_theta_outcome(a, sig, the, want)
@@ -1414,7 +1451,7 @@ def test_sigma_theta_closed_forms_fail_at_the_first_basis_index(field, flips, wa
         mp.setattr(symcomp, "sigma_maps", lambda _: sig)
         mp.setattr(symcomp, "theta_maps", lambda _: the)
         mp.setattr(symcomp, "verify_triality",
-                   lambda alg, *maps, **_: triality.TrialityTriple(alg, maps))
+                   lambda alg, *maps: triality.TrialityTriple(alg, maps))
         got = outcome(symcomp.sigma_theta_triples, triple)
         assert got == outcome(ref_sigma_theta_triples, triple) == ("RelationFails", *want)
 

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 127 mutants takes about twenty minutes on two cores, most of
+a full run of the 130 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -57,6 +57,7 @@ CLASSIFY = (LAWS + "test_classify_regularity_matches_reference",
             LAWS + "test_classify_regularity_matches_reference_on_small_algebras",
             LAWS + "test_classify_regularity_reaches_each_verdict")
 FAILED_GUARD = LAWS + "test_a_failed_guard_scans_every_law"
+VERDICTS_ONCE = LAWS + "test_each_map_verdict_is_computed_once"
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -140,7 +141,7 @@ MUTANTS = (
            equivalent="theta_2 theta_3 theta_1 is a conjugate of theta_1 theta_2 theta_3, "
                       "so one is Id exactly when the other is"),
     Mutant("sigma isometry check dropped", "symcomp.py",
-           "for j, w in enumerate(isometry, 1):", "for j, w in enumerate([None] * 3, 1):",
+           "        w = isometry_failure(s)\n", "        w = None\n",
            (LAWS + "test_sigma_theta_triples_match_reference",)),
     # -- one builder per construction --------------------------------------
     Mutant("order-3 certifier: inverse test dropped", "autos.py",
@@ -163,8 +164,8 @@ MUTANTS = (
            "return _outer(a, u, w) - _outer(a, w, u)", "return _outer(a, w, u) - _outer(a, u, w)",
            ("tests/test_symcomp.py::test_local_D_certifies_and_cycles",
             "tests/test_triality.py::test_derivation_pair_gives_local_triple")),
-    Mutant("_dim2_members invertibility proof dropped", "symcomp.py",
-           "                        g.require_invertible()\n", "",
+    Mutant("verify_triality's invertibility proof dropped", "triality.py",
+           "    for g in maps:\n        g.require_invertible()\n", "",
            ("tests/test_enumerate.py::test_dim2_members_match_reference",)),
     # -- one sparse square test, on the integers ---------------------------
     Mutant("square test ignores its target", "linalg.py",
@@ -513,23 +514,23 @@ MUTANTS = (
            CLASSIFY),
     # -- laws 2 and 3 proven from law 1; the half-scan of linearized --------
     Mutant("isometry guard without g1", "triality.py",
-           "form_law_failure(a, g, g) is None for g in maps[:2])",
-           "form_law_failure(a, g, g) is None for g in maps[1:2])",
+           "and law(maps[0]) is None and", "and (not local or law(maps[0]) is None) and",
            (FAILED_GUARD,)),
     Mutant("isometry guard without g2", "triality.py",
-           "form_law_failure(a, g, g) is None for g in maps[:2])",
-           "form_law_failure(a, g, g) is None for g in maps[:1])",
+           "and law(maps[1]) is None):", "and (not local or law(maps[1]) is None)):",
            (FAILED_GUARD,)),
     Mutant("skew guard without t1", "triality.py",
-           "lambda: skew_failure(0) is None and skew_failure(1) is None",
-           "lambda: skew_failure(1) is None",
+           "and law(maps[0]) is None and", "and (local or law(maps[0]) is None) and",
            (FAILED_GUARD,)),
     Mutant("skew guard without t2", "triality.py",
-           "lambda: skew_failure(0) is None and skew_failure(1) is None",
-           "lambda: skew_failure(0) is None",
+           "and law(maps[1]) is None):", "and (local or law(maps[1]) is None)):",
            (FAILED_GUARD,)),
+    Mutant("guard (b) reads maps[1:3]", "triality.py",
+           "law(maps[0]) is None and law(maps[1]) is None",
+           "law(maps[1]) is None and law(maps[2]) is None",
+           (VERDICTS_ONCE,)),
     Mutant("triality guard without the linearized law", "triality.py",
-           "and linearized_failure(a) is None and guard_b()", "and guard_b()",
+           "and linearized_failure(a) is None\n                and law", "and law",
            (FAILED_GUARD,)),
     Mutant("triality guard without the nonzero form", "triality.py",
            "if (j == 1 and a.form is not None and not a.form_map().is_zero()",
@@ -538,6 +539,18 @@ MUTANTS = (
     Mutant("laws 2 and 3 never proven", "triality.py",
            "if (j == 1 and a.form is not None", "if (j == 4 and a.form is not None",
            (LAWS + "test_proven_laws_match_the_full_scan_on_the_catalogue",)),
+    Mutant("the verdict memo ignores which law it holds", "algebra.py",
+           "        if law not in self._verdicts:\n"
+           "            self._verdicts[law] = check()\n"
+           "        return self._verdicts[law]\n",
+           "        if not self._verdicts:\n"
+           "            self._verdicts[law] = check()\n"
+           "        return next(iter(self._verdicts.values()))\n",
+           (VERDICTS_ONCE, "tests/test_enumerate.py::test_dim2_members_match_reference")),
+    Mutant("the product law's operand check dropped", "triality.py",
+           "    if any(m.algebra is not a for m in (outer, left, right)):\n"
+           "        raise AlgebraError(\"maps belong to different algebras\")\n", "",
+           ("tests/test_algebra.py::test_operands_must_share_an_algebra",)),
     Mutant("linearized half-scan keeps only k > i", "triality.py",
            "lambda i, j, k: k < i or law(i, j, k)", "lambda i, j, k: k <= i or law(i, j, k)",
            (SHIFTED_RECORDS, TUPLE_CHECKS)),
