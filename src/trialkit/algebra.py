@@ -251,8 +251,7 @@ class LinearMap(_Block):
     _product = __matmul__
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LinearMap) and self.algebra.field == other.algebra.field
-                and self._same(other))
+        return isinstance(other, LinearMap) and other.algebra is self.algebra and self._same(other)
 
     __hash__ = _Block.__hash__
 

@@ -119,6 +119,7 @@ def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
         if jmap @ sig[j] @ jmap != swapped[j]:
             raise RelationFails("involution conjugate of sigma is wrong",
                                 witness=(j + 1,))
+    sig = [_rebind(conj_alg, m) for m in sig]
     for j in range(1, 4):
         m = sig[j - 1]
         a_j, a_j1 = (_rebind(conj_alg, u.comp(k)) for k in (j, j + 1))
@@ -127,7 +128,7 @@ def assoc_sigma_triple(astar: Algebra, u: UnitaryTriple) -> TrialityTriple:
         right_form = conj_alg.right_op(abar_j) @ conj_alg.right_op(abar_j1)
         if m != left_form or m != right_form:
             raise RelationFails("operator factorizations disagree", witness=(j,))
-    return verify_triality(conj_alg, *[_rebind(conj_alg, m) for m in sig])
+    return verify_triality(conj_alg, *sig)
 
 
 def assoc_local_triple(astar: Algebra, p: SkewTriple) -> LocalTriple:

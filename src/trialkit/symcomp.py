@@ -336,10 +336,97 @@ def lambda_vector(a: SigmaTriple, p1: Element, p2: Element,
                   p3: Optional[Element] = None) -> LambdaVector:
     """Certify (p1, p2, p3) as a transport vector of a, deriving
     p3 = a1 p2 + p1 a2 when not supplied, and verify the q-companion
-    identities (recursion, inversion, orthogonality)."""
+    identities (recursion, inversion, orthogonality).
+
+    The 21 relations are the p recursion and <p_j|a_j> = 0 at j = 1, 2, 3,
+    then at each j the relations q, <q_j|a_j> = 0, pq, pq2 and qrec, in the
+    order of `_scanned_transport_vector`.  They are scanned only where a
+    guard or a check fails, so a failure's message and witness are the
+    scan's.  The guard: the algebra has a form and passes the linearized law
+    (`linearized_failure` is None),
+
+        (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx),                    (L)
+
+    and <a1|a1> = <a2|a2> = 1 and a1 a2 = a3.  The checks:
+    p3 = a1 p2 + p1 a2 (the p recursion at j = 1) and <p1|a1> = <p2|a2> = 0.
+    Under them the other 18 relations hold:
+
+    - (xy)x = x(yx) = <x|x>y is (L) at z = x, as 2 is invertible.  (L)
+      also gives <xy|z> = <x|yz> (see `is_symmetric_composition`), so
+      <xy|z> = <y|zx> as the form is symmetric.
+    - The rest of the triple: a2 a3 = a2(a1 a2) = a1, a3 a1 = (a1 a2)a1 =
+      a2 and <a3|a3> = <a1|a2(a1 a2)> = <a1|a1> = 1.  So <a_j|a_j> = 1 and
+      a_j a_{j+1} = a_{j+2} for every j, and (a_j y)a_j = a_j(y a_j) = y.
+    - p recursion at j = 2: (L) at (a2, a1, p2) gives a2(a1 p2) =
+      2<a2|p2>a1 - p2(a1 a2) = -p2 a3, and a2(p1 a2) = p1, so
+      a2 p3 + p2 a3 = p1.
+    - p recursion at j = 3: (L) at (p1, a2, a1) gives (p1 a2)a1 =
+      2<p1|a1>a2 - (a1 a2)p1 = -a3 p1, and (a1 p2)a1 = p2, so
+      a3 p1 + p3 a1 = p2.
+    - <p3|a3> = <a1 p2|a3> + <p1 a2|a3> = <p2|a3 a1> + <p1|a2 a3> =
+      <p2|a2> + <p1|a1> = 0, and <q_j|a_j> = <a_{j+1} p_{j+2}|a_j> =
+      <p_{j+2}|a_j a_{j+1}> = <p_{j+2}|a_{j+2}> = 0.
+    - q: q_j = a_{j+1} p_{j+2} = p_j - p_{j+1} a_{j+2} is the p recursion
+      at j + 1.
+    - pq: q_{j+1} a_{j+2} = (a_{j+2} p_j)a_{j+2} = p_j.
+    - pq2: q_{j+2} = a_j p_{j+1}, so by the p recursion at j,
+      q_j - a_{j+1} q_{j+2} = a_{j+1}(p_{j+2} - a_j p_{j+1}) =
+      a_{j+1}(p_j a_{j+1}) = p_j.
+    - qrec: (L) at (a_j, a_{j+2}, p_j) gives a_j(a_{j+2} p_j) =
+      2<a_j|p_j>a_{j+2} - p_j(a_{j+2} a_j) = -p_j a_{j+1}; with
+      q_j a_{j+1} = (a_{j+1} p_{j+2})a_{j+1} = p_{j+2} and the p recursion
+      at j, a_j q_{j+1} + q_j a_{j+1} = p_{j+2} - p_j a_{j+1} = a_j p_{j+1}
+      = q_{j+2}.
+    """
+    return _transport_vector(a, _transport_guard(a), p1, p2, p3)
+
+
+def lambda_space(a: SigmaTriple) -> List[LambdaVector]:
+    """Basis of the space of transport vectors: all (p1, p2) with
+    <p1|a1> = <p2|a2> = 0, each packaged and re-certified as by
+    `lambda_vector`, whose guard is read once.  The basis is the RREF
+    kernel basis (see `linalg.nullspace`) of the two covector rows,
+    <a1|.> on p1 and <a2|.> on p2: the two rows share no column, so it is
+    the basis of a1's orthogonal space paired with 0, then 0 paired with the
+    basis of a2's."""
     alg = a.algebra
-    if p3 is None:
-        p3 = a.comp(1) * p2 + p1 * a.comp(2)
+    proven = _transport_guard(a)
+    zero = 0 * a.comp(1)
+    return ([_transport_vector(a, proven, p1, zero) for p1 in alg.orthogonal_space([a.comp(1)])]
+            + [_transport_vector(a, proven, zero, p2) for p2 in alg.orthogonal_space([a.comp(2)])])
+
+
+def _transport_guard(a: SigmaTriple) -> bool:
+    """The guard of `lambda_vector`'s proof: a form, the linearized law, and
+    a triple of the algebra with <a1|a1> = <a2|a2> = 1 and a1 a2 = a3."""
+    alg = a.algebra
+    a1, a2, a3 = a.elems
+    one = alg.field.one()
+    return (alg.form is not None and all(x.algebra is alg for x in a.elems)
+            and linearized_failure(alg) is None
+            and alg.form_eval(a1, a1) == one and alg.form_eval(a2, a2) == one and a1 * a2 == a3)
+
+
+def _transport_vector(a: SigmaTriple, proven: bool, p1: Element, p2: Element,
+                      p3: Optional[Element] = None) -> LambdaVector:
+    """`lambda_vector` under the verdict `proven` of its guard: four products
+    and two form values when the guard and the checks hold, else the scan."""
+    alg = a.algebra
+    a1, a2, a3 = a.elems
+    zero = alg.field.zero()
+    # the scan's first products, so that a foreign operand raises as there
+    q3 = a1 * p2
+    derived = q3 + p1 * a2
+    if (proven and (p3 is None or p3 == derived)
+            and alg.form_eval(p1, a1) == zero and alg.form_eval(p2, a2) == zero):
+        return LambdaVector(a, (p1, p2, derived), (a2 * derived, a3 * p1, q3))
+    return _scanned_transport_vector(a, p1, p2, derived if p3 is None else p3)
+
+
+def _scanned_transport_vector(a: SigmaTriple, p1: Element, p2: Element,
+                              p3: Element) -> LambdaVector:
+    """The 21 relations of `lambda_vector`, each tested in turn."""
+    alg = a.algebra
     ps = (p1, p2, p3)
 
     def p(j: int) -> Element:
@@ -369,19 +456,6 @@ def lambda_vector(a: SigmaTriple, p1: Element, p2: Element,
         if a.comp(j) * q(j + 1) + q(j) * a.comp(j + 1) != q(j + 2):
             raise RelationFails("q recursion fails", witness=("qrec", j))
     return LambdaVector(a, ps, qs)
-
-
-def lambda_space(a: SigmaTriple) -> List[LambdaVector]:
-    """Basis of the space of transport vectors: all (p1, p2) with
-    <p1|a1> = <p2|a2> = 0, each packaged and re-certified.  The basis is the
-    RREF kernel basis (see `linalg.nullspace`) of the two covector rows,
-    <a1|.> on p1 and <a2|.> on p2: the two rows share no column, so it is
-    the basis of a1's orthogonal space paired with 0, then 0 paired with the
-    basis of a2's."""
-    alg = a.algebra
-    zero = 0 * a.comp(1)
-    return ([lambda_vector(a, p1, zero) for p1 in alg.orthogonal_space([a.comp(1)])]
-            + [lambda_vector(a, zero, p2) for p2 in alg.orthogonal_space([a.comp(2)])])
 
 
 def _local_D_maps(a: SigmaTriple, p: LambdaVector) -> List[LinearMap]:

@@ -324,8 +324,11 @@ def earliest_failure(laws: Sequence[Tuple[str, Optional[Pair]]]) -> Optional[Tup
 
 def verify_triality(a: Algebra, g1: LinearMap, g2: LinearMap, g3: LinearMap) -> TrialityTriple:
     """Certify that g1, g2 and g3 are invertible and that
-    g_j(xy) = (g_{j+1}x)(g_{j+2}y) on all basis pairs for all j."""
+    g_j(xy) = (g_{j+1}x)(g_{j+2}y) on all basis pairs for all j.  The maps
+    must be maps of `a`, which is checked first."""
     maps = (g1, g2, g3)
+    if any(g.algebra is not a for g in maps):
+        raise AlgebraError("maps belong to different algebras")
     for g in maps:
         g.require_invertible()
     w = triality_law_failure(a, maps)

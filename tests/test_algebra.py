@@ -215,6 +215,22 @@ def test_operands_must_share_an_algebra():
                     op()
 
 
+def test_maps_of_two_algebras_are_unequal():
+    """A map equals only maps of its own algebra, as an element does: the
+    identity and zero maps of para:4 and hurwitz:4 share their entries and
+    field but not their algebra.  A singular map of another algebra is
+    reported as foreign, not as singular."""
+    for f in (Q, FieldDescriptor(QUADRATIC, d=3)):
+        para, hurwitz = named_algebra("para:4", f), named_algebra("hurwitz:4", f)
+        assert para.identity_map() == para.identity_map()
+        assert para.identity_map() != hurwitz.identity_map()
+        assert 0 * para.identity_map() != 0 * hurwitz.identity_map()
+        assert para.basis(0) != hurwitz.basis(0)
+        zero = 0 * hurwitz.identity_map()
+        with pytest.raises(AlgebraError, match="^maps belong to different algebras$"):
+            triality.verify_triality(para, zero, zero, zero)
+
+
 def test_unit_element():
     h = quaternions()
     e = h.unit_element()

@@ -1736,6 +1736,136 @@ def test_dual_left_is_linear_in_the_dual_part(case, seed):
     assert got == want
 
 
+# ---------------------------------------------------------------------------
+# Transport vectors: 18 of the 21 relations proven from the other three
+# ---------------------------------------------------------------------------
+
+def ref_lambda_vector(a, p1, p2, p3=None):
+    """lambda_vector as it was: all 21 relations scanned in turn."""
+    alg = a.algebra
+    if p3 is None:
+        p3 = a.comp(1) * p2 + p1 * a.comp(2)
+    ps = (p1, p2, p3)
+
+    def p(j):
+        return ps[(j - 1) % 3]
+
+    zero = alg.field.zero()
+    for j in range(1, 4):
+        if a.comp(j) * p(j + 1) + p(j) * a.comp(j + 1) != p(j + 2):
+            raise RelationFails("p recursion fails", witness=("p", j))
+        if alg.form_eval(p(j), a.comp(j)) != zero:
+            raise RelationFails("p is not orthogonal to a", witness=("p-orth", j))
+    qs = tuple(a.comp(j + 1) * p(j + 2) for j in range(1, 4))
+
+    def q(j):
+        return qs[(j - 1) % 3]
+
+    for j in range(1, 4):
+        if q(j) != p(j) - p(j + 1) * a.comp(j + 2):
+            raise RelationFails("q has two inconsistent expressions",
+                                witness=("q", j))
+        if alg.form_eval(q(j), a.comp(j)) != zero:
+            raise RelationFails("q is not orthogonal to a", witness=("q-orth", j))
+        if p(j) != q(j + 1) * a.comp(j + 2):
+            raise RelationFails("p recovery from q fails", witness=("pq", j))
+        if p(j) != q(j) - a.comp(j + 1) * q(j + 2):
+            raise RelationFails("p recovery from q fails", witness=("pq2", j))
+        if a.comp(j) * q(j + 1) + q(j) * a.comp(j + 1) != q(j + 2):
+            raise RelationFails("q recursion fails", witness=("qrec", j))
+    return symcomp.LambdaVector(a, ps, qs)
+
+
+def ref_lambda_space(a):
+    """lambda_space as it was: one reference call per basis vector."""
+    alg = a.algebra
+    zero = 0 * a.comp(1)
+    return ([ref_lambda_vector(a, p1, zero) for p1 in alg.orthogonal_space([a.comp(1)])]
+            + [ref_lambda_vector(a, zero, p2) for p2 in alg.orthogonal_space([a.comp(2)])])
+
+
+# The Hurwitz algebras fail the linearized law, so the guard fails there
+HURWITZ = [("hurwitz:4", "Q"), ("hurwitz:8", "Q")]
+
+
+def transported(fn, *args):
+    """(ps, qs) of each vector returned, or (exception class name, message,
+    witness)."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return [(v.ps, v.qs) for v in (got if isinstance(got, list) else [got])]
+
+
+def transport_base(case, rng):
+    """A product triple: of two dense units, or (e1, e2, e3) cycled on a
+    Hurwitz algebra."""
+    a = algebra(*case)
+    if case in HURWITZ:
+        k = rng.randrange(3)
+        return symcomp.certify_sigma(a, *(a.basis(1 + (i + k) % 3) for i in range(3)))
+    return product_triple(a, rng)
+
+
+def orthogonal_to(x, rng):
+    """A random combination of the basis of x's orthogonal space."""
+    a = x.algebra
+    acc = 0 * x
+    for v in a.orthogonal_space([x]):
+        if rng.random() < 0.6:
+            acc = acc + small_scalar(a.field, rng) * v
+    return acc
+
+
+def shifted(x, rng):
+    """x with one coordinate shifted by a nonzero scalar."""
+    coords = list(x.coords)
+    c = rng.randrange(len(coords))
+    coords[c] = coords[c] + small_scalar(x.algebra.field, rng)
+    return x.algebra.element(coords)
+
+
+TRANSPORT_KINDS = ("as drawn", "p3 supplied", "p1 not orthogonal to a1",
+                   "p2 not orthogonal to a2", "a wrong p3 supplied", "a3 shifted",
+                   "a component shifted", "a1 and a3 scaled", "a2 and a3 scaled")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(SYMCOMP + HURWITZ), seed=seeds,
+       kind=st.sampled_from(TRANSPORT_KINDS))
+def test_transport_vectors_match_reference(case, seed, kind):
+    rng = random.Random(seed)
+    t = transport_base(case, rng)
+    a = t.algebra
+    a1, a2, a3 = t.elems
+    p1, p2, p3 = orthogonal_to(a1, rng), orthogonal_to(a2, rng), None
+    if kind == "p3 supplied":
+        p3 = a1 * p2 + p1 * a2
+    elif kind == "p1 not orthogonal to a1":
+        p1 = p1 + small_scalar(a.field, rng) * a1
+    elif kind == "p2 not orthogonal to a2":
+        p2 = p2 + small_scalar(a.field, rng) * a2
+    elif kind == "a wrong p3 supplied":
+        p3 = shifted(a1 * p2 + p1 * a2, rng)
+    elif kind == "a3 shifted":
+        t = symcomp.SigmaTriple(a, (a1, a2, shifted(a3, rng)))
+    elif kind == "a component shifted":
+        k = rng.randrange(3)
+        t = symcomp.SigmaTriple(a, tuple(shifted(x, rng) if i == k else x
+                                         for i, x in enumerate(t.elems)))
+    elif kind != "as drawn":
+        # a1 a2 = a3 still holds, but a1 or a2 has norm s^2 != 1
+        s = a.field.from_int(2)
+        t = symcomp.SigmaTriple(a, (s * a1, a2, s * a3) if kind == "a1 and a3 scaled"
+                                else (a1, s * a2, s * a3))
+    want = transported(ref_lambda_vector, t, p1, p2, p3)
+    assert transported(symcomp.lambda_vector, t, p1, p2, p3) == want
+    if case in SYMCOMP and kind in ("as drawn", "p3 supplied"):
+        assert isinstance(want, list)
+    assert transported(symcomp.lambda_space, t) == transported(ref_lambda_space, t)
+
+
 def ref_unipotent_bridge(m, direction):
     """unipotent_bridge as it was: the derivation certified and d d = 0
     tested a second time after either direction."""

@@ -98,6 +98,23 @@ def test_lambda_vectors_and_space():
     assert len(symcomp.lambda_space(ijk_triple(pq))) == 6
 
 
+@pytest.mark.parametrize("name", ["hurwitz:4", "hurwitz:8"])
+@pytest.mark.parametrize("k, message, witness", [
+    (0, "p recursion fails", ("p", 2)),
+    (2, "p recovery from q fails", ("pq", 1)),
+])
+def test_transport_failures_on_a_hurwitz_algebra(name, k, message, witness):
+    """A Hurwitz algebra fails the linearized law, so lambda_vector scans
+    its relations: on (e1, e2, e3) with p2 = 0 and p1 the k-th basis vector
+    of e1's orthogonal space, the scan stops at these."""
+    h = named_algebra(name)
+    t = symcomp.certify_sigma(h, h.basis(1), h.basis(2), h.basis(3))
+    p1 = h.orthogonal_space([h.basis(1)])[k]
+    with pytest.raises(symcomp.RelationFails, match=f"^{message}$") as info:
+        symcomp.lambda_vector(t, p1, 0 * p1)
+    assert info.value.witness == witness
+
+
 def test_local_D_certifies_and_cycles():
     ok = okubo()
     t = okubo_triple(ok)

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 130 mutants takes about twenty minutes on two cores, most of
+a full run of the 141 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -58,6 +58,9 @@ CLASSIFY = (LAWS + "test_classify_regularity_matches_reference",
             LAWS + "test_classify_regularity_reaches_each_verdict")
 FAILED_GUARD = LAWS + "test_a_failed_guard_scans_every_law"
 VERDICTS_ONCE = LAWS + "test_each_map_verdict_is_computed_once"
+TRANSPORT = LAWS + "test_transport_vectors_match_reference"
+HURWITZ_TRANSPORT = "tests/test_symcomp.py::test_transport_failures_on_a_hurwitz_algebra"
+MAP_EQUALITY = "tests/test_algebra.py::test_maps_of_two_algebras_are_unequal"
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -554,6 +557,43 @@ MUTANTS = (
     Mutant("linearized half-scan keeps only k > i", "triality.py",
            "lambda i, j, k: k < i or law(i, j, k)", "lambda i, j, k: k <= i or law(i, j, k)",
            (SHIFTED_RECORDS, TUPLE_CHECKS)),
+    # -- transport relations proven from p3 = a1 p2 + p1 a2 ------------------
+    Mutant("transport guard without the linearized law", "symcomp.py",
+           "and linearized_failure(alg) is None\n            and", "and",
+           (TRANSPORT, HURWITZ_TRANSPORT)),
+    Mutant("transport guard without a1 a2 = a3", "symcomp.py",
+           " and a1 * a2 == a3)", ")",
+           (TRANSPORT,)),
+    Mutant("transport guard without <a1|a1> = 1", "symcomp.py",
+           "and alg.form_eval(a1, a1) == one and", "and",
+           (TRANSPORT,)),
+    Mutant("transport guard without <a2|a2> = 1", "symcomp.py",
+           "and alg.form_eval(a2, a2) == one and", "and",
+           (TRANSPORT,)),
+    Mutant("transport check without <p1|a1> = 0", "symcomp.py",
+           "and alg.form_eval(p1, a1) == zero and", "and",
+           (TRANSPORT,)),
+    Mutant("transport check without <p2|a2> = 0", "symcomp.py",
+           " and alg.form_eval(p2, a2) == zero)", ")",
+           (TRANSPORT,)),
+    Mutant("a supplied p3 not compared", "symcomp.py",
+           "(p3 is None or p3 == derived)", "True",
+           (TRANSPORT,)),
+    Mutant("proven companions q1 and q2 swapped", "symcomp.py",
+           "(a2 * derived, a3 * p1, q3)", "(a3 * p1, a2 * derived, q3)",
+           (TRANSPORT,)),
+    # -- maps of two algebras ------------------------------------------------
+    Mutant("map equality compares the field, not the algebra", "algebra.py",
+           "isinstance(other, LinearMap) and other.algebra is self.algebra",
+           "isinstance(other, LinearMap) and other.algebra.field == self.algebra.field",
+           (MAP_EQUALITY,)),
+    Mutant("verify_triality proves invertibility before the operand check", "triality.py",
+           "    if any(g.algebra is not a for g in maps):\n"
+           "        raise AlgebraError(\"maps belong to different algebras\")\n", "",
+           (MAP_EQUALITY,)),
+    Mutant("sandwich maps compared before rebinding", "assoc.py",
+           "    sig = [_rebind(conj_alg, m) for m in sig]\n", "",
+           ("tests/test_assoc.py::test_sandwich_triples_are_triality_triples",)),
 )
 
 
