@@ -58,6 +58,15 @@ class AlgebraError(Exception):
     missing form, involution or unit, or a failed precondition."""
 
 
+def _verdict(self, law: str, check: Callable[[], object]):
+    """The verdict of the law `law` of a map or an algebra, check(),
+    computed on its first read and kept under the law's name in the
+    owner's `_verdicts`."""
+    if law not in self._verdicts:
+        self._verdicts[law] = check()
+    return self._verdicts[law]
+
+
 class _Block:
     """Exact entries over one denominator, as an `Element` (n coordinates)
     and a `LinearMap` (n^2 entries, row-major) keep them.
@@ -216,12 +225,7 @@ class LinearMap(_Block):
         self._rows = self._row_lines = self._col_lines = None
         self._verdicts = {}
 
-    def _verdict(self, law: str, check: Callable[[], object]):
-        """The verdict of the map's law `law`, check(), computed on its first
-        read and kept under the law's name."""
-        if law not in self._verdicts:
-            self._verdicts[law] = check()
-        return self._verdicts[law]
+    _verdict = _verdict
 
     @property
     def rows(self) -> Matrix:
@@ -378,10 +382,12 @@ class Algebra:
         self.kind = kind
         # each basis vector e_i as ints, with the zero sqrt d part
         self._units = [([int(i == j) for j in range(n)], [0] * n) for i in range(n)]
-        # (witness,) of triality.linearized_failure and the Certificate of
-        # symcomp.is_symmetric_composition, once computed
-        self._linearized_cache = None
-        self._symcomp_cache = None
+        # the verdicts of the algebra's laws, each computed once (`_verdict`):
+        # the witness of triality.linearized_failure and the Certificate of
+        # symcomp.is_symmetric_composition
+        self._verdicts = {}
+
+    _verdict = _verdict
 
     # -- element builders ---------------------------------------------------
     def element(self, coords) -> Element:
@@ -490,7 +496,7 @@ class Algebra:
 
     def orthogonal_space(self, vectors: Sequence[Element]) -> List[Element]:
         """Basis of {p : <p|v> = 0 for every v in `vectors`}: the RREF kernel
-        basis (see `linalg.nullspace`) of their covectors, read off the
+        basis (see `linalg._kernel`) of their covectors, read off the
         numerators, as a row times a nonzero integer has the same kernel."""
         rows = [self.form_map()(v) for v in vectors]
         r1 = None if self.field.d is None else [r._n1 for r in rows]

@@ -20,8 +20,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Algebra, AlgebraError, Element, LinearMap, _int_map
 from .fields import FieldElement, SqrtUnavailable, sqrt_in_field
-from .triality import (RelationFails, _outer, _wedge, earliest_failure, isometry_failure,
-                       linearized_failure, product_law_failure)
+from .triality import (RelationFails, _is_symcomp, _outer, _wedge, earliest_failure,
+                       isometry_failure, product_law_failure)
 
 # ---------------------------------------------------------------------------
 # Generic certification helpers
@@ -50,16 +50,15 @@ def _skew_weights(a: Algebra) -> Optional[List[Tuple[int, int]]]:
     the form is diagonal and every g_k is nonzero (mod p); else None.
 
     Skew holds once the linearized law (xy)z + (zy)x = 2<x|z>y = x(yz) +
-    z(yx) holds (`triality.linearized_failure`).  At z = x it gives x(yx) =
-    <x|x>y, as 2 is invertible (Q, Q(sqrt d) and odd F_p).  A derivation d
-    applied to it gives (dx)(yx) + x((dy)x) + x(y(dx)) = <x|x>dy, and
-    x((dy)x) = <x|x>dy, so x(y(dx)) + (dx)(yx) = 0; the law at z = dx makes
-    that sum 2<x|dx>y, so <x|dx> = 0 for every x.  Then g_k d[k][l] = -g_l
-    d[l][k], so d = T G with T antisymmetric: d[k][l] = T[k][l] g_l.  A zero
-    g_k leaves row k of d free, which T G does not (the zero algebra with the
-    zero form satisfies the law and has every map as a derivation), hence
-    the guard."""
-    if a.form is None:
+    z(yx) holds (`triality._is_symcomp`), whose lemma gives x(yx) = <x|x>y.
+    A derivation d applied to it gives (dx)(yx) + x((dy)x) + x(y(dx)) =
+    <x|x>dy, and x((dy)x) = <x|x>dy, so x(y(dx)) + (dx)(yx) = 0; the law at
+    z = dx makes that sum 2<x|dx>y, so <x|dx> = 0 for every x.  Then
+    g_k d[k][l] = -g_l d[l][k], so d = T G with T antisymmetric:
+    d[k][l] = T[k][l] g_l.  A zero g_k leaves row k of d free, which T G
+    does not (the zero algebra with the zero form satisfies the law and has
+    every map as a derivation), hence the guard."""
+    if not _is_symcomp(a):
         return None
     g = a.form_map()
     n = a.dim
@@ -68,7 +67,7 @@ def _skew_weights(a: Algebra) -> Optional[List[Tuple[int, int]]]:
     if not all(g0 or g1 for g0, g1 in weights) or any(
             n0[t] or n1[t] for t in range(n * n) if t % (n + 1)):
         return None
-    return weights if linearized_failure(a) is None else None
+    return weights
 
 
 def _real_sign(x0: int, x1: int, d: Optional[int]) -> int:

@@ -65,10 +65,6 @@ def _named(name: str, field: Optional[FieldDescriptor] = None) -> Algebra:
         raise ValueError(f"unknown algebra {name!r}: {exc}") from exc
 
 
-def _is_vector_matrix(a: Algebra) -> bool:
-    return a.kind == PARA_ZORN
-
-
 # A check returns None when it holds, or the witness text it fails at; a
 # check that raises fails with `Type: message`.
 Check = Tuple[str, Callable[[], Optional[str]]]
@@ -152,7 +148,7 @@ def _suite_triality(a: Algebra) -> List[Check]:
                            ("triality:scaled-identity-triple-certifies", scaled)]
     if a.form is not None and a.dim >= 2:
         def local_pair():
-            if symcomp.linearized_failure(a) is None:
+            if triality._is_symcomp(a):
                 basis = a.basis_elements()
                 triality.verify_local(a, *triality.derivation_pair(a, basis[0], basis[1]).maps())
 
@@ -218,11 +214,11 @@ def _suite_zorn(a: Algebra) -> List[Check]:
 
 def _suites_for(a: Algebra, suite: str) -> List[str]:
     if suite != "all":
-        if suite == "zorn" and not _is_vector_matrix(a):
+        if suite == "zorn" and a.kind != PARA_ZORN:
             raise ValueError("the zorn suite needs a vector-matrix algebra")
         return [suite]
     names = ["core", "symcomp", "triality", "autos"]
-    if _is_vector_matrix(a):
+    if a.kind == PARA_ZORN:
         names = ["core", "zorn"]
     return names
 

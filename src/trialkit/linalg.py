@@ -27,9 +27,9 @@ FieldElements are equal.
 One elimination, `_eliminate`, row-reduces integer rows for all three kinds
 of field: Gauss-Jordan without division on plain ints over Q and F_p and on
 pairs (n0, n1) over Q(sqrt d), the pivot made 1 and every entry reduced mod
-p over F_p.  `_kernel` reads the kernel basis off it as integer vectors over
-one denominator, and `nullspace` and `constructors.find_unit` read theirs
-off that basis; `_span_kernel_basis` gives that same basis for a kernel
+p over F_p.  `_kernel` reads the RREF kernel basis off it as integer vectors
+over one denominator, and `nullspace` and `constructors.find_unit` read
+theirs off that basis; `_span_kernel_basis` gives that same basis for a kernel
 known by a spanning set; `_inverse` (under `mat_inv` and
 `LinearMap.inverse`) reads an inverse off the kernel of [R | -I], and
 `_full_rank` the invertibility of R off its rank.  `_squares_to`
@@ -195,14 +195,9 @@ def _sparse(v0, v1) -> list:
 
 
 def nullspace(a: Matrix, zero, one) -> List[Vector]:
-    """Basis of {v : a v = 0} for a matrix of FieldElements.
-
-    The basis is the one read off the reduced row echelon form (RREF): one
-    vector per free (non-pivot) column f, with 1 at f, 0 at the other free
-    columns and minus column f of the RREF at the pivot columns (see
-    `_kernel`, here on the integer rows of `a` times the lcm of its
-    denominators, which leaves the kernel unchanged).
-    """
+    """Basis of {v : a v = 0} for a matrix of FieldElements: the RREF
+    kernel basis (`_kernel`) of the integer rows of `a` times the lcm of its
+    denominators, which leaves the kernel unchanged."""
     if not a:
         return []
     desc, cols = zero.desc, len(a[0])
@@ -222,11 +217,14 @@ def _dict_rows(r0: list, r1: Optional[list]) -> List[dict]:
 
 
 def _kernel(rows: List[dict], cols: int, desc: FieldDescriptor) -> List[tuple]:
-    """The RREF kernel basis (see `nullspace`) of the sparse integer rows that
-    `_eliminate` takes, each vector as integers over one denominator:
-    (q, v0, v1) with v = (v0 + v1 sqrt d)/q, v1 None over Q and F_p.
+    """The RREF kernel basis of the sparse integer rows that `_eliminate`
+    takes, each vector as integers over one denominator: (q, v0, v1) with
+    v = (v0 + v1 sqrt d)/q, v1 None over Q and F_p.
 
-    The RREF entry at (pivot row pc, f) is row[f]/row[pc], and row[pc] is a
+    The basis is the one read off the reduced row echelon form (RREF): one
+    vector per free (non-pivot) column f, with 1 at f, 0 at the other free
+    columns and minus column f of the RREF at the pivot columns.  The RREF
+    entry at (pivot row pc, f) is row[f]/row[pc], and row[pc] is a
     nonzero integer (1 over F_p), so over the lcm q of the pivots of the rows
     holding f, v[f] = q and v[pc] = -row[f] (q/row[pc]).  The rows are
     consumed."""
@@ -402,7 +400,7 @@ def _inverse(desc: FieldDescriptor, q: int, r0: list, r1: Optional[list]) -> tup
     square matrix (r0 + r1 sqrt d)/q given by its integer rows; raise
     NotInvertible if it is singular.
 
-    It is read off the kernel basis of [R | -I] (see `nullspace`) for R =
+    It is read off the kernel basis of [R | -I] (see `_kernel`) for R =
     r0 + r1 sqrt d: basis vector j is (x, y) over its own denominator t, with
     R x = y, so y blocks that form the identity, y = t e_j for every j, prove
     R X = I, and column j of (R/q)^-1 = q R^-1 is then q x/t.  An invertible

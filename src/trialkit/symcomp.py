@@ -27,6 +27,7 @@ from .triality import (
     RelationFails,
     TrialityTriple,
     _gram_of,
+    _is_symcomp,
     _linearized_law,
     _outer,
     _wedge,
@@ -60,12 +61,9 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
     tuples, so for all x, y, z) the other five follow, as 2 is invertible,
     and are recorded as holding without a scan:
 
-    - two-sided norm at (i, j) is half of linearized at (i, j, i); with
-      the roles of x and y swapped it gives y(xy) = <y|y>x and
-      (yz)y = <y|y>z;
-    - form associativity: x := xy in the right half and z := yz in the
-      left half both read (xy)(yz) + <y|y>zx, once as 2<xy|z>y and once as
-      2<x|yz>y, so 2(<xy|z> - <x|yz>)y = 0 for every y;
+    - two-sided norm and form associativity are the lemma of
+      `triality._is_symcomp`; with the roles of x and y swapped the first
+      gives y(xy) = <y|y>x and (yz)y = <y|y>z;
     - composition: <xy|xy> = <x|y(xy)> = <y|y><x|x>;
     - polarized: <xy|zw> + <zy|xw> = <(xy)z + (zy)x|w> = 2<x|z><y|w>;
     - product exchange: a(yb) + b(ya) = 2<a|b>y with a = xy, b = z gives
@@ -78,8 +76,11 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
     R(e_i): polarized as Gram maps, form associativity as an adjointness
     and product exchange as a closed form.
     """
-    if a._symcomp_cache is not None:
-        return a._symcomp_cache
+    return a._verdict("symcomp", lambda: _symcomp_certificate(a))
+
+
+def _symcomp_certificate(a: Algebra) -> Certificate:
+    """`is_symmetric_composition` computed afresh."""
     cert = Certificate()
     linearized = linearized_failure(a)
     if linearized is not None:
@@ -93,7 +94,6 @@ def is_symmetric_composition(a: Algebra) -> Certificate:
                             ("product-exchange-law", _product_exchange_failure)):
         w = failure(a, lefts, rights) if failure and linearized is not None else linearized
         cert.add(clause, w is None, w)
-    a._symcomp_cache = cert
     return cert
 
 
@@ -343,7 +343,7 @@ def lambda_vector(a: SigmaTriple, p1: Element, p2: Element,
     order of `_scanned_transport_vector`.  They are scanned only where a
     guard or a check fails, so a failure's message and witness are the
     scan's.  The guard: the algebra has a form and passes the linearized law
-    (`linearized_failure` is None),
+    (`triality._is_symcomp`),
 
         (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx),                    (L)
 
@@ -351,9 +351,8 @@ def lambda_vector(a: SigmaTriple, p1: Element, p2: Element,
     p3 = a1 p2 + p1 a2 (the p recursion at j = 1) and <p1|a1> = <p2|a2> = 0.
     Under them the other 18 relations hold:
 
-    - (xy)x = x(yx) = <x|x>y is (L) at z = x, as 2 is invertible.  (L)
-      also gives <xy|z> = <x|yz> (see `is_symmetric_composition`), so
-      <xy|z> = <y|zx> as the form is symmetric.
+    - (xy)x = x(yx) = <x|x>y and <xy|z> = <x|yz> by the lemma of
+      `triality._is_symcomp`, so <xy|z> = <y|zx> as the form is symmetric.
     - The rest of the triple: a2 a3 = a2(a1 a2) = a1, a3 a1 = (a1 a2)a1 =
       a2 and <a3|a3> = <a1|a2(a1 a2)> = <a1|a1> = 1.  So <a_j|a_j> = 1 and
       a_j a_{j+1} = a_{j+2} for every j, and (a_j y)a_j = a_j(y a_j) = y.
@@ -385,7 +384,7 @@ def lambda_space(a: SigmaTriple) -> List[LambdaVector]:
     """Basis of the space of transport vectors: all (p1, p2) with
     <p1|a1> = <p2|a2> = 0, each packaged and re-certified as by
     `lambda_vector`, whose guard is read once.  The basis is the RREF
-    kernel basis (see `linalg.nullspace`) of the two covector rows,
+    kernel basis (see `linalg._kernel`) of the two covector rows,
     <a1|.> on p1 and <a2|.> on p2: the two rows share no column, so it is
     the basis of a1's orthogonal space paired with 0, then 0 paired with the
     basis of a2's."""
@@ -402,8 +401,7 @@ def _transport_guard(a: SigmaTriple) -> bool:
     alg = a.algebra
     a1, a2, a3 = a.elems
     one = alg.field.one()
-    return (alg.form is not None and all(x.algebra is alg for x in a.elems)
-            and linearized_failure(alg) is None
+    return (all(x.algebra is alg for x in a.elems) and _is_symcomp(alg)
             and alg.form_eval(a1, a1) == one and alg.form_eval(a2, a2) == one and a1 * a2 == a3)
 
 

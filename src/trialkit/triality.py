@@ -13,7 +13,7 @@ Rost and Tignol, *The Book of Involutions*, 1998, sections 35 and 45), so
 `triality_law_failure` and `verify_local` scan law 1 and prove laws 2 and 3
 without a scan when two guards hold:
 
-(a) the algebra passes the linearized law (`linearized_failure` is None)
+(a) the algebra has a form and passes the linearized law (`_is_symcomp`),
     and its form is nonzero;
 (b) g1 and g2 are isometries, or for a local triple t1 and t2 are skew:
     the verdicts are computed once per map and kept on it
@@ -23,9 +23,9 @@ without a scan when two guards hold:
 Wherever a guard fails all three laws are scanned, so a verdict and its
 witness are those of the full scan.
 
-Proof.  The linearized law at z = x gives (xy)x = x(yx) = <x|x>y, as 2 is
-invertible.  Let x be anisotropic, <x|x> != 0, and z any vector.  Law 1 at
-(x, zx), as x(zx) = <x|x>z, reads
+Proof.  By the lemma of `_is_symcomp`, (xy)x = x(yx) = <x|x>y.  Let x be
+anisotropic, <x|x> != 0, and z any vector.  Law 1 at (x, zx), as
+x(zx) = <x|x>z, reads
 
     <x|x> g1(z) = (g2 x) g3(zx),
 
@@ -203,12 +203,33 @@ def linearized_failure(a: Algebra) -> Optional[tuple]:
     law (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx) fails, or None: the verdict
     of `symcomp.is_symmetric_composition` without the other clauses'
     witnesses, scanned once per algebra by `_linearized_law` and kept on
-    it.  Only the tuples with k >= i are tested (see `_linearized_law`)."""
-    if a._linearized_cache is None:
+    it (`Algebra._verdict`).  Only the tuples with k >= i are tested (see
+    `_linearized_law`)."""
+    def scan():
         law = _linearized_law(a)
-        a._linearized_cache = (first_failing_tuple(lambda i, j, k: k < i or law(i, j, k),
-                                                   *[a.dim] * 3),)
-    return a._linearized_cache[0]
+        return first_failing_tuple(lambda i, j, k: k < i or law(i, j, k), *[a.dim] * 3)
+
+    return a._verdict("linearized", scan)
+
+
+def _is_symcomp(a: Algebra) -> bool:
+    """Whether `a` has a form and passes the linearized law
+    (`linearized_failure` is None): the hypothesis of the lemma every proof
+    that skips a scan rests on, read by guard (a) of the triality laws, the
+    skew clause of `verify_local`, the transport guard of `symcomp`, the
+    skew derivation system of `autos` and the CLI's local check.  With a
+    form, it is whether `symcomp.is_symmetric_composition` holds.
+
+    The lemma.  Let (L) be the linearized law
+
+        (xy)z + (zy)x = 2<x|z>y = x(yz) + z(yx).                    (L)
+
+    (L) at z = x gives (xy)x = x(yx) = <x|x>y, as 2 is invertible (Q,
+    Q(sqrt d) and odd F_p).  Then x := xy in the right half of (L) and
+    z := yz in its left half both read (xy)(yz) + <y|y>zx, once as
+    2<xy|z>y and once as 2<x|yz>y, so 2(<xy|z> - <x|yz>)y = 0 for every y,
+    and <xy|z> = <x|yz>."""
+    return a.form is not None and linearized_failure(a) is None
 
 
 def _linearized_law(a: Algebra) -> Callable[[int, int, int], bool]:
@@ -342,13 +363,13 @@ def _cyclic_law_failure(a: Algebra, maps: Sequence[LinearMap], local: bool) -> O
     """(j, i, k) of the first of the three cyclic product laws of `maps`
     (`product_law_failure`, with `local` for a local triple) and its first
     failing basis pair, or None.  Laws 2 and 3 are not scanned once law 1
-    holds and both guards do (see the module docstring): guard (b) reads the
-    isometry verdicts of the first two maps, or with `local` their skew
-    verdicts."""
+    holds and both guards do (see the module docstring): guard (a) adds to
+    `_is_symcomp` the nonzero form that the spanning argument needs, and
+    guard (b) reads the isometry verdicts of the first two maps, or with
+    `local` their skew verdicts."""
     law = skew_failure if local else isometry_failure
     for j in range(3):
-        if (j == 1 and a.form is not None and not a.form_map().is_zero()
-                and linearized_failure(a) is None
+        if (j == 1 and _is_symcomp(a) and not a.form_map().is_zero()
                 and law(maps[0]) is None and law(maps[1]) is None):
             return None
         w = product_law_failure(a, maps[j], maps[(j + 1) % 3], maps[(j + 2) % 3], local=local)
@@ -419,7 +440,7 @@ def verify_local(a: Algebra, t1: LinearMap, t2: LinearMap, t3: LinearMap) -> Loc
     if w is not None:
         raise RelationFails(f"local law fails at j={w[0]}, basis pair ({w[1]},{w[2]})",
                             witness=w)
-    if a.form is not None and linearized_failure(a) is None:
+    if _is_symcomp(a):
         for j, t in enumerate(maps, 1):
             w = skew_failure(t)
             if w is not None:

@@ -934,7 +934,7 @@ def test_cached_symcomp_verdict_matches_a_fresh_one(field):
         except SqrtUnavailable:
             continue  # okubo needs sqrt(-3)
         cert = symcomp.is_symmetric_composition(a)
-        assert a._symcomp_cache is cert
+        assert a._verdicts["symcomp"] is cert
         assert symcomp.is_symmetric_composition(a) is cert
         fresh = symcomp.is_symmetric_composition(named_algebra(name, parse_field(field)))
         assert fresh is not cert and fresh.records == cert.records, name
@@ -968,14 +968,20 @@ def spy_symcomp_scans(monkeypatch):
 
 
 def test_verify_local_scans_the_linearized_law_once(monkeypatch):
+    """Every reader of the symmetric-composition guard on one algebra (the
+    triality guards of verify_local, the transport guard of lambda_space and
+    the skew system of derivation_space) reads one scan of the linearized
+    law, and builds no certificate."""
     scans, built = spy_symcomp_scans(monkeypatch)
     a = named_algebra("okubo")
     basis = a.basis_elements()
     for i in range(3):
         pair = triality.derivation_pair(a, basis[i], basis[i + 1])
         triality.verify_local(a, *pair.maps())
+    assert len(symcomp.lambda_space(product_triple(a, random.Random(0)))) == 14
+    assert len(autos.derivation_space(a)) == 8
     assert scans == [(8, 8, 8)] and built == []
-    assert a._linearized_cache == (None,) and a._symcomp_cache is None
+    assert a._verdicts["linearized"] is None and "symcomp" not in a._verdicts
     # the full certificate reads the same scan
     assert symcomp.is_symmetric_composition(a).ok and scans == [(8, 8, 8)]
 
@@ -988,7 +994,21 @@ def test_verify_local_on_para_zorn_skips_the_five_clause_scan(monkeypatch):
     zorn.zorn_s_triple(a)  # its triple goes through verify_local
     assert symcomp.linearized_failure(a) is not None
     assert scans == [(a.dim, a.dim, a.dim)] and built == []
-    assert a._symcomp_cache is None
+    assert "symcomp" not in a._verdicts
+
+
+def test_every_guard_is_false_without_a_form():
+    """Without a form there is no linearized law to read: the triality laws
+    are all scanned, verify_local checks no skewness and derivation_space
+    solves the full system, and none of them raises for the missing form."""
+    para = named_algebra("para:4")
+    a = Algebra(para.field, para.structure, name="para:4 without its form")
+    ident, zero = a.identity_map(), 0 * a.identity_map()
+    assert not triality._is_symcomp(a)
+    triality.verify_triality(a, ident, ident, ident)
+    triality.verify_local(a, zero, zero, zero)
+    assert len(autos.derivation_space(a)) == len(autos.derivation_space(para))
+    assert "linearized" not in a._verdicts
 
 
 # ---------------------------------------------------------------------------

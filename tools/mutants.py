@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 141 mutants takes about twenty minutes on two cores, most of
+a full run of the 143 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -61,6 +61,7 @@ VERDICTS_ONCE = LAWS + "test_each_map_verdict_is_computed_once"
 TRANSPORT = LAWS + "test_transport_vectors_match_reference"
 HURWITZ_TRANSPORT = "tests/test_symcomp.py::test_transport_failures_on_a_hurwitz_algebra"
 MAP_EQUALITY = "tests/test_algebra.py::test_maps_of_two_algebras_are_unequal"
+NO_FORM = LAWS + "test_every_guard_is_false_without_a_form"
 PAIR_SEARCH = ("tests/test_autos.py::test_find_nilpotent_derivation_matches_full_product_search",
                "tests/test_autos.py::test_pair_search_returns_a_square_zero_difference")
 
@@ -239,7 +240,8 @@ MUTANTS = (
            ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
     # -- the derivation system at its size: skew unknowns, proof of none ----
     Mutant("skew system without the linearized precondition", "autos.py",
-           "return weights if linearized_failure(a) is None else None", "return weights",
+           "    if not _is_symcomp(a):\n        return None\n    g = a.form_map()",
+           "    if a.form is None:\n        return None\n    g = a.form_map()",
            ("tests/test_linalg.py::test_derivation_space_matches_exact_reference[Q]",)),
     Mutant("skew system with a zero form entry", "autos.py",
            "if not all(g0 or g1 for g0, g1 in weights) or any(", "if any(",
@@ -533,22 +535,21 @@ MUTANTS = (
            "law(maps[1]) is None and law(maps[2]) is None",
            (VERDICTS_ONCE,)),
     Mutant("triality guard without the linearized law", "triality.py",
-           "and linearized_failure(a) is None\n                and law", "and law",
+           "if (j == 1 and _is_symcomp(a) and", "if (j == 1 and a.form is not None and",
            (FAILED_GUARD,)),
     Mutant("triality guard without the nonzero form", "triality.py",
-           "if (j == 1 and a.form is not None and not a.form_map().is_zero()",
-           "if (j == 1 and a.form is not None",
+           "_is_symcomp(a) and not a.form_map().is_zero()", "_is_symcomp(a)",
            (FAILED_GUARD,)),
     Mutant("laws 2 and 3 never proven", "triality.py",
-           "if (j == 1 and a.form is not None", "if (j == 4 and a.form is not None",
+           "if (j == 1 and _is_symcomp(a)", "if (j == 4 and _is_symcomp(a)",
            (LAWS + "test_proven_laws_match_the_full_scan_on_the_catalogue",)),
     Mutant("the verdict memo ignores which law it holds", "algebra.py",
-           "        if law not in self._verdicts:\n"
-           "            self._verdicts[law] = check()\n"
-           "        return self._verdicts[law]\n",
-           "        if not self._verdicts:\n"
-           "            self._verdicts[law] = check()\n"
-           "        return next(iter(self._verdicts.values()))\n",
+           "    if law not in self._verdicts:\n"
+           "        self._verdicts[law] = check()\n"
+           "    return self._verdicts[law]\n",
+           "    if not self._verdicts:\n"
+           "        self._verdicts[law] = check()\n"
+           "    return next(iter(self._verdicts.values()))\n",
            (VERDICTS_ONCE, "tests/test_enumerate.py::test_dim2_members_match_reference")),
     Mutant("the product law's operand check dropped", "triality.py",
            "    if any(m.algebra is not a for m in (outer, left, right)):\n"
@@ -559,7 +560,7 @@ MUTANTS = (
            (SHIFTED_RECORDS, TUPLE_CHECKS)),
     # -- transport relations proven from p3 = a1 p2 + p1 a2 ------------------
     Mutant("transport guard without the linearized law", "symcomp.py",
-           "and linearized_failure(alg) is None\n            and", "and",
+           "for x in a.elems) and _is_symcomp(alg)", "for x in a.elems) and alg.form is not None",
            (TRANSPORT, HURWITZ_TRANSPORT)),
     Mutant("transport guard without a1 a2 = a3", "symcomp.py",
            " and a1 * a2 == a3)", ")",
@@ -582,6 +583,15 @@ MUTANTS = (
     Mutant("proven companions q1 and q2 swapped", "symcomp.py",
            "(a2 * derived, a3 * p1, q3)", "(a3 * p1, a2 * derived, q3)",
            (TRANSPORT,)),
+    # -- one symmetric-composition guard, read by every proof shortcut ------
+    Mutant("the predicate drops the linearized law", "triality.py",
+           "return a.form is not None and linearized_failure(a) is None",
+           "return a.form is not None",
+           (FAILED_GUARD, HURWITZ_TRANSPORT)),
+    Mutant("the predicate drops the form test", "triality.py",
+           "return a.form is not None and linearized_failure(a) is None",
+           "return linearized_failure(a) is None",
+           (NO_FORM,)),
     # -- maps of two algebras ------------------------------------------------
     Mutant("map equality compares the field, not the algebra", "algebra.py",
            "isinstance(other, LinearMap) and other.algebra is self.algebra",
