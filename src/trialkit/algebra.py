@@ -21,8 +21,19 @@ the form and the involution to maps (`form_map`, `involution_map`), whose
 blocks and sparse rows are the form and the involution on integers.  Every
 product of elements runs one integer loop on them (`Algebra.int_product`):
 `multiply` keeps its numerators as an element and the F_p enumerations
-reduce them mod p; `left_op` and `right_op` add each structure constant,
-times one coordinate, into one entry of the map.
+reduce them mod p.  The structure constants are also laid out, on first
+use, as two operator tables, whose row s is the block of L(e_s), or of
+R(e_s); `left_op` and `right_op` are one block product
+(`linalg._int_matmul`) each, the coordinates of x times a table, as map
+products are.
+
+Three loops stay element by element, because their block-product versions
+measured slower (median per call, dense operands, para:8 over Q, Python
+3.11 on a 2-core Xeon): `int_product` (x y as L(x) y, two block products:
+13.8 -> 31.1 us for `multiply`; its Z[sqrt d] loop alone, without the
+inline Q loop: 12.9 -> 22.1 us), `LinearMap.__call__` (one block product
+over the columns: 4.8 -> 5.7 us) and `form_eval` (<x|G y> through the map
+G: 1.9 -> 4.4 us).
 
 An :class:`Element` and a :class:`LinearMap` keep one integer block (see
 `_Block`): (q, n0, n1), the entries (n0 + n1 sqrt d)/q in canonical form,
@@ -42,6 +53,7 @@ numerators, so over F_p, where they hold reduced residues, it is exact.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, List, Optional, Sequence
@@ -324,6 +336,15 @@ class LinearMap(_Block):
         return f"LinearMap({[[str(c) for c in r] for r in self.rows]})"
 
 
+def _operator_table(planes: list, n: int) -> list:
+    """The sparse rows (see `linalg._sparse_lines`) of an n x n^2 integer
+    matrix: row s holds each (k, c0, c1) of planes[s][c] at index k n + c,
+    entry (k, c) of an n x n block, so that for planes = int_terms row s is
+    L(e_s), and for planes[s][c] = int_terms[c][s] it is R(e_s)."""
+    return [[(k * n + c, c0, c1) for c, line in enumerate(plane) for k, c0, c1 in line]
+            for plane in planes]
+
+
 _new = object.__new__
 _int_element = Element._of
 _int_map = LinearMap._of
@@ -389,6 +410,16 @@ class Algebra:
 
     _verdict = _verdict
 
+    # the operator tables (`_operator_table`), each built on its first use,
+    # so an algebra that never builds L(x) or R(x) does not pay for them
+    @cached_property
+    def _left_table(self) -> list:
+        return _operator_table(self.int_terms, self.dim)
+
+    @cached_property
+    def _right_table(self) -> list:
+        return _operator_table(list(zip(*self.int_terms)), self.dim)
+
     # -- element builders ---------------------------------------------------
     def element(self, coords) -> Element:
         """The element with these coordinates: FieldElements of the field,
@@ -436,36 +467,21 @@ class Algebra:
                             *self.int_product(x._n0, y._n0, x._n1, y._n1))
 
     def left_op(self, x: Element) -> LinearMap:
-        """L(x): e_j -> x e_j, so entry (k, j) is the sum of x_i c_ij^k."""
-        return self._multiplication(x, True)
+        """L(x): e_c -> x e_c, so entry (k, c) is the sum of x_s c_sc^k: the
+        coordinates of x times the left operator table."""
+        return self._operator(x, self._left_table)
 
     def right_op(self, y: Element) -> LinearMap:
-        """R(y): e_i -> e_i y, so entry (k, i) is the sum of y_j c_ij^k."""
-        return self._multiplication(y, False)
+        """R(y): e_c -> e_c y, so entry (k, c) is the sum of y_s c_cs^k: the
+        coordinates of y times the right operator table."""
+        return self._operator(y, self._right_table)
 
-    def _multiplication(self, x: Element, left: bool) -> LinearMap:
-        """L(x), or R(x) unless `left`, in one pass over `int_terms`: each
-        c_ij^k adds x_i c_ij^k to entry (k, j) of L(x), or x_j c_ij^k to
-        entry (k, i) of R(x), on numerators over qx int_den."""
-        n, d, terms = self.dim, self.field.d, self.int_terms
-        m0, m1 = [0] * (n * n), [0] * (n * n)
-        # planes[s][c] lists the c_sc^k of L(x), or the c_cs^k of R(x), which
-        # x_s times adds to column c
-        planes = terms if left else list(zip(*terms))
-        for s, (a0, a1) in enumerate(zip(x._n0, x._n1 or repeat(0))):
-            if a0 or a1:
-                lines = planes[s]
-                if d is None:
-                    for c, line in enumerate(lines):
-                        for k, c0, _ in line:
-                            m0[k * n + c] += a0 * c0
-                    continue
-                da1 = d * a1
-                for c, line in enumerate(lines):
-                    for k, c0, c1 in line:
-                        m0[k * n + c] += a0 * c0 + da1 * c1
-                        m1[k * n + c] += a0 * c1 + a1 * c0
-        return _int_map(self, x._q * self.int_den, m0, m1)
+    def _operator(self, x: Element, table: list) -> LinearMap:
+        """The map whose block is the sum of the rows s of `table` weighted
+        by x_s: one row of `linalg._int_matmul`, on numerators over
+        qx int_den."""
+        return _int_map(self, x._q * self.int_den, *linalg._int_matmul(
+            self.field.d, [linalg._sparse(x._n0, x._n1 or repeat(0))], table, self.dim ** 2))
 
     def form_eval(self, x: Element, y: Element) -> FieldElement:
         """<x|y> = sum x_i g_ik y_k over the nonzero g_ik of the form's map

@@ -305,6 +305,9 @@ def cmd_enumerate(args) -> int:
         out.write("closure: verified\n")
         return 0
     if args.target == "auto":
+        # auto_dim2 builds one algebra, the two-dimensional para algebra
+        if args.algebra != "para2":
+            raise ValueError(f"unknown algebra {args.algebra!r}: enumerate auto knows only 'para2'")
         group = symcomp.auto_dim2(field)
         out.write(f"automorphism group of the two-dimensional algebra "
                   f"over {args.field}\n")

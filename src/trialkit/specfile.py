@@ -117,6 +117,10 @@ def algebra_from_dict(obj: dict) -> Algebra:
     kind = obj.get("kind")
     if kind not in (None, PARA_ZORN):
         raise SpecError(f"unknown 'kind' {kind!r}; known: {PARA_ZORN!r}")
+    # a vector-matrix algebra has dim 2m + 2 (zorn.coeff_dim); n >= 1 here,
+    # so an odd n is the one impossible dim
+    if kind == PARA_ZORN and n % 2:
+        raise SpecError(f"'kind' {PARA_ZORN!r} needs an even 'dim' (2m + 2), got {n}")
     try:
         return Algebra(field, structure, form=_matrix(obj, "form", n, field),
                        involution=_matrix(obj, "involution", n, field),

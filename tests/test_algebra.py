@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from trialkit import autos, linalg, triality
 from trialkit.algebra import Algebra, AlgebraError, Element, LinearMap, _int_element, _int_map
 from trialkit.constructors import (cross_space, make_hurwitz, make_para, make_para_zorn,
-                                   named_algebra)
+                                   named_algebra, quadratic_space)
 from trialkit.fields import (DescriptorMismatch, DivisionByZero, FieldDescriptor, FieldElement,
                              PRIME, QUADRATIC, RATIONALS)
 from trialkit.linalg import NotInvertible, _lift
@@ -383,17 +383,27 @@ def scalars(draw, field):
     return FieldElement(field, draw(part))
 
 
+def vector(draw, field, n):
+    """n scalars, all zero a fifth of the time."""
+    if draw(st.integers(0, 4)) == 0:
+        return [field.zero()] * n
+    return [draw(scalars(field)) for _ in range(n)]
+
+
 @st.composite
 def algebras_and_pairs(draw):
     """(a, x, y): a random structure tensor and symmetric form of dimension
-    1 to 4, or a named algebra, with two vectors."""
+    1 to 4, the zero space of dimension 0, or a named algebra, with two
+    vectors."""
     field = draw(st.sampled_from(PRODUCT_FIELDS))
     named = {3: "okubo", 2: "para:8", -1: "parazorn:1:1", 13: "okubo", 7: "para:4"}
     key = field.p if field.p is not None else field.d
+    n = draw(st.integers(0, 4))
     if key in named and draw(st.booleans()):
         a = named_algebra(named[key], field)
+    elif n == 0:
+        a = quadratic_space(field, 0)
     else:
-        n = draw(st.integers(1, 4))
         structure = [[[draw(scalars(field)) for _ in range(n)] for _ in range(n)]
                      for _ in range(n)]
         form = [[field.zero()] * n for _ in range(n)]
@@ -401,9 +411,7 @@ def algebras_and_pairs(draw):
             for k in range(i, n):
                 form[i][k] = form[k][i] = draw(scalars(field))
         a = Algebra(field, structure, form=form)
-    x = [draw(scalars(field)) for _ in range(a.dim)]
-    y = [draw(scalars(field)) for _ in range(a.dim)]
-    return a, x, y
+    return a, vector(draw, field, a.dim), vector(draw, field, a.dim)
 
 
 def canonical(values):
@@ -559,7 +567,7 @@ def map_cases(draw):
         m = _int_map(a, q, [v for row in r0 for v in row], r1 and [v for row in r1 for v in row])
         rows = [[ref_entry(field, q, r0[i][j], 0 if r1 is None else r1[i][j])
                  for j in range(n)] for i in range(n)]
-    x = [draw(scalars(field)) for _ in range(n)]
+    x = vector(draw, field, n)
     return a, rows, m, x, draw(scalars(field))
 
 

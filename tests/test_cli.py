@@ -373,6 +373,10 @@ def test_error_exit_codes(capsys):
                "FieldDescriptor(kind='Fp', d=None, p=7)\n")
     assert run(capsys, "enumerate", "trig", "hurwitz:3", "F7") == (
         2, "", "error: unknown algebra 'hurwitz:3': dimension must be 1, 2, 4 or 8\n")
+    # enumerate auto builds para2 alone: any other name exits 2 before any work
+    for argv in (("nope", "Q"), ("okubo", "F7")):
+        assert run(capsys, "enumerate", "auto", *argv) == (
+            2, "", f"error: unknown algebra {argv[0]!r}: enumerate auto knows only 'para2'\n")
     # a non-integer gets the CLI's own message, not Python's int() error
     for argv, message in [
             (("expcheck", "okubo", "d1:0,x"), "basis indices must be integers: 0,x"),
@@ -439,8 +443,11 @@ def _shorten(key, row=None):
     _shorten("involution", row=1),
     _set("kind", "zorn"),
     _set("kind", ["para-zorn"]),
+    # a vector-matrix algebra has even dim 2m + 2
+    lambda spec: spec.update(specfile.algebra_to_dict(named_algebra("para:1")), kind="para-zorn"),
 ], ids=["missing-dim", "bare-string-field", "index-past-dim", "negative-index",
-        "short-unit", "short-form", "short-involution-row", "unknown-kind", "list-kind"])
+        "short-unit", "short-form", "short-involution-row", "unknown-kind", "list-kind",
+        "odd-dim-para-zorn"])
 def test_malformed_spec_is_rejected_with_exit_2(capsys, tmp_path, edit):
     spec = specfile.algebra_to_dict(named_algebra("hurwitz:4"))
     edit(spec)

@@ -11,7 +11,7 @@ are expected to survive.
 The exit status is 0 when every patch applies, the unpatched copy passes the
 selected tests, every other mutant is killed and every equivalent one
 survives.  The repository itself is never modified.  Not part of tier-1:
-a full run of the 143 mutants takes about twenty minutes on two cores, most of
+a full run of the 147 mutants takes about twenty minutes on two cores, most of
 it in hypothesis shrinking the counterexamples of the slower tests.
 
 Usage:
@@ -229,11 +229,20 @@ MUTANTS = (
     Mutant("residue product without mod p", "symcomp.py",
            "return tuple(map(p.__rmod__, product(x, y)[0]))", "return tuple(product(x, y)[0])",
            (PRODUCT_LOOP,)),
+    # -- one product kernel for L(x) and R(x): the operator tables ---------
     Mutant("left_op built as right_op", "algebra.py",
-           "return self._multiplication(x, True)", "return self._multiplication(x, False)",
+           "return self._operator(x, self._left_table)",
+           "return self._operator(x, self._right_table)",
            (PRODUCT_LOOP,)),
-    Mutant("multiplication map drops d x1 c1", "algebra.py",
-           "m0[k * n + c] += a0 * c0 + da1 * c1", "m0[k * n + c] += a0 * c0",
+    Mutant("operator row drops the sqrt d part of x", "algebra.py",
+           "linalg._sparse(x._n0, x._n1 or repeat(0))", "linalg._sparse(x._n0, repeat(0))",
+           (PRODUCT_LOOP,)),
+    Mutant("operator table at index c n + k", "algebra.py",
+           "(k * n + c, c0, c1)", "(c * n + k, c0, c1)",
+           (PRODUCT_LOOP,)),
+    Mutant("right table read from int_terms[s][c]", "algebra.py",
+           "_operator_table(list(zip(*self.int_terms)), self.dim)",
+           "_operator_table(self.int_terms, self.dim)",
            (PRODUCT_LOOP,)),
     Mutant("one sign flipped in the derivation rows", "autos.py",
            "(m, l * n + i, -c0, -c1)", "(m, l * n + i, c0, -c1)",
@@ -375,6 +384,12 @@ MUTANTS = (
     Mutant("parse_scalar ignores the radicand", "fields.py",
            "    if int(d) != desc.d:\n", "    if False:\n",
            ("tests/test_cli.py::test_spec_with_a_foreign_radicand_is_rejected_with_exit_2",)),
+    Mutant("enumerate auto reads no algebra name", "cli.py",
+           'if args.algebra != "para2":', 'if not args.algebra:',
+           ("tests/test_cli.py::test_error_exit_codes",)),
+    Mutant("an odd-dim para-Zorn spec is accepted", "specfile.py",
+           "if kind == PARA_ZORN and n % 2:", "if kind == PARA_ZORN and n < 1:",
+           ("tests/test_cli.py::test_malformed_spec_is_rejected_with_exit_2",)),
     Mutant("parse_scalar drops the sign before b", "fields.py",
            '-bn * ad if sign == "-" else bn * ad', "bn * ad",
            ("tests/test_specfile.py::test_quadratic_scalar_spellings",)),
